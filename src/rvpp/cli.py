@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default=None,
                         help=f"solver backend (default: ${BACKEND_ENV_VAR} or scipy)")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--max-modules", type=int, default=2000, help="storage sizing cap")
+    parser.add_argument("--max-modules", type=int, default=2000,
+                        help="cap on the storage fleet sizing may return; a larger need fails the cell")
     parser.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
     parser.add_argument("--literal-3c", action=argparse.BooleanOptionalAction, default=False,
                         help="keep the daily energy cap's reserve term unscaled by the period length")

@@ -202,17 +202,14 @@ def audit_robust_feasibility(
             continue
         n_subsets = math.comb(T, gamma)
         if n_subsets <= exhaustive_cap:
-            hits = np.zeros(T, dtype=int)
-            for subset in budget_subsets(T, gamma):
-                for t in subset:
-                    if breakable[t]:
-                        hits[t] += 1
+            # Of the C(T, Gamma) subsets, C(T-1, Gamma-1) contain any given period.
+            hits = math.comb(T - 1, gamma - 1)
             for t in range(T):
-                if hits[t]:
+                if hits and breakable[t]:
                     out.append(
                         f"{name}: {what} exceeds the degraded limit by "
                         f"{deviation[t] - slack[t]:.6g} at period {t + 1} "
-                        f"(hit in {hits[t]} of {n_subsets} audited subsets)"
+                        f"(hit in {hits} of {n_subsets} audited subsets)"
                     )
         else:
             subset = dominant_subset(deviation, gamma)

@@ -50,27 +50,21 @@ class DecodeError(RuntimeError):
 
 
 @dataclass
-class RobustArtifacts:
-    """Dual prices and adversary selections attached to a robust schedule.
+class PriceRobustArtifacts:
+    """Dual prices of the three price streams attached to a robust schedule.
 
     mu/xi follow the usual budget-dualization roles: per stream, the objective
     penalty Gamma*mu + sum(xi) equals the worst-case revenue loss at the
-    optimum.  unit_pick marks each stream's degraded periods (exactly Gamma
-    ones) and unit_x the deviation absorbed there.
+    optimum.
     """
 
     budgets: BudgetSet
     mu_dam: float
     xi_dam: np.ndarray
-    x_dam: np.ndarray
     mu_sr_up: float
     xi_sr_up: np.ndarray
     mu_sr_dn: float
     xi_sr_dn: np.ndarray
-    unit_mu: dict[str, float]
-    unit_xi: dict[str, np.ndarray]
-    unit_pick: dict[str, np.ndarray]
-    unit_x: dict[str, np.ndarray]
 
     def dam_penalty(self) -> float:
         return self.budgets.gamma_dam * self.mu_dam + float(self.xi_dam.sum())
@@ -85,6 +79,22 @@ class RobustArtifacts:
         """Objective give-up for price uncertainty; the per-unit duals live in
         constraints only and carry no objective weight."""
         return self.dam_penalty() + self.sr_up_penalty() + self.sr_dn_penalty()
+
+
+@dataclass
+class RobustArtifacts(PriceRobustArtifacts):
+    """Price duals plus adversary selections attached to a robust portfolio
+    schedule.
+
+    unit_pick marks each stream's degraded periods (exactly Gamma ones) and
+    unit_x the deviation absorbed there.
+    """
+
+    x_dam: np.ndarray
+    unit_mu: dict[str, float]
+    unit_xi: dict[str, np.ndarray]
+    unit_pick: dict[str, np.ndarray]
+    unit_x: dict[str, np.ndarray]
 
 
 @dataclass

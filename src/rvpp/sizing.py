@@ -3,10 +3,11 @@
 The gap is the robust profit of the aggregated portfolio minus the sum of the
 units' stand-alone robust profits.  Sizing answers: how many identical
 storage modules does a price-robust fleet need before its day profit covers
-that gap?  The search adds a profit-floor row to the fleet model and walks
-module_count up from 1; a galloping/bisection accelerator is used when fleet
-feasibility is provably monotone in the count (no minimum-power constraints),
-and both endpoints (N feasible, N-1 infeasible) are always verified.
+that gap?  Every fleet row is positively homogeneous in the continuous
+columns and module_count, so the fleet's robust profit is exactly N times the
+one-module profit p1 and the answer is ceil(gap / p1).  A profit-floor row
+added to the fleet model then verifies the boundary: the chosen count covers
+the gap and one module fewer does not.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class GapReport:
 class SizingResult:
     """Minimal fleet whose robust profit covers the lower-bound target.
 
-    iterations counts distinct fleet solves; with the linear walk from 1 it
-    equals module_count.  minimality_checked records that module_count - 1
+    iterations counts fleet solves: 1 when a single module covers the target,
+    otherwise at most 3.  minimality_checked records that module_count - 1
     was solved and found infeasible (trivially true at 1).  per_unit and
     rvpp_profit are filled when the target came from an aggregation-gap
     report rather than a bare number.
@@ -141,16 +142,17 @@ def _fleet_covers(
     module: EsUnit,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    gap: float,
+    gap: float | None,
     backend: str | None,
     build_kwargs: dict,
 ) -> tuple[bool, float]:
-    """Solve the price-robust fleet with a profit-floor row; returns
-    (floor met, unconstrained-equivalent objective)."""
+    """Solve the price-robust fleet with a profit-floor row at gap (no row
+    when gap is None); returns (floor met, unconstrained-equivalent objective)."""
     m = build_robust_es(EsFleet(module, count), scenario, budgets, **build_kwargs)
-    m.add_constraint("profit_floor", m.objective, SENSE_GE, gap)
+    if gap is not None:
+        m.add_constraint("profit_floor", m.objective, SENSE_GE, gap)
     sol = solve(m, backend_factory(backend)())
-    if sol.status == "infeasible":
+    if sol.status == "infeasible" and gap is not None:
         return False, float("nan")
     if sol.status != "optimal":
         raise SizingError(f"fleet solve at {count} modules ended {sol.status}")
@@ -164,31 +166,26 @@ def size_es_to_match(
     budgets: BudgetSet,
     max_modules: int = 2000,
     backend: str | None = None,
-    accelerate: bool | None = None,
     **build_kwargs,
 ) -> SizingResult:
     """Smallest module_count whose robust fleet profit reaches the gap.
 
     budgets must be effectively price-only; any per-unit entries are dropped
-    here because the fleet has no quantity streams.  accelerate=None picks
-    galloping search when the module has no minimum-power constraints (the
-    only case where feasibility is monotone in the count) and the linear walk
-    otherwise.
+    here because the fleet has no quantity streams.  The count is computed
+    from the one-module profit p1, not searched for, and costs at most three
+    fleet solves.  SizingError is raised when p1 is not positive, when the
+    count exceeds max_modules, and when the floor-row solves contradict the
+    linear scaling count * p1.
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
     b = price_only_budgets(budgets)
-    if accelerate is None:
-        accelerate = module.charge_p_min == 0.0 and module.discharge_p_min == 0.0
     iterations = 0
-    solved: dict[int, tuple[bool, float]] = {}
 
-    def probe(count: int) -> tuple[bool, float]:
+    def covers(count: int, floor: float | None = gap) -> tuple[bool, float]:
         nonlocal iterations
-        if count not in solved:
-            iterations += 1
-            solved[count] = _fleet_covers(count, module, scenario, b, gap, backend, build_kwargs)
-        return solved[count]
+        iterations += 1
+        return _fleet_covers(count, module, scenario, b, floor, backend, build_kwargs)
 
     def result(count: int, profit: float) -> SizingResult:
         return SizingResult(
@@ -200,37 +197,39 @@ def size_es_to_match(
             minimality_checked=True,
         )
 
-    if not accelerate:
-        for count in range(1, max_modules + 1):
-            ok, profit = probe(count)
-            if ok:
-                return result(count, profit)
-        raise SizingError(
-            f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}"
-        )
+    def cap_error() -> SizingError:
+        return SizingError(f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}")
 
-    ok, profit = probe(1)
+    _, p1 = covers(1, None)
+    if p1 >= gap:
+        return result(1, p1)
+    if p1 <= 0.0:
+        raise SizingError(
+            f"per-module value {p1:.6g} of {module.name!r} is not positive, "
+            f"so no fleet covers the gap {gap:.6g}"
+        )
+    ratio = gap / p1
+    if ratio > max_modules:
+        raise cap_error()
+    # Fleet profit is count * p1, so the answer is ceil(ratio).  Float rounding
+    # can move it one module only where ratio sits next to a whole number, and
+    # the floor-row solve at the nearest whole number settles which side wins;
+    # together with one neighbour it also verifies minimality.
+    nearest = round(ratio)
+    ok, profit = covers(nearest)
     if ok:
-        return result(1, profit)
-    lo = 1  # largest count known infeasible
-    hi = 2
-    while True:
-        hi = min(hi, max_modules)
-        ok, profit = probe(hi)
-        if ok:
-            break
-        if hi == max_modules:
+        if nearest > 1 and covers(nearest - 1)[0]:
             raise SizingError(
-                f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}"
+                f"fleet profit departs from module_count x {p1:.6g}: "
+                f"{nearest - 1} modules already cover the gap {gap:.6g}"
             )
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        ok, _ = probe(mid)
-        if ok:
-            hi = mid
-        else:
-            lo = mid
-    # lo = hi - 1 is infeasible and hi is feasible: minimality holds.
-    return result(hi, solved[hi][1])
+        return result(nearest, profit)
+    if nearest + 1 > max_modules:
+        raise cap_error()
+    ok, profit = covers(nearest + 1)
+    if not ok:
+        raise SizingError(
+            f"fleet profit departs from module_count x {p1:.6g}: "
+            f"{nearest + 1} modules do not cover the gap {gap:.6g}"
+        )
+    return result(nearest + 1, profit)

@@ -27,7 +27,14 @@ from .milp import (
     Model,
     Solution,
 )
-from .scheduler import BALANCE_TOL, BINARY_TOL, DecodeError, ModelBuildError, _t2
+from .scheduler import (
+    BALANCE_TOL,
+    BINARY_TOL,
+    DecodeError,
+    ModelBuildError,
+    PriceRobustArtifacts,
+    _t2,
+)
 
 
 @dataclass(frozen=True)
@@ -80,29 +87,6 @@ class EsFleet:
 
 
 @dataclass
-class EsRobustArtifacts:
-    budgets: BudgetSet
-    mu_dam: float
-    xi_dam: np.ndarray
-    mu_sr_up: float
-    xi_sr_up: np.ndarray
-    mu_sr_dn: float
-    xi_sr_dn: np.ndarray
-
-    def dam_penalty(self) -> float:
-        return self.budgets.gamma_dam * self.mu_dam + float(self.xi_dam.sum())
-
-    def sr_up_penalty(self) -> float:
-        return self.budgets.gamma_sr_up * self.mu_sr_up + float(self.xi_sr_up.sum())
-
-    def sr_dn_penalty(self) -> float:
-        return self.budgets.gamma_sr_down * self.mu_sr_dn + float(self.xi_sr_dn.sum())
-
-    def price_penalty_total(self) -> float:
-        return self.dam_penalty() + self.sr_up_penalty() + self.sr_dn_penalty()
-
-
-@dataclass
 class EsSchedule:
     """Decoded fleet schedule.
 
@@ -128,7 +112,7 @@ class EsSchedule:
     sigma_dn: float
     objective_value: float
     nominal_profit: float
-    artifacts: EsRobustArtifacts | None = None
+    artifacts: PriceRobustArtifacts | None = None
 
 
 def validate_fleet(fleet: EsFleet) -> list[str]:
@@ -489,7 +473,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
         def opt_series(prefix: str) -> np.ndarray:
             return series(prefix) if m.has_variable(f"{prefix}_t{_t2(0)}") else zeros.copy()
 
-        artifacts = EsRobustArtifacts(
+        artifacts = PriceRobustArtifacts(
             budgets=budgets,
             mu_dam=opt_scalar("mu_dam"),
             xi_dam=opt_series("xi_dam"),

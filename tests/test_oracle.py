@@ -151,14 +151,21 @@ def test_audit_flags_a_deterministic_schedule_under_budgets():
 
 
 def test_audit_exhaustive_covers_more_than_dominant():
-    # Flat deviations, budget 2 of 6: every period is breakable, so the
-    # exhaustive sweep reports all six while the dominant realization
-    # reports exactly the budgeted two.
+    # Flat deviations, budget Gamma of 6: every period is breakable, so the
+    # exhaustive sweep reports all six, each hit as often as brute-force
+    # subset enumeration says, while the dominant realization reports
+    # exactly the budgeted Gamma.
     portfolio, scenario = wind_only(T=6, upper=10.0, dev=4.0, dam=20.0)
     det = solve_rvpp(portfolio, scenario)
-    budgets = BudgetSet(gamma_per_unit={"wf": 2})
-    assert len(audit_robust_feasibility(det, portfolio, scenario, budgets)) == 6
-    assert len(audit_robust_feasibility(det, portfolio, scenario, budgets, exhaustive_cap=0)) == 2
+    for gamma in (1, 2, 3, 6):
+        budgets = BudgetSet(gamma_per_unit={"wf": gamma})
+        violations = audit_robust_feasibility(det, portfolio, scenario, budgets)
+        subsets = list(budget_subsets(6, gamma))
+        assert len(violations) == 6
+        for t, v in enumerate(violations):
+            hits = sum(t in subset for subset in subsets)
+            assert v.endswith(f"at period {t + 1} (hit in {hits} of {len(subsets)} audited subsets)")
+        assert len(audit_robust_feasibility(det, portfolio, scenario, budgets, exhaustive_cap=0)) == gamma
 
 
 def test_audit_full_budget_schedule_survives_the_single_realization():

@@ -1,10 +1,13 @@
-"""Aggregation gap and minimal storage-fleet search."""
+"""Aggregation gap and minimal storage-fleet sizing."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rvpp.sizing as sizing
 from rvpp import (
     BudgetSet,
     DrsUnit,
@@ -17,6 +20,7 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
+from rvpp.sizing import _fleet_covers
 from toys import battery, market, wind
 
 
@@ -93,15 +97,69 @@ def test_zero_gap_needs_a_single_module():
     assert result.es_objective == pytest.approx(63.175, abs=1e-6)
 
 
-def test_accelerated_and_linear_walks_agree():
-    for target in (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6):
-        fast = size_es_to_match(target, battery(), double_cycle_market(), ZERO_BUDGETS)
-        slow = size_es_to_match(
-            target, battery(), double_cycle_market(), ZERO_BUDGETS, accelerate=False
-        )
-        assert fast.module_count == slow.module_count
-        assert slow.iterations == slow.module_count
-        assert fast.es_objective == pytest.approx(slow.es_objective, rel=1e-9)
+def min_power_module(op_cost: float = 0.0):
+    return replace(battery(op_cost=op_cost), charge_p_min=0.1, discharge_p_min=0.15)
+
+
+def count_fleet_solves(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    real = sizing.solve
+
+    def counting(model, backend):
+        calls.append(model.name)
+        return real(model, backend)
+
+    monkeypatch.setattr(sizing, "solve", counting)
+    return calls
+
+
+def linear_walk(target, module, scenario, budgets):
+    """Reference sizing: the first count whose profit-floor solve succeeds."""
+    for count in range(1, 101):
+        ok, profit = _fleet_covers(count, module, scenario, budgets, target, None, {})
+        if ok:
+            return count, profit
+    raise AssertionError(f"no fleet of up to 100 modules covers {target}")
+
+
+def test_closed_form_matches_a_linear_walk(monkeypatch):
+    s = double_cycle_market()
+    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, None, {})[1]
+    # 5 * p1 + 1e-9 puts ceil(gap / p1) at 6 while 5 modules meet the floor
+    # within the solver's feasibility tolerance.
+    targets = (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6, 5 * p1, 5 * p1 + 1e-9)
+    cases = [(battery(), s, ZERO_BUDGETS, t) for t in targets]
+    price_budgets = BudgetSet(gamma_dam=1, gamma_sr_up=1)
+    cases += [(min_power_module(), spiky_market(), price_budgets, t) for t in (10.0, 30.0, 100.0)]
+    calls = count_fleet_solves(monkeypatch)
+    for module, scenario, budgets, target in cases:
+        count, profit = linear_walk(target, module, scenario, budgets)
+        calls.clear()
+        result = size_es_to_match(target, module, scenario, budgets)
+        assert result.module_count == count
+        assert result.es_objective == pytest.approx(profit, rel=1e-9)
+        assert len(calls) == result.iterations <= 3
+        assert result.minimality_checked
+
+
+def test_losing_module_fails_after_one_solve(monkeypatch):
+    calls = count_fleet_solves(monkeypatch)
+    with pytest.raises(SizingError, match="per-module value -"):
+        size_es_to_match(5.0, min_power_module(op_cost=30.0), market(4, dam=10.0), ZERO_BUDGETS)
+    assert len(calls) == 1
+
+
+def test_fleet_off_the_linear_prediction_raises(monkeypatch):
+    # Stand-in floor-row solves whose profit departs from count * p1 by more
+    # than a module, below and above the prediction ceil(30 / 10) = 3.
+    for offset in (15.0, -15.0):
+        def covers(count, module, scenario, budgets, gap, backend, build_kwargs):
+            profit = 10.0 * count + (offset if count > 1 else 0.0)
+            return gap is None or profit >= gap, profit
+
+        monkeypatch.setattr(sizing, "_fleet_covers", covers)
+        with pytest.raises(SizingError, match="departs from module_count x 10"):
+            size_es_to_match(30.0, battery(), double_cycle_market(), ZERO_BUDGETS)
 
 
 def test_module_count_grows_with_price_budget():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -46,12 +49,15 @@ def test_flat_prices_mean_no_trading():
 
 def test_value_is_linear_in_module_count():
     # Every fleet rating scales with the count and all rows are homogeneous,
-    # so the optimum scales exactly.
-    s = market(12, dam=[10, 40, 5, 35, 20, 45, 8, 30, 25, 50, 15, 12])
-    v1 = solve_es(EsFleet(battery(), 1), s).objective_value
-    for n in (2, 3, 7):
-        vn = solve_es(EsFleet(battery(), n), s).objective_value
-        assert vn == pytest.approx(n * v1, rel=1e-9)
+    # so the optimum scales exactly, minimum-power rows and price duals
+    # included.  Storage sizing computes its module count from this.
+    s = market(12, dam=[10, 40, 5, 35, 20, 45, 8, 30, 25, 50, 15, 12], dam_down=4.0, dam_up=3.0)
+    min_power = replace(battery(), charge_p_min=0.1, discharge_p_min=0.15)
+    for module, budgets in product((battery(), min_power), (None, BudgetSet(gamma_dam=3))):
+        v1 = solve_es(EsFleet(module, 1), s, budgets).objective_value
+        for n in (2, 3, 7):
+            vn = solve_es(EsFleet(module, n), s, budgets).objective_value
+            assert vn == pytest.approx(n * v1, rel=1e-9), (module, budgets, n)
 
 
 def test_soc_cyclic_and_modes_exclusive_randomized():
