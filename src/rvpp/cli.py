@@ -5,7 +5,8 @@ robust) and emits unit-level dispatch and reserve curves.  Case 2 sweeps the
 regime/strategy grid and reports traded energy and reserves.  Case 3 measures
 aggregation gaps, class ablations, and flexible-demand capacity scaling, and
 sizes the matching storage fleet.  Case 4 schedules the sized fleet and emits
-its state of charge.
+its state of charge; when the same sweep runs the case-3 cell of its season,
+regime and strategy, case 4 runs after it and takes over its gap and sizing.
 
 Every schedule is replayed and audited before anything is written; a failed
 cell keeps its error in the run manifest while the remaining cells still
@@ -21,6 +22,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from .scenario_io import (
 )
 from .scheduler import build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .sizing import aggregation_gap, individual_profit, price_only_budgets, size_es_to_match
-from .storage import EsFleet, build_robust_es, extract_es_schedule
+from .storage import build_robust_es, extract_es_schedule
 
 CASES = (1, 2, 3, 4)
 ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
@@ -99,23 +101,44 @@ def _solved_schedule(portfolio, scenario, budgets, backend, switches):
     return schedule
 
 
-def _solved_es(fleet, scenario, budgets, backend, switches, floor=None):
-    m = build_robust_es(
-        fleet, scenario, budgets, symmetric_sigma_margins=switches["symmetric_sigma_margins"]
-    )
-    if floor is not None:
-        m.add_constraint("profit_floor", m.objective, SENSE_GE, floor)
-    sol = solve(m, backend_factory(backend)())
-    if sol.status != "optimal":
-        raise CellError(f"storage solve ended {sol.status}")
-    schedule = extract_es_schedule(m, sol)
-    report = replay_schedule(
-        schedule, fleet, scenario, symmetric_sigma_margins=switches["symmetric_sigma_margins"]
-    )
+def _solved_es(sized, module, scenario, budgets, backend, switches):
+    """The sized fleet's schedule under the profit floor, replayed.  Solved here
+    only when sizing stopped at its unfloored one-module solve."""
+    fleet = sized.fleet(module)
+    margins = switches["symmetric_sigma_margins"]
+    schedule = sized.schedule
+    if schedule is None:
+        b = price_only_budgets(budgets)
+        m = build_robust_es(fleet, scenario, b, symmetric_sigma_margins=margins)
+        m.add_constraint("profit_floor", m.objective, SENSE_GE, sized.lower_bound_profit)
+        sol = solve(m, backend_factory(backend)())
+        if sol.status != "optimal":
+            raise CellError(f"storage solve ended {sol.status}")
+        schedule = extract_es_schedule(m, sol)
+    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=margins)
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
         raise CellError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
     return schedule
+
+
+def _gap_and_sizing(task, module, portfolio, scenario, budgets):
+    """Aggregation gap and, given a storage module, the fleet that covers it."""
+    gap = aggregation_gap(
+        portfolio, scenario, budgets, backend=task["backend"], literal_3c=task["literal_3c"]
+    )
+    if module is None:
+        return gap, None
+    sized = size_es_to_match(
+        gap.gap,
+        module,
+        scenario,
+        budgets,
+        max_modules=task["max_modules"],
+        backend=task["backend"],
+        symmetric_sigma_margins=task["symmetric_sigma_margins"],
+    )
+    return gap, sized
 
 
 def _snap(v: float) -> float:
@@ -189,9 +212,7 @@ def run_cell(task: dict) -> dict:
         elif case == 3:
             if budgets is None:
                 raise CellError("case 3 needs a robust strategy")
-            solves = {"backend": backend, **switches}
-            full = aggregation_gap(portfolio, scenario, budgets, **_gap_kwargs(solves))
-            memo = dict(full.per_unit)
+            full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
             kf = dict(key, configuration="full")
             values = {
                 "rvpp_profit": full.rvpp_profit,
@@ -200,16 +221,7 @@ def run_cell(task: dict) -> dict:
             }
             for name, profit in full.per_unit:
                 values[f"unit_{name}"] = profit
-            if bundle.es_module is not None:
-                sized = size_es_to_match(
-                    full.gap,
-                    bundle.es_module,
-                    scenario,
-                    budgets,
-                    max_modules=task["max_modules"],
-                    backend=backend,
-                    symmetric_sigma_margins=switches["symmetric_sigma_margins"],
-                )
+            if sized is not None:
                 values.update(
                     module_count=float(sized.module_count),
                     fleet_e_max_mwh=sized.fleet_e_max,
@@ -218,41 +230,31 @@ def run_cell(task: dict) -> dict:
                 )
             out["rows"].append(ResultRow(values=values, **kf))
 
-            for config in task["configs"]:
-                if config == "full":
-                    continue
-                sub = _drop_class(portfolio, config)
+            # Ablations, then flexible-demand scales; a unit of the full
+            # portfolio keeps its stand-alone profit, a rescaled one is solved.
+            memo = {u: v for u, (_, v) in zip(portfolio.all_units(), full.per_unit)}
+            variants = [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
+            variants += [
+                (f"fd_{int(pct):03d}", scale_flexible_demand(portfolio, pct / 100.0))
+                for pct in task["fd_scales"]
+                if pct != 100.0
+            ]
+            solved = []
+            for config, sub in variants:
                 if sub.is_empty():
                     raise CellError(f"configuration {config} leaves no units")
                 bsub = strategy_budgets(strategy, sub)
-                msub = _solved_schedule(sub, scenario, bsub, backend, switches)
-                total = sum(memo[u.name] for u in sub.all_units())
-                out["rows"].append(
-                    ResultRow(
-                        values={
-                            "rvpp_profit": msub.objective_value,
-                            "sum_individual": total,
-                            "gap": msub.objective_value - total,
-                        },
-                        **dict(key, configuration=config),
-                    )
-                )
-
-            for pct in task["fd_scales"]:
-                if pct == 100.0:
-                    continue
-                scaled = scale_flexible_demand(portfolio, pct / 100.0)
-                bscaled = strategy_budgets(strategy, scaled)
-                sched = _solved_schedule(scaled, scenario, bscaled, backend, switches)
+                # Scaling flexible demand to zero leaves the no_fd portfolio.
+                sched = next((m for p, m in solved if p == sub), None)
+                if sched is None:
+                    sched = _solved_schedule(sub, scenario, bsub, backend, switches)
+                    solved.append((sub, sched))
                 total = sum(
-                    memo[u.name]
-                    for u in scaled.all_units()
-                    if u.name in memo and not _is_fd(scaled, u.name)
+                    memo[u]
+                    if u in memo
+                    else individual_profit(u, scenario, bsub, backend, literal_3c=task["literal_3c"])
+                    for u in sub.all_units()
                 )
-                for u in scaled.fd:
-                    total += individual_profit(
-                        u, scenario, bscaled, backend, literal_3c=switches["literal_3c"]
-                    )
                 out["rows"].append(
                     ResultRow(
                         values={
@@ -260,30 +262,22 @@ def run_cell(task: dict) -> dict:
                             "sum_individual": total,
                             "gap": sched.objective_value - total,
                         },
-                        **dict(key, configuration=f"fd_{int(pct):03d}"),
+                        **dict(key, configuration=config),
                     )
                 )
+            # Handed to the case-4 cell of the same season, regime and strategy.
+            out["handoff"] = {"gap": full, "sizing": sized}
 
         elif case == 4:
             if budgets is None:
                 raise CellError("case 4 needs a robust strategy")
             if bundle.es_module is None:
                 raise CellError("scenario file ships no storage module")
-            solves = {"backend": backend, **switches}
-            full = aggregation_gap(portfolio, scenario, budgets, **_gap_kwargs(solves))
-            sized = size_es_to_match(
-                full.gap,
-                bundle.es_module,
-                scenario,
-                budgets,
-                max_modules=task["max_modules"],
-                backend=backend,
-                symmetric_sigma_margins=switches["symmetric_sigma_margins"],
-            )
-            fleet = EsFleet(bundle.es_module, sized.module_count)
-            es = _solved_es(
-                fleet, scenario, price_only_budgets(budgets), backend, switches, floor=full.gap
-            )
+            if "gap" in task:
+                full, sized = task["gap"], task["sizing"]
+            else:
+                full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
+            es = _solved_es(sized, bundle.es_module, scenario, budgets, backend, switches)
             kf = dict(key, configuration="sized_es")
             sold = _snap(sum(v for v in es.net if v > 0) * dt)
             bought = _snap(-sum(v for v in es.net if v < 0) * dt)
@@ -322,13 +316,8 @@ def run_cell(task: dict) -> dict:
     return out
 
 
-def _is_fd(portfolio: Portfolio, name: str) -> bool:
-    return any(u.name == name for u in portfolio.fd)
-
-
-def _gap_kwargs(solves: dict) -> dict:
-    kw = {"backend": solves["backend"], "literal_3c": solves["literal_3c"]}
-    return kw
+def _twin_key(task: dict) -> tuple:
+    return (task["season"], task["regime"], task["strategy"])
 
 
 def _cell_key(task: dict) -> tuple:
@@ -424,9 +413,10 @@ def main(argv: list[str] | None = None) -> int:
     args.config = args.config or list(CONFIG_CHOICES)
     args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
     args.scenario = str(args.scenario or default_scenario_path())
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (("--jobs", args.jobs), ("--max-modules", args.max_modules)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return 2
     for pct in args.fd_scale:
         if pct < 0:
             print(f"error: --fd-scale {pct} is negative", file=sys.stderr)
@@ -440,11 +430,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     started = time.perf_counter()
-    if args.jobs == 1:
-        results = [run_cell(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_cell, tasks))
+    # A case-4 cell waits for its case-3 twin and takes over its gap and sizing.
+    twins = {_twin_key(t) for t in tasks if t["case"] == 3}
+    ready, waiting = [], []
+    for t in tasks:
+        (waiting if t["case"] == 4 and _twin_key(t) in twins else ready).append(t)
+    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        results = list(run(run_cell, ready))
+        handoff = {_twin_key(r["task"]): r["handoff"] for r in results if "handoff" in r}
+        results += run(run_cell, [dict(t, **handoff.get(_twin_key(t), {})) for t in waiting])
+    results.sort(key=lambda r: _cell_key(r["task"]))
 
     table = ResultsTable()
     manifest_cells = []
@@ -459,6 +455,8 @@ def main(argv: list[str] | None = None) -> int:
             "status": res["status"],
             "seconds": round(res["seconds"], 3),
         }
+        if "gap" in t:
+            entry["sizing_from"] = "case 3"
         if res["status"] != "ok":
             failed += 1
             entry["error"] = res["error"]

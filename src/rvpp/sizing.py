@@ -27,7 +27,7 @@ from .domain import (
 )
 from .milp import SENSE_GE, LinearExpression, solve
 from .scheduler import build_robust_rvpp, extract_rvpp_schedule
-from .storage import EsFleet, build_robust_es, extract_es_schedule
+from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
 
 
 class SizingError(RuntimeError):
@@ -58,7 +58,9 @@ class SizingResult:
     otherwise at most 3.  minimality_checked records that module_count - 1
     was solved and found infeasible (trivially true at 1).  per_unit and
     rvpp_profit are filled when the target came from an aggregation-gap
-    report rather than a bare number.
+    report rather than a bare number.  schedule is the decoded profit-floor
+    solve at module_count; it is None when one module covered the target in
+    the unfloored solve, so no floored model was solved.
     """
 
     lower_bound_profit: float
@@ -69,6 +71,7 @@ class SizingResult:
     minimality_checked: bool
     per_unit: tuple[tuple[str, float], ...] = ()
     rvpp_profit: float | None = None
+    schedule: EsSchedule | None = None
 
     def fleet(self, module: EsUnit) -> EsFleet:
         return EsFleet(module, self.module_count)
@@ -145,18 +148,19 @@ def _fleet_covers(
     gap: float | None,
     backend: str | None,
     build_kwargs: dict,
-) -> tuple[bool, float]:
+) -> EsSchedule | None:
     """Solve the price-robust fleet with a profit-floor row at gap (no row
-    when gap is None); returns (floor met, unconstrained-equivalent objective)."""
+    when gap is None); returns the decoded schedule, or None when the floor
+    is not met."""
     m = build_robust_es(EsFleet(module, count), scenario, budgets, **build_kwargs)
     if gap is not None:
         m.add_constraint("profit_floor", m.objective, SENSE_GE, gap)
     sol = solve(m, backend_factory(backend)())
     if sol.status == "infeasible" and gap is not None:
-        return False, float("nan")
+        return None
     if sol.status != "optimal":
         raise SizingError(f"fleet solve at {count} modules ended {sol.status}")
-    return True, extract_es_schedule(m, sol).objective_value
+    return extract_es_schedule(m, sol)
 
 
 def size_es_to_match(
@@ -182,27 +186,29 @@ def size_es_to_match(
     b = price_only_budgets(budgets)
     iterations = 0
 
-    def covers(count: int, floor: float | None = gap) -> tuple[bool, float]:
+    def covers(count: int, floor: float | None = gap) -> EsSchedule | None:
         nonlocal iterations
         iterations += 1
         return _fleet_covers(count, module, scenario, b, floor, backend, build_kwargs)
 
-    def result(count: int, profit: float) -> SizingResult:
+    def result(count: int, es: EsSchedule, floored: bool = True) -> SizingResult:
         return SizingResult(
             lower_bound_profit=gap,
             module_count=count,
             fleet_e_max=module.e_max * count,
-            es_objective=profit,
+            es_objective=es.objective_value,
             iterations=iterations,
             minimality_checked=True,
+            schedule=es if floored else None,
         )
 
     def cap_error() -> SizingError:
         return SizingError(f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}")
 
-    _, p1 = covers(1, None)
+    one = covers(1, None)
+    p1 = one.objective_value
     if p1 >= gap:
-        return result(1, p1)
+        return result(1, one, floored=False)
     if p1 <= 0.0:
         raise SizingError(
             f"per-module value {p1:.6g} of {module.name!r} is not positive, "
@@ -216,20 +222,20 @@ def size_es_to_match(
     # the floor-row solve at the nearest whole number settles which side wins;
     # together with one neighbour it also verifies minimality.
     nearest = round(ratio)
-    ok, profit = covers(nearest)
-    if ok:
-        if nearest > 1 and covers(nearest - 1)[0]:
+    es = covers(nearest)
+    if es is not None:
+        if nearest > 1 and covers(nearest - 1) is not None:
             raise SizingError(
                 f"fleet profit departs from module_count x {p1:.6g}: "
                 f"{nearest - 1} modules already cover the gap {gap:.6g}"
             )
-        return result(nearest, profit)
+        return result(nearest, es)
     if nearest + 1 > max_modules:
         raise cap_error()
-    ok, profit = covers(nearest + 1)
-    if not ok:
+    es = covers(nearest + 1)
+    if es is None:
         raise SizingError(
             f"fleet profit departs from module_count x {p1:.6g}: "
             f"{nearest + 1} modules do not cover the gap {gap:.6g}"
         )
-    return result(nearest + 1, profit)
+    return result(nearest + 1, es)

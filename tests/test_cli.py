@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+import rvpp.sizing as sizing
 from rvpp import cli, strategy_budgets
 from toys import solve_rvpp
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
 
 
-def read_rows(out_dir) -> list[dict]:
-    with open(out_dir / "results.csv", newline="") as fh:
+def read_rows(out_dir, name: str = "results.csv") -> list[dict]:
+    with open(out_dir / name, newline="") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -106,6 +108,8 @@ def test_rejects_bad_flags(tmp_path):
     assert (
         cli.main(["--case", "3", "--strategy", "deterministic", "--out", str(tmp_path / "w")]) == 2
     )
+    for count in ("0", "-1"):
+        assert cli.main(["--max-modules", count, "--out", str(tmp_path / f"m{count}")]) == 2
 
 
 def test_case4_needs_a_storage_module(tmp_path, bundle):
@@ -131,3 +135,82 @@ def test_case4_needs_a_storage_module(tmp_path, bundle):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["cells_failed"] == 1
     assert "storage module" in manifest["cells"][0]["error"]
+
+
+SPRING_BALANCED = ("--season", "spring", "--strategy", "balanced")
+
+
+def sweep(out: Path, *flags: str) -> Path:
+    assert cli.main([*flags, *SPRING_BALANCED, "--out", str(out)]) == 0
+    return out
+
+
+def test_case4_takes_over_case3_sizing(tmp_path):
+    both = ("--case", "3", "--case", "4")
+    one = sweep(tmp_path / "jobs1", *both)
+    two = sweep(tmp_path / "jobs2", *both, "--jobs", "2")
+    for name in RESULT_FILES:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    manifest = json.loads((one / "run_manifest.json").read_text())
+    assert [c.get("sizing_from") for c in manifest["cells"]] == [None, "case 3"]
+
+    # A case-4 run without its twin sizes the fleet itself, to the same result.
+    alone = sweep(tmp_path / "alone", "--case", "4")
+    manifest = json.loads((alone / "run_manifest.json").read_text())
+    assert "sizing_from" not in manifest["cells"][0]
+
+    def case4(rows):
+        return [{k: v for k, v in r.items() if v} for r in rows if r["case"] == "4"]
+
+    rows = case4(read_rows(one))
+    assert len(rows) == 1 and rows == case4(read_rows(alone))
+    for name in RESULT_FILES[1:]:
+        fleet = [r for r in read_rows(one, name) if r["device"] == "es_fleet"]
+        assert fleet and fleet == [r for r in read_rows(alone, name) if r["device"] == "es_fleet"]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch) -> list[str]:
+    """Names of the models solved through the CLI and the sizing module."""
+    calls: list[str] = []
+    for module in (cli, sizing):
+        def counting(model, backend, real=module.solve):
+            calls.append(model.name)
+            return real(model, backend)
+
+        monkeypatch.setattr(module, "solve", counting)
+    return calls
+
+
+def test_case4_adds_no_solves_to_case3(tmp_path, solve_calls):
+    sweep(tmp_path / "case3", "--case", "3")
+    case3 = len(solve_calls)
+    solve_calls.clear()
+    sweep(tmp_path / "both", "--case", "3", "--case", "4")
+    assert case3 > 0 and len(solve_calls) == case3
+
+
+def test_fd_000_reuses_the_no_fd_schedule(tmp_path, solve_calls):
+    def solves(*extra: str) -> tuple[int, dict]:
+        solve_calls.clear()
+        flags = ["--case", "3", "--config", "full", "--fd-scale", "100", *extra]
+        out = sweep(tmp_path / ("_".join(extra) or "base"), *flags)
+        return len(solve_calls), {r["configuration"]: r for r in read_rows(out)}
+
+    base = solves()[0]
+    assert solves("--fd-scale", "0")[0] == base + 1
+    assert solves("--config", "no_fd")[0] == base + 1
+    count, rows = solves("--config", "no_fd", "--fd-scale", "0")
+    assert count == base + 1
+    for column in ("rvpp_profit", "sum_individual", "gap"):
+        assert rows["fd_000"][column] == rows["no_fd"][column]
+
+
+def test_case4_sizes_itself_when_its_twin_fails(tmp_path):
+    out = tmp_path / "capped"
+    flags = ["--case", "3", "--case", "4", *SPRING_BALANCED, "--max-modules", "1"]
+    assert cli.main([*flags, "--out", str(out)]) == 1
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["failed", "failed"]
+    assert "sizing_from" not in cells[1]
+    assert all("up to 1 modules" in c["error"] for c in cells)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
+from rvpp.cli import _solved_es
 from rvpp.sizing import _fleet_covers
 from toys import battery, market, wind
 
@@ -116,15 +118,15 @@ def count_fleet_solves(monkeypatch) -> list[str]:
 def linear_walk(target, module, scenario, budgets):
     """Reference sizing: the first count whose profit-floor solve succeeds."""
     for count in range(1, 101):
-        ok, profit = _fleet_covers(count, module, scenario, budgets, target, None, {})
-        if ok:
-            return count, profit
+        es = _fleet_covers(count, module, scenario, budgets, target, None, {})
+        if es is not None:
+            return count, es.objective_value
     raise AssertionError(f"no fleet of up to 100 modules covers {target}")
 
 
 def test_closed_form_matches_a_linear_walk(monkeypatch):
     s = double_cycle_market()
-    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, None, {})[1]
+    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, None, {}).objective_value
     # 5 * p1 + 1e-9 puts ceil(gap / p1) at 6 while 5 modules meet the floor
     # within the solver's feasibility tolerance.
     targets = (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6, 5 * p1, 5 * p1 + 1e-9)
@@ -155,11 +157,31 @@ def test_fleet_off_the_linear_prediction_raises(monkeypatch):
     for offset in (15.0, -15.0):
         def covers(count, module, scenario, budgets, gap, backend, build_kwargs):
             profit = 10.0 * count + (offset if count > 1 else 0.0)
-            return gap is None or profit >= gap, profit
+            met = gap is None or profit >= gap
+            return SimpleNamespace(objective_value=profit) if met else None
 
         monkeypatch.setattr(sizing, "_fleet_covers", covers)
         with pytest.raises(SizingError, match="departs from module_count x 10"):
             size_es_to_match(30.0, battery(), double_cycle_market(), ZERO_BUDGETS)
+
+
+def test_sizing_keeps_the_floored_schedule():
+    switches = {"literal_3c": False, "symmetric_sigma_margins": True}
+    cases = [
+        (battery(), double_cycle_market(), ZERO_BUDGETS, 70.0),
+        (min_power_module(), spiky_market(), BudgetSet(gamma_dam=1, gamma_sr_up=1), 30.0),
+    ]
+    for module, scenario, budgets, target in cases:
+        result = size_es_to_match(target, module, scenario, budgets, symmetric_sigma_margins=True)
+        assert result.module_count > 1
+        unsolved = replace(result, schedule=None)
+        fresh = _solved_es(unsolved, module, scenario, budgets, None, switches)
+        kept = result.schedule
+        assert kept.objective_value == fresh.objective_value == result.es_objective
+        for field in ("net", "r_up", "r_dn", "soc"):
+            np.testing.assert_array_equal(getattr(kept, field), getattr(fresh, field))
+    # A single module that covers the target unfloored leaves no floored schedule.
+    assert size_es_to_match(0.0, battery(), double_cycle_market(), ZERO_BUDGETS).schedule is None
 
 
 def test_module_count_grows_with_price_budget():
