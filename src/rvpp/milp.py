@@ -23,7 +23,6 @@ _SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
 
-DEFAULT_BIG_M = 1.0e5
 FEASIBILITY_TOL = 1.0e-6
 OPTIMALITY_REL_TOL = 1.0e-5
 
@@ -111,11 +110,8 @@ class Solution:
 class Model:
     """Ordered container for variables, constraints, and one linear objective."""
 
-    def __init__(self, name: str = "model", big_m: float = DEFAULT_BIG_M) -> None:
-        if not (math.isfinite(big_m) and big_m > 0):
-            raise ModelError(f"big_m must be finite and positive, got {big_m!r}")
+    def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.big_m = big_m
         self.variables: list[Variable] = []
         self.constraints: list[Constraint] = []
         self.objective: LinearExpression = LinearExpression()
@@ -310,7 +306,7 @@ def relaxation_probe(model: Model, backend_factory) -> dict[str, float]:
     incoming model is not modified.  backend_factory must build a fresh
     backend per call.
     """
-    relaxed = Model(name=f"{model.name}__relaxed", big_m=model.big_m)
+    relaxed = Model(name=f"{model.name}__relaxed")
     for var in model.variables:
         relaxed.add_variable(var.name, var.kind, var.lower, var.upper)
     slack_for: dict[str, list[int]] = {}

@@ -141,12 +141,12 @@ def _stream_rows(schedule: RvppSchedule, portfolio: Portfolio):
     return rows
 
 
-def _balance_violations(schedule: RvppSchedule, portfolio: Portfolio) -> list[str]:
+def _balance_gaps(schedule: RvppSchedule, portfolio: Portfolio) -> list[tuple[str, str, np.ndarray]]:
+    """(replay family, audit label, per-period absolute residual) of the three
+    market balances."""
     gen = [u.name for u in portfolio.drs] + [u.name for u in portfolio.ndrs] + [u.name for u in portfolio.csp]
     fd = [u.name for u in portfolio.fd]
-    out: list[str] = []
-    T = schedule.grid_periods
-    zeros = np.zeros(T)
+    zeros = np.zeros(schedule.grid_periods)
     total = sum((schedule.dispatch[n] for n in gen), zeros.copy()) - sum(
         (schedule.dispatch[n] for n in fd), zeros.copy()
     )
@@ -156,16 +156,11 @@ def _balance_violations(schedule: RvppSchedule, portfolio: Portfolio) -> list[st
     total_dn = total - sum((schedule.reserve_dn[n] for n in gen), zeros.copy()) - sum(
         (schedule.reserve_dn[n] for n in fd), zeros.copy()
     )
-    for label, lhs, rhs in (
-        ("energy balance", total, schedule.p_da),
-        ("upward-activation balance", total_up, schedule.p_da + schedule.r_up),
-        ("downward-activation balance", total_dn, schedule.p_da - schedule.r_dn),
-    ):
-        gap = np.abs(lhs - rhs)
-        worst = int(gap.argmax())
-        if gap[worst] > AUDIT_TOL:
-            out.append(f"{label} off by {gap[worst]:.3e} at period {worst + 1}")
-    return out
+    return [
+        ("balance_id", "energy balance", np.abs(total - schedule.p_da)),
+        ("balance_up", "upward-activation balance", np.abs(total_up - schedule.p_da - schedule.r_up)),
+        ("balance_dn", "downward-activation balance", np.abs(total_dn - schedule.p_da + schedule.r_dn)),
+    ]
 
 
 def audit_robust_feasibility(
@@ -191,7 +186,11 @@ def audit_robust_feasibility(
     """
     if not isinstance(schedule, RvppSchedule):
         raise TypeError("audit expects a portfolio schedule")
-    out = _balance_violations(schedule, portfolio)
+    out: list[str] = []
+    for _, label, gap in _balance_gaps(schedule, portfolio):
+        worst = int(gap.argmax())
+        if gap[worst] > AUDIT_TOL:
+            out.append(f"{label} off by {gap[worst]:.3e} at period {worst + 1}")
     T = schedule.grid_periods
     for name, deviation, slack, what in _stream_rows(schedule, portfolio):
         gamma = budgets.unit_budget(name)
@@ -239,21 +238,8 @@ def replay_rvpp_schedule(
     dt = schedule.delta_t
     res: dict[str, float] = {}
 
-    gen = [u.name for u in portfolio.drs] + [u.name for u in portfolio.ndrs] + [u.name for u in portfolio.csp]
-    fd = [u.name for u in portfolio.fd]
-    zeros = np.zeros(T)
-    total = sum((schedule.dispatch[n] for n in gen), zeros.copy()) - sum(
-        (schedule.dispatch[n] for n in fd), zeros.copy()
-    )
-    total_up = total + sum((schedule.reserve_up[n] for n in gen), zeros.copy()) + sum(
-        (schedule.reserve_up[n] for n in fd), zeros.copy()
-    )
-    total_dn = total - sum((schedule.reserve_dn[n] for n in gen), zeros.copy()) - sum(
-        (schedule.reserve_dn[n] for n in fd), zeros.copy()
-    )
-    res["balance_id"] = float(np.abs(total - schedule.p_da).max())
-    res["balance_up"] = float(np.abs(total_up - schedule.p_da - schedule.r_up).max())
-    res["balance_dn"] = float(np.abs(total_dn - schedule.p_da + schedule.r_dn).max())
+    for family, _, gap in _balance_gaps(schedule, portfolio):
+        res[family] = float(gap.max())
 
     nonneg = [schedule.r_up, schedule.r_dn]
     for name in schedule.reserve_up:

@@ -2,11 +2,11 @@
 
 Two builders share one deterministic core.  The robust builder adds the
 budget-of-uncertainty counterpart: price streams are protected through their
-dual penalty columns (the objective pays Gamma*mu + sum(xi) per stream), and
-generation/demand streams are tightened by the worst cardinality-Gamma
-deviation subset.  The selection binaries of each generation/demand stream
-are pinned by bounds to the Gamma largest deviations (ties to the earliest
-period) so the tightening matches the adversary the audit replays.
+dual penalty columns (the objective pays Gamma*mu + sum(xi) per stream).  The
+adversary of a generation/demand stream does not depend on the schedule, so it
+is fixed before the solve: the Gamma largest deviations (ties to the earliest
+period) come off the right-hand side of the stream's coupling rows as
+constants, which is exactly the realization the audit replays.
 """
 
 from __future__ import annotations
@@ -82,22 +82,6 @@ class PriceRobustArtifacts:
 
 
 @dataclass
-class RobustArtifacts(PriceRobustArtifacts):
-    """Price duals plus adversary selections attached to a robust portfolio
-    schedule.
-
-    unit_pick marks each stream's degraded periods (exactly Gamma ones) and
-    unit_x the deviation absorbed there.
-    """
-
-    x_dam: np.ndarray
-    unit_mu: dict[str, float]
-    unit_xi: dict[str, np.ndarray]
-    unit_pick: dict[str, np.ndarray]
-    unit_x: dict[str, np.ndarray]
-
-
-@dataclass
 class RvppSchedule:
     """Decoded first-stage decisions.
 
@@ -127,7 +111,7 @@ class RvppSchedule:
     ts_soc: dict[str, np.ndarray]
     objective_value: float
     nominal_profit: float
-    artifacts: RobustArtifacts | None = None
+    artifacts: PriceRobustArtifacts | None = None
 
 
 def _t2(t: int) -> str:
@@ -195,19 +179,19 @@ def _build_core(
     portfolio: Portfolio,
     scenario: MarketScenario,
     literal_3c: bool,
-    cap_extra: dict[str, list[int]] | None = None,
+    tightening: dict[str, list[float]] | None = None,
 ) -> dict:
     """Deterministic portfolio model; returns the handles the robust layer extends.
 
-    cap_extra maps a unit name to per-period variable ids added (coefficient
-    +1) to that unit's forecast/demand coupling row; the robust builder uses
-    it to thread the absorbed deviations through.
+    tightening maps a unit name to per-period amounts taken off the
+    right-hand side of that unit's forecast/demand coupling row; the robust
+    builder passes the deviations its fixed adversary realizes.
     """
-    cap_extra = cap_extra or {}
+    tightening = tightening or {}
 
-    def extra(name: str, t: int) -> list[tuple[int, float]]:
-        ids = cap_extra.get(name)
-        return [(ids[t], 1.0)] if ids else []
+    def cut(name: str, t: int) -> float:
+        amounts = tightening.get(name)
+        return amounts[t] if amounts else 0.0
 
     grid = scenario.grid
     T = grid.period_count
@@ -275,11 +259,9 @@ def _build_core(
         for t in range(T):
             m.add_constraint(
                 f"ndrs_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(disp[t].index, 1.0), (ru[t].index, 1.0)] + extra(u.name, t)
-                ),
+                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0)]),
                 SENSE_LE,
-                u.forecast_upper[t],
+                u.forecast_upper[t] - cut(u.name, t),
             )
             m.add_constraint(
                 f"ndrs_floor__{u.name}_t{_t2(t)}",
@@ -305,9 +287,9 @@ def _build_core(
         for t in range(T):
             m.add_constraint(
                 f"sf_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(sf[t].index, 1.0)] + extra(u.name, t)),
+                LinearExpression.from_terms([(sf[t].index, 1.0)]),
                 SENSE_LE,
-                u.sf_upper[t],
+                u.sf_upper[t] - cut(u.name, t),
             )
             m.add_constraint(
                 f"csp_bal__{u.name}_t{_t2(t)}",
@@ -364,7 +346,7 @@ def _build_core(
         rd = [m.add_variable(f"rdn__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
         picks = [m.add_variable(f"prof__{u.name}_m{j}", BINARY) for j in range(len(u.profiles))]
         m.add_constraint(
-            f"fd_pick__{u.name}",
+            f"fd_profile__{u.name}",
             LinearExpression.from_terms([(w.index, 1.0) for w in picks]),
             SENSE_EQ,
             1.0,
@@ -374,9 +356,8 @@ def _build_core(
         for t in range(T):
             terms = [(w.index, u.profiles[j][t]) for j, w in enumerate(picks)]
             terms.append((disp[t].index, -1.0))
-            terms += extra(u.name, t)
             m.add_constraint(
-                f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, 0.0
+                f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut(u.name, t)
             )
             m.add_constraint(
                 f"fd_res_dn__{u.name}_t{_t2(t)}",
@@ -425,11 +406,10 @@ def build_deterministic_rvpp(
     scenario: MarketScenario,
     *,
     literal_3c: bool = False,
-    big_m: float | None = None,
 ) -> Model:
     """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
     _require_valid(portfolio, scenario)
-    m = Model(name="rvpp_det", big_m=big_m if big_m is not None else 1.0e5)
+    m = Model(name="rvpp_det")
     _build_core(m, portfolio, scenario, literal_3c)
     m.tags.update(
         {
@@ -443,48 +423,66 @@ def build_deterministic_rvpp(
     return m
 
 
+def _add_price_dual(
+    m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[tuple[int, float]]]
+) -> None:
+    """Budget dual of one price stream; nothing is added when gamma is 0.
+
+    losses[t] lists the (column id, coefficient) terms of period t's revenue
+    loss.  The objective pays gamma*mu + sum(xi) and each row mu + xi_t >=
+    loss_t, so at the optimum the penalty equals the gamma largest losses.
+    """
+    if gamma == 0:
+        return
+    mu = m.add_variable(f"mu_{tag}")
+    xi = [m.add_variable(f"xi_{tag}_t{_t2(t)}") for t in range(len(losses))]
+    obj.append((mu.index, -float(gamma)))
+    for t, terms in enumerate(losses):
+        obj.append((xi[t].index, -1.0))
+        m.add_constraint(
+            f"rob_{tag}_dual_t{_t2(t)}",
+            LinearExpression.from_terms([(mu.index, 1.0), (xi[t].index, 1.0)] + [(i, -c) for i, c in terms]),
+            SENSE_GE,
+            0.0,
+        )
+
+
 def build_robust_rvpp(
     portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
     *,
     literal_3c: bool = False,
-    big_m: float | None = None,
 ) -> Model:
     """Single-level robust counterpart under budget uncertainty.
 
     Price streams (energy, both reserve capacities) contribute objective
     penalties Gamma*mu + sum(xi); the energy stream additionally carries the
     traded-volume bridge columns x.  Each generation/demand stream with a
-    positive budget is tightened by its Gamma largest deviations; the
-    selection binaries are pinned by bounds, the per-period absorption x is
-    capped by the deviation, and the stream keeps its printed dual rows, so
-    decoded artifacts always satisfy sum(pick) = Gamma and x = deviation on
-    the picked periods.  Streams with a zero budget are left deterministic.
+    positive budget loses its Gamma largest deviations (dominant_subset) from
+    the right-hand side of its coupling rows: the forecast ceiling of a
+    non-dispatchable unit, the solar-field ceiling of a CSP block, and the
+    consumption floor of flexible demand (on every profile, since exactly one
+    is chosen).  That adversary does not depend on the schedule, so it enters
+    as constants and adds no columns.  Streams with a zero budget are left
+    deterministic.
     """
     _require_valid(portfolio, scenario)
     bad = validate_budgets(budgets, scenario.grid, portfolio)
     if bad:
         raise ModelBuildError("invalid budgets: " + "; ".join(bad))
-    m = Model(name="rvpp_robust", big_m=big_m if big_m is not None else 1.0e5)
+    m = Model(name="rvpp_robust")
     grid = scenario.grid
     T = grid.period_count
     dt = grid.delta_t
-    M = m.big_m
 
-    xdev: dict[str, list] = {}
+    tightening: dict[str, list[float]] = {}
     for name, deviation in _uncertain_streams(portfolio):
-        if budgets.unit_budget(name) > 0:
-            xdev[name] = [
-                m.add_variable(f"xdev__{name}_t{_t2(t)}", upper=deviation[t]) for t in range(T)
-            ]
-    handles = _build_core(
-        m,
-        portfolio,
-        scenario,
-        literal_3c,
-        cap_extra={n: [v.index for v in vs] for n, vs in xdev.items()},
-    )
+        gamma = budgets.unit_budget(name)
+        if gamma > 0:
+            picked = set(dominant_subset(deviation, gamma))
+            tightening[name] = [deviation[t] if t in picked else 0.0 for t in range(T)]
+    handles = _build_core(m, portfolio, scenario, literal_3c, tightening)
     obj = list(m.objective.terms)
 
     p_da = handles["p_da"]
@@ -492,12 +490,8 @@ def build_robust_rvpp(
     r_dn = handles["r_dn"]
 
     if budgets.gamma_dam > 0:
-        mu = m.add_variable("mu_dam")
         x = [m.add_variable(f"xdam_t{_t2(t)}") for t in range(T)]
-        xi = [m.add_variable(f"xi_dam_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_dam)))
         for t in range(T):
-            obj.append((xi[t].index, -1.0))
             m.add_constraint(
                 f"rob_dam_vol_t{_t2(t)}",
                 LinearExpression.from_terms([(p_da[t].index, dt), (x[t].index, -1.0)]),
@@ -512,85 +506,15 @@ def build_robust_rvpp(
                 SENSE_GE,
                 0.0,
             )
-            m.add_constraint(
-                f"rob_dam_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(mu.index, 1.0), (xi[t].index, 1.0), (x[t].index, -scenario.dam_price_down_dev[t])]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-    if budgets.gamma_sr_up > 0:
-        mu = m.add_variable("mu_srup")
-        xi = [m.add_variable(f"xi_srup_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_sr_up)))
-        for t in range(T):
-            obj.append((xi[t].index, -1.0))
-            m.add_constraint(
-                f"rob_srup_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(mu.index, 1.0), (xi[t].index, 1.0), (r_up[t].index, -scenario.sr_up_price_dev[t])]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-    if budgets.gamma_sr_down > 0:
-        mu = m.add_variable("mu_srdn")
-        xi = [m.add_variable(f"xi_srdn_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_sr_down)))
-        for t in range(T):
-            obj.append((xi[t].index, -1.0))
-            m.add_constraint(
-                f"rob_srdn_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(mu.index, 1.0), (xi[t].index, 1.0), (r_dn[t].index, -scenario.sr_dn_price_dev[t])]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-
-    selected_subsets: dict[str, tuple[int, ...]] = {}
-    for name, deviation in _uncertain_streams(portfolio):
-        gamma = budgets.unit_budget(name)
-        if gamma == 0:
-            continue
-        picked = dominant_subset(deviation, gamma)
-        selected_subsets[name] = picked
-        picked_set = set(picked)
-        mu = m.add_variable(f"mu__{name}")
-        picks = []
-        for t in range(T):
-            pin = 1.0 if t in picked_set else 0.0
-            q = m.add_variable(f"pick__{name}_t{_t2(t)}", BINARY, lower=pin, upper=pin)
-            xi = m.add_variable(f"xi__{name}_t{_t2(t)}")
-            x = xdev[name][t]
-            picks.append(q)
-            m.add_constraint(
-                f"rob_low__{name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(mu.index, 1.0), (xi.index, 1.0), (q.index, M), (x.index, -1.0)]
-                ),
-                SENSE_LE,
-                M,
-            )
-            m.add_constraint(
-                f"rob_upx__{name}_t{_t2(t)}",
-                LinearExpression.from_terms([(x.index, 1.0), (q.index, -M)]),
-                SENSE_LE,
-                0.0,
-            )
-            m.add_constraint(
-                f"rob_dev__{name}_t{_t2(t)}",
-                LinearExpression.from_terms([(mu.index, 1.0), (xi.index, 1.0)]),
-                SENSE_GE,
-                deviation[t],
-            )
-        m.add_constraint(
-            f"rob_card__{name}",
-            LinearExpression.from_terms([(q.index, 1.0) for q in picks]),
-            SENSE_EQ,
-            float(gamma),
+        _add_price_dual(
+            m, obj, "dam", budgets.gamma_dam, [[(x[t].index, scenario.dam_price_down_dev[t])] for t in range(T)]
         )
+    _add_price_dual(
+        m, obj, "srup", budgets.gamma_sr_up, [[(r_up[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
+    )
+    _add_price_dual(
+        m, obj, "srdn", budgets.gamma_sr_down, [[(r_dn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
+    )
 
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
     m.tags.update(
@@ -601,7 +525,6 @@ def build_robust_rvpp(
             "scenario": scenario,
             "budgets": budgets,
             "literal_3c": literal_3c,
-            "selected_subsets": selected_subsets,
         }
     )
     return m
@@ -633,6 +556,27 @@ def _decode_binary_series(m: Model, sol: Solution, pattern: str, T: int) -> np.n
             raise DecodeError(f"binary {name!r} is non-integral: {v}")
         out[t] = int(r)
     return out
+
+
+def _decode_price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts:
+    """Read the price duals of a robust model; a stream without a budget reads 0."""
+
+    def scalar(name: str) -> float:
+        return sol.values[m.variable(name).index] if m.has_variable(name) else 0.0
+
+    def series(tag: str) -> np.ndarray:
+        pattern = f"xi_{tag}_t{{t}}"
+        return _decode_series(m, sol, pattern, T) if m.has_variable(pattern.format(t=_t2(0))) else np.zeros(T)
+
+    return PriceRobustArtifacts(
+        budgets=m.tags["budgets"],
+        mu_dam=scalar("mu_dam"),
+        xi_dam=series("dam"),
+        mu_sr_up=scalar("mu_srup"),
+        xi_sr_up=series("srup"),
+        mu_sr_dn=scalar("mu_srdn"),
+        xi_sr_dn=series("srdn"),
+    )
 
 
 def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> RvppSchedule:
@@ -712,48 +656,7 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
         perturb += -PROFILE_TIE_EPS * fd_profile[u.name]
     objective_value = sol.objective_value - perturb
 
-    artifacts = None
-    if m.tags.get("robust"):
-        budgets: BudgetSet = m.tags["budgets"]
-        zeros = np.zeros(T)
-
-        def opt_scalar(name: str) -> float:
-            return sol.values[m.variable(name).index] if m.has_variable(name) else 0.0
-
-        def opt_series(pattern: str) -> np.ndarray:
-            probe = pattern.format(t=_t2(0))
-            return _decode_series(m, sol, pattern, T) if m.has_variable(probe) else zeros.copy()
-
-        unit_mu: dict[str, float] = {}
-        unit_xi: dict[str, np.ndarray] = {}
-        unit_pick: dict[str, np.ndarray] = {}
-        unit_x: dict[str, np.ndarray] = {}
-        for name, _ in _uncertain_streams(portfolio):
-            if budgets.unit_budget(name) == 0:
-                continue
-            unit_mu[name] = opt_scalar(f"mu__{name}")
-            unit_xi[name] = _decode_series(m, sol, f"xi__{name}_t{{t}}", T)
-            unit_pick[name] = _decode_binary_series(m, sol, f"pick__{name}_t{{t}}", T)
-            unit_x[name] = _decode_series(m, sol, f"xdev__{name}_t{{t}}", T)
-            if int(unit_pick[name].sum()) != budgets.unit_budget(name):
-                raise DecodeError(
-                    f"{name}: adversary picked {int(unit_pick[name].sum())} periods, "
-                    f"budget is {budgets.unit_budget(name)}"
-                )
-        artifacts = RobustArtifacts(
-            budgets=budgets,
-            mu_dam=opt_scalar("mu_dam"),
-            xi_dam=opt_series("xi_dam_t{t}"),
-            x_dam=opt_series("xdam_t{t}"),
-            mu_sr_up=opt_scalar("mu_srup"),
-            xi_sr_up=opt_series("xi_srup_t{t}"),
-            mu_sr_dn=opt_scalar("mu_srdn"),
-            xi_sr_dn=opt_series("xi_srdn_t{t}"),
-            unit_mu=unit_mu,
-            unit_xi=unit_xi,
-            unit_pick=unit_pick,
-            unit_x=unit_x,
-        )
+    artifacts = _decode_price_duals(m, sol, T) if m.tags.get("robust") else None
 
     return RvppSchedule(
         grid_periods=T,

@@ -33,6 +33,8 @@ from .scheduler import (
     DecodeError,
     ModelBuildError,
     PriceRobustArtifacts,
+    _add_price_dual,
+    _decode_price_duals,
     _t2,
 )
 
@@ -285,11 +287,10 @@ def build_deterministic_es(
     scenario: MarketScenario,
     *,
     symmetric_sigma_margins: bool = True,
-    big_m: float | None = None,
 ) -> Model:
     """Deterministic fleet scheduling MILP at nominal prices."""
     _require_valid_es(fleet, scenario)
-    m = Model(name="es_det", big_m=big_m if big_m is not None else 1.0e5)
+    m = Model(name="es_det")
     _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
     m.tags.update(
         {
@@ -309,7 +310,6 @@ def build_robust_es(
     budgets: BudgetSet,
     *,
     symmetric_sigma_margins: bool = True,
-    big_m: float | None = None,
 ) -> Model:
     """Price-robust counterpart; the fleet has no quantity uncertainty.
 
@@ -327,67 +327,24 @@ def build_robust_es(
         raise ModelBuildError(
             f"storage accepts price budgets only; per-unit budgets set for {nonzero}"
         )
-    m = Model(name="es_robust", big_m=big_m if big_m is not None else 1.0e5)
+    m = Model(name="es_robust")
     _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     obj = list(m.objective.terms)
 
-    if budgets.gamma_dam > 0:
-        mu = m.add_variable("mu_dam")
-        xi = [m.add_variable(f"xi_dam_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_dam)))
-        for t in range(T):
-            obj.append((xi[t].index, -1.0))
-            m.add_constraint(
-                f"rob_dam_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (mu.index, 1.0),
-                        (xi[t].index, 1.0),
-                        (m.variable(f"pdis_t{_t2(t)}").index, -scenario.dam_price_down_dev[t] * dt),
-                        (m.variable(f"pch_t{_t2(t)}").index, -scenario.dam_price_up_dev[t] * dt),
-                    ]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-    if budgets.gamma_sr_up > 0:
-        mu = m.add_variable("mu_srup")
-        xi = [m.add_variable(f"xi_srup_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_sr_up)))
-        for t in range(T):
-            obj.append((xi[t].index, -1.0))
-            m.add_constraint(
-                f"rob_srup_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (mu.index, 1.0),
-                        (xi[t].index, 1.0),
-                        (m.variable(f"rup_t{_t2(t)}").index, -scenario.sr_up_price_dev[t]),
-                    ]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-    if budgets.gamma_sr_down > 0:
-        mu = m.add_variable("mu_srdn")
-        xi = [m.add_variable(f"xi_srdn_t{_t2(t)}") for t in range(T)]
-        obj.append((mu.index, -float(budgets.gamma_sr_down)))
-        for t in range(T):
-            obj.append((xi[t].index, -1.0))
-            m.add_constraint(
-                f"rob_srdn_dual_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (mu.index, 1.0),
-                        (xi[t].index, 1.0),
-                        (m.variable(f"rdn_t{_t2(t)}").index, -scenario.sr_dn_price_dev[t]),
-                    ]
-                ),
-                SENSE_GE,
-                0.0,
-            )
+    def col(prefix: str, t: int) -> int:
+        return m.variable(f"{prefix}_t{_t2(t)}").index
+
+    dam_losses = [
+        [(col("pdis", t), scenario.dam_price_down_dev[t] * dt), (col("pch", t), scenario.dam_price_up_dev[t] * dt)]
+        for t in range(T)
+    ]
+    up_losses = [[(col("rup", t), scenario.sr_up_price_dev[t])] for t in range(T)]
+    dn_losses = [[(col("rdn", t), scenario.sr_dn_price_dev[t])] for t in range(T)]
+    _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses)
+    _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses)
+    _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses)
 
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
     m.tags.update(
@@ -462,26 +419,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
     nominal += float(np.dot(scenario.sr_up_price, r_up) + np.dot(scenario.sr_dn_price, r_dn))
     nominal -= fleet.op_cost * float(discharge.sum())
 
-    artifacts = None
-    if m.tags.get("robust"):
-        budgets: BudgetSet = m.tags["budgets"]
-        zeros = np.zeros(T)
-
-        def opt_scalar(name: str) -> float:
-            return sol.values[m.variable(name).index] if m.has_variable(name) else 0.0
-
-        def opt_series(prefix: str) -> np.ndarray:
-            return series(prefix) if m.has_variable(f"{prefix}_t{_t2(0)}") else zeros.copy()
-
-        artifacts = PriceRobustArtifacts(
-            budgets=budgets,
-            mu_dam=opt_scalar("mu_dam"),
-            xi_dam=opt_series("xi_dam"),
-            mu_sr_up=opt_scalar("mu_srup"),
-            xi_sr_up=opt_series("xi_srup"),
-            mu_sr_dn=opt_scalar("mu_srdn"),
-            xi_sr_dn=opt_series("xi_srdn"),
-        )
+    artifacts = _decode_price_duals(m, sol, T) if m.tags.get("robust") else None
 
     return EsSchedule(
         grid_periods=T,

@@ -185,6 +185,8 @@ def test_replay_is_clean_then_catches_injected_faults():
     sched.dispatch["h1"] = sched.dispatch["h1"] + 1.0
     broken = replay_schedule(sched, portfolio, scenario)
     assert broken["balance_id"] == pytest.approx(1.0, abs=1e-9)
+    violations = audit_robust_feasibility(sched, portfolio, scenario, BudgetSet())
+    assert any(v.startswith("energy balance off by 1.000e+00 at period ") for v in violations)
 
     fresh = solve_rvpp(portfolio, scenario)
     fresh.dispatch["ld"] = np.maximum(fresh.dispatch["ld"] - 1.0, 0.0)

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rvpp import (
     BudgetSet,
+    CspUnit,
     DecodeError,
     DrsUnit,
     FdUnit,
     ModelBuildError,
     Portfolio,
     Solution,
+    ThermalStoreParams,
     ZERO_BUDGETS,
     build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
     get_backend,
     solve,
+    strategy_budgets,
 )
 from rvpp.milp import LinearExpression
 from rvpp.scheduler import dominant_subset
@@ -132,6 +137,50 @@ def test_artifact_penalties_equal_dominant_losses():
     assert sched.objective_value == pytest.approx(
         sched.nominal_profit - art.price_penalty_total(), abs=1e-6
     )
+
+
+def test_quantity_budgets_equal_a_hand_tightened_deterministic_model():
+    # Ties at the largest deviation: the adversary takes the earliest tied
+    # periods.  With prices only nominal, the robust model must price exactly
+    # like a deterministic one whose forecasts lose those deviations.
+    T = 8
+    wind_dev = (2.0, 3.0, 3.0, 1.0, 3.0, 0.0, 2.0, 3.0)
+    sf_dev = (0.0, 4.0, 6.0, 6.0, 6.0, 4.0, 0.0, 0.0)
+    fd_dev = (0.5, 0.5, 0.2, 0.5, 0.2, 0.2, 0.5, 0.2)
+    picked = {"wf": (1, 2, 4), "cs": (2, 3), "ld": (0, 1)}
+    csp = CspUnit(
+        "cs", 10.0, 2.0, 0.4, 0.1, 1.0, 1, 1,
+        sf_upper=(0.0, 10.0, 20.0, 25.0, 25.0, 15.0, 5.0, 0.0),
+        sf_deviation=sf_dev,
+        store=ThermalStoreParams(0.0, 40.0, 15.0, 15.0, 0.95, 0.95),
+    )
+    load = FdUnit("ld", profiles=((3.0,) * T, (1.5, 1.5, 2.5, 3.5, 3.5, 2.5, 1.5, 1.5)),
+                  deviation=fd_dev, p_min=1.0, p_max=6.0)
+    portfolio = Portfolio(ndrs=(wind(T, upper=8.0, dev=wind_dev),), csp=(csp,), fd=(load,))
+    scenario = market(T, dam=[20, 35, 30, 18, 45, 40, 25, 22], sr_up=4.0, sr_dn=3.0)
+    budgets = BudgetSet(gamma_per_unit={name: len(ts) for name, ts in picked.items()})
+
+    def realized(dev, name):
+        return np.array([dev[t] if t in picked[name] else 0.0 for t in range(T)])
+
+    zeros = (0.0,) * T
+    by_hand = Portfolio(
+        ndrs=(wind(T, upper=8.0 - realized(wind_dev, "wf"), dev=0.0),),
+        csp=(replace(csp, sf_upper=csp.sf_upper - realized(sf_dev, "cs"), sf_deviation=zeros),),
+        fd=(replace(load, profiles=[p + realized(fd_dev, "ld") for p in load.profiles], deviation=zeros),),
+    )
+    robust = solve_rvpp(portfolio, scenario, budgets)
+    reference = solve_rvpp(by_hand, scenario)
+    assert robust.objective_value == pytest.approx(reference.objective_value, abs=1e-6)
+    assert robust.objective_value < solve_rvpp(portfolio, scenario).objective_value - 1.0
+
+
+def test_robust_shipped_cell_adds_no_binaries_and_no_big_constants(bundle):
+    portfolio, scenario = bundle.cell("winter", "unfavorable")
+    robust = build_robust_rvpp(portfolio, scenario, strategy_budgets("balanced", portfolio))
+    assert robust.binary_count() == build_deterministic_rvpp(portfolio, scenario).binary_count()
+    largest = max(max([abs(con.rhs)] + [abs(c) for _, c in con.expr.terms]) for con in robust.constraints)
+    assert largest < 1.0e5
 
 
 def run_lengths(flags) -> list[int]:
