@@ -1,16 +1,12 @@
-"""Solver backends behind a small load / optimize / query interface.
+"""The solver backend behind a small load / optimize / query interface.
 
-The default backend drives HiGHS through scipy.optimize.milp.  A second
-backend round-trips the model through its LP text form (export, re-parse,
-solve) and is used both as a real backend and as the round-trip check for
-the exporter.
+ScipyHighsBackend, the only backend, drives HiGHS through
+scipy.optimize.milp.  milp.solve takes any SolverBackend session, so tests
+can hand it a stand-in.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import re
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -18,10 +14,7 @@ from scipy import optimize, sparse
 
 from .milp import (
     BINARY,
-    CONTINUOUS,
     MAXIMIZE,
-    MINIMIZE,
-    SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
     STATUS_INFEASIBLE,
@@ -29,12 +22,8 @@ from .milp import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     BackendError,
-    LinearExpression,
     Model,
-    export_lp_text,
 )
-
-BACKEND_ENV_VAR = "RVPP_BACKEND"
 
 
 class SolverBackend(ABC):
@@ -165,273 +154,3 @@ def _map_scipy_status(result, model: Model) -> str:
     if "unbounded" in message.lower():
         return STATUS_UNBOUNDED
     raise BackendError(f"scipy backend failed on model {model.name!r}: {message or 'unknown error'}")
-
-
-_SECTION_RE = re.compile(
-    r"^(maximize|minimize|subject to|st|s\.t\.|bounds|binaries|binary|general|end)\s*$",
-    re.IGNORECASE,
-)
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?|inf(inity)?)")
-
-
-def _parse_number(token: str) -> float:
-    t = token.lower()
-    if t in ("inf", "infinity", "+inf", "+infinity"):
-        return math.inf
-    if t in ("-inf", "-infinity"):
-        return -math.inf
-    return float(token)
-
-
-def _tokenize_expr(text: str) -> list[tuple[float, str | None]]:
-    """Split an LP expression into (coefficient, variable-or-None) terms."""
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    # Re-join exponent signs that the splitter broke apart (1e - 05 -> 1e-05).
-    merged: list[str] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if (
-            i + 2 < len(tokens)
-            and tokens[i + 1] in ("+", "-")
-            and tok[-1] in ("e", "E")
-            and _NUMBER_RE.fullmatch(tok + tokens[i + 1] + tokens[i + 2])
-        ):
-            merged.append(tok + tokens[i + 1] + tokens[i + 2])
-            i += 3
-        else:
-            merged.append(tok)
-            i += 1
-    terms: list[tuple[float, str | None]] = []
-    sign = 1.0
-    pending: float | None = None
-    for tok in merged:
-        if tok == "+":
-            if pending is not None:
-                terms.append((sign * pending, None))
-                pending = None
-            sign = 1.0
-        elif tok == "-":
-            if pending is not None:
-                terms.append((sign * pending, None))
-                pending = None
-            sign = -1.0
-        elif _NUMBER_RE.fullmatch(tok):
-            if pending is not None:
-                terms.append((sign * pending, None))
-            pending = _parse_number(tok)
-        else:
-            coef = pending if pending is not None else 1.0
-            terms.append((sign * coef, tok))
-            pending = None
-            sign = 1.0
-    if pending is not None:
-        terms.append((sign * pending, None))
-    return terms
-
-
-def parse_lp_text(text: str) -> Model:
-    """Parse the dialect written by export_lp_text back into a Model.
-
-    Supports Maximize/Minimize, Subject To, Bounds (two-sided, fixed, free),
-    Binaries, and End sections; named rows; objective constants.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    model = Model(name="parsed")
-    section: str | None = None
-    objective_text: list[str] = []
-    constraint_texts: list[tuple[str, str]] = []
-    bound_texts: list[str] = []
-    binary_names: list[str] = []
-    direction = MAXIMIZE
-    for ln in lines:
-        if not ln or ln.startswith("\\"):
-            continue
-        m = _SECTION_RE.match(ln)
-        if m:
-            word = m.group(1).lower()
-            if word == "maximize":
-                section, direction = "objective", MAXIMIZE
-            elif word == "minimize":
-                section, direction = "objective", MINIMIZE
-            elif word in ("subject to", "st", "s.t."):
-                section = "constraints"
-            elif word == "bounds":
-                section = "bounds"
-            elif word in ("binaries", "binary"):
-                section = "binaries"
-            elif word == "general":
-                raise BackendError("general integer section is not supported")
-            else:
-                section = "end"
-            continue
-        if section == "objective":
-            objective_text.append(ln)
-        elif section == "constraints":
-            if ":" in ln:
-                name, body = ln.split(":", 1)
-                constraint_texts.append((name.strip(), body.strip()))
-            else:
-                constraint_texts.append((f"c{len(constraint_texts)}", ln))
-        elif section == "bounds":
-            bound_texts.append(ln)
-        elif section == "binaries":
-            binary_names.extend(ln.split())
-        elif section is None:
-            raise BackendError(f"LP text before any section header: {ln!r}")
-    obj_body = " ".join(objective_text)
-    if ":" in obj_body:
-        obj_body = obj_body.split(":", 1)[1]
-
-    # First pass over bounds: collect explicit bounds per variable name.
-    explicit: dict[str, tuple[float, float]] = {}
-    for ln in bound_texts:
-        if ln.lower().endswith(" free"):
-            name = ln[: -len(" free")].strip()
-            explicit[name] = (-math.inf, math.inf)
-            continue
-        if "<=" in ln:
-            parts = [p.strip() for p in ln.split("<=")]
-            if len(parts) == 3:
-                explicit[parts[1]] = (_parse_number(parts[0]), _parse_number(parts[2]))
-            elif len(parts) == 2:
-                if _NUMBER_RE.fullmatch(parts[0]):
-                    explicit[parts[1]] = (_parse_number(parts[0]), math.inf)
-                else:
-                    explicit[parts[0]] = (0.0, _parse_number(parts[1]))
-            else:
-                raise BackendError(f"unparseable bound line: {ln!r}")
-            continue
-        if ">=" in ln:
-            lhs, rhs = [p.strip() for p in ln.split(">=", 1)]
-            explicit[lhs] = (_parse_number(rhs), math.inf)
-            continue
-        if "=" in ln:
-            lhs, rhs = [p.strip() for p in ln.split("=", 1)]
-            val = _parse_number(rhs)
-            explicit[lhs] = (val, val)
-            continue
-        raise BackendError(f"unparseable bound line: {ln!r}")
-
-    binary_set = set(binary_names)
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def note(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    parsed_obj = _tokenize_expr(obj_body)
-    split_cons: list[tuple[str, list[tuple[float, str | None]], str, float]] = []
-    for name, body in constraint_texts:
-        for sense in (SENSE_LE, SENSE_GE, SENSE_EQ):
-            marker = f" {sense} "
-            if marker in body:
-                lhs_text, rhs_text = body.rsplit(marker, 1)
-                split_cons.append((name, _tokenize_expr(lhs_text), sense, _parse_number(rhs_text.strip())))
-                break
-        else:
-            raise BackendError(f"constraint {name!r} has no relational operator")
-    # The exporter writes every column in the Bounds section in model order,
-    # so seeding from it preserves the original column order on round-trips.
-    for name in explicit:
-        note(name)
-    for _, varname in parsed_obj:
-        if varname is not None:
-            note(varname)
-    for _, terms, _, _ in split_cons:
-        for _, varname in terms:
-            if varname is not None:
-                note(varname)
-    for name in binary_names:
-        note(name)
-
-    for name in order:
-        kind = BINARY if name in binary_set else CONTINUOUS
-        lower, upper = explicit.get(name, (0.0, math.inf) if kind == CONTINUOUS else (0.0, 1.0))
-        model.add_variable(name, kind, lower, upper)
-
-    def to_expr(terms: list[tuple[float, str | None]]) -> LinearExpression:
-        pairs: list[tuple[int, float]] = []
-        constant = 0.0
-        for coef, varname in terms:
-            if varname is None:
-                constant += coef
-            else:
-                pairs.append((model.variable(varname).index, coef))
-        return LinearExpression.from_terms(pairs, constant)
-
-    model.set_objective(to_expr(parsed_obj), direction)
-    for name, terms, sense, rhs in split_cons:
-        model.add_constraint(name, to_expr(terms), sense, rhs)
-    return model
-
-
-class LpTextBackend(SolverBackend):
-    """Round-trips the model through LP text, then solves with HiGHS.
-
-    Useful as a live check that the exporter and parser agree: values are
-    mapped back to the original variable ids by name.
-    """
-
-    name = "lp-text"
-
-    def __init__(self) -> None:
-        self._inner = ScipyHighsBackend()
-        self._id_map: dict[int, int] | None = None
-
-    def load(self, model: Model) -> None:
-        parsed = parse_lp_text(export_lp_text(model))
-        if len(parsed.variables) != len(model.variables):
-            raise BackendError(
-                f"LP round-trip changed the variable count: "
-                f"{len(model.variables)} -> {len(parsed.variables)}"
-            )
-        self._id_map = {
-            parsed.variable(var.name).index: var.index for var in model.variables
-        }
-        self._inner.load(parsed)
-
-    def optimize(self) -> None:
-        self._inner.optimize()
-
-    def status(self) -> str:
-        return self._inner.status()
-
-    def objective_value(self) -> float:
-        return self._inner.objective_value()
-
-    def values(self) -> dict[int, float]:
-        assert self._id_map is not None
-        return {self._id_map[i]: v for i, v in self._inner.values().items()}
-
-
-_BACKENDS = {
-    "scipy": ScipyHighsBackend,
-    "highs": ScipyHighsBackend,
-    "lp-text": LpTextBackend,
-}
-
-
-def get_backend(spec: str | None = None) -> SolverBackend:
-    """Build a fresh backend session.
-
-    spec defaults to the RVPP_BACKEND environment variable, then to "scipy".
-    """
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR, "scipy")
-    try:
-        factory = _BACKENDS[spec.lower()]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        raise BackendError(f"unknown backend {spec!r} (known: {known})") from None
-    return factory()
-
-
-def backend_factory(spec: str | None = None):
-    """Callable returning fresh sessions of the named backend."""
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR, "scipy")
-    get_backend(spec)  # validate the name eagerly
-    return lambda: get_backend(spec)

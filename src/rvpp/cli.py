@@ -26,7 +26,7 @@ from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
-from .backends import BACKEND_ENV_VAR, backend_factory
+from .backends import ScipyHighsBackend
 from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
 from .milp import SENSE_GE, relaxation_probe, solve
 from .oracle import audit_robust_feasibility, replay_schedule
@@ -74,17 +74,17 @@ def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
     raise CellError(f"unknown configuration {config!r}")
 
 
-def _solved_schedule(portfolio, scenario, budgets, backend, switches):
+def _solved_schedule(portfolio, scenario, budgets, switches):
     """Build, solve, decode, replay, and audit one portfolio schedule."""
     if budgets is None:
         m = build_deterministic_rvpp(portfolio, scenario, literal_3c=switches["literal_3c"])
     else:
         m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=switches["literal_3c"])
-    sol = solve(m, backend_factory(backend)())
+    sol = solve(m, ScipyHighsBackend())
     if sol.status != "optimal":
         detail = ""
         if sol.status == "infeasible":
-            blame = relaxation_probe(m, backend_factory(backend))
+            blame = relaxation_probe(m, ScipyHighsBackend)
             if blame:
                 worst = max(blame, key=blame.get)
                 detail = f"; largest irreducible conflict at {worst} (slack {blame[worst]:.4g})"
@@ -101,7 +101,7 @@ def _solved_schedule(portfolio, scenario, budgets, backend, switches):
     return schedule
 
 
-def _solved_es(sized, module, scenario, budgets, backend, switches):
+def _solved_es(sized, module, scenario, budgets, switches):
     """The sized fleet's schedule under the profit floor, replayed.  Solved here
     only when sizing stopped at its unfloored one-module solve."""
     fleet = sized.fleet(module)
@@ -111,7 +111,7 @@ def _solved_es(sized, module, scenario, budgets, backend, switches):
         b = price_only_budgets(budgets)
         m = build_robust_es(fleet, scenario, b, symmetric_sigma_margins=margins)
         m.add_constraint("profit_floor", m.objective, SENSE_GE, sized.lower_bound_profit)
-        sol = solve(m, backend_factory(backend)())
+        sol = solve(m, ScipyHighsBackend())
         if sol.status != "optimal":
             raise CellError(f"storage solve ended {sol.status}")
         schedule = extract_es_schedule(m, sol)
@@ -124,9 +124,7 @@ def _solved_es(sized, module, scenario, budgets, backend, switches):
 
 def _gap_and_sizing(task, module, portfolio, scenario, budgets):
     """Aggregation gap and, given a storage module, the fleet that covers it."""
-    gap = aggregation_gap(
-        portfolio, scenario, budgets, backend=task["backend"], literal_3c=task["literal_3c"]
-    )
+    gap = aggregation_gap(portfolio, scenario, budgets, literal_3c=task["literal_3c"])
     if module is None:
         return gap, None
     sized = size_es_to_match(
@@ -135,7 +133,6 @@ def _gap_and_sizing(task, module, portfolio, scenario, budgets):
         scenario,
         budgets,
         max_modules=task["max_modules"],
-        backend=task["backend"],
         symmetric_sigma_margins=task["symmetric_sigma_margins"],
     )
     return gap, sized
@@ -158,21 +155,25 @@ def _market_values(schedule, dt: float) -> dict[str, float]:
     }
 
 
+def _series(key: dict, kind: str, device: str, values) -> SeriesRow:
+    return SeriesRow(kind=kind, device=device, values=tuple(_snap(v) for v in values), **key)
+
+
 def _market_series(key: dict, schedule, include_units: bool) -> list[SeriesRow]:
     rows = [
-        SeriesRow(kind="traded", device="market", values=tuple(schedule.p_da), **key),
-        SeriesRow(kind="reserve_up", device="market", values=tuple(schedule.r_up), **key),
-        SeriesRow(kind="reserve_dn", device="market", values=tuple(schedule.r_dn), **key),
+        _series(key, "traded", "market", schedule.p_da),
+        _series(key, "reserve_up", "market", schedule.r_up),
+        _series(key, "reserve_dn", "market", schedule.r_dn),
     ]
     if include_units:
         for name, disp in sorted(schedule.dispatch.items()):
-            rows.append(SeriesRow(kind="traded", device=name, values=tuple(disp), **key))
+            rows.append(_series(key, "traded", name, disp))
         for name, r in sorted(schedule.reserve_up.items()):
-            rows.append(SeriesRow(kind="reserve_up", device=name, values=tuple(r), **key))
+            rows.append(_series(key, "reserve_up", name, r))
         for name, r in sorted(schedule.reserve_dn.items()):
-            rows.append(SeriesRow(kind="reserve_dn", device=name, values=tuple(r), **key))
+            rows.append(_series(key, "reserve_dn", name, r))
         for name, soc in sorted(schedule.ts_soc.items()):
-            rows.append(SeriesRow(kind="soc", device=f"{name}_store", values=tuple(soc), **key))
+            rows.append(_series(key, "soc", f"{name}_store", soc))
     return rows
 
 
@@ -191,7 +192,6 @@ def run_cell(task: dict) -> dict:
             "literal_3c": task["literal_3c"],
             "symmetric_sigma_margins": task["symmetric_sigma_margins"],
         }
-        backend = task["backend"]
         strategy = task["strategy"]
         budgets = None if strategy == "deterministic" else strategy_budgets(strategy, portfolio)
         key = {
@@ -204,7 +204,7 @@ def run_cell(task: dict) -> dict:
         case = task["case"]
 
         if case in (1, 2):
-            schedule = _solved_schedule(portfolio, scenario, budgets, backend, switches)
+            schedule = _solved_schedule(portfolio, scenario, budgets, switches)
             kf = dict(key, configuration="full")
             out["rows"].append(ResultRow(values=_market_values(schedule, dt), **kf))
             out["series"].extend(_market_series(kf, schedule, include_units=(case == 1)))
@@ -247,12 +247,12 @@ def run_cell(task: dict) -> dict:
                 # Scaling flexible demand to zero leaves the no_fd portfolio.
                 sched = next((m for p, m in solved if p == sub), None)
                 if sched is None:
-                    sched = _solved_schedule(sub, scenario, bsub, backend, switches)
+                    sched = _solved_schedule(sub, scenario, bsub, switches)
                     solved.append((sub, sched))
                 total = sum(
                     memo[u]
                     if u in memo
-                    else individual_profit(u, scenario, bsub, backend, literal_3c=task["literal_3c"])
+                    else individual_profit(u, scenario, bsub, literal_3c=task["literal_3c"])
                     for u in sub.all_units()
                 )
                 out["rows"].append(
@@ -277,7 +277,7 @@ def run_cell(task: dict) -> dict:
                 full, sized = task["gap"], task["sizing"]
             else:
                 full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
-            es = _solved_es(sized, bundle.es_module, scenario, budgets, backend, switches)
+            es = _solved_es(sized, bundle.es_module, scenario, budgets, switches)
             kf = dict(key, configuration="sized_es")
             sold = _snap(sum(v for v in es.net if v > 0) * dt)
             bought = _snap(-sum(v for v in es.net if v < 0) * dt)
@@ -290,19 +290,20 @@ def run_cell(task: dict) -> dict:
                         "es_objective": es.objective_value,
                         "sold_mwh": sold,
                         "bought_mwh": bought,
-                        "r_up_total_mw": sum(es.r_up),
-                        "r_dn_total_mw": sum(es.r_dn),
+                        "r_up_total_mw": _snap(sum(es.r_up)),
+                        "r_dn_total_mw": _snap(sum(es.r_dn)),
                     },
                     **kf,
                 )
             )
             out["series"].extend(
-                [
-                    SeriesRow(kind="traded", device="es_fleet", values=tuple(es.net), **kf),
-                    SeriesRow(kind="reserve_up", device="es_fleet", values=tuple(es.r_up), **kf),
-                    SeriesRow(kind="reserve_dn", device="es_fleet", values=tuple(es.r_dn), **kf),
-                    SeriesRow(kind="soc", device="es_fleet", values=tuple(es.soc), **kf),
-                ]
+                _series(kf, kind, "es_fleet", values)
+                for kind, values in (
+                    ("traded", es.net),
+                    ("reserve_up", es.r_up),
+                    ("reserve_dn", es.r_dn),
+                    ("soc", es.soc),
+                )
             )
         else:
             raise CellError(f"unknown case {case}")
@@ -361,7 +362,6 @@ def _expand_tasks(args) -> list[dict]:
                             "regime": regime,
                             "strategy": strategy,
                             "scenario": args.scenario,
-                            "backend": args.backend,
                             "configs": tuple(args.config),
                             "fd_scales": tuple(args.fd_scale),
                             "max_modules": args.max_modules,
@@ -392,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fd-scale", type=float, action="append", default=None,
                         help="case-3 flexible-demand capacity scale in percent; repeatable")
     parser.add_argument("--scenario", default=None, help="scenario YAML path (default: shipped dataset)")
-    parser.add_argument("--backend", default=None,
-                        help=f"solver backend (default: ${BACKEND_ENV_VAR} or scipy)")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--max-modules", type=int, default=2000,
                         help="cap on the storage fleet sizing may return; a larger need fails the cell")
@@ -471,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         written = [str(p) for p in write_results(table, out_dir)]
     manifest = {
         "scenario": args.scenario,
-        "backend": args.backend or "default",
         "switches": {
             "literal_3c": args.literal_3c,
             "symmetric_sigma_margins": args.symmetric_sigma_margins,

@@ -232,17 +232,16 @@ def export_lp_text(model: Model) -> str:
     """Serialize to LP text (CPLEX-style dialect, insertion order, byte-stable).
 
     All variable bounds are written explicitly; binaries are additionally listed
-    in a Binaries section.  The dialect is the subset understood by
-    backends.parse_lp_text.
+    in a Binaries section.  A row's constant is moved to its right-hand side,
+    since LP readers take none on the left.  The text is read by HiGHS.
     """
     lines: list[str] = []
     lines.append("Maximize" if model.direction == MAXIMIZE else "Minimize")
     lines.append(f" obj: {_write_expr(model.objective, model.variables)}")
     lines.append("Subject To")
     for con in model.constraints:
-        lines.append(
-            f" {con.name}: {_write_expr(con.expr, model.variables)} {con.sense} {_fmt(con.rhs)}"
-        )
+        lhs = _write_expr(LinearExpression(con.expr.terms), model.variables)
+        lines.append(f" {con.name}: {lhs} {con.sense} {_fmt(con.rhs - con.expr.constant)}")
     lines.append("Bounds")
     for var in model.variables:
         if var.lower == -math.inf and var.upper == math.inf:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .backends import backend_factory
+from .backends import ScipyHighsBackend
 from .domain import (
     BudgetSet,
     CspUnit,
@@ -102,7 +102,6 @@ def individual_profit(
     unit,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    backend: str | None = None,
     **build_kwargs,
 ) -> float:
     """Stand-alone robust profit of one unit facing the same markets.
@@ -113,7 +112,7 @@ def individual_profit(
     portfolio = _singleton(unit)
     b = _budgets_for(budgets, {unit.name})
     m = build_robust_rvpp(portfolio, scenario, b, **build_kwargs)
-    sol = solve(m, backend_factory(backend)())
+    sol = solve(m, ScipyHighsBackend())
     if sol.status != "optimal":
         raise SizingError(f"stand-alone solve for {unit.name!r} ended {sol.status}")
     return extract_rvpp_schedule(m, sol, portfolio).objective_value
@@ -123,19 +122,18 @@ def aggregation_gap(
     portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    backend: str | None = None,
     **build_kwargs,
 ) -> GapReport:
     """Aggregated robust profit vs the sum of stand-alone robust profits."""
     budgets = _budgets_for(budgets, set(portfolio.unit_names()))
     m = build_robust_rvpp(portfolio, scenario, budgets, **build_kwargs)
-    sol = solve(m, backend_factory(backend)())
+    sol = solve(m, ScipyHighsBackend())
     if sol.status != "optimal":
         raise SizingError(f"aggregated solve ended {sol.status}")
     rvpp = extract_rvpp_schedule(m, sol, portfolio).objective_value
     per_unit = []
     for unit in portfolio.all_units():
-        per_unit.append((unit.name, individual_profit(unit, scenario, budgets, backend, **build_kwargs)))
+        per_unit.append((unit.name, individual_profit(unit, scenario, budgets, **build_kwargs)))
     total = sum(v for _, v in per_unit)
     return GapReport(rvpp_profit=rvpp, sum_individual=total, per_unit=tuple(per_unit))
 
@@ -146,7 +144,6 @@ def _fleet_covers(
     scenario: MarketScenario,
     budgets: BudgetSet,
     gap: float | None,
-    backend: str | None,
     build_kwargs: dict,
 ) -> EsSchedule | None:
     """Solve the price-robust fleet with a profit-floor row at gap (no row
@@ -155,7 +152,7 @@ def _fleet_covers(
     m = build_robust_es(EsFleet(module, count), scenario, budgets, **build_kwargs)
     if gap is not None:
         m.add_constraint("profit_floor", m.objective, SENSE_GE, gap)
-    sol = solve(m, backend_factory(backend)())
+    sol = solve(m, ScipyHighsBackend())
     if sol.status == "infeasible" and gap is not None:
         return None
     if sol.status != "optimal":
@@ -169,7 +166,6 @@ def size_es_to_match(
     scenario: MarketScenario,
     budgets: BudgetSet,
     max_modules: int = 2000,
-    backend: str | None = None,
     **build_kwargs,
 ) -> SizingResult:
     """Smallest module_count whose robust fleet profit reaches the gap.
@@ -189,7 +185,7 @@ def size_es_to_match(
     def covers(count: int, floor: float | None = gap) -> EsSchedule | None:
         nonlocal iterations
         iterations += 1
-        return _fleet_covers(count, module, scenario, b, floor, backend, build_kwargs)
+        return _fleet_covers(count, module, scenario, b, floor, build_kwargs)
 
     def result(count: int, es: EsSchedule, floored: bool = True) -> SizingResult:
         return SizingResult(

@@ -65,6 +65,13 @@ def test_case1_emits_per_unit_series(case1_run):
     assert periods[0] == 0 and periods[-1] == 24
 
 
+def test_plot_csvs_print_solver_zeros_as_zero(case1_run):
+    _, out = case1_run
+    for name in RESULT_FILES[1:]:
+        noise = [r for r in read_rows(out, name) if 0.0 < abs(float(r["value"])) < 1e-9]
+        assert not noise, f"{name}: {noise[:3]}"
+
+
 def test_identical_runs_are_byte_identical(case1_run, tmp_path):
     _, first = case1_run
     again = tmp_path / "again"
@@ -110,6 +117,10 @@ def test_rejects_bad_flags(tmp_path):
     )
     for count in ("0", "-1"):
         assert cli.main(["--max-modules", count, "--out", str(tmp_path / f"m{count}")]) == 2
+    # The solver is not selectable.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--backend", "scipy", "--out", str(tmp_path / "b")])
+    assert exc.value.code == 2
 
 
 def test_case4_needs_a_storage_module(tmp_path, bundle):

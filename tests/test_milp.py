@@ -1,4 +1,4 @@
-"""Model IR, LP text export/parse, and solve cross-checks."""
+"""Model IR, LP text export read back by HiGHS, and solve cross-checks."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as highs
 
-from rvpp import backends, milp
+from rvpp import backends, build_robust_rvpp, milp, strategy_budgets
 
 
 def small_lp() -> milp.Model:
@@ -123,16 +124,6 @@ def test_export_writes_all_bound_forms():
     assert "Binaries" in text
 
 
-def test_parse_round_trip_small():
-    m = small_lp()
-    parsed = backends.parse_lp_text(milp.export_lp_text(m))
-    assert [v.name for v in parsed.variables] == [v.name for v in m.variables]
-    assert len(parsed.constraints) == len(m.constraints)
-    sol_a = milp.solve(m, backends.ScipyHighsBackend())
-    sol_b = milp.solve(parsed, backends.ScipyHighsBackend())
-    assert sol_b.objective_value == pytest.approx(sol_a.objective_value, rel=1e-9)
-
-
 def _random_model(rng: np.random.Generator) -> milp.Model:
     """A random always-feasible model (origin is feasible by construction)."""
     m = milp.Model(name="rand")
@@ -169,28 +160,85 @@ def _random_model(rng: np.random.Generator) -> milp.Model:
     return m
 
 
-def test_lp_round_trip_property_100_models():
-    """export -> parse -> solve matches a direct solve on 100 random models."""
+def _offset_lp() -> milp.Model:
+    """Objective and row constants, a binary, free, fixed and negative bounds."""
+    m = milp.Model(name="offset")
+    x = m.add_variable("x", lower=-math.inf, upper=math.inf)
+    f = m.add_variable("f", lower=2.0, upper=2.0)
+    z = m.add_variable("z", milp.BINARY)
+    w = m.add_variable("w", lower=-1.5, upper=3.5)
+    m.add_constraint("lo", milp.LinearExpression(((x.index, 1.0), (z.index, 4.0)), -1.25), ">=", 0.5)
+    m.add_constraint(
+        "hi", milp.LinearExpression(((x.index, 1.0), (w.index, 1.0), (f.index, 1.0)), 3.0), "<=", 7.0
+    )
+    m.add_constraint("eq", milp.LinearExpression(((w.index, 2.0), (z.index, -1.0)), 0.5), "=", 1.0)
+    m.set_objective(
+        milp.LinearExpression(((x.index, 1.0), (z.index, 0.75), (w.index, -1e-5)), -2.5), milp.MINIMIZE
+    )
+    return m
+
+
+def _assert_highs_reads_the_model(model: milp.Model, path) -> None:
+    path.write_text(milp.export_lp_text(model))
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == highs.HighsStatus.kOk
+    lp = h.getLp()
+    # HiGHS orders columns by first appearance, so match them by name.
+    cols = {name: j for j, name in enumerate(lp.col_names_)}
+    assert len(cols) == len(model.variables)
+    integer = list(lp.integrality_) or [highs.HighsVarType.kContinuous] * lp.num_col_
+    cost = dict.fromkeys(range(len(model.variables)), 0.0)
+    for index, coef in model.objective.terms:
+        cost[index] += coef
+    for var in model.variables:
+        j = cols[var.name]
+        assert lp.col_cost_[j] == cost[var.index], var.name
+        assert (lp.col_lower_[j], lp.col_upper_[j]) == (var.lower, var.upper), var.name
+        assert (integer[j] == highs.HighsVarType.kInteger) == (var.kind == milp.BINARY), var.name
+    rows = {name: i for i, name in enumerate(lp.row_names_)}
+    assert len(rows) == len(model.constraints)
+    a = lp.a_matrix_
+    assert a.format_ == highs.MatrixFormat.kColwise
+    entries = {
+        (a.index_[k], lp.col_names_[j]): a.value_[k]
+        for j in range(lp.num_col_)
+        for k in range(a.start_[j], a.start_[j + 1])
+    }
+    expected_entries = {}
+    for con in model.constraints:
+        bound = con.rhs - con.expr.constant
+        expected = {"<=": (-math.inf, bound), ">=": (bound, math.inf), "=": (bound, bound)}[con.sense]
+        i = rows[con.name]
+        assert (lp.row_lower_[i], lp.row_upper_[i]) == expected, con.name
+        for index, coef in con.expr.terms:
+            expected_entries[(i, model.variables[index].name)] = coef
+    assert entries == expected_entries
+    assert lp.offset_ == model.objective.constant
+    maximize = lp.sense_ == highs.ObjSense.kMaximize
+    assert maximize == (model.direction == milp.MAXIMIZE)
+
+    h.setOptionValue("mip_rel_gap", 0.0)
+    h.run()
+    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    via_text = h.getInfo().objective_function_value
+    direct = milp.solve(model, backends.ScipyHighsBackend())
+    assert direct.status == "optimal"
+    assert abs(via_text - direct.objective_value) <= 1e-9 * max(1.0, abs(direct.objective_value)), (
+        f"{model.name}: {direct.objective_value} vs {via_text}"
+    )
+
+
+def test_highs_reads_the_exported_lp_text(tmp_path, bundle):
+    """HiGHS's own LP reader gets back every column, row, offset and sense,
+    and solves the text to the objective of a direct solve."""
+    path = tmp_path / "model.lp"
     rng = np.random.default_rng(20260815)
-    for trial in range(100):
-        m = _random_model(rng)
-        direct = milp.solve(m, backends.ScipyHighsBackend())
-        assert direct.status == "optimal", f"trial {trial} unexpectedly {direct.status}"
-        via_text = milp.solve(m, backends.LpTextBackend())
-        assert via_text.status == "optimal"
-        scale = max(1.0, abs(direct.objective_value))
-        assert abs(via_text.objective_value - direct.objective_value) <= 1e-7 * scale, (
-            f"trial {trial}: {direct.objective_value} vs {via_text.objective_value}"
-        )
-        # The text form itself must be stable under re-export.
-        text = milp.export_lp_text(m)
-        assert milp.export_lp_text(backends.parse_lp_text(text)) == text
-
-
-def test_lp_text_backend_maps_values_to_original_ids():
-    m = small_lp()
-    sol = milp.solve(m, backends.LpTextBackend())
-    assert sol.value_of(m.variable("y")) == pytest.approx(3.0, abs=1e-9)
+    portfolio, scenario = bundle.cell("spring", "favorable")
+    shipped = build_robust_rvpp(portfolio, scenario, strategy_budgets("optimistic", portfolio))
+    models = [small_lp(), _offset_lp(), shipped] + [_random_model(rng) for _ in range(100)]
+    for model in models:
+        _assert_highs_reads_the_model(model, path)
 
 
 def test_objective_recompute_guard():
@@ -229,18 +277,6 @@ def test_relaxation_probe_names_the_binding_rows():
     report = milp.relaxation_probe(m, backends.ScipyHighsBackend)
     assert set(report) == {"needs_two"}
     assert report["needs_two"] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_get_backend_unknown_name():
-    with pytest.raises(milp.BackendError, match="unknown backend"):
-        backends.get_backend("cplex")
-
-
-def test_get_backend_env_default(monkeypatch):
-    monkeypatch.setenv(backends.BACKEND_ENV_VAR, "lp-text")
-    assert isinstance(backends.get_backend(), backends.LpTextBackend)
-    monkeypatch.delenv(backends.BACKEND_ENV_VAR)
-    assert isinstance(backends.get_backend(), backends.ScipyHighsBackend)
 
 
 def test_binary_count():

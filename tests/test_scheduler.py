@@ -15,13 +15,13 @@ from rvpp import (
     FdUnit,
     ModelBuildError,
     Portfolio,
+    ScipyHighsBackend,
     Solution,
     ThermalStoreParams,
     ZERO_BUDGETS,
     build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
-    get_backend,
     solve,
     strategy_budgets,
 )
@@ -283,7 +283,7 @@ def test_decode_requires_optimal_status():
     m = build_deterministic_rvpp(portfolio, scenario)
     pda0 = m.variable("pda_t00")
     m.add_constraint("impossible", LinearExpression(((pda0.index, 1.0),)), ">=", 1.0e9)
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     assert sol.status == "infeasible"
     with pytest.raises(DecodeError, match="status"):
         extract_rvpp_schedule(m, sol, portfolio)
@@ -294,7 +294,7 @@ def test_decode_rejects_fractional_binaries():
     unit = DrsUnit("gen", 10.0, 0.0, 0.0, 0.0, 1.0)
     portfolio = Portfolio(drs=(unit,))
     m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
     tampered.values[m.variable("on__gen_t00").index] = 0.4
     with pytest.raises(DecodeError, match="non-integral"):
@@ -306,7 +306,7 @@ def test_decode_requires_exactly_one_profile():
     load = FdUnit("ld", profiles=((3.0,) * T, (2.0,) * T), deviation=(0.0,) * T)
     portfolio = Portfolio(fd=(load,))
     m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
     tampered.values[m.variable("prof__ld_m0").index] = 1.0
     tampered.values[m.variable("prof__ld_m1").index] = 1.0
@@ -317,12 +317,12 @@ def test_decode_requires_exactly_one_profile():
 def test_decode_checks_model_kind():
     portfolio, scenario = wind_only(T=4)
     m = build_deterministic_rvpp(portfolio, scenario)
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     from rvpp import EsFleet, build_deterministic_es
     from toys import battery
 
     es_model = build_deterministic_es(EsFleet(battery(), 1), market(4))
-    es_sol = solve(es_model, get_backend())
+    es_sol = solve(es_model, ScipyHighsBackend())
     with pytest.raises(DecodeError, match="not built by a portfolio"):
         extract_rvpp_schedule(es_model, es_sol, portfolio)
     assert extract_rvpp_schedule(m, sol, portfolio).grid_periods == 4

@@ -118,7 +118,7 @@ def count_fleet_solves(monkeypatch) -> list[str]:
 def linear_walk(target, module, scenario, budgets):
     """Reference sizing: the first count whose profit-floor solve succeeds."""
     for count in range(1, 101):
-        es = _fleet_covers(count, module, scenario, budgets, target, None, {})
+        es = _fleet_covers(count, module, scenario, budgets, target, {})
         if es is not None:
             return count, es.objective_value
     raise AssertionError(f"no fleet of up to 100 modules covers {target}")
@@ -126,7 +126,7 @@ def linear_walk(target, module, scenario, budgets):
 
 def test_closed_form_matches_a_linear_walk(monkeypatch):
     s = double_cycle_market()
-    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, None, {}).objective_value
+    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, {}).objective_value
     # 5 * p1 + 1e-9 puts ceil(gap / p1) at 6 while 5 modules meet the floor
     # within the solver's feasibility tolerance.
     targets = (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6, 5 * p1, 5 * p1 + 1e-9)
@@ -155,7 +155,7 @@ def test_fleet_off_the_linear_prediction_raises(monkeypatch):
     # Stand-in floor-row solves whose profit departs from count * p1 by more
     # than a module, below and above the prediction ceil(30 / 10) = 3.
     for offset in (15.0, -15.0):
-        def covers(count, module, scenario, budgets, gap, backend, build_kwargs):
+        def covers(count, module, scenario, budgets, gap, build_kwargs):
             profit = 10.0 * count + (offset if count > 1 else 0.0)
             met = gap is None or profit >= gap
             return SimpleNamespace(objective_value=profit) if met else None
@@ -175,7 +175,7 @@ def test_sizing_keeps_the_floored_schedule():
         result = size_es_to_match(target, module, scenario, budgets, symmetric_sigma_margins=True)
         assert result.module_count > 1
         unsolved = replace(result, schedule=None)
-        fresh = _solved_es(unsolved, module, scenario, budgets, None, switches)
+        fresh = _solved_es(unsolved, module, scenario, budgets, switches)
         kept = result.schedule
         assert kept.objective_value == fresh.objective_value == result.es_objective
         for field in ("net", "r_up", "r_dn", "soc"):

@@ -12,13 +12,13 @@ from rvpp import (
     NdrsUnit,
     PeriodGrid,
     Portfolio,
+    ScipyHighsBackend,
     build_deterministic_es,
     build_deterministic_rvpp,
     build_robust_es,
     build_robust_rvpp,
     extract_es_schedule,
     extract_rvpp_schedule,
-    get_backend,
     solve,
 )
 from rvpp.domain import WIND
@@ -85,7 +85,7 @@ def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None, **build_kw
         m = build_deterministic_rvpp(portfolio, scenario, **build_kwargs)
     else:
         m = build_robust_rvpp(portfolio, scenario, budgets, **build_kwargs)
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"rvpp solve ended {sol.status}"
     return extract_rvpp_schedule(m, sol, portfolio)
 
@@ -97,6 +97,6 @@ def solve_es(fleet: EsFleet | EsUnit, scenario, budgets: BudgetSet | None = None
         m = build_deterministic_es(fleet, scenario, **build_kwargs)
     else:
         m = build_robust_es(fleet, scenario, budgets, **build_kwargs)
-    sol = solve(m, get_backend())
+    sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"es solve ended {sol.status}"
     return extract_es_schedule(m, sol)
