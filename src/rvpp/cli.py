@@ -4,9 +4,11 @@ Case 1 schedules the full portfolio per season (deterministic and optimistic
 robust) and emits unit-level dispatch and reserve curves.  Case 2 sweeps the
 regime/strategy grid and reports traded energy and reserves.  Case 3 measures
 aggregation gaps, class ablations, and flexible-demand capacity scaling, and
-sizes the matching storage fleet.  Case 4 schedules the sized fleet and emits
-its state of charge; when the same sweep runs the case-3 cell of its season,
-regime and strategy, case 4 runs after it and takes over its gap and sizing.
+sizes the matching storage fleet.  Case 4 takes the sized fleet's schedule,
+which sizing scales from its one-module solve, replays it against the sized
+fleet and emits its state of charge; it solves no storage model of its own.
+When the same sweep runs the case-3 cell of its season, regime and strategy,
+case 4 runs after it and takes over its gap and sizing.
 
 Every schedule is replayed and audited before anything is written; a failed
 cell keeps its error in the run manifest while the remaining cells still
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from .backends import ScipyHighsBackend
 from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
-from .milp import SENSE_GE, relaxation_probe, solve
+from .milp import relaxation_probe, solve
 from .oracle import audit_robust_feasibility, replay_schedule
 from .scenario_io import (
     ResultRow,
@@ -41,8 +43,7 @@ from .scenario_io import (
     write_results,
 )
 from .scheduler import build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
-from .sizing import aggregation_gap, individual_profit, price_only_budgets, size_es_to_match
-from .storage import build_robust_es, extract_es_schedule
+from .sizing import aggregation_gap, individual_profit, size_es_to_match
 
 CASES = (1, 2, 3, 4)
 ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
@@ -101,25 +102,18 @@ def _solved_schedule(portfolio, scenario, budgets, switches):
     return schedule
 
 
-def _solved_es(sized, module, scenario, budgets, switches):
-    """The sized fleet's schedule under the profit floor, replayed.  Solved here
-    only when sizing stopped at its unfloored one-module solve."""
-    fleet = sized.fleet(module)
-    margins = switches["symmetric_sigma_margins"]
-    schedule = sized.schedule
-    if schedule is None:
-        b = price_only_budgets(budgets)
-        m = build_robust_es(fleet, scenario, b, symmetric_sigma_margins=margins)
-        m.add_constraint("profit_floor", m.objective, SENSE_GE, sized.lower_bound_profit)
-        sol = solve(m, ScipyHighsBackend())
-        if sol.status != "optimal":
-            raise CellError(f"storage solve ended {sol.status}")
-        schedule = extract_es_schedule(m, sol)
-    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=margins)
+def _replayed_es(sized, module, scenario, switches):
+    """The sized fleet's schedule, replayed against the fleet it was scaled to."""
+    report = replay_schedule(
+        sized.schedule,
+        sized.fleet(module),
+        scenario,
+        symmetric_sigma_margins=switches["symmetric_sigma_margins"],
+    )
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
         raise CellError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
-    return schedule
+    return sized.schedule
 
 
 def _gap_and_sizing(task, module, portfolio, scenario, budgets):
@@ -277,7 +271,7 @@ def run_cell(task: dict) -> dict:
                 full, sized = task["gap"], task["sizing"]
             else:
                 full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
-            es = _solved_es(sized, bundle.es_module, scenario, budgets, switches)
+            es = _replayed_es(sized, bundle.es_module, scenario, switches)
             kf = dict(key, configuration="sized_es")
             sold = _snap(sum(v for v in es.net if v > 0) * dt)
             bought = _snap(-sum(v for v in es.net if v < 0) * dt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 CONTINUOUS = "continuous"
@@ -195,9 +195,6 @@ class Model:
             return self._constraints_by_name[name]
         except KeyError:
             raise ModelError(f"no constraint named {name!r}") from None
-
-    def has_constraint(self, name: str) -> bool:
-        return name in self._constraints_by_name
 
     def binary_count(self) -> int:
         return sum(1 for v in self.variables if v.kind == BINARY)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .domain import (

@@ -4,14 +4,15 @@ The gap is the robust profit of the aggregated portfolio minus the sum of the
 units' stand-alone robust profits.  Sizing answers: how many identical
 storage modules does a price-robust fleet need before its day profit covers
 that gap?  Every fleet row is positively homogeneous in the continuous
-columns and module_count, so the fleet's robust profit is exactly N times the
-one-module profit p1 and the answer is ceil(gap / p1).  A profit-floor row
-added to the fleet model then verifies the boundary: the chosen count covers
-the gap and one module fewer does not.
+columns and module_count, so the N-module optimum is N times the one-module
+optimum.  Sizing therefore solves one module for its profit p1, takes the
+smallest N with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and
+returns the one-module schedule scaled by N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .backends import ScipyHighsBackend
@@ -25,7 +26,7 @@ from .domain import (
     NdrsUnit,
     Portfolio,
 )
-from .milp import SENSE_GE, LinearExpression, solve
+from .milp import solve
 from .scheduler import build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
 
@@ -54,13 +55,10 @@ class GapReport:
 class SizingResult:
     """Minimal fleet whose robust profit covers the lower-bound target.
 
-    iterations counts fleet solves: 1 when a single module covers the target,
-    otherwise at most 3.  minimality_checked records that module_count - 1
-    was solved and found infeasible (trivially true at 1).  per_unit and
-    rvpp_profit are filled when the target came from an aggregation-gap
-    report rather than a bare number.  schedule is the decoded profit-floor
-    solve at module_count; it is None when one module covered the target in
-    the unfloored solve, so no floored model was solved.
+    iterations counts fleet solves; it is always 1, the one-module solve.
+    minimality_checked records that (module_count - 1) * p1 < target <=
+    module_count * p1 held in floating point (trivially true at 1).
+    schedule is the one-module schedule scaled to module_count.
     """
 
     lower_bound_profit: float
@@ -69,9 +67,7 @@ class SizingResult:
     es_objective: float
     iterations: int
     minimality_checked: bool
-    per_unit: tuple[tuple[str, float], ...] = ()
-    rvpp_profit: float | None = None
-    schedule: EsSchedule | None = None
+    schedule: EsSchedule
 
     def fleet(self, module: EsUnit) -> EsFleet:
         return EsFleet(module, self.module_count)
@@ -138,26 +134,26 @@ def aggregation_gap(
     return GapReport(rvpp_profit=rvpp, sum_individual=total, per_unit=tuple(per_unit))
 
 
-def _fleet_covers(
-    count: int,
-    module: EsUnit,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    gap: float | None,
-    build_kwargs: dict,
-) -> EsSchedule | None:
-    """Solve the price-robust fleet with a profit-floor row at gap (no row
-    when gap is None); returns the decoded schedule, or None when the floor
-    is not met."""
-    m = build_robust_es(EsFleet(module, count), scenario, budgets, **build_kwargs)
-    if gap is not None:
-        m.add_constraint("profit_floor", m.objective, SENSE_GE, gap)
-    sol = solve(m, ScipyHighsBackend())
-    if sol.status == "infeasible" and gap is not None:
-        return None
-    if sol.status != "optimal":
-        raise SizingError(f"fleet solve at {count} modules ended {sol.status}")
-    return extract_es_schedule(m, sol)
+def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> int:
+    """Smallest N with N * p1 >= gap in floating point."""
+    if p1 >= gap:
+        return 1
+    if p1 <= 0.0:
+        raise SizingError(
+            f"per-module value {p1:.6g} of {module.name!r} is not positive, "
+            f"so no fleet covers the gap {gap:.6g}"
+        )
+    # Tested before any division so that a tiny p1 cannot overflow ceil().
+    if gap > max_modules * p1:
+        raise SizingError(f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}")
+    # The rounded quotient can put ceil() one module off where gap / p1 sits
+    # next to a whole number; the products settle it.
+    count = math.ceil(gap / p1)
+    if (count - 1) * p1 >= gap:
+        count -= 1
+    elif count * p1 < gap:
+        count += 1
+    return count
 
 
 def size_es_to_match(
@@ -171,67 +167,27 @@ def size_es_to_match(
     """Smallest module_count whose robust fleet profit reaches the gap.
 
     budgets must be effectively price-only; any per-unit entries are dropped
-    here because the fleet has no quantity streams.  The count is computed
-    from the one-module profit p1, not searched for, and costs at most three
-    fleet solves.  SizingError is raised when p1 is not positive, when the
-    count exceeds max_modules, and when the floor-row solves contradict the
-    linear scaling count * p1.
+    here because the fleet has no quantity streams.  One module is solved for
+    its profit p1; the count follows from p1 by arithmetic and the schedule by
+    scaling, so no other fleet is solved.  SizingError is raised when p1 is
+    not positive and when the count would exceed max_modules.
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
-    b = price_only_budgets(budgets)
-    iterations = 0
-
-    def covers(count: int, floor: float | None = gap) -> EsSchedule | None:
-        nonlocal iterations
-        iterations += 1
-        return _fleet_covers(count, module, scenario, b, floor, build_kwargs)
-
-    def result(count: int, es: EsSchedule, floored: bool = True) -> SizingResult:
-        return SizingResult(
-            lower_bound_profit=gap,
-            module_count=count,
-            fleet_e_max=module.e_max * count,
-            es_objective=es.objective_value,
-            iterations=iterations,
-            minimality_checked=True,
-            schedule=es if floored else None,
-        )
-
-    def cap_error() -> SizingError:
-        return SizingError(f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}")
-
-    one = covers(1, None)
+    m = build_robust_es(EsFleet(module, 1), scenario, price_only_budgets(budgets), **build_kwargs)
+    sol = solve(m, ScipyHighsBackend())
+    if sol.status != "optimal":
+        raise SizingError(f"one-module fleet solve ended {sol.status}")
+    one = extract_es_schedule(m, sol)
     p1 = one.objective_value
-    if p1 >= gap:
-        return result(1, one, floored=False)
-    if p1 <= 0.0:
-        raise SizingError(
-            f"per-module value {p1:.6g} of {module.name!r} is not positive, "
-            f"so no fleet covers the gap {gap:.6g}"
-        )
-    ratio = gap / p1
-    if ratio > max_modules:
-        raise cap_error()
-    # Fleet profit is count * p1, so the answer is ceil(ratio).  Float rounding
-    # can move it one module only where ratio sits next to a whole number, and
-    # the floor-row solve at the nearest whole number settles which side wins;
-    # together with one neighbour it also verifies minimality.
-    nearest = round(ratio)
-    es = covers(nearest)
-    if es is not None:
-        if nearest > 1 and covers(nearest - 1) is not None:
-            raise SizingError(
-                f"fleet profit departs from module_count x {p1:.6g}: "
-                f"{nearest - 1} modules already cover the gap {gap:.6g}"
-            )
-        return result(nearest, es)
-    if nearest + 1 > max_modules:
-        raise cap_error()
-    es = covers(nearest + 1)
-    if es is None:
-        raise SizingError(
-            f"fleet profit departs from module_count x {p1:.6g}: "
-            f"{nearest + 1} modules do not cover the gap {gap:.6g}"
-        )
-    return result(nearest + 1, es)
+    count = _module_count(gap, p1, module, max_modules)
+    schedule = one.scaled(count)
+    return SizingResult(
+        lower_bound_profit=gap,
+        module_count=count,
+        fleet_e_max=module.e_max * count,
+        es_objective=schedule.objective_value,
+        iterations=1,
+        minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,
+        schedule=schedule,
+    )

@@ -12,7 +12,7 @@ period 1 back onto period T, so the day starts and ends at the same level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,6 +115,35 @@ class EsSchedule:
     objective_value: float
     nominal_profit: float
     artifacts: PriceRobustArtifacts | None = None
+
+    def scaled(self, n: int) -> EsSchedule:
+        """The same schedule for a fleet n times as large.
+
+        Every fleet row is positively homogeneous in the continuous columns and
+        module_count, so flows, reserves, state of charge, profits and price
+        duals scale by n; mode and the sigma envelope fractions do not.
+        """
+        artifacts = self.artifacts
+        if artifacts is not None:
+            artifacts = replace(artifacts, **{f: n * getattr(artifacts, f) for f in _SCALED_DUALS})
+        return replace(self, artifacts=artifacts, **{f: n * getattr(self, f) for f in _SCALED_FIELDS})
+
+
+_SCALED_FIELDS = (
+    "charge",
+    "discharge",
+    "net",
+    "r_up_charge",
+    "r_up_discharge",
+    "r_dn_charge",
+    "r_dn_discharge",
+    "r_up",
+    "r_dn",
+    "soc",
+    "objective_value",
+    "nominal_profit",
+)
+_SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
 def validate_fleet(fleet: EsFleet) -> list[str]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +20,8 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
-from rvpp.cli import _solved_es
-from rvpp.sizing import _fleet_covers
-from toys import battery, market, wind
+from rvpp.storage import EsFleet
+from toys import battery, market, solve_es, wind
 
 
 def spiky_market(T: int = 6):
@@ -116,21 +114,17 @@ def count_fleet_solves(monkeypatch) -> list[str]:
 
 
 def linear_walk(target, module, scenario, budgets):
-    """Reference sizing: the first count whose profit-floor solve succeeds."""
+    """Reference sizing: the first count whose N-fleet solve reaches the target."""
     for count in range(1, 101):
-        es = _fleet_covers(count, module, scenario, budgets, target, {})
-        if es is not None:
-            return count, es.objective_value
+        profit = solve_es(EsFleet(module, count), scenario, budgets).objective_value
+        if profit >= target:
+            return count, profit
     raise AssertionError(f"no fleet of up to 100 modules covers {target}")
 
 
 def test_closed_form_matches_a_linear_walk(monkeypatch):
     s = double_cycle_market()
-    p1 = _fleet_covers(1, battery(), s, ZERO_BUDGETS, None, {}).objective_value
-    # 5 * p1 + 1e-9 puts ceil(gap / p1) at 6 while 5 modules meet the floor
-    # within the solver's feasibility tolerance.
-    targets = (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6, 5 * p1, 5 * p1 + 1e-9)
-    cases = [(battery(), s, ZERO_BUDGETS, t) for t in targets]
+    cases = [(battery(), s, ZERO_BUDGETS, t) for t in (10.0, 70.0, 200.0, 63.175 * 5 - 1e-6)]
     price_budgets = BudgetSet(gamma_dam=1, gamma_sr_up=1)
     cases += [(min_power_module(), spiky_market(), price_budgets, t) for t in (10.0, 30.0, 100.0)]
     calls = count_fleet_solves(monkeypatch)
@@ -140,8 +134,41 @@ def test_closed_form_matches_a_linear_walk(monkeypatch):
         result = size_es_to_match(target, module, scenario, budgets)
         assert result.module_count == count
         assert result.es_objective == pytest.approx(profit, rel=1e-9)
-        assert len(calls) == result.iterations <= 3
+        assert len(calls) == result.iterations == 1
         assert result.minimality_checked
+        # The returned schedule is the one-module optimum scaled to the count.
+        one = solve_es(EsFleet(module, 1), scenario, budgets)
+        for field in ("net", "r_up", "r_dn", "soc"):
+            np.testing.assert_array_equal(getattr(result.schedule, field), count * getattr(one, field))
+
+
+def around_multiples(p1, k):
+    """Targets k * p1 and its two float neighbours, with the counts they need."""
+    target = k * p1
+    above = float(np.nextafter(target, np.inf))
+    below = float(np.nextafter(target, -np.inf))
+    return ((target, k), (above, k + 1), (below, k))
+
+
+def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
+    s = double_cycle_market()
+    p1 = size_es_to_match(0.0, battery(), s, ZERO_BUDGETS).es_objective
+    # Next to a multiple of p1 the rounded quotient gap / p1 can put ceil()
+    # one module off (at this p1, k = 11 and k = 257 among others).
+    for k in range(1, 1001):
+        for gap, expected in around_multiples(p1, k):
+            assert sizing._module_count(gap, p1, battery(), 2000) == expected, (k, gap)
+    calls = count_fleet_solves(monkeypatch)
+    for k in (2, 11, 257):
+        for gap, expected in around_multiples(p1, k):
+            calls.clear()
+            result = size_es_to_match(gap, battery(), s, ZERO_BUDGETS)
+            assert result.module_count == expected, (k, gap)
+            assert (expected - 1) * p1 < gap <= expected * p1
+            assert len(calls) == 1
+            assert result.minimality_checked
+    # Under a solver-tolerance profit floor 5 modules met 5 * p1 + 1e-9.
+    assert size_es_to_match(5 * p1 + 1e-9, battery(), s, ZERO_BUDGETS).module_count == 6
 
 
 def test_losing_module_fails_after_one_solve(monkeypatch):
@@ -149,39 +176,6 @@ def test_losing_module_fails_after_one_solve(monkeypatch):
     with pytest.raises(SizingError, match="per-module value -"):
         size_es_to_match(5.0, min_power_module(op_cost=30.0), market(4, dam=10.0), ZERO_BUDGETS)
     assert len(calls) == 1
-
-
-def test_fleet_off_the_linear_prediction_raises(monkeypatch):
-    # Stand-in floor-row solves whose profit departs from count * p1 by more
-    # than a module, below and above the prediction ceil(30 / 10) = 3.
-    for offset in (15.0, -15.0):
-        def covers(count, module, scenario, budgets, gap, build_kwargs):
-            profit = 10.0 * count + (offset if count > 1 else 0.0)
-            met = gap is None or profit >= gap
-            return SimpleNamespace(objective_value=profit) if met else None
-
-        monkeypatch.setattr(sizing, "_fleet_covers", covers)
-        with pytest.raises(SizingError, match="departs from module_count x 10"):
-            size_es_to_match(30.0, battery(), double_cycle_market(), ZERO_BUDGETS)
-
-
-def test_sizing_keeps_the_floored_schedule():
-    switches = {"literal_3c": False, "symmetric_sigma_margins": True}
-    cases = [
-        (battery(), double_cycle_market(), ZERO_BUDGETS, 70.0),
-        (min_power_module(), spiky_market(), BudgetSet(gamma_dam=1, gamma_sr_up=1), 30.0),
-    ]
-    for module, scenario, budgets, target in cases:
-        result = size_es_to_match(target, module, scenario, budgets, symmetric_sigma_margins=True)
-        assert result.module_count > 1
-        unsolved = replace(result, schedule=None)
-        fresh = _solved_es(unsolved, module, scenario, budgets, switches)
-        kept = result.schedule
-        assert kept.objective_value == fresh.objective_value == result.es_objective
-        for field in ("net", "r_up", "r_dn", "soc"):
-            np.testing.assert_array_equal(getattr(kept, field), getattr(fresh, field))
-    # A single module that covers the target unfloored leaves no floored schedule.
-    assert size_es_to_match(0.0, battery(), double_cycle_market(), ZERO_BUDGETS).schedule is None
 
 
 def test_module_count_grows_with_price_budget():

@@ -50,14 +50,24 @@ def test_flat_prices_mean_no_trading():
 def test_value_is_linear_in_module_count():
     # Every fleet rating scales with the count and all rows are homogeneous,
     # so the optimum scales exactly, minimum-power rows and price duals
-    # included.  Storage sizing computes its module count from this.
+    # included.  Storage sizing computes its module count and its schedule
+    # from this.  Alternative optima may differ in flows, so the scaled
+    # schedule is replayed against the larger fleet, not compared with its
+    # solve array by array.
     s = market(12, dam=[10, 40, 5, 35, 20, 45, 8, 30, 25, 50, 15, 12], dam_down=4.0, dam_up=3.0)
     min_power = replace(battery(), charge_p_min=0.1, discharge_p_min=0.15)
     for module, budgets in product((battery(), min_power), (None, BudgetSet(gamma_dam=3))):
-        v1 = solve_es(EsFleet(module, 1), s, budgets).objective_value
+        one = solve_es(EsFleet(module, 1), s, budgets)
         for n in (2, 3, 7):
+            case = (module, budgets, n)
             vn = solve_es(EsFleet(module, n), s, budgets).objective_value
-            assert vn == pytest.approx(n * v1, rel=1e-9), (module, budgets, n)
+            assert vn == pytest.approx(n * one.objective_value, rel=1e-9), case
+            scaled = one.scaled(n)
+            assert scaled.objective_value == pytest.approx(vn, rel=1e-9), case
+            assert max(replay_schedule(scaled, EsFleet(module, n), s).values()) <= 1e-6, case
+            if budgets is not None:
+                penalty = scaled.artifacts.price_penalty_total()
+                assert scaled.nominal_profit - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
 
 
 def test_soc_cyclic_and_modes_exclusive_randomized():
