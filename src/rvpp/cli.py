@@ -4,34 +4,37 @@ Case 1 schedules the full portfolio per season (deterministic and optimistic
 robust) and emits unit-level dispatch and reserve curves.  Case 2 sweeps the
 regime/strategy grid and reports traded energy and reserves.  Case 3 measures
 aggregation gaps, class ablations, and flexible-demand capacity scaling, and
-sizes the matching storage fleet.  Case 4 takes the sized fleet's schedule,
-which sizing scales from its one-module solve, replays it against the sized
-fleet and emits its state of charge; it solves no storage model of its own.
-When the same sweep runs the case-3 cell of its season, regime and strategy,
-case 4 runs after it and takes over its gap and sizing.
+sizes the matching storage fleet.  Case 4 replays the sized fleet's schedule
+against the fleet, re-prices it, and emits its state of charge.
+
+A sweep runs as a flat solve plan.  Each cell lists the solves it needs, keyed
+by what defines the model (`Solve`).  Each distinct key is solved once,
+heaviest kind first, on up to --jobs worker processes (default: every usable
+CPU, capped at the number of distinct solves).  The cells then assemble their
+rows by arithmetic on the shared results: sizing takes its module count from
+the one-module solve, so case 4 shares every solve with case 3.
 
 Every schedule is replayed and audited before anything is written; a failed
-cell keeps its error in the run manifest while the remaining cells still
-produce results.  Exit codes: 0 all cells succeeded, 1 at least one cell
-failed, 2 bad configuration.
+solve fails the cells that need it while the remaining cells still produce
+results.  Exit codes: 0 all cells succeeded, 1 at least one cell failed, 2 bad
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
-from .backends import ScipyHighsBackend
-from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
-from .milp import relaxation_probe, solve
-from .oracle import audit_robust_feasibility, replay_schedule
+from .domain import REGIMES, SEASONS, STRATEGIES, BudgetSet, EsUnit, Portfolio, strategy_budgets
+from .oracle import replay_schedule, worst_case_profit
 from .scenario_io import (
     ResultRow,
     ResultsTable,
@@ -42,23 +45,57 @@ from .scenario_io import (
     scale_flexible_demand,
     write_results,
 )
-from .scheduler import build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
-from .sizing import aggregation_gap, individual_profit, size_es_to_match
+from .sizing import (
+    RESIDUAL_TOL,
+    audited_schedule,
+    one_module_schedule,
+    price_only_budgets,
+    sized_from_module,
+    stand_alone,
+)
 
 CASES = (1, 2, 3, 4)
 ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
 CONFIG_CHOICES = ("full",) + ABLATIONS
 DEFAULT_FD_SCALES = (0.0, 50.0, 100.0, 150.0)
-RESIDUAL_TOL = 1e-6
 
 
 class CellError(RuntimeError):
     """A sweep cell could not produce an audited result."""
 
 
+class Solve(NamedTuple):
+    """What defines one model of the plan; equal keys are the same model."""
+
+    season: str
+    regime: str
+    subject: Portfolio | EsUnit  # a portfolio, one unit's alone, or the storage module
+    budgets: BudgetSet | None  # None: the deterministic model
+    switch: bool  # literal_3c, or symmetric_sigma_margins for the storage module
+
+    def weight(self) -> int:
+        """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
+        if isinstance(self.subject, EsUnit) or len(self.subject.all_units()) == 1:
+            return 2
+        return 0 if self.budgets is not None else 1
+
+    def label(self) -> str:
+        if isinstance(self.subject, EsUnit):
+            return f"storage module {self.subject.name}"
+        return "+".join(self.subject.unit_names())
+
+
 @lru_cache(maxsize=4)
 def _bundle(path: str):
     return load_scenario(path)
+
+
+def _isolated(fn, *args):
+    """(fn(*args), None), or (None, the error it raised)."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # noqa: BLE001 - cell isolation boundary
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
@@ -75,61 +112,81 @@ def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
     raise CellError(f"unknown configuration {config!r}")
 
 
-def _solved_schedule(portfolio, scenario, budgets, switches):
-    """Build, solve, decode, replay, and audit one portfolio schedule."""
-    if budgets is None:
-        m = build_deterministic_rvpp(portfolio, scenario, literal_3c=switches["literal_3c"])
-    else:
-        m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=switches["literal_3c"])
-    sol = solve(m, ScipyHighsBackend())
-    if sol.status != "optimal":
-        detail = ""
-        if sol.status == "infeasible":
-            blame = relaxation_probe(m, ScipyHighsBackend)
-            if blame:
-                worst = max(blame, key=blame.get)
-                detail = f"; largest irreducible conflict at {worst} (slack {blame[worst]:.4g})"
-        raise CellError(f"solve ended {sol.status}{detail}")
-    schedule = extract_rvpp_schedule(m, sol, portfolio)
-    report = replay_schedule(schedule, portfolio, scenario, literal_3c=switches["literal_3c"])
-    worst = max(report.values()) if report else 0.0
-    if worst > RESIDUAL_TOL:
-        raise CellError(f"replay residual {worst:.3g} above {RESIDUAL_TOL}")
-    if budgets is not None:
-        violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets, exhaustive_cap=0)
-        if violations:
-            raise CellError("robust audit failed: " + violations[0])
-    return schedule
+def _solve(path: str, key: Solve):
+    _, scenario = _bundle(path).cell(key.season, key.regime)
+    if isinstance(key.subject, EsUnit):
+        return one_module_schedule(key.subject, scenario, key.budgets, symmetric_sigma_margins=key.switch)
+    return audited_schedule(key.subject, scenario, key.budgets, literal_3c=key.switch)
 
 
-def _replayed_es(sized, module, scenario, switches):
-    """The sized fleet's schedule, replayed against the fleet it was scaled to."""
-    report = replay_schedule(
-        sized.schedule,
-        sized.fleet(module),
-        scenario,
-        symmetric_sigma_margins=switches["symmetric_sigma_margins"],
-    )
+def run_cell(task: dict) -> dict:
+    """Run one solve of the plan: its schedule or its error, and its seconds.
+
+    Runs in a worker process when the sweep has more than one worker, so the
+    task and the returned dict stay picklable.
+    """
+    started = time.perf_counter()
+    schedule, error = _isolated(_solve, task["scenario"], task["solve"])
+    return {"schedule": schedule, "error": error, "seconds": time.perf_counter() - started}
+
+
+def _plan_cell(task: dict, bundle) -> dict:
+    """The solves one cell needs.
+
+    Per configuration: its portfolio solve and, in cases 3 and 4, one
+    stand-alone solve per unit; "full" comes first.  In cases 3 and 4 also the
+    storage module's one-module solve, which sizing scales.
+    """
+    portfolio, _ = bundle.cell(task["season"], task["regime"])
+    at = (task["season"], task["regime"])
+    case, strategy = task["case"], task["strategy"]
+    variants = [("full", portfolio)]
+    if case == 3:
+        variants += [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
+        variants += [
+            (f"fd_{int(pct):03d}", scale_flexible_demand(portfolio, pct / 100.0))
+            for pct in task["fd_scales"]
+            if pct != 100.0
+        ]
+    configs = []
+    for config, sub in variants:
+        if sub.is_empty():
+            raise CellError(f"configuration {config} leaves no units")
+        budgets = None if strategy == "deterministic" else strategy_budgets(strategy, sub)
+        units = ()
+        if case in (3, 4):
+            units = tuple(Solve(*at, *stand_alone(u, budgets), task["literal_3c"]) for u in sub.all_units())
+        configs.append((config, Solve(*at, sub, budgets, task["literal_3c"]), units))
+    module = bundle.es_module
+    if case == 4 and module is None:
+        raise CellError("scenario file ships no storage module")
+    es = None
+    if case in (3, 4) and module is not None:
+        budgets = price_only_budgets(strategy_budgets(strategy, portfolio))
+        es = Solve(*at, module, budgets, task["symmetric_sigma_margins"])
+    return {"configs": configs, "module": es}
+
+
+def _needs(plan: dict) -> list[Solve]:
+    keys = [k for _, key, units in plan["configs"] for k in (key, *units)]
+    return keys + ([plan["module"]] if plan["module"] is not None else [])
+
+
+def _audited_es(sized, key: Solve, scenario):
+    """The sized fleet's schedule, replayed against the fleet it was scaled to
+    and re-priced against its objective, independently and through its duals."""
+    es = sized.schedule
+    report = replay_schedule(es, sized.fleet(key.subject), scenario, symmetric_sigma_margins=key.switch)
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
         raise CellError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
-    return sized.schedule
-
-
-def _gap_and_sizing(task, module, portfolio, scenario, budgets):
-    """Aggregation gap and, given a storage module, the fleet that covers it."""
-    gap = aggregation_gap(portfolio, scenario, budgets, literal_3c=task["literal_3c"])
-    if module is None:
-        return gap, None
-    sized = size_es_to_match(
-        gap.gap,
-        module,
-        scenario,
-        budgets,
-        max_modules=task["max_modules"],
-        symmetric_sigma_margins=task["symmetric_sigma_margins"],
-    )
-    return gap, sized
+    checks = {"its worst-case re-pricing": worst_case_profit(es, scenario, key.budgets)[0]}
+    if es.artifacts is not None:
+        checks["its price duals"] = es.nominal_profit - es.artifacts.price_penalty_total()
+    for source, profit in checks.items():
+        if abs(profit - es.objective_value) > RESIDUAL_TOL * max(1.0, abs(es.objective_value)):
+            raise CellError(f"sized fleet objective {es.objective_value:.10g} but {source} gives {profit:.10g}")
+    return es
 
 
 def _snap(v: float) -> float:
@@ -171,148 +228,61 @@ def _market_series(key: dict, schedule, include_units: bool) -> list[SeriesRow]:
     return rows
 
 
-def run_cell(task: dict) -> dict:
-    """Execute one sweep cell; returns rows/series plus a manifest entry.
+def _gap_values(solved, key: Solve, units: tuple[Solve, ...]) -> tuple[dict, dict]:
+    """Aggregated profit, sum of stand-alone profits and gap; and the unit profits."""
+    rvpp = solved(key).objective_value
+    per_unit = {f"unit_{k.subject.unit_names()[0]}": solved(k).objective_value for k in units}
+    total = sum(per_unit.values())
+    return {"rvpp_profit": rvpp, "sum_individual": total, "gap": rvpp - total}, per_unit
 
-    Runs in a worker process under --jobs > 1, so the payload and the return
-    value stay picklable.
-    """
-    started = time.perf_counter()
-    out = {"task": task, "status": "ok", "error": None, "rows": [], "series": []}
-    try:
-        bundle = _bundle(task["scenario"])
-        portfolio, scenario = bundle.cell(task["season"], task["regime"])
-        switches = {
-            "literal_3c": task["literal_3c"],
-            "symmetric_sigma_margins": task["symmetric_sigma_margins"],
-        }
-        strategy = task["strategy"]
-        budgets = None if strategy == "deterministic" else strategy_budgets(strategy, portfolio)
-        key = {
-            "case": str(task["case"]),
-            "season": task["season"],
-            "regime": task["regime"],
-            "strategy": strategy,
-        }
-        dt = scenario.grid.delta_t
-        case = task["case"]
 
-        if case in (1, 2):
-            schedule = _solved_schedule(portfolio, scenario, budgets, switches)
-            kf = dict(key, configuration="full")
-            out["rows"].append(ResultRow(values=_market_values(schedule, dt), **kf))
-            out["series"].extend(_market_series(kf, schedule, include_units=(case == 1)))
+def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
+    """A cell's result rows and series, by arithmetic on its solved schedules."""
+    _, scenario = bundle.cell(task["season"], task["regime"])
+    dt = scenario.grid.delta_t
+    case = task["case"]
+    key = dict(case=str(case), season=task["season"], regime=task["regime"], strategy=task["strategy"])
+    _, full, units = plan["configs"][0]
+    if case in (1, 2):
+        schedule = solved(full)
+        kf = dict(key, configuration="full")
+        return [ResultRow(values=_market_values(schedule, dt), **kf)], _market_series(kf, schedule, case == 1)
 
-        elif case == 3:
-            if budgets is None:
-                raise CellError("case 3 needs a robust strategy")
-            full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
-            kf = dict(key, configuration="full")
-            values = {
-                "rvpp_profit": full.rvpp_profit,
-                "sum_individual": full.sum_individual,
-                "gap": full.gap,
-            }
-            for name, profit in full.per_unit:
-                values[f"unit_{name}"] = profit
-            if sized is not None:
-                values.update(
-                    module_count=float(sized.module_count),
-                    fleet_e_max_mwh=sized.fleet_e_max,
-                    es_objective=sized.es_objective,
-                    sizing_iterations=float(sized.iterations),
-                )
-            out["rows"].append(ResultRow(values=values, **kf))
-
-            # Ablations, then flexible-demand scales; a unit of the full
-            # portfolio keeps its stand-alone profit, a rescaled one is solved.
-            memo = {u: v for u, (_, v) in zip(portfolio.all_units(), full.per_unit)}
-            variants = [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
-            variants += [
-                (f"fd_{int(pct):03d}", scale_flexible_demand(portfolio, pct / 100.0))
-                for pct in task["fd_scales"]
-                if pct != 100.0
-            ]
-            solved = []
-            for config, sub in variants:
-                if sub.is_empty():
-                    raise CellError(f"configuration {config} leaves no units")
-                bsub = strategy_budgets(strategy, sub)
-                # Scaling flexible demand to zero leaves the no_fd portfolio.
-                sched = next((m for p, m in solved if p == sub), None)
-                if sched is None:
-                    sched = _solved_schedule(sub, scenario, bsub, switches)
-                    solved.append((sub, sched))
-                total = sum(
-                    memo[u]
-                    if u in memo
-                    else individual_profit(u, scenario, bsub, literal_3c=task["literal_3c"])
-                    for u in sub.all_units()
-                )
-                out["rows"].append(
-                    ResultRow(
-                        values={
-                            "rvpp_profit": sched.objective_value,
-                            "sum_individual": total,
-                            "gap": sched.objective_value - total,
-                        },
-                        **dict(key, configuration=config),
-                    )
-                )
-            # Handed to the case-4 cell of the same season, regime and strategy.
-            out["handoff"] = {"gap": full, "sizing": sized}
-
-        elif case == 4:
-            if budgets is None:
-                raise CellError("case 4 needs a robust strategy")
-            if bundle.es_module is None:
-                raise CellError("scenario file ships no storage module")
-            if "gap" in task:
-                full, sized = task["gap"], task["sizing"]
-            else:
-                full, sized = _gap_and_sizing(task, bundle.es_module, portfolio, scenario, budgets)
-            es = _replayed_es(sized, bundle.es_module, scenario, switches)
-            kf = dict(key, configuration="sized_es")
-            sold = _snap(sum(v for v in es.net if v > 0) * dt)
-            bought = _snap(-sum(v for v in es.net if v < 0) * dt)
-            out["rows"].append(
-                ResultRow(
-                    values={
-                        "lower_bound_profit": full.gap,
-                        "module_count": float(sized.module_count),
-                        "fleet_e_max_mwh": sized.fleet_e_max,
-                        "es_objective": es.objective_value,
-                        "sold_mwh": sold,
-                        "bought_mwh": bought,
-                        "r_up_total_mw": _snap(sum(es.r_up)),
-                        "r_dn_total_mw": _snap(sum(es.r_dn)),
-                    },
-                    **kf,
-                )
+    values, per_unit = _gap_values(solved, full, units)
+    sized = None
+    if plan["module"] is not None:
+        sized = sized_from_module(values["gap"], solved(plan["module"]), bundle.es_module, task["max_modules"])
+    if case == 3:
+        values.update(per_unit)
+        if sized is not None:
+            values.update(
+                module_count=float(sized.module_count),
+                fleet_e_max_mwh=sized.fleet_e_max,
+                es_objective=sized.es_objective,
+                sizing_iterations=float(sized.iterations),
             )
-            out["series"].extend(
-                _series(kf, kind, "es_fleet", values)
-                for kind, values in (
-                    ("traded", es.net),
-                    ("reserve_up", es.r_up),
-                    ("reserve_dn", es.r_dn),
-                    ("soc", es.soc),
-                )
-            )
-        else:
-            raise CellError(f"unknown case {case}")
-    except Exception as exc:  # noqa: BLE001 - cell isolation boundary
-        out["status"] = "failed"
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        out["trace"] = traceback.format_exc()
-        out["rows"] = []
-        out["series"] = []
-    out["seconds"] = time.perf_counter() - started
-    return out
+        rows = [ResultRow(values=values, **dict(key, configuration="full"))]
+        for config, sub, sub_units in plan["configs"][1:]:
+            rows.append(ResultRow(values=_gap_values(solved, sub, sub_units)[0], **dict(key, configuration=config)))
+        return rows, []
 
-
-def _twin_key(task: dict) -> tuple:
-    return (task["season"], task["regime"], task["strategy"])
+    es = _audited_es(sized, plan["module"], scenario)
+    kf = dict(key, configuration="sized_es")
+    row = ResultRow(
+        values={
+            "lower_bound_profit": values["gap"],
+            "module_count": float(sized.module_count),
+            "fleet_e_max_mwh": sized.fleet_e_max,
+            "es_objective": es.objective_value,
+            "sold_mwh": _snap(sum(v for v in es.net if v > 0) * dt),
+            "bought_mwh": _snap(-sum(v for v in es.net if v < 0) * dt),
+            "r_up_total_mw": _snap(sum(es.r_up)),
+            "r_dn_total_mw": _snap(sum(es.r_dn)),
+        },
+        **kf,
+    )
+    flows = (("traded", es.net), ("reserve_up", es.r_up), ("reserve_dn", es.r_dn), ("soc", es.soc))
+    return [row], [_series(kf, kind, "es_fleet", vec) for kind, vec in flows]
 
 
 def _cell_key(task: dict) -> tuple:
@@ -325,6 +295,13 @@ def _cell_key(task: dict) -> tuple:
         regime_order.get(task["regime"], 99),
         strat_order.get(task["strategy"], 99),
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 class SystemExit2(Exception):
@@ -355,7 +332,6 @@ def _expand_tasks(args) -> list[dict]:
                             "season": season,
                             "regime": regime,
                             "strategy": strategy,
-                            "scenario": args.scenario,
                             "configs": tuple(args.config),
                             "fd_scales": tuple(args.fd_scale),
                             "max_modules": args.max_modules,
@@ -389,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--max-modules", type=int, default=2000,
                         help="cap on the storage fleet sizing may return; a larger need fails the cell")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for the plan's solves (default: every usable CPU); "
+                             "never more than the distinct solves, and 1 runs in-process")
     parser.add_argument("--literal-3c", action=argparse.BooleanOptionalAction, default=False,
                         help="keep the daily energy cap's reserve term unscaled by the period length")
     parser.add_argument("--symmetric-sigma-margins", action=argparse.BooleanOptionalAction,
@@ -406,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
     args.scenario = str(args.scenario or default_scenario_path())
     for flag, value in (("--jobs", args.jobs), ("--max-modules", args.max_modules)):
-        if value < 1:
+        if value is not None and value < 1:
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return 2
     for pct in args.fd_scale:
@@ -415,46 +393,53 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        _bundle(args.scenario)
+        bundle = _bundle(args.scenario)
         tasks = _expand_tasks(args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
-    # A case-4 cell waits for its case-3 twin and takes over its gap and sizing.
-    twins = {_twin_key(t) for t in tasks if t["case"] == 3}
-    ready, waiting = [], []
-    for t in tasks:
-        (waiting if t["case"] == 4 and _twin_key(t) in twins else ready).append(t)
-    with ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    plans = [_isolated(_plan_cell, t, bundle) for t in tasks]
+    # Each distinct solve once, heaviest kind first; the sort is stable.
+    order = list(dict.fromkeys(k for plan, _ in plans if plan for k in _needs(plan)))
+    order.sort(key=Solve.weight)
+    jobs = max(1, min(args.jobs or _usable_cpus(), len(order)))
+    # No solve runs in this process before the pool forks.
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        results = list(run(run_cell, ready))
-        handoff = {_twin_key(r["task"]): r["handoff"] for r in results if "handoff" in r}
-        results += run(run_cell, [dict(t, **handoff.get(_twin_key(t), {})) for t in waiting])
-    results.sort(key=lambda r: _cell_key(r["task"]))
+        results = dict(zip(order, run(run_cell, [{"scenario": args.scenario, "solve": k} for k in order])))
+
+    def solved(key: Solve):
+        res = results[key]
+        if res["error"] is not None:
+            raise CellError(f"solve of {key.label()} failed: {res['error']}")
+        return res["schedule"]
 
     table = ResultsTable()
     manifest_cells = []
     failed = 0
-    for res in results:
-        t = res["task"]
+    for t, (plan, error) in zip(tasks, plans):
+        seconds = 0.0
+        if plan is not None:
+            # Solve seconds the cell rests on, shared solves counted in full.
+            seconds = sum(results[k]["seconds"] for k in set(_needs(plan)))
+            out, error = _isolated(_cell_rows, t, plan, solved, bundle)
         entry = {
             "case": t["case"],
             "season": t["season"],
             "regime": t["regime"],
             "strategy": t["strategy"],
-            "status": res["status"],
-            "seconds": round(res["seconds"], 3),
+            "status": "ok" if error is None else "failed",
+            "seconds": round(seconds, 3),
         }
-        if "gap" in t:
-            entry["sizing_from"] = "case 3"
-        if res["status"] != "ok":
+        if error is not None:
             failed += 1
-            entry["error"] = res["error"]
+            entry["error"] = error
+        else:
+            table.rows.extend(out[0])
+            table.series.extend(out[1])
         manifest_cells.append(entry)
-        table.rows.extend(res["rows"])
-        table.series.extend(res["series"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -467,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             "literal_3c": args.literal_3c,
             "symmetric_sigma_margins": args.symmetric_sigma_margins,
         },
-        "jobs": args.jobs,
+        "jobs": jobs,
         "cells_total": len(tasks),
         "cells_failed": failed,
         "wall_seconds": round(time.perf_counter() - started, 3),

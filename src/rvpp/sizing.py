@@ -8,6 +8,10 @@ columns and module_count, so the N-module optimum is N times the one-module
 optimum.  Sizing therefore solves one module for its profit p1, takes the
 smallest N with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and
 returns the one-module schedule scaled by N.
+
+Every portfolio and stand-alone unit profit comes from `audited_schedule`,
+which replays the schedule against the raw inputs and audits a robust one
+against its dominant quantity realization before the profit is used.
 """
 
 from __future__ import annotations
@@ -26,13 +30,20 @@ from .domain import (
     NdrsUnit,
     Portfolio,
 )
-from .milp import solve
-from .scheduler import build_robust_rvpp, extract_rvpp_schedule
+from .milp import relaxation_probe, solve
+from .oracle import audit_robust_feasibility, replay_schedule
+from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
+
+RESIDUAL_TOL = 1e-6
 
 
 class SizingError(RuntimeError):
     """Raised when no fleet within the module cap can cover the gap."""
+
+
+class ScheduleError(RuntimeError):
+    """A portfolio solve did not yield a replayed, audited schedule."""
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,62 @@ def price_only_budgets(budgets: BudgetSet) -> BudgetSet:
     return replace(budgets, gamma_per_unit=())
 
 
+def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
+    """The one-unit portfolio and budgets a unit faces when it bids alone.
+
+    The unit keeps its own quantity budget and the full price budgets; other
+    units' budgets are dropped along with the units themselves.
+    """
+    return _singleton(unit), _budgets_for(budgets, {unit.name})
+
+
+def audited_schedule(
+    portfolio: Portfolio,
+    scenario: MarketScenario,
+    budgets: BudgetSet | None,
+    *,
+    literal_3c: bool = False,
+) -> RvppSchedule:
+    """Build, solve, decode, replay and audit one portfolio schedule.
+
+    budgets None builds the deterministic model.  ScheduleError names what
+    failed: the solve status (with the largest irreducible conflict of an
+    infeasible model), the replay residual or the first robust violation.
+    """
+    if budgets is None:
+        m = build_deterministic_rvpp(portfolio, scenario, literal_3c=literal_3c)
+    else:
+        m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=literal_3c)
+    sol = solve(m, ScipyHighsBackend())
+    if sol.status != "optimal":
+        detail = ""
+        if sol.status == "infeasible":
+            blame = relaxation_probe(m, ScipyHighsBackend)
+            if blame:
+                worst = max(blame, key=blame.get)
+                detail = f"; largest irreducible conflict at {worst} (slack {blame[worst]:.4g})"
+        raise ScheduleError(f"solve ended {sol.status}{detail}")
+    schedule = extract_rvpp_schedule(m, sol, portfolio)
+    report = replay_schedule(schedule, portfolio, scenario, literal_3c=literal_3c)
+    worst = max(report.values()) if report else 0.0
+    if worst > RESIDUAL_TOL:
+        raise ScheduleError(f"replay residual {worst:.3g} above {RESIDUAL_TOL}")
+    if budgets is not None:
+        violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets, exhaustive_cap=0)
+        if violations:
+            raise ScheduleError("robust audit failed: " + violations[0])
+    return schedule
+
+
 def individual_profit(
     unit,
     scenario: MarketScenario,
     budgets: BudgetSet,
     **build_kwargs,
 ) -> float:
-    """Stand-alone robust profit of one unit facing the same markets.
-
-    The unit keeps its own quantity budget and the full price budgets; other
-    units' budgets are dropped along with the units themselves.
-    """
-    portfolio = _singleton(unit)
-    b = _budgets_for(budgets, {unit.name})
-    m = build_robust_rvpp(portfolio, scenario, b, **build_kwargs)
-    sol = solve(m, ScipyHighsBackend())
-    if sol.status != "optimal":
-        raise SizingError(f"stand-alone solve for {unit.name!r} ended {sol.status}")
-    return extract_rvpp_schedule(m, sol, portfolio).objective_value
+    """Stand-alone robust profit of one unit facing the same markets."""
+    portfolio, b = stand_alone(unit, budgets)
+    return audited_schedule(portfolio, scenario, b, **build_kwargs).objective_value
 
 
 def aggregation_gap(
@@ -122,11 +171,7 @@ def aggregation_gap(
 ) -> GapReport:
     """Aggregated robust profit vs the sum of stand-alone robust profits."""
     budgets = _budgets_for(budgets, set(portfolio.unit_names()))
-    m = build_robust_rvpp(portfolio, scenario, budgets, **build_kwargs)
-    sol = solve(m, ScipyHighsBackend())
-    if sol.status != "optimal":
-        raise SizingError(f"aggregated solve ended {sol.status}")
-    rvpp = extract_rvpp_schedule(m, sol, portfolio).objective_value
+    rvpp = audited_schedule(portfolio, scenario, budgets, **build_kwargs).objective_value
     per_unit = []
     for unit in portfolio.all_units():
         per_unit.append((unit.name, individual_profit(unit, scenario, budgets, **build_kwargs)))
@@ -136,6 +181,8 @@ def aggregation_gap(
 
 def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> int:
     """Smallest N with N * p1 >= gap in floating point."""
+    if not math.isfinite(gap):
+        raise SizingError(f"the gap {gap} is not finite, so no fleet size follows from it")
     if p1 >= gap:
         return 1
     if p1 <= 0.0:
@@ -156,6 +203,36 @@ def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> in
     return count
 
 
+def one_module_schedule(
+    module: EsUnit,
+    scenario: MarketScenario,
+    budgets: BudgetSet,
+    **build_kwargs,
+) -> EsSchedule:
+    """Price-robust schedule of a single module; any per-unit budgets are dropped."""
+    m = build_robust_es(EsFleet(module, 1), scenario, price_only_budgets(budgets), **build_kwargs)
+    sol = solve(m, ScipyHighsBackend())
+    if sol.status != "optimal":
+        raise SizingError(f"one-module fleet solve ended {sol.status}")
+    return extract_es_schedule(m, sol)
+
+
+def sized_from_module(gap: float, one: EsSchedule, module: EsUnit, max_modules: int) -> SizingResult:
+    """The smallest fleet covering gap, by arithmetic on the one-module schedule."""
+    p1 = one.objective_value
+    count = _module_count(gap, p1, module, max_modules)
+    schedule = one.scaled(count)
+    return SizingResult(
+        lower_bound_profit=gap,
+        module_count=count,
+        fleet_e_max=module.e_max * count,
+        es_objective=schedule.objective_value,
+        iterations=1,
+        minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,
+        schedule=schedule,
+    )
+
+
 def size_es_to_match(
     gap: float,
     module: EsUnit,
@@ -174,20 +251,5 @@ def size_es_to_match(
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
-    m = build_robust_es(EsFleet(module, 1), scenario, price_only_budgets(budgets), **build_kwargs)
-    sol = solve(m, ScipyHighsBackend())
-    if sol.status != "optimal":
-        raise SizingError(f"one-module fleet solve ended {sol.status}")
-    one = extract_es_schedule(m, sol)
-    p1 = one.objective_value
-    count = _module_count(gap, p1, module, max_modules)
-    schedule = one.scaled(count)
-    return SizingResult(
-        lower_bound_profit=gap,
-        module_count=count,
-        fleet_e_max=module.e_max * count,
-        es_objective=schedule.objective_value,
-        iterations=1,
-        minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,
-        schedule=schedule,
-    )
+    one = one_module_schedule(module, scenario, budgets, **build_kwargs)
+    return sized_from_module(gap, one, module, max_modules)

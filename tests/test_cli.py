@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import optimize
 
 import rvpp.sizing as sizing
-from rvpp import cli, strategy_budgets
+from rvpp import EsSchedule, cli, strategy_budgets
 from toys import solve_rvpp
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -162,13 +167,14 @@ def test_case4_takes_over_case3_sizing(tmp_path):
     two = sweep(tmp_path / "jobs2", *both, "--jobs", "2")
     for name in RESULT_FILES:
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    manifest = json.loads((one / "run_manifest.json").read_text())
-    assert [c.get("sizing_from") for c in manifest["cells"]] == [None, "case 3"]
+    # Case 4 sizes against case 3's gap and reaches the same fleet.
+    rows = {r["case"]: r for r in read_rows(one) if r["configuration"] in ("full", "sized_es")}
+    assert rows["4"]["lower_bound_profit"] == rows["3"]["gap"]
+    assert rows["4"]["module_count"] == rows["3"]["module_count"]
+    assert rows["4"]["es_objective"] == rows["3"]["es_objective"]
 
     # A case-4 run without its twin sizes the fleet itself, to the same result.
     alone = sweep(tmp_path / "alone", "--case", "4")
-    manifest = json.loads((alone / "run_manifest.json").read_text())
-    assert "sizing_from" not in manifest["cells"][0]
 
     def case4(rows):
         return [{k: v for k, v in r.items() if v} for r in rows if r["case"] == "4"]
@@ -182,29 +188,31 @@ def test_case4_takes_over_case3_sizing(tmp_path):
 
 @pytest.fixture
 def solve_calls(monkeypatch) -> list[str]:
-    """Names of the models solved through the CLI and the sizing module."""
+    """Names of the models solved in this process; every CLI solve goes
+    through the sizing module."""
     calls: list[str] = []
-    for module in (cli, sizing):
-        def counting(model, backend, real=module.solve):
-            calls.append(model.name)
-            return real(model, backend)
+    real = sizing.solve
 
-        monkeypatch.setattr(module, "solve", counting)
+    def counting(model, backend):
+        calls.append(model.name)
+        return real(model, backend)
+
+    monkeypatch.setattr(sizing, "solve", counting)
     return calls
 
 
 def test_case4_adds_no_solves_to_case3(tmp_path, solve_calls):
-    sweep(tmp_path / "case3", "--case", "3")
+    sweep(tmp_path / "case3", "--case", "3", "--jobs", "1")
     case3 = len(solve_calls)
     solve_calls.clear()
-    sweep(tmp_path / "both", "--case", "3", "--case", "4")
+    sweep(tmp_path / "both", "--case", "3", "--case", "4", "--jobs", "1")
     assert case3 > 0 and len(solve_calls) == case3
 
 
 def test_fd_000_reuses_the_no_fd_schedule(tmp_path, solve_calls):
     def solves(*extra: str) -> tuple[int, dict]:
         solve_calls.clear()
-        flags = ["--case", "3", "--config", "full", "--fd-scale", "100", *extra]
+        flags = ["--case", "3", "--config", "full", "--fd-scale", "100", "--jobs", "1", *extra]
         out = sweep(tmp_path / ("_".join(extra) or "base"), *flags)
         return len(solve_calls), {r["configuration"]: r for r in read_rows(out)}
 
@@ -223,5 +231,71 @@ def test_case4_sizes_itself_when_its_twin_fails(tmp_path):
     assert cli.main([*flags, "--out", str(out)]) == 1
     cells = json.loads((out / "run_manifest.json").read_text())["cells"]
     assert [c["status"] for c in cells] == ["failed", "failed"]
-    assert "sizing_from" not in cells[1]
     assert all("up to 1 modules" in c["error"] for c in cells)
+
+
+def _model_digest(c, kwargs: dict) -> str:
+    """Digest of the arrays handed to HiGHS: identical models hash equal."""
+    h = hashlib.blake2b(digest_size=16)
+    parts = [c, kwargs["integrality"], kwargs["bounds"].lb, kwargs["bounds"].ub]
+    for con in kwargs["constraints"]:
+        a = con.A
+        parts += [a.data, a.indices, a.indptr, a.shape, con.lb, con.ub]
+    for part in parts:
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        h.update(b"|")
+    h.update(repr(sorted(kwargs["options"].items())).encode())
+    return h.hexdigest()
+
+
+SPRING_ALL_CASES = ("--case", "1", "--case", "2", "--case", "3", "--case", "4", "--season", "spring")
+
+
+@pytest.fixture(scope="module")
+def spring_jobs1(tmp_path_factory):
+    """An in-process spring sweep of all four cases, with the digest of every model HiGHS ran."""
+    digests: list[str] = []
+    real = optimize.milp
+
+    def digesting(c, **kwargs):
+        digests.append(_model_digest(c, kwargs))
+        return real(c, **kwargs)
+
+    out = tmp_path_factory.mktemp("spring_jobs1")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "milp", digesting)
+        assert cli.main([*SPRING_ALL_CASES, "--jobs", "1", "--out", str(out)]) == 0
+    return out, digests
+
+
+def test_sweep_solves_no_model_twice(spring_jobs1):
+    _, digests = spring_jobs1
+    assert len(digests) > 0
+    assert len(digests) == len(set(digests))
+
+
+def test_default_jobs_use_every_usable_cpu(spring_jobs1, tmp_path):
+    one, digests = spring_jobs1
+    out = tmp_path / "default"
+    assert cli.main([*SPRING_ALL_CASES, "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["jobs"] == min(len(os.sched_getaffinity(0)), len(set(digests)))
+    for name in RESULT_FILES:
+        assert (one / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
+    real = EsSchedule.scaled
+
+    def unscaled_mu_dam(self, n):
+        out = real(self, n)
+        return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
+
+    monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
+    out = tmp_path / "mutated"
+    # Spring optimistic is a cell whose one-module energy-price dual is not zero.
+    flags = ["--case", "3", "--case", "4", "--season", "spring", "--strategy", "optimistic", "--jobs", "1"]
+    assert cli.main([*flags, "--out", str(out)]) == 1
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    assert [(c["case"], c["status"]) for c in cells] == [(3, "ok"), (4, "failed")]
+    assert "sized fleet objective" in cells[1]["error"] and "price duals" in cells[1]["error"]

@@ -171,6 +171,12 @@ def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
     assert size_es_to_match(5 * p1 + 1e-9, battery(), s, ZERO_BUDGETS).module_count == 6
 
 
+def test_non_finite_gap_is_named():
+    for gap in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(SizingError, match=f"gap {gap} is not finite"):
+            sizing._module_count(gap, 3.0, battery(), 2000)
+
+
 def test_losing_module_fails_after_one_solve(monkeypatch):
     calls = count_fleet_solves(monkeypatch)
     with pytest.raises(SizingError, match="per-module value -"):
