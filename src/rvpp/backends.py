@@ -1,13 +1,11 @@
-"""The solver backend behind a small load / optimize / query interface.
+"""The solver backend: HiGHS through scipy.optimize.milp.
 
-ScipyHighsBackend, the only backend, drives HiGHS through
-scipy.optimize.milp.  milp.solve takes any SolverBackend session, so tests
-can hand it a stand-in.
+A ScipyHighsBackend is one solve session: load one model, optimize, then
+query status, objective_value and values.  milp.solve only calls those
+methods (and reads name), so tests hand it a subclass that lies.
 """
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 import numpy as np
 from scipy import optimize, sparse
@@ -26,28 +24,7 @@ from .milp import (
 )
 
 
-class SolverBackend(ABC):
-    """One solve session: load exactly one model, optimize, then query."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def load(self, model: Model) -> None: ...
-
-    @abstractmethod
-    def optimize(self) -> None: ...
-
-    @abstractmethod
-    def status(self) -> str: ...
-
-    @abstractmethod
-    def objective_value(self) -> float: ...
-
-    @abstractmethod
-    def values(self) -> dict[int, float]: ...
-
-
-class ScipyHighsBackend(SolverBackend):
+class ScipyHighsBackend:
     """HiGHS via scipy.optimize.milp.
 
     The MIP gap is forced to zero (scipy's default 1e-4 relative gap is far

@@ -4,8 +4,9 @@ Case 1 schedules the full portfolio per season (deterministic and optimistic
 robust) and emits unit-level dispatch and reserve curves.  Case 2 sweeps the
 regime/strategy grid and reports traded energy and reserves.  Case 3 measures
 aggregation gaps, class ablations, and flexible-demand capacity scaling, and
-sizes the matching storage fleet.  Case 4 replays the sized fleet's schedule
-against the fleet, re-prices it, and emits its state of charge.
+sizes the matching storage fleet.  Case 4 emits the sized fleet's flows and
+state of charge.  Both cases replay the sized fleet's schedule against the
+fleet and re-price it before writing a sizing column.
 
 A sweep runs as a flat solve plan.  Each cell lists the solves it needs, keyed
 by what defines the model (`Solve`).  Each distinct key is solved once,
@@ -40,6 +41,7 @@ from .scenario_io import (
     ResultsTable,
     ScenarioFormatError,
     SeriesRow,
+    cell_order,
     default_scenario_path,
     load_scenario,
     scale_flexible_demand,
@@ -174,7 +176,9 @@ def _needs(plan: dict) -> list[Solve]:
 
 def _audited_es(sized, key: Solve, scenario):
     """The sized fleet's schedule, replayed against the fleet it was scaled to
-    and re-priced against its objective, independently and through its duals."""
+    and re-priced against its objective, independently and through its duals.
+
+    Cases 3 and 4 both write sizing columns, so both run it."""
     es = sized.schedule
     report = replay_schedule(es, sized.fleet(key.subject), scenario, symmetric_sigma_margins=key.switch)
     worst = max(report.values()) if report else 0.0
@@ -249,9 +253,10 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
         return [ResultRow(values=_market_values(schedule, dt), **kf)], _market_series(kf, schedule, case == 1)
 
     values, per_unit = _gap_values(solved, full, units)
-    sized = None
+    sized = es = None
     if plan["module"] is not None:
         sized = sized_from_module(values["gap"], solved(plan["module"]), bundle.es_module, task["max_modules"])
+        es = _audited_es(sized, plan["module"], scenario)
     if case == 3:
         values.update(per_unit)
         if sized is not None:
@@ -266,7 +271,6 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
             rows.append(ResultRow(values=_gap_values(solved, sub, sub_units)[0], **dict(key, configuration=config)))
         return rows, []
 
-    es = _audited_es(sized, plan["module"], scenario)
     kf = dict(key, configuration="sized_es")
     row = ResultRow(
         values={
@@ -283,18 +287,6 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
     )
     flows = (("traded", es.net), ("reserve_up", es.r_up), ("reserve_dn", es.r_dn), ("soc", es.soc))
     return [row], [_series(kf, kind, "es_fleet", vec) for kind, vec in flows]
-
-
-def _cell_key(task: dict) -> tuple:
-    season_order = {s: i for i, s in enumerate(SEASONS)}
-    regime_order = {r: i for i, r in enumerate(REGIMES)}
-    strat_order = {"deterministic": 0, "optimistic": 1, "balanced": 2, "pessimistic": 3}
-    return (
-        task["case"],
-        season_order.get(task["season"], 99),
-        regime_order.get(task["regime"], 99),
-        strat_order.get(task["strategy"], 99),
-    )
 
 
 def _usable_cpus() -> int:
@@ -339,7 +331,7 @@ def _expand_tasks(args) -> list[dict]:
                             "symmetric_sigma_margins": args.symmetric_sigma_margins,
                         }
                     )
-    tasks.sort(key=_cell_key)
+    tasks.sort(key=lambda t: cell_order(t["case"], t["season"], t["regime"], t["strategy"]))
     return tasks
 
 

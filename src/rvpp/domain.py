@@ -9,7 +9,7 @@ reserve capacity, costs EUR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 REGIMES = ("favorable", "unfavorable")
@@ -192,8 +192,9 @@ class MarketScenario:
     dam_price is the nominal (median) energy price; dam_price_down_dev and
     dam_price_up_dev are the worst-case drops (hurting sales) and rises
     (hurting purchases).  Reserve prices pay capacity (EUR/MW) and only fall
-    under uncertainty.  The two optional tables carry regime-dependent data
-    from the scenario file so regimes can be re-applied after loading.
+    under uncertainty.  season and regime only tag the cell: the regime's
+    data (energy limits, forecast errors) lives in the units that
+    scenario_io.load_scenario built for this cell.
     """
 
     grid: PeriodGrid
@@ -206,8 +207,6 @@ class MarketScenario:
     sr_dn_price_dev: tuple[float, ...]
     season: str | None = None
     regime: str | None = None
-    regime_deviation_table: tuple[tuple[str, tuple[tuple[str, tuple[float, ...]], ...]], ...] | None = None
-    seasonal_limit_table: tuple[tuple[str, tuple[tuple[str, tuple[tuple[str, float], ...]], ...]], ...] | None = None
 
     def __post_init__(self):
         for name in (
@@ -220,32 +219,6 @@ class MarketScenario:
             "sr_dn_price_dev",
         ):
             object.__setattr__(self, name, _vec(getattr(self, name)))
-
-    def regime_deviations(self) -> dict[str, dict[str, tuple[float, ...]]]:
-        if self.regime_deviation_table is None:
-            return {}
-        return {u: dict(rows) for u, rows in self.regime_deviation_table}
-
-    def seasonal_limits(self) -> dict[str, dict[str, dict[str, float]]]:
-        if self.seasonal_limit_table is None:
-            return {}
-        return {u: {s: dict(rows) for s, rows in seasons} for u, seasons in self.seasonal_limit_table}
-
-
-def freeze_deviation_table(table: dict) -> tuple:
-    """dict {unit: {regime: vector}} -> hashable nested tuples."""
-    return tuple(
-        (unit, tuple((regime, _vec(vec)) for regime, vec in rows.items()))
-        for unit, rows in table.items()
-    )
-
-
-def freeze_limit_table(table: dict) -> tuple:
-    """dict {unit: {season: {regime: limit}}} -> hashable nested tuples."""
-    return tuple(
-        (unit, tuple((season, tuple((reg, float(v)) for reg, v in regs.items())) for season, regs in seasons.items()))
-        for unit, seasons in table.items()
-    )
 
 
 @dataclass(frozen=True)
@@ -451,52 +424,3 @@ def strategy_budgets(strategy: str, portfolio: Portfolio) -> BudgetSet:
     for u in portfolio.fd:
         per_unit[u.name] = reduced
     return BudgetSet(full, full, full, tuple(sorted(per_unit.items())))
-
-
-def apply_regime(
-    portfolio: Portfolio, scenario: MarketScenario, regime: str
-) -> tuple[Portfolio, MarketScenario]:
-    """Rebuild the pair for a renewable-availability regime.
-
-    Swaps each listed unit's deviation series to the regime's row and sets
-    seasonal daily energy limits (hydro) from the limit table; units absent
-    from both tables are returned untouched.  Requires the scenario to carry
-    a season tag and the regime tables from the scenario file.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r} (expected one of {REGIMES})")
-    if scenario.season is None:
-        raise ValueError("scenario has no season tag; load it from a scenario file first")
-    if scenario.season not in SEASONS:
-        raise ValueError(f"unknown season {scenario.season!r}")
-    deviations = scenario.regime_deviations()
-    limits = scenario.seasonal_limits()
-    if not deviations and not limits:
-        raise ValueError("scenario carries no regime tables; cannot apply a regime")
-
-    def dev_for(name: str, current):
-        rows = deviations.get(name)
-        if rows is None:
-            return current
-        if regime not in rows:
-            raise ValueError(f"unit {name!r} has no deviation series for regime {regime!r}")
-        return rows[regime]
-
-    new_drs = []
-    for u in portfolio.drs:
-        seasons = limits.get(u.name)
-        if seasons is None:
-            new_drs.append(u)
-            continue
-        if scenario.season not in seasons:
-            raise ValueError(f"unit {u.name!r} has no energy limit for season {scenario.season!r}")
-        row = seasons[scenario.season]
-        if regime not in row:
-            raise ValueError(f"unit {u.name!r} has no energy limit for regime {regime!r}")
-        new_drs.append(replace(u, daily_energy_limit=row[regime]))
-    new_ndrs = [replace(u, forecast_deviation=dev_for(u.name, u.forecast_deviation)) for u in portfolio.ndrs]
-    new_csp = [replace(u, sf_deviation=dev_for(u.name, u.sf_deviation)) for u in portfolio.csp]
-    new_fd = [replace(u, deviation=dev_for(u.name, u.deviation)) for u in portfolio.fd]
-    new_portfolio = Portfolio(tuple(new_drs), tuple(new_ndrs), tuple(new_csp), tuple(new_fd))
-    new_scenario = replace(scenario, regime=regime)
-    return new_portfolio, new_scenario

@@ -2,15 +2,15 @@
 
 worst_case_profit re-prices a fixed schedule under the most damaging budget
 realization (per stream, the Gamma periods with the largest loss, ties to the
-earliest period).  audit_robust_feasibility replays quantity realizations
-against a robust schedule.  replay_schedule recomputes every deterministic
-constraint family from raw arrays.  All three work purely on decoded
-schedules, so they form an independent cross-check of the MILP layer.
+earliest period).  audit_robust_feasibility replays each quantity stream's
+dominant realization against a robust schedule.  replay_schedule recomputes
+every deterministic constraint family from raw arrays.  All three work purely
+on decoded schedules, so they form an independent cross-check of the MILP
+layer.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,22 +21,19 @@ from .scheduler import RvppSchedule, dominant_subset
 from .storage import EsFleet, EsSchedule
 
 AUDIT_TOL = 1.0e-6
-DEFAULT_EXHAUSTIVE_CAP = 20000
 
 
 @dataclass
 class Realization:
-    """One concrete uncertainty outcome: per-stream degraded-period subsets
-    plus the induced parameter vectors."""
+    """The most damaging price outcome of a fixed schedule: per price stream
+    the degraded-period subset, the induced price vector and the loss."""
 
     dam_subset: tuple[int, ...]
     sr_up_subset: tuple[int, ...]
     sr_dn_subset: tuple[int, ...]
-    unit_subsets: dict[str, tuple[int, ...]]
     dam_price: np.ndarray
     sr_up_price: np.ndarray
     sr_dn_price: np.ndarray
-    unit_deviation: dict[str, np.ndarray]
     dam_loss: float
     sr_up_loss: float
     sr_dn_loss: float
@@ -102,17 +99,13 @@ def worst_case_profit(schedule, scenario: MarketScenario, budgets: BudgetSet) ->
     for t in dn_pick:
         sr_dn_price[t] -= scenario.sr_dn_price_dev[t]
 
-    unit_subsets: dict[str, tuple[int, ...]] = {}
-    unit_deviation: dict[str, np.ndarray] = {}
     realization = Realization(
         dam_subset=dam_pick,
         sr_up_subset=up_pick,
         sr_dn_subset=dn_pick,
-        unit_subsets=unit_subsets,
         dam_price=dam_price,
         sr_up_price=sr_up_price,
         sr_dn_price=sr_dn_price,
-        unit_deviation=unit_deviation,
         dam_loss=dam_loss,
         sr_up_loss=up_loss,
         sr_dn_loss=dn_loss,
@@ -168,21 +161,15 @@ def audit_robust_feasibility(
     portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> list[str]:
-    """Replay quantity realizations against a fixed portfolio schedule.
+    """Replay each quantity stream's dominant realization against a fixed
+    portfolio schedule.
 
-    Streams whose subset count C(T, Gamma) stays within exhaustive_cap are
-    checked against every cardinality-Gamma subset; larger streams are checked
-    against the dominant realization (the Gamma largest deviations, ties to
-    the earliest period).  The market balance is re-verified as well.  Returns
+    The dominant realization degrades the Gamma periods with the largest
+    deviations (ties to the earliest period); it is the one the budget
+    model promises to absorb, so an optimal robust schedule passes at any
+    budget.  The market balance is re-verified as well.  Returns
     human-readable violations; an empty list is a pass.
-
-    Exhaustive mode demands feasibility under every subset, which for
-    0 < Gamma < T is stronger than what the budget model promises (it
-    absorbs the dominant subset only); optimal schedules are expected to
-    pass exhaustive audits when Gamma is 0 or T, and dominant audits at any
-    budget.  Pass exhaustive_cap=0 to force dominant mode.
     """
     if not isinstance(schedule, RvppSchedule):
         raise TypeError("audit expects a portfolio schedule")
@@ -191,34 +178,14 @@ def audit_robust_feasibility(
         worst = int(gap.argmax())
         if gap[worst] > AUDIT_TOL:
             out.append(f"{label} off by {gap[worst]:.3e} at period {worst + 1}")
-    T = schedule.grid_periods
     for name, deviation, slack, what in _stream_rows(schedule, portfolio):
-        gamma = budgets.unit_budget(name)
-        if gamma == 0:
-            continue
-        breakable = deviation > slack + AUDIT_TOL
-        if not breakable.any():
-            continue
-        n_subsets = math.comb(T, gamma)
-        if n_subsets <= exhaustive_cap:
-            # Of the C(T, Gamma) subsets, C(T-1, Gamma-1) contain any given period.
-            hits = math.comb(T - 1, gamma - 1)
-            for t in range(T):
-                if hits and breakable[t]:
-                    out.append(
-                        f"{name}: {what} exceeds the degraded limit by "
-                        f"{deviation[t] - slack[t]:.6g} at period {t + 1} "
-                        f"(hit in {hits} of {n_subsets} audited subsets)"
-                    )
-        else:
-            subset = dominant_subset(deviation, gamma)
-            for t in subset:
-                if breakable[t]:
-                    out.append(
-                        f"{name}: {what} exceeds the degraded limit by "
-                        f"{deviation[t] - slack[t]:.6g} at period {t + 1} "
-                        f"(dominant realization)"
-                    )
+        for t in dominant_subset(deviation, budgets.unit_budget(name)):
+            if deviation[t] > slack[t] + AUDIT_TOL:
+                out.append(
+                    f"{name}: {what} exceeds the degraded limit by "
+                    f"{deviation[t] - slack[t]:.6g} at period {t + 1} "
+                    f"(dominant realization)"
+                )
     return out
 
 

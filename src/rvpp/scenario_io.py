@@ -2,9 +2,12 @@
 
 The scenario file is one YAML document holding the portfolio, per-season
 price curves, per-season/per-regime forecast deviations, seasonal energy
-limits, and the storage module used for equivalence sizing.  Loading builds
-one (Portfolio, MarketScenario) pair per season/regime cell and validates
-every cell; the canonical parsed form round-trips exactly through
+limits, and the storage module used for equivalence sizing.  A regime is
+data: per season, the hydro energy limit and the forecast-error series.
+load_scenario is the only place a (season, regime) pair becomes units: it
+parses each unit once into the fields every cell shares and the fields that
+vary by cell, then builds and validates one (Portfolio, MarketScenario) pair
+per cell.  The canonical parsed form round-trips exactly through
 save_scenario.
 
 Result files are plain CSV with all numbers at 6 significant digits and rows
@@ -33,8 +36,6 @@ from .domain import (
     PeriodGrid,
     Portfolio,
     ThermalStoreParams,
-    freeze_deviation_table,
-    freeze_limit_table,
     validate_portfolio,
 )
 
@@ -47,6 +48,9 @@ _PRICE_KEYS = (
     "sr_dn_price",
     "sr_dn_price_dev",
 )
+_STORE_KEYS = ("e_min", "e_max", "charge_p_max", "discharge_p_max", "charge_eff", "discharge_eff")
+# Scenario-file unit class (also its Portfolio field) -> unit type.
+_UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
 
 
 class ScenarioFormatError(ValueError):
@@ -175,113 +179,92 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
                 str(reg): float(v) for reg, v in regs.items()
             }
 
-    # Per-season unit construction data.
-    drs_specs = []
-    ndrs_specs = []
-    csp_specs = []
-    fd_specs = []
-    deviation_tables: dict[str, dict[str, dict[str, list[float]]]] = {}
+    # Each unit is parsed once into the fields every cell shares and, per
+    # (season, regime) cell, the fields that vary: the hydro energy limit and
+    # the forecast-error series.
+    cell_keys = [(season, regime) for season in seasons for regime in regimes]
+    specs: list[tuple[str, dict, dict[tuple[str, str], dict]]] = []
     for i, u in enumerate(units):
         upath = f"units[{i}]"
         cls = _need(u, "class", upath)
         name = str(_need(u, "name", upath))
         if cls == "drs":
-            drs_specs.append(
-                DrsUnit(
-                    name=name,
-                    p_max=float(_need(u, "p_max", upath)),
-                    p_min=float(_need(u, "p_min", upath)),
-                    startup_cost=float(_need(u, "startup_cost", upath)),
-                    shutdown_cost=float(_need(u, "shutdown_cost", upath)),
-                    op_cost=float(_need(u, "op_cost", upath)),
-                    min_up=int(u.get("min_up", 0)),
-                    min_down=int(u.get("min_down", 0)),
-                    daily_energy_limit=(
-                        float(u["daily_energy_limit"]) if u.get("daily_energy_limit") is not None else None
-                    ),
-                )
+            shared = dict(
+                name=name,
+                p_max=float(_need(u, "p_max", upath)),
+                p_min=float(_need(u, "p_min", upath)),
+                startup_cost=float(_need(u, "startup_cost", upath)),
+                shutdown_cost=float(_need(u, "shutdown_cost", upath)),
+                op_cost=float(_need(u, "op_cost", upath)),
+                min_up=int(u.get("min_up", 0)),
+                min_down=int(u.get("min_down", 0)),
             )
+            limit = float(u["daily_energy_limit"]) if u.get("daily_energy_limit") is not None else None
+            rows = limit_table.get(name, {})
+            varying = {}
+            for season, regime in cell_keys:
+                row = rows.get(season)
+                if row is not None and regime not in row:
+                    raise ScenarioFormatError(f"energy_limits.{name}.{season}: missing regime {regime!r}")
+                varying[(season, regime)] = {"daily_energy_limit": limit if row is None else row[regime]}
         elif cls == "ndrs":
+            shared = dict(
+                name=name,
+                technology=str(_need(u, "technology", upath)),
+                p_min=float(_need(u, "p_min", upath)),
+                op_cost=float(_need(u, "op_cost", upath)),
+            )
             upper = _per_season(_need(u, "forecast_upper", upath), seasons, f"{upath}.forecast_upper", T)
             dev = _per_season_regime(
                 _need(u, "forecast_deviation", upath), seasons, regimes, f"{upath}.forecast_deviation", T
             )
-            deviation_tables[name] = dev
-            ndrs_specs.append(
-                (
-                    NdrsUnit(
-                        name=name,
-                        technology=str(_need(u, "technology", upath)),
-                        p_min=float(_need(u, "p_min", upath)),
-                        op_cost=float(_need(u, "op_cost", upath)),
-                        forecast_upper=[0.0] * T,
-                        forecast_deviation=[0.0] * T,
-                    ),
-                    upper,
-                    dev,
-                )
-            )
+            varying = {(s, r): {"forecast_upper": upper[s], "forecast_deviation": dev[s][r]} for s, r in cell_keys}
         elif cls == "csp":
             store_block = _need(u, "store", upath)
+            spath = f"{upath}.store"
+            shared = dict(
+                name=name,
+                turbine_p_max=float(_need(u, "turbine_p_max", upath)),
+                turbine_p_min=float(_need(u, "turbine_p_min", upath)),
+                turbine_eff=float(_need(u, "turbine_eff", upath)),
+                startup_loss=float(_need(u, "startup_loss", upath)),
+                op_cost=float(_need(u, "op_cost", upath)),
+                min_up=int(u.get("min_up", 0)),
+                min_down=int(u.get("min_down", 0)),
+                store=ThermalStoreParams(
+                    **{key: float(_need(store_block, key, spath)) for key in _STORE_KEYS}
+                ),
+            )
             upper = _per_season(_need(u, "sf_upper", upath), seasons, f"{upath}.sf_upper", T)
             dev = _per_season_regime(
                 _need(u, "sf_deviation", upath), seasons, regimes, f"{upath}.sf_deviation", T
             )
-            deviation_tables[name] = dev
-            csp_specs.append(
-                (
-                    CspUnit(
-                        name=name,
-                        turbine_p_max=float(_need(u, "turbine_p_max", upath)),
-                        turbine_p_min=float(_need(u, "turbine_p_min", upath)),
-                        turbine_eff=float(_need(u, "turbine_eff", upath)),
-                        startup_loss=float(_need(u, "startup_loss", upath)),
-                        op_cost=float(_need(u, "op_cost", upath)),
-                        min_up=int(u.get("min_up", 0)),
-                        min_down=int(u.get("min_down", 0)),
-                        sf_upper=[0.0] * T,
-                        sf_deviation=[0.0] * T,
-                        store=ThermalStoreParams(
-                            e_min=float(_need(store_block, "e_min", f"{upath}.store")),
-                            e_max=float(_need(store_block, "e_max", f"{upath}.store")),
-                            charge_p_max=float(_need(store_block, "charge_p_max", f"{upath}.store")),
-                            discharge_p_max=float(_need(store_block, "discharge_p_max", f"{upath}.store")),
-                            charge_eff=float(_need(store_block, "charge_eff", f"{upath}.store")),
-                            discharge_eff=float(_need(store_block, "discharge_eff", f"{upath}.store")),
-                        ),
-                    ),
-                    upper,
-                    dev,
-                )
-            )
+            varying = {(s, r): {"sf_upper": upper[s], "sf_deviation": dev[s][r]} for s, r in cell_keys}
         elif cls == "fd":
             profiles = _need(u, "profiles", upath)
             if not isinstance(profiles, list) or not profiles:
                 raise ScenarioFormatError(f"{upath}.profiles: expected a non-empty list")
+            shared = dict(
+                name=name,
+                profiles=[_floats(p, f"{upath}.profiles[{j}]", T) for j, p in enumerate(profiles)],
+                flexibility_margin=float(u.get("flexibility_margin", 0.10)),
+                p_min=float(u["p_min"]) if u.get("p_min") is not None else None,
+                p_max=float(u["p_max"]) if u.get("p_max") is not None else None,
+            )
             dev_block = _need(u, "deviation", upath)
             dev = {
-                regime: _floats(
-                    _need(dev_block, regime, f"{upath}.deviation"), f"{upath}.deviation.{regime}", T
-                )
-                for regime in regimes
+                r: _floats(_need(dev_block, r, f"{upath}.deviation"), f"{upath}.deviation.{r}", T)
+                for r in regimes
             }
-            deviation_tables[name] = {s: dev for s in seasons}
-            fd_specs.append(
-                (
-                    {
-                        "name": name,
-                        "profiles": [
-                            _floats(p, f"{upath}.profiles[{j}]", T) for j, p in enumerate(profiles)
-                        ],
-                        "flexibility_margin": float(u.get("flexibility_margin", 0.10)),
-                        "p_min": float(u["p_min"]) if u.get("p_min") is not None else None,
-                        "p_max": float(u["p_max"]) if u.get("p_max") is not None else None,
-                    },
-                    dev,
-                )
-            )
+            varying = {(s, r): {"deviation": dev[r]} for s, r in cell_keys}
         else:
             raise ScenarioFormatError(f"{upath}.class: unknown unit class {cls!r}")
+        specs.append((cls, shared, varying))
+
+    drs_names = {shared["name"] for cls, shared, _ in specs if cls == "drs"}
+    for unit_name in limit_table:
+        if unit_name not in drs_names:
+            raise ScenarioFormatError(f"energy_limits.{unit_name}: no drs unit has this name")
 
     es_module = None
     if doc.get("es_module") is not None:
@@ -299,88 +282,22 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             discharge_p_min=float(e.get("discharge_p_min", 0.0)),
         )
 
-    frozen_limits = freeze_limit_table(limit_table) if limit_table else None
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
-    for season in seasons:
-        dev_table = {
-            name: {regime: tuple(devs[season][regime]) for regime in regimes}
-            for name, devs in deviation_tables.items()
-        }
-        frozen_dev = freeze_deviation_table(dev_table) if dev_table else None
-        for regime in regimes:
-            drs_units = []
-            for base in drs_specs:
-                limit = base.daily_energy_limit
-                row = limit_table.get(base.name, {}).get(season)
-                if row is not None:
-                    if regime not in row:
-                        raise ScenarioFormatError(
-                            f"energy_limits.{base.name}.{season}: missing regime {regime!r}"
-                        )
-                    limit = row[regime]
-                drs_units.append(
-                    DrsUnit(
-                        name=base.name,
-                        p_max=base.p_max,
-                        p_min=base.p_min,
-                        startup_cost=base.startup_cost,
-                        shutdown_cost=base.shutdown_cost,
-                        op_cost=base.op_cost,
-                        min_up=base.min_up,
-                        min_down=base.min_down,
-                        daily_energy_limit=limit,
-                        initially_on=base.initially_on,
-                    )
-                )
-            ndrs_units = [
-                NdrsUnit(
-                    name=base.name,
-                    technology=base.technology,
-                    p_min=base.p_min,
-                    op_cost=base.op_cost,
-                    forecast_upper=upper[season],
-                    forecast_deviation=dev[season][regime],
-                )
-                for base, upper, dev in ndrs_specs
-            ]
-            csp_units = [
-                CspUnit(
-                    name=base.name,
-                    turbine_p_max=base.turbine_p_max,
-                    turbine_p_min=base.turbine_p_min,
-                    turbine_eff=base.turbine_eff,
-                    startup_loss=base.startup_loss,
-                    op_cost=base.op_cost,
-                    min_up=base.min_up,
-                    min_down=base.min_down,
-                    sf_upper=upper[season],
-                    sf_deviation=dev[season][regime],
-                    store=base.store,
-                    initially_on=base.initially_on,
-                )
-                for base, upper, dev in csp_specs
-            ]
-            fd_units = [FdUnit(deviation=dev[regime], **base) for base, dev in fd_specs]
-            portfolio = Portfolio(
-                drs=tuple(drs_units),
-                ndrs=tuple(ndrs_units),
-                csp=tuple(csp_units),
-                fd=tuple(fd_units),
-            )
-            scenario = MarketScenario(
-                grid=grid,
-                season=season,
-                regime=regime,
-                regime_deviation_table=frozen_dev,
-                seasonal_limit_table=frozen_limits,
-                **{key: prices[season][key] for key in _PRICE_KEYS},
-            )
-            violations = validate_portfolio(portfolio, scenario)
-            if violations:
-                raise ScenarioFormatError(
-                    f"{path} [{season}/{regime}]: " + "; ".join(violations[:5])
-                )
-            cells[(season, regime)] = (portfolio, scenario)
+    for season, regime in cell_keys:
+        groups: dict[str, list] = {cls: [] for cls in _UNIT_CLASSES}
+        for cls, shared, varying in specs:
+            groups[cls].append(_UNIT_CLASSES[cls](**shared, **varying[(season, regime)]))
+        portfolio = Portfolio(**groups)
+        scenario = MarketScenario(
+            grid=grid,
+            season=season,
+            regime=regime,
+            **{key: prices[season][key] for key in _PRICE_KEYS},
+        )
+        violations = validate_portfolio(portfolio, scenario)
+        if violations:
+            raise ScenarioFormatError(f"{path} [{season}/{regime}]: " + "; ".join(violations[:5]))
+        cells[(season, regime)] = (portfolio, scenario)
 
     return ScenarioBundle(
         path=str(path),
@@ -466,15 +383,19 @@ _REGIME_ORDER = {r: i for i, r in enumerate(REGIMES)}
 _STRATEGY_ORDER = {"deterministic": 0, "optimistic": 1, "balanced": 2, "pessimistic": 3}
 
 
-def _row_key(r) -> tuple:
+def cell_order(case, season: str, regime: str, strategy: str) -> tuple:
+    """Sort key of a sweep cell: case, then season, regime and strategy in
+    their declared order (unknown names last)."""
     return (
-        r.case,
-        _SEASON_ORDER.get(r.season, 99),
-        _REGIME_ORDER.get(r.regime, 99),
-        _STRATEGY_ORDER.get(r.strategy, 99),
-        r.strategy,
-        r.configuration,
+        case,
+        _SEASON_ORDER.get(season, 99),
+        _REGIME_ORDER.get(regime, 99),
+        _STRATEGY_ORDER.get(strategy, 99),
     )
+
+
+def _row_key(r) -> tuple:
+    return (*cell_order(r.case, r.season, r.regime, r.strategy), r.strategy, r.configuration)
 
 
 def write_results(table: ResultsTable, out_dir: str | Path) -> list[Path]:

@@ -146,7 +146,7 @@ def audited_schedule(
     if worst > RESIDUAL_TOL:
         raise ScheduleError(f"replay residual {worst:.3g} above {RESIDUAL_TOL}")
     if budgets is not None:
-        violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets, exhaustive_cap=0)
+        violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
         if violations:
             raise ScheduleError("robust audit failed: " + violations[0])
     return schedule

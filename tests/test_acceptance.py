@@ -175,12 +175,12 @@ def test_robust_schedules_survive_adversarial_audit(robust_rvpp, winter_cell):
     portfolio, scenario = winter_cell
     for sched, budgets in robust_rvpp.values():
         violations = audit_robust_feasibility(
-            sched, portfolio, scenario, budgets, exhaustive_cap=0
+            sched, portfolio, scenario, budgets
         )
         assert violations == []
 
-    # Deviations concentrated in exactly gamma periods: exhaustive subset
-    # enumeration must also come back clean.
+    # Deviations concentrated in exactly gamma periods: the dominant
+    # realization holds every deviation, so the audit must come back clean.
     sp_p, sp_s = wind_only(6, upper=20.0, dev=[0.0, 5.0, 0.0, 0.0, 5.0, 0.0], dam=10.0)
     sp_b = BudgetSet(gamma_per_unit={"wf": 2})
     sp = solve_rvpp(sp_p, sp_s, sp_b)
@@ -196,7 +196,7 @@ def test_robust_schedules_survive_adversarial_audit(robust_rvpp, winter_cell):
     cx_p, cx_s = wind_only(24, upper=10.0, dev=8.0, dam=10.0)
     cx = solve_rvpp(cx_p, cx_s)
     cx_b = strategy_budgets("pessimistic", cx_p)
-    violations = audit_robust_feasibility(cx, cx_p, cx_s, cx_b, exhaustive_cap=0)
+    violations = audit_robust_feasibility(cx, cx_p, cx_s, cx_b)
     assert len(violations) >= 1
 
 

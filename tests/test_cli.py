@@ -284,7 +284,8 @@ def test_default_jobs_use_every_usable_cpu(spring_jobs1, tmp_path):
         assert (one / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
+def _unscale_mu_dam(monkeypatch):
+    """Make EsSchedule.scaled leave the energy-price dual unscaled."""
     real = EsSchedule.scaled
 
     def unscaled_mu_dam(self, n):
@@ -292,10 +293,24 @@ def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
         return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
 
     monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
+
+
+def _fails_on_the_price_duals(tmp_path, case: int) -> None:
     out = tmp_path / "mutated"
     # Spring optimistic is a cell whose one-module energy-price dual is not zero.
-    flags = ["--case", "3", "--case", "4", "--season", "spring", "--strategy", "optimistic", "--jobs", "1"]
+    flags = ["--case", str(case), "--season", "spring", "--strategy", "optimistic", "--jobs", "1"]
     assert cli.main([*flags, "--out", str(out)]) == 1
     cells = json.loads((out / "run_manifest.json").read_text())["cells"]
-    assert [(c["case"], c["status"]) for c in cells] == [(3, "ok"), (4, "failed")]
-    assert "sized fleet objective" in cells[1]["error"] and "price duals" in cells[1]["error"]
+    assert [(c["case"], c["status"]) for c in cells] == [(case, "failed")]
+    assert "sized fleet objective" in cells[0]["error"] and "price duals" in cells[0]["error"]
+
+
+def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
+    _unscale_mu_dam(monkeypatch)
+    _fails_on_the_price_duals(tmp_path, 4)
+
+
+def test_case3_audits_the_scaled_profit(tmp_path, monkeypatch):
+    # Case 3 writes module_count and es_objective from the same scaled fleet.
+    _unscale_mu_dam(monkeypatch)
+    _fails_on_the_price_duals(tmp_path, 3)

@@ -1,4 +1,4 @@
-"""Data-type invariants, validation messages, budget ladders, regimes."""
+"""Data-type invariants, validation messages, budget ladders."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from rvpp import (
     NdrsUnit,
     PeriodGrid,
     Portfolio,
-    apply_regime,
     strategy_budgets,
     validate_budgets,
     validate_portfolio,
 )
-from rvpp.domain import SOLAR, freeze_deviation_table, freeze_limit_table
+from rvpp.domain import SOLAR
 from toys import market, series, wind
 
 
@@ -190,63 +189,3 @@ def test_validate_budgets_bounds_and_names():
     assert any("unknown unit 'ghost'" in v for v in out)
     out = validate_budgets(BudgetSet(gamma_dam=2.0), grid)
     assert any("gamma_dam" in v for v in out)
-
-
-# --- regimes ---------------------------------------------------------------
-
-
-def regimed_pair():
-    T = 4
-    portfolio = Portfolio(
-        drs=(hydro_like(), hydro_like(name="biomass")),
-        ndrs=(wind(T, upper=30.0, dev=2.0),),
-    )
-    scenario = market(
-        T,
-        season="winter",
-        regime_deviation_table=freeze_deviation_table(
-            {"wf": {"favorable": (1.0,) * T, "unfavorable": (3.0,) * T}}
-        ),
-        seasonal_limit_table=freeze_limit_table(
-            {"hydro": {"winter": {"favorable": 1164.0, "unfavorable": 804.0},
-                       "summer": {"favorable": 528.0, "unfavorable": 420.0}}}
-        ),
-    )
-    return portfolio, scenario
-
-
-def test_apply_regime_swaps_deviations_and_limits():
-    portfolio, scenario = regimed_pair()
-    fav_p, fav_s = apply_regime(portfolio, scenario, "favorable")
-    assert fav_s.regime == "favorable"
-    assert fav_p.drs[0].daily_energy_limit == 1164.0
-    assert fav_p.ndrs[0].forecast_deviation == (1.0,) * 4
-    # biomass has no limit table entry and passes through untouched
-    assert fav_p.drs[1] == portfolio.drs[1]
-
-    unf_p, _ = apply_regime(portfolio, scenario, "unfavorable")
-    assert unf_p.drs[0].daily_energy_limit == 804.0
-    assert unf_p.ndrs[0].forecast_deviation == (3.0,) * 4
-
-    import dataclasses
-
-    summer = dataclasses.replace(scenario, season="summer")
-    sum_p, _ = apply_regime(portfolio, summer, "unfavorable")
-    assert sum_p.drs[0].daily_energy_limit == 420.0
-
-
-def test_apply_regime_error_paths():
-    portfolio, scenario = regimed_pair()
-    with pytest.raises(ValueError, match="unknown regime"):
-        apply_regime(portfolio, scenario, "mild")
-    import dataclasses
-
-    untagged = dataclasses.replace(scenario, season=None)
-    with pytest.raises(ValueError, match="no season tag"):
-        apply_regime(portfolio, untagged, "favorable")
-    bare = market(4, season="winter")
-    with pytest.raises(ValueError, match="no regime tables"):
-        apply_regime(portfolio, bare, "favorable")
-    autumn = dataclasses.replace(scenario, season="autumn")
-    with pytest.raises(ValueError, match="no energy limit for season"):
-        apply_regime(portfolio, autumn, "favorable")

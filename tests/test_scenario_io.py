@@ -70,6 +70,8 @@ def test_regime_changes_limits_and_deviations(bundle):
     assert fav_p.drs[0].daily_energy_limit == 1164.0
     assert unf_p.drs[0].daily_energy_limit == 804.0
     assert bundle.cell("summer", "unfavorable")[0].drs[0].daily_energy_limit == 420.0
+    # biomass has no energy_limits entry, so no cell limits it.
+    assert all(portfolio.drs[1].daily_energy_limit is None for portfolio, _ in bundle.cells.values())
     # Unfavorable deviations dominate the favorable ones period by period.
     for fav_u, unf_u in zip(fav_p.ndrs, unf_p.ndrs):
         assert all(b >= a for a, b in zip(fav_u.forecast_deviation, unf_u.forecast_deviation))
@@ -117,6 +119,24 @@ def test_missing_regime_deviation_names_the_field(tmp_path, bundle):
     path = tmp_path / "bad.yaml"
     save_scenario(raw, path)
     with pytest.raises(ScenarioFormatError, match=r"forecast_deviation\.summer\.unfavorable"):
+        load_scenario(path)
+
+
+def test_energy_limit_for_an_unknown_unit_rejected(tmp_path, bundle):
+    raw = broken_copy(bundle)
+    raw["energy_limits"]["hydr0"] = raw["energy_limits"].pop("hydro")
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydr0: no drs unit"):
+        load_scenario(path)
+
+
+def test_energy_limit_missing_a_regime_names_the_field(tmp_path, bundle):
+    raw = broken_copy(bundle)
+    del raw["energy_limits"]["hydro"]["summer"]["unfavorable"]
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydro\.summer: missing regime 'unfavorable'"):
         load_scenario(path)
 
 
