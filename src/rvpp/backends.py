@@ -33,11 +33,10 @@ class ScipyHighsBackend:
 
     name = "scipy"
 
-    def __init__(self, time_limit: float | None = None) -> None:
+    def __init__(self) -> None:
         self._model: Model | None = None
         self._result = None
         self._status: str | None = None
-        self._time_limit = time_limit
 
     def load(self, model: Model) -> None:
         if self._model is not None:
@@ -82,15 +81,12 @@ class ScipyHighsBackend:
                     lo[r], hi[r] = bound, bound
             a = sparse.csc_array((data, (rows, cols)), shape=(len(model.constraints), n))
             constraints.append(optimize.LinearConstraint(a, lo, hi))
-        options: dict = {"mip_rel_gap": 0.0}
-        if self._time_limit is not None:
-            options["time_limit"] = self._time_limit
         self._result = optimize.milp(
             c,
             constraints=constraints,
             integrality=integrality,
             bounds=optimize.Bounds(lower, upper),
-            options=options,
+            options={"mip_rel_gap": 0.0},
         )
         self._status = _map_scipy_status(self._result, model)
 

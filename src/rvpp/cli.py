@@ -5,8 +5,8 @@ robust) and emits unit-level dispatch and reserve curves.  Case 2 sweeps the
 regime/strategy grid and reports traded energy and reserves.  Case 3 measures
 aggregation gaps, class ablations, and flexible-demand capacity scaling, and
 sizes the matching storage fleet.  Case 4 emits the sized fleet's flows and
-state of charge.  Both cases replay the sized fleet's schedule against the
-fleet and re-price it before writing a sizing column.
+state of charge.  Both take the sized fleet from `sizing.sized_from_module`,
+which replays and re-prices it before a sizing column is written.
 
 A sweep runs as a flat solve plan.  Each cell lists the solves it needs, keyed
 by what defines the model (`Solve`).  Each distinct key is solved once,
@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .domain import REGIMES, SEASONS, STRATEGIES, BudgetSet, EsUnit, Portfolio, strategy_budgets
-from .oracle import replay_schedule, worst_case_profit
 from .scenario_io import (
     ResultRow,
     ResultsTable,
@@ -48,7 +47,6 @@ from .scenario_io import (
     write_results,
 )
 from .sizing import (
-    RESIDUAL_TOL,
     audited_schedule,
     one_module_schedule,
     price_only_budgets,
@@ -174,25 +172,6 @@ def _needs(plan: dict) -> list[Solve]:
     return keys + ([plan["module"]] if plan["module"] is not None else [])
 
 
-def _audited_es(sized, key: Solve, scenario):
-    """The sized fleet's schedule, replayed against the fleet it was scaled to
-    and re-priced against its objective, independently and through its duals.
-
-    Cases 3 and 4 both write sizing columns, so both run it."""
-    es = sized.schedule
-    report = replay_schedule(es, sized.fleet(key.subject), scenario, symmetric_sigma_margins=key.switch)
-    worst = max(report.values()) if report else 0.0
-    if worst > RESIDUAL_TOL:
-        raise CellError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
-    checks = {"its worst-case re-pricing": worst_case_profit(es, scenario, key.budgets)[0]}
-    if es.artifacts is not None:
-        checks["its price duals"] = es.nominal_profit - es.artifacts.price_penalty_total()
-    for source, profit in checks.items():
-        if abs(profit - es.objective_value) > RESIDUAL_TOL * max(1.0, abs(es.objective_value)):
-            raise CellError(f"sized fleet objective {es.objective_value:.10g} but {source} gives {profit:.10g}")
-    return es
-
-
 def _snap(v: float) -> float:
     return 0.0 if abs(v) < 1e-9 else float(v)
 
@@ -253,10 +232,11 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
         return [ResultRow(values=_market_values(schedule, dt), **kf)], _market_series(kf, schedule, case == 1)
 
     values, per_unit = _gap_values(solved, full, units)
-    sized = es = None
+    sized = None
     if plan["module"] is not None:
-        sized = sized_from_module(values["gap"], solved(plan["module"]), bundle.es_module, task["max_modules"])
-        es = _audited_es(sized, plan["module"], scenario)
+        mod = plan["module"]
+        sized = sized_from_module(values["gap"], solved(mod), mod.subject, scenario, mod.budgets, task["max_modules"],
+                                  symmetric_sigma_margins=mod.switch)
     if case == 3:
         values.update(per_unit)
         if sized is not None:
@@ -272,6 +252,7 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
         return rows, []
 
     kf = dict(key, configuration="sized_es")
+    es = sized.schedule
     row = ResultRow(
         values={
             "lower_bound_profit": values["gap"],

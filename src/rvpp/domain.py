@@ -268,12 +268,12 @@ def _check_series(out: list[str], owner: str, label: str, vec, T: int, lo: float
                 out.append(f"{owner}: {label} is {v} at period {t + 1}, below {lo}")
 
 
-def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
-    """Collect every invariant violation as a human-readable string.
+def validate_scenario(scenario: MarketScenario) -> list[str]:
+    """Every invariant violation of a market as a human-readable string.
 
-    An empty list means the pair is internally consistent: series lengths
-    match the grid, bounds are ordered, deviations are within forecasts,
-    budget-free data is nonnegative where physics requires it.
+    An empty list means the grid is well formed, each price series has one
+    entry per period, every deviation and reserve price is nonnegative, and
+    the season and regime tags are known.
     """
     out: list[str] = []
     grid = scenario.grid
@@ -282,6 +282,30 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
         out.append(f"grid: period_count must be at least 1, got {T}")
     if not grid.delta_t > 0:
         out.append(f"grid: delta_t must be positive, got {grid.delta_t}")
+    _check_series(out, "scenario", "dam_price", scenario.dam_price, T, lo=None)
+    _check_series(out, "scenario", "dam_price_down_dev", scenario.dam_price_down_dev, T)
+    _check_series(out, "scenario", "dam_price_up_dev", scenario.dam_price_up_dev, T)
+    _check_series(out, "scenario", "sr_up_price", scenario.sr_up_price, T)
+    _check_series(out, "scenario", "sr_up_price_dev", scenario.sr_up_price_dev, T)
+    _check_series(out, "scenario", "sr_dn_price", scenario.sr_dn_price, T)
+    _check_series(out, "scenario", "sr_dn_price_dev", scenario.sr_dn_price_dev, T)
+    if scenario.season is not None and scenario.season not in SEASONS:
+        out.append(f"scenario: unknown season {scenario.season!r}")
+    if scenario.regime is not None and scenario.regime not in REGIMES:
+        out.append(f"scenario: unknown regime {scenario.regime!r}")
+    return out
+
+
+def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
+    """Collect every invariant violation as a human-readable string.
+
+    An empty list means the pair is internally consistent: the market passes
+    validate_scenario, series lengths match the grid, bounds are ordered,
+    deviations are within forecasts, budget-free data is nonnegative where
+    physics requires it.
+    """
+    out = validate_scenario(scenario)
+    T = scenario.grid.period_count
 
     names = list(portfolio.unit_names())
     for name in names:
@@ -373,18 +397,6 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
                         f"[p_min={u.p_min}, p_max={u.p_max}]"
                     )
         _check_series(out, u.name, "deviation", u.deviation, T)
-
-    _check_series(out, "scenario", "dam_price", scenario.dam_price, T, lo=None)
-    _check_series(out, "scenario", "dam_price_down_dev", scenario.dam_price_down_dev, T)
-    _check_series(out, "scenario", "dam_price_up_dev", scenario.dam_price_up_dev, T)
-    _check_series(out, "scenario", "sr_up_price", scenario.sr_up_price, T)
-    _check_series(out, "scenario", "sr_up_price_dev", scenario.sr_up_price_dev, T)
-    _check_series(out, "scenario", "sr_dn_price", scenario.sr_dn_price, T)
-    _check_series(out, "scenario", "sr_dn_price_dev", scenario.sr_dn_price_dev, T)
-    if scenario.season is not None and scenario.season not in SEASONS:
-        out.append(f"scenario: unknown season {scenario.season!r}")
-    if scenario.regime is not None and scenario.regime not in REGIMES:
-        out.append(f"scenario: unknown regime {scenario.regime!r}")
     return out
 
 

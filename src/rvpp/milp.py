@@ -187,9 +187,6 @@ class Model:
         except KeyError:
             raise ModelError(f"no variable named {name!r}") from None
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
-
     def constraint(self, name: str) -> Constraint:
         try:
             return self._constraints_by_name[name]

@@ -38,6 +38,7 @@ from .domain import (
     ThermalStoreParams,
     validate_portfolio,
 )
+from .storage import EsFleet, validate_fleet
 
 _PRICE_KEYS = (
     "dam_price",
@@ -49,6 +50,7 @@ _PRICE_KEYS = (
     "sr_dn_price_dev",
 )
 _STORE_KEYS = ("e_min", "e_max", "charge_p_max", "discharge_p_max", "charge_eff", "discharge_eff")
+_ES_KEYS = _STORE_KEYS + ("op_cost",)
 # Scenario-file unit class (also its Portfolio field) -> unit type.
 _UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
 
@@ -87,6 +89,31 @@ def _need(mapping: dict, key: str, path: str):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ScenarioFormatError(f"{path}.{key}: missing")
     return mapping[key]
+
+
+_REQUIRED = object()
+_EXPECTED = {float: "a number", int: "an integer", dict: "a mapping"}
+
+
+def _field(mapping: dict, key, path: str, kind=float, default=_REQUIRED):
+    """mapping[key] as kind (float, int or dict), or ScenarioFormatError
+    naming path.key.
+
+    A missing key takes default and is an error without one; with a None
+    default, a null value stays None.
+    """
+    value = _need(mapping, key, path) if default is _REQUIRED else mapping.get(key, default)
+    if value is None and default is None:
+        return None
+    if kind is dict:
+        if isinstance(value, dict):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ScenarioFormatError(f"{path}.{key}: expected {_EXPECTED[kind]}")
 
 
 def _floats(value, path: str, length: int | None = None) -> list[float]:
@@ -142,8 +169,8 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioFormatError(f"{path}: schema_version must be 1, got {version!r}")
     description = str(doc.get("description", ""))
     grid_block = _need(doc, "grid", str(path))
-    T = int(_need(grid_block, "period_count", "grid"))
-    dt = float(_need(grid_block, "delta_t", "grid"))
+    T = _field(grid_block, "period_count", "grid", int)
+    dt = _field(grid_block, "delta_t", "grid")
     grid = PeriodGrid(T, dt)
 
     seasons = tuple(str(s) for s in doc.get("seasons", list(SEASONS)))
@@ -168,15 +195,17 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     if not isinstance(units, list) or not units:
         raise ScenarioFormatError("units: expected a non-empty list")
 
-    limits_block = doc.get("energy_limits", {}) or {}
+    limits_block = _field(doc, "energy_limits", str(path), dict, None) or {}
     limit_table: dict[str, dict[str, dict[str, float]]] = {}
-    for unit_name, seasons_map in limits_block.items():
+    for unit_name in limits_block:
         limit_table[str(unit_name)] = {}
-        for season, regs in seasons_map.items():
+        seasons_map = _field(limits_block, unit_name, "energy_limits", dict)
+        for season in seasons_map:
             if season not in seasons:
                 raise ScenarioFormatError(f"energy_limits.{unit_name}: unknown season {season!r}")
+            regs = _field(seasons_map, season, f"energy_limits.{unit_name}", dict)
             limit_table[str(unit_name)][season] = {
-                str(reg): float(v) for reg, v in regs.items()
+                str(reg): _field(regs, reg, f"energy_limits.{unit_name}.{season}") for reg in regs
             }
 
     # Each unit is parsed once into the fields every cell shares and, per
@@ -191,15 +220,15 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         if cls == "drs":
             shared = dict(
                 name=name,
-                p_max=float(_need(u, "p_max", upath)),
-                p_min=float(_need(u, "p_min", upath)),
-                startup_cost=float(_need(u, "startup_cost", upath)),
-                shutdown_cost=float(_need(u, "shutdown_cost", upath)),
-                op_cost=float(_need(u, "op_cost", upath)),
-                min_up=int(u.get("min_up", 0)),
-                min_down=int(u.get("min_down", 0)),
+                p_max=_field(u, "p_max", upath),
+                p_min=_field(u, "p_min", upath),
+                startup_cost=_field(u, "startup_cost", upath),
+                shutdown_cost=_field(u, "shutdown_cost", upath),
+                op_cost=_field(u, "op_cost", upath),
+                min_up=_field(u, "min_up", upath, int, 0),
+                min_down=_field(u, "min_down", upath, int, 0),
             )
-            limit = float(u["daily_energy_limit"]) if u.get("daily_energy_limit") is not None else None
+            limit = _field(u, "daily_energy_limit", upath, float, None)
             rows = limit_table.get(name, {})
             varying = {}
             for season, regime in cell_keys:
@@ -211,8 +240,8 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             shared = dict(
                 name=name,
                 technology=str(_need(u, "technology", upath)),
-                p_min=float(_need(u, "p_min", upath)),
-                op_cost=float(_need(u, "op_cost", upath)),
+                p_min=_field(u, "p_min", upath),
+                op_cost=_field(u, "op_cost", upath),
             )
             upper = _per_season(_need(u, "forecast_upper", upath), seasons, f"{upath}.forecast_upper", T)
             dev = _per_season_regime(
@@ -224,16 +253,14 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             spath = f"{upath}.store"
             shared = dict(
                 name=name,
-                turbine_p_max=float(_need(u, "turbine_p_max", upath)),
-                turbine_p_min=float(_need(u, "turbine_p_min", upath)),
-                turbine_eff=float(_need(u, "turbine_eff", upath)),
-                startup_loss=float(_need(u, "startup_loss", upath)),
-                op_cost=float(_need(u, "op_cost", upath)),
-                min_up=int(u.get("min_up", 0)),
-                min_down=int(u.get("min_down", 0)),
-                store=ThermalStoreParams(
-                    **{key: float(_need(store_block, key, spath)) for key in _STORE_KEYS}
-                ),
+                turbine_p_max=_field(u, "turbine_p_max", upath),
+                turbine_p_min=_field(u, "turbine_p_min", upath),
+                turbine_eff=_field(u, "turbine_eff", upath),
+                startup_loss=_field(u, "startup_loss", upath),
+                op_cost=_field(u, "op_cost", upath),
+                min_up=_field(u, "min_up", upath, int, 0),
+                min_down=_field(u, "min_down", upath, int, 0),
+                store=ThermalStoreParams(**{key: _field(store_block, key, spath) for key in _STORE_KEYS}),
             )
             upper = _per_season(_need(u, "sf_upper", upath), seasons, f"{upath}.sf_upper", T)
             dev = _per_season_regime(
@@ -247,9 +274,9 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             shared = dict(
                 name=name,
                 profiles=[_floats(p, f"{upath}.profiles[{j}]", T) for j, p in enumerate(profiles)],
-                flexibility_margin=float(u.get("flexibility_margin", 0.10)),
-                p_min=float(u["p_min"]) if u.get("p_min") is not None else None,
-                p_max=float(u["p_max"]) if u.get("p_max") is not None else None,
+                flexibility_margin=_field(u, "flexibility_margin", upath, float, 0.10),
+                p_min=_field(u, "p_min", upath, float, None),
+                p_max=_field(u, "p_max", upath, float, None),
             )
             dev_block = _need(u, "deviation", upath)
             dev = {
@@ -267,20 +294,17 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             raise ScenarioFormatError(f"energy_limits.{unit_name}: no drs unit has this name")
 
     es_module = None
-    if doc.get("es_module") is not None:
-        e = doc["es_module"]
+    e = _field(doc, "es_module", str(path), dict, None)
+    if e is not None:
         es_module = EsUnit(
             name=str(_need(e, "name", "es_module")),
-            charge_p_max=float(_need(e, "charge_p_max", "es_module")),
-            discharge_p_max=float(_need(e, "discharge_p_max", "es_module")),
-            e_max=float(_need(e, "e_max", "es_module")),
-            e_min=float(_need(e, "e_min", "es_module")),
-            charge_eff=float(_need(e, "charge_eff", "es_module")),
-            discharge_eff=float(_need(e, "discharge_eff", "es_module")),
-            op_cost=float(_need(e, "op_cost", "es_module")),
-            charge_p_min=float(e.get("charge_p_min", 0.0)),
-            discharge_p_min=float(e.get("discharge_p_min", 0.0)),
+            **{key: _field(e, key, "es_module") for key in _ES_KEYS},
+            charge_p_min=_field(e, "charge_p_min", "es_module", float, 0.0),
+            discharge_p_min=_field(e, "discharge_p_min", "es_module", float, 0.0),
         )
+        problems = validate_fleet(EsFleet(es_module, 1))
+        if problems:
+            raise ScenarioFormatError("es_module: " + "; ".join(problems))
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
     for season, regime in cell_keys:

@@ -7,6 +7,11 @@ adversary of a generation/demand stream does not depend on the schedule, so it
 is fixed before the solve: the Gamma largest deviations (ties to the earliest
 period) come off the right-hand side of the stream's coupling rows as
 constants, which is exactly the realization the audit replays.
+
+The builders keep the columns and rows they create on the model
+(tags "cols", "balance" and, when robust, "duals"); the decoder reads the
+solution through those handles, so column names serve only the LP text and
+diagnostics.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ from .milp import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
+    Constraint,
     LinearExpression,
     Model,
     Solution,
+    Variable,
 )
 
 # Strictly dominated by any real price difference; removed from reported objectives.
@@ -39,6 +46,10 @@ PROFILE_TIE_EPS = 1.0e-9
 
 BINARY_TOL = 1.0e-6
 BALANCE_TOL = 1.0e-6
+
+# RvppSchedule per-unit fields decoded from continuous and from binary columns.
+_UNIT_SERIES = ("dispatch", "reserve_up", "reserve_dn", "sf_power", "ts_charge", "ts_discharge")
+_UNIT_BINARIES = ("on", "start", "stop")
 
 
 class ModelBuildError(ValueError):
@@ -180,12 +191,15 @@ def _build_core(
     scenario: MarketScenario,
     literal_3c: bool,
     tightening: dict[str, list[float]] | None = None,
-) -> dict:
-    """Deterministic portfolio model; returns the handles the robust layer extends.
+) -> tuple[dict, list[Constraint]]:
+    """Deterministic portfolio model.
 
-    tightening maps a unit name to per-period amounts taken off the
-    right-hand side of that unit's forecast/demand coupling row; the robust
-    builder passes the deviations its fixed adversary realizes.
+    Returns the columns, keyed like the RvppSchedule fields they decode into
+    (per-unit fields map unit name -> per-period columns; "profiles" holds
+    each flexible-demand unit's profile picks, "ts_soc" the T store levels),
+    and the balance rows.  tightening maps a unit name to per-period amounts
+    taken off the right-hand side of that unit's forecast/demand coupling row;
+    the robust builder passes the deviations its fixed adversary realizes.
     """
     tightening = tightening or {}
 
@@ -200,6 +214,21 @@ def _build_core(
     p_da = [m.add_variable(f"pda_t{_t2(t)}", lower=-math.inf, upper=math.inf) for t in range(T)]
     r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
     r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
+    cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
+    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles"):
+        cols[field] = {}
+
+    def flows(name: str, upper: float = math.inf):
+        disp = [m.add_variable(f"disp__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        ru = [m.add_variable(f"rup__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        rd = [m.add_variable(f"rdn__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        cols["dispatch"][name], cols["reserve_up"][name], cols["reserve_dn"][name] = disp, ru, rd
+        return disp, ru, rd
+
+    def commitment(u):
+        handles = _add_commitment(m, u.name, T, u.min_up, u.min_down, u.initially_on)
+        cols["on"][u.name], cols["start"][u.name], cols["stop"][u.name] = handles
+        return handles
 
     obj: list[tuple[int, float]] = []
     for t in range(T):
@@ -214,10 +243,8 @@ def _build_core(
     perturbation: list[tuple[int, float]] = []
 
     for u in portfolio.drs:
-        disp = [m.add_variable(f"disp__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
-        ru = [m.add_variable(f"rup__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
-        rd = [m.add_variable(f"rdn__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
-        on, start, stop = _add_commitment(m, u.name, T, u.min_up, u.min_down, u.initially_on)
+        disp, ru, rd = flows(u.name, u.p_max)
+        on, start, stop = commitment(u)
         for t in range(T):
             m.add_constraint(
                 f"drs_up__{u.name}_t{_t2(t)}",
@@ -253,9 +280,7 @@ def _build_core(
             )
 
     for u in portfolio.ndrs:
-        disp = [m.add_variable(f"disp__{u.name}_t{_t2(t)}") for t in range(T)]
-        ru = [m.add_variable(f"rup__{u.name}_t{_t2(t)}") for t in range(T)]
-        rd = [m.add_variable(f"rdn__{u.name}_t{_t2(t)}") for t in range(T)]
+        disp, ru, rd = flows(u.name)
         for t in range(T):
             m.add_constraint(
                 f"ndrs_cap__{u.name}_t{_t2(t)}",
@@ -276,14 +301,14 @@ def _build_core(
 
     for u in portfolio.csp:
         st = u.store
-        disp = [m.add_variable(f"disp__{u.name}_t{_t2(t)}", upper=u.turbine_p_max) for t in range(T)]
-        ru = [m.add_variable(f"rup__{u.name}_t{_t2(t)}", upper=u.turbine_p_max) for t in range(T)]
-        rd = [m.add_variable(f"rdn__{u.name}_t{_t2(t)}", upper=u.turbine_p_max) for t in range(T)]
+        disp, ru, rd = flows(u.name, u.turbine_p_max)
         sf = [m.add_variable(f"sf__{u.name}_t{_t2(t)}", upper=u.sf_upper[t]) for t in range(T)]
         tsch = [m.add_variable(f"tsch__{u.name}_t{_t2(t)}", upper=st.charge_p_max) for t in range(T)]
         tsdis = [m.add_variable(f"tsdis__{u.name}_t{_t2(t)}", upper=st.discharge_p_max) for t in range(T)]
         tse = [m.add_variable(f"tse__{u.name}_t{_t2(t)}", lower=st.e_min, upper=st.e_max) for t in range(T)]
-        on, start, stop = _add_commitment(m, u.name, T, u.min_up, u.min_down, u.initially_on)
+        on, start, stop = commitment(u)
+        for field, handles in (("sf_power", sf), ("ts_charge", tsch), ("ts_discharge", tsdis), ("ts_soc", tse)):
+            cols[field][u.name] = handles
         for t in range(T):
             m.add_constraint(
                 f"sf_cap__{u.name}_t{_t2(t)}",
@@ -341,10 +366,9 @@ def _build_core(
             dn_terms[t] += [(disp[t].index, 1.0), (rd[t].index, -1.0)]
 
     for u in portfolio.fd:
-        disp = [m.add_variable(f"disp__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
-        ru = [m.add_variable(f"rup__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
-        rd = [m.add_variable(f"rdn__{u.name}_t{_t2(t)}", upper=u.p_max) for t in range(T)]
+        disp, ru, rd = flows(u.name, u.p_max)
         picks = [m.add_variable(f"prof__{u.name}_m{j}", BINARY) for j in range(len(u.profiles))]
+        cols["profiles"][u.name] = picks
         m.add_constraint(
             f"fd_profile__{u.name}",
             LinearExpression.from_terms([(w.index, 1.0) for w in picks]),
@@ -377,28 +401,17 @@ def _build_core(
             up_terms[t] += [(disp[t].index, -1.0), (ru[t].index, 1.0)]
             dn_terms[t] += [(disp[t].index, -1.0), (rd[t].index, -1.0)]
 
+    balance: list[Constraint] = []
     for t in range(T):
-        m.add_constraint(
-            f"bal_id_t{_t2(t)}",
-            LinearExpression.from_terms(id_terms[t] + [(p_da[t].index, -1.0)]),
-            SENSE_EQ,
-            0.0,
-        )
-        m.add_constraint(
-            f"bal_up_t{_t2(t)}",
-            LinearExpression.from_terms(up_terms[t] + [(p_da[t].index, -1.0), (r_up[t].index, -1.0)]),
-            SENSE_EQ,
-            0.0,
-        )
-        m.add_constraint(
-            f"bal_dn_t{_t2(t)}",
-            LinearExpression.from_terms(dn_terms[t] + [(p_da[t].index, -1.0), (r_dn[t].index, 1.0)]),
-            SENSE_EQ,
-            0.0,
-        )
+        for fam, terms in (
+            ("id", id_terms[t] + [(p_da[t].index, -1.0)]),
+            ("up", up_terms[t] + [(p_da[t].index, -1.0), (r_up[t].index, -1.0)]),
+            ("dn", dn_terms[t] + [(p_da[t].index, -1.0), (r_dn[t].index, 1.0)]),
+        ):
+            balance.append(m.add_constraint(f"bal_{fam}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0))
 
     m.set_objective(LinearExpression.from_terms(obj + perturbation), MAXIMIZE)
-    return {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
+    return cols, balance
 
 
 def build_deterministic_rvpp(
@@ -410,30 +423,23 @@ def build_deterministic_rvpp(
     """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
     _require_valid(portfolio, scenario)
     m = Model(name="rvpp_det")
-    _build_core(m, portfolio, scenario, literal_3c)
-    m.tags.update(
-        {
-            "kind": "rvpp",
-            "robust": False,
-            "portfolio": portfolio,
-            "scenario": scenario,
-            "literal_3c": literal_3c,
-        }
-    )
+    cols, balance = _build_core(m, portfolio, scenario, literal_3c)
+    m.tags.update(kind="rvpp", scenario=scenario, cols=cols, balance=balance)
     return m
 
 
 def _add_price_dual(
     m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[tuple[int, float]]]
-) -> None:
-    """Budget dual of one price stream; nothing is added when gamma is 0.
+) -> tuple[Variable, list[Variable]] | None:
+    """Budget dual of one price stream, returned as its (mu, xi) columns;
+    nothing is added, and None returned, when gamma is 0.
 
     losses[t] lists the (column id, coefficient) terms of period t's revenue
     loss.  The objective pays gamma*mu + sum(xi) and each row mu + xi_t >=
     loss_t, so at the optimum the penalty equals the gamma largest losses.
     """
     if gamma == 0:
-        return
+        return None
     mu = m.add_variable(f"mu_{tag}")
     xi = [m.add_variable(f"xi_{tag}_t{_t2(t)}") for t in range(len(losses))]
     obj.append((mu.index, -float(gamma)))
@@ -445,6 +451,7 @@ def _add_price_dual(
             SENSE_GE,
             0.0,
         )
+    return mu, xi
 
 
 def build_robust_rvpp(
@@ -482,13 +489,14 @@ def build_robust_rvpp(
         if gamma > 0:
             picked = set(dominant_subset(deviation, gamma))
             tightening[name] = [deviation[t] if t in picked else 0.0 for t in range(T)]
-    handles = _build_core(m, portfolio, scenario, literal_3c, tightening)
+    cols, balance = _build_core(m, portfolio, scenario, literal_3c, tightening)
     obj = list(m.objective.terms)
 
-    p_da = handles["p_da"]
-    r_up = handles["r_up"]
-    r_dn = handles["r_dn"]
+    p_da = cols["p_da"]
+    r_up = cols["r_up"]
+    r_dn = cols["r_dn"]
 
+    duals = {"dam": None}
     if budgets.gamma_dam > 0:
         x = [m.add_variable(f"xdam_t{_t2(t)}") for t in range(T)]
         for t in range(T):
@@ -506,140 +514,96 @@ def build_robust_rvpp(
                 SENSE_GE,
                 0.0,
             )
-        _add_price_dual(
+        duals["dam"] = _add_price_dual(
             m, obj, "dam", budgets.gamma_dam, [[(x[t].index, scenario.dam_price_down_dev[t])] for t in range(T)]
         )
-    _add_price_dual(
+    duals["sr_up"] = _add_price_dual(
         m, obj, "srup", budgets.gamma_sr_up, [[(r_up[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
     )
-    _add_price_dual(
+    duals["sr_dn"] = _add_price_dual(
         m, obj, "srdn", budgets.gamma_sr_down, [[(r_dn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
     )
 
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
-    m.tags.update(
-        {
-            "kind": "rvpp",
-            "robust": True,
-            "portfolio": portfolio,
-            "scenario": scenario,
-            "budgets": budgets,
-            "literal_3c": literal_3c,
-        }
-    )
+    m.tags.update(kind="rvpp", scenario=scenario, budgets=budgets, cols=cols, balance=balance, duals=duals)
     return m
 
 
-def _decode_series(m: Model, sol: Solution, pattern: str, T: int) -> np.ndarray:
-    out = np.empty(T)
-    for t in range(T):
-        name = pattern.format(t=_t2(t))
-        if not m.has_variable(name):
-            raise DecodeError(f"model has no variable {name!r}")
-        var = m.variable(name)
-        v = sol.values[var.index]
+def _values(sol: Solution, cols: list[Variable]) -> np.ndarray:
+    """Solved values of continuous columns: a column floored at 0 reads no
+    less than 0, and -0.0 reads 0.0."""
+    out = np.empty(len(cols))
+    for t, var in enumerate(cols):
+        v = sol.value_of(var)
         if var.lower == 0.0 and v < 0.0:
             v = 0.0
-        out[t] = v + 0.0  # normalizes -0.0
+        out[t] = v + 0.0
     return out
 
 
-def _decode_binary_series(m: Model, sol: Solution, pattern: str, T: int) -> np.ndarray:
-    out = np.empty(T, dtype=int)
-    for t in range(T):
-        name = pattern.format(t=_t2(t))
-        if not m.has_variable(name):
-            raise DecodeError(f"model has no variable {name!r}")
-        v = sol.values[m.variable(name).index]
+def _binaries(sol: Solution, cols: list[Variable]) -> np.ndarray:
+    """Solved values of binary columns, each within BINARY_TOL of 0 or 1."""
+    out = np.empty(len(cols), dtype=int)
+    for t, var in enumerate(cols):
+        v = sol.value_of(var)
         r = round(v)
         if abs(v - r) > BINARY_TOL:
-            raise DecodeError(f"binary {name!r} is non-integral: {v}")
+            raise DecodeError(f"binary {var.name!r} is non-integral: {v}")
         out[t] = int(r)
     return out
 
 
-def _decode_price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts:
-    """Read the price duals of a robust model; a stream without a budget reads 0."""
-
-    def scalar(name: str) -> float:
-        return sol.values[m.variable(name).index] if m.has_variable(name) else 0.0
-
-    def series(tag: str) -> np.ndarray:
-        pattern = f"xi_{tag}_t{{t}}"
-        return _decode_series(m, sol, pattern, T) if m.has_variable(pattern.format(t=_t2(0))) else np.zeros(T)
-
-    return PriceRobustArtifacts(
-        budgets=m.tags["budgets"],
-        mu_dam=scalar("mu_dam"),
-        xi_dam=series("dam"),
-        mu_sr_up=scalar("mu_srup"),
-        xi_sr_up=series("srup"),
-        mu_sr_dn=scalar("mu_srdn"),
-        xi_sr_dn=series("srdn"),
-    )
+def _price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts | None:
+    """The price duals of a robust model (None for a deterministic one); a
+    stream without a budget reads 0.  The "duals" tag maps each stream's
+    PriceRobustArtifacts suffix to its _add_price_dual result."""
+    duals = m.tags.get("duals")
+    if duals is None:
+        return None
+    read = {}
+    for stream, handles in duals.items():
+        read[f"mu_{stream}"] = 0.0 if handles is None else sol.value_of(handles[0])
+        read[f"xi_{stream}"] = np.zeros(T) if handles is None else _values(sol, handles[1])
+    return PriceRobustArtifacts(budgets=m.tags["budgets"], **read)
 
 
 def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> RvppSchedule:
     """Decode a solved model into arrays, re-verifying balance and integrality.
 
-    Raises DecodeError on non-optimal status, missing variables, fractional
-    binaries, a flexible-demand unit without exactly one chosen profile, or
-    balance residuals above 1e-6.
+    Raises DecodeError on non-optimal status, a portfolio other than the
+    built one, fractional binaries, a flexible-demand unit without exactly
+    one chosen profile, or balance residuals above 1e-6.
     """
     if m.tags.get("kind") != "rvpp":
         raise DecodeError("model was not built by a portfolio scheduling builder")
     if sol.status != "optimal":
         raise DecodeError(f"cannot decode a solution with status {sol.status!r}")
     scenario: MarketScenario = m.tags["scenario"]
+    cols = m.tags["cols"]
+    if tuple(cols["dispatch"]) != portfolio.unit_names():
+        raise DecodeError("portfolio is not the one the model was built for")
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
 
-    p_da = _decode_series(m, sol, "pda_t{t}", T)
-    r_up = _decode_series(m, sol, "rup_t{t}", T)
-    r_dn = _decode_series(m, sol, "rdn_t{t}", T)
-
-    dispatch: dict[str, np.ndarray] = {}
-    reserve_up: dict[str, np.ndarray] = {}
-    reserve_dn: dict[str, np.ndarray] = {}
-    on: dict[str, np.ndarray] = {}
-    start: dict[str, np.ndarray] = {}
-    stop: dict[str, np.ndarray] = {}
+    p_da, r_up, r_dn = (_values(sol, cols[key]) for key in ("p_da", "r_up", "r_dn"))
+    series = {field: {name: _values(sol, c) for name, c in cols[field].items()} for field in _UNIT_SERIES}
+    binaries = {field: {name: _binaries(sol, c) for name, c in cols[field].items()} for field in _UNIT_BINARIES}
+    dispatch, start, stop = series["dispatch"], binaries["start"], binaries["stop"]
+    ts_soc = {}
+    for name, c in cols["ts_soc"].items():
+        levels = _values(sol, c)
+        ts_soc[name] = np.concatenate(([levels[-1]], levels))
     fd_profile: dict[str, int] = {}
-    sf_power: dict[str, np.ndarray] = {}
-    ts_charge: dict[str, np.ndarray] = {}
-    ts_discharge: dict[str, np.ndarray] = {}
-    ts_soc: dict[str, np.ndarray] = {}
-
-    for u in portfolio.all_units():
-        dispatch[u.name] = _decode_series(m, sol, f"disp__{u.name}_t{{t}}", T)
-        reserve_up[u.name] = _decode_series(m, sol, f"rup__{u.name}_t{{t}}", T)
-        reserve_dn[u.name] = _decode_series(m, sol, f"rdn__{u.name}_t{{t}}", T)
-    for u in tuple(portfolio.drs) + tuple(portfolio.csp):
-        on[u.name] = _decode_binary_series(m, sol, f"on__{u.name}_t{{t}}", T)
-        start[u.name] = _decode_binary_series(m, sol, f"start__{u.name}_t{{t}}", T)
-        stop[u.name] = _decode_binary_series(m, sol, f"stop__{u.name}_t{{t}}", T)
-    for u in portfolio.csp:
-        sf_power[u.name] = _decode_series(m, sol, f"sf__{u.name}_t{{t}}", T)
-        ts_charge[u.name] = _decode_series(m, sol, f"tsch__{u.name}_t{{t}}", T)
-        ts_discharge[u.name] = _decode_series(m, sol, f"tsdis__{u.name}_t{{t}}", T)
-        levels = _decode_series(m, sol, f"tse__{u.name}_t{{t}}", T)
-        ts_soc[u.name] = np.concatenate(([levels[-1]], levels))
-    for u in portfolio.fd:
-        chosen = [
-            j
-            for j in range(len(u.profiles))
-            if round(sol.values[m.variable(f"prof__{u.name}_m{j}").index]) == 1
-        ]
+    for name, picks in cols["profiles"].items():
+        chosen = [j for j, w in enumerate(picks) if round(sol.value_of(w)) == 1]
         if len(chosen) != 1:
-            raise DecodeError(f"{u.name}: expected exactly one chosen profile, got {chosen}")
-        fd_profile[u.name] = chosen[0]
+            raise DecodeError(f"{name}: expected exactly one chosen profile, got {chosen}")
+        fd_profile[name] = chosen[0]
 
-    for t in range(T):
-        for fam in ("bal_id", "bal_up", "bal_dn"):
-            con = m.constraint(f"{fam}_t{_t2(t)}")
-            res = con.residual(sol.values)
-            if res > BALANCE_TOL:
-                raise DecodeError(f"balance row {con.name} violated by {res}")
+    for con in m.tags["balance"]:
+        res = con.residual(sol.values)
+        if res > BALANCE_TOL:
+            raise DecodeError(f"balance row {con.name} violated by {res}")
 
     nominal = float(np.dot(scenario.dam_price, p_da) * dt)
     nominal += float(np.dot(scenario.sr_up_price, r_up) + np.dot(scenario.sr_dn_price, r_dn))
@@ -656,26 +620,17 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
         perturb += -PROFILE_TIE_EPS * fd_profile[u.name]
     objective_value = sol.objective_value - perturb
 
-    artifacts = _decode_price_duals(m, sol, T) if m.tags.get("robust") else None
-
     return RvppSchedule(
         grid_periods=T,
         delta_t=dt,
         p_da=p_da,
         r_up=r_up,
         r_dn=r_dn,
-        dispatch=dispatch,
-        reserve_up=reserve_up,
-        reserve_dn=reserve_dn,
-        on=on,
-        start=start,
-        stop=stop,
+        **series,
+        **binaries,
         fd_profile=fd_profile,
-        sf_power=sf_power,
-        ts_charge=ts_charge,
-        ts_discharge=ts_discharge,
         ts_soc=ts_soc,
         objective_value=objective_value,
         nominal_profit=nominal,
-        artifacts=artifacts,
+        artifacts=_price_duals(m, sol, T),
     )

@@ -11,7 +11,9 @@ returns the one-module schedule scaled by N.
 
 Every portfolio and stand-alone unit profit comes from `audited_schedule`,
 which replays the schedule against the raw inputs and audits a robust one
-against its dominant quantity realization before the profit is used.
+against its dominant quantity realization before the profit is used.  Every
+sized fleet comes from `sized_from_module`, which replays the scaled schedule
+against the fleet and re-prices its objective before the fleet is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .domain import (
     Portfolio,
 )
 from .milp import relaxation_probe, solve
-from .oracle import audit_robust_feasibility, replay_schedule
+from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
 
@@ -43,7 +45,7 @@ class SizingError(RuntimeError):
 
 
 class ScheduleError(RuntimeError):
-    """A portfolio solve did not yield a replayed, audited schedule."""
+    """A solve did not yield a replayed, audited schedule."""
 
 
 @dataclass(frozen=True)
@@ -217,11 +219,39 @@ def one_module_schedule(
     return extract_es_schedule(m, sol)
 
 
-def sized_from_module(gap: float, one: EsSchedule, module: EsUnit, max_modules: int) -> SizingResult:
-    """The smallest fleet covering gap, by arithmetic on the one-module schedule."""
+def sized_from_module(
+    gap: float,
+    one: EsSchedule,
+    module: EsUnit,
+    scenario: MarketScenario,
+    budgets: BudgetSet,
+    max_modules: int,
+    *,
+    symmetric_sigma_margins: bool = True,
+) -> SizingResult:
+    """The smallest fleet covering gap, by arithmetic on the one-module schedule.
+
+    The scaled schedule is replayed against the fleet it was scaled to, and
+    its objective is re-priced twice: by the worst case of its flows under the
+    price-only budgets, and through its price duals (the re-pricing reads
+    flows only, so it cannot see a wrong dual).  ScheduleError names a
+    residual or a price that disagrees.
+    """
     p1 = one.objective_value
     count = _module_count(gap, p1, module, max_modules)
     schedule = one.scaled(count)
+    fleet = EsFleet(module, count)
+    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=symmetric_sigma_margins)
+    worst = max(report.values()) if report else 0.0
+    if worst > RESIDUAL_TOL:
+        raise ScheduleError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
+    objective = schedule.objective_value
+    checks = {"its worst-case re-pricing": worst_case_profit(schedule, scenario, budgets)[0]}
+    if schedule.artifacts is not None:
+        checks["its price duals"] = schedule.nominal_profit - schedule.artifacts.price_penalty_total()
+    for source, profit in checks.items():
+        if abs(profit - objective) > RESIDUAL_TOL * max(1.0, abs(objective)):
+            raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")
     return SizingResult(
         lower_bound_profit=gap,
         module_count=count,
@@ -246,10 +276,12 @@ def size_es_to_match(
     budgets must be effectively price-only; any per-unit entries are dropped
     here because the fleet has no quantity streams.  One module is solved for
     its profit p1; the count follows from p1 by arithmetic and the schedule by
-    scaling, so no other fleet is solved.  SizingError is raised when p1 is
-    not positive and when the count would exceed max_modules.
+    scaling, so no other fleet is solved.  The returned schedule is replayed
+    and re-priced as sized_from_module describes.  SizingError is raised when
+    p1 is not positive and when the count would exceed max_modules.
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
+    budgets = price_only_budgets(budgets)
     one = one_module_schedule(module, scenario, budgets, **build_kwargs)
-    return sized_from_module(gap, one, module, max_modules)
+    return sized_from_module(gap, one, module, scenario, budgets, max_modules, **build_kwargs)

@@ -7,6 +7,10 @@ charge-side part (backing off charging) and a discharge-side part.  Daily
 reserve energy is fenced by two envelope fractions (sigma) that also reserve
 state-of-charge margins.  The state of charge is cyclic: the recursion wraps
 period 1 back onto period T, so the day starts and ends at the same level.
+
+As in scheduler, the builders keep the columns they create on the model
+(tags "cols" and, when robust, "duals") and the decoder reads the solution
+through them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BudgetSet, EsUnit, MarketScenario, validate_budgets
+from .domain import BudgetSet, EsUnit, MarketScenario, validate_budgets, validate_scenario
 from .milp import (
     BINARY,
     MAXIMIZE,
@@ -29,13 +33,14 @@ from .milp import (
 )
 from .scheduler import (
     BALANCE_TOL,
-    BINARY_TOL,
     DecodeError,
     ModelBuildError,
     PriceRobustArtifacts,
     _add_price_dual,
-    _decode_price_duals,
+    _binaries,
+    _price_duals,
     _t2,
+    _values,
 )
 
 
@@ -129,7 +134,8 @@ class EsSchedule:
         return replace(self, artifacts=artifacts, **{f: n * getattr(self, f) for f in _SCALED_FIELDS})
 
 
-_SCALED_FIELDS = (
+# EsSchedule per-period fields decoded from continuous columns of the same key.
+_FLOW_FIELDS = (
     "charge",
     "discharge",
     "net",
@@ -139,10 +145,8 @@ _SCALED_FIELDS = (
     "r_dn_discharge",
     "r_up",
     "r_dn",
-    "soc",
-    "objective_value",
-    "nominal_profit",
 )
+_SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value", "nominal_profit")
 _SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
@@ -162,7 +166,9 @@ def validate_fleet(fleet: EsFleet) -> list[str]:
     return out
 
 
-def _build_es_core(m: Model, fleet: EsFleet, scenario: MarketScenario, symmetric_sigma_margins: bool) -> None:
+def _build_es_core(m: Model, fleet: EsFleet, scenario: MarketScenario, symmetric_sigma_margins: bool) -> dict:
+    """The fleet model; returns its columns keyed like the EsSchedule fields
+    they decode into ("soc" holds the T levels)."""
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     eta_c = fleet.charge_eff
@@ -291,22 +297,25 @@ def _build_es_core(m: Model, fleet: EsFleet, scenario: MarketScenario, symmetric
         0.0,
     )
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
+    return {
+        "charge": pch,
+        "discharge": pdis,
+        "net": net,
+        "r_up_charge": ruc,
+        "r_up_discharge": rud,
+        "r_dn_charge": rdc,
+        "r_dn_discharge": rdd,
+        "r_up": rup,
+        "r_dn": rdn,
+        "soc": soc,
+        "mode": mode,
+        "sigma_up": sigma_up,
+        "sigma_dn": sigma_dn,
+    }
 
 
 def _require_valid_es(fleet: EsFleet, scenario: MarketScenario) -> None:
-    problems = validate_fleet(fleet)
-    T = scenario.grid.period_count
-    for label in (
-        "dam_price",
-        "dam_price_down_dev",
-        "dam_price_up_dev",
-        "sr_up_price",
-        "sr_up_price_dev",
-        "sr_dn_price",
-        "sr_dn_price_dev",
-    ):
-        if len(getattr(scenario, label)) != T:
-            problems.append(f"scenario: {label} has {len(getattr(scenario, label))} entries, grid has {T}")
+    problems = validate_fleet(fleet) + validate_scenario(scenario)
     if problems:
         raise ModelBuildError("invalid inputs: " + "; ".join(problems[:5]))
 
@@ -320,16 +329,8 @@ def build_deterministic_es(
     """Deterministic fleet scheduling MILP at nominal prices."""
     _require_valid_es(fleet, scenario)
     m = Model(name="es_det")
-    _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
-    m.tags.update(
-        {
-            "kind": "es",
-            "robust": False,
-            "fleet": fleet,
-            "scenario": scenario,
-            "symmetric_sigma_margins": symmetric_sigma_margins,
-        }
-    )
+    cols = _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
+    m.tags.update(kind="es", fleet=fleet, scenario=scenario, cols=cols)
     return m
 
 
@@ -357,35 +358,26 @@ def build_robust_es(
             f"storage accepts price budgets only; per-unit budgets set for {nonzero}"
         )
     m = Model(name="es_robust")
-    _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
+    cols = _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     obj = list(m.objective.terms)
-
-    def col(prefix: str, t: int) -> int:
-        return m.variable(f"{prefix}_t{_t2(t)}").index
+    pch, pdis = cols["charge"], cols["discharge"]
 
     dam_losses = [
-        [(col("pdis", t), scenario.dam_price_down_dev[t] * dt), (col("pch", t), scenario.dam_price_up_dev[t] * dt)]
+        [(pdis[t].index, scenario.dam_price_down_dev[t] * dt), (pch[t].index, scenario.dam_price_up_dev[t] * dt)]
         for t in range(T)
     ]
-    up_losses = [[(col("rup", t), scenario.sr_up_price_dev[t])] for t in range(T)]
-    dn_losses = [[(col("rdn", t), scenario.sr_dn_price_dev[t])] for t in range(T)]
-    _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses)
-    _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses)
-    _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses)
+    up_losses = [[(v.index, scenario.sr_up_price_dev[t])] for t, v in enumerate(cols["r_up"])]
+    dn_losses = [[(v.index, scenario.sr_dn_price_dev[t])] for t, v in enumerate(cols["r_dn"])]
+    duals = {
+        "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
+        "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),
+        "sr_dn": _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses),
+    }
 
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
-    m.tags.update(
-        {
-            "kind": "es",
-            "robust": True,
-            "fleet": fleet,
-            "scenario": scenario,
-            "budgets": budgets,
-            "symmetric_sigma_margins": symmetric_sigma_margins,
-        }
-    )
+    m.tags.update(kind="es", fleet=fleet, scenario=scenario, budgets=budgets, cols=cols, duals=duals)
     return m
 
 
@@ -401,33 +393,10 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
 
-    def series(prefix: str) -> np.ndarray:
-        out = np.empty(T)
-        for t in range(T):
-            var = m.variable(f"{prefix}_t{_t2(t)}")
-            v = sol.values[var.index]
-            if var.lower == 0.0 and v < 0.0:
-                v = 0.0
-            out[t] = v + 0.0
-        return out
-
-    charge = series("pch")
-    discharge = series("pdis")
-    net = series("net")
-    ruc = series("ruc")
-    rud = series("rud")
-    rdc = series("rdc")
-    rdd = series("rdd")
-    r_up = series("rup")
-    r_dn = series("rdn")
-    levels = series("soc")
-    mode = np.empty(T, dtype=int)
-    for t in range(T):
-        v = sol.values[m.variable(f"mode_t{_t2(t)}").index]
-        r = round(v)
-        if abs(v - r) > BINARY_TOL:
-            raise DecodeError(f"mode_t{_t2(t)} is non-integral: {v}")
-        mode[t] = int(r)
+    cols = m.tags["cols"]
+    flows = {field: _values(sol, cols[field]) for field in _FLOW_FIELDS}
+    charge, discharge = flows["charge"], flows["discharge"]
+    mode = _binaries(sol, cols["mode"])
 
     for t in range(T):
         if charge[t] > BALANCE_TOL and discharge[t] > BALANCE_TOL:
@@ -435,6 +404,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
                 f"period {t + 1} both charges ({charge[t]}) and discharges ({discharge[t]})"
             )
 
+    levels = _values(sol, cols["soc"])
     soc = np.concatenate(([levels[-1]], levels))
     for t in range(T):
         expected = soc[t] + fleet.charge_eff * dt * charge[t] - discharge[t] * dt / fleet.discharge_eff
@@ -444,29 +414,19 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
                 f"{soc[t + 1]} vs expected {expected}"
             )
 
-    nominal = float(np.dot(scenario.dam_price, net) * dt)
-    nominal += float(np.dot(scenario.sr_up_price, r_up) + np.dot(scenario.sr_dn_price, r_dn))
+    nominal = float(np.dot(scenario.dam_price, flows["net"]) * dt)
+    nominal += float(np.dot(scenario.sr_up_price, flows["r_up"]) + np.dot(scenario.sr_dn_price, flows["r_dn"]))
     nominal -= fleet.op_cost * float(discharge.sum())
-
-    artifacts = _decode_price_duals(m, sol, T) if m.tags.get("robust") else None
 
     return EsSchedule(
         grid_periods=T,
         delta_t=dt,
-        charge=charge,
-        discharge=discharge,
-        net=net,
-        r_up_charge=ruc,
-        r_up_discharge=rud,
-        r_dn_charge=rdc,
-        r_dn_discharge=rdd,
-        r_up=r_up,
-        r_dn=r_dn,
+        **flows,
         mode=mode,
         soc=soc,
-        sigma_up=float(sol.values[m.variable("sigma_up").index]),
-        sigma_dn=float(sol.values[m.variable("sigma_dn").index]),
+        sigma_up=float(sol.value_of(cols["sigma_up"])),
+        sigma_dn=float(sol.value_of(cols["sigma_dn"])),
         objective_value=sol.objective_value,
         nominal_profit=nominal,
-        artifacts=artifacts,
+        artifacts=_price_duals(m, sol, T),
     )

@@ -6,7 +6,6 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +13,8 @@ import pytest
 from scipy import optimize
 
 import rvpp.sizing as sizing
-from rvpp import EsSchedule, cli, strategy_budgets
-from toys import solve_rvpp
+from rvpp import cli, strategy_budgets
+from toys import solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
 
@@ -284,17 +283,6 @@ def test_default_jobs_use_every_usable_cpu(spring_jobs1, tmp_path):
         assert (one / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def _unscale_mu_dam(monkeypatch):
-    """Make EsSchedule.scaled leave the energy-price dual unscaled."""
-    real = EsSchedule.scaled
-
-    def unscaled_mu_dam(self, n):
-        out = real(self, n)
-        return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
-
-    monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
-
-
 def _fails_on_the_price_duals(tmp_path, case: int) -> None:
     out = tmp_path / "mutated"
     # Spring optimistic is a cell whose one-module energy-price dual is not zero.
@@ -306,11 +294,11 @@ def _fails_on_the_price_duals(tmp_path, case: int) -> None:
 
 
 def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
-    _unscale_mu_dam(monkeypatch)
+    unscale_mu_dam(monkeypatch)
     _fails_on_the_price_duals(tmp_path, 4)
 
 
 def test_case3_audits_the_scaled_profit(tmp_path, monkeypatch):
     # Case 3 writes module_count and es_objective from the same scaled fleet.
-    _unscale_mu_dam(monkeypatch)
+    unscale_mu_dam(monkeypatch)
     _fails_on_the_price_duals(tmp_path, 3)

@@ -7,6 +7,7 @@ import csv
 
 import pytest
 
+import rvpp.cli as cli
 from rvpp import (
     FdUnit,
     Portfolio,
@@ -171,6 +172,41 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
     save_scenario(raw, path)
     with pytest.raises(ScenarioFormatError, match=r"\[winter/unfavorable\].*forecast_deviation"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda raw: raw["units"][0].update(p_max="big"), r"units\[0\]\.p_max: expected a number"),
+        (lambda raw: raw["units"][0].update(min_up="x"), r"units\[0\]\.min_up: expected an integer"),
+        (lambda raw: raw["grid"].update(period_count="x"), r"grid\.period_count: expected an integer"),
+        (lambda raw: raw["energy_limits"].update(hydro=[1.0, 2.0]), r"energy_limits\.hydro: expected a mapping"),
+        (
+            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(favorable="x"),
+            r"energy_limits\.hydro\.winter\.favorable: expected a number",
+        ),
+        (lambda raw: raw["es_module"].update(e_max="x"), r"es_module\.e_max: expected a number"),
+        (lambda raw: raw["es_module"].update(charge_eff=0), r"es_module: li_ion_module: efficiencies"),
+    ],
+    ids=["float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid"],
+)
+def test_malformed_field_is_named(tmp_path, bundle, mutate, message):
+    raw = broken_copy(bundle)
+    mutate(raw)
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    with pytest.raises(ScenarioFormatError, match=message):
+        load_scenario(path)
+
+
+def test_cli_exits_2_on_an_invalid_storage_module(tmp_path, bundle, capsys):
+    raw = broken_copy(bundle)
+    raw["es_module"]["charge_eff"] = 0
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    flags = ["--case", "3", "--season", "spring", "--strategy", "optimistic", "--jobs", "1"]
+    assert cli.main([*flags, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "es_module" in capsys.readouterr().err
 
 
 # --- flexible-demand scaling ------------------------------------------------

@@ -314,6 +314,14 @@ def test_decode_requires_exactly_one_profile():
         extract_rvpp_schedule(m, tampered, portfolio)
 
 
+def test_decode_rejects_another_portfolio():
+    portfolio, scenario = wind_only(T=4)
+    m = build_deterministic_rvpp(portfolio, scenario)
+    sol = solve(m, ScipyHighsBackend())
+    with pytest.raises(DecodeError, match="not the one the model was built for"):
+        extract_rvpp_schedule(m, sol, Portfolio(ndrs=(wind(4, name="w2"),)))
+
+
 def test_decode_checks_model_kind():
     portfolio, scenario = wind_only(T=4)
     m = build_deterministic_rvpp(portfolio, scenario)

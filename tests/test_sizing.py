@@ -13,6 +13,7 @@ from rvpp import (
     DrsUnit,
     FdUnit,
     Portfolio,
+    ScheduleError,
     SizingError,
     ZERO_BUDGETS,
     aggregation_gap,
@@ -21,7 +22,7 @@ from rvpp import (
     size_es_to_match,
 )
 from rvpp.storage import EsFleet
-from toys import battery, market, solve_es, wind
+from toys import battery, market, solve_es, unscale_mu_dam, wind
 
 
 def spiky_market(T: int = 6):
@@ -192,6 +193,14 @@ def test_module_count_grows_with_price_budget():
         counts.append(res.module_count)
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
+
+
+def test_sized_fleet_is_audited_through_its_price_duals(monkeypatch):
+    # The library twin of the CLI's case-3/4 audit: two modules, mu_dam != 0.
+    unscale_mu_dam(monkeypatch)
+    s = market(4, dam=[0.0, 70.0, 0.0, 70.0], dam_down=[0.0, 20.0, 0.0, 20.0])
+    with pytest.raises(ScheduleError, match="sized fleet objective .* price duals"):
+        size_es_to_match(60.0, battery(), s, BudgetSet(gamma_dam=1))
 
 
 def test_sizing_cap_exhausted_raises():

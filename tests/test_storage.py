@@ -169,3 +169,15 @@ def test_fleet_ratings_derive_from_module():
     assert fleet.discharge_eff == pytest.approx(0.95)
     with pytest.raises(ValueError, match="module_count"):
         EsFleet(battery(), 0)
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [(market(4, sr_up_dev=-1.0), "sr_up_price_dev"), (market(4, season="monsoon"), "unknown season")],
+)
+def test_builders_validate_the_market(bad, field):
+    fleet = EsFleet(battery(), 1)
+    with pytest.raises(ModelBuildError, match=field):
+        build_robust_es(fleet, bad, BudgetSet(gamma_sr_up=1))
+    with pytest.raises(ModelBuildError, match=field):
+        build_deterministic_es(fleet, bad)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from rvpp import (
     BudgetSet,
     EsFleet,
+    EsSchedule,
     EsUnit,
     MarketScenario,
     NdrsUnit,
@@ -100,3 +103,14 @@ def solve_es(fleet: EsFleet | EsUnit, scenario, budgets: BudgetSet | None = None
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"es solve ended {sol.status}"
     return extract_es_schedule(m, sol)
+
+
+def unscale_mu_dam(monkeypatch) -> None:
+    """Make EsSchedule.scaled leave the energy-price dual unscaled."""
+    real = EsSchedule.scaled
+
+    def unscaled_mu_dam(self, n):
+        out = real(self, n)
+        return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
+
+    monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
