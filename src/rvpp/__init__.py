@@ -6,9 +6,15 @@ both trading day-ahead energy and secondary reserve capacity.  Price and
 quantity uncertainty is handled with integer budgets; a solver-free oracle
 evaluates worst cases and audits schedules; the sizing loop finds the
 smallest storage fleet matching the portfolio's aggregation advantage.
+
+`backends` checks for scipy's HiGHS binding when it is imported, so it and
+`sizing`, which needs it, load on first use of one of their names: `rvpp`
+and its model-building modules import without the binding, and the console
+entry point (`rvpp.__main__`) can report a missing binding with exit 2.
 """
 
-from .backends import BackendError, ScipyHighsBackend
+import importlib
+
 from .domain import (
     REGIMES,
     SEASONS,
@@ -30,11 +36,13 @@ from .domain import (
     validate_scenario,
 )
 from .milp import (
+    BackendError,
     Constraint,
     LinearExpression,
     Model,
     ModelError,
     Solution,
+    SolverUnavailableError,
     Variable,
     export_lp_text,
     relaxation_probe,
@@ -67,17 +75,6 @@ from .scheduler import (
     build_robust_rvpp,
     extract_rvpp_schedule,
 )
-from .sizing import (
-    GapReport,
-    ScheduleError,
-    SizingError,
-    SizingResult,
-    aggregation_gap,
-    audited_schedule,
-    individual_profit,
-    price_only_budgets,
-    size_es_to_match,
-)
 from .storage import (
     EsFleet,
     EsSchedule,
@@ -87,6 +84,31 @@ from .storage import (
 )
 
 __version__ = "0.1.0"
+
+_NEEDS_HIGHS = {
+    "ScipyHighsBackend": "backends",
+    **dict.fromkeys(
+        (
+            "GapReport",
+            "ScheduleError",
+            "SizingError",
+            "SizingResult",
+            "aggregation_gap",
+            "audited_schedule",
+            "individual_profit",
+            "price_only_budgets",
+            "size_es_to_match",
+        ),
+        "sizing",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _NEEDS_HIGHS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_NEEDS_HIGHS[name]}", __name__), name)
+
 
 __all__ = [
     "BackendError",
@@ -123,6 +145,7 @@ __all__ = [
     "SizingError",
     "SizingResult",
     "Solution",
+    "SolverUnavailableError",
     "ThermalStoreParams",
     "Variable",
     "ZERO_BUDGETS",

@@ -34,6 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
+from .backends import session_options
 from .domain import REGIMES, SEASONS, STRATEGIES, BudgetSet, EsUnit, Portfolio, strategy_budgets
 from .scenario_io import (
     ResultRow,
@@ -425,6 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             "literal_3c": args.literal_3c,
             "symmetric_sigma_margins": args.symmetric_sigma_margins,
         },
+        "highs_options": session_options(),
         "jobs": jobs,
         "cells_total": len(tasks),
         "cells_failed": failed,

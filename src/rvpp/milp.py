@@ -30,7 +30,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_LIMIT = "limit"
-STATUS_ERROR = "error"
 
 
 class ModelError(ValueError):
@@ -39,6 +38,10 @@ class ModelError(ValueError):
 
 class BackendError(RuntimeError):
     """Raised when a backend misbehaves (bad status, bound-violating values)."""
+
+
+class SolverUnavailableError(ImportError):
+    """Raised when `rvpp.backends` is imported without scipy's HiGHS binding."""
 
 
 @dataclass(frozen=True)

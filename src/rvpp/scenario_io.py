@@ -108,21 +108,33 @@ def _field(mapping: dict, key, path: str, kind=float, default=_REQUIRED):
     if kind is dict:
         if isinstance(value, dict):
             return value
-    else:
+        raise ScenarioFormatError(f"{path}.{key}: expected {_EXPECTED[kind]}")
+    return _number(value, f"{path}.{key}", kind)
+
+
+def _number(value, path: str, kind=float):
+    """value as a finite float, or as an int for kind int, or
+    ScenarioFormatError naming path.
+
+    float() and int() would also take a YAML boolean (true is 1.0), an
+    infinity or NaN, and a fractional integer (int(2.5) is 2); all are
+    rejected here.
+    """
+    number = None
+    if not isinstance(value, bool):
         try:
-            return kind(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
-    raise ScenarioFormatError(f"{path}.{key}: expected {_EXPECTED[kind]}")
+    if number is None or not math.isfinite(number) or (kind is int and not number.is_integer()):
+        raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
+    return int(number) if kind is int else number
 
 
 def _floats(value, path: str, length: int | None = None) -> list[float]:
     if not isinstance(value, (list, tuple)):
         raise ScenarioFormatError(f"{path}: expected a list of numbers")
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ScenarioFormatError(f"{path}: expected a list of numbers") from None
+    out = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if length is not None and len(out) != length:
         raise ScenarioFormatError(f"{path}: expected {length} entries, got {len(out)}")
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .backends import ScipyHighsBackend
+from . import backends
 from .domain import (
     BudgetSet,
     CspUnit,
@@ -32,7 +32,7 @@ from .domain import (
     NdrsUnit,
     Portfolio,
 )
-from .milp import relaxation_probe, solve
+from .milp import STATUS_LIMIT, Model, Solution, relaxation_probe, solve
 from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
@@ -116,6 +116,19 @@ def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
     return _singleton(unit), _budgets_for(budgets, {unit.name})
 
 
+def _solved(m: Model) -> Solution:
+    """m solved in a fresh session; a time-limit hit raises ScheduleError
+    naming the model, the limit and the MIP gap HiGHS had reached."""
+    backend = backends.ScipyHighsBackend()
+    sol = solve(m, backend)
+    if sol.status == STATUS_LIMIT:
+        raise ScheduleError(
+            f"model {m.name!r} hit the {backends.SOLVE_TIME_LIMIT_S:g} s time limit "
+            f"at mip_gap {backend.last_run.mip_gap:.3g}"
+        )
+    return sol
+
+
 def audited_schedule(
     portfolio: Portfolio,
     scenario: MarketScenario,
@@ -127,17 +140,18 @@ def audited_schedule(
 
     budgets None builds the deterministic model.  ScheduleError names what
     failed: the solve status (with the largest irreducible conflict of an
-    infeasible model), the replay residual or the first robust violation.
+    infeasible model, or the time limit and gap of a limit hit), the replay
+    residual or the first robust violation.
     """
     if budgets is None:
         m = build_deterministic_rvpp(portfolio, scenario, literal_3c=literal_3c)
     else:
         m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=literal_3c)
-    sol = solve(m, ScipyHighsBackend())
+    sol = _solved(m)
     if sol.status != "optimal":
         detail = ""
         if sol.status == "infeasible":
-            blame = relaxation_probe(m, ScipyHighsBackend)
+            blame = relaxation_probe(m, backends.ScipyHighsBackend)
             if blame:
                 worst = max(blame, key=blame.get)
                 detail = f"; largest irreducible conflict at {worst} (slack {blame[worst]:.4g})"
@@ -213,7 +227,7 @@ def one_module_schedule(
 ) -> EsSchedule:
     """Price-robust schedule of a single module; any per-unit budgets are dropped."""
     m = build_robust_es(EsFleet(module, 1), scenario, price_only_budgets(budgets), **build_kwargs)
-    sol = solve(m, ScipyHighsBackend())
+    sol = _solved(m)
     if sol.status != "optimal":
         raise SizingError(f"one-module fleet solve ended {sol.status}")
     return extract_es_schedule(m, sol)

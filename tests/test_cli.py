@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy import optimize
 
 import rvpp.sizing as sizing
-from rvpp import cli, strategy_budgets
+from rvpp import backends, cli, strategy_budgets
 from toys import solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -233,20 +230,6 @@ def test_case4_sizes_itself_when_its_twin_fails(tmp_path):
     assert all("up to 1 modules" in c["error"] for c in cells)
 
 
-def _model_digest(c, kwargs: dict) -> str:
-    """Digest of the arrays handed to HiGHS: identical models hash equal."""
-    h = hashlib.blake2b(digest_size=16)
-    parts = [c, kwargs["integrality"], kwargs["bounds"].lb, kwargs["bounds"].ub]
-    for con in kwargs["constraints"]:
-        a = con.A
-        parts += [a.data, a.indices, a.indptr, a.shape, con.lb, con.ub]
-    for part in parts:
-        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
-        h.update(b"|")
-    h.update(repr(sorted(kwargs["options"].items())).encode())
-    return h.hexdigest()
-
-
 SPRING_ALL_CASES = ("--case", "1", "--case", "2", "--case", "3", "--case", "4", "--season", "spring")
 
 
@@ -254,15 +237,15 @@ SPRING_ALL_CASES = ("--case", "1", "--case", "2", "--case", "3", "--case", "4", 
 def spring_jobs1(tmp_path_factory):
     """An in-process spring sweep of all four cases, with the digest of every model HiGHS ran."""
     digests: list[str] = []
-    real = optimize.milp
+    real = backends.ScipyHighsBackend.optimize
 
-    def digesting(c, **kwargs):
-        digests.append(_model_digest(c, kwargs))
-        return real(c, **kwargs)
+    def digesting(self):
+        real(self)
+        digests.append(self.last_run.digest)
 
     out = tmp_path_factory.mktemp("spring_jobs1")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "milp", digesting)
+        mp.setattr(backends.ScipyHighsBackend, "optimize", digesting)
         assert cli.main([*SPRING_ALL_CASES, "--jobs", "1", "--out", str(out)]) == 0
     return out, digests
 
@@ -302,3 +285,27 @@ def test_case3_audits_the_scaled_profit(tmp_path, monkeypatch):
     # Case 3 writes module_count and es_objective from the same scaled fleet.
     unscale_mu_dam(monkeypatch)
     _fails_on_the_price_duals(tmp_path, 3)
+
+
+ONE_CELL = ("--case", "1", "--season", "winter", "--strategy", "optimistic", "--jobs", "1")
+
+
+def test_manifest_records_the_highs_options(tmp_path):
+    assert cli.main([*ONE_CELL, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["highs_options"] == {
+        "log_to_console": False,
+        "mip_rel_gap": 0.0,
+        "mip_heuristic_run_rins": False,
+        "mip_heuristic_run_rens": False,
+        "time_limit": backends.SOLVE_TIME_LIMIT_S,
+    }
+
+
+def test_time_limit_fails_the_cell_and_writes_no_number(tmp_path, monkeypatch):
+    monkeypatch.setattr(backends, "SOLVE_TIME_LIMIT_S", 1e-9)
+    assert cli.main([*ONE_CELL, "--out", str(tmp_path)]) == 1
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["result_files"] == [] and not (tmp_path / "results.csv").exists()
+    error = manifest["cells"][0]["error"]
+    assert "model 'rvpp_robust' hit the 1e-09 s time limit at mip_gap" in error, error

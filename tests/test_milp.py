@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize._highspy import _core as highs
 
+import rvpp
 from rvpp import backends, build_robust_rvpp, milp, strategy_budgets
 
 
@@ -285,3 +292,75 @@ def test_binary_count():
     m.add_variable("b")
     m.add_variable("c", milp.BINARY)
     assert m.binary_count() == 2
+
+
+def _knapsack(n: int = 40) -> milp.Model:
+    m = milp.Model(name="knapsack")
+    rng = np.random.default_rng(7)
+    weight, value = rng.integers(10, 100, n), rng.integers(10, 100, n)
+    xs = [m.add_variable(f"x{i}", milp.BINARY) for i in range(n)]
+    m.add_constraint(
+        "cap", milp.LinearExpression.from_terms([(x.index, float(w)) for x, w in zip(xs, weight)]), "<=",
+        float(weight.sum()) / 2,
+    )
+    m.set_objective(milp.LinearExpression.from_terms([(x.index, float(v)) for x, v in zip(xs, value)]))
+    return m
+
+
+def test_every_session_runs_the_same_options():
+    highs = backends.ScipyHighsBackend().highs
+    assert highs.getOptionValue("mip_heuristic_run_rins")[1] is False
+    assert highs.getOptionValue("mip_heuristic_run_rens")[1] is False
+    assert highs.getOptionValue("mip_allow_restart")[1] is True
+    assert highs.getOptionValue("mip_rel_gap")[1] == 0.0
+    assert highs.getOptionValue("time_limit")[1] == backends.SOLVE_TIME_LIMIT_S
+
+
+def test_optimize_records_the_solve():
+    model = _knapsack()
+    backend = backends.ScipyHighsBackend()
+    assert milp.solve(model, backend).status == "optimal"
+    run = backend.last_run
+    assert (run.model, run.rows, run.cols, run.nnz, run.binaries) == ("knapsack", 1, 40, 40, 40)
+    assert (run.status, run.mip_gap) == ("optimal", 0.0)
+    assert run.mip_node_count >= 0 and run.assembly_s >= 0.0 and run.highs_s > 0.0
+    again = backends.ScipyHighsBackend()
+    milp.solve(_knapsack(), again)
+    assert again.last_run.digest == run.digest
+    other = backends.ScipyHighsBackend()
+    milp.solve(small_lp(), other)
+    assert other.last_run.digest != run.digest
+
+
+def test_time_limit_ends_the_solve(monkeypatch):
+    monkeypatch.setattr(backends, "SOLVE_TIME_LIMIT_S", 1e-9)
+    backend = backends.ScipyHighsBackend()
+    sol = milp.solve(_knapsack(), backend)
+    assert sol.status == "limit" and math.isnan(sol.objective_value) and not sol.values
+    assert backend.last_run.status == "limit"
+
+
+def test_a_missing_binding_is_named(monkeypatch):
+    """Loading backends afresh with the binding hidden fails at import and
+    names the installed scipy and the version it needs."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    spec = importlib.util.find_spec("rvpp.backends")
+    fresh = importlib.util.module_from_spec(spec)
+    with pytest.raises(milp.SolverUnavailableError, match=rf"scipy>=1\.15.*installed scipy is {scipy.__version__}"):
+        spec.loader.exec_module(fresh)
+
+
+def test_console_exits_2_without_the_binding(tmp_path):
+    hide_then_run = (
+        "import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "from rvpp.__main__ import main\n"
+        "sys.exit(main(['--case', '1', '--season', 'winter', '--out', sys.argv[1]]))\n"
+    )
+    src = str(Path(rvpp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", hide_then_run, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "scipy>=1.15" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "run_manifest.json").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 
 import pytest
 
@@ -295,3 +296,36 @@ def test_write_results_rejects_empty_and_non_finite(tmp_path):
     bad.rows[0].values["objective"] = float("nan")
     with pytest.raises(ValueError, match="non-finite"):
         write_results(bad, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda raw: raw["units"][1].update(min_up=2.5), r"units\[1\]\.min_up: expected an integer, got 2\.5"),
+        (lambda raw: raw["grid"].update(period_count=24.9), r"grid\.period_count: expected an integer, got 24\.9"),
+        (lambda raw: raw["units"][0].update(p_max=math.inf), r"units\[0\]\.p_max: expected a number, got inf"),
+        (lambda raw: raw["units"][0].update(p_max=True), r"units\[0\]\.p_max: expected a number, got True"),
+        (
+            lambda raw: raw["prices"]["winter"]["dam_price"].__setitem__(3, math.nan),
+            r"prices\.winter\.dam_price\[3\]: expected a number, got nan",
+        ),
+    ],
+    ids=["fractional_int", "fractional_grid", "infinite", "boolean", "nan_in_series"],
+)
+def test_value_float_or_int_would_coerce_is_rejected(tmp_path, bundle, mutate, message):
+    raw = broken_copy(bundle)
+    mutate(raw)
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    with pytest.raises(ScenarioFormatError, match=message):
+        load_scenario(path)
+
+
+def test_cli_exits_2_on_an_infinite_capacity(tmp_path, bundle, capsys):
+    raw = broken_copy(bundle)
+    raw["units"][0]["p_max"] = math.inf
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    flags = ["--case", "1", "--season", "winter", "--jobs", "1"]
+    assert cli.main([*flags, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "units[0].p_max" in capsys.readouterr().err
