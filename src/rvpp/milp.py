@@ -8,6 +8,7 @@ handed to backends, so repeated builds of the same model are byte-identical.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -30,6 +31,15 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_LIMIT = "limit"
+
+# LP text takes a name with no whitespace (str.isspace) and none of these
+# operator characters.  A leading digit is tested apart with str.isdigit,
+# which, unlike the pattern's \d, also rejects digits such as "²".
+_LP_NAME = re.compile(r"[^\s+\-:<>=\\]+")
+
+
+def _lp_safe(name: str) -> bool:
+    return _LP_NAME.fullmatch(name) is not None and not name[0].isdigit()
 
 
 class ModelError(ValueError):
@@ -135,7 +145,7 @@ class Model:
             raise ModelError(f"unknown variable kind {kind!r} for {name!r}")
         if name in self._by_name:
             raise ModelError(f"duplicate variable name {name!r}")
-        if not name or any(ch.isspace() or ch in "+-:<>=\\" for ch in name) or name[0].isdigit():
+        if not _lp_safe(name):
             raise ModelError(f"variable name is not LP-safe: {name!r}")
         lower = float(lower)
         upper = float(upper)
@@ -156,7 +166,7 @@ class Model:
             raise ModelError(f"unknown constraint sense {sense!r} for {name!r}")
         if name in self._constraints_by_name:
             raise ModelError(f"duplicate constraint name {name!r}")
-        if not name or any(ch.isspace() or ch in "+-:<>=\\" for ch in name) or name[0].isdigit():
+        if not _lp_safe(name):
             raise ModelError(f"constraint name is not LP-safe: {name!r}")
         rhs = float(rhs)
         if not math.isfinite(rhs):

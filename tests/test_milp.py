@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy import sparse
 from scipy.optimize._highspy import _core as highs
 
 import rvpp
 from rvpp import backends, build_robust_rvpp, milp, strategy_budgets
+from rvpp.sizing import stand_alone
 
 
 def small_lp() -> milp.Model:
@@ -75,6 +77,25 @@ def test_inverted_bounds_rejected():
     m = milp.Model()
     with pytest.raises(milp.ModelError, match="inverted"):
         m.add_variable("x", lower=2.0, upper=1.0)
+
+
+def test_names_must_be_lp_safe():
+    """LP text splits on whitespace and operators and reads a leading digit
+    as a number; any character str.isdigit calls a digit counts."""
+    rejected = ["", " x", "x y", "x\ty", "x\u00a0y", "a+b", "a-b", "a:b", "a<b", "a>b", "a=b", "a\\b",
+                "1x", "9", "\u00b2x", "\u0661x"]
+    accepted = ["x", "x1", "_1", "p_da[3]", "e.max", "x\u00b2", "caf\u00e9", "a/b", "a*b", "a^b", "a,b"]
+    for name in rejected:
+        m = milp.Model()
+        with pytest.raises(milp.ModelError, match="variable name is not LP-safe"):
+            m.add_variable(name)
+        with pytest.raises(milp.ModelError, match="constraint name is not LP-safe"):
+            m.add_constraint(name, milp.LinearExpression(), "<=", 0.0)
+    m = milp.Model()
+    for name in accepted:
+        m.add_variable(name)
+        m.add_constraint(name, milp.LinearExpression(), "<=", 0.0)
+    assert [v.name for v in m.variables] == [c.name for c in m.constraints] == accepted
 
 
 def test_duplicate_names_rejected():
@@ -324,12 +345,77 @@ def test_optimize_records_the_solve():
     assert (run.model, run.rows, run.cols, run.nnz, run.binaries) == ("knapsack", 1, 40, 40, 40)
     assert (run.status, run.mip_gap) == ("optimal", 0.0)
     assert run.mip_node_count >= 0 and run.assembly_s >= 0.0 and run.highs_s > 0.0
+    assert run.lp_iterations > 0
     again = backends.ScipyHighsBackend()
     milp.solve(_knapsack(), again)
     assert again.last_run.digest == run.digest
     other = backends.ScipyHighsBackend()
     milp.solve(small_lp(), other)
     assert other.last_run.digest != run.digest
+
+
+class _PassModelSpy:
+    """Stands in for a session's _Highs and keeps the arguments of passModel."""
+
+    def __init__(self, highs_session):
+        self._highs = highs_session
+        self.args = None
+
+    def passModel(self, *args):
+        self.args = args
+        return self._highs.passModel(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+
+def _winter_portfolio(bundle) -> milp.Model:
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    return build_robust_rvpp(portfolio, scenario, strategy_budgets("optimistic", portfolio))
+
+
+@pytest.mark.parametrize("build", [lambda bundle: _offset_lp(), _winter_portfolio], ids=["offset", "winter"])
+def test_assembly_matches_scipy_sparse(build, bundle):
+    """optimize() hands HiGHS the arrays scipy.sparse.csc_array makes of the
+    same entries, and the digest is the one those arrays give."""
+    model = build(bundle)
+    backend = backends.ScipyHighsBackend()
+    spy = backend.highs = _PassModelSpy(backend.highs)
+    assert milp.solve(model, backend).status == "optimal"
+    n, m, nnz, _, _, _, c, lower, upper, lo, hi, indptr, indices, data, integrality = spy.args
+    entries = [(r, index, coef) for r, con in enumerate(model.constraints) for index, coef in con.expr.terms]
+    rows, cols, coefs = zip(*entries)
+    a = sparse.csc_array((coefs, (rows, cols)), shape=(len(model.constraints), len(model.variables)))
+    assert (m, n) == a.shape and nnz == a.nnz
+    assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+    assert np.array_equal(indptr, a.indptr) and np.array_equal(indices, a.indices)
+    assert data.tobytes() == a.data.tobytes()
+    expected = backends._digest(c, integrality, lower, upper, a.data, a.indices, a.indptr, a.shape, lo, hi)
+    assert backend.last_run.digest == expected
+
+
+def test_a_repeated_column_is_named():
+    """A row built without from_terms may hold a column twice; HiGHS would
+    refuse the matrix, so the assembly names the row and the column."""
+    m = milp.Model(name="dup")
+    x = m.add_variable("x", upper=3.0)
+    m.add_constraint("twice", milp.LinearExpression(((x.index, 1.0), (x.index, 1.0))), "<=", 4.0)
+    m.set_objective(milp.LinearExpression(((x.index, 1.0),)))
+    with pytest.raises(milp.ModelError, match="constraint 'twice' of model 'dup' repeats variable 'x'"):
+        milp.solve(m, backends.ScipyHighsBackend())
+
+
+def test_presolve_stays_on_for_the_optimum(bundle):
+    """Hydro alone, summer/favorable/pessimistic: with presolve off HiGHS 1.12
+    calls 9,693.4 optimal; the optimum, which replays and audits, is higher."""
+    portfolio, scenario = bundle.cell("summer", "favorable")
+    hydro = next(u for u in portfolio.all_units() if u.name == "hydro")
+    alone, budgets = stand_alone(hydro, strategy_budgets("pessimistic", portfolio))
+    backend = backends.ScipyHighsBackend()
+    assert backend.highs.getOptionValue("presolve")[1] == "choose"
+    sol = milp.solve(build_robust_rvpp(alone, scenario, budgets), backend)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(16771.2395, abs=1e-3)
 
 
 def test_time_limit_ends_the_solve(monkeypatch):
@@ -364,3 +450,20 @@ def test_console_exits_2_without_the_binding(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "scipy>=1.15" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """The binding is loaded from its file: scipy.optimize, sparse and linalg
+    stay out of a fresh interpreter that imports the CLI, and a later import
+    through scipy.optimize gets the same module."""
+    check = (
+        "import sys, rvpp.cli\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules]\n"
+        "if loaded: sys.exit(f'imported {loaded}')\n"
+        "from scipy.optimize._highspy import _core\n"
+        "sys.exit(0 if _core is rvpp.backends._core else 'a second binding was loaded')\n"
+    )
+    src = str(Path(rvpp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
