@@ -54,7 +54,6 @@ from .milp import (
 from .oracle import (
     Realization,
     audit_robust_feasibility,
-    budget_subsets,
     replay_schedule,
     worst_case_profit,
 )
@@ -98,7 +97,6 @@ _NEEDS_HIGHS = {
             "SizingResult",
             "aggregation_gap",
             "audited_schedule",
-            "individual_profit",
             "price_only_budgets",
             "size_es_to_match",
         ),
@@ -155,7 +153,6 @@ __all__ = [
     "audit_robust_feasibility",
     "audited_schedule",
     "aggregation_gap",
-    "budget_subsets",
     "build_deterministic_es",
     "build_deterministic_rvpp",
     "build_robust_es",
@@ -164,7 +161,6 @@ __all__ = [
     "export_lp_text",
     "extract_es_schedule",
     "extract_rvpp_schedule",
-    "individual_profit",
     "load_scenario",
     "price_only_budgets",
     "relaxation_probe",

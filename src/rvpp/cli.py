@@ -8,12 +8,15 @@ sizes the matching storage fleet.  Case 4 emits the sized fleet's flows and
 state of charge.  Both take the sized fleet from `sizing.sized_from_module`,
 which replays and re-prices it before a sizing column is written.
 
-A sweep runs as a flat solve plan.  Each cell lists the solves it needs, keyed
-by what defines the model (`Solve`).  Each distinct key is solved once,
-heaviest kind first, on up to --jobs worker processes (default: every usable
-CPU, capped at the number of distinct solves).  The cells then assemble their
-rows by arithmetic on the shared results: sizing takes its module count from
-the one-module solve, so case 4 shares every solve with case 3.
+A sweep runs as a flat solve plan.  Each cell lists the solves it needs as
+`sizing.Solve` keys, planned by `sizing.gap_solves` and `sizing.module_solve`
+as the library's `aggregation_gap` and `size_es_to_match` plan them.  Each
+distinct key is solved once, heaviest kind first, on up to --jobs worker
+processes (default: every usable CPU, capped at the number of distinct
+solves); a key carries its market scenario, so a worker needs nothing else.
+The cells then assemble their rows by arithmetic on the shared results
+(`sizing.GapReport.of`, `sizing.sized_from_module`): sizing takes its module
+count from the one-module solve, so case 4 shares every solve with case 3.
 
 Every schedule is replayed and audited before anything is written; a failed
 solve fails the cells that need it while the remaining cells still produce
@@ -30,12 +33,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import lru_cache
+from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
 
 from .backends import session_options
-from .domain import REGIMES, SEASONS, STRATEGIES, BudgetSet, EsUnit, Portfolio, strategy_budgets
+from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
 from .scenario_io import (
     ResultRow,
     ResultsTable,
@@ -47,48 +49,17 @@ from .scenario_io import (
     scale_flexible_demand,
     write_results,
 )
-from .sizing import (
-    audited_schedule,
-    one_module_schedule,
-    price_only_budgets,
-    sized_from_module,
-    stand_alone,
-)
+from .sizing import GapReport, Solve, gap_solves, module_solve, sized_from_module
 
 CASES = (1, 2, 3, 4)
 ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
 CONFIG_CHOICES = ("full",) + ABLATIONS
 DEFAULT_FD_SCALES = (0.0, 50.0, 100.0, 150.0)
+GAP_COLUMNS = ("rvpp_profit", "sum_individual", "gap")  # how a GapReport unpacks
 
 
 class CellError(RuntimeError):
     """A sweep cell could not produce an audited result."""
-
-
-class Solve(NamedTuple):
-    """What defines one model of the plan; equal keys are the same model."""
-
-    season: str
-    regime: str
-    subject: Portfolio | EsUnit  # a portfolio, one unit's alone, or the storage module
-    budgets: BudgetSet | None  # None: the deterministic model
-    switch: bool  # literal_3c, or symmetric_sigma_margins for the storage module
-
-    def weight(self) -> int:
-        """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
-        if isinstance(self.subject, EsUnit) or len(self.subject.all_units()) == 1:
-            return 2
-        return 0 if self.budgets is not None else 1
-
-    def label(self) -> str:
-        if isinstance(self.subject, EsUnit):
-            return f"storage module {self.subject.name}"
-        return "+".join(self.subject.unit_names())
-
-
-@lru_cache(maxsize=4)
-def _bundle(path: str):
-    return load_scenario(path)
 
 
 def _isolated(fn, *args):
@@ -100,34 +71,18 @@ def _isolated(fn, *args):
 
 
 def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
-    if config == "full":
-        return portfolio
-    if config == "no_drs":
-        return Portfolio(ndrs=portfolio.ndrs, csp=portfolio.csp, fd=portfolio.fd)
-    if config == "no_ndrs":
-        return Portfolio(drs=portfolio.drs, csp=portfolio.csp, fd=portfolio.fd)
-    if config == "no_csp":
-        return Portfolio(drs=portfolio.drs, ndrs=portfolio.ndrs, fd=portfolio.fd)
-    if config == "no_fd":
-        return Portfolio(drs=portfolio.drs, ndrs=portfolio.ndrs, csp=portfolio.csp)
-    raise CellError(f"unknown configuration {config!r}")
+    """The portfolio without the unit class an ablation ("no_fd", ...) names."""
+    return replace(portfolio, **{config.removeprefix("no_"): ()})
 
 
-def _solve(path: str, key: Solve):
-    _, scenario = _bundle(path).cell(key.season, key.regime)
-    if isinstance(key.subject, EsUnit):
-        return one_module_schedule(key.subject, scenario, key.budgets, symmetric_sigma_margins=key.switch)
-    return audited_schedule(key.subject, scenario, key.budgets, literal_3c=key.switch)
-
-
-def run_cell(task: dict) -> dict:
+def run_cell(key: Solve) -> dict:
     """Run one solve of the plan: its schedule or its error, and its seconds.
 
     Runs in a worker process when the sweep has more than one worker, so the
-    task and the returned dict stay picklable.
+    key and the returned dict stay picklable.
     """
     started = time.perf_counter()
-    schedule, error = _isolated(_solve, task["scenario"], task["solve"])
+    schedule, error = _isolated(key.run)
     return {"schedule": schedule, "error": error, "seconds": time.perf_counter() - started}
 
 
@@ -138,8 +93,7 @@ def _plan_cell(task: dict, bundle) -> dict:
     stand-alone solve per unit; "full" comes first.  In cases 3 and 4 also the
     storage module's one-module solve, which sizing scales.
     """
-    portfolio, _ = bundle.cell(task["season"], task["regime"])
-    at = (task["season"], task["regime"])
+    portfolio, scenario = bundle.cell(task["season"], task["regime"])
     case, strategy = task["case"], task["strategy"]
     variants = [("full", portfolio)]
     if case == 3:
@@ -154,17 +108,16 @@ def _plan_cell(task: dict, bundle) -> dict:
         if sub.is_empty():
             raise CellError(f"configuration {config} leaves no units")
         budgets = None if strategy == "deterministic" else strategy_budgets(strategy, sub)
-        units = ()
         if case in (3, 4):
-            units = tuple(Solve(*at, *stand_alone(u, budgets), task["literal_3c"]) for u in sub.all_units())
-        configs.append((config, Solve(*at, sub, budgets, task["literal_3c"]), units))
+            configs.append((config, *gap_solves(sub, scenario, budgets, task["literal_3c"])))
+        else:
+            configs.append((config, Solve(scenario, sub, budgets, task["literal_3c"]), ()))
     module = bundle.es_module
     if case == 4 and module is None:
         raise CellError("scenario file ships no storage module")
     es = None
     if case in (3, 4) and module is not None:
-        budgets = price_only_budgets(strategy_budgets(strategy, portfolio))
-        es = Solve(*at, module, budgets, task["symmetric_sigma_margins"])
+        es = module_solve(module, scenario, strategy_budgets(strategy, portfolio), task["symmetric_sigma_margins"])
     return {"configs": configs, "module": es}
 
 
@@ -212,34 +165,24 @@ def _market_series(key: dict, schedule, include_units: bool) -> list[SeriesRow]:
     return rows
 
 
-def _gap_values(solved, key: Solve, units: tuple[Solve, ...]) -> tuple[dict, dict]:
-    """Aggregated profit, sum of stand-alone profits and gap; and the unit profits."""
-    rvpp = solved(key).objective_value
-    per_unit = {f"unit_{k.subject.unit_names()[0]}": solved(k).objective_value for k in units}
-    total = sum(per_unit.values())
-    return {"rvpp_profit": rvpp, "sum_individual": total, "gap": rvpp - total}, per_unit
-
-
-def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
+def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
     """A cell's result rows and series, by arithmetic on its solved schedules."""
-    _, scenario = bundle.cell(task["season"], task["regime"])
-    dt = scenario.grid.delta_t
     case = task["case"]
     key = dict(case=str(case), season=task["season"], regime=task["regime"], strategy=task["strategy"])
     _, full, units = plan["configs"][0]
+    dt = full.scenario.grid.delta_t
     if case in (1, 2):
         schedule = solved(full)
         kf = dict(key, configuration="full")
         return [ResultRow(values=_market_values(schedule, dt), **kf)], _market_series(kf, schedule, case == 1)
 
-    values, per_unit = _gap_values(solved, full, units)
+    report = GapReport.of(solved, full, units)
     sized = None
     if plan["module"] is not None:
-        mod = plan["module"]
-        sized = sized_from_module(values["gap"], solved(mod), mod.subject, scenario, mod.budgets, task["max_modules"],
-                                  symmetric_sigma_margins=mod.switch)
+        sized = sized_from_module(report.gap, solved(plan["module"]), plan["module"], task["max_modules"])
     if case == 3:
-        values.update(per_unit)
+        values = dict(zip(GAP_COLUMNS, report))
+        values.update((f"unit_{name}", profit) for name, profit in report.per_unit)
         if sized is not None:
             values.update(
                 module_count=float(sized.module_count),
@@ -249,14 +192,15 @@ def _cell_rows(task: dict, plan: dict, solved, bundle) -> tuple[list, list]:
             )
         rows = [ResultRow(values=values, **dict(key, configuration="full"))]
         for config, sub, sub_units in plan["configs"][1:]:
-            rows.append(ResultRow(values=_gap_values(solved, sub, sub_units)[0], **dict(key, configuration=config)))
+            values = dict(zip(GAP_COLUMNS, GapReport.of(solved, sub, sub_units)))
+            rows.append(ResultRow(values=values, **dict(key, configuration=config)))
         return rows, []
 
     kf = dict(key, configuration="sized_es")
     es = sized.schedule
     row = ResultRow(
         values={
-            "lower_bound_profit": values["gap"],
+            "lower_bound_profit": report.gap,
             "module_count": float(sized.module_count),
             "fleet_e_max_mwh": sized.fleet_e_max,
             "es_objective": es.objective_value,
@@ -367,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     try:
-        bundle = _bundle(args.scenario)
+        bundle = load_scenario(args.scenario)
         tasks = _expand_tasks(args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     # No solve runs in this process before the pool forks.
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        results = dict(zip(order, run(run_cell, [{"scenario": args.scenario, "solve": k} for k in order])))
+        results = dict(zip(order, run(run_cell, order)))
 
     def solved(key: Solve):
         res = results[key]
@@ -398,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         if plan is not None:
             # Solve seconds the cell rests on, shared solves counted in full.
             seconds = sum(results[k]["seconds"] for k in set(_needs(plan)))
-            out, error = _isolated(_cell_rows, t, plan, solved, bundle)
+            out, error = _isolated(_cell_rows, t, plan, solved)
         entry = {
             "case": t["case"],
             "season": t["season"],

@@ -132,7 +132,7 @@ class Model:
         # Free-form build metadata (scenario handles, decode hints).  Not exported.
         self.tags: dict = {}
         self._by_name: dict[str, Variable] = {}
-        self._constraints_by_name: dict[str, Constraint] = {}
+        self._constraint_names: set[str] = set()
 
     def add_variable(
         self,
@@ -164,7 +164,7 @@ class Model:
     def add_constraint(self, name: str, expr: LinearExpression, sense: str, rhs: float) -> Constraint:
         if sense not in _SENSES:
             raise ModelError(f"unknown constraint sense {sense!r} for {name!r}")
-        if name in self._constraints_by_name:
+        if name in self._constraint_names:
             raise ModelError(f"duplicate constraint name {name!r}")
         if not _lp_safe(name):
             raise ModelError(f"constraint name is not LP-safe: {name!r}")
@@ -180,7 +180,7 @@ class Model:
                 raise ModelError(f"non-finite coefficient in constraint {name!r}")
         con = Constraint(name, expr, sense, rhs)
         self.constraints.append(con)
-        self._constraints_by_name[name] = con
+        self._constraint_names.add(name)
         return con
 
     def set_objective(self, expr: LinearExpression, direction: str = MAXIMIZE) -> None:
@@ -199,12 +199,6 @@ class Model:
             return self._by_name[name]
         except KeyError:
             raise ModelError(f"no variable named {name!r}") from None
-
-    def constraint(self, name: str) -> Constraint:
-        try:
-            return self._constraints_by_name[name]
-        except KeyError:
-            raise ModelError(f"no constraint named {name!r}") from None
 
     def binary_count(self) -> int:
         return sum(1 for v in self.variables if v.kind == BINARY)

@@ -12,7 +12,6 @@ layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -40,11 +39,6 @@ class Realization:
 
     def price_loss_total(self) -> float:
         return self.dam_loss + self.sr_up_loss + self.sr_dn_loss
-
-
-def budget_subsets(period_count: int, gamma: int):
-    """All cardinality-gamma period subsets, lexicographic."""
-    return combinations(range(period_count), gamma)
 
 
 def _price_losses(schedule, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

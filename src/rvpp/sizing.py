@@ -9,6 +9,14 @@ optimum.  Sizing therefore solves one module for its profit p1, takes the
 smallest N with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and
 returns the one-module schedule scaled by N.
 
+Each model is named by a `Solve` key: the market scenario, the subject (a
+portfolio, one unit's stand-alone portfolio, or the storage module), the
+budgets and the one switch the model reads.  `gap_solves` and `module_solve`
+plan the keys of a gap and of a fleet; `GapReport.of` and `sized_from_module`
+turn solved keys into numbers.  `aggregation_gap` and `size_es_to_match`
+solve their keys with `Solve.run`; the command-line sweep plans the same keys
+for many cells and solves each distinct one once.
+
 Every portfolio and stand-alone unit profit comes from `audited_schedule`,
 which replays the schedule against the raw inputs and audits a robust one
 against its dominant quantity realization before the profit is used.  Every
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import backends
 from .domain import (
@@ -63,6 +72,14 @@ class GapReport:
     def __iter__(self):
         return iter((self.rvpp_profit, self.sum_individual, self.gap))
 
+    @classmethod
+    def of(cls, solved, key: Solve, units: tuple[Solve, ...]) -> GapReport:
+        """The gap of key's portfolio over its units' stand-alone keys, where
+        solved(key) gives a key's schedule."""
+        rvpp = solved(key).objective_value
+        per_unit = tuple((k.subject.unit_names()[0], solved(k).objective_value) for k in units)
+        return cls(rvpp_profit=rvpp, sum_individual=sum(v for _, v in per_unit), per_unit=per_unit)
+
 
 @dataclass(frozen=True)
 class SizingResult:
@@ -84,6 +101,36 @@ class SizingResult:
 
     def fleet(self, module: EsUnit) -> EsFleet:
         return EsFleet(module, self.module_count)
+
+
+class Solve(NamedTuple):
+    """What defines one model; equal keys are the same model."""
+
+    scenario: MarketScenario
+    subject: Portfolio | EsUnit  # a portfolio, one unit's alone, or the storage module
+    budgets: BudgetSet | None  # None: the deterministic model
+    switch: bool  # literal_3c, or symmetric_sigma_margins for the storage module
+
+    def weight(self) -> int:
+        """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
+        if isinstance(self.subject, EsUnit) or len(self.subject.all_units()) == 1:
+            return 2
+        return 0 if self.budgets is not None else 1
+
+    def label(self) -> str:
+        if isinstance(self.subject, EsUnit):
+            return f"storage module {self.subject.name}"
+        return "+".join(self.subject.unit_names())
+
+    def run(self) -> RvppSchedule | EsSchedule:
+        """The audited portfolio schedule, or the price-robust one-module schedule."""
+        if not isinstance(self.subject, EsUnit):
+            return audited_schedule(self.subject, self.scenario, self.budgets, literal_3c=self.switch)
+        m = build_robust_es(EsFleet(self.subject, 1), self.scenario, self.budgets, symmetric_sigma_margins=self.switch)
+        sol = _solved(m)
+        if sol.status != "optimal":
+            raise SizingError(f"one-module fleet solve ended {sol.status}")
+        return extract_es_schedule(m, sol)
 
 
 def _singleton(unit) -> Portfolio:
@@ -168,31 +215,28 @@ def audited_schedule(
     return schedule
 
 
-def individual_profit(
-    unit,
+def gap_solves(
+    portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    **build_kwargs,
-) -> float:
-    """Stand-alone robust profit of one unit facing the same markets."""
-    portfolio, b = stand_alone(unit, budgets)
-    return audited_schedule(portfolio, scenario, b, **build_kwargs).objective_value
+    literal_3c: bool,
+) -> tuple[Solve, tuple[Solve, ...]]:
+    """The portfolio's key and one stand-alone key per unit; budget entries
+    naming units outside the portfolio are dropped."""
+    budgets = _budgets_for(budgets, set(portfolio.unit_names()))
+    units = tuple(Solve(scenario, *stand_alone(u, budgets), literal_3c) for u in portfolio.all_units())
+    return Solve(scenario, portfolio, budgets, literal_3c), units
 
 
 def aggregation_gap(
     portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    **build_kwargs,
+    *,
+    literal_3c: bool = False,
 ) -> GapReport:
     """Aggregated robust profit vs the sum of stand-alone robust profits."""
-    budgets = _budgets_for(budgets, set(portfolio.unit_names()))
-    rvpp = audited_schedule(portfolio, scenario, budgets, **build_kwargs).objective_value
-    per_unit = []
-    for unit in portfolio.all_units():
-        per_unit.append((unit.name, individual_profit(unit, scenario, budgets, **build_kwargs)))
-    total = sum(v for _, v in per_unit)
-    return GapReport(rvpp_profit=rvpp, sum_individual=total, per_unit=tuple(per_unit))
+    return GapReport.of(Solve.run, *gap_solves(portfolio, scenario, budgets, literal_3c))
 
 
 def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> int:
@@ -219,31 +263,19 @@ def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> in
     return count
 
 
-def one_module_schedule(
+def module_solve(
     module: EsUnit,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    **build_kwargs,
-) -> EsSchedule:
-    """Price-robust schedule of a single module; any per-unit budgets are dropped."""
-    m = build_robust_es(EsFleet(module, 1), scenario, price_only_budgets(budgets), **build_kwargs)
-    sol = _solved(m)
-    if sol.status != "optimal":
-        raise SizingError(f"one-module fleet solve ended {sol.status}")
-    return extract_es_schedule(m, sol)
+    symmetric_sigma_margins: bool,
+) -> Solve:
+    """The one-module storage key; any per-unit budgets are dropped."""
+    return Solve(scenario, module, price_only_budgets(budgets), symmetric_sigma_margins)
 
 
-def sized_from_module(
-    gap: float,
-    one: EsSchedule,
-    module: EsUnit,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    max_modules: int,
-    *,
-    symmetric_sigma_margins: bool = True,
-) -> SizingResult:
-    """The smallest fleet covering gap, by arithmetic on the one-module schedule.
+def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int) -> SizingResult:
+    """The smallest fleet covering gap, by arithmetic on one, the schedule of
+    the one-module key.
 
     The scaled schedule is replayed against the fleet it was scaled to, and
     its objective is re-priced twice: by the worst case of its flows under the
@@ -251,11 +283,12 @@ def sized_from_module(
     flows only, so it cannot see a wrong dual).  ScheduleError names a
     residual or a price that disagrees.
     """
+    module, scenario, budgets = key.subject, key.scenario, key.budgets
     p1 = one.objective_value
     count = _module_count(gap, p1, module, max_modules)
     schedule = one.scaled(count)
     fleet = EsFleet(module, count)
-    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=symmetric_sigma_margins)
+    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=key.switch)
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
         raise ScheduleError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
@@ -283,7 +316,8 @@ def size_es_to_match(
     scenario: MarketScenario,
     budgets: BudgetSet,
     max_modules: int = 2000,
-    **build_kwargs,
+    *,
+    symmetric_sigma_margins: bool = True,
 ) -> SizingResult:
     """Smallest module_count whose robust fleet profit reaches the gap.
 
@@ -296,6 +330,5 @@ def size_es_to_match(
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
-    budgets = price_only_budgets(budgets)
-    one = one_module_schedule(module, scenario, budgets, **build_kwargs)
-    return sized_from_module(gap, one, module, scenario, budgets, max_modules, **build_kwargs)
+    key = module_solve(module, scenario, budgets, symmetric_sigma_margins)
+    return sized_from_module(gap, key.run(), key, max_modules)

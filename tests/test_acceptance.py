@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from rvpp import (
     BudgetSet,
     EsFleet,
     audit_robust_feasibility,
-    budget_subsets,
     cli,
     price_only_budgets,
     replay_schedule,
@@ -164,7 +164,7 @@ def test_robust_objective_equals_worst_case_replay(robust_rvpp, winter_cell, es_
     toy = solve_rvpp(toy_p, toy_s, toy_b)
     wc, _ = worst_case_profit(toy, toy_s, toy_b)
     losses = [devs[t] * toy.p_da[t] for t in range(6)]
-    subsets = list(budget_subsets(6, 2))
+    subsets = list(combinations(range(6), 2))
     assert len(subsets) == 15
     brute = toy.nominal_profit - max(sum(losses[t] for t in sub) for sub in subsets)
     assert wc == pytest.approx(brute, abs=1e-12)
@@ -202,12 +202,20 @@ def test_robust_schedules_survive_adversarial_audit(robust_rvpp, winter_cell):
 
 def test_storage_sizing_minimal_and_monotone(sweep, winter_cell, bundle):
     """The sized fleet covers the coordination gap, one module fewer does
-    not, and sizes grow as budgets tighten."""
+    not, and sizes grow as budgets tighten.  The library's gap and fleet are
+    the ones the sweep writes."""
     portfolio, scenario = winter_cell
     budgets = strategy_budgets("optimistic", portfolio)
     gap = aggregation_gap(portfolio, scenario, budgets)
     sized = size_es_to_match(gap.gap, bundle.es_module, scenario, budgets)
     assert sized.minimality_checked
+    row = {
+        (r["case"], r["configuration"]): r
+        for r in sweep.rows
+        if (r["season"], r["regime"], r["strategy"]) == ("winter", "favorable", "optimistic")
+    }
+    assert abs(gap.gap - float(row["3", "full"]["gap"])) <= _csv_tol(gap.gap)
+    assert sized.module_count == int(float(row["4", "sized_es"]["module_count"]))
     price_b = price_only_budgets(budgets)
     at_n = solve_es(EsFleet(bundle.es_module, sized.module_count), scenario, price_b)
     assert at_n.objective_value >= gap.gap - 1e-9

@@ -118,10 +118,11 @@ def test_rejects_bad_flags(tmp_path):
     )
     for count in ("0", "-1"):
         assert cli.main(["--max-modules", count, "--out", str(tmp_path / f"m{count}")]) == 2
-    # The solver is not selectable.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--backend", "scipy", "--out", str(tmp_path / "b")])
-    assert exc.value.code == 2
+    # The solver is not selectable, and an ablation must name a unit class.
+    for flags in (["--backend", "scipy"], ["--case", "3", "--config", "no_wind"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*flags, "--out", str(tmp_path / "b")])
+        assert exc.value.code == 2
 
 
 def test_case4_needs_a_storage_module(tmp_path, bundle):

@@ -103,6 +103,10 @@ def test_duplicate_names_rejected():
     m.add_variable("x")
     with pytest.raises(milp.ModelError, match="duplicate"):
         m.add_variable("x")
+    m.add_constraint("c", milp.LinearExpression(), "<=", 1.0)
+    with pytest.raises(milp.ModelError, match="duplicate constraint name 'c'"):
+        m.add_constraint("c", milp.LinearExpression(), "<=", 1.0)
+    assert len(m.constraints) == 1
 
 
 def test_unknown_variable_in_constraint_rejected():

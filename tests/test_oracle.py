@@ -11,7 +11,6 @@ import pytest
 from rvpp import (
     BudgetSet,
     audit_robust_feasibility,
-    budget_subsets,
     replay_schedule,
     strategy_budgets,
     worst_case_profit,
@@ -189,9 +188,3 @@ def test_replay_is_clean_then_catches_injected_faults():
     broken = replay_schedule(fresh, portfolio, scenario)
     assert broken["fd_envelope"] >= 1.0 - 1e-9
 
-
-def test_budget_subsets_counts():
-    assert len(list(budget_subsets(6, 2))) == 15
-    assert len(list(budget_subsets(4, 2))) == 6
-    assert list(budget_subsets(5, 0)) == [()]
-    assert len(list(budget_subsets(5, 5))) == 1

@@ -17,7 +17,6 @@ from rvpp import (
     SizingError,
     ZERO_BUDGETS,
     aggregation_gap,
-    individual_profit,
     price_only_budgets,
     size_es_to_match,
 )
@@ -47,12 +46,14 @@ def test_uncoupled_generators_add_up_exactly():
 
 def test_flexible_demand_alone_pays_for_energy():
     load = FdUnit("ld", profiles=((3.0,) * 6,), deviation=(0.2,) * 6)
-    assert individual_profit(load, spiky_market(), ZERO_BUDGETS) < 0.0
+    report = aggregation_gap(Portfolio(fd=(load,)), spiky_market(), ZERO_BUDGETS)
+    assert dict(report.per_unit)["ld"] < 0.0
 
 
 def test_individual_profit_arithmetic():
     # 24 periods x 40 MW x 10 EUR/MWh.
-    assert individual_profit(wind(24, upper=40.0), market(24), ZERO_BUDGETS) == pytest.approx(9600.0)
+    report = aggregation_gap(Portfolio(ndrs=(wind(24, upper=40.0),)), market(24), ZERO_BUDGETS)
+    assert dict(report.per_unit)["wf"] == pytest.approx(9600.0)
 
 
 def test_gap_is_never_negative_randomized():
