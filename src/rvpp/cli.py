@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -86,6 +87,11 @@ def run_cell(key: Solve) -> dict:
     return {"schedule": schedule, "error": error, "seconds": time.perf_counter() - started}
 
 
+def _fd_label(pct: float) -> str:
+    """The configuration label of a case-3 flexible-demand scale in percent."""
+    return f"fd_{int(pct):03d}"
+
+
 def _plan_cell(task: dict, bundle) -> dict:
     """The solves one cell needs.
 
@@ -99,7 +105,7 @@ def _plan_cell(task: dict, bundle) -> dict:
     if case == 3:
         variants += [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
         variants += [
-            (f"fd_{int(pct):03d}", scale_flexible_demand(portfolio, pct / 100.0))
+            (_fd_label(pct), scale_flexible_demand(portfolio, pct / 100.0))
             for pct in task["fd_scales"]
             if pct != 100.0
         ]
@@ -305,10 +311,19 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < 1:
             print(f"error: {flag} must be at least 1", file=sys.stderr)
             return 2
+    fd_labels: dict[str, float] = {}
     for pct in args.fd_scale:
-        if pct < 0:
-            print(f"error: --fd-scale {pct} is negative", file=sys.stderr)
+        if not 0 <= pct < math.inf:
+            print(f"error: --fd-scale {pct} must be a finite number of at least 0", file=sys.stderr)
             return 2
+        if pct == 100.0:  # the full configuration; it adds no fd_NNN row
+            continue
+        label = _fd_label(pct)
+        if label in fd_labels:
+            print(f"error: --fd-scale {fd_labels[label]} and {pct} would share the label {label}",
+                  file=sys.stderr)
+            return 2
+        fd_labels[label] = pct
 
     try:
         bundle = load_scenario(args.scenario)

@@ -109,6 +109,19 @@ def test_case3_row_arithmetic(tmp_path, bundle):
     )
 
 
+def test_rejects_fd_scales_without_their_own_label(tmp_path, capsys):
+    for scales, named in (
+        (["nan"], "--fd-scale nan must be a finite number"),
+        (["inf"], "--fd-scale inf must be a finite number"),
+        (["12.2", "12.7"], "--fd-scale 12.2 and 12.7 would share the label fd_012"),
+        (["50", "50"], "--fd-scale 50.0 and 50.0 would share the label fd_050"),
+    ):
+        flags = [arg for pct in scales for arg in ("--fd-scale", pct)]
+        assert cli.main(["--case", "3", *flags, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_rejects_bad_flags(tmp_path):
     assert cli.main(["--jobs", "0", "--out", str(tmp_path / "x")]) == 2
     assert cli.main(["--fd-scale", "-5", "--out", str(tmp_path / "y")]) == 2
@@ -299,6 +312,8 @@ def test_manifest_records_the_highs_options(tmp_path):
         "mip_rel_gap": 0.0,
         "mip_heuristic_run_rins": False,
         "mip_heuristic_run_rens": False,
+        "mip_allow_restart": False,
+        "mip_heuristic_run_feasibility_jump": False,
         "time_limit": backends.SOLVE_TIME_LIMIT_S,
     }
 

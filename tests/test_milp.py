@@ -336,7 +336,8 @@ def test_every_session_runs_the_same_options():
     highs = backends.ScipyHighsBackend().highs
     assert highs.getOptionValue("mip_heuristic_run_rins")[1] is False
     assert highs.getOptionValue("mip_heuristic_run_rens")[1] is False
-    assert highs.getOptionValue("mip_allow_restart")[1] is True
+    assert highs.getOptionValue("mip_allow_restart")[1] is False
+    assert highs.getOptionValue("mip_heuristic_run_feasibility_jump")[1] is False
     assert highs.getOptionValue("mip_rel_gap")[1] == 0.0
     assert highs.getOptionValue("time_limit")[1] == backends.SOLVE_TIME_LIMIT_S
 
@@ -420,6 +421,22 @@ def test_presolve_stays_on_for_the_optimum(bundle):
     sol = milp.solve(build_robust_rvpp(alone, scenario, budgets), backend)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(16771.2395, abs=1e-3)
+
+
+def test_session_options_change_the_search_not_the_optimum(bundle):
+    """The robust winter/favorable/balanced portfolio reaches the same optimum
+    as a session left at HiGHS's defaults but for the zero MIP gap."""
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    budgets = strategy_budgets("balanced", portfolio)
+    ours = milp.solve(build_robust_rvpp(portfolio, scenario, budgets), backends.ScipyHighsBackend())
+    plain = backends.ScipyHighsBackend()
+    plain.highs = highs._Highs()
+    for key, value in (("mip_rel_gap", 0.0), ("log_to_console", False)):
+        assert plain.highs.setOptionValue(key, value) == highs.HighsStatus.kOk
+    ref = milp.solve(build_robust_rvpp(portfolio, scenario, budgets), plain)
+    assert plain.highs.getOptionValue("mip_allow_restart")[1] is True
+    assert (ours.status, ref.status) == ("optimal", "optimal")
+    assert ours.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
 
 
 def test_time_limit_ends_the_solve(monkeypatch):

@@ -7,6 +7,7 @@ import csv
 import math
 
 import pytest
+import yaml
 
 import rvpp.cli as cli
 from rvpp import (
@@ -163,6 +164,17 @@ def test_schema_version_checked(tmp_path, bundle):
 def test_missing_file_reported():
     with pytest.raises(ScenarioFormatError, match="not found"):
         load_scenario("/nonexistent/scenario.yaml")
+
+
+def test_pure_python_yaml_loader_parses_alike(tmp_path, bundle, monkeypatch):
+    truncated = tmp_path / "truncated.yaml"
+    truncated.write_text("a: [1, 2\n")
+    with pytest.raises(ScenarioFormatError, match="not valid YAML"):
+        load_scenario(truncated)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_scenario(default_scenario_path()).raw == bundle.raw
+    with pytest.raises(ScenarioFormatError, match="not valid YAML"):
+        load_scenario(truncated)
 
 
 def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
