@@ -48,7 +48,6 @@ from .milp import (
     SolverUnavailableError,
     Variable,
     export_lp_text,
-    relaxation_probe,
     solve,
 )
 from .oracle import (
@@ -163,7 +162,6 @@ __all__ = [
     "extract_rvpp_schedule",
     "load_scenario",
     "price_only_budgets",
-    "relaxation_probe",
     "replay_schedule",
     "save_scenario",
     "scale_flexible_demand",

@@ -1,8 +1,9 @@
 """The solver backend: one HiGHS session through scipy's HiGHS binding.
 
 A ScipyHighsBackend is one solve session: load one model, optimize, then
-query status, objective_value and values.  milp.solve only calls those
-methods (and reads name), so tests hand it a subclass that lies.
+query status, objective_value and values, or relaxed_rows after an
+infeasible end.  milp.solve only calls the first four (and reads name), so
+tests hand it a subclass that lies.
 
 The session drives `scipy.optimize._highspy._core._Highs` itself rather than
 `scipy.optimize.milp`, which cannot switch off HiGHS's RINS and RENS
@@ -32,6 +33,7 @@ import numpy as np
 
 from .milp import (
     BINARY,
+    FEASIBILITY_TOL,
     MAXIMIZE,
     SENSE_GE,
     SENSE_LE,
@@ -255,6 +257,32 @@ class ScipyHighsBackend:
         if self._status != STATUS_OPTIMAL:
             raise BackendError(f"no values in status {self._status!r}")
         return {i: float(v) for i, v in enumerate(self.highs.getSolution().col_value)}
+
+    def relaxed_rows(self) -> dict[str, float]:
+        """{row name: violation} of the cheapest relaxation that restores
+        feasibility, for each violation above FEASIBILITY_TOL.
+
+        Valid only after optimize() ended infeasible.  HiGHS's feasibility
+        relaxation runs in this session: it relaxes no column bound (negative
+        penalties), prices each unit a row leaves its bounds at 1, and keeps
+        binaries binary; this is Chinneck's elastic filter.  It is not an
+        irreducible infeasible subsystem, and equal-cost relaxations may tie.
+        The session's model is left unchanged.
+        """
+        if self._status != STATUS_INFEASIBLE:
+            raise BackendError(f"no relaxation in status {self._status!r}")
+        model = self._model
+        assert model is not None
+        highs = self.highs
+        relaxed = highs.feasibilityRelaxation(-1.0, -1.0, 1.0)
+        solution = highs.getSolution()
+        if relaxed != _core.HighsStatus.kOk or not solution.value_valid:
+            raise BackendError(f"HiGHS could not relax infeasible model {model.name!r}: {relaxed}")
+        lp = highs.getLp()
+        row = np.asarray(solution.row_value)
+        violation = np.maximum(np.asarray(lp.row_lower_) - row, row - np.asarray(lp.row_upper_))
+        violated = np.flatnonzero(violation > FEASIBILITY_TOL)
+        return {model.constraints[r].name: float(violation[r]) for r in violated}
 
 
 def _csc(model: Model, rows: list[int], cols: list[int], data: list[float]):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -114,7 +113,6 @@ class Solution:
     status: str
     objective_value: float
     values: dict[int, float]
-    solve_seconds: float
 
     def value_of(self, var: Variable) -> float:
         return self.values[var.index]
@@ -265,17 +263,17 @@ def solve(model: Model, backend) -> Solution:
 
     On an optimal status every value is validated against its bounds (within
     1e-6) and the objective is recomputed from the values; a backend whose
-    reported objective disagrees beyond 1e-5 relative is rejected.
+    reported objective disagrees beyond 1e-5 relative is rejected.  Any other
+    status comes back with a NaN objective and no values; the caller decides
+    what it means.
     """
-    start = time.perf_counter()
     backend.load(model)
     backend.optimize()
-    elapsed = time.perf_counter() - start
     status = backend.status()
     if status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED, STATUS_LIMIT):
         raise BackendError(f"backend {backend.name!r} reported unknown status {status!r}")
     if status != STATUS_OPTIMAL:
-        return Solution(status, math.nan, {}, elapsed)
+        return Solution(status, math.nan, {})
     values = dict(backend.values())
     for var in model.variables:
         try:
@@ -295,48 +293,5 @@ def solve(model: Model, backend) -> Solution:
             f"backend {backend.name!r} objective {reported} disagrees with "
             f"recomputed {recomputed}"
         )
-    return Solution(STATUS_OPTIMAL, reported, values, elapsed)
+    return Solution(STATUS_OPTIMAL, reported, values)
 
-
-def relaxation_probe(model: Model, backend_factory) -> dict[str, float]:
-    """Diagnose an infeasible model by elastifying every constraint.
-
-    Adds nonnegative slack columns to each row, minimizes total slack, and
-    reports the constraints that still need slack (name -> slack used).  The
-    incoming model is not modified.  backend_factory must build a fresh
-    backend per call.
-    """
-    relaxed = Model(name=f"{model.name}__relaxed")
-    for var in model.variables:
-        relaxed.add_variable(var.name, var.kind, var.lower, var.upper)
-    slack_for: dict[str, list[int]] = {}
-    slack_terms: list[tuple[int, float]] = []
-    for con in model.constraints:
-        ids: list[int] = []
-        if con.sense in (SENSE_LE, SENSE_EQ):
-            ids.append(relaxed.add_variable(f"__relax_dn__{con.name}", CONTINUOUS, 0.0, math.inf).index)
-        if con.sense in (SENSE_GE, SENSE_EQ):
-            ids.append(relaxed.add_variable(f"__relax_up__{con.name}", CONTINUOUS, 0.0, math.inf).index)
-        slack_for[con.name] = ids
-        slack_terms.extend((i, 1.0) for i in ids)
-    for con in model.constraints:
-        terms = list(con.expr.terms)
-        ids = slack_for[con.name]
-        if con.sense == SENSE_LE:
-            terms.append((ids[0], -1.0))
-        elif con.sense == SENSE_GE:
-            terms.append((ids[0], 1.0))
-        else:
-            terms.append((ids[0], -1.0))
-            terms.append((ids[1], 1.0))
-        relaxed.add_constraint(con.name, LinearExpression(tuple(terms), con.expr.constant), con.sense, con.rhs)
-    relaxed.set_objective(LinearExpression.from_terms(slack_terms), MINIMIZE)
-    sol = solve(relaxed, backend_factory())
-    if sol.status != STATUS_OPTIMAL:
-        raise BackendError(f"relaxation probe did not solve to optimality (status {sol.status})")
-    report: dict[str, float] = {}
-    for con in model.constraints:
-        used = sum(sol.values[i] for i in slack_for[con.name])
-        if used > FEASIBILITY_TOL:
-            report[con.name] = used
-    return report

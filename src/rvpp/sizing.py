@@ -41,7 +41,7 @@ from .domain import (
     NdrsUnit,
     Portfolio,
 )
-from .milp import STATUS_LIMIT, Model, Solution, relaxation_probe, solve
+from .milp import STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
 from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
@@ -123,14 +123,12 @@ class Solve(NamedTuple):
         return "+".join(self.subject.unit_names())
 
     def run(self) -> RvppSchedule | EsSchedule:
-        """The audited portfolio schedule, or the price-robust one-module schedule."""
+        """The audited portfolio schedule, or the price-robust one-module
+        schedule; a solve that does not end optimal raises ScheduleError."""
         if not isinstance(self.subject, EsUnit):
             return audited_schedule(self.subject, self.scenario, self.budgets, literal_3c=self.switch)
         m = build_robust_es(EsFleet(self.subject, 1), self.scenario, self.budgets, symmetric_sigma_margins=self.switch)
-        sol = _solved(m)
-        if sol.status != "optimal":
-            raise SizingError(f"one-module fleet solve ended {sol.status}")
-        return extract_es_schedule(m, sol)
+        return extract_es_schedule(m, _solved(m))
 
 
 def _singleton(unit) -> Portfolio:
@@ -164,16 +162,30 @@ def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
 
 
 def _solved(m: Model) -> Solution:
-    """m solved in a fresh session; a time-limit hit raises ScheduleError
-    naming the model, the limit and the MIP gap HiGHS had reached."""
+    """m solved to optimality in a fresh session, else ScheduleError.
+
+    This is the one place a non-optimal status becomes an error.  A time-limit
+    hit names the model, the limit and the MIP gap HiGHS had reached.  An
+    infeasible model names the rows of the session's feasibility relaxation
+    (see ScipyHighsBackend.relaxed_rows), largest violation first, at most
+    five.  Any other status is named as it is.
+    """
     backend = backends.ScipyHighsBackend()
     sol = solve(m, backend)
+    if sol.status == STATUS_OPTIMAL:
+        return sol
     if sol.status == STATUS_LIMIT:
         raise ScheduleError(
             f"model {m.name!r} hit the {backends.SOLVE_TIME_LIMIT_S:g} s time limit "
             f"at mip_gap {backend.last_run.mip_gap:.3g}"
         )
-    return sol
+    detail = ""
+    if sol.status == STATUS_INFEASIBLE:
+        rows = sorted(backend.relaxed_rows().items(), key=lambda row: row[1], reverse=True)[:5]
+        if rows:
+            named = ", ".join(f"{name} (slack {slack:.4g})" for name, slack in rows)
+            detail = f"; relaxing these rows restores feasibility: {named}"
+    raise ScheduleError(f"solve ended {sol.status}{detail}")
 
 
 def audited_schedule(
@@ -186,24 +198,14 @@ def audited_schedule(
     """Build, solve, decode, replay and audit one portfolio schedule.
 
     budgets None builds the deterministic model.  ScheduleError names what
-    failed: the solve status (with the largest irreducible conflict of an
-    infeasible model, or the time limit and gap of a limit hit), the replay
-    residual or the first robust violation.
+    failed: the solve (see _solved), the replay residual or the first robust
+    violation.
     """
     if budgets is None:
         m = build_deterministic_rvpp(portfolio, scenario, literal_3c=literal_3c)
     else:
         m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=literal_3c)
-    sol = _solved(m)
-    if sol.status != "optimal":
-        detail = ""
-        if sol.status == "infeasible":
-            blame = relaxation_probe(m, backends.ScipyHighsBackend)
-            if blame:
-                worst = max(blame, key=blame.get)
-                detail = f"; largest irreducible conflict at {worst} (slack {blame[worst]:.4g})"
-        raise ScheduleError(f"solve ended {sol.status}{detail}")
-    schedule = extract_rvpp_schedule(m, sol, portfolio)
+    schedule = extract_rvpp_schedule(m, _solved(m), portfolio)
     report = replay_schedule(schedule, portfolio, scenario, literal_3c=literal_3c)
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
@@ -326,7 +328,8 @@ def size_es_to_match(
     its profit p1; the count follows from p1 by arithmetic and the schedule by
     scaling, so no other fleet is solved.  The returned schedule is replayed
     and re-priced as sized_from_module describes.  SizingError is raised when
-    p1 is not positive and when the count would exceed max_modules.
+    p1 is not positive and when the count would exceed max_modules;
+    ScheduleError when the one-module solve does not end optimal.
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")

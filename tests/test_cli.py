@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rvpp.sizing as sizing
-from rvpp import backends, cli, strategy_budgets
+from rvpp import backends, cli, save_scenario, strategy_budgets
 from toys import solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -139,10 +140,6 @@ def test_rejects_bad_flags(tmp_path):
 
 
 def test_case4_needs_a_storage_module(tmp_path, bundle):
-    import copy
-
-    from rvpp import save_scenario
-
     raw = copy.deepcopy(bundle.raw)
     del raw["es_module"]
     scenario_path = tmp_path / "no_es.yaml"
@@ -161,6 +158,28 @@ def test_case4_needs_a_storage_module(tmp_path, bundle):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["cells_failed"] == 1
     assert "storage module" in manifest["cells"][0]["error"]
+
+
+def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
+    # A 30 MW favorable deviation leaves no profile of industrial_load
+    # robustly feasible; the deterministic model ignores deviations.
+    raw = copy.deepcopy(bundle.raw)
+    (load,) = [u for u in raw["units"] if u["name"] == "industrial_load"]
+    load["deviation"]["favorable"] = [30.0] * 24
+    scenario_path = tmp_path / "infeasible.yaml"
+    save_scenario(raw, scenario_path)
+    flags = ["--case", "1", "--season", "winter", "--regime", "favorable",
+             "--strategy", "deterministic", "--strategy", "optimistic", "--scenario", str(scenario_path)]
+    errors = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main([*flags, "--jobs", jobs, "--out", str(out)]) == 1
+        cells = {c["strategy"]: c for c in json.loads((out / "run_manifest.json").read_text())["cells"]}
+        assert cells["deterministic"]["status"] == "ok"
+        assert cells["optimistic"]["status"] == "failed"
+        errors.append(cells["optimistic"]["error"])
+    assert errors[0] == errors[1]
+    assert "solve ended infeasible; relaxing these rows restores feasibility: fd_profile__industrial_load" in errors[0]
 
 
 SPRING_BALANCED = ("--season", "spring", "--strategy", "balanced")

@@ -300,15 +300,41 @@ def test_bound_violation_guard():
         milp.solve(small_lp(), SloppyBackend())
 
 
-def test_relaxation_probe_names_the_binding_rows():
+def _relaxed_rows(m: milp.Model) -> dict[str, float]:
+    backend = backends.ScipyHighsBackend()
+    assert milp.solve(m, backend).status == "infeasible"
+    return backend.relaxed_rows()
+
+
+def test_relaxed_rows_name_the_binding_rows():
     m = milp.Model()
     x = m.add_variable("x", upper=1.0)
     m.add_constraint("needs_two", milp.LinearExpression(((x.index, 1.0),)), ">=", 2.0)
     m.add_constraint("fine", milp.LinearExpression(((x.index, 1.0),)), "<=", 5.0)
     m.set_objective(milp.LinearExpression(((x.index, 1.0),)))
-    report = milp.relaxation_probe(m, backends.ScipyHighsBackend)
+    report = _relaxed_rows(m)
     assert set(report) == {"needs_two"}
     assert report["needs_two"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_relaxed_rows_keep_binaries_binary():
+    # Feasible as an LP (b = 0.5); only integrality makes it infeasible.  An
+    # LP relaxation would need no slack; b = 0 and b = 1 each cost 0.4.
+    m = milp.Model()
+    b = m.add_variable("b", milp.BINARY)
+    m.add_constraint("lo", milp.LinearExpression(((b.index, 1.0),)), ">=", 0.4)
+    m.add_constraint("hi", milp.LinearExpression(((b.index, 1.0),)), "<=", 0.6)
+    m.set_objective(milp.LinearExpression(((b.index, 1.0),)))
+    report = _relaxed_rows(m)
+    assert len(report) == 1 and set(report) <= {"lo", "hi"}
+    assert list(report.values()) == pytest.approx([0.4], abs=1e-6)
+
+
+def test_relaxed_rows_need_an_infeasible_end():
+    backend = backends.ScipyHighsBackend()
+    milp.solve(small_lp(), backend)
+    with pytest.raises(milp.BackendError, match="no relaxation in status 'optimal'"):
+        backend.relaxed_rows()
 
 
 def test_binary_count():

@@ -16,7 +16,6 @@ from rvpp import (
     ModelBuildError,
     Portfolio,
     ScipyHighsBackend,
-    Solution,
     ThermalStoreParams,
     ZERO_BUDGETS,
     build_deterministic_rvpp,
@@ -295,7 +294,7 @@ def test_decode_rejects_fractional_binaries():
     portfolio = Portfolio(drs=(unit,))
     m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
     sol = solve(m, ScipyHighsBackend())
-    tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
+    tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("on__gen_t00").index] = 0.4
     with pytest.raises(DecodeError, match="non-integral"):
         extract_rvpp_schedule(m, tampered, portfolio)
@@ -307,7 +306,7 @@ def test_decode_requires_exactly_one_profile():
     portfolio = Portfolio(fd=(load,))
     m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
     sol = solve(m, ScipyHighsBackend())
-    tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
+    tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("prof__ld_m0").index] = 1.0
     tampered.values[m.variable("prof__ld_m1").index] = 1.0
     with pytest.raises(DecodeError, match="exactly one chosen profile"):

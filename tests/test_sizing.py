@@ -20,7 +20,7 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
-from rvpp.storage import EsFleet
+from rvpp.storage import EsFleet, validate_fleet
 from toys import battery, market, solve_es, unscale_mu_dam, wind
 
 
@@ -184,6 +184,16 @@ def test_losing_module_fails_after_one_solve(monkeypatch):
     with pytest.raises(SizingError, match="per-module value -"):
         size_es_to_match(5.0, min_power_module(op_cost=30.0), market(4, dam=10.0), ZERO_BUDGETS)
     assert len(calls) == 1
+
+
+def test_unschedulable_module_names_its_rows():
+    # Valid ratings, but 5 MW minimum flows cannot fit a 1 MWh store in either mode.
+    module = replace(battery(charge=10.0, discharge=10.0, e_min=0.0), charge_p_min=5.0, discharge_p_min=5.0)
+    assert validate_fleet(EsFleet(module, 1)) == []
+    # Equal-cost relaxations may tie, so only the row family is pinned.
+    named = r"solve ended infeasible; relaxing these rows restores feasibility: es_\w+ \(slack "
+    with pytest.raises(ScheduleError, match=named):
+        size_es_to_match(1.0, module, market(2), BudgetSet(gamma_dam=1))
 
 
 def test_module_count_grows_with_price_budget():

@@ -14,7 +14,6 @@ from rvpp import (
     EsFleet,
     ModelBuildError,
     ScipyHighsBackend,
-    Solution,
     ZERO_BUDGETS,
     build_deterministic_es,
     build_robust_es,
@@ -146,7 +145,7 @@ def test_sigma_margin_switch_changes_floor_reservation():
 def test_decode_rejects_tampered_mode():
     m = build_deterministic_es(EsFleet(battery(), 1), market(4, dam=[0, 70, 0, 70]))
     sol = solve(m, ScipyHighsBackend())
-    tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
+    tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("mode_t00").index] = 0.3
     with pytest.raises(DecodeError, match="non-integral"):
         extract_es_schedule(m, tampered)
@@ -155,7 +154,7 @@ def test_decode_rejects_tampered_mode():
 def test_decode_rejects_simultaneous_flow():
     m = build_deterministic_es(EsFleet(battery(), 1), market(2, dam=[0, 70]))
     sol = solve(m, ScipyHighsBackend())
-    tampered = Solution(sol.status, sol.objective_value, dict(sol.values), sol.solve_seconds)
+    tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("pdis_t00").index] = 0.2
     with pytest.raises(DecodeError):
         extract_es_schedule(m, tampered)
