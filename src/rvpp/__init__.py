@@ -77,7 +77,6 @@ from .scheduler import (
     extract_rvpp_schedule,
 )
 from .storage import (
-    EsFleet,
     EsSchedule,
     build_deterministic_es,
     build_robust_es,
@@ -117,7 +116,6 @@ __all__ = [
     "CspUnit",
     "DecodeError",
     "DrsUnit",
-    "EsFleet",
     "EsSchedule",
     "EsUnit",
     "FdUnit",

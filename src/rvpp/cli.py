@@ -233,18 +233,25 @@ class SystemExit2(Exception):
 
 
 def _expand_tasks(args) -> list[dict]:
+    """The sweep's cells.  Seasons default to those of the scenario file
+    (args.file_seasons), and so do case 2's regimes (args.file_regimes); a
+    season or regime the file lacks raises SystemExit2."""
     tasks = []
     for case in args.case:
-        seasons = args.season or list(SEASONS)
+        seasons = args.season or list(args.file_seasons)
         if case == 1:
             regimes = args.regime or ["favorable"]
             strategies = args.strategy or ["deterministic", "optimistic"]
         elif case == 2:
-            regimes = args.regime or list(REGIMES)
+            regimes = args.regime or list(args.file_regimes)
             strategies = args.strategy or list(STRATEGIES)
         else:
             regimes = args.regime or ["favorable"]
             strategies = args.strategy or list(STRATEGIES)
+        for kind, names, known in (("season", seasons, args.file_seasons), ("regime", regimes, args.file_regimes)):
+            for name in names:
+                if name not in known:
+                    raise SystemExit2(f"case {case} runs {kind} {name!r}, which {args.scenario} lacks")
         for season in seasons:
             for regime in regimes:
                 for strategy in strategies:
@@ -275,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--case", type=int, action="append", choices=CASES, default=None,
                         help="case number; repeat for several (default: all four)")
     parser.add_argument("--season", action="append", choices=SEASONS, default=None,
-                        help="season filter; repeatable")
+                        help="season filter; repeatable (default: the scenario file's seasons)")
     parser.add_argument("--regime", action="append", choices=REGIMES, default=None,
-                        help="regime filter; repeatable")
+                        help="regime filter; repeatable (default: favorable; case 2 the file's regimes)")
     parser.add_argument("--strategy", action="append",
                         choices=("deterministic",) + STRATEGIES, default=None,
                         help="strategy filter; repeatable")
@@ -303,8 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.case = args.case or list(CASES)
-    args.config = args.config or list(CONFIG_CHOICES)
+    # A repeated filter value runs once, where it first appears.
+    defaults = {"case": CASES, "config": CONFIG_CHOICES, "season": (), "regime": (), "strategy": ()}
+    for flag, default in defaults.items():
+        setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
     args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
     args.scenario = str(args.scenario or default_scenario_path())
     for flag, value in (("--jobs", args.jobs), ("--max-modules", args.max_modules)):
@@ -327,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         bundle = load_scenario(args.scenario)
+        args.file_seasons, args.file_regimes = bundle.seasons, bundle.regimes
         tasks = _expand_tasks(args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)

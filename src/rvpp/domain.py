@@ -9,7 +9,7 @@ reserve capacity, costs EUR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 REGIMES = ("favorable", "unfavorable")
@@ -148,7 +148,11 @@ class FdUnit:
 
 @dataclass(frozen=True)
 class EsUnit:
-    """One storage module; a fleet is module_count identical modules."""
+    """One storage unit: a module, or a fleet of identical modules bid as one.
+
+    scaled(n) gives the n-module fleet: power and energy ratings scale with
+    the count, efficiencies and costs do not.
+    """
 
     name: str
     charge_p_max: float
@@ -160,6 +164,12 @@ class EsUnit:
     op_cost: float
     charge_p_min: float = 0.0
     discharge_p_min: float = 0.0
+
+    def scaled(self, n: int) -> EsUnit:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"module_count must be a positive integer, got {n!r}")
+        ratings = ("charge_p_max", "charge_p_min", "discharge_p_max", "discharge_p_min", "e_max", "e_min")
+        return replace(self, **{f: getattr(self, f) * n for f in ratings})
 
 
 @dataclass(frozen=True)
@@ -397,6 +407,23 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
                         f"[p_min={u.p_min}, p_max={u.p_max}]"
                     )
         _check_series(out, u.name, "deviation", u.deviation, T)
+    return out
+
+
+def validate_es(u: EsUnit) -> list[str]:
+    """Every invariant violation of a storage unit: ordered, nonnegative
+    power and energy bounds, efficiencies in (0, 1] and a nonnegative cost."""
+    out: list[str] = []
+    if not 0 <= u.charge_p_min <= u.charge_p_max:
+        out.append(f"{u.name}: requires 0 <= charge_p_min <= charge_p_max")
+    if not 0 <= u.discharge_p_min <= u.discharge_p_max:
+        out.append(f"{u.name}: requires 0 <= discharge_p_min <= discharge_p_max")
+    if not 0 <= u.e_min <= u.e_max:
+        out.append(f"{u.name}: requires 0 <= e_min <= e_max")
+    if not (0 < u.charge_eff <= 1 and 0 < u.discharge_eff <= 1):
+        out.append(f"{u.name}: efficiencies must be in (0, 1]")
+    if u.op_cost < 0:
+        out.append(f"{u.name}: op_cost must be nonnegative")
     return out
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BudgetSet, MarketScenario, Portfolio
+from .domain import BudgetSet, EsUnit, MarketScenario, Portfolio
 from .scheduler import RvppSchedule, dominant_subset
-from .storage import EsFleet, EsSchedule
+from .storage import EsSchedule
 
 AUDIT_TOL = 1.0e-6
 
@@ -295,7 +295,7 @@ def replay_rvpp_schedule(
 
 def replay_es_schedule(
     schedule: EsSchedule,
-    fleet: EsFleet,
+    fleet: EsUnit,
     scenario: MarketScenario,
     *,
     symmetric_sigma_margins: bool = True,

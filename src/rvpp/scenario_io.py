@@ -36,9 +36,9 @@ from .domain import (
     PeriodGrid,
     Portfolio,
     ThermalStoreParams,
+    validate_es,
     validate_portfolio,
 )
-from .storage import EsFleet, validate_fleet
 
 _PRICE_KEYS = (
     "dam_price",
@@ -136,8 +136,22 @@ def _floats(value, path: str, length: int | None = None) -> list[float]:
         raise ScenarioFormatError(f"{path}: expected a list of numbers")
     out = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if length is not None and len(out) != length:
-        raise ScenarioFormatError(f"{path}: expected {length} entries, got {len(out)}")
+        raise ScenarioFormatError(f"{path}: expected {length} entries, got {len(out)}; grid.period_count is {length}")
     return out
+
+
+def _names(doc: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
+    """doc[key], all of known when absent, as a non-empty list of distinct
+    names from known, or ScenarioFormatError naming key."""
+    names = doc.get(key, list(known))
+    if not isinstance(names, list) or not names:
+        raise ScenarioFormatError(f"{key}: expected a non-empty list of names from {list(known)}, got {names!r}")
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ScenarioFormatError(f"{key}: unknown {key[:-1]} {name!r} (expected one of {list(known)})")
+        if name in names[:i]:
+            raise ScenarioFormatError(f"{key}: {name!r} is listed twice")
+    return tuple(names)
 
 
 def _per_season(mapping, seasons, path: str, T: int) -> dict[str, list[float]]:
@@ -185,17 +199,13 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     description = str(doc.get("description", ""))
     grid_block = _need(doc, "grid", str(path))
     T = _field(grid_block, "period_count", "grid", int)
+    if T < 1:
+        raise ScenarioFormatError(f"grid.period_count: expected at least 1, got {T}")
     dt = _field(grid_block, "delta_t", "grid")
     grid = PeriodGrid(T, dt)
 
-    seasons = tuple(str(s) for s in doc.get("seasons", list(SEASONS)))
-    regimes = tuple(str(r) for r in doc.get("regimes", list(REGIMES)))
-    for s in seasons:
-        if s not in SEASONS:
-            raise ScenarioFormatError(f"seasons: unknown season {s!r}")
-    for r in regimes:
-        if r not in REGIMES:
-            raise ScenarioFormatError(f"regimes: unknown regime {r!r}")
+    seasons = _names(doc, "seasons", SEASONS)
+    regimes = _names(doc, "regimes", REGIMES)
 
     prices_block = _need(doc, "prices", str(path))
     prices: dict[str, dict[str, list[float]]] = {}
@@ -317,7 +327,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             charge_p_min=_field(e, "charge_p_min", "es_module", float, 0.0),
             discharge_p_min=_field(e, "discharge_p_min", "es_module", float, 0.0),
         )
-        problems = validate_fleet(EsFleet(es_module, 1))
+        problems = validate_es(es_module)
         if problems:
             raise ScenarioFormatError("es_module: " + "; ".join(problems))
 

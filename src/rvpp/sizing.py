@@ -3,11 +3,12 @@
 The gap is the robust profit of the aggregated portfolio minus the sum of the
 units' stand-alone robust profits.  Sizing answers: how many identical
 storage modules does a price-robust fleet need before its day profit covers
-that gap?  Every fleet row is positively homogeneous in the continuous
-columns and module_count, so the N-module optimum is N times the one-module
-optimum.  Sizing therefore solves one module for its profit p1, takes the
-smallest N with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and
-returns the one-module schedule scaled by N.
+that gap?  The N-module fleet is the module's `EsUnit.scaled(N)`, and every
+storage row is positively homogeneous in the continuous columns and the
+fleet's ratings, so the N-module optimum is N times the one-module optimum.
+Sizing therefore solves one module for its profit p1, takes the smallest N
+with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and returns the
+one-module schedule scaled by N.
 
 Each model is named by a `Solve` key: the market scenario, the subject (a
 portfolio, one unit's stand-alone portfolio, or the storage module), the
@@ -21,7 +22,8 @@ Every portfolio and stand-alone unit profit comes from `audited_schedule`,
 which replays the schedule against the raw inputs and audits a robust one
 against its dominant quantity realization before the profit is used.  Every
 sized fleet comes from `sized_from_module`, which replays the scaled schedule
-against the fleet and re-prices its objective before the fleet is returned.
+against `module.scaled(N)` and re-prices its objective before the fleet is
+returned.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .domain import (
 from .milp import STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
 from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
-from .storage import EsFleet, EsSchedule, build_robust_es, extract_es_schedule
+from .storage import EsSchedule, build_robust_es, extract_es_schedule
 
 RESIDUAL_TOL = 1e-6
 
@@ -99,9 +101,6 @@ class SizingResult:
     minimality_checked: bool
     schedule: EsSchedule
 
-    def fleet(self, module: EsUnit) -> EsFleet:
-        return EsFleet(module, self.module_count)
-
 
 class Solve(NamedTuple):
     """What defines one model; equal keys are the same model."""
@@ -127,7 +126,7 @@ class Solve(NamedTuple):
         schedule; a solve that does not end optimal raises ScheduleError."""
         if not isinstance(self.subject, EsUnit):
             return audited_schedule(self.subject, self.scenario, self.budgets, literal_3c=self.switch)
-        m = build_robust_es(EsFleet(self.subject, 1), self.scenario, self.budgets, symmetric_sigma_margins=self.switch)
+        m = build_robust_es(self.subject, self.scenario, self.budgets, symmetric_sigma_margins=self.switch)
         return extract_es_schedule(m, _solved(m))
 
 
@@ -279,7 +278,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     """The smallest fleet covering gap, by arithmetic on one, the schedule of
     the one-module key.
 
-    The scaled schedule is replayed against the fleet it was scaled to, and
+    The scaled schedule is replayed against module.scaled(count), and
     its objective is re-priced twice: by the worst case of its flows under the
     price-only budgets, and through its price duals (the re-pricing reads
     flows only, so it cannot see a wrong dual).  ScheduleError names a
@@ -288,8 +287,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     module, scenario, budgets = key.subject, key.scenario, key.budgets
     p1 = one.objective_value
     count = _module_count(gap, p1, module, max_modules)
-    schedule = one.scaled(count)
-    fleet = EsFleet(module, count)
+    schedule, fleet = one.scaled(count), module.scaled(count)
     report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=key.switch)
     worst = max(report.values()) if report else 0.0
     if worst > RESIDUAL_TOL:
@@ -304,7 +302,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     return SizingResult(
         lower_bound_profit=gap,
         module_count=count,
-        fleet_e_max=module.e_max * count,
+        fleet_e_max=fleet.e_max,
         es_objective=schedule.objective_value,
         iterations=1,
         minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,

@@ -1,12 +1,13 @@
-"""Storage-fleet scheduling MILPs for the same two markets.
+"""Storage scheduling MILPs for the same two markets.
 
-A fleet is module_count identical modules operated as one unit: power and
-energy limits scale with the count, efficiencies and costs do not.  Charging
-and discharging are mode-exclusive per period; reserve offers split into a
-charge-side part (backing off charging) and a discharge-side part.  Daily
-reserve energy is fenced by two envelope fractions (sigma) that also reserve
-state-of-charge margins.  The state of charge is cyclic: the recursion wraps
-period 1 back onto period T, so the day starts and ends at the same level.
+The builders take the fleet as one EsUnit.  An n-module fleet is the
+module's EsUnit.scaled(n): power and energy limits scale with the count,
+efficiencies and costs do not.  Charging and discharging are mode-exclusive
+per period; reserve offers split into a charge-side part (backing off
+charging) and a discharge-side part.  Daily reserve energy is fenced by two
+envelope fractions (sigma) that also reserve state-of-charge margins.  The
+state of charge is cyclic: the recursion wraps period 1 back onto period T,
+so the day starts and ends at the same level.
 
 As in scheduler, the builders keep the columns they create on the model
 (tags "cols" and, when robust, "duals") and the decoder reads the solution
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import BudgetSet, EsUnit, MarketScenario, validate_budgets, validate_scenario
+from .domain import BudgetSet, EsUnit, MarketScenario, validate_budgets, validate_es, validate_scenario
 from .milp import (
     BINARY,
     MAXIMIZE,
@@ -42,55 +43,6 @@ from .scheduler import (
     _t2,
     _values,
 )
-
-
-@dataclass(frozen=True)
-class EsFleet:
-    """module_count identical storage modules bid as one market unit."""
-
-    module: EsUnit
-    module_count: int
-
-    def __post_init__(self):
-        if not isinstance(self.module_count, int) or self.module_count < 1:
-            raise ValueError(f"module_count must be a positive integer, got {self.module_count!r}")
-
-    # Fleet ratings are always derived from the module so they can never go stale.
-    @property
-    def charge_p_max(self) -> float:
-        return self.module.charge_p_max * self.module_count
-
-    @property
-    def charge_p_min(self) -> float:
-        return self.module.charge_p_min * self.module_count
-
-    @property
-    def discharge_p_max(self) -> float:
-        return self.module.discharge_p_max * self.module_count
-
-    @property
-    def discharge_p_min(self) -> float:
-        return self.module.discharge_p_min * self.module_count
-
-    @property
-    def e_max(self) -> float:
-        return self.module.e_max * self.module_count
-
-    @property
-    def e_min(self) -> float:
-        return self.module.e_min * self.module_count
-
-    @property
-    def charge_eff(self) -> float:
-        return self.module.charge_eff
-
-    @property
-    def discharge_eff(self) -> float:
-        return self.module.discharge_eff
-
-    @property
-    def op_cost(self) -> float:
-        return self.module.op_cost
 
 
 @dataclass
@@ -125,8 +77,8 @@ class EsSchedule:
         """The same schedule for a fleet n times as large.
 
         Every fleet row is positively homogeneous in the continuous columns and
-        module_count, so flows, reserves, state of charge, profits and price
-        duals scale by n; mode and the sigma envelope fractions do not.
+        the fleet's ratings, so flows, reserves, state of charge, profits and
+        price duals scale by n; mode and the sigma envelope fractions do not.
         """
         artifacts = self.artifacts
         if artifacts is not None:
@@ -150,23 +102,7 @@ _SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value", "nominal_profit")
 _SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
-def validate_fleet(fleet: EsFleet) -> list[str]:
-    out: list[str] = []
-    u = fleet.module
-    if not 0 <= u.charge_p_min <= u.charge_p_max:
-        out.append(f"{u.name}: requires 0 <= charge_p_min <= charge_p_max")
-    if not 0 <= u.discharge_p_min <= u.discharge_p_max:
-        out.append(f"{u.name}: requires 0 <= discharge_p_min <= discharge_p_max")
-    if not 0 <= u.e_min <= u.e_max:
-        out.append(f"{u.name}: requires 0 <= e_min <= e_max")
-    if not (0 < u.charge_eff <= 1 and 0 < u.discharge_eff <= 1):
-        out.append(f"{u.name}: efficiencies must be in (0, 1]")
-    if u.op_cost < 0:
-        out.append(f"{u.name}: op_cost must be nonnegative")
-    return out
-
-
-def _build_es_core(m: Model, fleet: EsFleet, scenario: MarketScenario, symmetric_sigma_margins: bool) -> dict:
+def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, symmetric_sigma_margins: bool) -> dict:
     """The fleet model; returns its columns keyed like the EsSchedule fields
     they decode into ("soc" holds the T levels)."""
     T = scenario.grid.period_count
@@ -314,14 +250,14 @@ def _build_es_core(m: Model, fleet: EsFleet, scenario: MarketScenario, symmetric
     }
 
 
-def _require_valid_es(fleet: EsFleet, scenario: MarketScenario) -> None:
-    problems = validate_fleet(fleet) + validate_scenario(scenario)
+def _require_valid_es(fleet: EsUnit, scenario: MarketScenario) -> None:
+    problems = validate_es(fleet) + validate_scenario(scenario)
     if problems:
         raise ModelBuildError("invalid inputs: " + "; ".join(problems[:5]))
 
 
 def build_deterministic_es(
-    fleet: EsFleet,
+    fleet: EsUnit,
     scenario: MarketScenario,
     *,
     symmetric_sigma_margins: bool = True,
@@ -335,7 +271,7 @@ def build_deterministic_es(
 
 
 def build_robust_es(
-    fleet: EsFleet,
+    fleet: EsUnit,
     scenario: MarketScenario,
     budgets: BudgetSet,
     *,
@@ -388,7 +324,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
         raise DecodeError("model was not built by a storage builder")
     if sol.status != "optimal":
         raise DecodeError(f"cannot decode a solution with status {sol.status!r}")
-    fleet: EsFleet = m.tags["fleet"]
+    fleet: EsUnit = m.tags["fleet"]
     scenario: MarketScenario = m.tags["scenario"]
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t

@@ -18,7 +18,6 @@ import pytest
 
 from rvpp import (
     BudgetSet,
-    EsFleet,
     audit_robust_feasibility,
     cli,
     price_only_budgets,
@@ -73,7 +72,7 @@ def robust_rvpp(winter_cell):
 @pytest.fixture(scope="module")
 def es_ladder(bundle):
     """Fixed two-module fleet solved per season and strategy."""
-    fleet = EsFleet(bundle.es_module, 2)
+    fleet = bundle.es_module.scaled(2)
     out = {}
     for season in SEASONS:
         portfolio, scenario = bundle.cell(season, "favorable")
@@ -99,7 +98,7 @@ def test_zero_budget_robust_matches_deterministic(winter_cell, bundle):
     assert abs(det.objective_value - robust.objective_value) <= TOL
     assert t_det < SOLVE_LIMIT_S and t_rob < SOLVE_LIMIT_S
 
-    fleet = EsFleet(bundle.es_module, 2)
+    fleet = bundle.es_module.scaled(2)
     t0 = time.perf_counter()
     es_det = solve_es(fleet, scenario)
     t_det = time.perf_counter() - t0
@@ -217,12 +216,12 @@ def test_storage_sizing_minimal_and_monotone(sweep, winter_cell, bundle):
     assert abs(gap.gap - float(row["3", "full"]["gap"])) <= _csv_tol(gap.gap)
     assert sized.module_count == int(float(row["4", "sized_es"]["module_count"]))
     price_b = price_only_budgets(budgets)
-    at_n = solve_es(EsFleet(bundle.es_module, sized.module_count), scenario, price_b)
+    at_n = solve_es(bundle.es_module.scaled(sized.module_count), scenario, price_b)
     assert at_n.objective_value >= gap.gap - 1e-9
     assert sized.module_count >= 1
     if sized.module_count > 1:
         below = solve_es(
-            EsFleet(bundle.es_module, sized.module_count - 1), scenario, price_b
+            bundle.es_module.scaled(sized.module_count - 1), scenario, price_b
         )
         assert below.objective_value < gap.gap
 
@@ -249,7 +248,7 @@ def test_storage_physics_and_arbitrage_closed_form(es_ladder, bundle):
     # Buy one full charge cheap, sell it dear: profit is fixed by the
     # usable capacity and the round-trip efficiency alone.
     mod = bundle.es_module
-    toy = solve_es(EsFleet(mod, 1), market(2, dam=[5.0, 200.0]))
+    toy = solve_es(mod.scaled(1), market(2, dam=[5.0, 200.0]))
     stored = min(mod.charge_p_max * mod.charge_eff, mod.e_max - mod.e_min)
     delivered = stored * mod.discharge_eff
     closed_form = 200.0 * delivered - 5.0 * stored / mod.charge_eff - mod.op_cost * delivered

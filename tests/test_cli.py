@@ -6,12 +6,15 @@ import copy
 import csv
 import json
 import os
+import random
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
 
 import rvpp.sizing as sizing
-from rvpp import backends, cli, save_scenario, strategy_budgets
+from rvpp import REGIMES, SEASONS, backends, cli, save_scenario, strategy_budgets
 from toys import solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -80,6 +83,41 @@ def test_identical_runs_are_byte_identical(case1_run, tmp_path):
     assert cli.main(["--case", "1", "--season", "winter", "--out", str(again)]) == 0
     for name in RESULT_FILES:
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_repeated_filter_values_run_once(case1_run, tmp_path):
+    _, single = case1_run
+    out = tmp_path / "repeated"
+    flags = ["--case", "1", "--case", "1", "--season", "winter", "--season", "winter"]
+    assert cli.main([*flags, "--out", str(out)]) == 0
+    for name in RESULT_FILES:
+        assert (single / name).read_bytes() == (out / name).read_bytes(), name
+    totals = [json.loads((d / "run_manifest.json").read_text())["cells_total"] for d in (single, out)]
+    assert totals == [2, 2]
+
+
+def test_seasons_and_regimes_default_to_the_files(tmp_path, bundle, capsys):
+    raw = copy.deepcopy(bundle.raw)
+    raw["seasons"] = ["spring"]
+    raw["energy_limits"]["hydro"] = {"spring": raw["energy_limits"]["hydro"]["spring"]}
+    spring_only = tmp_path / "spring.yaml"
+    save_scenario(raw, spring_only)
+    out = tmp_path / "spring"
+    assert cli.main(["--case", "1", "--jobs", "1", "--scenario", str(spring_only), "--out", str(out)]) == 0
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    assert [(c["season"], c["status"]) for c in cells] == [("spring", "ok")] * 2
+
+    raw = copy.deepcopy(bundle.raw)
+    raw["regimes"] = ["unfavorable"]
+    unfavorable_only = tmp_path / "unfavorable.yaml"
+    save_scenario(raw, unfavorable_only)
+    for flags, named in (
+        (["--season", "winter", "--scenario", str(spring_only)], "case 1 runs season 'winter'"),
+        (["--scenario", str(unfavorable_only)], "case 1 runs regime 'favorable'"),
+    ):
+        assert cli.main(["--case", "1", *flags, "--out", str(tmp_path / "lacking")]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "lacking").exists()
 
 
 def test_case3_row_arithmetic(tmp_path, bundle):
@@ -344,3 +382,65 @@ def test_time_limit_fails_the_cell_and_writes_no_number(tmp_path, monkeypatch):
     assert manifest["result_files"] == [] and not (tmp_path / "results.csv").exists()
     error = manifest["cells"][0]["error"]
     assert "model 'rvpp_robust' hit the 1e-09 s time limit at mip_gap" in error, error
+
+
+# Single-field numeric mutations of the shipped file, after the mutation-based
+# fuzzing of Zeller et al., The Fuzzing Book (2019).
+MUTATIONS = {
+    "negative": lambda v: -1.0,
+    "zero": lambda v: 0.0,
+    "big": lambda v: 1e6,
+    "tiny": lambda v: 1e-7,
+    "negated": lambda v: -v,
+}
+CELL_ERRORS = ("ScheduleError", "SizingError", "CellError", "ModelBuildError")
+OTHER_CELLS = set(SEASONS + REGIMES) - {"winter", "favorable"}
+
+
+def numeric_fields(node, path=()):
+    """Paths of the numeric leaves that ONE_CELL's winter/favorable cell reads."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key not in OTHER_CELLS:
+                yield from numeric_fields(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_fields(value, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def field_names(raw: dict, path: tuple) -> set[str]:
+    """Names an error about the field at path may give: its keys below the
+    top-level groups, and the name of the unit that owns it."""
+    names = {k for k in path if isinstance(k, str)} - {"units", "prices", "winter", "favorable"}
+    if path[0] == "units":
+        names.add(raw["units"][path[1]]["name"])
+    return names
+
+
+def test_numeric_mutations_fail_cleanly(tmp_path, bundle, capsys):
+    """A mutated file runs, fails its cell with a named error, or is rejected
+    with exit 2 naming the field; nothing else escapes."""
+    fields = list(numeric_fields(bundle.raw))
+    rng = random.Random(0)
+    seen = {0: 0, 1: 0, 2: 0}
+    for i in range(32):
+        path, kind = rng.choice(fields), rng.choice(sorted(MUTATIONS))
+        raw = copy.deepcopy(bundle.raw)
+        owner = reduce(getitem, path[:-1], raw)
+        owner[path[-1]] = MUTATIONS[kind](owner[path[-1]])
+        scenario, out = tmp_path / f"m{i}.yaml", tmp_path / f"out{i}"
+        save_scenario(raw, scenario)
+        code = cli.main([*ONE_CELL, "--scenario", str(scenario), "--out", str(out)])
+        err = capsys.readouterr().err
+        case = (".".join(map(str, path)), kind, code, err)
+        assert code in seen, case
+        seen[code] += 1
+        if code == 2:
+            assert any(name in err for name in field_names(raw, path)), case
+        elif code == 1:
+            cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+            errors = [c["error"] for c in cells if c["status"] == "failed"]
+            assert errors and all(e.split(":")[0] in CELL_ERRORS for e in errors), (case, errors)
+    assert seen[0] and seen[2], seen

@@ -200,8 +200,20 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         ),
         (lambda raw: raw["es_module"].update(e_max="x"), r"es_module\.e_max: expected a number"),
         (lambda raw: raw["es_module"].update(charge_eff=0), r"es_module: li_ion_module: efficiencies"),
+        (lambda raw: raw.update(seasons=5), r"seasons: expected a non-empty list"),
+        (lambda raw: raw.update(regimes=5), r"regimes: expected a non-empty list"),
+        (lambda raw: raw.update(seasons=[]), r"seasons: expected a non-empty list"),
+        (lambda raw: raw.update(regimes=["favorable", "favorable"]), r"regimes: 'favorable' is listed twice"),
+        (lambda raw: raw.update(seasons=["winter", "monsoon"]), r"seasons: unknown season 'monsoon'"),
+        (lambda raw: raw.update(regimes=[["favorable"]]), r"regimes: unknown regime \['favorable'\]"),
+        (lambda raw: raw["grid"].update(period_count=0), r"grid\.period_count: expected at least 1, got 0"),
+        (lambda raw: raw["grid"].update(period_count=25), r"expected 25 entries, got 24; grid\.period_count is 25"),
     ],
-    ids=["float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid"],
+    ids=[
+        "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
+        "seasons_int", "regimes_int", "seasons_empty", "regimes_twice", "seasons_unknown", "regimes_nested",
+        "grid_empty", "grid_longer",
+    ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):
     raw = broken_copy(bundle)

@@ -325,10 +325,10 @@ def test_decode_checks_model_kind():
     portfolio, scenario = wind_only(T=4)
     m = build_deterministic_rvpp(portfolio, scenario)
     sol = solve(m, ScipyHighsBackend())
-    from rvpp import EsFleet, build_deterministic_es
+    from rvpp import build_deterministic_es
     from toys import battery
 
-    es_model = build_deterministic_es(EsFleet(battery(), 1), market(4))
+    es_model = build_deterministic_es(battery(), market(4))
     es_sol = solve(es_model, ScipyHighsBackend())
     with pytest.raises(DecodeError, match="not built by a portfolio"):
         extract_rvpp_schedule(es_model, es_sol, portfolio)

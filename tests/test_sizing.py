@@ -20,7 +20,7 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
-from rvpp.storage import EsFleet, validate_fleet
+from rvpp.domain import validate_es
 from toys import battery, market, solve_es, unscale_mu_dam, wind
 
 
@@ -90,7 +90,6 @@ def test_sizing_finds_the_two_module_fleet():
     assert result.es_objective == pytest.approx(2 * 63.175, abs=1e-6)
     assert result.minimality_checked
     assert result.lower_bound_profit == 70.0
-    assert result.fleet(battery()).module_count == 2
 
 
 def test_zero_gap_needs_a_single_module():
@@ -118,7 +117,7 @@ def count_fleet_solves(monkeypatch) -> list[str]:
 def linear_walk(target, module, scenario, budgets):
     """Reference sizing: the first count whose N-fleet solve reaches the target."""
     for count in range(1, 101):
-        profit = solve_es(EsFleet(module, count), scenario, budgets).objective_value
+        profit = solve_es(module.scaled(count), scenario, budgets).objective_value
         if profit >= target:
             return count, profit
     raise AssertionError(f"no fleet of up to 100 modules covers {target}")
@@ -139,7 +138,7 @@ def test_closed_form_matches_a_linear_walk(monkeypatch):
         assert len(calls) == result.iterations == 1
         assert result.minimality_checked
         # The returned schedule is the one-module optimum scaled to the count.
-        one = solve_es(EsFleet(module, 1), scenario, budgets)
+        one = solve_es(module, scenario, budgets)
         for field in ("net", "r_up", "r_dn", "soc"):
             np.testing.assert_array_equal(getattr(result.schedule, field), count * getattr(one, field))
 
@@ -189,7 +188,7 @@ def test_losing_module_fails_after_one_solve(monkeypatch):
 def test_unschedulable_module_names_its_rows():
     # Valid ratings, but 5 MW minimum flows cannot fit a 1 MWh store in either mode.
     module = replace(battery(charge=10.0, discharge=10.0, e_min=0.0), charge_p_min=5.0, discharge_p_min=5.0)
-    assert validate_fleet(EsFleet(module, 1)) == []
+    assert validate_es(module) == []
     # Equal-cost relaxations may tie, so only the row family is pinned.
     named = r"solve ended infeasible; relaxing these rows restores feasibility: es_\w+ \(slack "
     with pytest.raises(ScheduleError, match=named):

@@ -1,4 +1,4 @@
-"""Storage fleet MILP: arbitrage economics, SOC physics, price robustness."""
+"""Storage MILP: arbitrage economics, SOC physics, price robustness."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from rvpp import (
     BudgetSet,
     DecodeError,
-    EsFleet,
     ModelBuildError,
     ScipyHighsBackend,
     ZERO_BUDGETS,
@@ -56,14 +55,14 @@ def test_value_is_linear_in_module_count():
     s = market(12, dam=[10, 40, 5, 35, 20, 45, 8, 30, 25, 50, 15, 12], dam_down=4.0, dam_up=3.0)
     min_power = replace(battery(), charge_p_min=0.1, discharge_p_min=0.15)
     for module, budgets in product((battery(), min_power), (None, BudgetSet(gamma_dam=3))):
-        one = solve_es(EsFleet(module, 1), s, budgets)
+        one = solve_es(module, s, budgets)
         for n in (2, 3, 7):
             case = (module, budgets, n)
-            vn = solve_es(EsFleet(module, n), s, budgets).objective_value
+            vn = solve_es(module.scaled(n), s, budgets).objective_value
             assert vn == pytest.approx(n * one.objective_value, rel=1e-9), case
             scaled = one.scaled(n)
             assert scaled.objective_value == pytest.approx(vn, rel=1e-9), case
-            assert max(replay_schedule(scaled, EsFleet(module, n), s).values()) <= 1e-6, case
+            assert max(replay_schedule(scaled, module.scaled(n), s).values()) <= 1e-6, case
             if budgets is not None:
                 penalty = scaled.artifacts.price_penalty_total()
                 assert scaled.nominal_profit - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
@@ -80,7 +79,7 @@ def test_soc_cyclic_and_modes_exclusive_randomized():
             sr_dn=float(rng.uniform(0.0, 6.0)),
             dt=float(rng.choice([0.5, 1.0])),
         )
-        fleet = EsFleet(battery(), int(rng.integers(1, 4)))
+        fleet = battery().scaled(int(rng.integers(1, 4)))
         sched = solve_es(fleet, s)
         assert abs(sched.soc[0] - sched.soc[-1]) <= 1e-9, f"trial {trial}"
         assert np.minimum(sched.charge, sched.discharge).max() <= 1e-9, f"trial {trial}"
@@ -127,7 +126,7 @@ def test_robust_objective_equals_worst_case_profit():
 
 def test_per_unit_budgets_rejected_for_storage():
     with pytest.raises(ModelBuildError, match="price budgets only"):
-        build_robust_es(EsFleet(battery(), 1), market(4), BudgetSet(gamma_per_unit={"mod": 2}))
+        build_robust_es(battery(), market(4), BudgetSet(gamma_per_unit={"mod": 2}))
 
 
 def test_sigma_margin_switch_changes_floor_reservation():
@@ -143,7 +142,7 @@ def test_sigma_margin_switch_changes_floor_reservation():
 
 
 def test_decode_rejects_tampered_mode():
-    m = build_deterministic_es(EsFleet(battery(), 1), market(4, dam=[0, 70, 0, 70]))
+    m = build_deterministic_es(battery(), market(4, dam=[0, 70, 0, 70]))
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("mode_t00").index] = 0.3
@@ -152,7 +151,7 @@ def test_decode_rejects_tampered_mode():
 
 
 def test_decode_rejects_simultaneous_flow():
-    m = build_deterministic_es(EsFleet(battery(), 1), market(2, dam=[0, 70]))
+    m = build_deterministic_es(battery(), market(2, dam=[0, 70]))
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=dict(sol.values))
     tampered.values[m.variable("pdis_t00").index] = 0.2
@@ -161,13 +160,13 @@ def test_decode_rejects_simultaneous_flow():
 
 
 def test_fleet_ratings_derive_from_module():
-    fleet = EsFleet(battery(), 3)
+    fleet = battery().scaled(3)
     assert fleet.e_max == pytest.approx(3.0)
     assert fleet.e_min == pytest.approx(0.3)
     assert fleet.charge_p_max == pytest.approx(1.5)
     assert fleet.discharge_eff == pytest.approx(0.95)
     with pytest.raises(ValueError, match="module_count"):
-        EsFleet(battery(), 0)
+        battery().scaled(0)
 
 
 @pytest.mark.parametrize(
@@ -175,8 +174,7 @@ def test_fleet_ratings_derive_from_module():
     [(market(4, sr_up_dev=-1.0), "sr_up_price_dev"), (market(4, season="monsoon"), "unknown season")],
 )
 def test_builders_validate_the_market(bad, field):
-    fleet = EsFleet(battery(), 1)
     with pytest.raises(ModelBuildError, match=field):
-        build_robust_es(fleet, bad, BudgetSet(gamma_sr_up=1))
+        build_robust_es(battery(), bad, BudgetSet(gamma_sr_up=1))
     with pytest.raises(ModelBuildError, match=field):
-        build_deterministic_es(fleet, bad)
+        build_deterministic_es(battery(), bad)

@@ -8,7 +8,6 @@ import numpy as np
 
 from rvpp import (
     BudgetSet,
-    EsFleet,
     EsSchedule,
     EsUnit,
     MarketScenario,
@@ -93,13 +92,11 @@ def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None, **build_kw
     return extract_rvpp_schedule(m, sol, portfolio)
 
 
-def solve_es(fleet: EsFleet | EsUnit, scenario, budgets: BudgetSet | None = None, **build_kwargs):
-    if isinstance(fleet, EsUnit):
-        fleet = EsFleet(fleet, 1)
+def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None, **build_kwargs):
     if budgets is None:
-        m = build_deterministic_es(fleet, scenario, **build_kwargs)
+        m = build_deterministic_es(unit, scenario, **build_kwargs)
     else:
-        m = build_robust_es(fleet, scenario, budgets, **build_kwargs)
+        m = build_robust_es(unit, scenario, budgets, **build_kwargs)
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"es solve ended {sol.status}"
     return extract_es_schedule(m, sol)
