@@ -115,15 +115,15 @@ def _plan_cell(task: dict, bundle) -> dict:
             raise CellError(f"configuration {config} leaves no units")
         budgets = None if strategy == "deterministic" else strategy_budgets(strategy, sub)
         if case in (3, 4):
-            configs.append((config, *gap_solves(sub, scenario, budgets, task["literal_3c"])))
+            configs.append((config, *gap_solves(sub, scenario, budgets)))
         else:
-            configs.append((config, Solve(scenario, sub, budgets, task["literal_3c"]), ()))
+            configs.append((config, Solve(scenario, sub, budgets), ()))
     module = bundle.es_module
     if case == 4 and module is None:
         raise CellError("scenario file ships no storage module")
     es = None
     if case in (3, 4) and module is not None:
-        es = module_solve(module, scenario, strategy_budgets(strategy, portfolio), task["symmetric_sigma_margins"])
+        es = module_solve(module, scenario, strategy_budgets(strategy, portfolio))
     return {"configs": configs, "module": es}
 
 
@@ -266,8 +266,6 @@ def _expand_tasks(args) -> list[dict]:
                             "configs": tuple(args.config),
                             "fd_scales": tuple(args.fd_scale),
                             "max_modules": args.max_modules,
-                            "literal_3c": args.literal_3c,
-                            "symmetric_sigma_margins": args.symmetric_sigma_margins,
                         }
                     )
     tasks.sort(key=lambda t: cell_order(t["case"], t["season"], t["regime"], t["strategy"]))
@@ -299,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the plan's solves (default: every usable CPU); "
                              "never more than the distinct solves, and 1 runs in-process")
-    parser.add_argument("--literal-3c", action=argparse.BooleanOptionalAction, default=False,
-                        help="keep the daily energy cap's reserve term unscaled by the period length")
-    parser.add_argument("--symmetric-sigma-margins", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="use the down-reserve share for both storage margin rows")
     return parser
 
 
@@ -391,10 +384,6 @@ def main(argv: list[str] | None = None) -> int:
         written = [str(p) for p in write_results(table, out_dir)]
     manifest = {
         "scenario": args.scenario,
-        "switches": {
-            "literal_3c": args.literal_3c,
-            "symmetric_sigma_margins": args.symmetric_sigma_margins,
-        },
         "highs_options": session_options(),
         "jobs": jobs,
         "cells_total": len(tasks),

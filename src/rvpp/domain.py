@@ -54,7 +54,6 @@ class DrsUnit:
     min_up: int = 0
     min_down: int = 0
     daily_energy_limit: float | None = None
-    initially_on: bool = False
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class CspUnit:
     sf_upper: tuple[float, ...]
     sf_deviation: tuple[float, ...]
     store: ThermalStoreParams
-    initially_on: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "sf_upper", _vec(self.sf_upper))

@@ -191,8 +191,6 @@ def replay_rvpp_schedule(
     schedule: RvppSchedule,
     portfolio: Portfolio,
     scenario: MarketScenario,
-    *,
-    literal_3c: bool = False,
 ) -> dict[str, float]:
     """Max violation per deterministic constraint family, from raw arrays."""
     T = schedule.grid_periods
@@ -214,7 +212,7 @@ def replay_rvpp_schedule(
         on = schedule.on[u.name].astype(float)
         su = schedule.start[u.name].astype(float)
         sd = schedule.stop[u.name].astype(float)
-        prev = np.concatenate(([1.0 if u.initially_on else 0.0], on[:-1]))
+        prev = np.concatenate(([0.0], on[:-1]))
         commit_res.append(float(np.abs(on - prev - su + sd).max()))
         commit_res.append(_max_residual(su + sd - 1.0))
         if u.min_up >= 2:
@@ -237,8 +235,7 @@ def replay_rvpp_schedule(
         drs_env.append(_max_residual(p + schedule.reserve_up[u.name] - u.p_max * on))
         drs_env.append(_max_residual(u.p_min * on - (p - schedule.reserve_dn[u.name])))
         if u.daily_energy_limit is not None:
-            scale = 1.0 if literal_3c else dt
-            used = float((p * dt + schedule.reserve_up[u.name] * scale).sum())
+            used = float((p * dt + schedule.reserve_up[u.name] * dt).sum())
             drs_energy.append(max(0.0, used - u.daily_energy_limit))
     res["drs_envelope"] = max(drs_env)
     res["drs_daily_energy"] = max(drs_energy)
@@ -297,8 +294,6 @@ def replay_es_schedule(
     schedule: EsSchedule,
     fleet: EsUnit,
     scenario: MarketScenario,
-    *,
-    symmetric_sigma_margins: bool = True,
 ) -> dict[str, float]:
     """Max violation per fleet constraint family, from raw arrays."""
     dt = schedule.delta_t
@@ -327,10 +322,9 @@ def replay_es_schedule(
     )
     res["reserve_energy_up"] = max(0.0, float((schedule.r_up * dt / fleet.discharge_eff).sum()) - schedule.sigma_up * span)
     res["reserve_energy_dn"] = max(0.0, float((schedule.r_dn * fleet.charge_eff * dt).sum()) - schedule.sigma_dn * span)
-    floor_sigma = schedule.sigma_dn if symmetric_sigma_margins else schedule.sigma_up
     levels = schedule.soc[1:]
     res["soc_margins"] = max(
-        _max_residual(fleet.e_min + floor_sigma * span - levels),
+        _max_residual(fleet.e_min + schedule.sigma_dn * span - levels),
         _max_residual(levels - (fleet.e_max - schedule.sigma_dn * span)),
     )
     res["sigma_range"] = max(
@@ -339,10 +333,10 @@ def replay_es_schedule(
     return res
 
 
-def replay_schedule(schedule, portfolio_or_fleet, scenario: MarketScenario, **switches) -> dict[str, float]:
+def replay_schedule(schedule, portfolio_or_fleet, scenario: MarketScenario) -> dict[str, float]:
     """Dispatch to the portfolio or fleet replay by schedule type."""
     if isinstance(schedule, RvppSchedule):
-        return replay_rvpp_schedule(schedule, portfolio_or_fleet, scenario, **switches)
+        return replay_rvpp_schedule(schedule, portfolio_or_fleet, scenario)
     if isinstance(schedule, EsSchedule):
-        return replay_es_schedule(schedule, portfolio_or_fleet, scenario, **switches)
+        return replay_es_schedule(schedule, portfolio_or_fleet, scenario)
     raise TypeError(f"unsupported schedule type {type(schedule).__name__}")

@@ -150,22 +150,19 @@ def _require_valid(portfolio: Portfolio, scenario: MarketScenario) -> None:
         raise ModelBuildError("invalid inputs: " + "; ".join(violations[:5]))
 
 
-def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int, initially_on: bool):
+def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int):
     """Three-binary commitment logic with start/stop exclusivity and min windows.
 
-    A unit that starts the day on is assumed to have met its minimum up time
-    already (no residual obligation is carried in).
+    Every unit starts the day off, so running in period 1 takes a start.
     """
     on = [m.add_variable(f"on__{name}_t{_t2(t)}", BINARY) for t in range(T)]
     start = [m.add_variable(f"start__{name}_t{_t2(t)}", BINARY) for t in range(T)]
     stop = [m.add_variable(f"stop__{name}_t{_t2(t)}", BINARY) for t in range(T)]
-    prev = 1.0 if initially_on else 0.0
     for t in range(T):
         terms = [(on[t].index, 1.0), (start[t].index, -1.0), (stop[t].index, 1.0)]
-        rhs = prev if t == 0 else 0.0
         if t > 0:
             terms.append((on[t - 1].index, -1.0))
-        m.add_constraint(f"logic__{name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, rhs)
+        m.add_constraint(f"logic__{name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0)
         m.add_constraint(
             f"excl__{name}_t{_t2(t)}",
             LinearExpression.from_terms([(start[t].index, 1.0), (stop[t].index, 1.0)]),
@@ -189,7 +186,6 @@ def _build_core(
     m: Model,
     portfolio: Portfolio,
     scenario: MarketScenario,
-    literal_3c: bool,
     tightening: dict[str, list[float]] | None = None,
 ) -> tuple[dict, list[Constraint]]:
     """Deterministic portfolio model.
@@ -226,7 +222,7 @@ def _build_core(
         return disp, ru, rd
 
     def commitment(u):
-        handles = _add_commitment(m, u.name, T, u.min_up, u.min_down, u.initially_on)
+        handles = _add_commitment(m, u.name, T, u.min_up, u.min_down)
         cols["on"][u.name], cols["start"][u.name], cols["stop"][u.name] = handles
         return handles
 
@@ -269,9 +265,8 @@ def _build_core(
             up_terms[t] += [(disp[t].index, 1.0), (ru[t].index, 1.0)]
             dn_terms[t] += [(disp[t].index, 1.0), (rd[t].index, -1.0)]
         if u.daily_energy_limit is not None:
-            reserve_scale = 1.0 if literal_3c else dt
             terms = [(disp[t].index, dt) for t in range(T)]
-            terms += [(ru[t].index, reserve_scale) for t in range(T)]
+            terms += [(ru[t].index, dt) for t in range(T)]
             m.add_constraint(
                 f"drs_energy__{u.name}",
                 LinearExpression.from_terms(terms),
@@ -414,16 +409,11 @@ def _build_core(
     return cols, balance
 
 
-def build_deterministic_rvpp(
-    portfolio: Portfolio,
-    scenario: MarketScenario,
-    *,
-    literal_3c: bool = False,
-) -> Model:
+def build_deterministic_rvpp(portfolio: Portfolio, scenario: MarketScenario) -> Model:
     """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
     _require_valid(portfolio, scenario)
     m = Model(name="rvpp_det")
-    cols, balance = _build_core(m, portfolio, scenario, literal_3c)
+    cols, balance = _build_core(m, portfolio, scenario)
     m.tags.update(kind="rvpp", scenario=scenario, cols=cols, balance=balance)
     return m
 
@@ -454,13 +444,7 @@ def _add_price_dual(
     return mu, xi
 
 
-def build_robust_rvpp(
-    portfolio: Portfolio,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    *,
-    literal_3c: bool = False,
-) -> Model:
+def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> Model:
     """Single-level robust counterpart under budget uncertainty.
 
     Price streams (energy, both reserve capacities) contribute objective
@@ -489,7 +473,7 @@ def build_robust_rvpp(
         if gamma > 0:
             picked = set(dominant_subset(deviation, gamma))
             tightening[name] = [deviation[t] if t in picked else 0.0 for t in range(T)]
-    cols, balance = _build_core(m, portfolio, scenario, literal_3c, tightening)
+    cols, balance = _build_core(m, portfolio, scenario, tightening)
     obj = list(m.objective.terms)
 
     p_da = cols["p_da"]

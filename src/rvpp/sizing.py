@@ -11,8 +11,8 @@ with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and returns the
 one-module schedule scaled by N.
 
 Each model is named by a `Solve` key: the market scenario, the subject (a
-portfolio, one unit's stand-alone portfolio, or the storage module), the
-budgets and the one switch the model reads.  `gap_solves` and `module_solve`
+portfolio, one unit's stand-alone portfolio, or the storage module) and the
+budgets.  `gap_solves` and `module_solve`
 plan the keys of a gap and of a fleet; `GapReport.of` and `sized_from_module`
 turn solved keys into numbers.  `aggregation_gap` and `size_es_to_match`
 solve their keys with `Solve.run`; the command-line sweep plans the same keys
@@ -103,12 +103,12 @@ class SizingResult:
 
 
 class Solve(NamedTuple):
-    """What defines one model; equal keys are the same model."""
+    """What defines one model: its market scenario, subject and budgets.
+    Equal keys are the same model."""
 
     scenario: MarketScenario
     subject: Portfolio | EsUnit  # a portfolio, one unit's alone, or the storage module
     budgets: BudgetSet | None  # None: the deterministic model
-    switch: bool  # literal_3c, or symmetric_sigma_margins for the storage module
 
     def weight(self) -> int:
         """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
@@ -125,8 +125,8 @@ class Solve(NamedTuple):
         """The audited portfolio schedule, or the price-robust one-module
         schedule; a solve that does not end optimal raises ScheduleError."""
         if not isinstance(self.subject, EsUnit):
-            return audited_schedule(self.subject, self.scenario, self.budgets, literal_3c=self.switch)
-        m = build_robust_es(self.subject, self.scenario, self.budgets, symmetric_sigma_margins=self.switch)
+            return audited_schedule(self.subject, self.scenario, self.budgets)
+        m = build_robust_es(self.subject, self.scenario, self.budgets)
         return extract_es_schedule(m, _solved(m))
 
 
@@ -187,28 +187,27 @@ def _solved(m: Model) -> Solution:
     raise ScheduleError(f"solve ended {sol.status}{detail}")
 
 
-def audited_schedule(
-    portfolio: Portfolio,
-    scenario: MarketScenario,
-    budgets: BudgetSet | None,
-    *,
-    literal_3c: bool = False,
-) -> RvppSchedule:
+def _require_clean_replay(what: str, schedule, subject, scenario: MarketScenario) -> None:
+    """ScheduleError naming the constraint family with the largest replay
+    residual, when that residual is above RESIDUAL_TOL."""
+    family, worst = max(replay_schedule(schedule, subject, scenario).items(), key=lambda item: item[1])
+    if worst > RESIDUAL_TOL:
+        raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {RESIDUAL_TOL}")
+
+
+def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet | None) -> RvppSchedule:
     """Build, solve, decode, replay and audit one portfolio schedule.
 
     budgets None builds the deterministic model.  ScheduleError names what
-    failed: the solve (see _solved), the replay residual or the first robust
-    violation.
+    failed: the solve (see _solved), the replay residual and its constraint
+    family, or the first robust violation.
     """
     if budgets is None:
-        m = build_deterministic_rvpp(portfolio, scenario, literal_3c=literal_3c)
+        m = build_deterministic_rvpp(portfolio, scenario)
     else:
-        m = build_robust_rvpp(portfolio, scenario, budgets, literal_3c=literal_3c)
+        m = build_robust_rvpp(portfolio, scenario, budgets)
     schedule = extract_rvpp_schedule(m, _solved(m), portfolio)
-    report = replay_schedule(schedule, portfolio, scenario, literal_3c=literal_3c)
-    worst = max(report.values()) if report else 0.0
-    if worst > RESIDUAL_TOL:
-        raise ScheduleError(f"replay residual {worst:.3g} above {RESIDUAL_TOL}")
+    _require_clean_replay("replay", schedule, portfolio, scenario)
     if budgets is not None:
         violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
         if violations:
@@ -220,24 +219,17 @@ def gap_solves(
     portfolio: Portfolio,
     scenario: MarketScenario,
     budgets: BudgetSet,
-    literal_3c: bool,
 ) -> tuple[Solve, tuple[Solve, ...]]:
     """The portfolio's key and one stand-alone key per unit; budget entries
     naming units outside the portfolio are dropped."""
     budgets = _budgets_for(budgets, set(portfolio.unit_names()))
-    units = tuple(Solve(scenario, *stand_alone(u, budgets), literal_3c) for u in portfolio.all_units())
-    return Solve(scenario, portfolio, budgets, literal_3c), units
+    units = tuple(Solve(scenario, *stand_alone(u, budgets)) for u in portfolio.all_units())
+    return Solve(scenario, portfolio, budgets), units
 
 
-def aggregation_gap(
-    portfolio: Portfolio,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    *,
-    literal_3c: bool = False,
-) -> GapReport:
+def aggregation_gap(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> GapReport:
     """Aggregated robust profit vs the sum of stand-alone robust profits."""
-    return GapReport.of(Solve.run, *gap_solves(portfolio, scenario, budgets, literal_3c))
+    return GapReport.of(Solve.run, *gap_solves(portfolio, scenario, budgets))
 
 
 def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> int:
@@ -264,14 +256,9 @@ def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> in
     return count
 
 
-def module_solve(
-    module: EsUnit,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    symmetric_sigma_margins: bool,
-) -> Solve:
+def module_solve(module: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -> Solve:
     """The one-module storage key; any per-unit budgets are dropped."""
-    return Solve(scenario, module, price_only_budgets(budgets), symmetric_sigma_margins)
+    return Solve(scenario, module, price_only_budgets(budgets))
 
 
 def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int) -> SizingResult:
@@ -281,17 +268,14 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     The scaled schedule is replayed against module.scaled(count), and
     its objective is re-priced twice: by the worst case of its flows under the
     price-only budgets, and through its price duals (the re-pricing reads
-    flows only, so it cannot see a wrong dual).  ScheduleError names a
-    residual or a price that disagrees.
+    flows only, so it cannot see a wrong dual).  ScheduleError names the
+    residual and its constraint family, or a price that disagrees.
     """
     module, scenario, budgets = key.subject, key.scenario, key.budgets
     p1 = one.objective_value
     count = _module_count(gap, p1, module, max_modules)
     schedule, fleet = one.scaled(count), module.scaled(count)
-    report = replay_schedule(schedule, fleet, scenario, symmetric_sigma_margins=key.switch)
-    worst = max(report.values()) if report else 0.0
-    if worst > RESIDUAL_TOL:
-        raise ScheduleError(f"storage replay residual {worst:.3g} above {RESIDUAL_TOL}")
+    _require_clean_replay("storage replay", schedule, fleet, scenario)
     objective = schedule.objective_value
     checks = {"its worst-case re-pricing": worst_case_profit(schedule, scenario, budgets)[0]}
     if schedule.artifacts is not None:
@@ -316,8 +300,6 @@ def size_es_to_match(
     scenario: MarketScenario,
     budgets: BudgetSet,
     max_modules: int = 2000,
-    *,
-    symmetric_sigma_margins: bool = True,
 ) -> SizingResult:
     """Smallest module_count whose robust fleet profit reaches the gap.
 
@@ -331,5 +313,5 @@ def size_es_to_match(
     """
     if max_modules < 1:
         raise ValueError("max_modules must be at least 1")
-    key = module_solve(module, scenario, budgets, symmetric_sigma_margins)
+    key = module_solve(module, scenario, budgets)
     return sized_from_module(gap, key.run(), key, max_modules)

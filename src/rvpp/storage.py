@@ -5,7 +5,9 @@ module's EsUnit.scaled(n): power and energy limits scale with the count,
 efficiencies and costs do not.  Charging and discharging are mode-exclusive
 per period; reserve offers split into a charge-side part (backing off
 charging) and a discharge-side part.  Daily reserve energy is fenced by two
-envelope fractions (sigma) that also reserve state-of-charge margins.  The
+envelope fractions of the energy span: sigma_up bounds the up-reserve energy,
+sigma_dn the down-reserve energy, and sigma_dn alone also keeps both
+state-of-charge margins, above the floor and below the ceiling.  The
 state of charge is cyclic: the recursion wraps period 1 back onto period T,
 so the day starts and ends at the same level.
 
@@ -102,7 +104,7 @@ _SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value", "nominal_profit")
 _SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
-def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, symmetric_sigma_margins: bool) -> dict:
+def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario) -> dict:
     """The fleet model; returns its columns keyed like the EsSchedule fields
     they decode into ("soc" holds the T levels)."""
     T = scenario.grid.period_count
@@ -202,10 +204,9 @@ def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, symmetric_
             SENSE_EQ,
             0.0,
         )
-        floor_sigma = sigma_dn if symmetric_sigma_margins else sigma_up
         m.add_constraint(
             f"es_floor_t{_t2(t)}",
-            LinearExpression.from_terms([(soc[t].index, 1.0), (floor_sigma.index, -span)]),
+            LinearExpression.from_terms([(soc[t].index, 1.0), (sigma_dn.index, -span)]),
             SENSE_GE,
             fleet.e_min,
         )
@@ -256,27 +257,16 @@ def _require_valid_es(fleet: EsUnit, scenario: MarketScenario) -> None:
         raise ModelBuildError("invalid inputs: " + "; ".join(problems[:5]))
 
 
-def build_deterministic_es(
-    fleet: EsUnit,
-    scenario: MarketScenario,
-    *,
-    symmetric_sigma_margins: bool = True,
-) -> Model:
+def build_deterministic_es(fleet: EsUnit, scenario: MarketScenario) -> Model:
     """Deterministic fleet scheduling MILP at nominal prices."""
     _require_valid_es(fleet, scenario)
     m = Model(name="es_det")
-    cols = _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
+    cols = _build_es_core(m, fleet, scenario)
     m.tags.update(kind="es", fleet=fleet, scenario=scenario, cols=cols)
     return m
 
 
-def build_robust_es(
-    fleet: EsUnit,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    *,
-    symmetric_sigma_margins: bool = True,
-) -> Model:
+def build_robust_es(fleet: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -> Model:
     """Price-robust counterpart; the fleet has no quantity uncertainty.
 
     Only the three price streams may carry budgets (the energy stream's loss
@@ -294,7 +284,7 @@ def build_robust_es(
             f"storage accepts price budgets only; per-unit budgets set for {nonzero}"
         )
     m = Model(name="es_robust")
-    cols = _build_es_core(m, fleet, scenario, symmetric_sigma_margins)
+    cols = _build_es_core(m, fleet, scenario)
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     obj = list(m.objective.terms)

@@ -100,6 +100,7 @@ def test_seasons_and_regimes_default_to_the_files(tmp_path, bundle, capsys):
     raw = copy.deepcopy(bundle.raw)
     raw["seasons"] = ["spring"]
     raw["energy_limits"]["hydro"] = {"spring": raw["energy_limits"]["hydro"]["spring"]}
+    del raw["units"][1]  # a portfolio without biomass runs as well
     spring_only = tmp_path / "spring.yaml"
     save_scenario(raw, spring_only)
     out = tmp_path / "spring"
@@ -170,8 +171,14 @@ def test_rejects_bad_flags(tmp_path):
     )
     for count in ("0", "-1"):
         assert cli.main(["--max-modules", count, "--out", str(tmp_path / f"m{count}")]) == 2
-    # The solver is not selectable, and an ablation must name a unit class.
-    for flags in (["--backend", "scipy"], ["--case", "3", "--config", "no_wind"]):
+    # The solver and the row formulations are not selectable, and an ablation
+    # must name a unit class.
+    for flags in (
+        ["--backend", "scipy"],
+        ["--literal-3c"],
+        ["--no-symmetric-sigma-margins"],
+        ["--case", "3", "--config", "no_wind"],
+    ):
         with pytest.raises(SystemExit) as exc:
             cli.main([*flags, "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
@@ -197,6 +204,15 @@ def test_case4_needs_a_storage_module(tmp_path, bundle):
     assert manifest["cells_failed"] == 1
     assert "storage module" in manifest["cells"][0]["error"]
 
+    # A module with no usable energy span earns nothing, so no fleet covers the gap.
+    raw = copy.deepcopy(bundle.raw)
+    raw["es_module"]["e_min"] = raw["es_module"]["e_max"]
+    save_scenario(raw, scenario_path)
+    flags = ["--case", "4", "--season", "winter", "--strategy", "optimistic", "--jobs", "1"]
+    assert cli.main([*flags, "--scenario", str(scenario_path), "--out", str(out)]) == 1
+    error = json.loads((out / "run_manifest.json").read_text())["cells"][0]["error"]
+    assert error.startswith("SizingError: per-module value 0 of 'li_ion_module' is not positive"), error
+
 
 def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
     # A 30 MW favorable deviation leaves no profile of industrial_load
@@ -218,6 +234,21 @@ def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
         errors.append(cells["optimistic"]["error"])
     assert errors[0] == errors[1]
     assert "solve ended infeasible; relaxing these rows restores feasibility: fd_profile__industrial_load" in errors[0]
+
+
+
+def test_replay_failure_names_its_family(tmp_path, bundle):
+    # HiGHS calls this solve optimal, but at a 1e6 MW profile entry its
+    # schedule breaks the flexible-demand envelope by 0.2 MW.
+    raw = copy.deepcopy(bundle.raw)
+    (load,) = [u for u in raw["units"] if u["name"] == "industrial_load"]
+    load["profiles"][2][19] = 1e6
+    scenario_path = tmp_path / "huge_profile.yaml"
+    save_scenario(raw, scenario_path)
+    flags = ["--case", "1", "--season", "winter", "--regime", "favorable", "--strategy", "optimistic"]
+    assert cli.main([*flags, "--jobs", "1", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 1
+    error = json.loads((tmp_path / "run_manifest.json").read_text())["cells"][0]["error"]
+    assert "ScheduleError: replay residual" in error and " in fd_envelope above 1e-06" in error, error
 
 
 SPRING_BALANCED = ("--season", "spring", "--strategy", "balanced")

@@ -208,11 +208,15 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         (lambda raw: raw.update(regimes=[["favorable"]]), r"regimes: unknown regime \['favorable'\]"),
         (lambda raw: raw["grid"].update(period_count=0), r"grid\.period_count: expected at least 1, got 0"),
         (lambda raw: raw["grid"].update(period_count=25), r"expected 25 entries, got 24; grid\.period_count is 25"),
+        (lambda raw: raw["units"][1].update(name="hydro"), r"hydro: duplicate unit name"),
+        (lambda raw: raw["units"][0].update(p_min=51.0), r"hydro: requires 0 <= p_min <= p_max, got p_min=51"),
+        (lambda raw: raw["units"][5].update(profiles=[]), r"units\[5\]\.profiles: expected a non-empty list"),
+        (lambda raw: raw.update(units=[]), r"units: expected a non-empty list"),
     ],
     ids=[
         "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
         "seasons_int", "regimes_int", "seasons_empty", "regimes_twice", "seasons_unknown", "regimes_nested",
-        "grid_empty", "grid_longer",
+        "grid_empty", "grid_longer", "units_twice", "p_min_above_p_max", "profiles_empty", "units_empty",
     ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):

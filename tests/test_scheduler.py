@@ -220,34 +220,22 @@ def test_commitment_windows_and_transition_identity():
         assert gap >= 2
 
 
-def test_initially_on_unit_may_stop_at_once():
-    unit = DrsUnit("gen", 10.0, 4.0, 50.0, 20.0, 15.0, min_up=3, min_down=2, initially_on=True)
-    sched = solve_rvpp(Portfolio(drs=(unit,)), market(6, dam=1.0))
-    # Prices below operating cost: pay the shutdown fee immediately.
-    assert sched.stop["gen"][0] == 1
-    assert sched.on["gen"].sum() == 0
-    assert sched.objective_value == pytest.approx(-20.0, abs=1e-8)
-
-
 def cap_toy(dt: float):
     hydro = DrsUnit("h1", 10.0, 0.0, 0.0, 0.0, 1.0, daily_energy_limit=20.0)
     return Portfolio(drs=(hydro,)), market(8, dam=30.0, sr_up=20.0, dt=dt)
 
 
 def test_daily_cap_reserve_term_scaling():
-    """The cap row charges reserve capacity delta_t-scaled by default.
+    """The cap row charges reserve capacity delta_t-scaled, as energy.
 
-    With delta_t = 0.5 the default lets twice the reserve MW fit under the
-    cap (all 20 MWh to reserve: 40 MW x 20 EUR = 800), while the literal
-    form makes energy the better use (40 MWh-halves x 14.5 EUR = 580).
+    With delta_t = 0.5 twice the reserve MW fit under the cap (all 20 MWh to
+    reserve: 40 MW x 20 EUR = 800).  At delta_t = 1 reserve and energy weigh
+    alike, and energy is the better use (20 MWh x 29 EUR = 580).
     """
     p, s = cap_toy(dt=0.5)
-    assert solve_rvpp(p, s, literal_3c=False).objective_value == pytest.approx(800.0, abs=1e-6)
-    assert solve_rvpp(p, s, literal_3c=True).objective_value == pytest.approx(580.0, abs=1e-6)
-    # At delta_t = 1 the two forms coincide.
+    assert solve_rvpp(p, s).objective_value == pytest.approx(800.0, abs=1e-6)
     p, s = cap_toy(dt=1.0)
-    assert solve_rvpp(p, s, literal_3c=False).objective_value == pytest.approx(580.0, abs=1e-6)
-    assert solve_rvpp(p, s, literal_3c=True).objective_value == pytest.approx(580.0, abs=1e-6)
+    assert solve_rvpp(p, s).objective_value == pytest.approx(580.0, abs=1e-6)
 
 
 def test_daily_cap_limits_dispatched_energy():

@@ -130,15 +130,12 @@ def test_per_unit_budgets_rejected_for_storage():
 
 
 def test_sigma_margin_switch_changes_floor_reservation():
-    """Up-reserve-only day: the symmetric form reserves no floor headroom
-    (the down share is zero), the literal one blocks sigma_up of the span."""
+    """Up-reserve-only day: both margin rows use the down share, which is
+    zero, so the up reserve blocks no floor headroom."""
     s = market(4, dam=[0.0, 70.0, 0.0, 70.0], sr_up=8.0)
-    sym = solve_es(battery(), s, symmetric_sigma_margins=True)
-    lit = solve_es(battery(), s, symmetric_sigma_margins=False)
-    assert sym.sigma_up > 0.0 and lit.sigma_up > 0.0
-    assert sym.objective_value == pytest.approx(70.015, abs=1e-6)
-    assert lit.objective_value == pytest.approx(66.405, abs=1e-6)
-    assert sym.objective_value > lit.objective_value + 1.0
+    sched = solve_es(battery(), s)
+    assert sched.sigma_up > 0.0
+    assert sched.objective_value == pytest.approx(70.015, abs=1e-6)
 
 
 def test_decode_rejects_tampered_mode():

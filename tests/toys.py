@@ -81,22 +81,22 @@ def battery(
     return EsUnit(name, charge, discharge, e_max, e_min, eff, eff, op_cost)
 
 
-def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None, **build_kwargs):
+def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None):
     """Build, solve, and decode in one step; asserts the solve is optimal."""
     if budgets is None:
-        m = build_deterministic_rvpp(portfolio, scenario, **build_kwargs)
+        m = build_deterministic_rvpp(portfolio, scenario)
     else:
-        m = build_robust_rvpp(portfolio, scenario, budgets, **build_kwargs)
+        m = build_robust_rvpp(portfolio, scenario, budgets)
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"rvpp solve ended {sol.status}"
     return extract_rvpp_schedule(m, sol, portfolio)
 
 
-def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None, **build_kwargs):
+def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None):
     if budgets is None:
-        m = build_deterministic_es(unit, scenario, **build_kwargs)
+        m = build_deterministic_es(unit, scenario)
     else:
-        m = build_robust_es(unit, scenario, budgets, **build_kwargs)
+        m = build_robust_es(unit, scenario, budgets)
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"es solve ended {sol.status}"
     return extract_es_schedule(m, sol)
