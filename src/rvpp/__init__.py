@@ -47,7 +47,6 @@ from .milp import (
     Solution,
     SolverUnavailableError,
     Variable,
-    export_lp_text,
     solve,
 )
 from .oracle import (
@@ -155,7 +154,6 @@ __all__ = [
     "build_robust_es",
     "build_robust_rvpp",
     "default_scenario_path",
-    "export_lp_text",
     "extract_es_schedule",
     "extract_rvpp_schedule",
     "load_scenario",

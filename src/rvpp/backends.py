@@ -200,13 +200,12 @@ class ScipyHighsBackend:
                 rows.append(r)
                 cols.append(index)
                 data.append(coef)
-            bound = con.rhs - con.expr.constant
             if con.sense == SENSE_LE:
-                lo[r], hi[r] = -np.inf, bound
+                lo[r], hi[r] = -np.inf, con.rhs
             elif con.sense == SENSE_GE:
-                lo[r], hi[r] = bound, np.inf
+                lo[r], hi[r] = con.rhs, np.inf
             else:
-                lo[r], hi[r] = bound, bound
+                lo[r], hi[r] = con.rhs, con.rhs
         a_data, a_indices, a_indptr = _csc(model, rows, cols, data)
         nnz = len(a_data)
         assembled = time.perf_counter()
@@ -251,7 +250,8 @@ class ScipyHighsBackend:
         model = self._model
         assert model is not None
         sign = -1.0 if model.direction == MAXIMIZE else 1.0
-        return sign * float(self.highs.getInfo().objective_function_value) + model.objective.constant
+        # + 0.0 turns a -0.0 from HiGHS into 0.0.
+        return sign * float(self.highs.getInfo().objective_function_value) + 0.0
 
     def values(self) -> dict[int, float]:
         if self._status != STATUS_OPTIMAL:

@@ -185,7 +185,7 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
     report = GapReport.of(solved, full, units)
     sized = None
     if plan["module"] is not None:
-        sized = sized_from_module(report.gap, solved(plan["module"]), plan["module"], task["max_modules"])
+        sized = sized_from_module(report.gap, solved(plan["module"]), plan["module"])
     if case == 3:
         values = dict(zip(GAP_COLUMNS, report))
         values.update((f"unit_{name}", profit) for name, profit in report.per_unit)
@@ -265,7 +265,6 @@ def _expand_tasks(args) -> list[dict]:
                             "strategy": strategy,
                             "configs": tuple(args.config),
                             "fd_scales": tuple(args.fd_scale),
-                            "max_modules": args.max_modules,
                         }
                     )
     tasks.sort(key=lambda t: cell_order(t["case"], t["season"], t["regime"], t["strategy"]))
@@ -292,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="case-3 flexible-demand capacity scale in percent; repeatable")
     parser.add_argument("--scenario", default=None, help="scenario YAML path (default: shipped dataset)")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--max-modules", type=int, default=2000,
-                        help="cap on the storage fleet sizing may return; a larger need fails the cell")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the plan's solves (default: every usable CPU); "
                              "never more than the distinct solves, and 1 runs in-process")
@@ -309,10 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
     args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
     args.scenario = str(args.scenario or default_scenario_path())
-    for flag, value in (("--jobs", args.jobs), ("--max-modules", args.max_modules)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return 2
+    if args.jobs is not None and args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     fd_labels: dict[str, float] = {}
     for pct in args.fd_scale:
         if not 0 <= pct < math.inf:

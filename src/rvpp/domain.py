@@ -250,14 +250,6 @@ class BudgetSet:
                 return gamma
         return 0
 
-    def is_zero(self) -> bool:
-        return (
-            self.gamma_dam == 0
-            and self.gamma_sr_up == 0
-            and self.gamma_sr_down == 0
-            and all(g == 0 for _, g in self.gamma_per_unit)
-        )
-
 
 ZERO_BUDGETS = BudgetSet()
 

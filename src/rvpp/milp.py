@@ -1,14 +1,14 @@
-"""Mixed-integer linear model construction, LP text export, and solve orchestration.
+"""Mixed-integer linear model construction and solve orchestration.
 
-The model IR is solver-agnostic: variables and constraints are stored in
-insertion order, which fixes both the LP text layout and the column order
-handed to backends, so repeated builds of the same model are byte-identical.
+The model IR holds what a backend reads: variables and constraints in
+insertion order, which fixes the column and row order handed to HiGHS, so
+repeated builds of the same model give identical arrays.  Names serve the
+decoders and the diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -30,16 +30,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_LIMIT = "limit"
-
-# LP text takes a name with no whitespace (str.isspace) and none of these
-# operator characters.  A leading digit is tested apart with str.isdigit,
-# which, unlike the pattern's \d, also rejects digits such as "²".
-_LP_NAME = re.compile(r"[^\s+\-:<>=\\]+")
-
-
-def _lp_safe(name: str) -> bool:
-    return _LP_NAME.fullmatch(name) is not None and not name[0].isdigit()
-
 
 class ModelError(ValueError):
     """Raised for malformed model input (bad bounds, unknown ids, non-finite data)."""
@@ -71,21 +61,20 @@ class Variable:
 
 @dataclass(frozen=True)
 class LinearExpression:
-    """Sum of coef * variable terms plus a constant, kept in insertion order."""
+    """Sum of coef * variable terms, kept in insertion order."""
 
     terms: tuple[tuple[int, float], ...] = ()
-    constant: float = 0.0
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[int, float]], constant: float = 0.0) -> "LinearExpression":
+    def from_terms(terms: Iterable[tuple[int, float]]) -> "LinearExpression":
         merged: dict[int, float] = {}
         for index, coef in terms:
             merged[index] = merged.get(index, 0.0) + float(coef)
         kept = tuple((i, c) for i, c in merged.items() if c != 0.0)
-        return LinearExpression(kept, float(constant))
+        return LinearExpression(kept)
 
     def value(self, values: Mapping[int, float]) -> float:
-        total = self.constant
+        total = 0.0
         for index, coef in self.terms:
             total += coef * values[index]
         return total
@@ -127,7 +116,7 @@ class Model:
         self.constraints: list[Constraint] = []
         self.objective: LinearExpression = LinearExpression()
         self.direction: str = MAXIMIZE
-        # Free-form build metadata (scenario handles, decode hints).  Not exported.
+        # Free-form build metadata (scenario handles, decode hints).  Not handed to the backend.
         self.tags: dict = {}
         self._by_name: dict[str, Variable] = {}
         self._constraint_names: set[str] = set()
@@ -143,8 +132,6 @@ class Model:
             raise ModelError(f"unknown variable kind {kind!r} for {name!r}")
         if name in self._by_name:
             raise ModelError(f"duplicate variable name {name!r}")
-        if not _lp_safe(name):
-            raise ModelError(f"variable name is not LP-safe: {name!r}")
         lower = float(lower)
         upper = float(upper)
         if math.isnan(lower) or math.isnan(upper):
@@ -164,13 +151,9 @@ class Model:
             raise ModelError(f"unknown constraint sense {sense!r} for {name!r}")
         if name in self._constraint_names:
             raise ModelError(f"duplicate constraint name {name!r}")
-        if not _lp_safe(name):
-            raise ModelError(f"constraint name is not LP-safe: {name!r}")
         rhs = float(rhs)
         if not math.isfinite(rhs):
             raise ModelError(f"non-finite rhs on constraint {name!r}")
-        if not math.isfinite(expr.constant):
-            raise ModelError(f"non-finite constant in constraint {name!r}")
         for index, coef in expr.terms:
             if index < 0 or index >= len(self.variables):
                 raise ModelError(f"constraint {name!r} references unknown variable id {index}")
@@ -200,62 +183,6 @@ class Model:
 
     def binary_count(self) -> int:
         return sum(1 for v in self.variables if v.kind == BINARY)
-
-
-def _fmt(x: float) -> str:
-    """Shortest exact decimal form; round-trips through float()."""
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return repr(float(x) + 0.0)
-
-
-def _write_expr(expr: LinearExpression, variables: list[Variable]) -> str:
-    parts: list[str] = []
-    for index, coef in expr.terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {variables[index].name}")
-    if expr.constant != 0.0:
-        sign = "-" if expr.constant < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(expr.constant))}")
-    if not parts:
-        return "0"
-    text = " ".join(parts)
-    if text.startswith("+ "):
-        text = text[2:]
-    return text
-
-
-def export_lp_text(model: Model) -> str:
-    """Serialize to LP text (CPLEX-style dialect, insertion order, byte-stable).
-
-    All variable bounds are written explicitly; binaries are additionally listed
-    in a Binaries section.  A row's constant is moved to its right-hand side,
-    since LP readers take none on the left.  The text is read by HiGHS.
-    """
-    lines: list[str] = []
-    lines.append("Maximize" if model.direction == MAXIMIZE else "Minimize")
-    lines.append(f" obj: {_write_expr(model.objective, model.variables)}")
-    lines.append("Subject To")
-    for con in model.constraints:
-        lhs = _write_expr(LinearExpression(con.expr.terms), model.variables)
-        lines.append(f" {con.name}: {lhs} {con.sense} {_fmt(con.rhs - con.expr.constant)}")
-    lines.append("Bounds")
-    for var in model.variables:
-        if var.lower == -math.inf and var.upper == math.inf:
-            lines.append(f" {var.name} free")
-        elif var.lower == var.upper:
-            lines.append(f" {var.name} = {_fmt(var.lower)}")
-        else:
-            lines.append(f" {_fmt(var.lower)} <= {var.name} <= {_fmt(var.upper)}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
 
 
 def solve(model: Model, backend) -> Solution:

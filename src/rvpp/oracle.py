@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BudgetSet, EsUnit, MarketScenario, Portfolio
+from .milp import FEASIBILITY_TOL
 from .scheduler import RvppSchedule, dominant_subset
 from .storage import EsSchedule
-
-AUDIT_TOL = 1.0e-6
 
 
 @dataclass
@@ -170,11 +169,11 @@ def audit_robust_feasibility(
     out: list[str] = []
     for _, label, gap in _balance_gaps(schedule, portfolio):
         worst = int(gap.argmax())
-        if gap[worst] > AUDIT_TOL:
+        if gap[worst] > FEASIBILITY_TOL:
             out.append(f"{label} off by {gap[worst]:.3e} at period {worst + 1}")
     for name, deviation, slack, what in _stream_rows(schedule, portfolio):
         for t in dominant_subset(deviation, budgets.unit_budget(name)):
-            if deviation[t] > slack[t] + AUDIT_TOL:
+            if deviation[t] > slack[t] + FEASIBILITY_TOL:
                 out.append(
                     f"{name}: {what} exceeds the degraded limit by "
                     f"{deviation[t] - slack[t]:.6g} at period {t + 1} "

@@ -10,8 +10,7 @@ constants, which is exactly the realization the audit replays.
 
 The builders keep the columns and rows they create on the model
 (tags "cols", "balance" and, when robust, "duals"); the decoder reads the
-solution through those handles, so column names serve only the LP text and
-diagnostics.
+solution through those handles, so column names serve only the diagnostics.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .domain import (
 )
 from .milp import (
     BINARY,
+    FEASIBILITY_TOL,
     MAXIMIZE,
     SENSE_EQ,
     SENSE_GE,
@@ -43,9 +43,6 @@ from .milp import (
 
 # Strictly dominated by any real price difference; removed from reported objectives.
 PROFILE_TIE_EPS = 1.0e-9
-
-BINARY_TOL = 1.0e-6
-BALANCE_TOL = 1.0e-6
 
 # RvppSchedule per-unit fields decoded from continuous and from binary columns.
 _UNIT_SERIES = ("dispatch", "reserve_up", "reserve_dn", "sf_power", "ts_charge", "ts_discharge")
@@ -526,12 +523,12 @@ def _values(sol: Solution, cols: list[Variable]) -> np.ndarray:
 
 
 def _binaries(sol: Solution, cols: list[Variable]) -> np.ndarray:
-    """Solved values of binary columns, each within BINARY_TOL of 0 or 1."""
+    """Solved values of binary columns, each within FEASIBILITY_TOL of 0 or 1."""
     out = np.empty(len(cols), dtype=int)
     for t, var in enumerate(cols):
         v = sol.value_of(var)
         r = round(v)
-        if abs(v - r) > BINARY_TOL:
+        if abs(v - r) > FEASIBILITY_TOL:
             raise DecodeError(f"binary {var.name!r} is non-integral: {v}")
         out[t] = int(r)
     return out
@@ -586,7 +583,7 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
 
     for con in m.tags["balance"]:
         res = con.residual(sol.values)
-        if res > BALANCE_TOL:
+        if res > FEASIBILITY_TOL:
             raise DecodeError(f"balance row {con.name} violated by {res}")
 
     nominal = float(np.dot(scenario.dam_price, p_da) * dt)

@@ -43,12 +43,13 @@ from .domain import (
     NdrsUnit,
     Portfolio,
 )
-from .milp import STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
+from .milp import FEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
 from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsSchedule, build_robust_es, extract_es_schedule
 
-RESIDUAL_TOL = 1e-6
+# The largest fleet sizing returns; a larger need raises SizingError.
+MAX_MODULES = 2000
 
 
 class SizingError(RuntimeError):
@@ -189,10 +190,10 @@ def _solved(m: Model) -> Solution:
 
 def _require_clean_replay(what: str, schedule, subject, scenario: MarketScenario) -> None:
     """ScheduleError naming the constraint family with the largest replay
-    residual, when that residual is above RESIDUAL_TOL."""
+    residual, when that residual is above FEASIBILITY_TOL."""
     family, worst = max(replay_schedule(schedule, subject, scenario).items(), key=lambda item: item[1])
-    if worst > RESIDUAL_TOL:
-        raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {RESIDUAL_TOL}")
+    if worst > FEASIBILITY_TOL:
+        raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {FEASIBILITY_TOL}")
 
 
 def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet | None) -> RvppSchedule:
@@ -232,7 +233,7 @@ def aggregation_gap(portfolio: Portfolio, scenario: MarketScenario, budgets: Bud
     return GapReport.of(Solve.run, *gap_solves(portfolio, scenario, budgets))
 
 
-def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> int:
+def _module_count(gap: float, p1: float, module: EsUnit) -> int:
     """Smallest N with N * p1 >= gap in floating point."""
     if not math.isfinite(gap):
         raise SizingError(f"the gap {gap} is not finite, so no fleet size follows from it")
@@ -244,8 +245,8 @@ def _module_count(gap: float, p1: float, module: EsUnit, max_modules: int) -> in
             f"so no fleet covers the gap {gap:.6g}"
         )
     # Tested before any division so that a tiny p1 cannot overflow ceil().
-    if gap > max_modules * p1:
-        raise SizingError(f"no fleet of up to {max_modules} modules covers the gap {gap:.6g}")
+    if gap > MAX_MODULES * p1:
+        raise SizingError(f"no fleet of up to {MAX_MODULES} modules covers the gap {gap:.6g}")
     # The rounded quotient can put ceil() one module off where gap / p1 sits
     # next to a whole number; the products settle it.
     count = math.ceil(gap / p1)
@@ -261,7 +262,7 @@ def module_solve(module: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -
     return Solve(scenario, module, price_only_budgets(budgets))
 
 
-def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int) -> SizingResult:
+def sized_from_module(gap: float, one: EsSchedule, key: Solve) -> SizingResult:
     """The smallest fleet covering gap, by arithmetic on one, the schedule of
     the one-module key.
 
@@ -273,7 +274,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     """
     module, scenario, budgets = key.subject, key.scenario, key.budgets
     p1 = one.objective_value
-    count = _module_count(gap, p1, module, max_modules)
+    count = _module_count(gap, p1, module)
     schedule, fleet = one.scaled(count), module.scaled(count)
     _require_clean_replay("storage replay", schedule, fleet, scenario)
     objective = schedule.objective_value
@@ -281,7 +282,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     if schedule.artifacts is not None:
         checks["its price duals"] = schedule.nominal_profit - schedule.artifacts.price_penalty_total()
     for source, profit in checks.items():
-        if abs(profit - objective) > RESIDUAL_TOL * max(1.0, abs(objective)):
+        if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
             raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")
     return SizingResult(
         lower_bound_profit=gap,
@@ -294,13 +295,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve, max_modules: int)
     )
 
 
-def size_es_to_match(
-    gap: float,
-    module: EsUnit,
-    scenario: MarketScenario,
-    budgets: BudgetSet,
-    max_modules: int = 2000,
-) -> SizingResult:
+def size_es_to_match(gap: float, module: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -> SizingResult:
     """Smallest module_count whose robust fleet profit reaches the gap.
 
     budgets must be effectively price-only; any per-unit entries are dropped
@@ -308,10 +303,8 @@ def size_es_to_match(
     its profit p1; the count follows from p1 by arithmetic and the schedule by
     scaling, so no other fleet is solved.  The returned schedule is replayed
     and re-priced as sized_from_module describes.  SizingError is raised when
-    p1 is not positive and when the count would exceed max_modules;
+    p1 is not positive and when the count would exceed MAX_MODULES;
     ScheduleError when the one-module solve does not end optimal.
     """
-    if max_modules < 1:
-        raise ValueError("max_modules must be at least 1")
     key = module_solve(module, scenario, budgets)
-    return sized_from_module(gap, key.run(), key, max_modules)
+    return sized_from_module(gap, key.run(), key)

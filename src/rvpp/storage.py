@@ -26,6 +26,7 @@ import numpy as np
 from .domain import BudgetSet, EsUnit, MarketScenario, validate_budgets, validate_es, validate_scenario
 from .milp import (
     BINARY,
+    FEASIBILITY_TOL,
     MAXIMIZE,
     SENSE_EQ,
     SENSE_GE,
@@ -35,7 +36,6 @@ from .milp import (
     Solution,
 )
 from .scheduler import (
-    BALANCE_TOL,
     DecodeError,
     ModelBuildError,
     PriceRobustArtifacts,
@@ -325,7 +325,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
     mode = _binaries(sol, cols["mode"])
 
     for t in range(T):
-        if charge[t] > BALANCE_TOL and discharge[t] > BALANCE_TOL:
+        if charge[t] > FEASIBILITY_TOL and discharge[t] > FEASIBILITY_TOL:
             raise DecodeError(
                 f"period {t + 1} both charges ({charge[t]}) and discharges ({discharge[t]})"
             )
@@ -334,7 +334,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
     soc = np.concatenate(([levels[-1]], levels))
     for t in range(T):
         expected = soc[t] + fleet.charge_eff * dt * charge[t] - discharge[t] * dt / fleet.discharge_eff
-        if abs(expected - soc[t + 1]) > BALANCE_TOL:
+        if abs(expected - soc[t + 1]) > FEASIBILITY_TOL:
             raise DecodeError(
                 f"state-of-charge recursion broken at period {t + 1}: "
                 f"{soc[t + 1]} vs expected {expected}"

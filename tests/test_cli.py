@@ -169,12 +169,11 @@ def test_rejects_bad_flags(tmp_path):
     assert (
         cli.main(["--case", "3", "--strategy", "deterministic", "--out", str(tmp_path / "w")]) == 2
     )
-    for count in ("0", "-1"):
-        assert cli.main(["--max-modules", count, "--out", str(tmp_path / f"m{count}")]) == 2
-    # The solver and the row formulations are not selectable, and an ablation
-    # must name a unit class.
+    # The solver, the row formulations and the fleet cap are not selectable,
+    # and an ablation must name a unit class.
     for flags in (
         ["--backend", "scipy"],
+        ["--max-modules", "3"],
         ["--literal-3c"],
         ["--no-symmetric-sigma-margins"],
         ["--case", "3", "--config", "no_wind"],
@@ -323,9 +322,11 @@ def test_fd_000_reuses_the_no_fd_schedule(tmp_path, solve_calls):
         assert rows["fd_000"][column] == rows["no_fd"][column]
 
 
-def test_case4_sizes_itself_when_its_twin_fails(tmp_path):
+def test_case4_sizes_itself_when_its_twin_fails(tmp_path, monkeypatch):
+    # Sizing arithmetic runs in this process, so pool workers need no patch.
+    monkeypatch.setattr(sizing, "MAX_MODULES", 1)
     out = tmp_path / "capped"
-    flags = ["--case", "3", "--case", "4", *SPRING_BALANCED, "--max-modules", "1"]
+    flags = ["--case", "3", "--case", "4", *SPRING_BALANCED]
     assert cli.main([*flags, "--out", str(out)]) == 1
     cells = json.loads((out / "run_manifest.json").read_text())["cells"]
     assert [c["status"] for c in cells] == ["failed", "failed"]

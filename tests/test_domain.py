@@ -175,8 +175,6 @@ def test_budgetset_accepts_dict_and_defaults_to_zero():
     assert b.gamma_per_unit == (("a", 5), ("b", 4))
     assert b.unit_budget("a") == 5
     assert b.unit_budget("missing") == 0
-    assert not b.is_zero()
-    assert BudgetSet().is_zero()
 
 
 def test_validate_budgets_bounds_and_names():

@@ -1,4 +1,5 @@
-"""Model IR, LP text export read back by HiGHS, and solve cross-checks."""
+"""Model IR, the arrays HiGHS receives, solve cross-checks against an
+independent scipy.optimize.milp reference, and the HiGHS session."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from scipy import sparse
+from scipy import optimize, sparse
 from scipy.optimize._highspy import _core as highs
 
 import rvpp
@@ -79,25 +80,6 @@ def test_inverted_bounds_rejected():
         m.add_variable("x", lower=2.0, upper=1.0)
 
 
-def test_names_must_be_lp_safe():
-    """LP text splits on whitespace and operators and reads a leading digit
-    as a number; any character str.isdigit calls a digit counts."""
-    rejected = ["", " x", "x y", "x\ty", "x\u00a0y", "a+b", "a-b", "a:b", "a<b", "a>b", "a=b", "a\\b",
-                "1x", "9", "\u00b2x", "\u0661x"]
-    accepted = ["x", "x1", "_1", "p_da[3]", "e.max", "x\u00b2", "caf\u00e9", "a/b", "a*b", "a^b", "a,b"]
-    for name in rejected:
-        m = milp.Model()
-        with pytest.raises(milp.ModelError, match="variable name is not LP-safe"):
-            m.add_variable(name)
-        with pytest.raises(milp.ModelError, match="constraint name is not LP-safe"):
-            m.add_constraint(name, milp.LinearExpression(), "<=", 0.0)
-    m = milp.Model()
-    for name in accepted:
-        m.add_variable(name)
-        m.add_constraint(name, milp.LinearExpression(), "<=", 0.0)
-    assert [v.name for v in m.variables] == [c.name for c in m.constraints] == accepted
-
-
 def test_duplicate_names_rejected():
     m = milp.Model()
     m.add_variable("x")
@@ -124,36 +106,14 @@ def test_nonfinite_coefficient_rejected():
 
 
 def test_empty_expression_constraint_is_allowed():
-    # A constant-only row must still be checkable (it can encode 0 <= rhs).
+    # A row without terms must still be checkable (it can encode 0 <= rhs).
     m = milp.Model()
     m.add_variable("x", upper=1.0)
-    con = m.add_constraint("noop", milp.LinearExpression((), 0.0), "<=", 0.0)
+    con = m.add_constraint("noop", milp.LinearExpression(()), "<=", 0.0)
     assert con.residual({0: 0.5}) == 0.0
     m.set_objective(milp.LinearExpression(((0, 1.0),)))
     sol = milp.solve(m, backends.ScipyHighsBackend())
     assert sol.status == "optimal"
-
-
-def test_export_is_deterministic():
-    a = milp.export_lp_text(small_lp())
-    b = milp.export_lp_text(small_lp())
-    assert a == b
-    assert a.startswith("Maximize\n")
-    assert a.endswith("End\n")
-
-
-def test_export_writes_all_bound_forms():
-    m = milp.Model()
-    m.add_variable("fixed", lower=2.0, upper=2.0)
-    m.add_variable("free_var", lower=-math.inf, upper=math.inf)
-    m.add_variable("boxed", lower=-1.0, upper=3.5)
-    m.add_variable("flag", milp.BINARY)
-    m.set_objective(milp.LinearExpression(((0, 1.0),)))
-    text = milp.export_lp_text(m)
-    assert " fixed = 2.0" in text
-    assert " free_var free" in text
-    assert " -1.0 <= boxed <= 3.5" in text
-    assert "Binaries" in text
 
 
 def _random_model(rng: np.random.Generator) -> milp.Model:
@@ -193,84 +153,56 @@ def _random_model(rng: np.random.Generator) -> milp.Model:
 
 
 def _offset_lp() -> milp.Model:
-    """Objective and row constants, a binary, free, fixed and negative bounds."""
+    """A minimization with a binary and free, fixed and negative bounds."""
     m = milp.Model(name="offset")
     x = m.add_variable("x", lower=-math.inf, upper=math.inf)
     f = m.add_variable("f", lower=2.0, upper=2.0)
     z = m.add_variable("z", milp.BINARY)
     w = m.add_variable("w", lower=-1.5, upper=3.5)
-    m.add_constraint("lo", milp.LinearExpression(((x.index, 1.0), (z.index, 4.0)), -1.25), ">=", 0.5)
-    m.add_constraint(
-        "hi", milp.LinearExpression(((x.index, 1.0), (w.index, 1.0), (f.index, 1.0)), 3.0), "<=", 7.0
-    )
-    m.add_constraint("eq", milp.LinearExpression(((w.index, 2.0), (z.index, -1.0)), 0.5), "=", 1.0)
-    m.set_objective(
-        milp.LinearExpression(((x.index, 1.0), (z.index, 0.75), (w.index, -1e-5)), -2.5), milp.MINIMIZE
-    )
+    m.add_constraint("lo", milp.LinearExpression(((x.index, 1.0), (z.index, 4.0))), ">=", 1.75)
+    m.add_constraint("hi", milp.LinearExpression(((x.index, 1.0), (w.index, 1.0), (f.index, 1.0))), "<=", 4.0)
+    m.add_constraint("eq", milp.LinearExpression(((w.index, 2.0), (z.index, -1.0))), "=", 0.5)
+    m.set_objective(milp.LinearExpression(((x.index, 1.0), (z.index, 0.75), (w.index, -1e-5))), milp.MINIMIZE)
     return m
 
 
-def _assert_highs_reads_the_model(model: milp.Model, path) -> None:
-    path.write_text(milp.export_lp_text(model))
-    h = highs._Highs()
-    h.setOptionValue("output_flag", False)
-    assert h.readModel(str(path)) == highs.HighsStatus.kOk
-    lp = h.getLp()
-    # HiGHS orders columns by first appearance, so match them by name.
-    cols = {name: j for j, name in enumerate(lp.col_names_)}
-    assert len(cols) == len(model.variables)
-    integer = list(lp.integrality_) or [highs.HighsVarType.kContinuous] * lp.num_col_
-    cost = dict.fromkeys(range(len(model.variables)), 0.0)
+def _reference_arrays(model: milp.Model):
+    """The cost (minimized), integrality, column bounds, CSC matrix and row
+    bounds of model, built here apart from the backend's assembly."""
+    sign = -1.0 if model.direction == milp.MAXIMIZE else 1.0
+    c = np.zeros(len(model.variables))
     for index, coef in model.objective.terms:
-        cost[index] += coef
-    for var in model.variables:
-        j = cols[var.name]
-        assert lp.col_cost_[j] == cost[var.index], var.name
-        assert (lp.col_lower_[j], lp.col_upper_[j]) == (var.lower, var.upper), var.name
-        assert (integer[j] == highs.HighsVarType.kInteger) == (var.kind == milp.BINARY), var.name
-    rows = {name: i for i, name in enumerate(lp.row_names_)}
-    assert len(rows) == len(model.constraints)
-    a = lp.a_matrix_
-    assert a.format_ == highs.MatrixFormat.kColwise
-    entries = {
-        (a.index_[k], lp.col_names_[j]): a.value_[k]
-        for j in range(lp.num_col_)
-        for k in range(a.start_[j], a.start_[j + 1])
-    }
-    expected_entries = {}
-    for con in model.constraints:
-        bound = con.rhs - con.expr.constant
-        expected = {"<=": (-math.inf, bound), ">=": (bound, math.inf), "=": (bound, bound)}[con.sense]
-        i = rows[con.name]
-        assert (lp.row_lower_[i], lp.row_upper_[i]) == expected, con.name
-        for index, coef in con.expr.terms:
-            expected_entries[(i, model.variables[index].name)] = coef
-    assert entries == expected_entries
-    assert lp.offset_ == model.objective.constant
-    maximize = lp.sense_ == highs.ObjSense.kMaximize
-    assert maximize == (model.direction == milp.MAXIMIZE)
-
-    h.setOptionValue("mip_rel_gap", 0.0)
-    h.run()
-    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
-    via_text = h.getInfo().objective_function_value
-    direct = milp.solve(model, backends.ScipyHighsBackend())
-    assert direct.status == "optimal"
-    assert abs(via_text - direct.objective_value) <= 1e-9 * max(1.0, abs(direct.objective_value)), (
-        f"{model.name}: {direct.objective_value} vs {via_text}"
-    )
+        c[index] += sign * coef
+    integrality = np.array([v.kind == milp.BINARY for v in model.variables], dtype=np.int32)
+    lower = np.array([v.lower for v in model.variables])
+    upper = np.array([v.upper for v in model.variables])
+    entries = [(r, index, coef) for r, con in enumerate(model.constraints) for index, coef in con.expr.terms]
+    rows, cols, coefs = zip(*entries)
+    a = sparse.csc_array((coefs, (rows, cols)), shape=(len(model.constraints), len(model.variables)))
+    lo = np.array([-math.inf if con.sense == "<=" else con.rhs for con in model.constraints])
+    hi = np.array([math.inf if con.sense == ">=" else con.rhs for con in model.constraints])
+    return c, integrality, lower, upper, a, lo, hi
 
 
-def test_highs_reads_the_exported_lp_text(tmp_path, bundle):
-    """HiGHS's own LP reader gets back every column, row, offset and sense,
-    and solves the text to the objective of a direct solve."""
-    path = tmp_path / "model.lp"
+def test_objectives_match_a_scipy_milp_reference(bundle):
+    """milp.solve reaches the objective scipy.optimize.milp finds for the
+    same entries at a zero MIP gap, on hand-made, shipped and random models."""
     rng = np.random.default_rng(20260815)
     portfolio, scenario = bundle.cell("spring", "favorable")
     shipped = build_robust_rvpp(portfolio, scenario, strategy_budgets("optimistic", portfolio))
     models = [small_lp(), _offset_lp(), shipped] + [_random_model(rng) for _ in range(100)]
     for model in models:
-        _assert_highs_reads_the_model(model, path)
+        direct = milp.solve(model, backends.ScipyHighsBackend())
+        c, integrality, lower, upper, a, lo, hi = _reference_arrays(model)
+        ref = optimize.milp(
+            c, integrality=integrality, bounds=optimize.Bounds(lower, upper),
+            constraints=optimize.LinearConstraint(a, lo, hi), options={"mip_rel_gap": 0.0},
+        )
+        assert (direct.status, ref.status) == ("optimal", 0), (model.name, ref.message)
+        expected = ref.fun if model.direction == milp.MINIMIZE else -ref.fun
+        assert abs(direct.objective_value - expected) <= 1e-9 * max(1.0, abs(expected)), (
+            f"{model.name}: {direct.objective_value} vs {expected}"
+        )
 
 
 def test_objective_recompute_guard():
@@ -407,21 +339,27 @@ def _winter_portfolio(bundle) -> milp.Model:
 
 @pytest.mark.parametrize("build", [lambda bundle: _offset_lp(), _winter_portfolio], ids=["offset", "winter"])
 def test_assembly_matches_scipy_sparse(build, bundle):
-    """optimize() hands HiGHS the arrays scipy.sparse.csc_array makes of the
-    same entries, and the digest is the one those arrays give."""
+    """optimize() hands HiGHS the cost, column bounds, integrality and row
+    bounds built in this test, and the matrix scipy.sparse.csc_array makes of
+    the same entries; the digest is the one those arrays give."""
     model = build(bundle)
     backend = backends.ScipyHighsBackend()
     spy = backend.highs = _PassModelSpy(backend.highs)
     assert milp.solve(model, backend).status == "optimal"
     n, m, nnz, _, _, _, c, lower, upper, lo, hi, indptr, indices, data, integrality = spy.args
-    entries = [(r, index, coef) for r, con in enumerate(model.constraints) for index, coef in con.expr.terms]
-    rows, cols, coefs = zip(*entries)
-    a = sparse.csc_array((coefs, (rows, cols)), shape=(len(model.constraints), len(model.variables)))
+    ref_c, ref_integrality, ref_lower, ref_upper, a, ref_lo, ref_hi = _reference_arrays(model)
     assert (m, n) == a.shape and nnz == a.nnz
-    assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+    assert indptr.dtype == indices.dtype == integrality.dtype == np.int32 and data.dtype == np.float64
     assert np.array_equal(indptr, a.indptr) and np.array_equal(indices, a.indices)
     assert data.tobytes() == a.data.tobytes()
-    expected = backends._digest(c, integrality, lower, upper, a.data, a.indices, a.indptr, a.shape, lo, hi)
+    for name, got, want in (
+        ("cost", c, ref_c), ("integrality", integrality, ref_integrality), ("lower", lower, ref_lower),
+        ("upper", upper, ref_upper), ("row lower", lo, ref_lo), ("row upper", hi, ref_hi),
+    ):
+        assert got.tobytes() == want.tobytes(), name
+    expected = backends._digest(
+        ref_c, ref_integrality, ref_lower, ref_upper, a.data, a.indices, a.indptr, a.shape, ref_lo, ref_hi
+    )
     assert backend.last_run.digest == expected
 
 

@@ -158,7 +158,7 @@ def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
     # one module off (at this p1, k = 11 and k = 257 among others).
     for k in range(1, 1001):
         for gap, expected in around_multiples(p1, k):
-            assert sizing._module_count(gap, p1, battery(), 2000) == expected, (k, gap)
+            assert sizing._module_count(gap, p1, battery()) == expected, (k, gap)
     calls = count_fleet_solves(monkeypatch)
     for k in (2, 11, 257):
         for gap, expected in around_multiples(p1, k):
@@ -175,7 +175,7 @@ def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
 def test_non_finite_gap_is_named():
     for gap in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(SizingError, match=f"gap {gap} is not finite"):
-            sizing._module_count(gap, 3.0, battery(), 2000)
+            sizing._module_count(gap, 3.0, battery())
 
 
 def test_losing_module_fails_after_one_solve(monkeypatch):
@@ -213,11 +213,10 @@ def test_sized_fleet_is_audited_through_its_price_duals(monkeypatch):
         size_es_to_match(60.0, battery(), s, BudgetSet(gamma_dam=1))
 
 
-def test_sizing_cap_exhausted_raises():
+def test_sizing_cap_exhausted_raises(monkeypatch):
+    monkeypatch.setattr(sizing, "MAX_MODULES", 3)
     with pytest.raises(SizingError, match="up to 3 modules"):
-        size_es_to_match(1.0e9, battery(), double_cycle_market(), ZERO_BUDGETS, max_modules=3)
-    with pytest.raises(ValueError, match="max_modules"):
-        size_es_to_match(1.0, battery(), double_cycle_market(), ZERO_BUDGETS, max_modules=0)
+        size_es_to_match(1.0e9, battery(), double_cycle_market(), ZERO_BUDGETS)
 
 
 def test_price_only_budgets_drop_unit_entries():
