@@ -24,14 +24,11 @@ from .storage import EsSchedule
 @dataclass
 class Realization:
     """The most damaging price outcome of a fixed schedule: per price stream
-    the degraded-period subset, the induced price vector and the loss."""
+    the degraded-period subset and the loss."""
 
     dam_subset: tuple[int, ...]
     sr_up_subset: tuple[int, ...]
     sr_dn_subset: tuple[int, ...]
-    dam_price: np.ndarray
-    sr_up_price: np.ndarray
-    sr_dn_price: np.ndarray
     dam_loss: float
     sr_up_loss: float
     sr_dn_loss: float
@@ -74,31 +71,10 @@ def worst_case_profit(schedule, scenario: MarketScenario, budgets: BudgetSet) ->
     up_loss = float(up_vec[list(up_pick)].sum()) if up_pick else 0.0
     dn_loss = float(dn_vec[list(dn_pick)].sum()) if dn_pick else 0.0
 
-    T = scenario.grid.period_count
-    dam_price = np.asarray(scenario.dam_price, dtype=float).copy()
-    for t in dam_pick:
-        if isinstance(schedule, RvppSchedule):
-            if schedule.p_da[t] >= 0.0:
-                dam_price[t] -= scenario.dam_price_down_dev[t]
-            else:
-                dam_price[t] += scenario.dam_price_up_dev[t]
-        else:
-            # Gross exposure: the induced price is reported for the selling side.
-            dam_price[t] -= scenario.dam_price_down_dev[t]
-    sr_up_price = np.asarray(scenario.sr_up_price, dtype=float).copy()
-    for t in up_pick:
-        sr_up_price[t] -= scenario.sr_up_price_dev[t]
-    sr_dn_price = np.asarray(scenario.sr_dn_price, dtype=float).copy()
-    for t in dn_pick:
-        sr_dn_price[t] -= scenario.sr_dn_price_dev[t]
-
     realization = Realization(
         dam_subset=dam_pick,
         sr_up_subset=up_pick,
         sr_dn_subset=dn_pick,
-        dam_price=dam_price,
-        sr_up_price=sr_up_price,
-        sr_dn_price=sr_dn_price,
         dam_loss=dam_loss,
         sr_up_loss=up_loss,
         sr_dn_loss=dn_loss,

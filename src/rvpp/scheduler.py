@@ -41,7 +41,10 @@ from .milp import (
     Variable,
 )
 
-# Strictly dominated by any real price difference; removed from reported objectives.
+# Objective weight -PROFILE_TIE_EPS * j on flexible-demand profile j.  It is
+# below HiGHS's mip_abs_gap, so it cannot decide a tie: it only steers the
+# search (dropping it slows the winter solves).  The decoder decides ties and
+# removes the term from reported objectives.
 PROFILE_TIE_EPS = 1.0e-9
 
 # RvppSchedule per-unit fields decoded from continuous and from binary columns.
@@ -189,7 +192,8 @@ def _build_core(
 
     Returns the columns, keyed like the RvppSchedule fields they decode into
     (per-unit fields map unit name -> per-period columns; "profiles" holds
-    each flexible-demand unit's profile picks, "ts_soc" the T store levels),
+    each flexible-demand unit's profile picks, "fd_floor" its per-period
+    consumption-floor rows, "ts_soc" the T store levels),
     and the balance rows.  tightening maps a unit name to per-period amounts
     taken off the right-hand side of that unit's forecast/demand coupling row;
     the robust builder passes the deviations its fixed adversary realizes.
@@ -208,7 +212,7 @@ def _build_core(
     r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
     r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
     cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
-    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles"):
+    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor"):
         cols[field] = {}
 
     def flows(name: str, upper: float = math.inf):
@@ -369,11 +373,14 @@ def _build_core(
         )
         for j, w in enumerate(picks):
             perturbation.append((w.index, -PROFILE_TIE_EPS * j))
+        cols["fd_floor"][u.name] = floor = []
         for t in range(T):
             terms = [(w.index, u.profiles[j][t]) for j, w in enumerate(picks)]
             terms.append((disp[t].index, -1.0))
-            m.add_constraint(
-                f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut(u.name, t)
+            floor.append(
+                m.add_constraint(
+                    f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut(u.name, t)
+                )
             )
             m.add_constraint(
                 f"fd_res_dn__{u.name}_t{_t2(t)}",
@@ -551,9 +558,11 @@ def _price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts | None
 def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> RvppSchedule:
     """Decode a solved model into arrays, re-verifying balance and integrality.
 
-    Raises DecodeError on non-optimal status, a portfolio other than the
-    built one, fractional binaries, a flexible-demand unit without exactly
-    one chosen profile, or balance residuals above 1e-6.
+    A flexible-demand unit reports the lowest-index profile whose floor rows
+    the decoded dispatch meets, so tied profiles read the same whichever one
+    HiGHS picked.  Raises DecodeError on non-optimal status, a portfolio
+    other than the built one, fractional binaries, a flexible-demand unit
+    without exactly one chosen profile, or balance residuals above 1e-6.
     """
     if m.tags.get("kind") != "rvpp":
         raise DecodeError("model was not built by a portfolio scheduling builder")
@@ -575,11 +584,18 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
         levels = _values(sol, c)
         ts_soc[name] = np.concatenate(([levels[-1]], levels))
     fd_profile: dict[str, int] = {}
-    for name, picks in cols["profiles"].items():
-        chosen = [j for j, w in enumerate(picks) if round(sol.value_of(w)) == 1]
+    perturb = 0.0
+    for u in portfolio.fd:
+        chosen = [j for j, w in enumerate(cols["profiles"][u.name]) if round(sol.value_of(w)) == 1]
         if len(chosen) != 1:
-            raise DecodeError(f"{name}: expected exactly one chosen profile, got {chosen}")
-        fd_profile[name] = chosen[0]
+            raise DecodeError(f"{u.name}: expected exactly one chosen profile, got {chosen}")
+        perturb += -PROFILE_TIE_EPS * chosen[0]
+        limit = [row.rhs + FEASIBILITY_TOL for row in cols["fd_floor"][u.name]]
+        fd_profile[u.name] = next(
+            j
+            for j, profile in enumerate(u.profiles)
+            if j == chosen[0] or all(p - d <= lim for p, d, lim in zip(profile, dispatch[u.name], limit))
+        )
 
     for con in m.tags["balance"]:
         res = con.residual(sol.values)
@@ -596,9 +612,6 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
     for u in portfolio.csp:
         nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
 
-    perturb = 0.0
-    for u in portfolio.fd:
-        perturb += -PROFILE_TIE_EPS * fd_profile[u.name]
     objective_value = sol.objective_value - perturb
 
     return RvppSchedule(

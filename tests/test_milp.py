@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -421,17 +422,20 @@ def test_a_missing_binding_is_named(monkeypatch):
         spec.loader.exec_module(fresh)
 
 
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python argv...` in a fresh interpreter that imports this checkout's rvpp."""
+    src = str(Path(rvpp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_console_exits_2_without_the_binding(tmp_path):
     hide_then_run = (
         "import sys; sys.modules['scipy.optimize._highspy._core'] = None\n"
         "from rvpp.__main__ import main\n"
         "sys.exit(main(['--case', '1', '--season', 'winter', '--out', sys.argv[1]]))\n"
     )
-    src = str(Path(rvpp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", hide_then_run, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = _fresh_python("-c", hide_then_run, str(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert "scipy>=1.15" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "run_manifest.json").exists()
@@ -448,7 +452,30 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "from scipy.optimize._highspy import _core\n"
         "sys.exit(0 if _core is rvpp.backends._core else 'a second binding was loaded')\n"
     )
-    src = str(Path(rvpp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120)
+    proc = _fresh_python("-c", check)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_public_name_loads_only_its_submodule():
+    """`import rvpp` loads no submodule and no numpy; `load_scenario` brings
+    in neither numpy nor the backend; every public name is the object its
+    submodule defines."""
+    check = textwrap.dedent(
+        """
+        import importlib, inspect, sys
+        def loaded():
+            return {m for m in sys.modules if m in ('numpy', 'yaml') or m.startswith('rvpp.')}
+        import rvpp
+        if loaded(): sys.exit(f'import rvpp loaded {sorted(loaded())}')
+        from rvpp import load_scenario
+        if loaded() - {'yaml', 'rvpp.domain', 'rvpp.scenario_io'}: sys.exit(f'load_scenario loaded {sorted(loaded())}')
+        for name in rvpp.__all__:
+            home = importlib.import_module(f'rvpp.{rvpp._HOME[name]}')
+            obj = getattr(rvpp, name)
+            defined = not (inspect.isclass(obj) or inspect.isfunction(obj)) or obj.__module__ == home.__name__
+            if obj is not vars(home)[name] or not defined: sys.exit(f'rvpp.{name} is not defined by {home.__name__}')
+        if not set(rvpp.__all__) <= set(dir(rvpp)): sys.exit('dir(rvpp) misses public names')
+        """
+    )
+    proc = _fresh_python("-c", check)
     assert proc.returncode == 0, proc.stderr

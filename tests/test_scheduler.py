@@ -59,6 +59,17 @@ def test_fd_picks_the_cheaper_profile():
     assert sched.p_da.max() < 0.0
 
 
+@pytest.mark.parametrize("floors", [(2.0, 2.0, 2.0), (3.0, 2.0, 2.0)])
+def test_tied_profiles_read_as_the_lowest_index(floors):
+    """HiGHS 1.12 picks index 2 in both cases: the tie-break term is below
+    its gap tolerance, so the decoder reports the first profile met."""
+    T = 6
+    load = FdUnit("ld", profiles=tuple((f,) * T for f in floors), deviation=(0.0,) * T)
+    sched = solve_rvpp(Portfolio(fd=(load,)), market(T, dam=15.0))
+    assert sched.fd_profile["ld"] == floors.index(2.0)
+    assert sched.objective_value == pytest.approx(-180.0, abs=1e-7)
+
+
 def mixed_toy():
     T = 12
     hydro = DrsUnit("h1", 8.0, 2.0, 10.0, 5.0, 3.0, min_up=2, min_down=1)
