@@ -2,8 +2,9 @@
 
 A ScipyHighsBackend is one solve session: load one model, optimize, then
 query status, objective_value and values, or relaxed_rows after an
-infeasible end.  milp.solve only calls the first four (and reads name), so
-tests hand it a subclass that lies.
+infeasible end.  milp.solve calls five methods (load, optimize, status,
+values, objective_value) and reads name, so tests hand it a subclass that
+lies.
 
 The session drives `scipy.optimize._highspy._core._Highs` itself rather than
 `scipy.optimize.milp`, which cannot switch off HiGHS's RINS and RENS

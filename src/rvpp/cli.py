@@ -136,16 +136,21 @@ def _snap(v: float) -> float:
     return 0.0 if abs(v) < 1e-9 else float(v)
 
 
+def _market_totals(traded, r_up, r_dn, dt: float) -> dict[str, float]:
+    """Energy sold and bought and the reserve totals of a market position."""
+    return {
+        "sold_mwh": _snap(sum(v for v in traded if v > 0) * dt),
+        "bought_mwh": _snap(-sum(v for v in traded if v < 0) * dt),
+        "r_up_total_mw": _snap(sum(r_up)),
+        "r_dn_total_mw": _snap(sum(r_dn)),
+    }
+
+
 def _market_values(schedule, dt: float) -> dict[str, float]:
-    sold = sum(v for v in schedule.p_da if v > 0) * dt
-    bought = -sum(v for v in schedule.p_da if v < 0) * dt
     return {
         "objective": schedule.objective_value,
         "nominal_profit": schedule.nominal_profit,
-        "sold_mwh": _snap(sold),
-        "bought_mwh": _snap(bought),
-        "r_up_total_mw": _snap(sum(schedule.r_up)),
-        "r_dn_total_mw": _snap(sum(schedule.r_dn)),
+        **_market_totals(schedule.p_da, schedule.r_up, schedule.r_dn, dt),
     }
 
 
@@ -210,10 +215,7 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
             "module_count": float(sized.module_count),
             "fleet_e_max_mwh": sized.fleet_e_max,
             "es_objective": es.objective_value,
-            "sold_mwh": _snap(sum(v for v in es.net if v > 0) * dt),
-            "bought_mwh": _snap(-sum(v for v in es.net if v < 0) * dt),
-            "r_up_total_mw": _snap(sum(es.r_up)),
-            "r_dn_total_mw": _snap(sum(es.r_dn)),
+            **_market_totals(es.net, es.r_up, es.r_dn, dt),
         },
         **kf,
     )

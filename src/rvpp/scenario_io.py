@@ -51,6 +51,9 @@ _PRICE_KEYS = (
 )
 _STORE_KEYS = ("e_min", "e_max", "charge_p_max", "discharge_p_max", "charge_eff", "discharge_eff")
 _ES_KEYS = _STORE_KEYS + ("op_cost",)
+_TOP_KEYS = (
+    "schema_version", "description", "grid", "seasons", "regimes", "prices", "units", "energy_limits", "es_module",
+)
 # Scenario-file unit class (also its Portfolio field) -> unit type.
 _UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
 
@@ -110,6 +113,15 @@ def _field(mapping: dict, key, path: str, kind=float, default=_REQUIRED):
             return value
         raise ScenarioFormatError(f"{path}.{key}: expected {_EXPECTED[kind]}")
     return _number(value, f"{path}.{key}", kind)
+
+
+def _only(mapping: dict, known, path: str) -> None:
+    """ScenarioFormatError naming path and the first key of mapping not in
+    known, the keys the loader has read from it: a misspelt optional key
+    would otherwise leave its field at the default."""
+    for key in mapping:
+        if key not in known:
+            raise ScenarioFormatError(f"{path}: unknown key {key!r}")
 
 
 def _number(value, path: str, kind=float):
@@ -192,6 +204,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError(f"{path}: top level must be a mapping")
+    _only(doc, _TOP_KEYS, str(path))
 
     version = doc.get("schema_version")
     if version != 1:
@@ -202,6 +215,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     if T < 1:
         raise ScenarioFormatError(f"grid.period_count: expected at least 1, got {T}")
     dt = _field(grid_block, "delta_t", "grid")
+    _only(grid_block, ("period_count", "delta_t"), "grid")
     grid = PeriodGrid(T, dt)
 
     seasons = _names(doc, "seasons", SEASONS)
@@ -215,6 +229,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             key: _floats(_need(block, key, f"prices.{season}"), f"prices.{season}.{key}", T)
             for key in _PRICE_KEYS
         }
+        _only(block, _PRICE_KEYS, f"prices.{season}")
 
     units = _need(doc, "units", str(path))
     if not isinstance(units, list) or not units:
@@ -287,6 +302,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
                 min_down=_field(u, "min_down", upath, int, 0),
                 store=ThermalStoreParams(**{key: _field(store_block, key, spath) for key in _STORE_KEYS}),
             )
+            _only(store_block, _STORE_KEYS, spath)
             upper = _per_season(_need(u, "sf_upper", upath), seasons, f"{upath}.sf_upper", T)
             dev = _per_season_regime(
                 _need(u, "sf_deviation", upath), seasons, regimes, f"{upath}.sf_deviation", T
@@ -311,6 +327,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             varying = {(s, r): {"deviation": dev[r]} for s, r in cell_keys}
         else:
             raise ScenarioFormatError(f"{upath}.class: unknown unit class {cls!r}")
+        _only(u, {"class", *shared, *varying[cell_keys[0]]}, upath)
         specs.append((cls, shared, varying))
 
     drs_names = {shared["name"] for cls, shared, _ in specs if cls == "drs"}
@@ -321,12 +338,14 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     es_module = None
     e = _field(doc, "es_module", str(path), dict, None)
     if e is not None:
-        es_module = EsUnit(
+        fields = dict(
             name=str(_need(e, "name", "es_module")),
             **{key: _field(e, key, "es_module") for key in _ES_KEYS},
             charge_p_min=_field(e, "charge_p_min", "es_module", float, 0.0),
             discharge_p_min=_field(e, "discharge_p_min", "es_module", float, 0.0),
         )
+        _only(e, fields, "es_module")
+        es_module = EsUnit(**fields)
         problems = validate_es(es_module)
         if problems:
             raise ScenarioFormatError("es_module: " + "; ".join(problems))

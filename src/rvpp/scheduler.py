@@ -1,15 +1,17 @@
 """Day-ahead + secondary-reserve scheduling MILPs for an aggregated portfolio.
 
-Two builders share one deterministic core.  The robust builder adds the
-budget-of-uncertainty counterpart: price streams are protected through their
-dual penalty columns (the objective pays Gamma*mu + sum(xi) per stream).  The
-adversary of a generation/demand stream does not depend on the schedule, so it
-is fixed before the solve: the Gamma largest deviations (ties to the earliest
-period) come off the right-hand side of the stream's coupling rows as
-constants, which is exactly the realization the audit replays.
+One core (_build_core) builds the model in one pass and takes the budgets of
+uncertainty, None meaning deterministic; at zero budgets the robust model is
+its deterministic twin.  Both public builders call it.  Price streams are
+protected through their dual penalty columns (the objective pays
+Gamma*mu + sum(xi) per stream).  The adversary of a generation/demand stream
+does not depend on the schedule, so it is fixed before the solve: the Gamma
+largest deviations (ties to the earliest period) come off the right-hand side
+of the stream's coupling rows as constants, which is exactly the realization
+the audit replays.
 
-The builders keep the columns and rows they create on the model
-(tags "cols", "balance" and, when robust, "duals"); the decoder reads the
+The core keeps the portfolio and the columns and rows it creates on the
+model (tags "portfolio", "cols", "balance" and "duals"); the decoder reads the
 solution through those handles, so column names serve only the diagnostics.
 """
 
@@ -135,13 +137,6 @@ def dominant_subset(deviation, gamma: int) -> tuple[int, ...]:
     return tuple(sorted(order[:gamma]))
 
 
-def _uncertain_streams(portfolio: Portfolio) -> list[tuple[str, tuple[float, ...]]]:
-    streams = [(u.name, u.forecast_deviation) for u in portfolio.ndrs]
-    streams += [(u.name, u.sf_deviation) for u in portfolio.csp]
-    streams += [(u.name, u.deviation) for u in portfolio.fd]
-    return streams
-
-
 def _require_valid(portfolio: Portfolio, scenario: MarketScenario) -> None:
     if portfolio.is_empty():
         raise ModelBuildError("portfolio has no units")
@@ -182,246 +177,6 @@ def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int):
     return on, start, stop
 
 
-def _build_core(
-    m: Model,
-    portfolio: Portfolio,
-    scenario: MarketScenario,
-    tightening: dict[str, list[float]] | None = None,
-) -> tuple[dict, list[Constraint]]:
-    """Deterministic portfolio model.
-
-    Returns the columns, keyed like the RvppSchedule fields they decode into
-    (per-unit fields map unit name -> per-period columns; "profiles" holds
-    each flexible-demand unit's profile picks, "fd_floor" its per-period
-    consumption-floor rows, "ts_soc" the T store levels),
-    and the balance rows.  tightening maps a unit name to per-period amounts
-    taken off the right-hand side of that unit's forecast/demand coupling row;
-    the robust builder passes the deviations its fixed adversary realizes.
-    """
-    tightening = tightening or {}
-
-    def cut(name: str, t: int) -> float:
-        amounts = tightening.get(name)
-        return amounts[t] if amounts else 0.0
-
-    grid = scenario.grid
-    T = grid.period_count
-    dt = grid.delta_t
-
-    p_da = [m.add_variable(f"pda_t{_t2(t)}", lower=-math.inf, upper=math.inf) for t in range(T)]
-    r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
-    r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
-    cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
-    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor"):
-        cols[field] = {}
-
-    def flows(name: str, upper: float = math.inf):
-        disp = [m.add_variable(f"disp__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
-        ru = [m.add_variable(f"rup__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
-        rd = [m.add_variable(f"rdn__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
-        cols["dispatch"][name], cols["reserve_up"][name], cols["reserve_dn"][name] = disp, ru, rd
-        return disp, ru, rd
-
-    def commitment(u):
-        handles = _add_commitment(m, u.name, T, u.min_up, u.min_down)
-        cols["on"][u.name], cols["start"][u.name], cols["stop"][u.name] = handles
-        return handles
-
-    obj: list[tuple[int, float]] = []
-    for t in range(T):
-        obj.append((p_da[t].index, scenario.dam_price[t] * dt))
-        obj.append((r_up[t].index, scenario.sr_up_price[t]))
-        obj.append((r_dn[t].index, scenario.sr_dn_price[t]))
-
-    # Balance accumulators: generation enters positive, demand negative.
-    id_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
-    up_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
-    dn_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
-    perturbation: list[tuple[int, float]] = []
-
-    for u in portfolio.drs:
-        disp, ru, rd = flows(u.name, u.p_max)
-        on, start, stop = commitment(u)
-        for t in range(T):
-            m.add_constraint(
-                f"drs_up__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(disp[t].index, 1.0), (ru[t].index, 1.0), (on[t].index, -u.p_max)]
-                ),
-                SENSE_LE,
-                0.0,
-            )
-            m.add_constraint(
-                f"drs_dn__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(disp[t].index, 1.0), (rd[t].index, -1.0), (on[t].index, -u.p_min)]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-            obj.append((disp[t].index, -u.op_cost * dt))
-            obj.append((start[t].index, -u.startup_cost))
-            obj.append((stop[t].index, -u.shutdown_cost))
-            id_terms[t].append((disp[t].index, 1.0))
-            up_terms[t] += [(disp[t].index, 1.0), (ru[t].index, 1.0)]
-            dn_terms[t] += [(disp[t].index, 1.0), (rd[t].index, -1.0)]
-        if u.daily_energy_limit is not None:
-            terms = [(disp[t].index, dt) for t in range(T)]
-            terms += [(ru[t].index, dt) for t in range(T)]
-            m.add_constraint(
-                f"drs_energy__{u.name}",
-                LinearExpression.from_terms(terms),
-                SENSE_LE,
-                u.daily_energy_limit,
-            )
-
-    for u in portfolio.ndrs:
-        disp, ru, rd = flows(u.name)
-        for t in range(T):
-            m.add_constraint(
-                f"ndrs_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0)]),
-                SENSE_LE,
-                u.forecast_upper[t] - cut(u.name, t),
-            )
-            m.add_constraint(
-                f"ndrs_floor__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, -1.0)]),
-                SENSE_GE,
-                u.p_min,
-            )
-            obj.append((disp[t].index, -u.op_cost * dt))
-            id_terms[t].append((disp[t].index, 1.0))
-            up_terms[t] += [(disp[t].index, 1.0), (ru[t].index, 1.0)]
-            dn_terms[t] += [(disp[t].index, 1.0), (rd[t].index, -1.0)]
-
-    for u in portfolio.csp:
-        st = u.store
-        disp, ru, rd = flows(u.name, u.turbine_p_max)
-        sf = [m.add_variable(f"sf__{u.name}_t{_t2(t)}", upper=u.sf_upper[t]) for t in range(T)]
-        tsch = [m.add_variable(f"tsch__{u.name}_t{_t2(t)}", upper=st.charge_p_max) for t in range(T)]
-        tsdis = [m.add_variable(f"tsdis__{u.name}_t{_t2(t)}", upper=st.discharge_p_max) for t in range(T)]
-        tse = [m.add_variable(f"tse__{u.name}_t{_t2(t)}", lower=st.e_min, upper=st.e_max) for t in range(T)]
-        on, start, stop = commitment(u)
-        for field, handles in (("sf_power", sf), ("ts_charge", tsch), ("ts_discharge", tsdis), ("ts_soc", tse)):
-            cols[field][u.name] = handles
-        for t in range(T):
-            m.add_constraint(
-                f"sf_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(sf[t].index, 1.0)]),
-                SENSE_LE,
-                u.sf_upper[t] - cut(u.name, t),
-            )
-            m.add_constraint(
-                f"csp_bal__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (disp[t].index, 1.0 / u.turbine_eff),
-                        (sf[t].index, -1.0),
-                        (tsdis[t].index, -1.0),
-                        (tsch[t].index, 1.0),
-                        (start[t].index, u.startup_loss * u.turbine_p_max),
-                    ]
-                ),
-                SENSE_EQ,
-                0.0,
-            )
-            m.add_constraint(
-                f"csp_up__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(disp[t].index, 1.0), (ru[t].index, 1.0), (on[t].index, -u.turbine_p_max)]
-                ),
-                SENSE_LE,
-                0.0,
-            )
-            m.add_constraint(
-                f"csp_dn__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(disp[t].index, 1.0), (rd[t].index, -1.0), (on[t].index, -u.turbine_p_min)]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-            prev = tse[t - 1].index if t > 0 else tse[T - 1].index
-            m.add_constraint(
-                f"ts_rec__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (tse[t].index, 1.0),
-                        (prev, -1.0),
-                        (tsch[t].index, -st.charge_eff * dt),
-                        (tsdis[t].index, dt / st.discharge_eff),
-                    ]
-                ),
-                SENSE_EQ,
-                0.0,
-            )
-            obj.append((disp[t].index, -u.op_cost * dt))
-            id_terms[t].append((disp[t].index, 1.0))
-            up_terms[t] += [(disp[t].index, 1.0), (ru[t].index, 1.0)]
-            dn_terms[t] += [(disp[t].index, 1.0), (rd[t].index, -1.0)]
-
-    for u in portfolio.fd:
-        disp, ru, rd = flows(u.name, u.p_max)
-        picks = [m.add_variable(f"prof__{u.name}_m{j}", BINARY) for j in range(len(u.profiles))]
-        cols["profiles"][u.name] = picks
-        m.add_constraint(
-            f"fd_profile__{u.name}",
-            LinearExpression.from_terms([(w.index, 1.0) for w in picks]),
-            SENSE_EQ,
-            1.0,
-        )
-        for j, w in enumerate(picks):
-            perturbation.append((w.index, -PROFILE_TIE_EPS * j))
-        cols["fd_floor"][u.name] = floor = []
-        for t in range(T):
-            terms = [(w.index, u.profiles[j][t]) for j, w in enumerate(picks)]
-            terms.append((disp[t].index, -1.0))
-            floor.append(
-                m.add_constraint(
-                    f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut(u.name, t)
-                )
-            )
-            m.add_constraint(
-                f"fd_res_dn__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, -1.0)]),
-                SENSE_GE,
-                u.p_min,
-            )
-            m.add_constraint(
-                f"fd_res_up__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, 1.0)]),
-                SENSE_LE,
-                u.p_max,
-            )
-            # Demand consumes: it enters the balance with opposite signs, and
-            # its upward reserve is a consumption cut.
-            id_terms[t].append((disp[t].index, -1.0))
-            up_terms[t] += [(disp[t].index, -1.0), (ru[t].index, 1.0)]
-            dn_terms[t] += [(disp[t].index, -1.0), (rd[t].index, -1.0)]
-
-    balance: list[Constraint] = []
-    for t in range(T):
-        for fam, terms in (
-            ("id", id_terms[t] + [(p_da[t].index, -1.0)]),
-            ("up", up_terms[t] + [(p_da[t].index, -1.0), (r_up[t].index, -1.0)]),
-            ("dn", dn_terms[t] + [(p_da[t].index, -1.0), (r_dn[t].index, 1.0)]),
-        ):
-            balance.append(m.add_constraint(f"bal_{fam}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0))
-
-    m.set_objective(LinearExpression.from_terms(obj + perturbation), MAXIMIZE)
-    return cols, balance
-
-
-def build_deterministic_rvpp(portfolio: Portfolio, scenario: MarketScenario) -> Model:
-    """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
-    _require_valid(portfolio, scenario)
-    m = Model(name="rvpp_det")
-    cols, balance = _build_core(m, portfolio, scenario)
-    m.tags.update(kind="rvpp", scenario=scenario, cols=cols, balance=balance)
-    return m
-
-
 def _add_price_dual(
     m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[tuple[int, float]]]
 ) -> tuple[Variable, list[Variable]] | None:
@@ -448,6 +203,253 @@ def _add_price_dual(
     return mu, xi
 
 
+def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet | None) -> Model:
+    """The whole portfolio model in one pass; budgets None is deterministic.
+
+    Each generation/demand stream with a positive budget loses its fixed
+    adversary's deviations (dominant_subset) from the right-hand side of its
+    coupling row; each price stream with a positive budget gets its dual
+    columns (_add_price_dual) before the one objective is set.
+
+    Tags the model with its portfolio, scenario and budgets; the columns,
+    keyed like the RvppSchedule fields they decode into (per-unit fields map
+    unit name -> per-period columns; "profiles" holds each flexible-demand
+    unit's profile picks, "fd_floor" its per-period consumption-floor rows,
+    "ts_soc" the T store levels); the balance rows; and the price duals (None
+    when deterministic).
+    """
+    grid = scenario.grid
+    T = grid.period_count
+    dt = grid.delta_t
+
+    def cuts(name: str, deviation) -> list[float]:
+        gamma = 0 if budgets is None else budgets.unit_budget(name)
+        picked = dominant_subset(deviation, gamma) if gamma > 0 else ()
+        return [deviation[t] if t in picked else 0.0 for t in range(T)]
+
+    p_da = [m.add_variable(f"pda_t{_t2(t)}", lower=-math.inf, upper=math.inf) for t in range(T)]
+    r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
+    r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
+    cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
+    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor"):
+        cols[field] = {}
+
+    obj: list[tuple[int, float]] = []
+    for t in range(T):
+        obj.append((p_da[t].index, scenario.dam_price[t] * dt))
+        obj.append((r_up[t].index, scenario.sr_up_price[t]))
+        obj.append((r_dn[t].index, scenario.sr_dn_price[t]))
+
+    id_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
+    up_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
+    dn_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
+
+    def flows(name: str, sign: float, op_cost: float, upper: float = math.inf):
+        """A unit's dispatch and reserve columns, booked into the objective
+        at op_cost and into the three balances.  Dispatch enters with sign
+        (+1 generation, -1 demand); reserves enter alike for both, since a
+        demand's upward reserve is a consumption cut."""
+        disp = [m.add_variable(f"disp__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        ru = [m.add_variable(f"rup__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        rd = [m.add_variable(f"rdn__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        cols["dispatch"][name], cols["reserve_up"][name], cols["reserve_dn"][name] = disp, ru, rd
+        for t in range(T):
+            obj.append((disp[t].index, -op_cost * dt))
+            id_terms[t].append((disp[t].index, sign))
+            up_terms[t] += [(disp[t].index, sign), (ru[t].index, 1.0)]
+            dn_terms[t] += [(disp[t].index, sign), (rd[t].index, -1.0)]
+        return disp, ru, rd
+
+    def committed(u, kind: str, p_min: float, p_max: float):
+        """A committed unit's commitment, and envelope(t), which writes period
+        t's rows: dispatch plus up reserve within on * p_max, dispatch less
+        down reserve at least on * p_min."""
+        on, start, stop = _add_commitment(m, u.name, T, u.min_up, u.min_down)
+        cols["on"][u.name], cols["start"][u.name], cols["stop"][u.name] = on, start, stop
+        disp, ru, rd = cols["dispatch"][u.name], cols["reserve_up"][u.name], cols["reserve_dn"][u.name]
+
+        def envelope(t: int) -> None:
+            m.add_constraint(
+                f"{kind}_up__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0), (on[t].index, -p_max)]),
+                SENSE_LE,
+                0.0,
+            )
+            m.add_constraint(
+                f"{kind}_dn__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, -1.0), (on[t].index, -p_min)]),
+                SENSE_GE,
+                0.0,
+            )
+
+        return start, stop, envelope
+
+    for u in portfolio.drs:
+        disp, ru, _ = flows(u.name, 1.0, u.op_cost, u.p_max)
+        start, stop, envelope = committed(u, "drs", u.p_min, u.p_max)
+        for t in range(T):
+            envelope(t)
+            obj.append((start[t].index, -u.startup_cost))
+            obj.append((stop[t].index, -u.shutdown_cost))
+        if u.daily_energy_limit is not None:
+            terms = [(disp[t].index, dt) for t in range(T)]
+            terms += [(ru[t].index, dt) for t in range(T)]
+            m.add_constraint(
+                f"drs_energy__{u.name}",
+                LinearExpression.from_terms(terms),
+                SENSE_LE,
+                u.daily_energy_limit,
+            )
+
+    for u in portfolio.ndrs:
+        disp, ru, rd = flows(u.name, 1.0, u.op_cost)
+        cut = cuts(u.name, u.forecast_deviation)
+        for t in range(T):
+            m.add_constraint(
+                f"ndrs_cap__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0)]),
+                SENSE_LE,
+                u.forecast_upper[t] - cut[t],
+            )
+            m.add_constraint(
+                f"ndrs_floor__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, -1.0)]),
+                SENSE_GE,
+                u.p_min,
+            )
+
+    for u in portfolio.csp:
+        st = u.store
+        disp, _, _ = flows(u.name, 1.0, u.op_cost, u.turbine_p_max)
+        sf = [m.add_variable(f"sf__{u.name}_t{_t2(t)}", upper=u.sf_upper[t]) for t in range(T)]
+        tsch = [m.add_variable(f"tsch__{u.name}_t{_t2(t)}", upper=st.charge_p_max) for t in range(T)]
+        tsdis = [m.add_variable(f"tsdis__{u.name}_t{_t2(t)}", upper=st.discharge_p_max) for t in range(T)]
+        tse = [m.add_variable(f"tse__{u.name}_t{_t2(t)}", lower=st.e_min, upper=st.e_max) for t in range(T)]
+        start, _, envelope = committed(u, "csp", u.turbine_p_min, u.turbine_p_max)
+        for field, handles in (("sf_power", sf), ("ts_charge", tsch), ("ts_discharge", tsdis), ("ts_soc", tse)):
+            cols[field][u.name] = handles
+        cut = cuts(u.name, u.sf_deviation)
+        for t in range(T):
+            m.add_constraint(
+                f"sf_cap__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(sf[t].index, 1.0)]),
+                SENSE_LE,
+                u.sf_upper[t] - cut[t],
+            )
+            m.add_constraint(
+                f"csp_bal__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms(
+                    [
+                        (disp[t].index, 1.0 / u.turbine_eff),
+                        (sf[t].index, -1.0),
+                        (tsdis[t].index, -1.0),
+                        (tsch[t].index, 1.0),
+                        (start[t].index, u.startup_loss * u.turbine_p_max),
+                    ]
+                ),
+                SENSE_EQ,
+                0.0,
+            )
+            envelope(t)
+            prev = tse[t - 1].index if t > 0 else tse[T - 1].index
+            m.add_constraint(
+                f"ts_rec__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms(
+                    [
+                        (tse[t].index, 1.0),
+                        (prev, -1.0),
+                        (tsch[t].index, -st.charge_eff * dt),
+                        (tsdis[t].index, dt / st.discharge_eff),
+                    ]
+                ),
+                SENSE_EQ,
+                0.0,
+            )
+
+    for u in portfolio.fd:
+        disp, ru, rd = flows(u.name, -1.0, 0.0, u.p_max)
+        picks = [m.add_variable(f"prof__{u.name}_m{j}", BINARY) for j in range(len(u.profiles))]
+        cols["profiles"][u.name] = picks
+        m.add_constraint(
+            f"fd_profile__{u.name}",
+            LinearExpression.from_terms([(w.index, 1.0) for w in picks]),
+            SENSE_EQ,
+            1.0,
+        )
+        for j, w in enumerate(picks):
+            obj.append((w.index, -PROFILE_TIE_EPS * j))
+        cut = cuts(u.name, u.deviation)
+        cols["fd_floor"][u.name] = floor = []
+        for t in range(T):
+            terms = [(w.index, u.profiles[j][t]) for j, w in enumerate(picks)]
+            terms.append((disp[t].index, -1.0))
+            floor.append(
+                m.add_constraint(
+                    f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut[t]
+                )
+            )
+            m.add_constraint(
+                f"fd_res_dn__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, -1.0)]),
+                SENSE_GE,
+                u.p_min,
+            )
+            m.add_constraint(
+                f"fd_res_up__{u.name}_t{_t2(t)}",
+                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, 1.0)]),
+                SENSE_LE,
+                u.p_max,
+            )
+
+    balance: list[Constraint] = []
+    for t in range(T):
+        for fam, terms in (
+            ("id", id_terms[t] + [(p_da[t].index, -1.0)]),
+            ("up", up_terms[t] + [(p_da[t].index, -1.0), (r_up[t].index, -1.0)]),
+            ("dn", dn_terms[t] + [(p_da[t].index, -1.0), (r_dn[t].index, 1.0)]),
+        ):
+            balance.append(m.add_constraint(f"bal_{fam}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0))
+
+    duals = None
+    if budgets is not None:
+        duals = {"dam": None}
+        if budgets.gamma_dam > 0:
+            down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
+            x = [m.add_variable(f"xdam_t{_t2(t)}") for t in range(T)]
+            for t in range(T):
+                m.add_constraint(
+                    f"rob_dam_vol_t{_t2(t)}",
+                    LinearExpression.from_terms([(p_da[t].index, dt), (x[t].index, -1.0)]),
+                    SENSE_LE,
+                    0.0,
+                )
+                m.add_constraint(
+                    f"rob_dam_sign_t{_t2(t)}",
+                    LinearExpression.from_terms([(x[t].index, down[t]), (p_da[t].index, up[t] * dt)]),
+                    SENSE_GE,
+                    0.0,
+                )
+            duals["dam"] = _add_price_dual(m, obj, "dam", budgets.gamma_dam, [[(x[t].index, down[t])] for t in range(T)])
+        duals["sr_up"] = _add_price_dual(
+            m, obj, "srup", budgets.gamma_sr_up, [[(r_up[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
+        )
+        duals["sr_dn"] = _add_price_dual(
+            m, obj, "srdn", budgets.gamma_sr_down, [[(r_dn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
+        )
+
+    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
+    m.tags.update(
+        kind="rvpp", scenario=scenario, portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
+    )
+    return m
+
+
+def build_deterministic_rvpp(portfolio: Portfolio, scenario: MarketScenario) -> Model:
+    """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
+    _require_valid(portfolio, scenario)
+    return _build_core(Model(name="rvpp_det"), portfolio, scenario, None)
+
+
 def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> Model:
     """Single-level robust counterpart under budget uncertainty.
 
@@ -466,55 +468,7 @@ def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: B
     bad = validate_budgets(budgets, scenario.grid, portfolio)
     if bad:
         raise ModelBuildError("invalid budgets: " + "; ".join(bad))
-    m = Model(name="rvpp_robust")
-    grid = scenario.grid
-    T = grid.period_count
-    dt = grid.delta_t
-
-    tightening: dict[str, list[float]] = {}
-    for name, deviation in _uncertain_streams(portfolio):
-        gamma = budgets.unit_budget(name)
-        if gamma > 0:
-            picked = set(dominant_subset(deviation, gamma))
-            tightening[name] = [deviation[t] if t in picked else 0.0 for t in range(T)]
-    cols, balance = _build_core(m, portfolio, scenario, tightening)
-    obj = list(m.objective.terms)
-
-    p_da = cols["p_da"]
-    r_up = cols["r_up"]
-    r_dn = cols["r_dn"]
-
-    duals = {"dam": None}
-    if budgets.gamma_dam > 0:
-        x = [m.add_variable(f"xdam_t{_t2(t)}") for t in range(T)]
-        for t in range(T):
-            m.add_constraint(
-                f"rob_dam_vol_t{_t2(t)}",
-                LinearExpression.from_terms([(p_da[t].index, dt), (x[t].index, -1.0)]),
-                SENSE_LE,
-                0.0,
-            )
-            m.add_constraint(
-                f"rob_dam_sign_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [(x[t].index, scenario.dam_price_down_dev[t]), (p_da[t].index, scenario.dam_price_up_dev[t] * dt)]
-                ),
-                SENSE_GE,
-                0.0,
-            )
-        duals["dam"] = _add_price_dual(
-            m, obj, "dam", budgets.gamma_dam, [[(x[t].index, scenario.dam_price_down_dev[t])] for t in range(T)]
-        )
-    duals["sr_up"] = _add_price_dual(
-        m, obj, "srup", budgets.gamma_sr_up, [[(r_up[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
-    )
-    duals["sr_dn"] = _add_price_dual(
-        m, obj, "srdn", budgets.gamma_sr_down, [[(r_dn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
-    )
-
-    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
-    m.tags.update(kind="rvpp", scenario=scenario, budgets=budgets, cols=cols, balance=balance, duals=duals)
-    return m
+    return _build_core(Model(name="rvpp_robust"), portfolio, scenario, budgets)
 
 
 def _values(sol: Solution, cols: list[Variable]) -> np.ndarray:
@@ -555,23 +509,23 @@ def _price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts | None
     return PriceRobustArtifacts(budgets=m.tags["budgets"], **read)
 
 
-def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> RvppSchedule:
+def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
     """Decode a solved model into arrays, re-verifying balance and integrality.
 
+    The portfolio is the one the model was built for (its "portfolio" tag).
     A flexible-demand unit reports the lowest-index profile whose floor rows
     the decoded dispatch meets, so tied profiles read the same whichever one
-    HiGHS picked.  Raises DecodeError on non-optimal status, a portfolio
-    other than the built one, fractional binaries, a flexible-demand unit
-    without exactly one chosen profile, or balance residuals above 1e-6.
+    HiGHS picked.  Raises DecodeError on non-optimal status, fractional
+    binaries (profile picks included), a flexible-demand unit without exactly
+    one chosen profile, or balance residuals above 1e-6.
     """
     if m.tags.get("kind") != "rvpp":
         raise DecodeError("model was not built by a portfolio scheduling builder")
     if sol.status != "optimal":
         raise DecodeError(f"cannot decode a solution with status {sol.status!r}")
     scenario: MarketScenario = m.tags["scenario"]
+    portfolio: Portfolio = m.tags["portfolio"]
     cols = m.tags["cols"]
-    if tuple(cols["dispatch"]) != portfolio.unit_names():
-        raise DecodeError("portfolio is not the one the model was built for")
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
 
@@ -586,7 +540,7 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
     fd_profile: dict[str, int] = {}
     perturb = 0.0
     for u in portfolio.fd:
-        chosen = [j for j, w in enumerate(cols["profiles"][u.name]) if round(sol.value_of(w)) == 1]
+        chosen = [j for j, pick in enumerate(_binaries(sol, cols["profiles"][u.name])) if pick]
         if len(chosen) != 1:
             raise DecodeError(f"{u.name}: expected exactly one chosen profile, got {chosen}")
         perturb += -PROFILE_TIE_EPS * chosen[0]
@@ -607,9 +561,7 @@ def extract_rvpp_schedule(m: Model, sol: Solution, portfolio: Portfolio) -> Rvpp
     for u in portfolio.drs:
         nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
         nominal -= u.startup_cost * float(start[u.name].sum()) + u.shutdown_cost * float(stop[u.name].sum())
-    for u in portfolio.ndrs:
-        nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
-    for u in portfolio.csp:
+    for u in portfolio.ndrs + portfolio.csp:
         nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
 
     objective_value = sol.objective_value - perturb

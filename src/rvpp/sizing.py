@@ -207,7 +207,7 @@ def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: Bu
         m = build_deterministic_rvpp(portfolio, scenario)
     else:
         m = build_robust_rvpp(portfolio, scenario, budgets)
-    schedule = extract_rvpp_schedule(m, _solved(m), portfolio)
+    schedule = extract_rvpp_schedule(m, _solved(m))
     _require_clean_replay("replay", schedule, portfolio, scenario)
     if budgets is not None:
         violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)

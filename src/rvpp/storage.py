@@ -11,9 +11,11 @@ state-of-charge margins, above the floor and below the ceiling.  The
 state of charge is cyclic: the recursion wraps period 1 back onto period T,
 so the day starts and ends at the same level.
 
-As in scheduler, the builders keep the columns they create on the model
-(tags "cols" and, when robust, "duals") and the decoder reads the solution
-through them.
+As in scheduler, one core (_build_es_core) builds the model in one pass and
+takes the budgets, None meaning deterministic; the fleet has price budgets
+only, and at zero budgets the robust model is its deterministic twin.  The
+core keeps the fleet and the columns it creates on the model (tags "fleet",
+"cols" and "duals") and the decoder reads the solution through them.
 """
 
 from __future__ import annotations
@@ -104,9 +106,14 @@ _SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value", "nominal_profit")
 _SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
-def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario) -> dict:
-    """The fleet model; returns its columns keyed like the EsSchedule fields
-    they decode into ("soc" holds the T levels)."""
+def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, budgets: BudgetSet | None) -> Model:
+    """The whole fleet model in one pass; budgets None is deterministic.
+
+    Each price stream with a positive budget gets its dual columns
+    (_add_price_dual) before the one objective is set.  Tags the model with
+    the fleet, its columns keyed like the EsSchedule fields they decode into
+    ("soc" holds the T levels) and the price duals (None when deterministic).
+    """
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     eta_c = fleet.charge_eff
@@ -233,8 +240,7 @@ def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario) -> dict:
         SENSE_LE,
         0.0,
     )
-    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
-    return {
+    cols = {
         "charge": pch,
         "discharge": pdis,
         "net": net,
@@ -250,6 +256,24 @@ def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario) -> dict:
         "sigma_dn": sigma_dn,
     }
 
+    duals = None
+    if budgets is not None:
+        dam_losses = [
+            [(pdis[t].index, scenario.dam_price_down_dev[t] * dt), (pch[t].index, scenario.dam_price_up_dev[t] * dt)]
+            for t in range(T)
+        ]
+        up_losses = [[(rup[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
+        dn_losses = [[(rdn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
+        duals = {
+            "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
+            "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),
+            "sr_dn": _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses),
+        }
+
+    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
+    m.tags.update(kind="es", fleet=fleet, scenario=scenario, budgets=budgets, cols=cols, duals=duals)
+    return m
+
 
 def _require_valid_es(fleet: EsUnit, scenario: MarketScenario) -> None:
     problems = validate_es(fleet) + validate_scenario(scenario)
@@ -260,10 +284,7 @@ def _require_valid_es(fleet: EsUnit, scenario: MarketScenario) -> None:
 def build_deterministic_es(fleet: EsUnit, scenario: MarketScenario) -> Model:
     """Deterministic fleet scheduling MILP at nominal prices."""
     _require_valid_es(fleet, scenario)
-    m = Model(name="es_det")
-    cols = _build_es_core(m, fleet, scenario)
-    m.tags.update(kind="es", fleet=fleet, scenario=scenario, cols=cols)
-    return m
+    return _build_es_core(Model(name="es_det"), fleet, scenario, None)
 
 
 def build_robust_es(fleet: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -> Model:
@@ -283,28 +304,7 @@ def build_robust_es(fleet: EsUnit, scenario: MarketScenario, budgets: BudgetSet)
         raise ModelBuildError(
             f"storage accepts price budgets only; per-unit budgets set for {nonzero}"
         )
-    m = Model(name="es_robust")
-    cols = _build_es_core(m, fleet, scenario)
-    T = scenario.grid.period_count
-    dt = scenario.grid.delta_t
-    obj = list(m.objective.terms)
-    pch, pdis = cols["charge"], cols["discharge"]
-
-    dam_losses = [
-        [(pdis[t].index, scenario.dam_price_down_dev[t] * dt), (pch[t].index, scenario.dam_price_up_dev[t] * dt)]
-        for t in range(T)
-    ]
-    up_losses = [[(v.index, scenario.sr_up_price_dev[t])] for t, v in enumerate(cols["r_up"])]
-    dn_losses = [[(v.index, scenario.sr_dn_price_dev[t])] for t, v in enumerate(cols["r_dn"])]
-    duals = {
-        "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
-        "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),
-        "sr_dn": _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses),
-    }
-
-    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
-    m.tags.update(kind="es", fleet=fleet, scenario=scenario, budgets=budgets, cols=cols, duals=duals)
-    return m
+    return _build_es_core(Model(name="es_robust"), fleet, scenario, budgets)
 
 
 def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:

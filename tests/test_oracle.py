@@ -110,14 +110,14 @@ def test_model_objective_is_the_worst_case_profit():
     budgets = BudgetSet(gamma_dam=3)
 
     m = build_robust_rvpp(portfolio, scenario, budgets)
-    free = extract_rvpp_schedule(m, solve(m, ScipyHighsBackend()), portfolio)
+    free = extract_rvpp_schedule(m, solve(m, ScipyHighsBackend()))
     wc, _ = worst_case_profit(free, scenario, budgets)
     assert free.objective_value == pytest.approx(wc, abs=1e-7)
 
     m2 = build_robust_rvpp(portfolio, scenario, budgets)
     idle = m2.variable("pda_t01")
     m2.add_constraint("force_idle", LinearExpression(((idle.index, 1.0),)), "<=", 0.0)
-    forced = extract_rvpp_schedule(m2, solve(m2, ScipyHighsBackend()), portfolio)
+    forced = extract_rvpp_schedule(m2, solve(m2, ScipyHighsBackend()))
     wc_forced, _ = worst_case_profit(forced, scenario, budgets)
     assert forced.objective_value == pytest.approx(wc_forced, abs=1e-7)
     assert forced.objective_value < free.objective_value

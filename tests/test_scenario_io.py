@@ -212,11 +212,22 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         (lambda raw: raw["units"][0].update(p_min=51.0), r"hydro: requires 0 <= p_min <= p_max, got p_min=51"),
         (lambda raw: raw["units"][5].update(profiles=[]), r"units\[5\]\.profiles: expected a non-empty list"),
         (lambda raw: raw.update(units=[]), r"units: expected a non-empty list"),
+        (lambda raw: raw.update(energy_limit={}), r"bad\.yaml: unknown key 'energy_limit'"),
+        (lambda raw: raw["grid"].update(delta_tt=1.0), r"grid: unknown key 'delta_tt'"),
+        (lambda raw: raw["prices"]["spring"].update(dam_prices=[1.0] * 24), r"prices\.spring: unknown key 'dam_prices'"),
+        (lambda raw: raw["units"][1].update(min_upp=raw["units"][1].pop("min_up")), r"units\[1\]: unknown key 'min_upp'"),
+        (lambda raw: raw["units"][0].update(sf_upper={}), r"units\[0\]: unknown key 'sf_upper'"),
+        (lambda raw: raw["units"][2].update(daily_energy_limit=1.0), r"units\[2\]: unknown key 'daily_energy_limit'"),
+        (lambda raw: raw["units"][4]["store"].update(e_maxx=1.0), r"units\[4\]\.store: unknown key 'e_maxx'"),
+        (lambda raw: raw["units"][5].update(flex_margin=0.2), r"units\[5\]: unknown key 'flex_margin'"),
+        (lambda raw: raw["es_module"].update(charge_p_mn=0.1), r"es_module: unknown key 'charge_p_mn'"),
     ],
     ids=[
         "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
         "seasons_int", "regimes_int", "seasons_empty", "regimes_twice", "seasons_unknown", "regimes_nested",
         "grid_empty", "grid_longer", "units_twice", "p_min_above_p_max", "profiles_empty", "units_empty",
+        "top_unknown", "grid_unknown", "prices_unknown", "min_up_misspelt", "drs_takes_no_sf_upper",
+        "ndrs_takes_no_energy_limit", "store_unknown", "fd_unknown", "es_unknown",
     ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):

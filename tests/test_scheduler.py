@@ -284,19 +284,24 @@ def test_decode_requires_optimal_status():
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "infeasible"
     with pytest.raises(DecodeError, match="status"):
-        extract_rvpp_schedule(m, sol, portfolio)
+        extract_rvpp_schedule(m, sol)
 
 
 def test_decode_rejects_fractional_binaries():
     T = 4
-    unit = DrsUnit("gen", 10.0, 0.0, 0.0, 0.0, 1.0)
-    portfolio = Portfolio(drs=(unit,))
-    m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
-    sol = solve(m, ScipyHighsBackend())
-    tampered = replace(sol, values=dict(sol.values))
-    tampered.values[m.variable("on__gen_t00").index] = 0.4
-    with pytest.raises(DecodeError, match="non-integral"):
-        extract_rvpp_schedule(m, tampered, portfolio)
+    gen = DrsUnit("gen", 10.0, 0.0, 0.0, 0.0, 1.0)
+    load = FdUnit("ld", profiles=((3.0,) * T, (2.0,) * T), deviation=(0.0,) * T)
+    for portfolio, tampering in (
+        (Portfolio(drs=(gen,)), {"on__gen_t00": 0.4}),
+        (Portfolio(fd=(load,)), {"prof__ld_m0": 0.4, "prof__ld_m1": 0.6}),
+    ):
+        m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
+        sol = solve(m, ScipyHighsBackend())
+        tampered = replace(sol, values=dict(sol.values))
+        for name, value in tampering.items():
+            tampered.values[m.variable(name).index] = value
+        with pytest.raises(DecodeError, match="non-integral"):
+            extract_rvpp_schedule(m, tampered)
 
 
 def test_decode_requires_exactly_one_profile():
@@ -309,15 +314,7 @@ def test_decode_requires_exactly_one_profile():
     tampered.values[m.variable("prof__ld_m0").index] = 1.0
     tampered.values[m.variable("prof__ld_m1").index] = 1.0
     with pytest.raises(DecodeError, match="exactly one chosen profile"):
-        extract_rvpp_schedule(m, tampered, portfolio)
-
-
-def test_decode_rejects_another_portfolio():
-    portfolio, scenario = wind_only(T=4)
-    m = build_deterministic_rvpp(portfolio, scenario)
-    sol = solve(m, ScipyHighsBackend())
-    with pytest.raises(DecodeError, match="not the one the model was built for"):
-        extract_rvpp_schedule(m, sol, Portfolio(ndrs=(wind(4, name="w2"),)))
+        extract_rvpp_schedule(m, tampered)
 
 
 def test_decode_checks_model_kind():
@@ -330,5 +327,5 @@ def test_decode_checks_model_kind():
     es_model = build_deterministic_es(battery(), market(4))
     es_sol = solve(es_model, ScipyHighsBackend())
     with pytest.raises(DecodeError, match="not built by a portfolio"):
-        extract_rvpp_schedule(es_model, es_sol, portfolio)
-    assert extract_rvpp_schedule(m, sol, portfolio).grid_periods == 4
+        extract_rvpp_schedule(es_model, es_sol)
+    assert extract_rvpp_schedule(m, sol).grid_periods == 4

@@ -89,7 +89,7 @@ def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None):
         m = build_robust_rvpp(portfolio, scenario, budgets)
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"rvpp solve ended {sol.status}"
-    return extract_rvpp_schedule(m, sol, portfolio)
+    return extract_rvpp_schedule(m, sol)
 
 
 def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None):
