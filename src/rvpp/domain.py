@@ -3,13 +3,24 @@
 All types are frozen dataclasses holding plain tuples, so field-for-field
 equality and hashing behave normally and YAML round-trips are exact.  Vectors
 are indexed by period (0-based internally; period p in reports means index
-p-1).  Units: power MW, energy MWh, prices EUR/MWh for energy and EUR/MW for
-reserve capacity, costs EUR.
+p-1).  Units: power MW, energy MWh, energy prices EUR/MWh, reserve prices
+EUR/MW per period (paid on the MW offered in each period, with no delta_t),
+op_cost EUR/MWh for every unit and the storage module, other costs EUR.
+
+Each field a scenario file sets is declared once, by `_spec` on its
+dataclass field: kind, default, bounds, and what its value varies by.
+scenario_io.load_scenario reads files by these declarations, and the
+validate_* functions check library-built values against them; only the
+cross-field rules, the unit-name rules and the season/regime tags are
+written out by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import operator
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 REGIMES = ("favorable", "unfavorable")
@@ -25,6 +36,51 @@ _FULL_BUDGET = {"optimistic": 3, "balanced": 6, "pessimistic": 9}
 _REDUCED_BUDGET = {"optimistic": 2, "balanced": 4, "pessimistic": 6}
 
 
+@dataclass(frozen=True)
+class _Spec:
+    """How one field is given and bounded.
+
+    kind: "number", "int", "str", "series" (one number per period),
+    "profiles" (a non-empty list of series) or a nested dataclass.  default:
+    what a file may leave out (MISSING: required).  A number, or a series'
+    entry, lies in floor..ceil (as text: bounds); a string is one of among,
+    if given.  by: what the value varies with, None, "season", "regime",
+    "season_regime", or "limits" (the `energy_limits` table).
+    """
+
+    kind: object
+    default: object
+    by: str | None
+    floor: float
+    ceil: float
+    bounds: str
+    among: tuple[str, ...] | None
+
+    def outside(self, vec) -> bool:
+        """Whether an entry of vec is out of bounds (found by min and max)."""
+        return bool(vec) and (
+            (self.floor > -math.inf and min(vec) < self.floor) or (self.ceil < math.inf and max(vec) > self.ceil)
+        )
+
+
+def _spec(kind="number", *, by=None, default=MISSING, file_default=MISSING, within="[0, inf)", among=None):
+    """A dataclass field declaring its _Spec: numbers lie in the interval
+    `within` (a finite open end moves floor or ceil one float inward);
+    file_default is what a file may leave out where the library takes no
+    default."""
+    lo, hi = (float(end) for end in within[1:-1].split(","))
+    floor = math.nextafter(lo, hi) if within[0] == "(" and lo > -math.inf else lo
+    ceil = math.nextafter(hi, lo) if within[-1] == ")" and hi < math.inf else hi
+    spec = _Spec(kind, default if file_default is MISSING else file_default, by, floor, ceil, f"in {within}", among)
+    return field(default=default, metadata={"spec": spec})
+
+
+@cache
+def _declared(cls) -> dict[str, _Spec]:
+    """Field name -> _Spec of every declared field of dataclass cls, in order."""
+    return {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
+
+
 def _vec(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -37,23 +93,23 @@ def _mat(rows) -> tuple[tuple[float, ...], ...]:
 class PeriodGrid:
     """Uniform scheduling horizon: period_count periods of delta_t hours."""
 
-    period_count: int
-    delta_t: float = 1.0
+    period_count: int = _spec("int", within="[1, inf)")
+    delta_t: float = _spec(default=1.0, within="(0, inf)")
 
 
 @dataclass(frozen=True)
 class DrsUnit:
     """Dispatchable renewable source with commitment logic (hydro, biomass)."""
 
-    name: str
-    p_max: float
-    p_min: float
-    startup_cost: float
-    shutdown_cost: float
-    op_cost: float
-    min_up: int = 0
-    min_down: int = 0
-    daily_energy_limit: float | None = None
+    name: str = _spec("str")
+    p_max: float = _spec()
+    p_min: float = _spec()
+    startup_cost: float = _spec()
+    shutdown_cost: float = _spec()
+    op_cost: float = _spec()  # EUR/MWh
+    min_up: int = _spec("int", default=0)
+    min_down: int = _spec("int", default=0)
+    daily_energy_limit: float | None = _spec(by="limits", default=None)
 
 
 @dataclass(frozen=True)
@@ -65,12 +121,12 @@ class NdrsUnit:
     budget column (wind gets the full budget, solar the reduced one).
     """
 
-    name: str
-    technology: str
-    p_min: float
-    op_cost: float
-    forecast_upper: tuple[float, ...]
-    forecast_deviation: tuple[float, ...]
+    name: str = _spec("str")
+    technology: str = _spec("str", among=_TECHNOLOGIES)
+    p_min: float = _spec()
+    op_cost: float = _spec()  # EUR/MWh
+    forecast_upper: tuple[float, ...] = _spec("series", by="season")
+    forecast_deviation: tuple[float, ...] = _spec("series", by="season_regime")
 
     def __post_init__(self):
         object.__setattr__(self, "forecast_upper", _vec(self.forecast_upper))
@@ -81,12 +137,12 @@ class NdrsUnit:
 class ThermalStoreParams:
     """Thermal tank behind a CSP solar field (thermal MW / MWh)."""
 
-    e_min: float
-    e_max: float
-    charge_p_max: float
-    discharge_p_max: float
-    charge_eff: float
-    discharge_eff: float
+    e_min: float = _spec()
+    e_max: float = _spec()
+    charge_p_max: float = _spec()
+    discharge_p_max: float = _spec()
+    charge_eff: float = _spec(within="(0, 1]")
+    discharge_eff: float = _spec(within="(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -98,17 +154,17 @@ class CspUnit:
     balance on every startup.
     """
 
-    name: str
-    turbine_p_max: float
-    turbine_p_min: float
-    turbine_eff: float
-    startup_loss: float
-    op_cost: float
-    min_up: int
-    min_down: int
-    sf_upper: tuple[float, ...]
-    sf_deviation: tuple[float, ...]
-    store: ThermalStoreParams
+    name: str = _spec("str")
+    turbine_p_max: float = _spec()
+    turbine_p_min: float = _spec()
+    turbine_eff: float = _spec(within="(0, 1]")
+    startup_loss: float = _spec()
+    op_cost: float = _spec()  # EUR/MWh
+    min_up: int = _spec("int", file_default=0)
+    min_down: int = _spec("int", file_default=0)
+    sf_upper: tuple[float, ...] = _spec("series", by="season")
+    sf_deviation: tuple[float, ...] = _spec("series", by="season_regime")
+    store: ThermalStoreParams = _spec(ThermalStoreParams)
 
     def __post_init__(self):
         object.__setattr__(self, "sf_upper", _vec(self.sf_upper))
@@ -125,12 +181,12 @@ class FdUnit:
     the flexibility margin: (1 - margin) * min and (1 + margin) * max.
     """
 
-    name: str
-    profiles: tuple[tuple[float, ...], ...]
-    deviation: tuple[float, ...]
-    p_min: float | None = None
-    p_max: float | None = None
-    flexibility_margin: float = 0.10
+    name: str = _spec("str")
+    profiles: tuple[tuple[float, ...], ...] = _spec("profiles")
+    deviation: tuple[float, ...] = _spec("series", by="regime")
+    p_min: float | None = _spec(default=None)
+    p_max: float | None = _spec(default=None)
+    flexibility_margin: float = _spec(default=0.10, within="[0, 1)")
 
     def __post_init__(self):
         object.__setattr__(self, "profiles", _mat(self.profiles))
@@ -152,16 +208,16 @@ class EsUnit:
     the count, efficiencies and costs do not.
     """
 
-    name: str
-    charge_p_max: float
-    discharge_p_max: float
-    e_max: float
-    e_min: float
-    charge_eff: float
-    discharge_eff: float
-    op_cost: float
-    charge_p_min: float = 0.0
-    discharge_p_min: float = 0.0
+    name: str = _spec("str")
+    charge_p_max: float = _spec()
+    discharge_p_max: float = _spec()
+    e_max: float = _spec()
+    e_min: float = _spec()
+    charge_eff: float = _spec(within="(0, 1]")
+    discharge_eff: float = _spec(within="(0, 1]")
+    op_cost: float = _spec()  # EUR/MWh
+    charge_p_min: float = _spec(default=0.0)
+    discharge_p_min: float = _spec(default=0.0)
 
     def scaled(self, n: int) -> EsUnit:
         if not isinstance(n, int) or n < 1:
@@ -199,33 +255,25 @@ class MarketScenario:
 
     dam_price is the nominal (median) energy price; dam_price_down_dev and
     dam_price_up_dev are the worst-case drops (hurting sales) and rises
-    (hurting purchases).  Reserve prices pay capacity (EUR/MW) and only fall
-    under uncertainty.  season and regime only tag the cell: the regime's
-    data (energy limits, forecast errors) lives in the units that
-    scenario_io.load_scenario built for this cell.
+    (hurting purchases).  Reserve prices pay capacity (EUR/MW per period)
+    and only fall under uncertainty.  season and regime only tag the cell:
+    the regime's data (energy limits, forecast errors) lives in the units
+    that scenario_io.load_scenario built for this cell.
     """
 
     grid: PeriodGrid
-    dam_price: tuple[float, ...]
-    dam_price_down_dev: tuple[float, ...]
-    dam_price_up_dev: tuple[float, ...]
-    sr_up_price: tuple[float, ...]
-    sr_up_price_dev: tuple[float, ...]
-    sr_dn_price: tuple[float, ...]
-    sr_dn_price_dev: tuple[float, ...]
+    dam_price: tuple[float, ...] = _spec("series", within="(-inf, inf)")
+    dam_price_down_dev: tuple[float, ...] = _spec("series")
+    dam_price_up_dev: tuple[float, ...] = _spec("series")
+    sr_up_price: tuple[float, ...] = _spec("series")
+    sr_up_price_dev: tuple[float, ...] = _spec("series")
+    sr_dn_price: tuple[float, ...] = _spec("series")
+    sr_dn_price_dev: tuple[float, ...] = _spec("series")
     season: str | None = None
     regime: str | None = None
 
     def __post_init__(self):
-        for name in (
-            "dam_price",
-            "dam_price_down_dev",
-            "dam_price_up_dev",
-            "sr_up_price",
-            "sr_up_price_dev",
-            "sr_dn_price",
-            "sr_dn_price_dev",
-        ):
+        for name in _declared(MarketScenario):
             object.__setattr__(self, name, _vec(getattr(self, name)))
 
 
@@ -253,42 +301,104 @@ class BudgetSet:
 
 ZERO_BUDGETS = BudgetSet()
 
+# Ordered field pairs (lower, upper): numbers compare as they are, series
+# period by period.
+_ORDERED = {
+    DrsUnit: (("p_min", "p_max"),),
+    NdrsUnit: (("forecast_deviation", "forecast_upper"),),
+    CspUnit: (("turbine_p_min", "turbine_p_max"), ("sf_deviation", "sf_upper")),
+    ThermalStoreParams: (("e_min", "e_max"),),
+    FdUnit: (("p_min", "p_max"),),
+    EsUnit: (("charge_p_min", "charge_p_max"), ("discharge_p_min", "discharge_p_max"), ("e_min", "e_max")),
+}
 
-def _name_ok(name: str) -> bool:
-    return bool(name) and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)
+
+def _relations(u, T: int) -> list[tuple[str | None, str]]:
+    """(field, text) for each cross-field rule u breaks; field None blames
+    the whole unit."""
+    out: list[tuple[str | None, str]] = []
+    for lo, hi in _ORDERED[type(u)]:
+        a, b = getattr(u, lo), getattr(u, hi)
+        if isinstance(a, tuple):
+            if len(a) == len(b) == T and any(map(operator.gt, a, b)):
+                out += [
+                    (lo, f"{lo} {x} exceeds {hi} {y} at period {t + 1}") for t, (x, y) in enumerate(zip(a, b)) if x > y
+                ]
+        elif a is not None and b is not None and a > b:
+            out.append((None, f"requires 0 <= {lo} <= {hi}, got {lo}={a}, {hi}={b}"))
+    if isinstance(u, CspUnit):
+        out += [("store", f"store {text}") for _, text in _relations(u.store, T)]
+    elif isinstance(u, NdrsUnit):
+        if len(u.forecast_upper) == T > 0 and u.p_min > min(u.forecast_upper):
+            out.append(("forecast_upper", f"p_min {u.p_min} exceeds the forecast_upper minimum"))
+    elif isinstance(u, FdUnit):
+        if u.p_min is None or u.p_max is None:
+            out.append((None, "consumption bounds missing and not derivable from profiles"))
+            return out
+        lo, hi = u.p_min, u.p_max
+        for m, prof in enumerate(u.profiles):
+            if len(prof) == T > 0 and not lo <= min(prof) <= max(prof) <= hi:
+                out += [
+                    ("profiles", f"profile {m} value {v} at period {t + 1} is outside [p_min={lo}, p_max={hi}]")
+                    for t, v in enumerate(prof)
+                    if not lo <= v <= hi
+                ]
+    return out
 
 
-def _check_series(out: list[str], owner: str, label: str, vec, T: int, lo: float | None = 0.0) -> None:
+def _name_problems(names) -> list[tuple[int, str]]:
+    """(position, message) for each unit name that is no identifier or
+    repeats an earlier one."""
+    out = []
+    for i, name in enumerate(names):
+        if not (name and name[0].isalpha() and name.replace("_", "").isalnum()):
+            out.append((i, f"{name!r}: unit name must be a letter followed by alphanumerics/underscores"))
+        if name in names[:i]:
+            out.append((i, f"{name}: duplicate unit name"))
+    return out
+
+
+def _field_problems(obj, T: int, owner: str, prefix: str = "") -> list[str]:
+    """Where obj's values break their declarations on a T-period grid."""
+    out: list[str] = []
+    for name, spec in _declared(type(obj)).items():
+        v = getattr(obj, name)
+        kind = spec.kind
+        if kind == "number" or kind == "int":
+            if v is not None and not spec.floor <= v <= spec.ceil:
+                out.append(f"{owner}: {prefix}{name} is {v}, expected {spec.bounds}")
+        elif kind == "series":
+            if len(v) != T or spec.outside(v):
+                _series_problems(out, owner, prefix + name, v, T, spec)
+        elif kind == "profiles":
+            if not v:
+                out.append(f"{owner}: needs at least one demand profile")
+            for m, prof in enumerate(v):
+                if len(prof) != T or spec.outside(prof):
+                    _series_problems(out, owner, f"profile {m}", prof, T, spec)
+        elif kind == "str":
+            if spec.among is not None and v not in spec.among:
+                out.append(f"{owner}: unknown {prefix}{name} {v!r} (expected one of {spec.among})")
+        else:
+            out += _field_problems(v, T, owner, f"{prefix}{name}.")
+    return out
+
+
+def _series_problems(out: list[str], owner: str, label: str, vec, T: int, spec: _Spec) -> None:
     if len(vec) != T:
         out.append(f"{owner}: {label} has {len(vec)} entries, grid has {T} periods")
         return
-    if lo is not None:
-        for t, v in enumerate(vec):
-            if v < lo:
-                out.append(f"{owner}: {label} is {v} at period {t + 1}, below {lo}")
+    for t, v in enumerate(vec):
+        if not spec.floor <= v <= spec.ceil:
+            out.append(f"{owner}: {label} is {v} at period {t + 1}, expected {spec.bounds}")
 
 
 def validate_scenario(scenario: MarketScenario) -> list[str]:
-    """Every invariant violation of a market as a human-readable string.
-
-    An empty list means the grid is well formed, each price series has one
-    entry per period, every deviation and reserve price is nonnegative, and
-    the season and regime tags are known.
-    """
-    out: list[str] = []
-    grid = scenario.grid
-    T = grid.period_count
-    if T < 1:
-        out.append(f"grid: period_count must be at least 1, got {T}")
-    if not grid.delta_t > 0:
-        out.append(f"grid: delta_t must be positive, got {grid.delta_t}")
-    _check_series(out, "scenario", "dam_price", scenario.dam_price, T, lo=None)
-    _check_series(out, "scenario", "dam_price_down_dev", scenario.dam_price_down_dev, T)
-    _check_series(out, "scenario", "dam_price_up_dev", scenario.dam_price_up_dev, T)
-    _check_series(out, "scenario", "sr_up_price", scenario.sr_up_price, T)
-    _check_series(out, "scenario", "sr_up_price_dev", scenario.sr_up_price_dev, T)
-    _check_series(out, "scenario", "sr_dn_price", scenario.sr_dn_price, T)
-    _check_series(out, "scenario", "sr_dn_price_dev", scenario.sr_dn_price_dev, T)
+    """Every invariant violation of a market as a human-readable string:
+    the grid's and price series' declarations, and unknown season or
+    regime tags."""
+    out = _field_problems(scenario.grid, 0, "grid")
+    out += _field_problems(scenario, scenario.grid.period_count, "scenario")
     if scenario.season is not None and scenario.season not in SEASONS:
         out.append(f"scenario: unknown season {scenario.season!r}")
     if scenario.regime is not None and scenario.regime not in REGIMES:
@@ -297,124 +407,24 @@ def validate_scenario(scenario: MarketScenario) -> list[str]:
 
 
 def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
-    """Collect every invariant violation as a human-readable string.
-
-    An empty list means the pair is internally consistent: the market passes
-    validate_scenario, series lengths match the grid, bounds are ordered,
-    deviations are within forecasts, budget-free data is nonnegative where
-    physics requires it.
-    """
+    """Collect every invariant violation as a human-readable string: the
+    market's (validate_scenario), unit names that are not distinct
+    identifiers, and each unit's declarations and cross-field rules."""
     out = validate_scenario(scenario)
     T = scenario.grid.period_count
-
-    names = list(portfolio.unit_names())
-    for name in names:
-        if not _name_ok(name):
-            out.append(f"{name!r}: unit name must be a letter followed by alphanumerics/underscores")
-    dupes = sorted({n for n in names if names.count(n) > 1})
-    for n in dupes:
-        out.append(f"{n}: duplicate unit name")
-
-    for u in portfolio.drs:
-        if not 0 <= u.p_min <= u.p_max:
-            out.append(f"{u.name}: requires 0 <= p_min <= p_max, got p_min={u.p_min}, p_max={u.p_max}")
-        for label in ("startup_cost", "shutdown_cost", "op_cost"):
-            if getattr(u, label) < 0:
-                out.append(f"{u.name}: {label} must be nonnegative")
-        if u.min_up < 0 or u.min_down < 0:
-            out.append(f"{u.name}: min_up/min_down must be nonnegative")
-        if u.daily_energy_limit is not None and u.daily_energy_limit < 0:
-            out.append(f"{u.name}: daily_energy_limit must be nonnegative")
-
-    for u in portfolio.ndrs:
-        if u.technology not in _TECHNOLOGIES:
-            out.append(f"{u.name}: unknown technology {u.technology!r} (expected one of {_TECHNOLOGIES})")
-        if u.p_min < 0:
-            out.append(f"{u.name}: p_min must be nonnegative")
-        if u.op_cost < 0:
-            out.append(f"{u.name}: op_cost must be nonnegative")
-        _check_series(out, u.name, "forecast_upper", u.forecast_upper, T)
-        _check_series(out, u.name, "forecast_deviation", u.forecast_deviation, T)
-        if len(u.forecast_upper) == len(u.forecast_deviation) == T:
-            for t in range(T):
-                if u.forecast_deviation[t] > u.forecast_upper[t]:
-                    out.append(
-                        f"{u.name}: forecast_deviation {u.forecast_deviation[t]} exceeds "
-                        f"forecast_upper {u.forecast_upper[t]} at period {t + 1}"
-                    )
-            if u.p_min > min(u.forecast_upper):
-                out.append(f"{u.name}: p_min {u.p_min} exceeds the forecast_upper minimum")
-
-    for u in portfolio.csp:
-        if not 0 <= u.turbine_p_min <= u.turbine_p_max:
-            out.append(
-                f"{u.name}: requires 0 <= turbine_p_min <= turbine_p_max, "
-                f"got {u.turbine_p_min}, {u.turbine_p_max}"
-            )
-        if not 0 < u.turbine_eff <= 1:
-            out.append(f"{u.name}: turbine_eff must be in (0, 1]")
-        if u.startup_loss < 0:
-            out.append(f"{u.name}: startup_loss must be nonnegative")
-        if u.op_cost < 0:
-            out.append(f"{u.name}: op_cost must be nonnegative")
-        if u.min_up < 0 or u.min_down < 0:
-            out.append(f"{u.name}: min_up/min_down must be nonnegative")
-        _check_series(out, u.name, "sf_upper", u.sf_upper, T)
-        _check_series(out, u.name, "sf_deviation", u.sf_deviation, T)
-        if len(u.sf_upper) == len(u.sf_deviation) == T:
-            for t in range(T):
-                if u.sf_deviation[t] > u.sf_upper[t]:
-                    out.append(
-                        f"{u.name}: sf_deviation {u.sf_deviation[t]} exceeds "
-                        f"sf_upper {u.sf_upper[t]} at period {t + 1}"
-                    )
-        st = u.store
-        if not 0 <= st.e_min <= st.e_max:
-            out.append(f"{u.name}: store requires 0 <= e_min <= e_max, got {st.e_min}, {st.e_max}")
-        if st.charge_p_max < 0 or st.discharge_p_max < 0:
-            out.append(f"{u.name}: store power limits must be nonnegative")
-        if not (0 < st.charge_eff <= 1 and 0 < st.discharge_eff <= 1):
-            out.append(f"{u.name}: store efficiencies must be in (0, 1]")
-
-    for u in portfolio.fd:
-        if not u.profiles:
-            out.append(f"{u.name}: needs at least one demand profile")
-        if not 0 <= u.flexibility_margin < 1:
-            out.append(f"{u.name}: flexibility_margin must be in [0, 1)")
-        if u.p_min is None or u.p_max is None:
-            out.append(f"{u.name}: consumption bounds missing and not derivable from profiles")
-            continue
-        if not 0 <= u.p_min <= u.p_max:
-            out.append(f"{u.name}: requires 0 <= p_min <= p_max, got p_min={u.p_min}, p_max={u.p_max}")
-        for m, prof in enumerate(u.profiles):
-            if len(prof) != T:
-                out.append(f"{u.name}: profile {m} has {len(prof)} entries, grid has {T} periods")
-                continue
-            for t, v in enumerate(prof):
-                if not u.p_min <= v <= u.p_max:
-                    out.append(
-                        f"{u.name}: profile {m} value {v} at period {t + 1} is outside "
-                        f"[p_min={u.p_min}, p_max={u.p_max}]"
-                    )
-        _check_series(out, u.name, "deviation", u.deviation, T)
+    units = portfolio.all_units()
+    out += [message for _, message in _name_problems([u.name for u in units])]
+    for u in units:
+        out += _field_problems(u, T, u.name)
+        out += [f"{u.name}: {text}" for _, text in _relations(u, T)]
     return out
 
 
 def validate_es(u: EsUnit) -> list[str]:
-    """Every invariant violation of a storage unit: ordered, nonnegative
-    power and energy bounds, efficiencies in (0, 1] and a nonnegative cost."""
-    out: list[str] = []
-    if not 0 <= u.charge_p_min <= u.charge_p_max:
-        out.append(f"{u.name}: requires 0 <= charge_p_min <= charge_p_max")
-    if not 0 <= u.discharge_p_min <= u.discharge_p_max:
-        out.append(f"{u.name}: requires 0 <= discharge_p_min <= discharge_p_max")
-    if not 0 <= u.e_min <= u.e_max:
-        out.append(f"{u.name}: requires 0 <= e_min <= e_max")
-    if not (0 < u.charge_eff <= 1 and 0 < u.discharge_eff <= 1):
-        out.append(f"{u.name}: efficiencies must be in (0, 1]")
-    if u.op_cost < 0:
-        out.append(f"{u.name}: op_cost must be nonnegative")
-    return out
+    """Every invariant violation of a storage unit: its field declarations
+    (nonnegative ratings and cost, efficiencies in (0, 1]) and ordered
+    power and energy bounds."""
+    return _field_problems(u, 0, u.name) + [f"{u.name}: {text}" for _, text in _relations(u, 0)]
 
 
 def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio | None = None) -> list[str]:

@@ -4,11 +4,12 @@ The scenario file is one YAML document holding the portfolio, per-season
 price curves, per-season/per-regime forecast deviations, seasonal energy
 limits, and the storage module used for equivalence sizing.  A regime is
 data: per season, the hydro energy limit and the forecast-error series.
-load_scenario is the only place a (season, regime) pair becomes units: it
-parses each unit once into the fields every cell shares and the fields that
-vary by cell, then builds and validates one (Portfolio, MarketScenario) pair
-per cell.  The canonical parsed form round-trips exactly through
-save_scenario.
+load_scenario reads every block with one reader driven by the field
+declarations in domain (kind, default, bounds, unknown keys), so every error
+names its YAML path, such as `prices.winter.sr_up_price[3]`.  It is the only
+place a (season, regime) pair becomes units: each cell's units are built
+once and checked against the cross-field rules.  The canonical parsed form
+round-trips exactly through save_scenario.
 
 Result files are plain CSV with all numbers at 6 significant digits and rows
 in a fixed sort order, so identical runs produce byte-identical files.
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -35,27 +37,19 @@ from .domain import (
     NdrsUnit,
     PeriodGrid,
     Portfolio,
-    ThermalStoreParams,
-    validate_es,
-    validate_portfolio,
+    _declared,
+    _name_problems,
+    _relations,
 )
 
-_PRICE_KEYS = (
-    "dam_price",
-    "dam_price_down_dev",
-    "dam_price_up_dev",
-    "sr_up_price",
-    "sr_up_price_dev",
-    "sr_dn_price",
-    "sr_dn_price_dev",
-)
-_STORE_KEYS = ("e_min", "e_max", "charge_p_max", "discharge_p_max", "charge_eff", "discharge_eff")
-_ES_KEYS = _STORE_KEYS + ("op_cost",)
 _TOP_KEYS = (
     "schema_version", "description", "grid", "seasons", "regimes", "prices", "units", "energy_limits", "es_module",
 )
 # Scenario-file unit class (also its Portfolio field) -> unit type.
 _UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
+# The keys, outermost first, of a field declared by season and/or regime.
+_AXES = {"season": ("season",), "regime": ("regime",), "season_regime": ("season", "regime")}
+_KNOWN = {"season": SEASONS, "regime": REGIMES}
 
 
 class ScenarioFormatError(ValueError):
@@ -94,38 +88,22 @@ def _need(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-_REQUIRED = object()
-_EXPECTED = {float: "a number", int: "an integer", dict: "a mapping"}
-
-
-def _field(mapping: dict, key, path: str, kind=float, default=_REQUIRED):
-    """mapping[key] as kind (float, int or dict), or ScenarioFormatError
-    naming path.key.
-
-    A missing key takes default and is an error without one; with a None
-    default, a null value stays None.
-    """
-    value = _need(mapping, key, path) if default is _REQUIRED else mapping.get(key, default)
-    if value is None and default is None:
-        return None
-    if kind is dict:
-        if isinstance(value, dict):
-            return value
-        raise ScenarioFormatError(f"{path}.{key}: expected {_EXPECTED[kind]}")
-    return _number(value, f"{path}.{key}", kind)
-
-
-def _only(mapping: dict, known, path: str) -> None:
-    """ScenarioFormatError naming path and the first key of mapping not in
-    known, the keys the loader has read from it: a misspelt optional key
-    would otherwise leave its field at the default."""
-    for key in mapping:
+def _mapping(value, path: str, known, what: str = "key") -> None:
+    """ScenarioFormatError naming path unless value is a mapping whose every
+    key is in known: a misspelt optional key would otherwise leave its
+    field at the default."""
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{path}: expected a mapping")
+    for key in value:
         if key not in known:
-            raise ScenarioFormatError(f"{path}: unknown key {key!r}")
+            raise ScenarioFormatError(f"{path}: unknown {what} {key!r}")
 
 
-def _number(value, path: str, kind=float):
-    """value as a finite float, or as an int for kind int, or
+_EXPECTED = {"number": "a number", "int": "an integer"}
+
+
+def _number(value, path: str, kind="number"):
+    """value as a finite float, or as an int for kind "int", or
     ScenarioFormatError naming path.
 
     float() and int() would also take a YAML boolean (true is 1.0), an
@@ -136,20 +114,101 @@ def _number(value, path: str, kind=float):
     if not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
-    if number is None or not math.isfinite(number) or (kind is int and not number.is_integer()):
+    if number is None or not math.isfinite(number) or (kind == "int" and not number.is_integer()):
         raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
-    return int(number) if kind is int else number
+    return int(number) if kind == "int" else number
 
 
-def _floats(value, path: str, length: int | None = None) -> list[float]:
-    if not isinstance(value, (list, tuple)):
+def _series(spec, T: int, value, path: str) -> tuple[float, ...]:
+    """value as T finite numbers within spec's bounds."""
+    if not isinstance(value, list):
         raise ScenarioFormatError(f"{path}: expected a list of numbers")
-    out = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if length is not None and len(out) != length:
-        raise ScenarioFormatError(f"{path}: expected {length} entries, got {len(out)}; grid.period_count is {length}")
+    if len(value) != T:
+        raise ScenarioFormatError(f"{path}: expected {T} entries, got {len(value)}; grid.period_count is {T}")
+    # Checked whole; entry by entry only to name the entry that fails.
+    try:
+        vec = tuple(map(float, value)) if all(type(v) is float or type(v) is int for v in value) else None
+    except OverflowError:
+        vec = None
+    if vec is None or not all(map(math.isfinite, vec)):
+        vec = tuple(_number(v, f"{path}[{t}]") for t, v in enumerate(value))
+    if spec.outside(vec):
+        t = next(t for t, v in enumerate(vec) if not spec.floor <= v <= spec.ceil)
+        raise ScenarioFormatError(f"{path}[{t}]: expected a number {spec.bounds}, got {value[t]!r}")
+    return vec
+
+
+def _value(spec, T: int, value, path: str):
+    """value as spec's kind within its bounds; null stays None where None
+    is the declared default."""
+    kind = spec.kind
+    if value is None and spec.default is None:
+        return None
+    if kind == "series":
+        return _series(spec, T, value, path)
+    if kind == "profiles":
+        if not isinstance(value, list) or not value:
+            raise ScenarioFormatError(f"{path}: expected a non-empty list")
+        return [_series(spec, T, p, f"{path}[{j}]") for j, p in enumerate(value)]
+    if kind == "str":
+        if not isinstance(value, str):
+            raise ScenarioFormatError(f"{path}: expected a string, got {value!r}")
+        if spec.among is not None and value not in spec.among:
+            raise ScenarioFormatError(f"{path}: expected one of {list(spec.among)}, got {value!r}")
+        return value
+    if isinstance(kind, type):
+        return kind(**_read(kind, value, path, T, {})[0])
+    number = _number(value, path, kind)
+    if not spec.floor <= number <= spec.ceil:
+        raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]} {spec.bounds}, got {value!r}")
+    return number
+
+
+def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read, optional_outer: bool = False):
+    """value as a table keyed by axes[0], then the rest of axes, with
+    read(leaf, leaf_path) at the leaves.  Every key must be a known season or
+    regime and every name in chosen[axis] present (at the outer level, only
+    unless optional_outer); a known name that chosen leaves out is skipped."""
+    if not axes:
+        return read(value, path)
+    axis = axes[0]
+    _mapping(value, path, _KNOWN[axis], axis)
+    out = {}
+    for name in chosen[axis]:
+        if name in value:
+            out[name] = _table(value[name], f"{path}.{name}", axes[1:], chosen, read)
+        elif not optional_outer:
+            raise ScenarioFormatError(f"{path}.{name}: missing")
     return out
+
+
+def _read(cls, block, path: str, T: int, chosen: dict, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """The declared fields of dataclass cls from the mapping block at path:
+    the values every cell shares, and (keys, _table) of each field that
+    varies by cell, a field declared by "limits" taking its own value in
+    every cell."""
+    declared = _declared(cls)
+    _mapping(block, path, (*declared, *extra))
+    shared, varying = {}, {}
+    for name, spec in declared.items():
+        if name not in block:
+            if spec.default is MISSING:
+                raise ScenarioFormatError(f"{path}.{name}: missing")
+            value = spec.default
+        elif spec.by in _AXES:
+            table = _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen, partial(_value, spec, T))
+            varying[name] = (_AXES[spec.by], table)
+            continue
+        else:
+            value = _value(spec, T, block[name], f"{path}.{name}")
+        if spec.by == "limits":
+            own = {season: dict.fromkeys(chosen["regime"], value) for season in chosen["season"]}
+            varying[name] = (("season", "regime"), own)
+        else:
+            shared[name] = value
+    return shared, varying
 
 
 def _names(doc: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
@@ -166,30 +225,20 @@ def _names(doc: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _per_season(mapping, seasons, path: str, T: int) -> dict[str, list[float]]:
-    out = {}
-    for season in seasons:
-        out[season] = _floats(_need(mapping, season, path), f"{path}.{season}", T)
-    return out
-
-
-def _per_season_regime(mapping, seasons, regimes, path: str, T: int) -> dict[str, dict[str, list[float]]]:
-    out: dict[str, dict[str, list[float]]] = {}
-    for season in seasons:
-        block = _need(mapping, season, path)
-        out[season] = {}
-        for regime in regimes:
-            out[season][regime] = _floats(
-                _need(block, regime, f"{path}.{season}"), f"{path}.{season}.{regime}", T
-            )
-    return out
+def _check_relations(unit, T: int, path: str, cell: dict) -> None:
+    """ScenarioFormatError for the first cross-field rule unit breaks,
+    naming the YAML path of the field it blames (in this cell)."""
+    for name, text in _relations(unit, T):
+        if name is not None:
+            path += f".{name}" + "".join(f".{cell[a]}" for a in _AXES.get(_declared(type(unit))[name].by, ()))
+        raise ScenarioFormatError(f"{path}: {unit.name}: {text}")
 
 
 def load_scenario(path: str | Path) -> ScenarioBundle:
     """Parse, normalize, and validate a scenario file.
 
-    Raises ScenarioFormatError naming the first offending field (including
-    per-cell portfolio/scenario validation failures).
+    Raises ScenarioFormatError naming the YAML path of the first offending
+    field, including a cross-field rule broken in one cell.
     """
     path = Path(path)
     if not path.exists():
@@ -202,170 +251,76 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             doc = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{path}: top level must be a mapping")
-    _only(doc, _TOP_KEYS, str(path))
-
+    _mapping(doc, str(path), _TOP_KEYS)
     version = doc.get("schema_version")
     if version != 1:
         raise ScenarioFormatError(f"{path}: schema_version must be 1, got {version!r}")
     description = str(doc.get("description", ""))
-    grid_block = _need(doc, "grid", str(path))
-    T = _field(grid_block, "period_count", "grid", int)
-    if T < 1:
-        raise ScenarioFormatError(f"grid.period_count: expected at least 1, got {T}")
-    dt = _field(grid_block, "delta_t", "grid")
-    _only(grid_block, ("period_count", "delta_t"), "grid")
-    grid = PeriodGrid(T, dt)
-
+    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", 0, {})[0])
+    T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
     regimes = _names(doc, "regimes", REGIMES)
+    chosen = {"season": seasons, "regime": regimes}
 
-    prices_block = _need(doc, "prices", str(path))
-    prices: dict[str, dict[str, list[float]]] = {}
-    for season in seasons:
-        block = _need(prices_block, season, "prices")
-        prices[season] = {
-            key: _floats(_need(block, key, f"prices.{season}"), f"prices.{season}.{key}", T)
-            for key in _PRICE_KEYS
-        }
-        _only(block, _PRICE_KEYS, f"prices.{season}")
+    def read_prices(block, at: str) -> dict:
+        return _read(MarketScenario, block, at, T, {})[0]
+
+    prices = _table(_need(doc, "prices", str(path)), "prices", ("season",), chosen, read_prices)
 
     units = _need(doc, "units", str(path))
     if not isinstance(units, list) or not units:
         raise ScenarioFormatError("units: expected a non-empty list")
-
-    limits_block = _field(doc, "energy_limits", str(path), dict, None) or {}
-    limit_table: dict[str, dict[str, dict[str, float]]] = {}
-    for unit_name in limits_block:
-        limit_table[str(unit_name)] = {}
-        seasons_map = _field(limits_block, unit_name, "energy_limits", dict)
-        for season in seasons_map:
-            if season not in seasons:
-                raise ScenarioFormatError(f"energy_limits.{unit_name}: unknown season {season!r}")
-            regs = _field(seasons_map, season, f"energy_limits.{unit_name}", dict)
-            limit_table[str(unit_name)][season] = {
-                str(reg): _field(regs, reg, f"energy_limits.{unit_name}.{season}") for reg in regs
-            }
-
-    # Each unit is parsed once into the fields every cell shares and, per
-    # (season, regime) cell, the fields that vary: the hydro energy limit and
-    # the forecast-error series.
-    cell_keys = [(season, regime) for season in seasons for regime in regimes]
-    specs: list[tuple[str, dict, dict[tuple[str, str], dict]]] = []
+    specs = []
     for i, u in enumerate(units):
         upath = f"units[{i}]"
-        cls = _need(u, "class", upath)
-        name = str(_need(u, "name", upath))
-        if cls == "drs":
-            shared = dict(
-                name=name,
-                p_max=_field(u, "p_max", upath),
-                p_min=_field(u, "p_min", upath),
-                startup_cost=_field(u, "startup_cost", upath),
-                shutdown_cost=_field(u, "shutdown_cost", upath),
-                op_cost=_field(u, "op_cost", upath),
-                min_up=_field(u, "min_up", upath, int, 0),
-                min_down=_field(u, "min_down", upath, int, 0),
-            )
-            limit = _field(u, "daily_energy_limit", upath, float, None)
-            rows = limit_table.get(name, {})
-            varying = {}
-            for season, regime in cell_keys:
-                row = rows.get(season)
-                if row is not None and regime not in row:
-                    raise ScenarioFormatError(f"energy_limits.{name}.{season}: missing regime {regime!r}")
-                varying[(season, regime)] = {"daily_energy_limit": limit if row is None else row[regime]}
-        elif cls == "ndrs":
-            shared = dict(
-                name=name,
-                technology=str(_need(u, "technology", upath)),
-                p_min=_field(u, "p_min", upath),
-                op_cost=_field(u, "op_cost", upath),
-            )
-            upper = _per_season(_need(u, "forecast_upper", upath), seasons, f"{upath}.forecast_upper", T)
-            dev = _per_season_regime(
-                _need(u, "forecast_deviation", upath), seasons, regimes, f"{upath}.forecast_deviation", T
-            )
-            varying = {(s, r): {"forecast_upper": upper[s], "forecast_deviation": dev[s][r]} for s, r in cell_keys}
-        elif cls == "csp":
-            store_block = _need(u, "store", upath)
-            spath = f"{upath}.store"
-            shared = dict(
-                name=name,
-                turbine_p_max=_field(u, "turbine_p_max", upath),
-                turbine_p_min=_field(u, "turbine_p_min", upath),
-                turbine_eff=_field(u, "turbine_eff", upath),
-                startup_loss=_field(u, "startup_loss", upath),
-                op_cost=_field(u, "op_cost", upath),
-                min_up=_field(u, "min_up", upath, int, 0),
-                min_down=_field(u, "min_down", upath, int, 0),
-                store=ThermalStoreParams(**{key: _field(store_block, key, spath) for key in _STORE_KEYS}),
-            )
-            _only(store_block, _STORE_KEYS, spath)
-            upper = _per_season(_need(u, "sf_upper", upath), seasons, f"{upath}.sf_upper", T)
-            dev = _per_season_regime(
-                _need(u, "sf_deviation", upath), seasons, regimes, f"{upath}.sf_deviation", T
-            )
-            varying = {(s, r): {"sf_upper": upper[s], "sf_deviation": dev[s][r]} for s, r in cell_keys}
-        elif cls == "fd":
-            profiles = _need(u, "profiles", upath)
-            if not isinstance(profiles, list) or not profiles:
-                raise ScenarioFormatError(f"{upath}.profiles: expected a non-empty list")
-            shared = dict(
-                name=name,
-                profiles=[_floats(p, f"{upath}.profiles[{j}]", T) for j, p in enumerate(profiles)],
-                flexibility_margin=_field(u, "flexibility_margin", upath, float, 0.10),
-                p_min=_field(u, "p_min", upath, float, None),
-                p_max=_field(u, "p_max", upath, float, None),
-            )
-            dev_block = _need(u, "deviation", upath)
-            dev = {
-                r: _floats(_need(dev_block, r, f"{upath}.deviation"), f"{upath}.deviation.{r}", T)
-                for r in regimes
-            }
-            varying = {(s, r): {"deviation": dev[r]} for s, r in cell_keys}
-        else:
-            raise ScenarioFormatError(f"{upath}.class: unknown unit class {cls!r}")
-        _only(u, {"class", *shared, *varying[cell_keys[0]]}, upath)
-        specs.append((cls, shared, varying))
+        key = _need(u, "class", upath)
+        cls = _UNIT_CLASSES.get(key) if isinstance(key, str) else None
+        if cls is None:
+            known = list(_UNIT_CLASSES)
+            raise ScenarioFormatError(f"{upath}.class: unknown unit class {key!r} (expected one of {known})")
+        specs.append((key, cls, *_read(cls, u, upath, T, chosen, ("class",))))
+    for i, message in _name_problems([shared["name"] for _, _, shared, _ in specs]):
+        raise ScenarioFormatError(f"units[{i}].name: {message}")
 
-    drs_names = {shared["name"] for cls, shared, _ in specs if cls == "drs"}
-    for unit_name in limit_table:
-        if unit_name not in drs_names:
+    # energy_limits.<unit>.<season>.<regime> replaces, in the seasons it
+    # gives, the unit's own value of its field declared by "limits".
+    limits = {} if doc.get("energy_limits") is None else doc["energy_limits"]
+    if not isinstance(limits, dict):
+        raise ScenarioFormatError("energy_limits: expected a mapping")
+    for unit_name, value in limits.items():
+        limited = [
+            (spec, varying[name][1])
+            for _, cls, shared, varying in specs if shared["name"] == unit_name
+            for name, spec in _declared(cls).items() if spec.by == "limits"
+        ]
+        if not limited:
             raise ScenarioFormatError(f"energy_limits.{unit_name}: no drs unit has this name")
+        spec, table = limited[0]
+        read = partial(_value, spec, T)
+        rows = _table(value, f"energy_limits.{unit_name}", ("season", "regime"), chosen, read, optional_outer=True)
+        table.update(rows)
 
     es_module = None
-    e = _field(doc, "es_module", str(path), dict, None)
-    if e is not None:
-        fields = dict(
-            name=str(_need(e, "name", "es_module")),
-            **{key: _field(e, key, "es_module") for key in _ES_KEYS},
-            charge_p_min=_field(e, "charge_p_min", "es_module", float, 0.0),
-            discharge_p_min=_field(e, "discharge_p_min", "es_module", float, 0.0),
-        )
-        _only(e, fields, "es_module")
-        es_module = EsUnit(**fields)
-        problems = validate_es(es_module)
-        if problems:
-            raise ScenarioFormatError("es_module: " + "; ".join(problems))
+    if doc.get("es_module") is not None:
+        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module", T, {})[0])
+        _check_relations(es_module, T, "es_module", {})
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
-    for season, regime in cell_keys:
-        groups: dict[str, list] = {cls: [] for cls in _UNIT_CLASSES}
-        for cls, shared, varying in specs:
-            groups[cls].append(_UNIT_CLASSES[cls](**shared, **varying[(season, regime)]))
-        portfolio = Portfolio(**groups)
-        scenario = MarketScenario(
-            grid=grid,
-            season=season,
-            regime=regime,
-            **{key: prices[season][key] for key in _PRICE_KEYS},
-        )
-        violations = validate_portfolio(portfolio, scenario)
-        if violations:
-            raise ScenarioFormatError(f"{path} [{season}/{regime}]: " + "; ".join(violations[:5]))
-        cells[(season, regime)] = (portfolio, scenario)
+    for season in seasons:
+        for regime in regimes:
+            cell = {"season": season, "regime": regime}
+            groups: dict[str, list] = {key: [] for key in _UNIT_CLASSES}
+            for i, (key, cls, shared, varying) in enumerate(specs):
+                picked = {}
+                for name, (axes, table) in varying.items():
+                    for axis in axes:
+                        table = table[cell[axis]]
+                    picked[name] = table
+                unit = cls(**shared, **picked)
+                _check_relations(unit, T, f"units[{i}]", cell)
+                groups[key].append(unit)
+            scenario = MarketScenario(grid=grid, season=season, regime=regime, **prices[season])
+            cells[(season, regime)] = (Portfolio(**groups), scenario)
 
     return ScenarioBundle(
         path=str(path),
@@ -394,13 +349,12 @@ def scale_flexible_demand(portfolio: Portfolio, factor: float) -> Portfolio:
     if factor == 0:
         return Portfolio(drs=portfolio.drs, ndrs=portfolio.ndrs, csp=portfolio.csp, fd=())
     scaled = tuple(
-        FdUnit(
-            name=u.name,
+        replace(
+            u,
             profiles=[[v * factor for v in prof] for prof in u.profiles],
             deviation=[v * factor for v in u.deviation],
             p_min=u.p_min * factor,
             p_max=u.p_max * factor,
-            flexibility_margin=u.flexibility_margin,
         )
         for u in portfolio.fd
     )

@@ -139,7 +139,7 @@ def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, budgets: B
         obj.append((net[t].index, scenario.dam_price[t] * dt))
         obj.append((rup[t].index, scenario.sr_up_price[t]))
         obj.append((rdn[t].index, scenario.sr_dn_price[t]))
-        obj.append((pdis[t].index, -fleet.op_cost))
+        obj.append((pdis[t].index, -fleet.op_cost * dt))
 
         m.add_constraint(
             f"es_ch_lo_t{_t2(t)}",
@@ -342,7 +342,7 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
 
     nominal = float(np.dot(scenario.dam_price, flows["net"]) * dt)
     nominal += float(np.dot(scenario.sr_up_price, flows["r_up"]) + np.dot(scenario.sr_dn_price, flows["r_dn"]))
-    nominal -= fleet.op_cost * float(discharge.sum())
+    nominal -= fleet.op_cost * dt * float(discharge.sum())
 
     return EsSchedule(
         grid_periods=T,

@@ -99,7 +99,6 @@ def test_repeated_filter_values_run_once(case1_run, tmp_path):
 def test_seasons_and_regimes_default_to_the_files(tmp_path, bundle, capsys):
     raw = copy.deepcopy(bundle.raw)
     raw["seasons"] = ["spring"]
-    raw["energy_limits"]["hydro"] = {"spring": raw["energy_limits"]["hydro"]["spring"]}
     del raw["units"][1]  # a portfolio without biomass runs as well
     spring_only = tmp_path / "spring.yaml"
     save_scenario(raw, spring_only)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import random
+from dataclasses import MISSING
+from functools import reduce
+from operator import getitem
 
 import pytest
 import yaml
@@ -24,6 +28,8 @@ from rvpp import (
     write_results,
 )
 from rvpp.datasets import default_scenario_raw
+from rvpp.domain import EsUnit, MarketScenario, PeriodGrid, _declared
+from rvpp.scenario_io import _UNIT_CLASSES
 from toys import wind
 
 
@@ -139,7 +145,7 @@ def test_energy_limit_missing_a_regime_names_the_field(tmp_path, bundle):
     del raw["energy_limits"]["hydro"]["summer"]["unfavorable"]
     path = tmp_path / "bad.yaml"
     save_scenario(raw, path)
-    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydro\.summer: missing regime 'unfavorable'"):
+    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydro\.summer\.unfavorable: missing"):
         load_scenario(path)
 
 
@@ -183,7 +189,8 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
     wf["forecast_deviation"]["winter"]["unfavorable"] = [999.0] * 24
     path = tmp_path / "bad.yaml"
     save_scenario(raw, path)
-    with pytest.raises(ScenarioFormatError, match=r"\[winter/unfavorable\].*forecast_deviation"):
+    named = r"units\[2\]\.forecast_deviation\.winter\.unfavorable: wind_farm: forecast_deviation"
+    with pytest.raises(ScenarioFormatError, match=named):
         load_scenario(path)
 
 
@@ -199,14 +206,14 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
             r"energy_limits\.hydro\.winter\.favorable: expected a number",
         ),
         (lambda raw: raw["es_module"].update(e_max="x"), r"es_module\.e_max: expected a number"),
-        (lambda raw: raw["es_module"].update(charge_eff=0), r"es_module: li_ion_module: efficiencies"),
+        (lambda raw: raw["es_module"].update(charge_eff=0), r"es_module\.charge_eff: expected a number in \(0, 1\]"),
         (lambda raw: raw.update(seasons=5), r"seasons: expected a non-empty list"),
         (lambda raw: raw.update(regimes=5), r"regimes: expected a non-empty list"),
         (lambda raw: raw.update(seasons=[]), r"seasons: expected a non-empty list"),
         (lambda raw: raw.update(regimes=["favorable", "favorable"]), r"regimes: 'favorable' is listed twice"),
         (lambda raw: raw.update(seasons=["winter", "monsoon"]), r"seasons: unknown season 'monsoon'"),
         (lambda raw: raw.update(regimes=[["favorable"]]), r"regimes: unknown regime \['favorable'\]"),
-        (lambda raw: raw["grid"].update(period_count=0), r"grid\.period_count: expected at least 1, got 0"),
+        (lambda raw: raw["grid"].update(period_count=0), r"grid\.period_count: expected an integer in \[1, inf\)"),
         (lambda raw: raw["grid"].update(period_count=25), r"expected 25 entries, got 24; grid\.period_count is 25"),
         (lambda raw: raw["units"][1].update(name="hydro"), r"hydro: duplicate unit name"),
         (lambda raw: raw["units"][0].update(p_min=51.0), r"hydro: requires 0 <= p_min <= p_max, got p_min=51"),
@@ -221,6 +228,35 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         (lambda raw: raw["units"][4]["store"].update(e_maxx=1.0), r"units\[4\]\.store: unknown key 'e_maxx'"),
         (lambda raw: raw["units"][5].update(flex_margin=0.2), r"units\[5\]: unknown key 'flex_margin'"),
         (lambda raw: raw["es_module"].update(charge_p_mn=0.1), r"es_module: unknown key 'charge_p_mn'"),
+        (lambda raw: raw["units"][0].update(p_min=60.0), r"units\[0\]: hydro: requires 0 <= p_min <= p_max"),
+        (
+            lambda raw: raw["prices"]["winter"]["sr_up_price"].__setitem__(3, -1.0),
+            r"prices\.winter\.sr_up_price\[3\]: expected a number in \[0, inf\), got -1\.0",
+        ),
+        (lambda raw: raw["grid"].update(delta_t=0), r"grid\.delta_t: expected a number in \(0, inf\), got 0"),
+        (
+            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(favorable=-5),
+            r"energy_limits\.hydro\.winter\.favorable: expected a number in \[0, inf\), got -5",
+        ),
+        (
+            lambda raw: raw["units"][2]["forecast_deviation"]["winter"].update(unfavorable=[999.0] * 24),
+            r"units\[2\]\.forecast_deviation\.winter\.unfavorable: wind_farm: forecast_deviation 999\.0 exceeds",
+        ),
+        (lambda raw: raw["units"][4].update(turbine_eff=1.5), r"units\[4\]\.turbine_eff: expected a number in"),
+        (lambda raw: raw["units"][4]["store"].update(charge_eff=0), r"units\[4\]\.store\.charge_eff: expected a"),
+        (
+            lambda raw: raw["units"][2]["forecast_upper"].update(monsoon=[1.0] * 24),
+            r"units\[2\]\.forecast_upper: unknown season 'monsoon'",
+        ),
+        (
+            lambda raw: raw["units"][2]["forecast_deviation"]["winter"].update(unfavourable=[1.0] * 24),
+            r"units\[2\]\.forecast_deviation\.winter: unknown regime 'unfavourable'",
+        ),
+        (
+            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(unfavourable=1.0),
+            r"energy_limits\.hydro\.winter: unknown regime 'unfavourable'",
+        ),
+        (lambda raw: raw["prices"].update(monsoon=raw["prices"]["winter"]), r"prices: unknown season 'monsoon'"),
     ],
     ids=[
         "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
@@ -228,6 +264,9 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         "grid_empty", "grid_longer", "units_twice", "p_min_above_p_max", "profiles_empty", "units_empty",
         "top_unknown", "grid_unknown", "prices_unknown", "min_up_misspelt", "drs_takes_no_sf_upper",
         "ndrs_takes_no_energy_limit", "store_unknown", "fd_unknown", "es_unknown",
+        "p_min_60", "negative_reserve_price", "delta_t_zero", "negative_energy_limit", "deviation_above_forecast",
+        "turbine_eff_above_1", "store_eff_zero", "forecast_upper_monsoon", "deviation_unfavourable",
+        "energy_limit_unfavourable", "prices_monsoon",
     ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):
@@ -247,6 +286,114 @@ def test_cli_exits_2_on_an_invalid_storage_module(tmp_path, bundle, capsys):
     flags = ["--case", "3", "--season", "spring", "--strategy", "optimistic", "--jobs", "1"]
     assert cli.main([*flags, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "es_module" in capsys.readouterr().err
+
+
+# --- seeded structural mutations -------------------------------------------
+# Drawn from the field declarations, after the mutation-based fuzzing of
+# Zeller et al., The Fuzzing Book (2019).
+
+
+def yaml_path(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+def leaves(keys, node):
+    """keys extended to each value under node that is not a mapping."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves((*keys, key), value)
+    else:
+        yield keys
+
+
+def declared_fields(raw):
+    """(keys, spec) of every declared field the file gives, nested blocks
+    and the entries of tables keyed by season or regime included."""
+    blocks = [(("grid",), PeriodGrid), (("es_module",), EsUnit)]
+    blocks += [(("prices", season), MarketScenario) for season in raw["prices"]]
+    blocks += [(("units", i), _UNIT_CLASSES[u["class"]]) for i, u in enumerate(raw["units"])]
+    limit = _declared(_UNIT_CLASSES["drs"])["daily_energy_limit"]
+    yield from ((keys, limit) for keys in leaves(("energy_limits",), raw["energy_limits"]))
+    for keys, cls in blocks:
+        block = reduce(getitem, keys, raw)
+        for name, spec in _declared(cls).items():
+            if name not in block:
+                continue
+            yield (*keys, name), spec
+            if isinstance(spec.kind, type):
+                blocks.append(((*keys, name), spec.kind))
+            elif isinstance(block[name], dict):
+                yield from ((at, spec) for at in leaves((*keys, name), block[name]))
+
+
+def structural_mutations(raw, rng) -> dict[str, list]:
+    """Mutations of the shipped file by operator: (keys, edit, value, path),
+    where edit ("drop", "rename" or "set") breaks raw at keys and path is
+    the YAML path its error must start with."""
+    out: dict[str, list] = {}
+
+    def add(op, keys, edit, value=None, path=None):
+        out.setdefault(op, []).append((keys, edit, value, yaml_path(keys) if path is None else path))
+
+    for keys, spec in declared_fields(raw):
+        value = reduce(getitem, keys, raw)
+        if isinstance(keys[-1], str):
+            if spec.default is MISSING:
+                add("drop", keys, "drop")
+            add("rename", keys, "rename", path=yaml_path(keys[:-1]))
+            add("retype", keys, "set", 5 if spec.kind == "str" else "x")
+        if spec.kind == "series" and isinstance(value, list):
+            add("empty", keys, "set", [])
+            if spec.floor > -math.inf:
+                add("outside", (*keys, rng.randrange(len(value))), "set", math.nextafter(spec.floor, -math.inf))
+        elif spec.kind == "profiles":
+            add("empty", keys, "set", [])
+        elif spec.kind in ("number", "int") and value is not None:
+            if spec.floor > -math.inf:
+                below = math.ceil(spec.floor) - 1 if spec.kind == "int" else math.nextafter(spec.floor, -math.inf)
+                add("outside", keys, "set", below)
+            if spec.ceil < math.inf:
+                add("outside", keys, "set", math.nextafter(spec.ceil, math.inf))
+    for top in ("units", "seasons", "regimes"):
+        add("empty", (top,), "set", [])
+    for j, unit in enumerate(raw["units"]):
+        add("class", ("units", j, "class"), "set", [[1]])
+        for earlier in raw["units"][:j]:
+            add("duplicate", ("units", j, "name"), "set", earlier["name"], f"units[{j}].name")
+    return out
+
+
+def mutated(raw: dict, keys, edit: str, value) -> dict:
+    raw = copy.deepcopy(raw)
+    owner, key = reduce(getitem, keys[:-1], raw), keys[-1]
+    if edit == "drop":
+        del owner[key]
+    elif edit == "rename":
+        owner[f"{key}_x"] = owner.pop(key)
+    else:
+        owner[key] = value
+    return raw
+
+
+def test_structural_mutations_name_their_path(tmp_path, bundle, capsys):
+    """Each seeded mutation of the shipped file is a ScenarioFormatError
+    whose message starts with the YAML path it broke; every twentieth also
+    exits the CLI with 2, naming that path on stderr."""
+    rng = random.Random(23)
+    pool = structural_mutations(bundle.raw, rng)
+    assert sorted(pool) == ["class", "drop", "duplicate", "empty", "outside", "rename", "retype"]
+    drawn = [(op, *m) for op in sorted(pool) for m in rng.sample(pool[op], min(12, len(pool[op])))]
+    assert 60 <= len(drawn) <= 100
+    flags = ["--case", "1", "--season", "winter", "--strategy", "optimistic", "--jobs", "1"]
+    for n, (op, keys, edit, value, path) in enumerate(drawn):
+        scenario = tmp_path / f"m{n}.yaml"
+        save_scenario(mutated(bundle.raw, keys, edit, value), scenario)
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(scenario)
+        assert str(err.value).startswith(f"{path}:"), (op, keys, str(err.value))
+        if n % 20 == 0:
+            assert cli.main([*flags, "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 2, (op, keys)
+            assert path in capsys.readouterr().err, (op, keys)
 
 
 # --- flexible-demand scaling ------------------------------------------------

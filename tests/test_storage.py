@@ -45,6 +45,26 @@ def test_flat_prices_mean_no_trading():
     assert np.abs(sched.net).max() <= 1e-9
 
 
+def test_splitting_each_period_in_two_keeps_the_value(bundle):
+    """Operating cost is paid per MWh, so the shipped spring module earns
+    the same over 48 half-hour periods as over 24 hours at the same prices
+    (reserve prices zeroed: they pay per MW and period)."""
+    _, spring = bundle.cell("spring", "favorable")
+    zeros = (0.0,) * 24
+    coarse = replace(spring, sr_up_price=zeros, sr_dn_price=zeros)
+    fine = replace(
+        coarse,
+        grid=replace(coarse.grid, period_count=48, delta_t=0.5),
+        **{f: tuple(v for v in getattr(coarse, f) for _ in (0, 1)) for f in (
+            "dam_price", "dam_price_down_dev", "dam_price_up_dev",
+            "sr_up_price", "sr_up_price_dev", "sr_dn_price", "sr_dn_price_dev",
+        )},
+    )
+    value = solve_es(bundle.es_module, coarse).objective_value
+    assert value > 1.0
+    assert solve_es(bundle.es_module, fine).objective_value == pytest.approx(value, rel=1e-9)
+
+
 def test_value_is_linear_in_module_count():
     # Every fleet rating scales with the count and all rows are homogeneous,
     # so the optimum scales exactly, minimum-power rows and price duals
