@@ -40,11 +40,11 @@ from .domain import (
     _declared,
     _name_problems,
     _relations,
+    _spec,
 )
 
-_TOP_KEYS = (
-    "schema_version", "description", "grid", "seasons", "regimes", "prices", "units", "energy_limits", "es_module",
-)
+# The top-level keys besides _Header's, which the document's blocks hold.
+_TOP_KEYS = ("grid", "seasons", "regimes", "prices", "units", "energy_limits", "es_module")
 # Scenario-file unit class (also its Portfolio field) -> unit type.
 _UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
 # The keys, outermost first, of a field declared by season and/or regime.
@@ -54,6 +54,14 @@ _KNOWN = {"season": SEASONS, "regime": REGIMES}
 
 class ScenarioFormatError(ValueError):
     """Malformed scenario file; the message names the offending field path."""
+
+
+@dataclass(frozen=True)
+class _Header:
+    """The two top-level scalars of a scenario file."""
+
+    schema_version: int = _spec("int", within="[1, 1]")
+    description: str = _spec("str", default="")
 
 
 @dataclass
@@ -251,11 +259,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
             doc = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
-    _mapping(doc, str(path), _TOP_KEYS)
-    version = doc.get("schema_version")
-    if version != 1:
-        raise ScenarioFormatError(f"{path}: schema_version must be 1, got {version!r}")
-    description = str(doc.get("description", ""))
+    header = _Header(**_read(_Header, doc, str(path), 0, {}, _TOP_KEYS)[0])
     grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", 0, {})[0])
     T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
@@ -324,7 +328,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
 
     return ScenarioBundle(
         path=str(path),
-        description=description,
+        description=header.description,
         grid=grid,
         seasons=seasons,
         regimes=regimes,

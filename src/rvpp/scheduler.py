@@ -4,11 +4,12 @@ One core (_build_core) builds the model in one pass and takes the budgets of
 uncertainty, None meaning deterministic; at zero budgets the robust model is
 its deterministic twin.  Both public builders call it.  Price streams are
 protected through their dual penalty columns (the objective pays
-Gamma*mu + sum(xi) per stream).  The adversary of a generation/demand stream
-does not depend on the schedule, so it is fixed before the solve: the Gamma
-largest deviations (ties to the earliest period) come off the right-hand side
-of the stream's coupling rows as constants, which is exactly the realization
-the audit replays.
+Gamma*mu + sum(xi) per stream), with one dual row per piece of a period's
+loss: the energy loss, max(down*dt*p_da, -up*dt*p_da), has two.  The
+adversary of a generation/demand stream does not depend on the schedule, so
+it is fixed before the solve: the Gamma largest deviations (ties to the
+earliest period) come off the right-hand side of the stream's coupling rows
+as constants, which is exactly the realization the audit replays.
 
 The core keeps the portfolio and the columns and rows it creates on the
 model (tags "portfolio", "cols", "balance" and "duals"); the decoder reads the
@@ -178,28 +179,29 @@ def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int):
 
 
 def _add_price_dual(
-    m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[tuple[int, float]]]
+    m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[list[tuple[int, float]]]]
 ) -> tuple[Variable, list[Variable]] | None:
     """Budget dual of one price stream, returned as its (mu, xi) columns;
     nothing is added, and None returned, when gamma is 0.
 
-    losses[t] lists the (column id, coefficient) terms of period t's revenue
-    loss.  The objective pays gamma*mu + sum(xi) and each row mu + xi_t >=
-    loss_t, so at the optimum the penalty equals the gamma largest losses.
+    losses[t] lists the pieces of period t's revenue loss, each a list of
+    (column id, coefficient) terms; the loss is the largest piece.  The
+    objective pays gamma*mu + sum(xi) and each piece gets a row mu + xi_t >=
+    piece, so at the optimum the penalty equals the gamma largest losses.
+    The rows run piece by piece, each over all periods.
     """
     if gamma == 0:
         return None
     mu = m.add_variable(f"mu_{tag}")
     xi = [m.add_variable(f"xi_{tag}_t{_t2(t)}") for t in range(len(losses))]
     obj.append((mu.index, -float(gamma)))
-    for t, terms in enumerate(losses):
-        obj.append((xi[t].index, -1.0))
-        m.add_constraint(
-            f"rob_{tag}_dual_t{_t2(t)}",
-            LinearExpression.from_terms([(mu.index, 1.0), (xi[t].index, 1.0)] + [(i, -c) for i, c in terms]),
-            SENSE_GE,
-            0.0,
-        )
+    obj += [(x.index, -1.0) for x in xi]
+    for k in range(max(map(len, losses))):
+        for t, pieces in enumerate(losses):
+            if k < len(pieces):
+                terms = [(mu.index, 1.0), (xi[t].index, 1.0)] + [(i, -c) for i, c in pieces[k]]
+                name = f"rob_{tag}_dual{k or ''}_t{_t2(t)}"
+                m.add_constraint(name, LinearExpression.from_terms(terms), SENSE_GE, 0.0)
     return mu, xi
 
 
@@ -412,30 +414,17 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
 
     duals = None
     if budgets is not None:
-        duals = {"dam": None}
-        if budgets.gamma_dam > 0:
-            down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
-            x = [m.add_variable(f"xdam_t{_t2(t)}") for t in range(T)]
-            for t in range(T):
-                m.add_constraint(
-                    f"rob_dam_vol_t{_t2(t)}",
-                    LinearExpression.from_terms([(p_da[t].index, dt), (x[t].index, -1.0)]),
-                    SENSE_LE,
-                    0.0,
-                )
-                m.add_constraint(
-                    f"rob_dam_sign_t{_t2(t)}",
-                    LinearExpression.from_terms([(x[t].index, down[t]), (p_da[t].index, up[t] * dt)]),
-                    SENSE_GE,
-                    0.0,
-                )
-            duals["dam"] = _add_price_dual(m, obj, "dam", budgets.gamma_dam, [[(x[t].index, down[t])] for t in range(T)])
-        duals["sr_up"] = _add_price_dual(
-            m, obj, "srup", budgets.gamma_sr_up, [[(r_up[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
-        )
-        duals["sr_dn"] = _add_price_dual(
-            m, obj, "srdn", budgets.gamma_sr_down, [[(r_dn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
-        )
+        # Energy loses down*dt*p_da when sold and up*dt*|p_da| when bought:
+        # the larger of two linear pieces.
+        down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
+        dam_losses = [[[(p_da[t].index, down[t] * dt)], [(p_da[t].index, -up[t] * dt)]] for t in range(T)]
+        up_losses = [[[(r_up[t].index, scenario.sr_up_price_dev[t])]] for t in range(T)]
+        dn_losses = [[[(r_dn[t].index, scenario.sr_dn_price_dev[t])]] for t in range(T)]
+        duals = {
+            "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
+            "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),
+            "sr_dn": _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses),
+        }
 
     m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
     m.tags.update(
@@ -454,15 +443,15 @@ def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: B
     """Single-level robust counterpart under budget uncertainty.
 
     Price streams (energy, both reserve capacities) contribute objective
-    penalties Gamma*mu + sum(xi); the energy stream additionally carries the
-    traded-volume bridge columns x.  Each generation/demand stream with a
-    positive budget loses its Gamma largest deviations (dominant_subset) from
-    the right-hand side of its coupling rows: the forecast ceiling of a
-    non-dispatchable unit, the solar-field ceiling of a CSP block, and the
-    consumption floor of flexible demand (on every profile, since exactly one
-    is chosen).  That adversary does not depend on the schedule, so it enters
-    as constants and adds no columns.  Streams with a zero budget are left
-    deterministic.
+    penalties Gamma*mu + sum(xi); the energy stream's loss in period t,
+    max(down*dt*p_da, -up*dt*p_da), takes one dual row per piece.  Each
+    generation/demand stream with a positive budget loses its Gamma largest
+    deviations (dominant_subset) from the right-hand side of its coupling
+    rows: the forecast ceiling of a non-dispatchable unit, the solar-field
+    ceiling of a CSP block, and the consumption floor of flexible demand (on
+    every profile, since exactly one is chosen).  That adversary does not
+    depend on the schedule, so it enters as constants and adds no columns.
+    Streams with a zero budget are left deterministic.
     """
     _require_valid(portfolio, scenario)
     bad = validate_budgets(budgets, scenario.grid, portfolio)

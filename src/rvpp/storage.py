@@ -259,11 +259,11 @@ def _build_es_core(m: Model, fleet: EsUnit, scenario: MarketScenario, budgets: B
     duals = None
     if budgets is not None:
         dam_losses = [
-            [(pdis[t].index, scenario.dam_price_down_dev[t] * dt), (pch[t].index, scenario.dam_price_up_dev[t] * dt)]
+            [[(pdis[t].index, scenario.dam_price_down_dev[t] * dt), (pch[t].index, scenario.dam_price_up_dev[t] * dt)]]
             for t in range(T)
         ]
-        up_losses = [[(rup[t].index, scenario.sr_up_price_dev[t])] for t in range(T)]
-        dn_losses = [[(rdn[t].index, scenario.sr_dn_price_dev[t])] for t in range(T)]
+        up_losses = [[[(rup[t].index, scenario.sr_up_price_dev[t])]] for t in range(T)]
+        dn_losses = [[[(rdn[t].index, scenario.sr_dn_price_dev[t])]] for t in range(T)]
         duals = {
             "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
             "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),

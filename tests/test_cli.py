@@ -15,7 +15,7 @@ import pytest
 
 import rvpp.sizing as sizing
 from rvpp import REGIMES, SEASONS, backends, cli, save_scenario, strategy_budgets
-from toys import solve_rvpp, unscale_mu_dam
+from toys import breaking_fd_envelope, solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
 
@@ -235,16 +235,11 @@ def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
 
 
 
-def test_replay_failure_names_its_family(tmp_path, bundle):
-    # HiGHS calls this solve optimal, but at a 1e6 MW profile entry its
-    # schedule breaks the flexible-demand envelope by 0.2 MW.
-    raw = copy.deepcopy(bundle.raw)
-    (load,) = [u for u in raw["units"] if u["name"] == "industrial_load"]
-    load["profiles"][2][19] = 1e6
-    scenario_path = tmp_path / "huge_profile.yaml"
-    save_scenario(raw, scenario_path)
+def test_replay_failure_names_its_family(tmp_path, monkeypatch):
+    # The decoded schedule breaks only the flexible-demand envelope.
+    monkeypatch.setattr(sizing, "extract_rvpp_schedule", breaking_fd_envelope(sizing.extract_rvpp_schedule))
     flags = ["--case", "1", "--season", "winter", "--regime", "favorable", "--strategy", "optimistic"]
-    assert cli.main([*flags, "--jobs", "1", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 1
+    assert cli.main([*flags, "--jobs", "1", "--out", str(tmp_path)]) == 1
     error = json.loads((tmp_path / "run_manifest.json").read_text())["cells"][0]["error"]
     assert "ScheduleError: replay residual" in error and " in fd_envelope above 1e-06" in error, error
 

@@ -2,10 +2,11 @@
 
 Together the models reach every builder branch: committed units with and
 without a daily energy limit and minimum up/down windows, quantity streams
-with and without a budget, the energy-price bridge and the three price
-duals, and both storage cores.  A refactor of the builders must leave every
-digest as it is.  A deliberate change of formulation or of HiGHS options
-changes them; update the literals in the same change and say why.
+with and without a budget, the energy-price loss max(down*dt*p, -up*dt*p)
+written as two dual rows per period, the three price duals, and both storage
+cores.  A refactor of the builders must leave every digest as it is.  A
+deliberate change of formulation or of HiGHS options changes them; update
+the literals in the same change and say why.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from rvpp.sizing import price_only_budgets, stand_alone
 
 DIGESTS = {
     "winter_deterministic": "5b7e901222a50de0329bf0200525ce8e",
-    "spring_optimistic": "4bcde680d7aeb3bfc8a5c43226b59ac8",
-    "hydro": "14c147d1f2245ac1ed5647b137dad4f4",
-    "biomass": "6f3461a76509fac5003a475c7647edc8",
-    "wind_farm": "819390f05050746a9846566b918d4f95",
-    "pv_plant": "90de947fb8521b91df5cdc7642c95622",
-    "csp_plant": "0501cf60164f978861997bbede3f9507",
-    "industrial_load": "0f147c78602481e4890e182ce94c4a39",
+    "spring_optimistic": "d2e5077ae57ed8c4d0c3c9f68cdf4d83",
+    "hydro": "543129590dfc89f089993fc9e5b52bb7",
+    "biomass": "323c9007367c41d7b1d71383cdbd03a2",
+    "wind_farm": "eb78af5aabd20df34683a3f9a057de36",
+    "pv_plant": "1a341fd0796996ca7e5c403061e785de",
+    "csp_plant": "085c5fbe79ef8617c850ee2c5393c4b5",
+    "industrial_load": "d866844e31f0e2113215d2d8d4616df7",
     "storage_module": "7488cdb9d5efec80efda4c74077b234b",
     "storage_module_deterministic": "695efb1d3c5e2d9c8fae28cdaf6bab36",
 }

@@ -167,6 +167,23 @@ def test_schema_version_checked(tmp_path, bundle):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("schema_version", True, "schema_version: expected an integer, got True"),
+        ("description", None, "description: expected a string, got None"),
+        ("description", ["a", "b"], r"description: expected a string, got \['a', 'b'\]"),
+    ],
+)
+def test_top_level_scalars_are_read_as_declared(tmp_path, bundle, key, value, message):
+    raw = broken_copy(bundle)
+    raw[key] = value
+    path = tmp_path / "bad.yaml"
+    save_scenario(raw, path)
+    with pytest.raises(ScenarioFormatError, match=rf"bad\.yaml\.{message}"):
+        load_scenario(path)
+
+
 def test_missing_file_reported():
     with pytest.raises(ScenarioFormatError, match="not found"):
         load_scenario("/nonexistent/scenario.yaml")

@@ -13,6 +13,7 @@ from rvpp import (
     DecodeError,
     DrsUnit,
     FdUnit,
+    MarketScenario,
     ModelBuildError,
     Portfolio,
     ScipyHighsBackend,
@@ -24,6 +25,7 @@ from rvpp import (
     solve,
     strategy_budgets,
 )
+from rvpp.domain import _declared
 from rvpp.milp import LinearExpression
 from rvpp.scheduler import dominant_subset
 from toys import market, solve_rvpp, wind, wind_only
@@ -191,6 +193,44 @@ def test_robust_shipped_cell_adds_no_binaries_and_no_big_constants(bundle):
     assert robust.binary_count() == build_deterministic_rvpp(portfolio, scenario).binary_count()
     largest = max(max([abs(con.rhs)] + [abs(c) for _, c in con.expr.terms]) for con in robust.constraints)
     assert largest < 1.0e5
+
+
+def test_buying_survives_a_zero_downward_energy_deviation(bundle):
+    # The spring/favorable/optimistic portfolio buys in periods 15 and 16
+    # (indices 14 and 15).  A bought MWh loses only on the upward deviation,
+    # so the downward one there cannot move the objective, down to 0 included.
+    portfolio, scenario = bundle.cell("spring", "favorable")
+    budgets = strategy_budgets("optimistic", portfolio)
+    buying = [14, 15]
+    shipped = solve_rvpp(portfolio, scenario, budgets)
+    assert max(shipped.p_da[buying]) < 0
+    for value in (1e-6, 0.0):
+        down = [value if t in buying else d for t, d in enumerate(scenario.dam_price_down_dev)]
+        schedule = solve_rvpp(portfolio, replace(scenario, dam_price_down_dev=down), budgets)
+        assert schedule.objective_value == pytest.approx(shipped.objective_value, rel=1e-9), value
+        assert max(schedule.p_da[buying]) < 0, value
+
+
+def _money_doubled(portfolio: Portfolio, scenario):
+    """Every price series, price deviation and unit cost doubled."""
+    prices = {name: [2.0 * v for v in getattr(scenario, name)] for name in _declared(MarketScenario)}
+    costs = ("op_cost", "startup_cost", "shutdown_cost")
+
+    def doubled(u):
+        return replace(u, **{c: 2.0 * getattr(u, c) for c in costs if hasattr(u, c)})
+
+    groups = {cls: tuple(map(doubled, getattr(portfolio, cls))) for cls in ("drs", "ndrs", "csp", "fd")}
+    return Portfolio(**groups), replace(scenario, **prices)
+
+
+@pytest.mark.parametrize("strategy", ["optimistic", "pessimistic"])
+@pytest.mark.parametrize("regime", ["favorable", "unfavorable"])
+def test_doubling_money_doubles_the_robust_objective(bundle, regime, strategy):
+    portfolio, scenario = bundle.cell("spring", regime)
+    budgets = strategy_budgets(strategy, portfolio)
+    once = solve_rvpp(portfolio, scenario, budgets).objective_value
+    twice = solve_rvpp(*_money_doubled(portfolio, scenario), budgets).objective_value
+    assert twice == pytest.approx(2.0 * once, rel=1e-9)
 
 
 def run_lengths(flags) -> list[int]:

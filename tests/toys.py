@@ -111,3 +111,20 @@ def unscale_mu_dam(monkeypatch) -> None:
         return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
 
     monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
+
+
+def breaking_fd_envelope(decode):
+    """decode, with each flexible-demand unit's upward reserve, and the
+    market's, raised by the unit's consumption plus 1 MW.  The three balances
+    still hold, but consumption less upward reserve falls at least 1 MW below
+    p_min, so of the replay's families only fd_envelope breaks."""
+
+    def tampered(model, solution):
+        schedule = decode(model, solution)
+        for name in schedule.fd_profile:
+            lift = schedule.dispatch[name] + 1.0
+            schedule.reserve_up[name] = schedule.reserve_up[name] + lift
+            schedule.r_up = schedule.r_up + lift
+        return schedule
+
+    return tampered
