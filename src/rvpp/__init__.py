@@ -33,7 +33,7 @@ _HOME = {
             validate_budgets validate_portfolio validate_scenario""",
         "milp": """BackendError Constraint LinearExpression Model ModelError Solution
             SolverUnavailableError Variable solve""",
-        "oracle": "Realization audit_robust_feasibility replay_schedule worst_case_profit",
+        "oracle": "Realization audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
         "scenario_io": """ResultRow ResultsTable ScenarioBundle ScenarioFormatError SeriesRow
             default_scenario_path load_scenario save_scenario scale_flexible_demand write_results""",
         "scheduler": """DecodeError ModelBuildError RvppSchedule build_deterministic_rvpp

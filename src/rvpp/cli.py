@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .backends import session_options
 from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
+from .oracle import nominal_profit
 from .scenario_io import (
     ResultRow,
     ResultsTable,
@@ -146,11 +147,11 @@ def _market_totals(traded, r_up, r_dn, dt: float) -> dict[str, float]:
     }
 
 
-def _market_values(schedule, dt: float) -> dict[str, float]:
+def _market_values(schedule, key: Solve) -> dict[str, float]:
     return {
         "objective": schedule.objective_value,
-        "nominal_profit": schedule.nominal_profit,
-        **_market_totals(schedule.p_da, schedule.r_up, schedule.r_dn, dt),
+        "nominal_profit": nominal_profit(schedule, key.subject, key.scenario),
+        **_market_totals(schedule.p_da, schedule.r_up, schedule.r_dn, key.scenario.grid.delta_t),
     }
 
 
@@ -181,11 +182,10 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
     case = task["case"]
     key = dict(case=str(case), season=task["season"], regime=task["regime"], strategy=task["strategy"])
     _, full, units = plan["configs"][0]
-    dt = full.scenario.grid.delta_t
     if case in (1, 2):
         schedule = solved(full)
         kf = dict(key, configuration="full")
-        return [ResultRow(values=_market_values(schedule, dt), **kf)], _market_series(kf, schedule, case == 1)
+        return [ResultRow(values=_market_values(schedule, full), **kf)], _market_series(kf, schedule, case == 1)
 
     report = GapReport.of(solved, full, units)
     sized = None
@@ -215,7 +215,7 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
             "module_count": float(sized.module_count),
             "fleet_e_max_mwh": sized.fleet_e_max,
             "es_objective": es.objective_value,
-            **_market_totals(es.net, es.r_up, es.r_dn, dt),
+            **_market_totals(es.net, es.r_up, es.r_dn, full.scenario.grid.delta_t),
         },
         **kf,
     )

@@ -149,9 +149,9 @@ class ThermalStoreParams:
 class CspUnit:
     """Concentrated solar power block: solar field, thermal store, turbine.
 
-    turbine_eff converts thermal input to electrical output.  startup_loss
-    scales turbine_p_max to give the extra thermal draw charged to the
-    balance on every startup.
+    turbine_eff converts thermal input to electrical output.  Each start
+    draws startup_loss * turbine_p_max MWh of heat, booked in its period
+    whatever the period length.
     """
 
     name: str = _spec("str")

@@ -1,12 +1,14 @@
 """Schedule-side checks that never touch a solver.
 
-worst_case_profit re-prices a fixed schedule under the most damaging budget
-realization (per stream, the Gamma periods with the largest loss, ties to the
-earliest period).  audit_robust_feasibility replays each quantity stream's
-dominant realization against a robust schedule.  replay_schedule recomputes
-every deterministic constraint family from raw arrays.  All three work purely
-on decoded schedules, so they form an independent cross-check of the MILP
-layer.
+nominal_profit prices a fixed schedule from the raw inputs; it is the one
+place a schedule is priced.  worst_case_profit takes that price under the
+most damaging budget realization (per stream, the Gamma periods with the
+largest loss, ties to the earliest period).  audit_robust_feasibility
+replays each quantity stream's dominant realization against a robust
+schedule.  replay_schedule recomputes every deterministic constraint family
+from raw arrays.  All four work purely on decoded schedules and read the
+horizon from the scenario, so they form an independent cross-check of the
+MILP layer.
 """
 
 from __future__ import annotations
@@ -37,33 +39,53 @@ class Realization:
         return self.dam_loss + self.sr_up_loss + self.sr_dn_loss
 
 
-def _price_losses(schedule, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dt = scenario.grid.delta_t
-    dn = np.asarray(scenario.dam_price_down_dev)
-    up = np.asarray(scenario.dam_price_up_dev)
+def _flows(schedule, subject, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per period the traded, sold and bought MW of a schedule of subject,
+    and its cost in EUR: op_cost * dt per MW of output, plus the start and
+    stop costs of dispatchable units."""
     if isinstance(schedule, RvppSchedule):
-        traded = schedule.p_da * dt
-        dam = dn * np.maximum(traded, 0.0) + up * np.maximum(-traded, 0.0)
-    elif isinstance(schedule, EsSchedule):
-        # Storage loses on both gross flows: sold energy at a lower price,
-        # bought energy at a higher one.
-        dam = dn * schedule.discharge * dt + up * schedule.charge * dt
-    else:
-        raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
+        p = schedule.p_da
+        cost = sum(u.op_cost * dt * schedule.dispatch[u.name].sum() for u in subject.drs + subject.ndrs + subject.csp)
+        for u in subject.drs:
+            cost += u.startup_cost * schedule.start[u.name].sum() + u.shutdown_cost * schedule.stop[u.name].sum()
+        return p, np.maximum(p, 0.0), np.maximum(-p, 0.0), float(cost)
+    if isinstance(schedule, EsSchedule):
+        # Storage sells what it discharges and buys what it charges.
+        cost = subject.op_cost * dt * float(schedule.discharge.sum())
+        return schedule.net, schedule.discharge, schedule.charge, cost
+    raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
+
+
+def nominal_profit(schedule, subject, scenario: MarketScenario) -> float:
+    """Profit of a fixed schedule of subject (its portfolio or fleet) at
+    nominal prices: energy at dam_price * dt, reserve capacity at its price
+    per MW and period, less the cost _flows gives."""
+    dt = scenario.grid.delta_t
+    traded, _, _, cost = _flows(schedule, subject, dt)
+    reserves = np.dot(scenario.sr_up_price, schedule.r_up) + np.dot(scenario.sr_dn_price, schedule.r_dn)
+    return float(np.dot(scenario.dam_price, traded) * dt) + float(reserves) - cost
+
+
+def _price_losses(schedule, subject, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per price stream and period, the loss if that period's price deviates against the schedule."""
+    dt = scenario.grid.delta_t
+    _, sold, bought, _ = _flows(schedule, subject, dt)
+    dam = np.asarray(scenario.dam_price_down_dev) * sold * dt + np.asarray(scenario.dam_price_up_dev) * bought * dt
     sr_up = np.asarray(scenario.sr_up_price_dev) * schedule.r_up
     sr_dn = np.asarray(scenario.sr_dn_price_dev) * schedule.r_dn
     return dam, sr_up, sr_dn
 
 
-def worst_case_profit(schedule, scenario: MarketScenario, budgets: BudgetSet) -> tuple[float, Realization]:
-    """Profit of the fixed schedule under its most damaging realization.
+def worst_case_profit(schedule, subject, scenario: MarketScenario, budgets: BudgetSet) -> tuple[float, Realization]:
+    """nominal_profit of the fixed schedule less the losses of its most
+    damaging realization.
 
     Per price stream the loss is separable across periods, so the worst
     cardinality-Gamma subset is exactly the Gamma largest per-period losses
     (ties broken toward the earlier period).  Quantity streams do not change
     the revenue of a fixed schedule; they are audited separately.
     """
-    dam_vec, up_vec, dn_vec = _price_losses(schedule, scenario)
+    dam_vec, up_vec, dn_vec = _price_losses(schedule, subject, scenario)
     dam_pick = dominant_subset(dam_vec, budgets.gamma_dam)
     up_pick = dominant_subset(up_vec, budgets.gamma_sr_up)
     dn_pick = dominant_subset(dn_vec, budgets.gamma_sr_down)
@@ -79,7 +101,7 @@ def worst_case_profit(schedule, scenario: MarketScenario, budgets: BudgetSet) ->
         sr_up_loss=up_loss,
         sr_dn_loss=dn_loss,
     )
-    return schedule.nominal_profit - realization.price_loss_total(), realization
+    return nominal_profit(schedule, subject, scenario) - realization.price_loss_total(), realization
 
 
 def _stream_rows(schedule: RvppSchedule, portfolio: Portfolio):
@@ -108,7 +130,7 @@ def _balance_gaps(schedule: RvppSchedule, portfolio: Portfolio) -> list[tuple[st
     market balances."""
     gen = [u.name for u in portfolio.drs] + [u.name for u in portfolio.ndrs] + [u.name for u in portfolio.csp]
     fd = [u.name for u in portfolio.fd]
-    zeros = np.zeros(schedule.grid_periods)
+    zeros = np.zeros_like(schedule.p_da)
     total = sum((schedule.dispatch[n] for n in gen), zeros.copy()) - sum(
         (schedule.dispatch[n] for n in fd), zeros.copy()
     )
@@ -168,8 +190,8 @@ def replay_rvpp_schedule(
     scenario: MarketScenario,
 ) -> dict[str, float]:
     """Max violation per deterministic constraint family, from raw arrays."""
-    T = schedule.grid_periods
-    dt = schedule.delta_t
+    T = scenario.grid.period_count
+    dt = scenario.grid.delta_t
     res: dict[str, float] = {}
 
     for family, _, gap in _balance_gaps(schedule, portfolio):
@@ -237,7 +259,7 @@ def replay_rvpp_schedule(
         soc = schedule.ts_soc[u.name]
         on = schedule.on[u.name].astype(float)
         su = schedule.start[u.name].astype(float)
-        lhs = p / u.turbine_eff - sf - dis + ch + u.startup_loss * u.turbine_p_max * su
+        lhs = p / u.turbine_eff - sf - dis + ch + u.startup_loss * u.turbine_p_max / dt * su
         csp_bal.append(float(np.abs(lhs).max()))
         csp_env.append(_max_residual(p + schedule.reserve_up[u.name] - u.turbine_p_max * on))
         csp_env.append(_max_residual(u.turbine_p_min * on - (p - schedule.reserve_dn[u.name])))
@@ -271,7 +293,7 @@ def replay_es_schedule(
     scenario: MarketScenario,
 ) -> dict[str, float]:
     """Max violation per fleet constraint family, from raw arrays."""
-    dt = schedule.delta_t
+    dt = scenario.grid.delta_t
     span = fleet.e_max - fleet.e_min
     mode = schedule.mode.astype(float)
     res: dict[str, float] = {}

@@ -114,15 +114,15 @@ def _number(value, path: str, kind="number"):
     """value as a finite float, or as an int for kind "int", or
     ScenarioFormatError naming path.
 
-    float() and int() would also take a YAML boolean (true is 1.0), an
-    infinity or NaN, and a fractional integer (int(2.5) is 2); all are
-    rejected here.
+    Only a YAML int or float is a number.  float() and int() would also take
+    a numeric string ('50'), a YAML boolean (true is 1.0), an infinity or
+    NaN, and a fractional integer (int(2.5) is 2); all are rejected here.
     """
     number = None
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     if number is None or not math.isfinite(number) or (kind == "int" and not number.is_integer()):
         raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")

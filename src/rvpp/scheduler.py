@@ -14,6 +14,8 @@ as constants, which is exactly the realization the audit replays.
 The core keeps the portfolio and the columns and rows it creates on the
 model (tags "portfolio", "cols", "balance" and "duals"); the decoder reads the
 solution through those handles, so column names serve only the diagnostics.
+A decoded schedule holds the solver's decisions and objective, not money:
+oracle.nominal_profit prices it.
 """
 
 from __future__ import annotations
@@ -103,12 +105,10 @@ class RvppSchedule:
     consumption).  on/start/stop cover committed units only.  ts_soc has T+1
     points; index 0 is the start-of-day store level, which equals index T by
     the cyclic coupling.  objective_value is the solver objective with the
-    profile tie-break term removed; nominal_profit prices the same schedule
-    at nominal prices (identical for deterministic runs).
+    profile tie-break term removed.  The schedule carries no price:
+    oracle.nominal_profit prices it from the raw inputs.
     """
 
-    grid_periods: int
-    delta_t: float
     p_da: np.ndarray
     r_up: np.ndarray
     r_dn: np.ndarray
@@ -124,7 +124,6 @@ class RvppSchedule:
     ts_discharge: dict[str, np.ndarray]
     ts_soc: dict[str, np.ndarray]
     objective_value: float
-    nominal_profit: float
     artifacts: PriceRobustArtifacts | None = None
 
 
@@ -346,7 +345,7 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
                         (sf[t].index, -1.0),
                         (tsdis[t].index, -1.0),
                         (tsch[t].index, 1.0),
-                        (start[t].index, u.startup_loss * u.turbine_p_max),
+                        (start[t].index, u.startup_loss * u.turbine_p_max / dt),
                     ]
                 ),
                 SENSE_EQ,
@@ -515,13 +514,11 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
     scenario: MarketScenario = m.tags["scenario"]
     portfolio: Portfolio = m.tags["portfolio"]
     cols = m.tags["cols"]
-    T = scenario.grid.period_count
-    dt = scenario.grid.delta_t
 
     p_da, r_up, r_dn = (_values(sol, cols[key]) for key in ("p_da", "r_up", "r_dn"))
     series = {field: {name: _values(sol, c) for name, c in cols[field].items()} for field in _UNIT_SERIES}
     binaries = {field: {name: _binaries(sol, c) for name, c in cols[field].items()} for field in _UNIT_BINARIES}
-    dispatch, start, stop = series["dispatch"], binaries["start"], binaries["stop"]
+    dispatch = series["dispatch"]
     ts_soc = {}
     for name, c in cols["ts_soc"].items():
         levels = _values(sol, c)
@@ -545,19 +542,7 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         if res > FEASIBILITY_TOL:
             raise DecodeError(f"balance row {con.name} violated by {res}")
 
-    nominal = float(np.dot(scenario.dam_price, p_da) * dt)
-    nominal += float(np.dot(scenario.sr_up_price, r_up) + np.dot(scenario.sr_dn_price, r_dn))
-    for u in portfolio.drs:
-        nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
-        nominal -= u.startup_cost * float(start[u.name].sum()) + u.shutdown_cost * float(stop[u.name].sum())
-    for u in portfolio.ndrs + portfolio.csp:
-        nominal -= u.op_cost * dt * float(dispatch[u.name].sum())
-
-    objective_value = sol.objective_value - perturb
-
     return RvppSchedule(
-        grid_periods=T,
-        delta_t=dt,
         p_da=p_da,
         r_up=r_up,
         r_dn=r_dn,
@@ -565,7 +550,6 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         **binaries,
         fd_profile=fd_profile,
         ts_soc=ts_soc,
-        objective_value=objective_value,
-        nominal_profit=nominal,
-        artifacts=_price_duals(m, sol, T),
+        objective_value=sol.objective_value - perturb,
+        artifacts=_price_duals(m, sol, scenario.grid.period_count),
     )

@@ -44,7 +44,7 @@ from .domain import (
     Portfolio,
 )
 from .milp import FEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
-from .oracle import audit_robust_feasibility, replay_schedule, worst_case_profit
+from .oracle import audit_robust_feasibility, nominal_profit, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
 from .storage import EsSchedule, build_robust_es, extract_es_schedule
 
@@ -267,10 +267,11 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve) -> SizingResult:
     the one-module key.
 
     The scaled schedule is replayed against module.scaled(count), and
-    its objective is re-priced twice: by the worst case of its flows under the
-    price-only budgets, and through its price duals (the re-pricing reads
-    flows only, so it cannot see a wrong dual).  ScheduleError names the
-    residual and its constraint family, or a price that disagrees.
+    its objective is re-priced twice against that fleet: by the worst case of
+    its flows under the price-only budgets, and as its nominal profit less its
+    price duals' penalty (the worst case reads flows only, so it cannot see a
+    wrong dual).  ScheduleError names the residual and its constraint family,
+    or a price that disagrees.
     """
     module, scenario, budgets = key.subject, key.scenario, key.budgets
     p1 = one.objective_value
@@ -278,9 +279,9 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve) -> SizingResult:
     schedule, fleet = one.scaled(count), module.scaled(count)
     _require_clean_replay("storage replay", schedule, fleet, scenario)
     objective = schedule.objective_value
-    checks = {"its worst-case re-pricing": worst_case_profit(schedule, scenario, budgets)[0]}
+    checks = {"its worst-case re-pricing": worst_case_profit(schedule, fleet, scenario, budgets)[0]}
     if schedule.artifacts is not None:
-        checks["its price duals"] = schedule.nominal_profit - schedule.artifacts.price_penalty_total()
+        checks["its price duals"] = nominal_profit(schedule, fleet, scenario) - schedule.artifacts.price_penalty_total()
     for source, profit in checks.items():
         if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
             raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")

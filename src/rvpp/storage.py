@@ -15,7 +15,8 @@ As in scheduler, one core (_build_es_core) builds the model in one pass and
 takes the budgets, None meaning deterministic; the fleet has price budgets
 only, and at zero budgets the robust model is its deterministic twin.  The
 core keeps the fleet and the columns it creates on the model (tags "fleet",
-"cols" and "duals") and the decoder reads the solution through them.
+"cols" and "duals") and the decoder reads the solution through them; it
+returns decisions, and oracle.nominal_profit prices them against the fleet.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ class EsSchedule:
 
     soc has T+1 points; index 0 is the start-of-day level and equals index T
     by the cyclic recursion.  mode is 1 while charging.  objective_value for
-    robust runs is nominal_profit minus the price penalties.
+    robust runs is oracle.nominal_profit minus the price penalties.
     """
 
-    grid_periods: int
-    delta_t: float
     charge: np.ndarray
     discharge: np.ndarray
     net: np.ndarray
@@ -74,15 +73,15 @@ class EsSchedule:
     sigma_up: float
     sigma_dn: float
     objective_value: float
-    nominal_profit: float
     artifacts: PriceRobustArtifacts | None = None
 
     def scaled(self, n: int) -> EsSchedule:
         """The same schedule for a fleet n times as large.
 
         Every fleet row is positively homogeneous in the continuous columns and
-        the fleet's ratings, so flows, reserves, state of charge, profits and
-        price duals scale by n; mode and the sigma envelope fractions do not.
+        the fleet's ratings, so flows, reserves, state of charge, the objective
+        and price duals scale by n; mode and the sigma envelope fractions do
+        not.
         """
         artifacts = self.artifacts
         if artifacts is not None:
@@ -102,7 +101,7 @@ _FLOW_FIELDS = (
     "r_up",
     "r_dn",
 )
-_SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value", "nominal_profit")
+_SCALED_FIELDS = _FLOW_FIELDS + ("soc", "objective_value")
 _SCALED_DUALS = ("mu_dam", "xi_dam", "mu_sr_up", "xi_sr_up", "mu_sr_dn", "xi_sr_dn")
 
 
@@ -340,19 +339,12 @@ def extract_es_schedule(m: Model, sol: Solution) -> EsSchedule:
                 f"{soc[t + 1]} vs expected {expected}"
             )
 
-    nominal = float(np.dot(scenario.dam_price, flows["net"]) * dt)
-    nominal += float(np.dot(scenario.sr_up_price, flows["r_up"]) + np.dot(scenario.sr_dn_price, flows["r_dn"]))
-    nominal -= fleet.op_cost * dt * float(discharge.sum())
-
     return EsSchedule(
-        grid_periods=T,
-        delta_t=dt,
         **flows,
         mode=mode,
         soc=soc,
         sigma_up=float(sol.value_of(cols["sigma_up"])),
         sigma_dn=float(sol.value_of(cols["sigma_dn"])),
         objective_value=sol.objective_value,
-        nominal_profit=nominal,
         artifacts=_price_duals(m, sol, T),
     )

@@ -12,6 +12,7 @@ import csv
 import json
 import time
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from rvpp import (
     BudgetSet,
     audit_robust_feasibility,
     cli,
+    nominal_profit,
     price_only_budgets,
     replay_schedule,
     strategy_budgets,
@@ -33,6 +35,7 @@ SEASONS = ("winter", "spring", "summer", "autumn")
 TOL = 1e-6
 SOLVE_LIMIT_S = 60.0
 SWEEP_LIMIT_S = 1800.0
+GOLDEN = Path(__file__).parent / "golden"
 
 # results.csv stores six significant digits, so sums and comparisons
 # reconstructed from it carry up to 5e-7 relative rounding per value.
@@ -146,12 +149,12 @@ def test_aggregation_gap_never_negative(sweep):
 def test_robust_objective_equals_worst_case_replay(robust_rvpp, winter_cell, es_ladder):
     portfolio, scenario = winter_cell
     for sched, budgets in robust_rvpp.values():
-        wc, _ = worst_case_profit(sched, scenario, budgets)
+        wc, _ = worst_case_profit(sched, portfolio, scenario, budgets)
         assert abs(sched.objective_value - wc) <= TOL
 
-    _, ladder = es_ladder
+    fleet, ladder = es_ladder
     _, budgets, scenario_w, es_sched = ladder["winter"][1]
-    wc, _ = worst_case_profit(es_sched, scenario_w, budgets)
+    wc, _ = worst_case_profit(es_sched, fleet, scenario_w, budgets)
     assert abs(es_sched.objective_value - wc) <= TOL
 
     # Small enough to enumerate: the closed form must agree with brute force
@@ -161,11 +164,11 @@ def test_robust_objective_equals_worst_case_replay(robust_rvpp, winter_cell, es_
     toy_p, toy_s = wind_only(6, upper=8.0, dev=0.0, dam=prices, dam_down=devs)
     toy_b = BudgetSet(gamma_dam=2)
     toy = solve_rvpp(toy_p, toy_s, toy_b)
-    wc, _ = worst_case_profit(toy, toy_s, toy_b)
+    wc, _ = worst_case_profit(toy, toy_p, toy_s, toy_b)
     losses = [devs[t] * toy.p_da[t] for t in range(6)]
     subsets = list(combinations(range(6), 2))
     assert len(subsets) == 15
-    brute = toy.nominal_profit - max(sum(losses[t] for t in sub) for sub in subsets)
+    brute = nominal_profit(toy, toy_p, toy_s) - max(sum(losses[t] for t in sub) for sub in subsets)
     assert wc == pytest.approx(brute, abs=1e-12)
     assert toy.objective_value == pytest.approx(brute, abs=1e-9)
 
@@ -269,6 +272,23 @@ def test_flexible_demand_scaling_concave_gap(sweep):
         assert all(d > 0 for d in first), (season, seq)
         second = [b - a for a, b in zip(first, first[1:])]
         assert all(d < 0 for d in second), (season, second)
+
+
+def test_default_sweep_matches_the_golden_results(sweep):
+    """Every cell of results.csv, as printed, equals the committed golden
+    (tests/golden/results.csv, a default sweep of the same formulation)."""
+    with open(GOLDEN / "results.csv", newline="") as fh:
+        golden = list(csv.reader(fh))
+    with open(sweep.out / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == len(golden)
+    diffs = [
+        (r, golden[0][c], got, want)
+        for r, (row, gold) in enumerate(zip(rows, golden))
+        for c, (got, want) in enumerate(zip(row, gold))
+        if got != want
+    ]
+    assert diffs == [], f"{len(diffs)} cells differ, first (row, column, got, golden): {diffs[:5]}"
 
 
 def test_repeat_runs_byte_identical(tmp_path):

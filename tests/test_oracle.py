@@ -10,7 +10,9 @@ import pytest
 
 from rvpp import (
     BudgetSet,
+    Portfolio,
     audit_robust_feasibility,
+    nominal_profit,
     replay_schedule,
     strategy_budgets,
     worst_case_profit,
@@ -22,40 +24,41 @@ from test_scheduler import mixed_toy
 from toys import market, solve_rvpp, wind_only
 
 
-def fake_schedule(p_da, r_up=None, r_dn=None, nominal=100.0, dt=1.0) -> RvppSchedule:
+# A portfolio without units: its schedules earn from market positions only.
+NO_UNITS = Portfolio()
+
+
+def fake_schedule(p_da, r_up=None, r_dn=None) -> RvppSchedule:
     """A bare schedule carrying only market positions (enough for pricing)."""
     p_da = np.asarray(p_da, dtype=float)
-    T = len(p_da)
-    zeros = np.zeros(T)
+    zeros = np.zeros(len(p_da))
     r_up = zeros.copy() if r_up is None else np.asarray(r_up, dtype=float)
     r_dn = zeros.copy() if r_dn is None else np.asarray(r_dn, dtype=float)
-    return RvppSchedule(
-        T, dt, p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, nominal, nominal
-    )
+    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0)
 
 
 def test_worst_case_picks_the_largest_loss():
     # Losses 10/20/30; one degradable period means period 3 goes first.
     scenario = market(3, dam=50.0, dam_down=10.0)
     sched = fake_schedule([1.0, 2.0, 3.0])
-    wc, realization = worst_case_profit(sched, scenario, BudgetSet(gamma_dam=1))
+    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=1))
     assert realization.dam_subset == (2,)
     assert realization.dam_loss == pytest.approx(30.0)
-    assert wc == pytest.approx(70.0)
+    assert wc == pytest.approx(300.0 - 30.0)
 
 
 def test_ties_break_toward_earlier_periods():
     scenario = market(3, dam=50.0, dam_down=10.0)
     sched = fake_schedule([2.0, 2.0, 2.0])
-    _, realization = worst_case_profit(sched, scenario, BudgetSet(gamma_dam=2))
+    _, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
     assert realization.dam_subset == (0, 1)
 
 
 def test_zero_budgets_return_the_nominal_profit():
     scenario = market(3, dam=50.0, dam_down=10.0)
-    sched = fake_schedule([2.0, 2.0, 2.0], nominal=100.0)
-    wc, realization = worst_case_profit(sched, scenario, BudgetSet())
-    assert wc == 100.0
+    sched = fake_schedule([2.0, 2.0, 2.0])
+    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet())
+    assert wc == nominal_profit(sched, NO_UNITS, scenario) == 300.0
     assert realization.dam_subset == ()
     assert realization.price_loss_total() == 0.0
 
@@ -63,10 +66,10 @@ def test_zero_budgets_return_the_nominal_profit():
 def test_buying_periods_lose_on_the_upward_deviation():
     scenario = market(2, dam=30.0, dam_down=5.0, dam_up=8.0)
     sched = fake_schedule([4.0, -4.0])
-    wc, realization = worst_case_profit(sched, scenario, BudgetSet(gamma_dam=2))
-    # Selling 4 loses 4*5, buying 4 loses 4*8.
+    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
+    # Selling 4 loses 4*5, buying 4 loses 4*8; at nominal prices the two trades cancel.
     assert realization.dam_loss == pytest.approx(52.0)
-    assert wc == pytest.approx(100.0 - 52.0)
+    assert wc == pytest.approx(-52.0)
 
 
 def test_closed_form_matches_brute_force_over_subsets():
@@ -79,13 +82,13 @@ def test_closed_form_matches_brute_force_over_subsets():
         dam_up=rng.uniform(1, 8, T).round(2),
     )
     p_da = rng.uniform(-5, 5, T).round(2)
-    sched = fake_schedule(p_da, nominal=200.0)
-    wc, _ = worst_case_profit(sched, scenario, BudgetSet(gamma_dam=2))
+    sched = fake_schedule(p_da)
+    wc, _ = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
     dn = np.asarray(scenario.dam_price_down_dev)
     up = np.asarray(scenario.dam_price_up_dev)
     losses = dn * np.maximum(p_da, 0.0) + up * np.maximum(-p_da, 0.0)
     worst = max(losses[list(S)].sum() for S in combinations(range(T), 2))
-    assert wc == pytest.approx(200.0 - worst, abs=1e-12)
+    assert wc == pytest.approx(30.0 * p_da.sum() - worst, abs=1e-12)
 
 
 def test_dominant_subset_matches_enumeration_everywhere():
@@ -111,14 +114,14 @@ def test_model_objective_is_the_worst_case_profit():
 
     m = build_robust_rvpp(portfolio, scenario, budgets)
     free = extract_rvpp_schedule(m, solve(m, ScipyHighsBackend()))
-    wc, _ = worst_case_profit(free, scenario, budgets)
+    wc, _ = worst_case_profit(free, portfolio, scenario, budgets)
     assert free.objective_value == pytest.approx(wc, abs=1e-7)
 
     m2 = build_robust_rvpp(portfolio, scenario, budgets)
     idle = m2.variable("pda_t01")
     m2.add_constraint("force_idle", LinearExpression(((idle.index, 1.0),)), "<=", 0.0)
     forced = extract_rvpp_schedule(m2, solve(m2, ScipyHighsBackend()))
-    wc_forced, _ = worst_case_profit(forced, scenario, budgets)
+    wc_forced, _ = worst_case_profit(forced, portfolio, scenario, budgets)
     assert forced.objective_value == pytest.approx(wc_forced, abs=1e-7)
     assert forced.objective_value < free.objective_value
 

@@ -274,6 +274,13 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
             r"energy_limits\.hydro\.winter: unknown regime 'unfavourable'",
         ),
         (lambda raw: raw["prices"].update(monsoon=raw["prices"]["winter"]), r"prices: unknown season 'monsoon'"),
+        (lambda raw: raw["units"][0].update(p_max="50"), r"units\[0\]\.p_max: expected a number, got '50'"),
+        (lambda raw: raw["grid"].update(period_count="24"), r"grid\.period_count: expected an integer, got '24'"),
+        (
+            lambda raw: raw["prices"]["winter"]["dam_price"].__setitem__(3, " 7e1 "),
+            r"prices\.winter\.dam_price\[3\]: expected a number, got ' 7e1 '",
+        ),
+        (lambda raw: raw.update(schema_version="1"), r"schema_version: expected an integer, got '1'"),
     ],
     ids=[
         "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
@@ -283,7 +290,8 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         "ndrs_takes_no_energy_limit", "store_unknown", "fd_unknown", "es_unknown",
         "p_min_60", "negative_reserve_price", "delta_t_zero", "negative_energy_limit", "deviation_above_forecast",
         "turbine_eff_above_1", "store_eff_zero", "forecast_upper_monsoon", "deviation_unfavourable",
-        "energy_limit_unfavourable", "prices_monsoon",
+        "energy_limit_unfavourable", "prices_monsoon", "p_max_string", "period_count_string",
+        "dam_price_string", "schema_version_string",
     ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):

@@ -19,11 +19,15 @@ from rvpp import (
     ScipyHighsBackend,
     ThermalStoreParams,
     ZERO_BUDGETS,
+    aggregation_gap,
     build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
+    nominal_profit,
+    size_es_to_match,
     solve,
     strategy_budgets,
+    worst_case_profit,
 )
 from rvpp.domain import _declared
 from rvpp.milp import LinearExpression
@@ -36,7 +40,7 @@ def test_wind_only_revenue_arithmetic():
     portfolio, scenario = wind_only()
     sched = solve_rvpp(portfolio, scenario)
     assert sched.objective_value == pytest.approx(9600.0, abs=1e-7)
-    assert sched.nominal_profit == pytest.approx(9600.0, abs=1e-7)
+    assert nominal_profit(sched, portfolio, scenario) == pytest.approx(9600.0, abs=1e-7)
     assert sched.artifacts is None
     np.testing.assert_allclose(sched.p_da, 40.0, atol=1e-8)
 
@@ -147,7 +151,7 @@ def test_artifact_penalties_equal_dominant_losses():
     assert art.sr_dn_penalty() == pytest.approx(dn_losses[pick].sum(), abs=1e-7)
 
     assert sched.objective_value == pytest.approx(
-        sched.nominal_profit - art.price_penalty_total(), abs=1e-6
+        nominal_profit(sched, portfolio, scenario) - art.price_penalty_total(), abs=1e-6
     )
 
 
@@ -228,9 +232,23 @@ def _money_doubled(portfolio: Portfolio, scenario):
 def test_doubling_money_doubles_the_robust_objective(bundle, regime, strategy):
     portfolio, scenario = bundle.cell("spring", regime)
     budgets = strategy_budgets(strategy, portfolio)
-    once = solve_rvpp(portfolio, scenario, budgets).objective_value
-    twice = solve_rvpp(*_money_doubled(portfolio, scenario), budgets).objective_value
-    assert twice == pytest.approx(2.0 * once, rel=1e-9)
+    schedule = solve_rvpp(portfolio, scenario, budgets)
+    doubled = _money_doubled(portfolio, scenario)
+    twice = solve_rvpp(*doubled, budgets).objective_value
+    assert twice == pytest.approx(2.0 * schedule.objective_value, rel=1e-9)
+
+    # Doubling is exact in binary floating point, so the oracle prices one
+    # fixed schedule at exactly twice the money.
+    assert nominal_profit(schedule, *doubled) == 2.0 * nominal_profit(schedule, portfolio, scenario)
+    worst, _ = worst_case_profit(schedule, portfolio, scenario, budgets)
+    assert worst_case_profit(schedule, *doubled, budgets)[0] == 2.0 * worst
+
+    # Fleet value doubles with the module's op_cost, so the fleet covering a
+    # doubled gap has as many modules.
+    module, gap = bundle.es_module, aggregation_gap(portfolio, scenario, budgets).gap
+    count = size_es_to_match(gap, module, scenario, budgets).module_count
+    dear = replace(module, op_cost=2.0 * module.op_cost)
+    assert size_es_to_match(2.0 * gap, dear, doubled[1], budgets).module_count == count
 
 
 def run_lengths(flags) -> list[int]:
@@ -368,4 +386,4 @@ def test_decode_checks_model_kind():
     es_sol = solve(es_model, ScipyHighsBackend())
     with pytest.raises(DecodeError, match="not built by a portfolio"):
         extract_rvpp_schedule(es_model, es_sol)
-    assert extract_rvpp_schedule(m, sol).grid_periods == 4
+    assert len(extract_rvpp_schedule(m, sol).p_da) == 4

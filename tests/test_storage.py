@@ -12,16 +12,19 @@ from rvpp import (
     BudgetSet,
     DecodeError,
     ModelBuildError,
+    Portfolio,
     ScipyHighsBackend,
     ZERO_BUDGETS,
     build_deterministic_es,
     build_robust_es,
     extract_es_schedule,
+    nominal_profit,
     replay_schedule,
     solve,
     worst_case_profit,
 )
-from toys import battery, market, solve_es
+from rvpp.domain import _declared
+from toys import battery, market, solve_es, solve_rvpp
 
 
 def test_two_period_arbitrage_closed_form():
@@ -65,6 +68,40 @@ def test_splitting_each_period_in_two_keeps_the_value(bundle):
     assert solve_es(bundle.es_module, fine).objective_value == pytest.approx(value, rel=1e-9)
 
 
+def _two_halves(vec) -> tuple[float, ...]:
+    return tuple(v for v in vec for _ in (0, 1))
+
+
+def _split_periods(item):
+    """A unit or market for 48 half-hour periods where item has 24 hours: each
+    period's values twice, and min-up and min-down windows twice as long."""
+    changes = {}
+    for name, spec in _declared(type(item)).items():
+        if spec.kind == "series":
+            changes[name] = _two_halves(getattr(item, name))
+        elif spec.kind == "profiles":
+            changes[name] = tuple(map(_two_halves, getattr(item, name)))
+        elif name in ("min_up", "min_down"):
+            changes[name] = 2 * getattr(item, name)
+    return replace(item, **changes)
+
+
+@pytest.mark.parametrize("season", ["winter", "spring"])
+def test_splitting_each_period_in_two_keeps_each_unit_value(bundle, season):
+    """The same holds for each shipped unit bidding alone: costs are paid per
+    MWh or per event, and a CSP start draws the same heat at any period
+    length (reserve prices zeroed: they pay per MW and period)."""
+    portfolio, market_cell = bundle.cell(season, "favorable")
+    zeros = (0.0,) * 24
+    coarse = replace(market_cell, sr_up_price=zeros, sr_dn_price=zeros)
+    fine = replace(_split_periods(coarse), grid=replace(coarse.grid, period_count=48, delta_t=0.5))
+    for kind in ("drs", "ndrs", "csp", "fd"):
+        for unit in getattr(portfolio, kind):
+            value = solve_rvpp(Portfolio(**{kind: (unit,)}), coarse).objective_value
+            split = solve_rvpp(Portfolio(**{kind: (_split_periods(unit),)}), fine).objective_value
+            assert split == pytest.approx(value, rel=1e-9), unit.name
+
+
 def test_value_is_linear_in_module_count():
     # Every fleet rating scales with the count and all rows are homogeneous,
     # so the optimum scales exactly, minimum-power rows and price duals
@@ -85,7 +122,8 @@ def test_value_is_linear_in_module_count():
             assert max(replay_schedule(scaled, module.scaled(n), s).values()) <= 1e-6, case
             if budgets is not None:
                 penalty = scaled.artifacts.price_penalty_total()
-                assert scaled.nominal_profit - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
+                nominal = nominal_profit(scaled, module.scaled(n), s)
+                assert nominal - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
 
 
 def test_soc_cyclic_and_modes_exclusive_randomized():
@@ -139,7 +177,7 @@ def test_robust_objective_equals_worst_case_profit():
     s = market(8, dam=[5, 45, 10, 40, 8, 42, 12, 38], dam_down=6.0, dam_up=4.0, sr_up=3.0, sr_up_dev=1.0)
     budgets = BudgetSet(gamma_dam=3, gamma_sr_up=2)
     sched = solve_es(battery(), s, budgets)
-    wc, realization = worst_case_profit(sched, s, budgets)
+    wc, realization = worst_case_profit(sched, battery(), s, budgets)
     assert sched.objective_value == pytest.approx(wc, abs=1e-7)
     assert len(realization.dam_subset) == 3
 
