@@ -397,11 +397,13 @@ class ResultsTable:
 
 
 def _fmt6(v: float) -> str:
+    """v at six significant digits.  It is rounded to twelve first, so a value
+    one ulp either side of a six-digit tie prints the same."""
     if not math.isfinite(v):
         raise ValueError(f"non-finite value in results: {v}")
     if v == 0:
         return "0"
-    return f"{v:.6g}"
+    return f"{float(f'{v:.12g}'):.6g}"
 
 
 _SEASON_ORDER = {s: i for i, s in enumerate(SEASONS)}
