@@ -1,8 +1,9 @@
 """Renewable virtual power plant scheduling and storage-equivalence sizing.
 
 The package builds mixed-integer linear models for a portfolio of renewable
-units (plus flexible demand) and for a fleet of identical storage modules,
-both trading day-ahead energy and secondary reserve capacity.  Price and
+units (plus flexible demand) and for a fleet of identical storage modules
+(a storage-only portfolio), both trading day-ahead energy and secondary
+reserve capacity.  Price and
 quantity uncertainty is handled with integer budgets; a solver-free oracle
 evaluates worst cases and audits schedules; the sizing loop finds the
 smallest storage fleet matching the portfolio's aggregation advantage.
@@ -40,7 +41,6 @@ _HOME = {
             build_robust_rvpp extract_rvpp_schedule""",
         "sizing": """GapReport ScheduleError SizingError SizingResult aggregation_gap
             audited_schedule price_only_budgets size_es_to_match""",
-        "storage": "EsSchedule build_deterministic_es build_robust_es extract_es_schedule",
     }.items()
     for name in names.split()
 }

@@ -10,8 +10,9 @@ which replays and re-prices it before a sizing column is written.
 
 A sweep runs as a flat solve plan.  Each cell lists the solves it needs as
 `sizing.Solve` keys, planned by `sizing.gap_solves` and `sizing.module_solve`
-as the library's `aggregation_gap` and `size_es_to_match` plan them.  Each
-distinct key is solved once, heaviest kind first, on up to --jobs worker
+as the library's `aggregation_gap` and `size_es_to_match` plan them; the
+storage module's key is its storage-only portfolio, solved like any other.
+Each distinct key is solved once, heaviest kind first, on up to --jobs worker
 processes (default: every usable CPU, capped at the number of distinct
 solves); a key carries its market scenario, so a worker needs nothing else.
 The cells then assemble their rows by arithmetic on the shared results
@@ -215,11 +216,12 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
             "module_count": float(sized.module_count),
             "fleet_e_max_mwh": sized.fleet_e_max,
             "es_objective": es.objective_value,
-            **_market_totals(es.net, es.r_up, es.r_dn, full.scenario.grid.delta_t),
+            **_market_totals(es.p_da, es.r_up, es.r_dn, full.scenario.grid.delta_t),
         },
         **kf,
     )
-    flows = (("traded", es.net), ("reserve_up", es.r_up), ("reserve_dn", es.r_dn), ("soc", es.soc))
+    (soc,) = es.ts_soc.values()  # the fleet is the one storage unit
+    flows = (("traded", es.p_da), ("reserve_up", es.r_up), ("reserve_dn", es.r_dn), ("soc", soc))
     return [row], [_series(kf, kind, "es_fleet", vec) for kind, vec in flows]
 
 

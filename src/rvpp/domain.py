@@ -228,19 +228,21 @@ class EsUnit:
 
 @dataclass(frozen=True)
 class Portfolio:
+    """The units one schedule trades for, by class; a storage-only portfolio
+    is a storage fleet."""
+
     drs: tuple[DrsUnit, ...] = ()
     ndrs: tuple[NdrsUnit, ...] = ()
     csp: tuple[CspUnit, ...] = ()
     fd: tuple[FdUnit, ...] = ()
+    es: tuple[EsUnit, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "drs", tuple(self.drs))
-        object.__setattr__(self, "ndrs", tuple(self.ndrs))
-        object.__setattr__(self, "csp", tuple(self.csp))
-        object.__setattr__(self, "fd", tuple(self.fd))
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     def all_units(self) -> tuple:
-        return self.drs + self.ndrs + self.csp + self.fd
+        return self.drs + self.ndrs + self.csp + self.fd + self.es
 
     def unit_names(self) -> tuple[str, ...]:
         return tuple(u.name for u in self.all_units())
@@ -420,15 +422,10 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
     return out
 
 
-def validate_es(u: EsUnit) -> list[str]:
-    """Every invariant violation of a storage unit: its field declarations
-    (nonnegative ratings and cost, efficiencies in (0, 1]) and ordered
-    power and energy bounds."""
-    return _field_problems(u, 0, u.name) + [f"{u.name}: {text}" for _, text in _relations(u, 0)]
-
-
 def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio | None = None) -> list[str]:
-    """Budgets must be integers within [0, period_count]."""
+    """Budgets must be integers within [0, period_count].  Given the
+    portfolio, a per-unit budget must name one of its units, and not a
+    storage unit, which has no quantity stream."""
     out: list[str] = []
     T = grid.period_count
     for label in ("gamma_dam", "gamma_sr_up", "gamma_sr_down"):
@@ -436,11 +433,14 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
         if not isinstance(g, int) or not 0 <= g <= T:
             out.append(f"budgets: {label}={g!r} is outside [0, {T}]")
     known = set(portfolio.unit_names()) if portfolio is not None else None
+    storage = {u.name for u in portfolio.es} if portfolio is not None else set()
     for name, g in budgets.gamma_per_unit:
         if not isinstance(g, int) or not 0 <= g <= T:
             out.append(f"budgets: gamma[{name}]={g!r} is outside [0, {T}]")
         if known is not None and name not in known:
             out.append(f"budgets: gamma names unknown unit {name!r}")
+        if name in storage:
+            out.append(f"budgets: gamma names storage unit {name!r}, which takes price budgets only")
     return out
 
 

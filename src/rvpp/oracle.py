@@ -6,9 +6,9 @@ most damaging budget realization (per stream, the Gamma periods with the
 largest loss, ties to the earliest period).  audit_robust_feasibility
 replays each quantity stream's dominant realization against a robust
 schedule.  replay_schedule recomputes every deterministic constraint family
-from raw arrays.  All four work purely on decoded schedules and read the
-horizon from the scenario, so they form an independent cross-check of the
-MILP layer.
+from raw arrays.  All four work purely on decoded schedules of a portfolio
+(a storage fleet is a storage-only portfolio) and read the horizon from the
+scenario, so they form an independent cross-check of the MILP layer.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BudgetSet, EsUnit, MarketScenario, Portfolio
+from .domain import BudgetSet, MarketScenario, Portfolio
 from .milp import FEASIBILITY_TOL
 from .scheduler import RvppSchedule, dominant_subset
-from .storage import EsSchedule
 
 
 @dataclass
@@ -39,44 +38,41 @@ class Realization:
         return self.dam_loss + self.sr_up_loss + self.sr_dn_loss
 
 
-def _flows(schedule, subject, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per period the traded, sold and bought MW of a schedule of subject,
-    and its cost in EUR: op_cost * dt per MW of output, plus the start and
-    stop costs of dispatchable units."""
-    if isinstance(schedule, RvppSchedule):
-        p = schedule.p_da
-        cost = sum(u.op_cost * dt * schedule.dispatch[u.name].sum() for u in subject.drs + subject.ndrs + subject.csp)
-        for u in subject.drs:
-            cost += u.startup_cost * schedule.start[u.name].sum() + u.shutdown_cost * schedule.stop[u.name].sum()
-        return p, np.maximum(p, 0.0), np.maximum(-p, 0.0), float(cost)
-    if isinstance(schedule, EsSchedule):
-        # Storage sells what it discharges and buys what it charges.
-        cost = subject.op_cost * dt * float(schedule.discharge.sum())
-        return schedule.net, schedule.discharge, schedule.charge, cost
-    raise TypeError(f"unsupported schedule type {type(schedule).__name__}")
+def _flows(schedule: RvppSchedule, portfolio: Portfolio, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per period the traded, sold and bought MW of a schedule of portfolio,
+    and its cost in EUR: op_cost * dt per MW of output (a storage unit's
+    discharge), plus the start and stop costs of dispatchable units."""
+    p = schedule.p_da
+    cost = sum(u.op_cost * dt * schedule.dispatch[u.name].sum() for u in portfolio.drs + portfolio.ndrs + portfolio.csp)
+    cost += sum(u.op_cost * dt * schedule.ts_discharge[u.name].sum() for u in portfolio.es)
+    for u in portfolio.drs:
+        cost += u.startup_cost * schedule.start[u.name].sum() + u.shutdown_cost * schedule.stop[u.name].sum()
+    return p, np.maximum(p, 0.0), np.maximum(-p, 0.0), float(cost)
 
 
-def nominal_profit(schedule, subject, scenario: MarketScenario) -> float:
-    """Profit of a fixed schedule of subject (its portfolio or fleet) at
-    nominal prices: energy at dam_price * dt, reserve capacity at its price
-    per MW and period, less the cost _flows gives."""
+def nominal_profit(schedule: RvppSchedule, portfolio: Portfolio, scenario: MarketScenario) -> float:
+    """Profit of a fixed schedule of portfolio at nominal prices: energy at
+    dam_price * dt, reserve capacity at its price per MW and period, less
+    the cost _flows gives."""
     dt = scenario.grid.delta_t
-    traded, _, _, cost = _flows(schedule, subject, dt)
+    traded, _, _, cost = _flows(schedule, portfolio, dt)
     reserves = np.dot(scenario.sr_up_price, schedule.r_up) + np.dot(scenario.sr_dn_price, schedule.r_dn)
     return float(np.dot(scenario.dam_price, traded) * dt) + float(reserves) - cost
 
 
-def _price_losses(schedule, subject, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _price_losses(schedule, portfolio, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per price stream and period, the loss if that period's price deviates against the schedule."""
     dt = scenario.grid.delta_t
-    _, sold, bought, _ = _flows(schedule, subject, dt)
+    _, sold, bought, _ = _flows(schedule, portfolio, dt)
     dam = np.asarray(scenario.dam_price_down_dev) * sold * dt + np.asarray(scenario.dam_price_up_dev) * bought * dt
     sr_up = np.asarray(scenario.sr_up_price_dev) * schedule.r_up
     sr_dn = np.asarray(scenario.sr_dn_price_dev) * schedule.r_dn
     return dam, sr_up, sr_dn
 
 
-def worst_case_profit(schedule, subject, scenario: MarketScenario, budgets: BudgetSet) -> tuple[float, Realization]:
+def worst_case_profit(
+    schedule: RvppSchedule, portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet
+) -> tuple[float, Realization]:
     """nominal_profit of the fixed schedule less the losses of its most
     damaging realization.
 
@@ -85,7 +81,7 @@ def worst_case_profit(schedule, subject, scenario: MarketScenario, budgets: Budg
     (ties broken toward the earlier period).  Quantity streams do not change
     the revenue of a fixed schedule; they are audited separately.
     """
-    dam_vec, up_vec, dn_vec = _price_losses(schedule, subject, scenario)
+    dam_vec, up_vec, dn_vec = _price_losses(schedule, portfolio, scenario)
     dam_pick = dominant_subset(dam_vec, budgets.gamma_dam)
     up_pick = dominant_subset(up_vec, budgets.gamma_sr_up)
     dn_pick = dominant_subset(dn_vec, budgets.gamma_sr_down)
@@ -101,7 +97,7 @@ def worst_case_profit(schedule, subject, scenario: MarketScenario, budgets: Budg
         sr_up_loss=up_loss,
         sr_dn_loss=dn_loss,
     )
-    return nominal_profit(schedule, subject, scenario) - realization.price_loss_total(), realization
+    return nominal_profit(schedule, portfolio, scenario) - realization.price_loss_total(), realization
 
 
 def _stream_rows(schedule: RvppSchedule, portfolio: Portfolio):
@@ -127,19 +123,18 @@ def _stream_rows(schedule: RvppSchedule, portfolio: Portfolio):
 
 def _balance_gaps(schedule: RvppSchedule, portfolio: Portfolio) -> list[tuple[str, str, np.ndarray]]:
     """(replay family, audit label, per-period absolute residual) of the three
-    market balances."""
+    market balances.  A storage unit's net output is its discharge less its
+    charge."""
     gen = [u.name for u in portfolio.drs] + [u.name for u in portfolio.ndrs] + [u.name for u in portfolio.csp]
     fd = [u.name for u in portfolio.fd]
     zeros = np.zeros_like(schedule.p_da)
     total = sum((schedule.dispatch[n] for n in gen), zeros.copy()) - sum(
         (schedule.dispatch[n] for n in fd), zeros.copy()
     )
-    total_up = total + sum((schedule.reserve_up[n] for n in gen), zeros.copy()) + sum(
-        (schedule.reserve_up[n] for n in fd), zeros.copy()
-    )
-    total_dn = total - sum((schedule.reserve_dn[n] for n in gen), zeros.copy()) - sum(
-        (schedule.reserve_dn[n] for n in fd), zeros.copy()
-    )
+    total += sum((schedule.ts_discharge[u.name] - schedule.ts_charge[u.name] for u in portfolio.es), zeros.copy())
+    names = portfolio.unit_names()
+    total_up = total + sum((schedule.reserve_up[n] for n in names), zeros.copy())
+    total_dn = total - sum((schedule.reserve_dn[n] for n in names), zeros.copy())
     return [
         ("balance_id", "energy balance", np.abs(total - schedule.p_da)),
         ("balance_up", "upward-activation balance", np.abs(total_up - schedule.p_da - schedule.r_up)),
@@ -162,8 +157,6 @@ def audit_robust_feasibility(
     budget.  The market balance is re-verified as well.  Returns
     human-readable violations; an empty list is a pass.
     """
-    if not isinstance(schedule, RvppSchedule):
-        raise TypeError("audit expects a portfolio schedule")
     out: list[str] = []
     for _, label, gap in _balance_gaps(schedule, portfolio):
         worst = int(gap.argmax())
@@ -180,16 +173,35 @@ def audit_robust_feasibility(
     return out
 
 
+# The storage families replay_schedule reports.
+_ES_FAMILIES = (
+    "mode_exclusivity",
+    "charge_envelope",
+    "discharge_envelope",
+    "soc_recursion",
+    "soc_bounds",
+    "reserve_energy_up",
+    "reserve_energy_dn",
+    "soc_margins",
+    "sigma_range",
+)
+
+
 def _max_residual(values: np.ndarray) -> float:
     return float(np.maximum(values, 0.0).max()) if values.size else 0.0
 
 
-def replay_rvpp_schedule(
+def replay_schedule(
     schedule: RvppSchedule,
     portfolio: Portfolio,
     scenario: MarketScenario,
 ) -> dict[str, float]:
-    """Max violation per deterministic constraint family, from raw arrays."""
+    """Max violation per deterministic constraint family, from raw arrays.
+
+    A storage unit's reserves are replayed on the side its mode selects: in
+    a charging period both sit on the charge side, else on the discharge
+    side, as the model's mode-gated rows force.
+    """
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
     res: dict[str, float] = {}
@@ -284,56 +296,33 @@ def replay_rvpp_schedule(
         fd_res.append(_max_residual(u.p_min - (p - schedule.reserve_up[u.name])))
         fd_res.append(_max_residual(p + schedule.reserve_dn[u.name] - u.p_max))
     res["fd_envelope"] = max(fd_res)
+
+    es_res: dict[str, list[float]] = {family: [0.0] for family in _ES_FAMILIES}
+    for u in portfolio.es:
+        ch, dis, soc = schedule.ts_charge[u.name], schedule.ts_discharge[u.name], schedule.ts_soc[u.name]
+        r_up, r_dn = schedule.reserve_up[u.name], schedule.reserve_dn[u.name]
+        charging = schedule.mode[u.name].astype(float)
+        idle = 1.0 - charging
+        sigma_up, sigma_dn = schedule.sigma[u.name]
+        span = u.e_max - u.e_min
+        es_res["mode_exclusivity"].append(float(np.minimum(ch, dis).max()))
+        es_res["charge_envelope"] += [
+            _max_residual(u.charge_p_min * charging - (ch - charging * r_up)),
+            _max_residual(ch + charging * r_dn - u.charge_p_max * charging),
+        ]
+        es_res["discharge_envelope"] += [
+            _max_residual(dis + idle * r_up - u.discharge_p_max * idle),
+            _max_residual(u.discharge_p_min * idle - (dis - idle * r_dn)),
+        ]
+        expected = soc[:-1] + u.charge_eff * dt * ch - dis * dt / u.discharge_eff
+        es_res["soc_recursion"] += [float(np.abs(expected - soc[1:]).max()), abs(soc[0] - soc[-1])]
+        es_res["soc_bounds"] += [_max_residual(u.e_min - soc), _max_residual(soc - u.e_max)]
+        es_res["reserve_energy_up"].append(float((r_up * dt / u.discharge_eff).sum()) - sigma_up * span)
+        es_res["reserve_energy_dn"].append(float((r_dn * u.charge_eff * dt).sum()) - sigma_dn * span)
+        es_res["soc_margins"] += [
+            _max_residual(u.e_min + sigma_dn * span - soc[1:]),
+            _max_residual(soc[1:] - (u.e_max - sigma_dn * span)),
+        ]
+        es_res["sigma_range"] += [-sigma_up, -sigma_dn, sigma_up - 1.0, sigma_dn - 1.0]
+    res.update((family, max(values)) for family, values in es_res.items())
     return res
-
-
-def replay_es_schedule(
-    schedule: EsSchedule,
-    fleet: EsUnit,
-    scenario: MarketScenario,
-) -> dict[str, float]:
-    """Max violation per fleet constraint family, from raw arrays."""
-    dt = scenario.grid.delta_t
-    span = fleet.e_max - fleet.e_min
-    mode = schedule.mode.astype(float)
-    res: dict[str, float] = {}
-
-    res["mode_exclusivity"] = float(np.minimum(schedule.charge, schedule.discharge).max())
-    res["charge_envelope"] = max(
-        _max_residual(fleet.charge_p_min * mode - (schedule.charge - schedule.r_up_charge)),
-        _max_residual(schedule.charge + schedule.r_dn_charge - fleet.charge_p_max * mode),
-    )
-    res["discharge_envelope"] = max(
-        _max_residual(schedule.discharge + schedule.r_up_discharge - fleet.discharge_p_max * (1.0 - mode)),
-        _max_residual(fleet.discharge_p_min * (1.0 - mode) - (schedule.discharge - schedule.r_dn_discharge)),
-    )
-    res["net_identity"] = float(np.abs(schedule.net - (schedule.discharge - schedule.charge)).max())
-    res["reserve_split"] = max(
-        float(np.abs(schedule.r_up - schedule.r_up_charge - schedule.r_up_discharge).max()),
-        float(np.abs(schedule.r_dn - schedule.r_dn_charge - schedule.r_dn_discharge).max()),
-    )
-    expected = schedule.soc[:-1] + fleet.charge_eff * dt * schedule.charge - schedule.discharge * dt / fleet.discharge_eff
-    res["soc_recursion"] = max(float(np.abs(expected - schedule.soc[1:]).max()), abs(schedule.soc[0] - schedule.soc[-1]))
-    res["soc_bounds"] = max(
-        _max_residual(fleet.e_min - schedule.soc), _max_residual(schedule.soc - fleet.e_max)
-    )
-    res["reserve_energy_up"] = max(0.0, float((schedule.r_up * dt / fleet.discharge_eff).sum()) - schedule.sigma_up * span)
-    res["reserve_energy_dn"] = max(0.0, float((schedule.r_dn * fleet.charge_eff * dt).sum()) - schedule.sigma_dn * span)
-    levels = schedule.soc[1:]
-    res["soc_margins"] = max(
-        _max_residual(fleet.e_min + schedule.sigma_dn * span - levels),
-        _max_residual(levels - (fleet.e_max - schedule.sigma_dn * span)),
-    )
-    res["sigma_range"] = max(
-        0.0, -schedule.sigma_up, -schedule.sigma_dn, schedule.sigma_up - 1.0, schedule.sigma_dn - 1.0
-    )
-    return res
-
-
-def replay_schedule(schedule, portfolio_or_fleet, scenario: MarketScenario) -> dict[str, float]:
-    """Dispatch to the portfolio or fleet replay by schedule type."""
-    if isinstance(schedule, RvppSchedule):
-        return replay_rvpp_schedule(schedule, portfolio_or_fleet, scenario)
-    if isinstance(schedule, EsSchedule):
-        return replay_es_schedule(schedule, portfolio_or_fleet, scenario)
-    raise TypeError(f"unsupported schedule type {type(schedule).__name__}")

@@ -351,7 +351,7 @@ def scale_flexible_demand(portfolio: Portfolio, factor: float) -> Portfolio:
     if factor < 0:
         raise ValueError("flexible-demand scale factor must be nonnegative")
     if factor == 0:
-        return Portfolio(drs=portfolio.drs, ndrs=portfolio.ndrs, csp=portfolio.csp, fd=())
+        return replace(portfolio, fd=())
     scaled = tuple(
         replace(
             u,
@@ -362,7 +362,7 @@ def scale_flexible_demand(portfolio: Portfolio, factor: float) -> Portfolio:
         )
         for u in portfolio.fd
     )
-    return Portfolio(drs=portfolio.drs, ndrs=portfolio.ndrs, csp=portfolio.csp, fd=scaled)
+    return replace(portfolio, fd=scaled)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 One core (_build_core) builds the model in one pass and takes the budgets of
 uncertainty, None meaning deterministic; at zero budgets the robust model is
-its deterministic twin.  Both public builders call it.  Price streams are
+its deterministic twin.  Both public builders call it.  It writes every unit
+class, storage included (storage.add_es_unit writes a storage unit's own
+rows), so a storage fleet is a storage-only portfolio.  Price streams are
 protected through their dual penalty columns (the objective pays
 Gamma*mu + sum(xi) per stream), with one dual row per piece of a period's
 loss: the energy loss, max(down*dt*p_da, -up*dt*p_da), has two.  The
@@ -21,7 +23,7 @@ oracle.nominal_profit prices it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .milp import (
     Solution,
     Variable,
 )
+from .storage import add_es_unit
 
 # Objective weight -PROFILE_TIE_EPS * j on flexible-demand profile j.  It is
 # below HiGHS's mip_abs_gap, so it cannot decide a tie: it only steers the
@@ -53,8 +56,10 @@ from .milp import (
 PROFILE_TIE_EPS = 1.0e-9
 
 # RvppSchedule per-unit fields decoded from continuous and from binary columns.
-_UNIT_SERIES = ("dispatch", "reserve_up", "reserve_dn", "sf_power", "ts_charge", "ts_discharge")
-_UNIT_BINARIES = ("on", "start", "stop")
+_UNIT_SERIES = ("dispatch", "reserve_up", "reserve_dn", "sf_power", "ts_charge", "ts_discharge", "sigma")
+_UNIT_BINARIES = ("on", "start", "stop", "mode")
+# The per-unit fields RvppSchedule.scaled multiplies.
+_SCALED_SERIES = ("dispatch", "reserve_up", "reserve_dn", "ts_charge", "ts_discharge", "ts_soc")
 
 
 class ModelBuildError(ValueError):
@@ -102,11 +107,15 @@ class RvppSchedule:
     """Decoded first-stage decisions.
 
     dispatch holds electrical output per unit (for flexible demand it holds
-    consumption).  on/start/stop cover committed units only.  ts_soc has T+1
-    points; index 0 is the start-of-day store level, which equals index T by
-    the cyclic coupling.  objective_value is the solver objective with the
-    profile tie-break term removed.  The schedule carries no price:
-    oracle.nominal_profit prices it from the raw inputs.
+    consumption).  on/start/stop cover committed units only.  ts_charge,
+    ts_discharge and ts_soc hold each store's flows and levels: a CSP block's
+    thermal tank, and a storage unit, which has no dispatch entry.  ts_soc has
+    T+1 points; index 0 is the start-of-day store level, which equals index T
+    by the cyclic coupling.  A storage unit's reserve_up and reserve_dn sum its
+    charge and discharge sides, mode is 1 while it charges, and sigma holds
+    its (sigma_up, sigma_dn) envelope fractions.  objective_value is the
+    solver objective with the profile tie-break term removed.  The schedule
+    carries no price: oracle.nominal_profit prices it from the raw inputs.
     """
 
     p_da: np.ndarray
@@ -123,8 +132,27 @@ class RvppSchedule:
     ts_charge: dict[str, np.ndarray]
     ts_discharge: dict[str, np.ndarray]
     ts_soc: dict[str, np.ndarray]
+    mode: dict[str, np.ndarray]
+    sigma: dict[str, np.ndarray]
     objective_value: float
     artifacts: PriceRobustArtifacts | None = None
+
+    def scaled(self, n: int) -> RvppSchedule:
+        """The same schedule for a storage-only portfolio whose units are each
+        scaled(n).
+
+        Every storage row is positively homogeneous in the continuous columns
+        and the units' ratings, so flows, reserves, state of charge, the
+        objective and the price duals scale by n; mode and the sigma envelope
+        fractions do not.  Other unit classes do not scale so.
+        """
+        artifacts = self.artifacts
+        if artifacts is not None:
+            duals = [f.name for f in fields(artifacts) if f.name != "budgets"]
+            artifacts = replace(artifacts, **{f: n * getattr(artifacts, f) for f in duals})
+        per_unit = {f: {name: n * v for name, v in getattr(self, f).items()} for f in _SCALED_SERIES}
+        market = {f: n * getattr(self, f) for f in ("p_da", "r_up", "r_dn", "objective_value")}
+        return replace(self, artifacts=artifacts, **market, **per_unit)
 
 
 def _t2(t: int) -> str:
@@ -216,8 +244,9 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     keyed like the RvppSchedule fields they decode into (per-unit fields map
     unit name -> per-period columns; "profiles" holds each flexible-demand
     unit's profile picks, "fd_floor" its per-period consumption-floor rows,
-    "ts_soc" the T store levels); the balance rows; and the price duals (None
-    when deterministic).
+    "ts_soc" the T store levels, "es_reserves" a storage unit's four reserve
+    columns, see storage.add_es_unit); the balance rows; and the price duals
+    (None when deterministic).
     """
     grid = scenario.grid
     T = grid.period_count
@@ -232,7 +261,7 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
     r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
     cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
-    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor"):
+    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor", "es_reserves"):
         cols[field] = {}
 
     obj: list[tuple[int, float]] = []
@@ -402,6 +431,18 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
                 u.p_max,
             )
 
+    for u in portfolio.es:
+        es = add_es_unit(m, u, T, dt)
+        for field, handles in es.items():
+            cols[field][u.name] = handles
+        pch, pdis, (ruc, rud, rdc, rdd) = es["ts_charge"], es["ts_discharge"], es["es_reserves"]
+        for t in range(T):
+            obj.append((pdis[t].index, -u.op_cost * dt))
+            net = [(pdis[t].index, 1.0), (pch[t].index, -1.0)]
+            id_terms[t] += net
+            up_terms[t] += net + [(ruc[t].index, 1.0), (rud[t].index, 1.0)]
+            dn_terms[t] += net + [(rdc[t].index, -1.0), (rdd[t].index, -1.0)]
+
     balance: list[Constraint] = []
     for t in range(T):
         for fam, terms in (
@@ -450,7 +491,8 @@ def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: B
     ceiling of a CSP block, and the consumption floor of flexible demand (on
     every profile, since exactly one is chosen).  That adversary does not
     depend on the schedule, so it enters as constants and adds no columns.
-    Streams with a zero budget are left deterministic.
+    Streams with a zero budget are left deterministic.  A storage unit has
+    no quantity stream, so a per-unit budget naming one is an input error.
     """
     _require_valid(portfolio, scenario)
     bad = validate_budgets(budgets, scenario.grid, portfolio)
@@ -518,6 +560,9 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
     p_da, r_up, r_dn = (_values(sol, cols[key]) for key in ("p_da", "r_up", "r_dn"))
     series = {field: {name: _values(sol, c) for name, c in cols[field].items()} for field in _UNIT_SERIES}
     binaries = {field: {name: _binaries(sol, c) for name, c in cols[field].items()} for field in _UNIT_BINARIES}
+    for name, (ruc, rud, rdc, rdd) in cols["es_reserves"].items():
+        series["reserve_up"][name] = _values(sol, ruc) + _values(sol, rud)
+        series["reserve_dn"][name] = _values(sol, rdc) + _values(sol, rdd)
     dispatch = series["dispatch"]
     ts_soc = {}
     for name, c in cols["ts_soc"].items():

@@ -3,25 +3,26 @@
 The gap is the robust profit of the aggregated portfolio minus the sum of the
 units' stand-alone robust profits.  Sizing answers: how many identical
 storage modules does a price-robust fleet need before its day profit covers
-that gap?  The N-module fleet is the module's `EsUnit.scaled(N)`, and every
-storage row is positively homogeneous in the continuous columns and the
-fleet's ratings, so the N-module optimum is N times the one-module optimum.
-Sizing therefore solves one module for its profit p1, takes the smallest N
-with N * p1 >= gap, checks (N - 1) * p1 < gap by arithmetic, and returns the
-one-module schedule scaled by N.
+that gap?  The fleet is a storage-only portfolio, and the N-module fleet is
+the module's `EsUnit.scaled(N)`.  Every storage row is positively
+homogeneous in the continuous columns and the fleet's ratings, so the
+N-module optimum is N times the one-module optimum.  Sizing therefore solves
+one module for its profit p1, takes the smallest N with N * p1 >= gap,
+checks (N - 1) * p1 < gap by arithmetic, and returns the one-module schedule
+scaled by N (`RvppSchedule.scaled`).
 
-Each model is named by a `Solve` key: the market scenario, the subject (a
-portfolio, one unit's stand-alone portfolio, or the storage module) and the
+Each model is named by a `Solve` key: the market scenario, the portfolio (the
+cell's, one unit's stand-alone portfolio, or the storage module's) and the
 budgets.  `gap_solves` and `module_solve`
 plan the keys of a gap and of a fleet; `GapReport.of` and `sized_from_module`
 turn solved keys into numbers.  `aggregation_gap` and `size_es_to_match`
 solve their keys with `Solve.run`; the command-line sweep plans the same keys
 for many cells and solves each distinct one once.
 
-Every portfolio and stand-alone unit profit comes from `audited_schedule`,
-which replays the schedule against the raw inputs and audits a robust one
-against its dominant quantity realization before the profit is used.  Every
-sized fleet comes from `sized_from_module`, which replays the scaled schedule
+Every schedule comes from `audited_schedule`, which replays it against the
+raw inputs and audits a robust one against its dominant quantity
+realization before its profit is used.  Every sized fleet comes from
+`sized_from_module`, which replays the scaled schedule
 against `module.scaled(N)` and re-prices its objective before the fleet is
 returned.
 """
@@ -46,7 +47,6 @@ from .domain import (
 from .milp import FEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
 from .oracle import audit_robust_feasibility, nominal_profit, replay_schedule, worst_case_profit
 from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
-from .storage import EsSchedule, build_robust_es, extract_es_schedule
 
 # The largest fleet sizing returns; a larger need raises SizingError.
 MAX_MODULES = 2000
@@ -100,47 +100,33 @@ class SizingResult:
     es_objective: float
     iterations: int
     minimality_checked: bool
-    schedule: EsSchedule
+    schedule: RvppSchedule
 
 
 class Solve(NamedTuple):
-    """What defines one model: its market scenario, subject and budgets.
+    """What defines one model: its market scenario, portfolio and budgets.
     Equal keys are the same model."""
 
     scenario: MarketScenario
-    subject: Portfolio | EsUnit  # a portfolio, one unit's alone, or the storage module
+    subject: Portfolio  # a cell's portfolio, one unit's alone, or the storage module's
     budgets: BudgetSet | None  # None: the deterministic model
 
     def weight(self) -> int:
         """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
-        if isinstance(self.subject, EsUnit) or len(self.subject.all_units()) == 1:
+        if len(self.subject.all_units()) == 1:
             return 2
         return 0 if self.budgets is not None else 1
 
     def label(self) -> str:
-        if isinstance(self.subject, EsUnit):
-            return f"storage module {self.subject.name}"
         return "+".join(self.subject.unit_names())
 
-    def run(self) -> RvppSchedule | EsSchedule:
-        """The audited portfolio schedule, or the price-robust one-module
-        schedule; a solve that does not end optimal raises ScheduleError."""
-        if not isinstance(self.subject, EsUnit):
-            return audited_schedule(self.subject, self.scenario, self.budgets)
-        m = build_robust_es(self.subject, self.scenario, self.budgets)
-        return extract_es_schedule(m, _solved(m))
+    def run(self) -> RvppSchedule:
+        """The audited schedule; see audited_schedule."""
+        return audited_schedule(self.subject, self.scenario, self.budgets)
 
 
-def _singleton(unit) -> Portfolio:
-    if isinstance(unit, DrsUnit):
-        return Portfolio(drs=(unit,))
-    if isinstance(unit, NdrsUnit):
-        return Portfolio(ndrs=(unit,))
-    if isinstance(unit, CspUnit):
-        return Portfolio(csp=(unit,))
-    if isinstance(unit, FdUnit):
-        return Portfolio(fd=(unit,))
-    raise TypeError(f"not a portfolio unit: {type(unit).__name__}")
+# The Portfolio field of each unit class.
+_CLASS_FIELD = {DrsUnit: "drs", NdrsUnit: "ndrs", CspUnit: "csp", FdUnit: "fd", EsUnit: "es"}
 
 
 def _budgets_for(budgets: BudgetSet, names: set[str]) -> BudgetSet:
@@ -158,7 +144,7 @@ def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
     The unit keeps its own quantity budget and the full price budgets; other
     units' budgets are dropped along with the units themselves.
     """
-    return _singleton(unit), _budgets_for(budgets, {unit.name})
+    return Portfolio(**{_CLASS_FIELD[type(unit)]: (unit,)}), _budgets_for(budgets, {unit.name})
 
 
 def _solved(m: Model) -> Solution:
@@ -259,24 +245,24 @@ def _module_count(gap: float, p1: float, module: EsUnit) -> int:
 
 def module_solve(module: EsUnit, scenario: MarketScenario, budgets: BudgetSet) -> Solve:
     """The one-module storage key; any per-unit budgets are dropped."""
-    return Solve(scenario, module, price_only_budgets(budgets))
+    return Solve(scenario, Portfolio(es=(module,)), price_only_budgets(budgets))
 
 
-def sized_from_module(gap: float, one: EsSchedule, key: Solve) -> SizingResult:
+def sized_from_module(gap: float, one: RvppSchedule, key: Solve) -> SizingResult:
     """The smallest fleet covering gap, by arithmetic on one, the schedule of
     the one-module key.
 
-    The scaled schedule is replayed against module.scaled(count), and
-    its objective is re-priced twice against that fleet: by the worst case of
+    The scaled schedule is replayed against the fleet of module.scaled(count),
+    and its objective is re-priced twice against that fleet: by the worst case of
     its flows under the price-only budgets, and as its nominal profit less its
     price duals' penalty (the worst case reads flows only, so it cannot see a
     wrong dual).  ScheduleError names the residual and its constraint family,
     or a price that disagrees.
     """
-    module, scenario, budgets = key.subject, key.scenario, key.budgets
+    (module,), scenario, budgets = key.subject.es, key.scenario, key.budgets
     p1 = one.objective_value
     count = _module_count(gap, p1, module)
-    schedule, fleet = one.scaled(count), module.scaled(count)
+    schedule, fleet = one.scaled(count), Portfolio(es=(module.scaled(count),))
     _require_clean_replay("storage replay", schedule, fleet, scenario)
     objective = schedule.objective_value
     checks = {"its worst-case re-pricing": worst_case_profit(schedule, fleet, scenario, budgets)[0]}
@@ -288,7 +274,7 @@ def sized_from_module(gap: float, one: EsSchedule, key: Solve) -> SizingResult:
     return SizingResult(
         lower_bound_profit=gap,
         module_count=count,
-        fleet_e_max=fleet.e_max,
+        fleet_e_max=fleet.es[0].e_max,
         es_objective=schedule.objective_value,
         iterations=1,
         minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,

@@ -19,6 +19,7 @@ import pytest
 
 from rvpp import (
     BudgetSet,
+    Portfolio,
     audit_robust_feasibility,
     cli,
     nominal_profit,
@@ -75,14 +76,14 @@ def robust_rvpp(winter_cell):
 @pytest.fixture(scope="module")
 def es_ladder(bundle):
     """Fixed two-module fleet solved per season and strategy."""
-    fleet = bundle.es_module.scaled(2)
+    fleet = Portfolio(es=(bundle.es_module.scaled(2),))
     out = {}
     for season in SEASONS:
         portfolio, scenario = bundle.cell(season, "favorable")
         cells = []
         for strat in LADDER:
             budgets = price_only_budgets(strategy_budgets(strat, portfolio))
-            cells.append((strat, budgets, scenario, solve_es(fleet, scenario, budgets)))
+            cells.append((strat, budgets, scenario, solve_rvpp(fleet, scenario, budgets)))
         out[season] = cells
     return fleet, out
 
@@ -240,10 +241,11 @@ def test_storage_sizing_minimal_and_monotone(sweep, winter_cell, bundle):
 
 def test_storage_physics_and_arbitrage_closed_form(es_ladder, bundle):
     fleet, ladder = es_ladder
+    (name,) = fleet.unit_names()
     for cells in ladder.values():
         for _, _, scenario, sched in cells:
-            assert abs(sched.soc[0] - sched.soc[-1]) <= TOL
-            for ch, dis in zip(sched.charge, sched.discharge):
+            assert abs(sched.ts_soc[name][0] - sched.ts_soc[name][-1]) <= TOL
+            for ch, dis in zip(sched.ts_charge[name], sched.ts_discharge[name]):
                 assert min(ch, dis) == 0.0
             report = replay_schedule(sched, fleet, scenario)
             assert max(report.values()) <= TOL

@@ -3,8 +3,8 @@
 Together the models reach every builder branch: committed units with and
 without a daily energy limit and minimum up/down windows, quantity streams
 with and without a budget, the energy-price loss max(down*dt*p, -up*dt*p)
-written as two dual rows per period, the three price duals, and both storage
-cores.  A refactor of the builders must leave every digest as it is.  A
+written as two dual rows per period, the three price duals, and a storage
+unit's rows.  A refactor of the builders must leave every digest as it is.  A
 deliberate change of formulation or of HiGHS options changes them; update
 the literals in the same change and say why.
 """
@@ -14,10 +14,9 @@ from __future__ import annotations
 import pytest
 
 from rvpp import (
+    Portfolio,
     ScipyHighsBackend,
-    build_deterministic_es,
     build_deterministic_rvpp,
-    build_robust_es,
     build_robust_rvpp,
     solve,
     strategy_budgets,
@@ -33,8 +32,8 @@ DIGESTS = {
     "pv_plant": "1a341fd0796996ca7e5c403061e785de",
     "csp_plant": "085c5fbe79ef8617c850ee2c5393c4b5",
     "industrial_load": "d866844e31f0e2113215d2d8d4616df7",
-    "storage_module": "7488cdb9d5efec80efda4c74077b234b",
-    "storage_module_deterministic": "695efb1d3c5e2d9c8fae28cdaf6bab36",
+    "storage_module": "dc87e203b7fe212146e3d33fa53c0997",
+    "storage_module_deterministic": "642917db37f9b973252abca022983dba",
 }
 
 
@@ -56,9 +55,9 @@ def digests(bundle):
     for unit in spring.all_units():
         alone, budgets = stand_alone(unit, optimistic)
         out[unit.name] = _digest(build_robust_rvpp(alone, spring_market, budgets))
-    module = bundle.es_module
-    out["storage_module"] = _digest(build_robust_es(module, spring_market, price_only_budgets(optimistic)))
-    out["storage_module_deterministic"] = _digest(build_deterministic_es(module, spring_market))
+    module = Portfolio(es=(bundle.es_module,))
+    out["storage_module"] = _digest(build_robust_rvpp(module, spring_market, price_only_budgets(optimistic)))
+    out["storage_module_deterministic"] = _digest(build_deterministic_rvpp(module, spring_market))
     return out
 
 

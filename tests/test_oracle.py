@@ -34,7 +34,7 @@ def fake_schedule(p_da, r_up=None, r_dn=None) -> RvppSchedule:
     zeros = np.zeros(len(p_da))
     r_up = zeros.copy() if r_up is None else np.asarray(r_up, dtype=float)
     r_dn = zeros.copy() if r_dn is None else np.asarray(r_dn, dtype=float)
-    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0)
+    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0)
 
 
 def test_worst_case_picks_the_largest_loss():

@@ -379,11 +379,8 @@ def test_decode_checks_model_kind():
     portfolio, scenario = wind_only(T=4)
     m = build_deterministic_rvpp(portfolio, scenario)
     sol = solve(m, ScipyHighsBackend())
-    from rvpp import build_deterministic_es
-    from toys import battery
+    from rvpp import Model, Solution
 
-    es_model = build_deterministic_es(battery(), market(4))
-    es_sol = solve(es_model, ScipyHighsBackend())
     with pytest.raises(DecodeError, match="not built by a portfolio"):
-        extract_rvpp_schedule(es_model, es_sol)
+        extract_rvpp_schedule(Model("bare"), Solution("optimal", 0.0, {}))
     assert len(extract_rvpp_schedule(m, sol).p_da) == 4

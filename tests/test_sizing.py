@@ -20,7 +20,7 @@ from rvpp import (
     price_only_budgets,
     size_es_to_match,
 )
-from rvpp.domain import validate_es
+from rvpp.domain import validate_portfolio
 from toys import battery, market, solve_es, unscale_mu_dam, wind
 
 
@@ -139,8 +139,9 @@ def test_closed_form_matches_a_linear_walk(monkeypatch):
         assert result.minimality_checked
         # The returned schedule is the one-module optimum scaled to the count.
         one = solve_es(module, scenario, budgets)
-        for field in ("net", "r_up", "r_dn", "soc"):
+        for field in ("p_da", "r_up", "r_dn"):
             np.testing.assert_array_equal(getattr(result.schedule, field), count * getattr(one, field))
+        np.testing.assert_array_equal(result.schedule.ts_soc["mod"], count * one.ts_soc["mod"])
 
 
 def around_multiples(p1, k):
@@ -188,7 +189,7 @@ def test_losing_module_fails_after_one_solve(monkeypatch):
 def test_unschedulable_module_names_its_rows():
     # Valid ratings, but 5 MW minimum flows cannot fit a 1 MWh store in either mode.
     module = replace(battery(charge=10.0, discharge=10.0, e_min=0.0), charge_p_min=5.0, discharge_p_min=5.0)
-    assert validate_es(module) == []
+    assert validate_portfolio(Portfolio(es=(module,)), market(2)) == []
     # Equal-cost relaxations may tie, so only the row family is pinned.
     named = r"solve ended infeasible; relaxing these rows restores feasibility: es_\w+ \(slack "
     with pytest.raises(ScheduleError, match=named):

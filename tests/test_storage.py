@@ -15,9 +15,9 @@ from rvpp import (
     Portfolio,
     ScipyHighsBackend,
     ZERO_BUDGETS,
-    build_deterministic_es,
-    build_robust_es,
-    extract_es_schedule,
+    build_deterministic_rvpp,
+    build_robust_rvpp,
+    extract_rvpp_schedule,
     nominal_profit,
     replay_schedule,
     solve,
@@ -32,9 +32,9 @@ def test_two_period_arbitrage_closed_form():
     efficiencies: 70 * 0.5 * 0.95^2 = 31.5875."""
     sched = solve_es(battery(), market(2, dam=[0.0, 70.0]))
     assert sched.objective_value == pytest.approx(31.5875, abs=1e-6)
-    np.testing.assert_allclose(sched.soc, [0.1, 0.575, 0.1], atol=1e-7)
-    assert sched.charge[0] == pytest.approx(0.5, abs=1e-8)
-    assert sched.discharge[1] == pytest.approx(0.5 * 0.95**2, abs=1e-8)
+    np.testing.assert_allclose(sched.ts_soc["mod"], [0.1, 0.575, 0.1], atol=1e-7)
+    assert sched.ts_charge["mod"][0] == pytest.approx(0.5, abs=1e-8)
+    assert sched.ts_discharge["mod"][1] == pytest.approx(0.5 * 0.95**2, abs=1e-8)
 
 
 def test_two_cycles_double_the_value():
@@ -45,7 +45,7 @@ def test_two_cycles_double_the_value():
 def test_flat_prices_mean_no_trading():
     sched = solve_es(battery(), market(6, dam=25.0))
     assert sched.objective_value == pytest.approx(0.0, abs=1e-9)
-    assert np.abs(sched.net).max() <= 1e-9
+    assert np.abs(sched.p_da).max() <= 1e-9
 
 
 def test_splitting_each_period_in_two_keeps_the_value(bundle):
@@ -117,12 +117,12 @@ def test_value_is_linear_in_module_count():
             case = (module, budgets, n)
             vn = solve_es(module.scaled(n), s, budgets).objective_value
             assert vn == pytest.approx(n * one.objective_value, rel=1e-9), case
-            scaled = one.scaled(n)
+            scaled, fleet = one.scaled(n), Portfolio(es=(module.scaled(n),))
             assert scaled.objective_value == pytest.approx(vn, rel=1e-9), case
-            assert max(replay_schedule(scaled, module.scaled(n), s).values()) <= 1e-6, case
+            assert max(replay_schedule(scaled, fleet, s).values()) <= 1e-6, case
             if budgets is not None:
                 penalty = scaled.artifacts.price_penalty_total()
-                nominal = nominal_profit(scaled, module.scaled(n), s)
+                nominal = nominal_profit(scaled, fleet, s)
                 assert nominal - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
 
 
@@ -137,10 +137,11 @@ def test_soc_cyclic_and_modes_exclusive_randomized():
             sr_dn=float(rng.uniform(0.0, 6.0)),
             dt=float(rng.choice([0.5, 1.0])),
         )
-        fleet = battery().scaled(int(rng.integers(1, 4)))
-        sched = solve_es(fleet, s)
-        assert abs(sched.soc[0] - sched.soc[-1]) <= 1e-9, f"trial {trial}"
-        assert np.minimum(sched.charge, sched.discharge).max() <= 1e-9, f"trial {trial}"
+        fleet = Portfolio(es=(battery().scaled(int(rng.integers(1, 4))),))
+        sched = solve_rvpp(fleet, s)
+        soc = sched.ts_soc["mod"]
+        assert abs(soc[0] - soc[-1]) <= 1e-9, f"trial {trial}"
+        assert np.minimum(sched.ts_charge["mod"], sched.ts_discharge["mod"]).max() <= 1e-9, f"trial {trial}"
         residuals = replay_schedule(sched, fleet, s)
         assert max(residuals.values()) <= 1e-7, f"trial {trial}: {residuals}"
 
@@ -168,7 +169,7 @@ def test_full_dam_budget_stops_arbitrage_not_reserves():
     # trading cannot pay, capacity income still can.
     s = market(6, dam=20.0, dam_down=20.0, dam_up=10.0, sr_up=5.0, sr_dn=4.0)
     sched = solve_es(battery(), s, BudgetSet(gamma_dam=6))
-    assert sched.discharge.max() <= 1e-9
+    assert sched.ts_discharge["mod"].max() <= 1e-9
     assert sched.r_up.sum() > 0.1
     assert sched.objective_value > 0.0
 
@@ -177,14 +178,14 @@ def test_robust_objective_equals_worst_case_profit():
     s = market(8, dam=[5, 45, 10, 40, 8, 42, 12, 38], dam_down=6.0, dam_up=4.0, sr_up=3.0, sr_up_dev=1.0)
     budgets = BudgetSet(gamma_dam=3, gamma_sr_up=2)
     sched = solve_es(battery(), s, budgets)
-    wc, realization = worst_case_profit(sched, battery(), s, budgets)
+    wc, realization = worst_case_profit(sched, Portfolio(es=(battery(),)), s, budgets)
     assert sched.objective_value == pytest.approx(wc, abs=1e-7)
     assert len(realization.dam_subset) == 3
 
 
 def test_per_unit_budgets_rejected_for_storage():
     with pytest.raises(ModelBuildError, match="price budgets only"):
-        build_robust_es(battery(), market(4), BudgetSet(gamma_per_unit={"mod": 2}))
+        build_robust_rvpp(Portfolio(es=(battery(),)), market(4), BudgetSet(gamma_per_unit={"mod": 2}))
 
 
 def test_sigma_margin_switch_changes_floor_reservation():
@@ -192,26 +193,32 @@ def test_sigma_margin_switch_changes_floor_reservation():
     zero, so the up reserve blocks no floor headroom."""
     s = market(4, dam=[0.0, 70.0, 0.0, 70.0], sr_up=8.0)
     sched = solve_es(battery(), s)
-    assert sched.sigma_up > 0.0
+    assert sched.sigma["mod"][0] > 0.0
     assert sched.objective_value == pytest.approx(70.015, abs=1e-6)
 
 
 def test_decode_rejects_tampered_mode():
-    m = build_deterministic_es(battery(), market(4, dam=[0, 70, 0, 70]))
+    m = build_deterministic_rvpp(Portfolio(es=(battery(),)), market(4, dam=[0, 70, 0, 70]))
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=dict(sol.values))
-    tampered.values[m.variable("mode_t00").index] = 0.3
+    tampered.values[m.variable("mode__mod_t00").index] = 0.3
     with pytest.raises(DecodeError, match="non-integral"):
-        extract_es_schedule(m, tampered)
+        extract_rvpp_schedule(m, tampered)
 
 
 def test_decode_rejects_simultaneous_flow():
-    m = build_deterministic_es(battery(), market(2, dam=[0, 70]))
+    """Discharging while charging breaks the energy balance in the decoder,
+    and mode exclusivity in the replay."""
+    fleet, s = Portfolio(es=(battery(),)), market(2, dam=[0, 70])
+    m = build_deterministic_rvpp(fleet, s)
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=dict(sol.values))
-    tampered.values[m.variable("pdis_t00").index] = 0.2
-    with pytest.raises(DecodeError):
-        extract_es_schedule(m, tampered)
+    tampered.values[m.variable("pdis__mod_t00").index] = 0.2
+    with pytest.raises(DecodeError, match="balance row bal_id_t00"):
+        extract_rvpp_schedule(m, tampered)
+    sched = extract_rvpp_schedule(m, sol)
+    sched.ts_discharge["mod"] = sched.ts_discharge["mod"] + [0.2, 0.0]
+    assert replay_schedule(sched, fleet, s)["mode_exclusivity"] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_fleet_ratings_derive_from_module():
@@ -229,7 +236,8 @@ def test_fleet_ratings_derive_from_module():
     [(market(4, sr_up_dev=-1.0), "sr_up_price_dev"), (market(4, season="monsoon"), "unknown season")],
 )
 def test_builders_validate_the_market(bad, field):
+    fleet = Portfolio(es=(battery(),))
     with pytest.raises(ModelBuildError, match=field):
-        build_robust_es(battery(), bad, BudgetSet(gamma_sr_up=1))
+        build_robust_rvpp(fleet, bad, BudgetSet(gamma_sr_up=1))
     with pytest.raises(ModelBuildError, match=field):
-        build_deterministic_es(battery(), bad)
+        build_deterministic_rvpp(fleet, bad)

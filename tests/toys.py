@@ -8,18 +8,15 @@ import numpy as np
 
 from rvpp import (
     BudgetSet,
-    EsSchedule,
     EsUnit,
     MarketScenario,
     NdrsUnit,
     PeriodGrid,
     Portfolio,
+    RvppSchedule,
     ScipyHighsBackend,
-    build_deterministic_es,
     build_deterministic_rvpp,
-    build_robust_es,
     build_robust_rvpp,
-    extract_es_schedule,
     extract_rvpp_schedule,
     solve,
 )
@@ -93,24 +90,19 @@ def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None):
 
 
 def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None):
-    if budgets is None:
-        m = build_deterministic_es(unit, scenario)
-    else:
-        m = build_robust_es(unit, scenario, budgets)
-    sol = solve(m, ScipyHighsBackend())
-    assert sol.status == "optimal", f"es solve ended {sol.status}"
-    return extract_es_schedule(m, sol)
+    """solve_rvpp for the storage-only portfolio of unit."""
+    return solve_rvpp(Portfolio(es=(unit,)), scenario, budgets)
 
 
 def unscale_mu_dam(monkeypatch) -> None:
-    """Make EsSchedule.scaled leave the energy-price dual unscaled."""
-    real = EsSchedule.scaled
+    """Make RvppSchedule.scaled leave the energy-price dual unscaled."""
+    real = RvppSchedule.scaled
 
     def unscaled_mu_dam(self, n):
         out = real(self, n)
         return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
 
-    monkeypatch.setattr(EsSchedule, "scaled", unscaled_mu_dam)
+    monkeypatch.setattr(RvppSchedule, "scaled", unscaled_mu_dam)
 
 
 def breaking_fd_envelope(decode):
