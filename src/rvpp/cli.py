@@ -19,6 +19,12 @@ The cells then assemble their rows by arithmetic on the shared results
 (`sizing.GapReport.of`, `sizing.sized_from_module`): sizing takes its module
 count from the one-module solve, so case 4 shares every solve with case 3.
 
+When a worker process dies, each key left without a result runs once more,
+alone, in a fresh one-worker pool; a key whose worker dies again fails with
+"worker process died while solving <label>", so each key runs at most twice.
+With one worker the solves run in this process, where such a crash ends the
+run.
+
 Every schedule is replayed and audited before anything is written; a failed
 solve fails the cells that need it while the remaining cells still produce
 results.  Exit codes: 0 all cells succeeded, 1 at least one cell failed, 2 bad
@@ -34,6 +40,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -87,6 +94,16 @@ def run_cell(key: Solve) -> dict:
     started = time.perf_counter()
     schedule, error = _isolated(key.run)
     return {"schedule": schedule, "error": error, "seconds": time.perf_counter() - started}
+
+
+def _run_alone(key: Solve) -> dict:
+    """run_cell(key) in a fresh one-worker pool, or the error of a worker
+    that died solving it."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return next(pool.map(run_cell, [key]))
+        except BrokenProcessPool:
+            return {"schedule": None, "error": f"worker process died while solving {key.label()}", "seconds": 0.0}
 
 
 def _fd_label(pct: float) -> str:
@@ -342,9 +359,17 @@ def main(argv: list[str] | None = None) -> int:
     order.sort(key=Solve.weight)
     jobs = max(1, min(args.jobs or _usable_cpus(), len(order)))
     # No solve runs in this process before the pool forks.
+    results = {}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        results = dict(zip(order, run(run_cell, order)))
+        try:
+            for key, res in zip(order, run(run_cell, order)):
+                results[key] = res
+        except BrokenProcessPool:
+            pass  # a worker died; the keys it left without a result run below
+    for key in order:
+        if key not in results:
+            results[key] = _run_alone(key)
 
     def solved(key: Solve):
         res = results[key]

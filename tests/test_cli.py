@@ -470,3 +470,32 @@ def test_numeric_mutations_fail_cleanly(tmp_path, bundle, capsys):
             errors = [c["error"] for c in cells if c["status"] == "failed"]
             assert errors and all(e.split(":")[0] in CELL_ERRORS for e in errors), (case, errors)
     assert seen[0] and seen[2], seen
+
+
+def test_a_dead_worker_fails_its_solve_not_the_sweep(tmp_path, monkeypatch, bundle):
+    """A pool worker that ends abruptly while solving the storage module (as a
+    native crash or the out-of-memory killer would end it) fails only the
+    cells that need that solve.  The key runs once more, alone, in a fresh
+    one-worker pool; it dies again, and its cell names it."""
+    runs = tmp_path / "module_runs"
+    real = sizing.Solve.run
+
+    def dying(key):
+        if key.subject.es:
+            with open(runs, "a") as fh:
+                fh.write("run\n")
+            os._exit(3)
+        return real(key)
+
+    # Pool workers are forked, so they inherit the patch.
+    monkeypatch.setattr(sizing.Solve, "run", dying)
+    out = tmp_path / "out"
+    flags = ["--case", "1", "--case", "3", *SPRING_BALANCED, "--jobs", "2", "--out", str(out)]
+    assert cli.main(flags) == 1
+    cells = {c["case"]: c for c in json.loads((out / "run_manifest.json").read_text())["cells"]}
+    assert cells[1]["status"] == "ok"
+    assert cells[3]["status"] == "failed"
+    assert f"worker process died while solving {bundle.es_module.name}" in cells[3]["error"]
+    assert {row["case"] for row in read_rows(out)} == {"1"}
+    assert runs.read_text().splitlines() == ["run", "run"]
+
