@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rvpp.sizing as sizing
-from rvpp import REGIMES, SEASONS, backends, cli, save_scenario, strategy_budgets
+from rvpp import REGIMES, SEASONS, backends, cli, default_scenario_path, save_scenario, strategy_budgets
 from toys import breaking_fd_envelope, solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -499,3 +499,31 @@ def test_a_dead_worker_fails_its_solve_not_the_sweep(tmp_path, monkeypatch, bund
     assert {row["case"] for row in read_rows(out)} == {"1"}
     assert runs.read_text().splitlines() == ["run", "run"]
 
+
+def test_unit_order_changes_no_number(tmp_path, bundle):
+    """Reversing the scenario file's units keeps every results.csv cell,
+    matched by column name, and every plot CSV line.  The unit_* columns
+    follow the portfolio's class order, and the file's order within a class.
+    The slice holds case 1 summer/favorable/deterministic, where a CSP
+    reserve value sat on a six-digit rounding tie."""
+    raw = copy.deepcopy(bundle.raw)
+    raw["units"].reverse()
+    save_scenario(raw, tmp_path / "reversed.yaml")
+    slices = (
+        ("--case", "1", "--season", "summer"),
+        ("--case", "3", "--season", "summer", "--strategy", "optimistic", "--config", "full", "--fd-scale", "100"),
+    )
+    for i, flags in enumerate(slices):
+        outs = []
+        for label, scenario in (("shipped", default_scenario_path()), ("reversed", tmp_path / "reversed.yaml")):
+            outs.append(tmp_path / f"{label}{i}")
+            assert cli.main([*flags, "--jobs", "1", "--scenario", str(scenario), "--out", str(outs[-1])]) == 0
+        shipped, backwards = outs
+        assert read_rows(shipped) == read_rows(backwards)
+        for name in RESULT_FILES[1:]:
+            assert (shipped / name).read_bytes() == (backwards / name).read_bytes(), name
+    shipped_units, reversed_units = ([c for c in read_rows(out)[0] if c.startswith("unit_")] for out in outs)
+    assert shipped_units == ["unit_hydro", "unit_biomass", "unit_wind_farm", "unit_pv_plant", "unit_csp_plant",
+                             "unit_industrial_load"]
+    assert reversed_units == ["unit_biomass", "unit_hydro", "unit_pv_plant", "unit_wind_farm", "unit_csp_plant",
+                              "unit_industrial_load"]
