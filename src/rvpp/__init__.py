@@ -3,10 +3,10 @@
 The package builds mixed-integer linear models for a portfolio of renewable
 units (plus flexible demand) and for a fleet of identical storage modules
 (a storage-only portfolio), both trading day-ahead energy and secondary
-reserve capacity.  Price and
-quantity uncertainty is handled with integer budgets; a solver-free oracle
-evaluates worst cases and audits schedules; the sizing loop finds the
-smallest storage fleet matching the portfolio's aggregation advantage.
+reserve capacity.  Price and quantity uncertainty is handled with integer
+budgets; a solver-free oracle evaluates worst cases and audits schedules;
+the sizing loop finds the smallest storage fleet matching the portfolio's
+aggregation advantage.
 
 One rule serves every public name: `_HOME` maps it to the submodule that
 defines it, and that submodule is imported the first time the name is read
