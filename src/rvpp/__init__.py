@@ -29,6 +29,7 @@ _HOME = {
     name: module
     for module, names in {
         "backends": "ScipyHighsBackend",
+        "datasets": "default_scenario_path",
         "domain": """REGIMES SEASONS STRATEGIES ZERO_BUDGETS BudgetSet CspUnit DrsUnit EsUnit FdUnit
             MarketScenario NdrsUnit PeriodGrid Portfolio ThermalStoreParams strategy_budgets
             validate_budgets validate_portfolio validate_scenario""",
@@ -36,7 +37,7 @@ _HOME = {
             SolverUnavailableError Variable solve""",
         "oracle": "Realization audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
         "scenario_io": """ResultRow ResultsTable ScenarioBundle ScenarioFormatError SeriesRow
-            default_scenario_path load_scenario save_scenario scale_flexible_demand write_results""",
+            load_scenario save_scenario scale_flexible_demand write_results""",
         "scheduler": """DecodeError ModelBuildError RvppSchedule build_deterministic_rvpp
             build_robust_rvpp extract_rvpp_schedule""",
         "sizing": """GapReport ScheduleError SizingError SizingResult aggregation_gap

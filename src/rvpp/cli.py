@@ -28,7 +28,7 @@ run.
 Every schedule is replayed and audited before anything is written; a failed
 solve fails the cells that need it while the remaining cells still produce
 results.  Exit codes: 0 all cells succeeded, 1 at least one cell failed, 2 bad
-configuration.
+configuration (a flag, the scenario file or --out), found before any solve.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .backends import session_options
+from .datasets import default_scenario_path
 from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
 from .oracle import nominal_profit
 from .scenario_io import (
@@ -54,7 +55,6 @@ from .scenario_io import (
     ScenarioFormatError,
     SeriesRow,
     cell_order,
-    default_scenario_path,
     load_scenario,
     scale_flexible_demand,
     write_results,
@@ -260,15 +260,8 @@ def _expand_tasks(args) -> list[dict]:
     tasks = []
     for case in args.case:
         seasons = args.season or list(args.file_seasons)
-        if case == 1:
-            regimes = args.regime or ["favorable"]
-            strategies = args.strategy or ["deterministic", "optimistic"]
-        elif case == 2:
-            regimes = args.regime or list(args.file_regimes)
-            strategies = args.strategy or list(STRATEGIES)
-        else:
-            regimes = args.regime or ["favorable"]
-            strategies = args.strategy or list(STRATEGIES)
+        regimes = args.regime or (list(args.file_regimes) if case == 2 else ["favorable"])
+        strategies = args.strategy or (["deterministic", "optimistic"] if case == 1 else list(STRATEGIES))
         for kind, names, known in (("season", seasons, args.file_seasons), ("regime", regimes, args.file_regimes)):
             for name in names:
                 if name not in known:
@@ -351,6 +344,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     started = time.perf_counter()
     plans = [_isolated(_plan_cell, t, bundle) for t in tasks]
@@ -402,8 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             table.series.extend(out[1])
         manifest_cells.append(entry)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if table.rows:
         written = [str(p) for p in write_results(table, out_dir)]

@@ -1,254 +1,12 @@
-"""Synthetic default dataset, generated deterministically.
+"""The shipped dataset, `data/default_scenario.yaml`: synthetic days (one per
+season, under a favorable and an unfavorable regime), unit ratings and costs
+from published equipment data, and invented hourly shapes.  The YAML file is
+the dataset; it is edited as text, and `scenario_io.save_scenario` writes its
+canonical form."""
 
-The shipped scenario file is synthetic: 24-period days for four seasons with
-daily solar bell curves, wind that blows mostly at night, morning/evening
-price peaks (plus a deep spring midday dip), three flexible-demand profiles,
-and favorable/unfavorable deviation series per uncertain stream.  Unit
-ratings and costs follow the published equipment data the portfolio is
-modeled on; the hourly series themselves are invented shapes.
-
-Run ``python3 -m rvpp.datasets <path>`` to regenerate the YAML; the default
-file under rvpp/data is a committed copy and a regression test keeps the two
-in sync.
-"""
-
-from __future__ import annotations
-
-import math
-import sys
-
-SEASON_LIST = ("winter", "spring", "summer", "autumn")
-REGIME_LIST = ("favorable", "unfavorable")
-
-T = 24
-
-# Hydro daily energy limits (MWh) by season, favorable then unfavorable.
-HYDRO_LIMITS = {
-    "winter": {"favorable": 1164.0, "unfavorable": 804.0},
-    "spring": {"favorable": 972.0, "unfavorable": 624.0},
-    "summer": {"favorable": 528.0, "unfavorable": 420.0},
-    "autumn": {"favorable": 708.0, "unfavorable": 612.0},
-}
+from importlib import resources
+from pathlib import Path
 
 
-def _bell(t: float, center: float, width: float) -> float:
-    z = (t - center) / width
-    return math.exp(-z * z)
-
-
-def _series(fn, decimals: int = 2) -> list[float]:
-    return [round(fn(t + 1.0), decimals) for t in range(T)]
-
-
-def _scaled(vec: list[float], factor: float, decimals: int = 2) -> list[float]:
-    out = []
-    for v in vec:
-        d = round(v * factor, decimals)
-        out.append(min(d, v))
-    return out
-
-
-def _dam_price(season: str) -> list[float]:
-    if season == "winter":
-        fn = lambda t: 52 + 14 * _bell(t, 20, 2.4) + 9 * _bell(t, 9, 2.2) - 4 * _bell(t, 4, 2.5)
-    elif season == "spring":
-        fn = lambda t: 42 + 12 * _bell(t, 21, 2.0) + 7 * _bell(t, 8, 1.8) - 33 * _bell(t, 15, 2.8)
-    elif season == "summer":
-        fn = lambda t: 46 + 12 * _bell(t, 21, 2.6) + 5 * _bell(t, 10, 2.0) - 6 * _bell(t, 15, 3.0)
-    else:
-        fn = lambda t: 48 + 13 * _bell(t, 20, 2.3) + 8 * _bell(t, 9, 2.0) - 5 * _bell(t, 14, 2.6)
-    return _series(fn)
-
-
-def _sr_up_price(season: str) -> list[float]:
-    base = {"winter": 4.0, "spring": 3.5, "summer": 4.0, "autumn": 4.0}[season]
-    amp = {"winter": 8.0, "spring": 7.0, "summer": 7.0, "autumn": 7.5}[season]
-    return _series(lambda t: base + amp * _bell(t, 20, 3.0) + 2.5 * _bell(t, 9, 2.5))
-
-
-def _sr_dn_price(season: str) -> list[float]:
-    base = {"winter": 3.0, "spring": 2.6, "summer": 3.0, "autumn": 2.8}[season]
-    return _series(lambda t: base + 4.5 * _bell(t, 4, 3.0) + 2.0 * _bell(t, 14, 3.5))
-
-
-_WIND_SCALE = {"winter": 1.0, "spring": 0.8, "summer": 0.62, "autumn": 0.9}
-_PV_SCALE = {"winter": 0.5, "spring": 0.85, "summer": 1.0, "autumn": 0.68}
-_SF_SCALE = {"winter": 0.45, "spring": 0.8, "summer": 1.0, "autumn": 0.62}
-_SUN_WIDTH = {"winter": 2.4, "spring": 2.8, "summer": 3.2, "autumn": 2.6}
-
-
-def _wind_upper(season: str) -> list[float]:
-    scale = _WIND_SCALE[season]
-    return _series(
-        lambda t: 50
-        * scale
-        * (0.52 + 0.30 * math.cos(2 * math.pi * (t - 2) / 24) + 0.08 * math.sin(4 * math.pi * t / 24)),
-        1,
-    )
-
-
-def _sun_upper(season: str, peak: float, scale: float) -> list[float]:
-    width = _SUN_WIDTH[season]
-
-    def fn(t: float) -> float:
-        v = peak * scale * _bell(t, 13.5, width)
-        return v if v >= peak * 0.02 else 0.0
-
-    return _series(fn, 1)
-
-
-def _fd_profiles() -> list[list[float]]:
-    p1 = _series(lambda t: 24 + 22 * _bell(t, 9, 2.6) + 6 * _bell(t, 19, 2.2), 1)
-    p2 = _series(lambda t: 26 + 16 * _bell(t, 14, 4.5), 1)
-    p3 = _series(lambda t: 22 + 7 * _bell(t, 9, 2.0) + 21 * _bell(t, 20, 2.8), 1)
-    return [p1, p2, p3]
-
-
-def _fd_deviation(factor: float) -> list[float]:
-    return _series(lambda t: factor * (1.2 + 1.3 * _bell(t, 10, 3.0)), 2)
-
-
-def default_scenario_raw() -> dict:
-    """Canonical scenario document as plain Python structures."""
-    prices = {}
-    for season in SEASON_LIST:
-        dam = _dam_price(season)
-        sr_up = _sr_up_price(season)
-        sr_dn = _sr_dn_price(season)
-        prices[season] = {
-            "dam_price": dam,
-            "dam_price_down_dev": _scaled(dam, 0.28),
-            "dam_price_up_dev": _scaled(dam, 0.18),
-            "sr_up_price": sr_up,
-            "sr_up_price_dev": _scaled(sr_up, 0.35),
-            "sr_dn_price": sr_dn,
-            "sr_dn_price_dev": _scaled(sr_dn, 0.35),
-        }
-
-    wind_upper = {s: _wind_upper(s) for s in SEASON_LIST}
-    pv_upper = {s: _sun_upper(s, 50.0, _PV_SCALE[s]) for s in SEASON_LIST}
-    sf_upper = {s: _sun_upper(s, 300.0, _SF_SCALE[s]) for s in SEASON_LIST}
-
-    def dev_table(upper: dict, fav: float, unf: float) -> dict:
-        return {
-            s: {
-                "favorable": _scaled(upper[s], fav, 1),
-                "unfavorable": _scaled(upper[s], unf, 1),
-            }
-            for s in SEASON_LIST
-        }
-
-    units = [
-        {
-            "class": "drs",
-            "name": "hydro",
-            "p_max": 50.0,
-            "p_min": 10.0,
-            "startup_cost": 100.0,
-            "shutdown_cost": 50.0,
-            "op_cost": 12.5,
-            "min_up": 1,
-            "min_down": 0,
-        },
-        {
-            "class": "drs",
-            "name": "biomass",
-            "p_max": 10.0,
-            "p_min": 2.0,
-            "startup_cost": 300.0,
-            "shutdown_cost": 150.0,
-            "op_cost": 60.0,
-            "min_up": 3,
-            "min_down": 3,
-        },
-        {
-            "class": "ndrs",
-            "name": "wind_farm",
-            "technology": "wind",
-            "p_min": 0.0,
-            "op_cost": 15.0,
-            "forecast_upper": wind_upper,
-            "forecast_deviation": dev_table(wind_upper, 0.24, 0.45),
-        },
-        {
-            "class": "ndrs",
-            "name": "pv_plant",
-            "technology": "solar",
-            "p_min": 0.0,
-            "op_cost": 10.0,
-            "forecast_upper": pv_upper,
-            "forecast_deviation": dev_table(pv_upper, 0.22, 0.48),
-        },
-        {
-            "class": "csp",
-            "name": "csp_plant",
-            "turbine_p_max": 55.0,
-            "turbine_p_min": 11.0,
-            "turbine_eff": round(55.0 / 140.0, 6),
-            "startup_loss": 0.2,
-            "op_cost": 25.0,
-            "min_up": 3,
-            "min_down": 2,
-            "sf_upper": sf_upper,
-            "sf_deviation": dev_table(sf_upper, 0.25, 0.5),
-            "store": {
-                "e_min": 110.0,
-                "e_max": 1100.0,
-                "charge_p_max": 140.0,
-                "discharge_p_max": 115.0,
-                "charge_eff": 0.95,
-                "discharge_eff": 0.95,
-            },
-        },
-        {
-            "class": "fd",
-            "name": "industrial_load",
-            "profiles": _fd_profiles(),
-            "deviation": {
-                "favorable": _fd_deviation(1.0),
-                "unfavorable": _fd_deviation(2.0),
-            },
-            "flexibility_margin": 0.10,
-        },
-    ]
-
-    return {
-        "schema_version": 1,
-        "description": (
-            "Synthetic four-season day for a renewable virtual power plant: "
-            "hydro, biomass, wind, PV, CSP with thermal storage, and one "
-            "flexible demand. Hourly curves are invented shapes, not "
-            "measurements."
-        ),
-        "grid": {"period_count": T, "delta_t": 1.0},
-        "seasons": list(SEASON_LIST),
-        "regimes": list(REGIME_LIST),
-        "prices": prices,
-        "units": units,
-        "energy_limits": {"hydro": HYDRO_LIMITS},
-        "es_module": {
-            "name": "li_ion_module",
-            "charge_p_max": 0.5,
-            "discharge_p_max": 0.5,
-            "e_max": 1.0,
-            "e_min": 0.1,
-            "charge_eff": 0.95,
-            "discharge_eff": 0.95,
-            "op_cost": 30.0,
-        },
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    from .scenario_io import save_scenario
-
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 -m rvpp.datasets <output.yaml>", file=sys.stderr)
-        return 2
-    save_scenario(default_scenario_raw(), args[0])
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def default_scenario_path() -> Path:
+    return Path(str(resources.files("rvpp").joinpath("data/default_scenario.yaml")))

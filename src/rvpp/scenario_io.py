@@ -21,7 +21,6 @@ import csv
 import math
 from dataclasses import MISSING, dataclass, field, replace
 from functools import partial
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -86,8 +85,18 @@ class ScenarioBundle:
             ) from None
 
 
-def default_scenario_path() -> Path:
-    return Path(str(resources.files("rvpp").joinpath("data/default_scenario.yaml")))
+class _UniqueKeys:
+    """Loader mixin: a key given twice in one mapping is a YAML error, where
+    PyYAML would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]  # a merge (<<) may be overridden
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.construct_object(k) for k in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(None, None, f"found repeated key {key!r}", own[i].start_mark)
+        return mapping
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -249,16 +258,18 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     field, including a cross-field rule broken in one cell.
     """
     path = Path(path)
-    if not path.exists():
-        raise ScenarioFormatError(f"scenario file not found: {path}")
     # libyaml's parser when PyYAML was built with it: it parses the shipped
     # file about seven times faster, into the same document.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=loader)
-        except yaml.YAMLError as exc:
-            raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
+    except FileNotFoundError:
+        raise ScenarioFormatError(f"scenario file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioFormatError(f"{path}: cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
     header = _Header(**_read(_Header, doc, str(path), 0, {}, _TOP_KEYS)[0])
     grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", 0, {})[0])
     T = grid.period_count

@@ -182,6 +182,16 @@ def test_rejects_bad_flags(tmp_path):
         assert exc.value.code == 2
 
 
+def test_out_that_cannot_be_a_directory_exits_2_before_any_solve(tmp_path, solve_calls, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    flags = ["--case", "1", "--season", "winter", "--strategy", "optimistic", "--jobs", "1"]
+    for out in (taken, taken / "sub"):
+        assert cli.main([*flags, "--out", str(out)]) == 2
+        assert f"error: --out {out}: " in capsys.readouterr().err
+    assert solve_calls == []
+
+
 def test_case4_needs_a_storage_module(tmp_path, bundle):
     raw = copy.deepcopy(bundle.raw)
     del raw["es_module"]

@@ -27,7 +27,6 @@ from rvpp import (
     scale_flexible_demand,
     write_results,
 )
-from rvpp.datasets import default_scenario_raw
 from rvpp.domain import EsUnit, MarketScenario, PeriodGrid, _declared
 from rvpp.scenario_io import _UNIT_CLASSES
 from toys import wind
@@ -100,12 +99,6 @@ def test_save_load_round_trip(tmp_path, bundle):
     again = load_scenario(out)
     assert again.cell("spring", "unfavorable") == bundle.cell("spring", "unfavorable")
     assert again.es_module == bundle.es_module
-
-
-def test_generator_reproduces_the_shipped_file(tmp_path):
-    out = tmp_path / "regen.yaml"
-    save_scenario(default_scenario_raw(), out)
-    assert out.read_bytes() == default_scenario_path().read_bytes()
 
 
 def broken_copy(bundle) -> dict:
@@ -187,6 +180,36 @@ def test_top_level_scalars_are_read_as_declared(tmp_path, bundle, key, value, me
 def test_missing_file_reported():
     with pytest.raises(ScenarioFormatError, match="not found"):
         load_scenario("/nonexistent/scenario.yaml")
+
+
+def test_unreadable_file_is_named(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes("description: 'Ærø'\n".encode("latin-1"))
+    flags = ["--case", "1", "--season", "winter", "--strategy", "optimistic", "--jobs", "1"]
+    for path, reason in ((tmp_path, "Is a directory"), (latin1, "can't decode byte 0xc6")):
+        with pytest.raises(ScenarioFormatError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: cannot be read: ") and reason in str(err.value)
+        assert cli.main([*flags, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("p_max: 50.0,", "p_max: 50.0, p_max: 60.0,", "p_max"),
+        ("regimes: [favorable, unfavorable]\n", "regimes: [favorable, unfavorable]\nseasons: [winter]\n", "seasons"),
+    ],
+    ids=["hydro_p_max", "top_seasons"],
+)
+def test_repeated_key_is_named_with_its_line(tmp_path, old, new, key):
+    text = default_scenario_path().read_text(encoding="utf-8")
+    edited = text.replace(old, new, 1)
+    line = edited[: edited.index(new) + len(new) - 1].count("\n") + 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(edited, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=rf"found repeated key '{key}'\n  in .*bad\.yaml\", line {line},"):
+        load_scenario(path)
 
 
 def test_pure_python_yaml_loader_parses_alike(tmp_path, bundle, monkeypatch):
