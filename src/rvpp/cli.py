@@ -8,6 +8,10 @@ sizes the matching storage fleet.  Case 4 emits the sized fleet's flows and
 state of charge.  Both take the sized fleet from `sizing.sized_from_module`,
 which replays and re-prices it before a sizing column is written.
 
+What a sweep runs defaults to what the scenario file holds: its seasons, its
+first listed regime (case 2: every listed regime), and all four cases, less
+case 4 when the file has no `es_module` to size.
+
 A sweep runs as a flat solve plan.  Each cell lists the solves it needs as
 `sizing.Solve` keys, planned by `sizing.gap_solves` and `sizing.module_solve`
 as the library's `aggregation_gap` and `size_es_to_match` plan them; the
@@ -138,8 +142,6 @@ def _plan_cell(task: dict, bundle) -> dict:
         else:
             configs.append((config, Solve(scenario, sub, budgets), ()))
     module = bundle.es_module
-    if case == 4 and module is None:
-        raise CellError("scenario file ships no storage module")
     es = None
     if case in (3, 4) and module is not None:
         es = module_solve(module, scenario, strategy_budgets(strategy, portfolio))
@@ -255,12 +257,17 @@ class SystemExit2(Exception):
 
 def _expand_tasks(args) -> list[dict]:
     """The sweep's cells.  Seasons default to those of the scenario file
-    (args.file_seasons), and so do case 2's regimes (args.file_regimes); a
-    season or regime the file lacks raises SystemExit2."""
+    (args.file_seasons), regimes to its first (args.file_regimes) and in
+    case 2 to all of them, and cases to all four, less case 4 when the file
+    has no storage module (args.file_module).  A season or regime the file
+    lacks, or case 4 asked for without a module, raises SystemExit2."""
     tasks = []
-    for case in args.case:
+    has_module = args.file_module is not None
+    for case in args.case or [c for c in CASES if c != 4 or has_module]:
+        if case == 4 and not has_module:
+            raise SystemExit2(f"case 4 runs es_module, which {args.scenario} lacks")
         seasons = args.season or list(args.file_seasons)
-        regimes = args.regime or (list(args.file_regimes) if case == 2 else ["favorable"])
+        regimes = args.regime or list(args.file_regimes if case == 2 else args.file_regimes[:1])
         strategies = args.strategy or (["deterministic", "optimistic"] if case == 1 else list(STRATEGIES))
         for kind, names, known in (("season", seasons, args.file_seasons), ("regime", regimes, args.file_regimes)):
             for name in names:
@@ -291,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Portfolio and storage market-scheduling sweeps.",
     )
     parser.add_argument("--case", type=int, action="append", choices=CASES, default=None,
-                        help="case number; repeat for several (default: all four)")
+                        help="case number; repeat for several (default: all four; case 4 needs an es_module)")
     parser.add_argument("--season", action="append", choices=SEASONS, default=None,
                         help="season filter; repeatable (default: the scenario file's seasons)")
     parser.add_argument("--regime", action="append", choices=REGIMES, default=None,
-                        help="regime filter; repeatable (default: favorable; case 2 the file's regimes)")
+                        help="regime filter; repeatable (default: the file's first regime; case 2 all of them)")
     parser.add_argument("--strategy", action="append",
                         choices=("deterministic",) + STRATEGIES, default=None,
                         help="strategy filter; repeatable")
@@ -315,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # A repeated filter value runs once, where it first appears.
-    defaults = {"case": CASES, "config": CONFIG_CHOICES, "season": (), "regime": (), "strategy": ()}
+    defaults = {"case": (), "config": CONFIG_CHOICES, "season": (), "regime": (), "strategy": ()}
     for flag, default in defaults.items():
         setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
     args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
@@ -339,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         bundle = load_scenario(args.scenario)
-        args.file_seasons, args.file_regimes = bundle.seasons, bundle.regimes
+        args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, bundle.regimes, bundle.es_module
         tasks = _expand_tasks(args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ class _Spec:
     "profiles" (a non-empty list of series) or a nested dataclass.  default:
     what a file may leave out (MISSING: required).  A number, or a series'
     entry, lies in floor..ceil (as text: bounds); a string is one of among,
-    if given.  by: what the value varies with, None, "season", "regime",
-    "season_regime", or "limits" (the `energy_limits` table).
+    if given.  by: what the value varies with, None, "season", "regime" or
+    "season_regime" (in a file, a table keyed by season, then regime).
     """
 
     kind: object
@@ -63,15 +63,13 @@ class _Spec:
         )
 
 
-def _spec(kind="number", *, by=None, default=MISSING, file_default=MISSING, within="[0, inf)", among=None):
+def _spec(kind="number", *, by=None, default=MISSING, within="[0, inf)", among=None):
     """A dataclass field declaring its _Spec: numbers lie in the interval
-    `within` (a finite open end moves floor or ceil one float inward);
-    file_default is what a file may leave out where the library takes no
-    default."""
+    `within` (a finite open end moves floor or ceil one float inward)."""
     lo, hi = (float(end) for end in within[1:-1].split(","))
     floor = math.nextafter(lo, hi) if within[0] == "(" and lo > -math.inf else lo
     ceil = math.nextafter(hi, lo) if within[-1] == ")" and hi < math.inf else hi
-    spec = _Spec(kind, default if file_default is MISSING else file_default, by, floor, ceil, f"in {within}", among)
+    spec = _Spec(kind, default, by, floor, ceil, f"in {within}", among)
     return field(default=default, metadata={"spec": spec})
 
 
@@ -109,7 +107,7 @@ class DrsUnit:
     op_cost: float = _spec()  # EUR/MWh
     min_up: int = _spec("int", default=0)
     min_down: int = _spec("int", default=0)
-    daily_energy_limit: float | None = _spec(by="limits", default=None)
+    daily_energy_limit: float | None = _spec(by="season_regime", default=None)
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,11 @@ class CspUnit:
     turbine_eff: float = _spec(within="(0, 1]")
     startup_loss: float = _spec()
     op_cost: float = _spec()  # EUR/MWh
-    min_up: int = _spec("int", file_default=0)
-    min_down: int = _spec("int", file_default=0)
     sf_upper: tuple[float, ...] = _spec("series", by="season")
     sf_deviation: tuple[float, ...] = _spec("series", by="season_regime")
     store: ThermalStoreParams = _spec(ThermalStoreParams)
+    min_up: int = _spec("int", default=0)
+    min_down: int = _spec("int", default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "sf_upper", _vec(self.sf_upper))

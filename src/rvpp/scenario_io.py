@@ -1,9 +1,9 @@
 """Scenario file loading/writing and deterministic results output.
 
 The scenario file is one YAML document holding the portfolio, per-season
-price curves, per-season/per-regime forecast deviations, seasonal energy
-limits, and the storage module used for equivalence sizing.  A regime is
-data: per season, the hydro energy limit and the forecast-error series.
+price curves, and the storage module used for equivalence sizing.  A regime
+is data on its unit: per season, the hydro energy limit and the
+forecast-error series, each a table keyed by season, then regime.
 load_scenario reads every block with one reader driven by the field
 declarations in domain (kind, default, bounds, unknown keys), so every error
 names its YAML path, such as `prices.winter.sr_up_price[3]`.  It is the only
@@ -43,7 +43,7 @@ from .domain import (
 )
 
 # The top-level keys besides _Header's, which the document's blocks hold.
-_TOP_KEYS = ("grid", "seasons", "regimes", "prices", "units", "energy_limits", "es_module")
+_TOP_KEYS = ("grid", "seasons", "regimes", "prices", "units", "es_module")
 # Scenario-file unit class (also its Portfolio field) -> unit type.
 _UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
 # The keys, outermost first, of a field declared by season and/or regime.
@@ -100,7 +100,9 @@ class _UniqueKeys:
 
 
 def _need(mapping: dict, key: str, path: str):
-    if not isinstance(mapping, dict) or key not in mapping:
+    if not isinstance(mapping, dict):
+        raise ScenarioFormatError(f"{path}: expected a mapping")
+    if key not in mapping:
         raise ScenarioFormatError(f"{path}.{key}: missing")
     return mapping[key]
 
@@ -183,29 +185,24 @@ def _value(spec, T: int, value, path: str):
     return number
 
 
-def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read, optional_outer: bool = False):
+def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read):
     """value as a table keyed by axes[0], then the rest of axes, with
     read(leaf, leaf_path) at the leaves.  Every key must be a known season or
-    regime and every name in chosen[axis] present (at the outer level, only
-    unless optional_outer); a known name that chosen leaves out is skipped."""
+    regime and every name in chosen[axis] present; a known name that chosen
+    leaves out is skipped."""
     if not axes:
         return read(value, path)
     axis = axes[0]
     _mapping(value, path, _KNOWN[axis], axis)
-    out = {}
-    for name in chosen[axis]:
-        if name in value:
-            out[name] = _table(value[name], f"{path}.{name}", axes[1:], chosen, read)
-        elif not optional_outer:
-            raise ScenarioFormatError(f"{path}.{name}: missing")
-    return out
+    return {
+        name: _table(_need(value, name, path), f"{path}.{name}", axes[1:], chosen, read) for name in chosen[axis]
+    }
 
 
 def _read(cls, block, path: str, T: int, chosen: dict, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
     """The declared fields of dataclass cls from the mapping block at path:
     the values every cell shares, and (keys, _table) of each field that
-    varies by cell, a field declared by "limits" taking its own value in
-    every cell."""
+    varies by cell."""
     declared = _declared(cls)
     _mapping(block, path, (*declared, *extra))
     shared, varying = {}, {}
@@ -213,18 +210,12 @@ def _read(cls, block, path: str, T: int, chosen: dict, extra: tuple[str, ...] = 
         if name not in block:
             if spec.default is MISSING:
                 raise ScenarioFormatError(f"{path}.{name}: missing")
-            value = spec.default
-        elif spec.by in _AXES:
+            shared[name] = spec.default
+        elif spec.by is None:
+            shared[name] = _value(spec, T, block[name], f"{path}.{name}")
+        else:
             table = _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen, partial(_value, spec, T))
             varying[name] = (_AXES[spec.by], table)
-            continue
-        else:
-            value = _value(spec, T, block[name], f"{path}.{name}")
-        if spec.by == "limits":
-            own = {season: dict.fromkeys(chosen["regime"], value) for season in chosen["season"]}
-            varying[name] = (("season", "regime"), own)
-        else:
-            shared[name] = value
     return shared, varying
 
 
@@ -297,24 +288,6 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     for i, message in _name_problems([shared["name"] for _, _, shared, _ in specs]):
         raise ScenarioFormatError(f"units[{i}].name: {message}")
 
-    # energy_limits.<unit>.<season>.<regime> replaces, in the seasons it
-    # gives, the unit's own value of its field declared by "limits".
-    limits = {} if doc.get("energy_limits") is None else doc["energy_limits"]
-    if not isinstance(limits, dict):
-        raise ScenarioFormatError("energy_limits: expected a mapping")
-    for unit_name, value in limits.items():
-        limited = [
-            (spec, varying[name][1])
-            for _, cls, shared, varying in specs if shared["name"] == unit_name
-            for name, spec in _declared(cls).items() if spec.by == "limits"
-        ]
-        if not limited:
-            raise ScenarioFormatError(f"energy_limits.{unit_name}: no drs unit has this name")
-        spec, table = limited[0]
-        read = partial(_value, spec, T)
-        rows = _table(value, f"energy_limits.{unit_name}", ("season", "regime"), chosen, read, optional_outer=True)
-        table.update(rows)
-
     es_module = None
     if doc.get("es_module") is not None:
         es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module", T, {})[0])
@@ -349,9 +322,9 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
     )
 
 
-def save_scenario(bundle_or_raw, path: str | Path) -> None:
-    """Write the canonical YAML form (lossless float repr, stable ordering)."""
-    raw = bundle_or_raw.raw if isinstance(bundle_or_raw, ScenarioBundle) else bundle_or_raw
+def save_scenario(raw: dict, path: str | Path) -> None:
+    """Write the document raw (such as a bundle's raw) in the canonical YAML
+    form: lossless float repr, stable ordering."""
     text = yaml.safe_dump(raw, sort_keys=False, default_flow_style=None, width=100000)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

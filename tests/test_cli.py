@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import copy
 import csv
 import json
@@ -113,11 +114,32 @@ def test_seasons_and_regimes_default_to_the_files(tmp_path, bundle, capsys):
     save_scenario(raw, unfavorable_only)
     for flags, named in (
         (["--season", "winter", "--scenario", str(spring_only)], "case 1 runs season 'winter'"),
-        (["--scenario", str(unfavorable_only)], "case 1 runs regime 'favorable'"),
+        (["--regime", "favorable", "--scenario", str(unfavorable_only)], "case 1 runs regime 'favorable'"),
     ):
         assert cli.main(["--case", "1", *flags, "--out", str(tmp_path / "lacking")]) == 2
         assert named in capsys.readouterr().err
     assert not (tmp_path / "lacking").exists()
+    # Without --regime, case 1 runs the file's first (here only) regime.
+    out = tmp_path / "unfavorable"
+    flags = ["--case", "1", "--season", "winter", "--strategy", "optimistic", "--jobs", "1"]
+    assert cli.main([*flags, "--scenario", str(unfavorable_only), "--out", str(out)]) == 0
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    assert [(c["regime"], c["status"]) for c in cells] == [("unfavorable", "ok")]
+
+
+def test_default_sweep_follows_the_file(bundle):
+    """Without filters, cases 1, 3 and 4 run the file's first regime and case
+    2 every listed one; case 4 is left out when the file has no es_module."""
+    args = argparse.Namespace(case=[], season=[], regime=[], strategy=[], config=[], fd_scale=[], scenario="f.yaml")
+    for regimes, module, runs in (
+        (bundle.regimes, bundle.es_module, {1: {"favorable"}, 2: set(REGIMES), 3: {"favorable"}, 4: {"favorable"}}),
+        (("unfavorable", "favorable"), None, {1: {"unfavorable"}, 2: set(REGIMES), 3: {"unfavorable"}}),
+    ):
+        args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, regimes, module
+        ran = {}
+        for task in cli._expand_tasks(args):
+            ran.setdefault(task["case"], set()).add(task["regime"])
+        assert ran == runs
 
 
 def test_case3_row_arithmetic(tmp_path, bundle):
@@ -192,7 +214,7 @@ def test_out_that_cannot_be_a_directory_exits_2_before_any_solve(tmp_path, solve
     assert solve_calls == []
 
 
-def test_case4_needs_a_storage_module(tmp_path, bundle):
+def test_case4_needs_a_storage_module(tmp_path, bundle, capsys):
     raw = copy.deepcopy(bundle.raw)
     del raw["es_module"]
     scenario_path = tmp_path / "no_es.yaml"
@@ -207,10 +229,9 @@ def test_case4_needs_a_storage_module(tmp_path, bundle):
             "--out", str(out),
         ]
     )
-    assert code == 1
-    manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["cells_failed"] == 1
-    assert "storage module" in manifest["cells"][0]["error"]
+    assert code == 2
+    assert f"case 4 runs es_module, which {scenario_path} lacks" in capsys.readouterr().err
+    assert not out.exists()
 
     # A module with no usable energy span earns nothing, so no fleet covers the gap.
     raw = copy.deepcopy(bundle.raw)

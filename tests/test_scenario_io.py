@@ -78,7 +78,7 @@ def test_regime_changes_limits_and_deviations(bundle):
     assert fav_p.drs[0].daily_energy_limit == 1164.0
     assert unf_p.drs[0].daily_energy_limit == 804.0
     assert bundle.cell("summer", "unfavorable")[0].drs[0].daily_energy_limit == 420.0
-    # biomass has no energy_limits entry, so no cell limits it.
+    # biomass gives no daily_energy_limit, so no cell limits it.
     assert all(portfolio.drs[1].daily_energy_limit is None for portfolio, _ in bundle.cells.values())
     # Unfavorable deviations dominate the favorable ones period by period.
     for fav_u, unf_u in zip(fav_p.ndrs, unf_p.ndrs):
@@ -94,7 +94,7 @@ def test_unknown_cell_rejected(bundle):
 
 def test_save_load_round_trip(tmp_path, bundle):
     out = tmp_path / "copy.yaml"
-    save_scenario(bundle, out)
+    save_scenario(bundle.raw, out)
     assert out.read_bytes() == default_scenario_path().read_bytes()
     again = load_scenario(out)
     assert again.cell("spring", "unfavorable") == bundle.cell("spring", "unfavorable")
@@ -124,21 +124,12 @@ def test_missing_regime_deviation_names_the_field(tmp_path, bundle):
         load_scenario(path)
 
 
-def test_energy_limit_for_an_unknown_unit_rejected(tmp_path, bundle):
-    raw = broken_copy(bundle)
-    raw["energy_limits"]["hydr0"] = raw["energy_limits"].pop("hydro")
-    path = tmp_path / "bad.yaml"
-    save_scenario(raw, path)
-    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydr0: no drs unit"):
-        load_scenario(path)
-
-
 def test_energy_limit_missing_a_regime_names_the_field(tmp_path, bundle):
     raw = broken_copy(bundle)
-    del raw["energy_limits"]["hydro"]["summer"]["unfavorable"]
+    del raw["units"][0]["daily_energy_limit"]["summer"]["unfavorable"]
     path = tmp_path / "bad.yaml"
     save_scenario(raw, path)
-    with pytest.raises(ScenarioFormatError, match=r"energy_limits\.hydro\.summer\.unfavorable: missing"):
+    with pytest.raises(ScenarioFormatError, match=r"units\[0\]\.daily_energy_limit\.summer\.unfavorable: missing"):
         load_scenario(path)
 
 
@@ -197,7 +188,7 @@ def test_unreadable_file_is_named(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, key",
     [
-        ("p_max: 50.0,", "p_max: 50.0, p_max: 60.0,", "p_max"),
+        ("  p_max: 50.0\n", "  p_max: 50.0\n  p_max: 60.0\n", "p_max"),
         ("regimes: [favorable, unfavorable]\n", "regimes: [favorable, unfavorable]\nseasons: [winter]\n", "seasons"),
     ],
     ids=["hydro_p_max", "top_seasons"],
@@ -240,10 +231,13 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         (lambda raw: raw["units"][0].update(p_max="big"), r"units\[0\]\.p_max: expected a number"),
         (lambda raw: raw["units"][0].update(min_up="x"), r"units\[0\]\.min_up: expected an integer"),
         (lambda raw: raw["grid"].update(period_count="x"), r"grid\.period_count: expected an integer"),
-        (lambda raw: raw["energy_limits"].update(hydro=[1.0, 2.0]), r"energy_limits\.hydro: expected a mapping"),
         (
-            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(favorable="x"),
-            r"energy_limits\.hydro\.winter\.favorable: expected a number",
+            lambda raw: raw["units"][0].update(daily_energy_limit=[1.0, 2.0]),
+            r"units\[0\]\.daily_energy_limit: expected a mapping",
+        ),
+        (
+            lambda raw: raw["units"][0]["daily_energy_limit"]["winter"].update(favorable="x"),
+            r"units\[0\]\.daily_energy_limit\.winter\.favorable: expected a number",
         ),
         (lambda raw: raw["es_module"].update(e_max="x"), r"es_module\.e_max: expected a number"),
         (lambda raw: raw["es_module"].update(charge_eff=0), r"es_module\.charge_eff: expected a number in \(0, 1\]"),
@@ -275,8 +269,8 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         ),
         (lambda raw: raw["grid"].update(delta_t=0), r"grid\.delta_t: expected a number in \(0, inf\), got 0"),
         (
-            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(favorable=-5),
-            r"energy_limits\.hydro\.winter\.favorable: expected a number in \[0, inf\), got -5",
+            lambda raw: raw["units"][0]["daily_energy_limit"]["winter"].update(favorable=-5),
+            r"units\[0\]\.daily_energy_limit\.winter\.favorable: expected a number in \[0, inf\), got -5",
         ),
         (
             lambda raw: raw["units"][2]["forecast_deviation"]["winter"].update(unfavorable=[999.0] * 24),
@@ -293,8 +287,8 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
             r"units\[2\]\.forecast_deviation\.winter: unknown regime 'unfavourable'",
         ),
         (
-            lambda raw: raw["energy_limits"]["hydro"]["winter"].update(unfavourable=1.0),
-            r"energy_limits\.hydro\.winter: unknown regime 'unfavourable'",
+            lambda raw: raw["units"][0]["daily_energy_limit"]["winter"].update(unfavourable=1.0),
+            r"units\[0\]\.daily_energy_limit\.winter: unknown regime 'unfavourable'",
         ),
         (lambda raw: raw["prices"].update(monsoon=raw["prices"]["winter"]), r"prices: unknown season 'monsoon'"),
         (lambda raw: raw["units"][0].update(p_max="50"), r"units\[0\]\.p_max: expected a number, got '50'"),
@@ -304,6 +298,13 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
             r"prices\.winter\.dam_price\[3\]: expected a number, got ' 7e1 '",
         ),
         (lambda raw: raw.update(schema_version="1"), r"schema_version: expected an integer, got '1'"),
+        (
+            lambda raw: raw.update(energy_limits={"hydro": raw["units"][0].pop("daily_energy_limit")}),
+            r"bad\.yaml: unknown key 'energy_limits'",
+        ),
+        (lambda raw: raw["units"][0].update(daily_energy_limit=1164.0), r"units\[0\]\.daily_energy_limit: expected a"),
+        (lambda raw: raw["units"].__setitem__(0, "hydro"), r"units\[0\]: expected a mapping"),
+        (lambda raw: raw["units"].__setitem__(0, [1, 2]), r"units\[0\]: expected a mapping"),
     ],
     ids=[
         "float", "int", "grid_int", "limits_list", "limit_value", "es_float", "es_invalid",
@@ -314,7 +315,8 @@ def test_cell_validation_failure_names_the_cell(tmp_path, bundle):
         "p_min_60", "negative_reserve_price", "delta_t_zero", "negative_energy_limit", "deviation_above_forecast",
         "turbine_eff_above_1", "store_eff_zero", "forecast_upper_monsoon", "deviation_unfavourable",
         "energy_limit_unfavourable", "prices_monsoon", "p_max_string", "period_count_string",
-        "dam_price_string", "schema_version_string",
+        "dam_price_string", "schema_version_string", "energy_limits_top", "limit_scalar",
+        "unit_string", "unit_list",
     ],
 )
 def test_malformed_field_is_named(tmp_path, bundle, mutate, message):
@@ -360,8 +362,6 @@ def declared_fields(raw):
     blocks = [(("grid",), PeriodGrid), (("es_module",), EsUnit)]
     blocks += [(("prices", season), MarketScenario) for season in raw["prices"]]
     blocks += [(("units", i), _UNIT_CLASSES[u["class"]]) for i, u in enumerate(raw["units"])]
-    limit = _declared(_UNIT_CLASSES["drs"])["daily_energy_limit"]
-    yield from ((keys, limit) for keys in leaves(("energy_limits",), raw["energy_limits"]))
     for keys, cls in blocks:
         block = reduce(getitem, keys, raw)
         for name, spec in _declared(cls).items():

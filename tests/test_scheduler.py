@@ -165,7 +165,7 @@ def test_quantity_budgets_equal_a_hand_tightened_deterministic_model():
     fd_dev = (0.5, 0.5, 0.2, 0.5, 0.2, 0.2, 0.5, 0.2)
     picked = {"wf": (1, 2, 4), "cs": (2, 3), "ld": (0, 1)}
     csp = CspUnit(
-        "cs", 10.0, 2.0, 0.4, 0.1, 1.0, 1, 1,
+        "cs", 10.0, 2.0, 0.4, 0.1, 1.0, min_up=1, min_down=1,
         sf_upper=(0.0, 10.0, 20.0, 25.0, 25.0, 15.0, 5.0, 0.0),
         sf_deviation=sf_dev,
         store=ThermalStoreParams(0.0, 40.0, 15.0, 15.0, 0.95, 0.95),
