@@ -15,8 +15,9 @@ The binding is loaded straight from its file inside the installed scipy and
 registered in sys.modules under its own name, so the `scipy.optimize`
 package (about 320 scipy modules, sparse and linalg included) is never
 imported.  On a 2-vCPU VM this took `import rvpp.cli` from 0.82 s to 0.25 s
-and its resident set from 79 MB to 40 MB (medians of 10 runs).  The constraint matrix is built
-in CSC form with numpy, as scipy.sparse would build it.
+and its resident set from 79 MB to 40 MB (medians of 10 runs).  optimize
+hands passModel the model store's arrays (Model.arrays), with no per-term
+loop; only the CSC column pointers are built, as scipy.sparse builds them.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .milp import (
-    BINARY,
     FEASIBILITY_TOL,
     MAXIMIZE,
-    SENSE_GE,
-    SENSE_LE,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
@@ -177,42 +175,18 @@ class ScipyHighsBackend:
         if model is None:
             raise BackendError("optimize() before load()")
         started = time.perf_counter()
-        n = len(model.variables)
+        arrays = model.arrays()
+        n, m = len(arrays.lower), len(arrays.row_lower)
         sign = -1.0 if model.direction == MAXIMIZE else 1.0
-        c = np.zeros(n)
-        for index, coef in model.objective.terms:
-            c[index] += sign * coef
-        integrality = np.zeros(n, dtype=np.int32)
-        lower = np.empty(n)
-        upper = np.empty(n)
-        for var in model.variables:
-            lower[var.index] = var.lower
-            upper[var.index] = var.upper
-            if var.kind == BINARY:
-                integrality[var.index] = 1
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        m = len(model.constraints)
-        lo = np.empty(m)
-        hi = np.empty(m)
-        for r, con in enumerate(model.constraints):
-            for index, coef in con.expr.terms:
-                rows.append(r)
-                cols.append(index)
-                data.append(coef)
-            if con.sense == SENSE_LE:
-                lo[r], hi[r] = -np.inf, con.rhs
-            elif con.sense == SENSE_GE:
-                lo[r], hi[r] = con.rhs, np.inf
-            else:
-                lo[r], hi[r] = con.rhs, con.rhs
-        a_data, a_indices, a_indptr = _csc(model, rows, cols, data)
+        # + 0.0 turns the -0.0 of a negated zero cost into 0.0.
+        c = arrays.cost * sign + 0.0
+        bounds, row_bounds = (arrays.lower, arrays.upper), (arrays.row_lower, arrays.row_upper)
+        a_data, a_indices, a_indptr = _csc(model, arrays)
         nnz = len(a_data)
         assembled = time.perf_counter()
         highs = self.highs
         loaded = highs.passModel(
-            n, m, nnz, 1, 1, 0.0, c, lower, upper, lo, hi, a_indptr, a_indices, a_data, integrality,
+            n, m, nnz, 1, 1, 0.0, c, *bounds, *row_bounds, a_indptr, a_indices, a_data, arrays.integrality,
         )
         if loaded == _core.HighsStatus.kError:
             raise BackendError(f"HiGHS could not load model {model.name!r}")
@@ -230,8 +204,8 @@ class ScipyHighsBackend:
             rows=m,
             cols=n,
             nnz=nnz,
-            binaries=int(integrality.sum()),
-            digest=_digest(c, integrality, lower, upper, a_data, a_indices, a_indptr, (m, n), lo, hi),
+            binaries=int(arrays.integrality.sum()),
+            digest=_digest(c, arrays.integrality, *bounds, a_data, a_indices, a_indptr, (m, n), *row_bounds),
             status=self._status,
             mip_node_count=int(info.mip_node_count),
             lp_iterations=int(info.simplex_iteration_count),
@@ -254,10 +228,11 @@ class ScipyHighsBackend:
         # + 0.0 turns a -0.0 from HiGHS into 0.0.
         return sign * float(self.highs.getInfo().objective_function_value) + 0.0
 
-    def values(self) -> dict[int, float]:
+    def values(self) -> np.ndarray:
+        """The solved column vector."""
         if self._status != STATUS_OPTIMAL:
             raise BackendError(f"no values in status {self._status!r}")
-        return {i: float(v) for i, v in enumerate(self.highs.getSolution().col_value)}
+        return np.array(self.highs.getSolution().col_value)
 
     def relaxed_rows(self) -> dict[str, float]:
         """{row name: violation} of the cheapest relaxation that restores
@@ -283,29 +258,25 @@ class ScipyHighsBackend:
         row = np.asarray(solution.row_value)
         violation = np.maximum(np.asarray(lp.row_lower_) - row, row - np.asarray(lp.row_upper_))
         violated = np.flatnonzero(violation > FEASIBILITY_TOL)
-        return {model.constraints[r].name: float(violation[r]) for r in violated}
+        return {model.row_name(r): float(violation[r]) for r in violated}
 
 
-def _csc(model: Model, rows: list[int], cols: list[int], data: list[float]):
-    """(data, indices, indptr) of the model's (row, col, value) entries in CSC
-    form: what `scipy.sparse.csc_array((data, (rows, cols)))` gives, since
-    rows arrive in order.  A row that holds a column twice (possible only in
-    a LinearExpression built without from_terms) raises ModelError naming it.
-    """
-    col_ids = np.asarray(cols, dtype=np.int32)
-    order = np.argsort(col_ids, kind="stable")
-    sorted_cols = col_ids[order]
-    indices = np.asarray(rows, dtype=np.int32)[order]
-    repeats = np.flatnonzero((sorted_cols[1:] == sorted_cols[:-1]) & (indices[1:] == indices[:-1]))
+def _csc(model: Model, arrays):
+    """(data, indices, indptr) of the model's matrix in CSC form: what
+    `scipy.sparse.csc_array((data, (rows, cols)))` gives, since Model.arrays()
+    runs column by column.  A row that holds a column twice (possible only in
+    a LinearExpression built without from_terms) raises ModelError naming it."""
+    rows, cols = arrays.rows, arrays.cols
+    repeats = np.flatnonzero((cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1]))
     if len(repeats):
-        row, col = indices[repeats[0]], sorted_cols[repeats[0]]
+        row, col = rows[repeats[0]], cols[repeats[0]]
         raise ModelError(
-            f"constraint {model.constraints[row].name!r} of model {model.name!r} "
-            f"repeats variable {model.variables[col].name!r}"
+            f"constraint {model.row_name(row)!r} of model {model.name!r} "
+            f"repeats variable {model.col_name(col)!r}"
         )
-    indptr = np.zeros(len(model.variables) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col_ids, minlength=len(model.variables)), out=indptr[1:])
-    return np.asarray(data, dtype=float)[order], indices, indptr
+    indptr = np.zeros(len(arrays.lower) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=len(arrays.lower)), out=indptr[1:])
+    return arrays.vals, rows, indptr
 
 
 def _digest(c, integrality, lower, upper, data, indices, indptr, shape, lo, hi) -> str:

@@ -63,7 +63,7 @@ from .scenario_io import (
     scale_flexible_demand,
     write_results,
 )
-from .sizing import GapReport, Solve, gap_solves, module_solve, sized_from_module
+from .sizing import LAYERS, GapReport, Solve, gap_solves, module_solve, sized_from_module
 
 CASES = (1, 2, 3, 4)
 ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
@@ -90,14 +90,16 @@ def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
 
 
 def run_cell(key: Solve) -> dict:
-    """Run one solve of the plan: its schedule or its error, and its seconds.
+    """Run one solve of the plan: its schedule or its error, its seconds, and
+    their split by layer (RvppSchedule.layer_seconds; empty on an error).
 
     Runs in a worker process when the sweep has more than one worker, so the
     key and the returned dict stay picklable.
     """
     started = time.perf_counter()
     schedule, error = _isolated(key.run)
-    return {"schedule": schedule, "error": error, "seconds": time.perf_counter() - started}
+    seconds = time.perf_counter() - started
+    return {"schedule": schedule, "error": error, "seconds": seconds, "layers": getattr(schedule, "layer_seconds", {})}
 
 
 def _run_alone(key: Solve) -> dict:
@@ -107,7 +109,8 @@ def _run_alone(key: Solve) -> dict:
         try:
             return next(pool.map(run_cell, [key]))
         except BrokenProcessPool:
-            return {"schedule": None, "error": f"worker process died while solving {key.label()}", "seconds": 0.0}
+            error = f"worker process died while solving {key.label()}"
+            return {"schedule": None, "error": error, "seconds": 0.0, "layers": {}}
 
 
 def _fd_label(pct: float) -> str:
@@ -115,27 +118,43 @@ def _fd_label(pct: float) -> str:
     return f"fd_{int(pct):03d}"
 
 
+def _variants(task: dict, portfolio: Portfolio) -> list[tuple[str, Portfolio]]:
+    """(configuration label, portfolio) of each configuration a cell runs:
+    "full" first, then in case 3 its ablations and flexible-demand scales."""
+    variants = [("full", portfolio)]
+    if task["case"] == 3:
+        variants += [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
+        scales = [pct for pct in task["fd_scales"] if pct != 100.0]
+        variants += [(_fd_label(pct), scale_flexible_demand(portfolio, pct / 100.0)) for pct in scales]
+    return variants
+
+
+def _drop_empty_configs(tasks: list[dict], bundle, args) -> None:
+    """Take the configurations that leave no units out of each case-3 task;
+    one named on the command line (a flag in args.explicit) raises SystemExit2."""
+    for task in tasks:
+        if task["case"] != 3:
+            continue
+        portfolio, _ = bundle.cell(task["season"], task["regime"])
+        empty = {config for config, sub in _variants(task, portfolio) if sub.is_empty()}
+        for key, flag, label in (("configs", "config", str), ("fd_scales", "fd_scale", _fd_label)):
+            dropped = [v for v in task[key] if label(v) in empty]
+            if dropped and flag in args.explicit:
+                raise SystemExit2(f"configuration {label(dropped[0])} leaves no units in {args.scenario}")
+            task[key] = tuple(v for v in task[key] if label(v) not in empty)
+
+
 def _plan_cell(task: dict, bundle) -> dict:
     """The solves one cell needs.
 
-    Per configuration: its portfolio solve and, in cases 3 and 4, one
-    stand-alone solve per unit; "full" comes first.  In cases 3 and 4 also the
-    storage module's one-module solve, which sizing scales.
+    Per configuration (_variants): its portfolio solve and, in cases 3 and 4,
+    one stand-alone solve per unit.  In cases 3 and 4 also the storage
+    module's one-module solve, which sizing scales.
     """
     portfolio, scenario = bundle.cell(task["season"], task["regime"])
     case, strategy = task["case"], task["strategy"]
-    variants = [("full", portfolio)]
-    if case == 3:
-        variants += [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
-        variants += [
-            (_fd_label(pct), scale_flexible_demand(portfolio, pct / 100.0))
-            for pct in task["fd_scales"]
-            if pct != 100.0
-        ]
     configs = []
-    for config, sub in variants:
-        if sub.is_empty():
-            raise CellError(f"configuration {config} leaves no units")
+    for config, sub in _variants(task, portfolio):
         budgets = None if strategy == "deterministic" else strategy_budgets(strategy, sub)
         if case in (3, 4):
             configs.append((config, *gap_solves(sub, scenario, budgets)))
@@ -321,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.explicit = {flag for flag in ("config", "fd_scale") if getattr(args, flag) is not None}
     # A repeated filter value runs once, where it first appears.
     defaults = {"case": (), "config": CONFIG_CHOICES, "season": (), "regime": (), "strategy": ()}
     for flag, default in defaults.items():
@@ -348,6 +368,7 @@ def main(argv: list[str] | None = None) -> int:
         bundle = load_scenario(args.scenario)
         args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, bundle.regimes, bundle.es_module
         tasks = _expand_tasks(args)
+        _drop_empty_configs(tasks, bundle, args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -418,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
         "cells_total": len(tasks),
         "cells_failed": failed,
         "wall_seconds": round(time.perf_counter() - started, 3),
+        # Summed over the distinct solves, whichever worker ran them.
+        "layer_seconds": {x: round(sum(results[k]["layers"].get(x, 0.0) for k in order), 3) for x in LAYERS},
         "result_files": written,
         "cells": manifest_cells,
     }

@@ -13,17 +13,18 @@ it is fixed before the solve: the Gamma largest deviations (ties to the
 earliest period) come off the right-hand side of the stream's coupling rows
 as constants, which is exactly the realization the audit replays.
 
-The core keeps the portfolio and the columns and rows it creates on the
-model (tags "portfolio", "cols", "balance" and "duals"); the decoder reads the
-solution through those handles, so column names serve only the diagnostics.
-A decoded schedule holds the solver's decisions and objective, not money:
+The core appends whole families of T columns and rows to the model store
+(milp.Model) and keeps the portfolio and their id ranges on the model (tags
+"portfolio", "cols", "balance" and "duals"); the decoder slices the solved
+vector with them, so names are made only for diagnostics.  A decoded
+schedule holds the solver's decisions and objective, not money:
 oracle.nominal_profit prices it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,11 +42,9 @@ from .milp import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
-    Constraint,
     LinearExpression,
     Model,
     Solution,
-    Variable,
 )
 from .storage import add_es_unit
 
@@ -116,6 +115,7 @@ class RvppSchedule:
     its (sigma_up, sigma_dn) envelope fractions.  objective_value is the
     solver objective with the profile tie-break term removed.  The schedule
     carries no price: oracle.nominal_profit prices it from the raw inputs.
+    layer_seconds is how long sizing.audited_schedule took per layer.
     """
 
     p_da: np.ndarray
@@ -136,6 +136,7 @@ class RvppSchedule:
     sigma: dict[str, np.ndarray]
     objective_value: float
     artifacts: PriceRobustArtifacts | None = None
+    layer_seconds: dict[str, float] = field(default_factory=dict)
 
     def scaled(self, n: int) -> RvppSchedule:
         """The same schedule for a storage-only portfolio whose units are each
@@ -155,10 +156,6 @@ class RvppSchedule:
         return replace(self, artifacts=artifacts, **market, **per_unit)
 
 
-def _t2(t: int) -> str:
-    return f"{t:02d}"
-
-
 def dominant_subset(deviation, gamma: int) -> tuple[int, ...]:
     """Indices of the gamma largest deviations, ties broken toward earlier periods."""
     order = sorted(range(len(deviation)), key=lambda t: (-deviation[t], t))
@@ -173,62 +170,54 @@ def _require_valid(portfolio: Portfolio, scenario: MarketScenario) -> None:
         raise ModelBuildError("invalid inputs: " + "; ".join(violations[:5]))
 
 
-def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int):
+def _per_t(tag: str, unit: str) -> str:
+    """The name template of a unit's per-period family: tag__unit_tNN."""
+    return f"{tag}__{Model.escape(unit)}_t{{:02d}}"
+
+
+def _lag(ids: range, d: int) -> tuple[list[int], list[float]]:
+    """Period t's column d periods back, and coefficient 1 where t >= d and 0
+    (a dropped term) where that period is before the day."""
+    T = len(ids)
+    return [ids[(t - d) % T] for t in range(T)], [float(t >= d) for t in range(T)]
+
+
+def _add_commitment(m: Model, name: str, T: int, min_up: int, min_down: int, start_cost=0.0, stop_cost=0.0):
     """Three-binary commitment logic with start/stop exclusivity and min windows.
 
     Every unit starts the day off, so running in period 1 takes a start.
     """
-    on = [m.add_variable(f"on__{name}_t{_t2(t)}", BINARY) for t in range(T)]
-    start = [m.add_variable(f"start__{name}_t{_t2(t)}", BINARY) for t in range(T)]
-    stop = [m.add_variable(f"stop__{name}_t{_t2(t)}", BINARY) for t in range(T)]
-    for t in range(T):
-        terms = [(on[t].index, 1.0), (start[t].index, -1.0), (stop[t].index, 1.0)]
-        if t > 0:
-            terms.append((on[t - 1].index, -1.0))
-        m.add_constraint(f"logic__{name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0)
-        m.add_constraint(
-            f"excl__{name}_t{_t2(t)}",
-            LinearExpression.from_terms([(start[t].index, 1.0), (stop[t].index, 1.0)]),
-            SENSE_LE,
-            1.0,
-        )
-    if min_up >= 2:
-        for t in range(T):
-            window = range(max(0, t - min_up + 1), t + 1)
-            terms = [(start[i].index, 1.0) for i in window] + [(on[t].index, -1.0)]
-            m.add_constraint(f"minup__{name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, 0.0)
-    if min_down >= 2:
-        for t in range(T):
-            window = range(max(0, t - min_down + 1), t + 1)
-            terms = [(stop[i].index, 1.0) for i in window] + [(on[t].index, 1.0)]
-            m.add_constraint(f"mindown__{name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, 1.0)
+    on = m.add_columns(_per_t("on", name), T, BINARY)
+    start = m.add_columns(_per_t("start", name), T, BINARY, cost=-start_cost)
+    stop = m.add_columns(_per_t("stop", name), T, BINARY, cost=-stop_cost)
+    prev, before = _lag(on, 1)
+    logic = [(on, 1.0), (start, -1.0), (stop, 1.0), (prev, [-c for c in before])]
+    excl = [(start, 1.0), (stop, 1.0)]
+    m.add_rows(T, [(_per_t("logic", name), SENSE_EQ, 0.0, logic), (_per_t("excl", name), SENSE_LE, 1.0, excl)])
+    for tag, window, moves, sign, rhs in (("minup", min_up, start, -1.0, 0.0), ("mindown", min_down, stop, 1.0, 1.0)):
+        if window >= 2:
+            terms = [_lag(moves, d) for d in range(window)] + [(on, sign)]
+            m.add_rows(T, [(_per_t(tag, name), SENSE_LE, rhs, terms)])
     return on, start, stop
 
 
-def _add_price_dual(
-    m: Model, obj: list[tuple[int, float]], tag: str, gamma: int, losses: list[list[list[tuple[int, float]]]]
-) -> tuple[Variable, list[Variable]] | None:
+def _add_price_dual(m: Model, tag: str, gamma: int, T: int, pieces: list[list[tuple[range, list[float]]]]):
     """Budget dual of one price stream, returned as its (mu, xi) columns;
     nothing is added, and None returned, when gamma is 0.
 
-    losses[t] lists the pieces of period t's revenue loss, each a list of
-    (column id, coefficient) terms; the loss is the largest piece.  The
-    objective pays gamma*mu + sum(xi) and each piece gets a row mu + xi_t >=
-    piece, so at the optimum the penalty equals the gamma largest losses.
+    pieces lists the pieces of the per-period revenue loss, each as (column
+    ids, coefficients) terms over the T periods; the loss is the largest piece.
+    The objective pays gamma*mu + sum(xi) and each piece gets a row mu + xi_t
+    >= piece, so at the optimum the penalty equals the gamma largest losses.
     The rows run piece by piece, each over all periods.
     """
     if gamma == 0:
         return None
-    mu = m.add_variable(f"mu_{tag}")
-    xi = [m.add_variable(f"xi_{tag}_t{_t2(t)}") for t in range(len(losses))]
-    obj.append((mu.index, -float(gamma)))
-    obj += [(x.index, -1.0) for x in xi]
-    for k in range(max(map(len, losses))):
-        for t, pieces in enumerate(losses):
-            if k < len(pieces):
-                terms = [(mu.index, 1.0), (xi[t].index, 1.0)] + [(i, -c) for i, c in pieces[k]]
-                name = f"rob_{tag}_dual{k or ''}_t{_t2(t)}"
-                m.add_constraint(name, LinearExpression.from_terms(terms), SENSE_GE, 0.0)
+    mu = m.add_variable(f"mu_{tag}", cost=-float(gamma)).index
+    xi = m.add_columns(f"xi_{tag}_t{{:02d}}", T, cost=-1.0)
+    for k, piece in enumerate(pieces):
+        terms = [(mu, 1.0), (xi, 1.0)] + [(ids, [-c for c in coefs]) for ids, coefs in piece]
+        m.add_rows(T, [(f"rob_{tag}_dual{k or ''}_t{{:02d}}", SENSE_GE, 0.0, terms)])
     return mu, xi
 
 
@@ -238,235 +227,138 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     Each generation/demand stream with a positive budget loses its fixed
     adversary's deviations (dominant_subset) from the right-hand side of its
     coupling row; each price stream with a positive budget gets its dual
-    columns (_add_price_dual) before the one objective is set.
+    columns (_add_price_dual).  Every column gets its objective cost as it is
+    added.
 
-    Tags the model with its portfolio, scenario and budgets; the columns,
+    Tags the model with its portfolio, scenario and budgets; the column ids,
     keyed like the RvppSchedule fields they decode into (per-unit fields map
-    unit name -> per-period columns; "profiles" holds each flexible-demand
-    unit's profile picks, "fd_floor" its per-period consumption-floor rows,
-    "ts_soc" the T store levels, "es_reserves" a storage unit's four reserve
-    columns, see storage.add_es_unit); the balance rows; and the price duals
-    (None when deterministic).
+    unit name -> per-period column ids; "profiles" holds each flexible-demand
+    unit's profile picks, "fd_floor" its per-period consumption-floor row
+    ids, "ts_soc" the T store levels, "es_reserves" a storage unit's four
+    reserve families, see storage.add_es_unit); the balance row ids; and the
+    price duals (None when deterministic).
     """
-    grid = scenario.grid
-    T = grid.period_count
-    dt = grid.delta_t
+    T, dt = scenario.grid.period_count, scenario.grid.delta_t
 
     def cuts(name: str, deviation) -> list[float]:
         gamma = 0 if budgets is None else budgets.unit_budget(name)
         picked = dominant_subset(deviation, gamma) if gamma > 0 else ()
         return [deviation[t] if t in picked else 0.0 for t in range(T)]
 
-    p_da = [m.add_variable(f"pda_t{_t2(t)}", lower=-math.inf, upper=math.inf) for t in range(T)]
-    r_up = [m.add_variable(f"rup_t{_t2(t)}") for t in range(T)]
-    r_dn = [m.add_variable(f"rdn_t{_t2(t)}") for t in range(T)]
+    p_da = m.add_columns("pda_t{:02d}", T, lower=-math.inf, cost=[v * dt for v in scenario.dam_price])
+    r_up = m.add_columns("rup_t{:02d}", T, cost=scenario.sr_up_price)
+    r_dn = m.add_columns("rdn_t{:02d}", T, cost=scenario.sr_dn_price)
     cols: dict = {"p_da": p_da, "r_up": r_up, "r_dn": r_dn}
-    for field in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor", "es_reserves"):
-        cols[field] = {}
-
-    obj: list[tuple[int, float]] = []
-    for t in range(T):
-        obj.append((p_da[t].index, scenario.dam_price[t] * dt))
-        obj.append((r_up[t].index, scenario.sr_up_price[t]))
-        obj.append((r_dn[t].index, scenario.sr_dn_price[t]))
-
-    id_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
-    up_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
-    dn_terms: list[list[tuple[int, float]]] = [[] for _ in range(T)]
+    cols.update((f, {}) for f in _UNIT_SERIES + _UNIT_BINARIES + ("ts_soc", "profiles", "fd_floor", "es_reserves"))
+    # The terms of the three market balances: energy, upward and downward reserve.
+    id_terms: list = [(p_da, -1.0)]
+    up_terms: list = [(p_da, -1.0), (r_up, -1.0)]
+    dn_terms: list = [(p_da, -1.0), (r_dn, 1.0)]
 
     def flows(name: str, sign: float, op_cost: float, upper: float = math.inf):
         """A unit's dispatch and reserve columns, booked into the objective
         at op_cost and into the three balances.  Dispatch enters with sign
         (+1 generation, -1 demand); reserves enter alike for both, since a
         demand's upward reserve is a consumption cut."""
-        disp = [m.add_variable(f"disp__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
-        ru = [m.add_variable(f"rup__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
-        rd = [m.add_variable(f"rdn__{name}_t{_t2(t)}", upper=upper) for t in range(T)]
+        disp = m.add_columns(_per_t("disp", name), T, upper=upper, cost=-op_cost * dt)
+        ru = m.add_columns(_per_t("rup", name), T, upper=upper)
+        rd = m.add_columns(_per_t("rdn", name), T, upper=upper)
         cols["dispatch"][name], cols["reserve_up"][name], cols["reserve_dn"][name] = disp, ru, rd
-        for t in range(T):
-            obj.append((disp[t].index, -op_cost * dt))
-            id_terms[t].append((disp[t].index, sign))
-            up_terms[t] += [(disp[t].index, sign), (ru[t].index, 1.0)]
-            dn_terms[t] += [(disp[t].index, sign), (rd[t].index, -1.0)]
+        id_terms.append((disp, sign))
+        up_terms.extend([(disp, sign), (ru, 1.0)])
+        dn_terms.extend([(disp, sign), (rd, -1.0)])
         return disp, ru, rd
 
-    def committed(u, kind: str, p_min: float, p_max: float):
-        """A committed unit's commitment, and envelope(t), which writes period
-        t's rows: dispatch plus up reserve within on * p_max, dispatch less
-        down reserve at least on * p_min."""
-        on, start, stop = _add_commitment(m, u.name, T, u.min_up, u.min_down)
+    def committed(u, kind: str, p_min: float, p_max: float, start_cost: float = 0.0, stop_cost: float = 0.0):
+        """A committed unit's commitment, and its envelope rows: dispatch
+        plus up reserve within on * p_max, dispatch less down reserve at
+        least on * p_min.  The caller writes them into its period block."""
+        on, start, stop = _add_commitment(m, u.name, T, u.min_up, u.min_down, start_cost, stop_cost)
         cols["on"][u.name], cols["start"][u.name], cols["stop"][u.name] = on, start, stop
         disp, ru, rd = cols["dispatch"][u.name], cols["reserve_up"][u.name], cols["reserve_dn"][u.name]
-
-        def envelope(t: int) -> None:
-            m.add_constraint(
-                f"{kind}_up__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0), (on[t].index, -p_max)]),
-                SENSE_LE,
-                0.0,
-            )
-            m.add_constraint(
-                f"{kind}_dn__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, -1.0), (on[t].index, -p_min)]),
-                SENSE_GE,
-                0.0,
-            )
-
-        return start, stop, envelope
+        return start, [
+            (_per_t(f"{kind}_up", u.name), SENSE_LE, 0.0, [(disp, 1.0), (ru, 1.0), (on, -p_max)]),
+            (_per_t(f"{kind}_dn", u.name), SENSE_GE, 0.0, [(disp, 1.0), (rd, -1.0), (on, -p_min)]),
+        ]
 
     for u in portfolio.drs:
         disp, ru, _ = flows(u.name, 1.0, u.op_cost, u.p_max)
-        start, stop, envelope = committed(u, "drs", u.p_min, u.p_max)
-        for t in range(T):
-            envelope(t)
-            obj.append((start[t].index, -u.startup_cost))
-            obj.append((stop[t].index, -u.shutdown_cost))
+        _, envelope = committed(u, "drs", u.p_min, u.p_max, u.startup_cost, u.shutdown_cost)
+        m.add_rows(T, envelope)
         if u.daily_energy_limit is not None:
-            terms = [(disp[t].index, dt) for t in range(T)]
-            terms += [(ru[t].index, dt) for t in range(T)]
-            m.add_constraint(
-                f"drs_energy__{u.name}",
-                LinearExpression.from_terms(terms),
-                SENSE_LE,
-                u.daily_energy_limit,
-            )
+            energy = LinearExpression.from_terms([(i, dt) for i in disp] + [(i, dt) for i in ru])
+            m.add_constraint(f"drs_energy__{u.name}", energy, SENSE_LE, u.daily_energy_limit)
 
     for u in portfolio.ndrs:
         disp, ru, rd = flows(u.name, 1.0, u.op_cost)
-        cut = cuts(u.name, u.forecast_deviation)
-        for t in range(T):
-            m.add_constraint(
-                f"ndrs_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, 1.0)]),
-                SENSE_LE,
-                u.forecast_upper[t] - cut[t],
-            )
-            m.add_constraint(
-                f"ndrs_floor__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, -1.0)]),
-                SENSE_GE,
-                u.p_min,
-            )
+        ceiling = [f - c for f, c in zip(u.forecast_upper, cuts(u.name, u.forecast_deviation))]
+        m.add_rows(T, [
+            (_per_t("ndrs_cap", u.name), SENSE_LE, ceiling, [(disp, 1.0), (ru, 1.0)]),
+            (_per_t("ndrs_floor", u.name), SENSE_GE, u.p_min, [(disp, 1.0), (rd, -1.0)]),
+        ])
 
     for u in portfolio.csp:
         st = u.store
         disp, _, _ = flows(u.name, 1.0, u.op_cost, u.turbine_p_max)
-        sf = [m.add_variable(f"sf__{u.name}_t{_t2(t)}", upper=u.sf_upper[t]) for t in range(T)]
-        tsch = [m.add_variable(f"tsch__{u.name}_t{_t2(t)}", upper=st.charge_p_max) for t in range(T)]
-        tsdis = [m.add_variable(f"tsdis__{u.name}_t{_t2(t)}", upper=st.discharge_p_max) for t in range(T)]
-        tse = [m.add_variable(f"tse__{u.name}_t{_t2(t)}", lower=st.e_min, upper=st.e_max) for t in range(T)]
-        start, _, envelope = committed(u, "csp", u.turbine_p_min, u.turbine_p_max)
-        for field, handles in (("sf_power", sf), ("ts_charge", tsch), ("ts_discharge", tsdis), ("ts_soc", tse)):
-            cols[field][u.name] = handles
-        cut = cuts(u.name, u.sf_deviation)
-        for t in range(T):
-            m.add_constraint(
-                f"sf_cap__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(sf[t].index, 1.0)]),
-                SENSE_LE,
-                u.sf_upper[t] - cut[t],
-            )
-            m.add_constraint(
-                f"csp_bal__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (disp[t].index, 1.0 / u.turbine_eff),
-                        (sf[t].index, -1.0),
-                        (tsdis[t].index, -1.0),
-                        (tsch[t].index, 1.0),
-                        (start[t].index, u.startup_loss * u.turbine_p_max / dt),
-                    ]
-                ),
-                SENSE_EQ,
-                0.0,
-            )
-            envelope(t)
-            prev = tse[t - 1].index if t > 0 else tse[T - 1].index
-            m.add_constraint(
-                f"ts_rec__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms(
-                    [
-                        (tse[t].index, 1.0),
-                        (prev, -1.0),
-                        (tsch[t].index, -st.charge_eff * dt),
-                        (tsdis[t].index, dt / st.discharge_eff),
-                    ]
-                ),
-                SENSE_EQ,
-                0.0,
-            )
+        sf = m.add_columns(_per_t("sf", u.name), T, upper=u.sf_upper)
+        tsch = m.add_columns(_per_t("tsch", u.name), T, upper=st.charge_p_max)
+        tsdis = m.add_columns(_per_t("tsdis", u.name), T, upper=st.discharge_p_max)
+        tse = m.add_columns(_per_t("tse", u.name), T, lower=st.e_min, upper=st.e_max)
+        start, envelope = committed(u, "csp", u.turbine_p_min, u.turbine_p_max)
+        for key, handles in (("sf_power", sf), ("ts_charge", tsch), ("ts_discharge", tsdis), ("ts_soc", tse)):
+            cols[key][u.name] = handles
+        ceiling = [f - c for f, c in zip(u.sf_upper, cuts(u.name, u.sf_deviation))]
+        balance = [(disp, 1.0 / u.turbine_eff), (sf, -1.0), (tsdis, -1.0), (tsch, 1.0)]
+        balance.append((start, u.startup_loss * u.turbine_p_max / dt))
+        # tse[t - 1] at t = 0 is tse[T - 1]: the store is cyclic.
+        recursion = [(tse, 1.0), (_lag(tse, 1)[0], -1.0), (tsch, -st.charge_eff * dt), (tsdis, dt / st.discharge_eff)]
+        m.add_rows(T, [
+            (_per_t("sf_cap", u.name), SENSE_LE, ceiling, [(sf, 1.0)]),
+            (_per_t("csp_bal", u.name), SENSE_EQ, 0.0, balance),
+            *envelope,
+            (_per_t("ts_rec", u.name), SENSE_EQ, 0.0, recursion),
+        ])
 
     for u in portfolio.fd:
         disp, ru, rd = flows(u.name, -1.0, 0.0, u.p_max)
-        picks = [m.add_variable(f"prof__{u.name}_m{j}", BINARY) for j in range(len(u.profiles))]
+        ties = [-PROFILE_TIE_EPS * j for j in range(len(u.profiles))]
+        picks = m.add_columns(f"prof__{Model.escape(u.name)}_m{{}}", len(u.profiles), BINARY, cost=ties)
         cols["profiles"][u.name] = picks
-        m.add_constraint(
-            f"fd_profile__{u.name}",
-            LinearExpression.from_terms([(w.index, 1.0) for w in picks]),
-            SENSE_EQ,
-            1.0,
-        )
-        for j, w in enumerate(picks):
-            obj.append((w.index, -PROFILE_TIE_EPS * j))
-        cut = cuts(u.name, u.deviation)
-        cols["fd_floor"][u.name] = floor = []
-        for t in range(T):
-            terms = [(w.index, u.profiles[j][t]) for j, w in enumerate(picks)]
-            terms.append((disp[t].index, -1.0))
-            floor.append(
-                m.add_constraint(
-                    f"fd_floor__{u.name}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_LE, -cut[t]
-                )
-            )
-            m.add_constraint(
-                f"fd_res_dn__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (ru[t].index, -1.0)]),
-                SENSE_GE,
-                u.p_min,
-            )
-            m.add_constraint(
-                f"fd_res_up__{u.name}_t{_t2(t)}",
-                LinearExpression.from_terms([(disp[t].index, 1.0), (rd[t].index, 1.0)]),
-                SENSE_LE,
-                u.p_max,
-            )
+        m.add_constraint(f"fd_profile__{u.name}", LinearExpression.from_terms([(w, 1.0) for w in picks]), SENSE_EQ, 1.0)
+        floor = [(w, u.profiles[j]) for j, w in enumerate(picks)] + [(disp, -1.0)]
+        block = m.add_rows(T, [
+            (_per_t("fd_floor", u.name), SENSE_LE, [-c for c in cuts(u.name, u.deviation)], floor),
+            (_per_t("fd_res_dn", u.name), SENSE_GE, u.p_min, [(disp, 1.0), (ru, -1.0)]),
+            (_per_t("fd_res_up", u.name), SENSE_LE, u.p_max, [(disp, 1.0), (rd, 1.0)]),
+        ])
+        cols["fd_floor"][u.name] = block[0::3]
 
     for u in portfolio.es:
         es = add_es_unit(m, u, T, dt)
-        for field, handles in es.items():
-            cols[field][u.name] = handles
+        for key, handles in es.items():
+            cols[key][u.name] = handles
         pch, pdis, (ruc, rud, rdc, rdd) = es["ts_charge"], es["ts_discharge"], es["es_reserves"]
-        for t in range(T):
-            obj.append((pdis[t].index, -u.op_cost * dt))
-            net = [(pdis[t].index, 1.0), (pch[t].index, -1.0)]
-            id_terms[t] += net
-            up_terms[t] += net + [(ruc[t].index, 1.0), (rud[t].index, 1.0)]
-            dn_terms[t] += net + [(rdc[t].index, -1.0), (rdd[t].index, -1.0)]
+        net = [(pdis, 1.0), (pch, -1.0)]
+        id_terms += net
+        up_terms += net + [(ruc, 1.0), (rud, 1.0)]
+        dn_terms += net + [(rdc, -1.0), (rdd, -1.0)]
 
-    balance: list[Constraint] = []
-    for t in range(T):
-        for fam, terms in (
-            ("id", id_terms[t] + [(p_da[t].index, -1.0)]),
-            ("up", up_terms[t] + [(p_da[t].index, -1.0), (r_up[t].index, -1.0)]),
-            ("dn", dn_terms[t] + [(p_da[t].index, -1.0), (r_dn[t].index, 1.0)]),
-        ):
-            balance.append(m.add_constraint(f"bal_{fam}_t{_t2(t)}", LinearExpression.from_terms(terms), SENSE_EQ, 0.0))
+    balance = m.add_rows(T, [(f"bal_{fam}_t{{:02d}}", SENSE_EQ, 0.0, terms) for fam, terms in (
+        ("id", id_terms), ("up", up_terms), ("dn", dn_terms))])
 
     duals = None
     if budgets is not None:
         # Energy loses down*dt*p_da when sold and up*dt*|p_da| when bought:
         # the larger of two linear pieces.
         down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
-        dam_losses = [[[(p_da[t].index, down[t] * dt)], [(p_da[t].index, -up[t] * dt)]] for t in range(T)]
-        up_losses = [[[(r_up[t].index, scenario.sr_up_price_dev[t])]] for t in range(T)]
-        dn_losses = [[[(r_dn[t].index, scenario.sr_dn_price_dev[t])]] for t in range(T)]
+        dam_losses = [[(p_da, [d * dt for d in down])], [(p_da, [-u * dt for u in up])]]
         duals = {
-            "dam": _add_price_dual(m, obj, "dam", budgets.gamma_dam, dam_losses),
-            "sr_up": _add_price_dual(m, obj, "srup", budgets.gamma_sr_up, up_losses),
-            "sr_dn": _add_price_dual(m, obj, "srdn", budgets.gamma_sr_down, dn_losses),
+            "dam": _add_price_dual(m, "dam", budgets.gamma_dam, T, dam_losses),
+            "sr_up": _add_price_dual(m, "srup", budgets.gamma_sr_up, T, [[(r_up, scenario.sr_up_price_dev)]]),
+            "sr_dn": _add_price_dual(m, "srdn", budgets.gamma_sr_down, T, [[(r_dn, scenario.sr_dn_price_dev)]]),
         }
 
-    m.set_objective(LinearExpression.from_terms(obj), MAXIMIZE)
+    m.direction = MAXIMIZE  # every cost above is a profit
     m.tags.update(
         kind="rvpp", scenario=scenario, portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
     )
@@ -501,42 +393,22 @@ def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: B
     return _build_core(Model(name="rvpp_robust"), portfolio, scenario, budgets)
 
 
-def _values(sol: Solution, cols: list[Variable]) -> np.ndarray:
+def _values(values: np.ndarray, lower: np.ndarray, ids) -> np.ndarray:
     """Solved values of continuous columns: a column floored at 0 reads no
     less than 0, and -0.0 reads 0.0."""
-    out = np.empty(len(cols))
-    for t, var in enumerate(cols):
-        v = sol.value_of(var)
-        if var.lower == 0.0 and v < 0.0:
-            v = 0.0
-        out[t] = v + 0.0
+    out = values[ids] + 0.0
+    out[(lower[ids] == 0.0) & (out < 0.0)] = 0.0
     return out
 
 
-def _binaries(sol: Solution, cols: list[Variable]) -> np.ndarray:
+def _binaries(m: Model, values: np.ndarray, ids) -> np.ndarray:
     """Solved values of binary columns, each within FEASIBILITY_TOL of 0 or 1."""
-    out = np.empty(len(cols), dtype=int)
-    for t, var in enumerate(cols):
-        v = sol.value_of(var)
-        r = round(v)
-        if abs(v - r) > FEASIBILITY_TOL:
-            raise DecodeError(f"binary {var.name!r} is non-integral: {v}")
-        out[t] = int(r)
-    return out
-
-
-def _price_duals(m: Model, sol: Solution, T: int) -> PriceRobustArtifacts | None:
-    """The price duals of a robust model (None for a deterministic one); a
-    stream without a budget reads 0.  The "duals" tag maps each stream's
-    PriceRobustArtifacts suffix to its _add_price_dual result."""
-    duals = m.tags.get("duals")
-    if duals is None:
-        return None
-    read = {}
-    for stream, handles in duals.items():
-        read[f"mu_{stream}"] = 0.0 if handles is None else sol.value_of(handles[0])
-        read[f"xi_{stream}"] = np.zeros(T) if handles is None else _values(sol, handles[1])
-    return PriceRobustArtifacts(budgets=m.tags["budgets"], **read)
+    v = values[ids]
+    r = np.round(v)
+    off = np.flatnonzero(np.abs(v - r) > FEASIBILITY_TOL)
+    if off.size:
+        raise DecodeError(f"binary {m.col_name(ids[off[0]])!r} is non-integral: {float(v[off[0]])}")
+    return r.astype(int)
 
 
 def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
@@ -557,35 +429,52 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
     portfolio: Portfolio = m.tags["portfolio"]
     cols = m.tags["cols"]
 
-    p_da, r_up, r_dn = (_values(sol, cols[key]) for key in ("p_da", "r_up", "r_dn"))
-    series = {field: {name: _values(sol, c) for name, c in cols[field].items()} for field in _UNIT_SERIES}
-    binaries = {field: {name: _binaries(sol, c) for name, c in cols[field].items()} for field in _UNIT_BINARIES}
+    arrays = m.arrays()
+
+    def read(ids) -> np.ndarray:
+        return _values(sol.values, arrays.lower, ids)
+
+    p_da, r_up, r_dn = (read(cols[key]) for key in ("p_da", "r_up", "r_dn"))
+    series = {f: {name: read(c) for name, c in cols[f].items()} for f in _UNIT_SERIES}
+    binaries = {f: {name: _binaries(m, sol.values, c) for name, c in cols[f].items()} for f in _UNIT_BINARIES}
     for name, (ruc, rud, rdc, rdd) in cols["es_reserves"].items():
-        series["reserve_up"][name] = _values(sol, ruc) + _values(sol, rud)
-        series["reserve_dn"][name] = _values(sol, rdc) + _values(sol, rdd)
+        series["reserve_up"][name] = read(ruc) + read(rud)
+        series["reserve_dn"][name] = read(rdc) + read(rdd)
     dispatch = series["dispatch"]
     ts_soc = {}
     for name, c in cols["ts_soc"].items():
-        levels = _values(sol, c)
+        levels = read(c)
         ts_soc[name] = np.concatenate(([levels[-1]], levels))
     fd_profile: dict[str, int] = {}
     perturb = 0.0
     for u in portfolio.fd:
-        chosen = [j for j, pick in enumerate(_binaries(sol, cols["profiles"][u.name])) if pick]
+        chosen = [j for j, pick in enumerate(_binaries(m, sol.values, cols["profiles"][u.name])) if pick]
         if len(chosen) != 1:
             raise DecodeError(f"{u.name}: expected exactly one chosen profile, got {chosen}")
         perturb += -PROFILE_TIE_EPS * chosen[0]
-        limit = [row.rhs + FEASIBILITY_TOL for row in cols["fd_floor"][u.name]]
+        limit = arrays.row_upper[cols["fd_floor"][u.name]] + FEASIBILITY_TOL
         fd_profile[u.name] = next(
             j
             for j, profile in enumerate(u.profiles)
             if j == chosen[0] or all(p - d <= lim for p, d, lim in zip(profile, dispatch[u.name], limit))
         )
 
-    for con in m.tags["balance"]:
-        res = con.residual(sol.values)
-        if res > FEASIBILITY_TOL:
-            raise DecodeError(f"balance row {con.name} violated by {res}")
+    balance = m.tags["balance"]
+    activity = np.bincount(arrays.rows, weights=arrays.vals * sol.values[arrays.cols], minlength=len(arrays.row_lower))
+    residual = np.abs(activity[balance] - arrays.row_lower[balance])  # balance rows are equalities
+    if residual.max(initial=0.0) > FEASIBILITY_TOL:
+        r = int(np.flatnonzero(residual > FEASIBILITY_TOL)[0])
+        raise DecodeError(f"balance row {m.row_name(balance[r])} violated by {float(residual[r])}")
+
+    # The "duals" tag maps each stream's PriceRobustArtifacts suffix to its
+    # _add_price_dual result; a stream without a budget reads 0.
+    artifacts = None
+    if m.tags["duals"] is not None:
+        duals = {}
+        for stream, handles in m.tags["duals"].items():
+            duals[f"mu_{stream}"] = 0.0 if handles is None else float(sol.values[handles[0]])
+            duals[f"xi_{stream}"] = np.zeros(scenario.grid.period_count) if handles is None else read(handles[1])
+        artifacts = PriceRobustArtifacts(budgets=m.tags["budgets"], **duals)
 
     return RvppSchedule(
         p_da=p_da,
@@ -596,5 +485,5 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         fd_profile=fd_profile,
         ts_soc=ts_soc,
         objective_value=sol.objective_value - perturb,
-        artifacts=_price_duals(m, sol, scenario.grid.period_count),
+        artifacts=artifacts,
     )

@@ -30,6 +30,7 @@ returned.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -50,6 +51,10 @@ from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp
 
 # The largest fleet sizing returns; a larger need raises SizingError.
 MAX_MODULES = 2000
+
+# The layers audited_schedule times: the build, the solve (SolveRecord's
+# assembly plus HiGHS) and the decode, replay and audit together.
+LAYERS = ("build", "solve", "decode_audit")
 
 
 class SizingError(RuntimeError):
@@ -147,8 +152,8 @@ def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
     return Portfolio(**{_CLASS_FIELD[type(unit)]: (unit,)}), _budgets_for(budgets, {unit.name})
 
 
-def _solved(m: Model) -> Solution:
-    """m solved to optimality in a fresh session, else ScheduleError.
+def _solved(m: Model) -> tuple[Solution, backends.SolveRecord]:
+    """m solved to optimality in a fresh session, with its SolveRecord, else ScheduleError.
 
     This is the one place a non-optimal status becomes an error.  A time-limit
     hit names the model, the limit and the MIP gap HiGHS had reached.  An
@@ -159,7 +164,7 @@ def _solved(m: Model) -> Solution:
     backend = backends.ScipyHighsBackend()
     sol = solve(m, backend)
     if sol.status == STATUS_OPTIMAL:
-        return sol
+        return sol, backend.last_run
     if sol.status == STATUS_LIMIT:
         raise ScheduleError(
             f"model {m.name!r} hit the {backends.SOLVE_TIME_LIMIT_S:g} s time limit "
@@ -187,18 +192,23 @@ def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: Bu
 
     budgets None builds the deterministic model.  ScheduleError names what
     failed: the solve (see _solved), the replay residual and its constraint
-    family, or the first robust violation.
+    family, or the first robust violation.  The schedule's layer_seconds
+    holds the seconds of each of LAYERS.
     """
-    if budgets is None:
-        m = build_deterministic_rvpp(portfolio, scenario)
-    else:
-        m = build_robust_rvpp(portfolio, scenario, budgets)
-    schedule = extract_rvpp_schedule(m, _solved(m))
+    started = time.perf_counter()
+    robust = budgets is not None
+    m = build_robust_rvpp(portfolio, scenario, budgets) if robust else build_deterministic_rvpp(portfolio, scenario)
+    built = time.perf_counter()
+    sol, run = _solved(m)
+    decoding = time.perf_counter()
+    schedule = extract_rvpp_schedule(m, sol)
     _require_clean_replay("replay", schedule, portfolio, scenario)
-    if budgets is not None:
+    if robust:
         violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
         if violations:
             raise ScheduleError("robust audit failed: " + violations[0])
+    seconds = (built - started, run.assembly_s + run.highs_s, time.perf_counter() - decoding)
+    schedule.layer_seconds = dict(zip(LAYERS, seconds))
     return schedule
 
 

@@ -1,8 +1,9 @@
 """A storage unit's columns and rows in the portfolio model.
 
 A storage unit (EsUnit) is one more unit class of scheduler._build_core,
-which calls add_es_unit for each unit of Portfolio.es and books the unit
-into the three market balances: its net flow (discharge less charge), its
+which calls add_es_unit for each unit of Portfolio.es (it appends the unit's
+column families and its block of per-period row families to the model
+store) and books the unit into the three market balances: its net flow, its
 upward reserve and its downward reserve.  An n-module fleet is the module's
 EsUnit.scaled(n): power and energy limits scale with the count,
 efficiencies and costs do not.
@@ -23,7 +24,8 @@ from .milp import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, LinearExpression, Model
 
 
 def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
-    """Write u's columns and its own rows into m, and return the columns.
+    """Write u's columns, their objective costs and u's own rows into m, and
+    return the column ids.
 
     They are keyed like the RvppSchedule fields they decode into: ts_charge,
     ts_discharge and ts_soc (the T levels), mode (1 while charging) and
@@ -31,33 +33,36 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
     charge and the discharge side, then the down reserve on each side.
     """
     eta_c, eta_d, span = u.charge_eff, u.discharge_eff, u.e_max - u.e_min
+    n = m.escape(u.name)
 
-    def columns(tag: str, **kwargs) -> list:
-        return [m.add_variable(f"{tag}__{u.name}_t{t:02d}", **kwargs) for t in range(T)]
-
-    def row(name: str, terms, sense: str, rhs: float = 0.0) -> None:
-        expr = LinearExpression.from_terms((var.index, coef) for var, coef in terms)
-        m.add_constraint(f"es_{name}__{u.name}", expr, sense, rhs)
+    def columns(tag: str, **kwargs) -> range:
+        return m.add_columns(f"{tag}__{n}_t{{:02d}}", T, **kwargs)
 
     pch = columns("pch", upper=u.charge_p_max)
-    pdis = columns("pdis", upper=u.discharge_p_max)
+    pdis = columns("pdis", upper=u.discharge_p_max, cost=-u.op_cost * dt)
     ruc, rud, rdc, rdd = columns("ruc"), columns("rud"), columns("rdc"), columns("rdd")
     mode = columns("mode", kind=BINARY)
     soc = columns("soc", lower=u.e_min, upper=u.e_max)
-    sigma_up, sigma_dn = (m.add_variable(f"sigma_{side}__{u.name}", upper=1.0) for side in ("up", "dn"))
+    sigma_up, sigma_dn = (m.add_variable(f"sigma_{side}__{u.name}", upper=1.0).index for side in ("up", "dn"))
 
-    for t in range(T):
-        at = f"_t{t:02d}"
-        row("ch_lo" + at, [(pch[t], 1.0), (ruc[t], -1.0), (mode[t], -u.charge_p_min)], SENSE_GE)
-        row("ch_hi" + at, [(pch[t], 1.0), (rdc[t], 1.0), (mode[t], -u.charge_p_max)], SENSE_LE)
-        row("dis_hi" + at, [(pdis[t], 1.0), (rud[t], 1.0), (mode[t], u.discharge_p_max)], SENSE_LE, u.discharge_p_max)
-        row("dis_lo" + at, [(pdis[t], 1.0), (rdd[t], -1.0), (mode[t], u.discharge_p_min)], SENSE_GE, u.discharge_p_min)
-        # soc[t - 1] at t = 0 is soc[T - 1]: the cyclic wrap.
-        row("soc" + at, [(soc[t], 1.0), (soc[t - 1], -1.0), (pch[t], -eta_c * dt), (pdis[t], dt / eta_d)], SENSE_EQ)
-        row("floor" + at, [(soc[t], 1.0), (sigma_dn, -span)], SENSE_GE, u.e_min)
-        row("head" + at, [(soc[t], 1.0), (sigma_dn, span)], SENSE_LE, u.e_max)
-    row("env_up", [(r[t], dt / eta_d) for t in range(T) for r in (ruc, rud)] + [(sigma_up, -span)], SENSE_LE)
-    row("env_dn", [(r[t], eta_c * dt) for t in range(T) for r in (rdc, rdd)] + [(sigma_dn, -span)], SENSE_LE)
+    def row(name: str, sense: str, rhs: float, terms) -> tuple:
+        return f"es_{name}_t{{:02d}}__{n}", sense, rhs, terms
+
+    # soc[t - 1] at t = 0 is soc[T - 1]: the cyclic wrap.
+    previous = [soc[t - 1] for t in range(T)]
+    m.add_rows(T, [
+        row("ch_lo", SENSE_GE, 0.0, [(pch, 1.0), (ruc, -1.0), (mode, -u.charge_p_min)]),
+        row("ch_hi", SENSE_LE, 0.0, [(pch, 1.0), (rdc, 1.0), (mode, -u.charge_p_max)]),
+        row("dis_hi", SENSE_LE, u.discharge_p_max, [(pdis, 1.0), (rud, 1.0), (mode, u.discharge_p_max)]),
+        row("dis_lo", SENSE_GE, u.discharge_p_min, [(pdis, 1.0), (rdd, -1.0), (mode, u.discharge_p_min)]),
+        row("soc", SENSE_EQ, 0.0, [(soc, 1.0), (previous, -1.0), (pch, -eta_c * dt), (pdis, dt / eta_d)]),
+        row("floor", SENSE_GE, u.e_min, [(soc, 1.0), (sigma_dn, -span)]),
+        row("head", SENSE_LE, u.e_max, [(soc, 1.0), (sigma_dn, span)]),
+    ])
+    envelopes = (("up", (ruc, rud), dt / eta_d, sigma_up), ("dn", (rdc, rdd), eta_c * dt, sigma_dn))
+    for side, reserves, coef, sigma in envelopes:
+        terms = [(r[t], coef) for t in range(T) for r in reserves] + [(sigma, -span)]
+        m.add_constraint(f"es_env_{side}__{u.name}", LinearExpression.from_terms(terms), SENSE_LE, 0.0)
     return {
         "ts_charge": pch,
         "ts_discharge": pdis,

@@ -204,6 +204,46 @@ def test_rejects_bad_flags(tmp_path):
         assert exc.value.code == 2
 
 
+def _one_class_copy(tmp_path, bundle, cls: str):
+    raw = copy.deepcopy(bundle.raw)
+    raw["units"] = [u for u in raw["units"] if u["class"] == cls]
+    path = tmp_path / f"{cls}_only.yaml"
+    save_scenario(raw, path)
+    return path
+
+
+def test_a_configuration_that_leaves_no_units(tmp_path, bundle, solve_calls, capsys):
+    """On a file whose units are all of one class, the default case-3 sweep
+    leaves out the ablation of that class (and fd_000 on a flexible-demand
+    file); naming it on the command line exits 2 before any solve."""
+    drs_only = str(_one_class_copy(tmp_path, bundle, "drs"))
+    out = tmp_path / "drs"
+    flags = ["--case", "3", *SPRING_BALANCED, "--jobs", "1", "--scenario", drs_only]
+    assert cli.main([*flags, "--out", str(out)]) == 0
+    configs = {r["configuration"] for r in read_rows(out)}
+    assert configs == {"full", "no_ndrs", "no_csp", "no_fd", "fd_000", "fd_050", "fd_150"}
+    solve_calls.clear()
+    fd_only = str(_one_class_copy(tmp_path, bundle, "fd"))
+    cases = ((drs_only, ["--config", "no_drs"], "no_drs"), (fd_only, ["--fd-scale", "0"], "fd_000"))
+    for scenario, extra, named in cases:
+        lacking = tmp_path / named
+        code = cli.main(["--case", "3", *SPRING_BALANCED, "--scenario", scenario, *extra, "--out", str(lacking)])
+        assert code == 2
+        assert f"configuration {named} leaves no units" in capsys.readouterr().err
+        assert not lacking.exists()
+    assert solve_calls == []
+
+
+def test_manifest_splits_solve_seconds_by_layer(case1_run):
+    _, out = case1_run
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    layers = manifest["layer_seconds"]
+    assert set(layers) == {"build", "solve", "decode_audit"}
+    assert all(v >= 0.0 for v in layers.values())
+    assert sum(layers.values()) <= manifest["wall_seconds"] * manifest["jobs"]
+    assert layers["solve"] > 0.0
+
+
 def test_out_that_cannot_be_a_directory_exits_2_before_any_solve(tmp_path, solve_calls, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -18,6 +18,7 @@ from scipy import optimize, sparse
 from scipy.optimize._highspy import _core as highs
 
 import rvpp
+import toys
 from rvpp import backends, build_robust_rvpp, milp, strategy_budgets
 from rvpp.sizing import stand_alone
 
@@ -375,6 +376,101 @@ def test_a_repeated_column_is_named():
         milp.solve(m, backends.ScipyHighsBackend())
 
 
+def _store_pair():
+    """One model built twice: its rows appended as families, and the same
+    rows appended one by one.  Rows run period by period, a then b; row a
+    holds x twice and a zero coefficient on y."""
+    models = []
+    for family in (True, False):
+        m = milp.Model(name="store")
+        x = m.add_columns("x_t{:02d}", 3, upper=[4.0, 5.0, 6.0], cost=[1.0, 2.0, 3.0])
+        y = m.add_columns("y_t{:02d}", 3, milp.BINARY, cost=-0.5)
+        if family:
+            m.add_rows(3, [
+                ("a_t{:02d}", "<=", [7.0, 8.0, 9.0], [(x, 1.0), (x, 2.0), (y, 0.0)]),
+                ("b_t{:02d}", ">=", 0.5, [(x, 1.0), (y, [1.0, -1.0, 2.0])]),
+            ])
+        else:
+            for t in range(3):
+                terms = [(x[t], 1.0), (x[t], 2.0), (y[t], 0.0)]
+                m.add_constraint(f"a_t{t:02d}", milp.LinearExpression.from_terms(terms), "<=", 7.0 + t)
+                terms = [(x[t], 1.0), (y[t], [1.0, -1.0, 2.0][t])]
+                m.add_constraint(f"b_t{t:02d}", milp.LinearExpression.from_terms(terms), ">=", 0.5)
+        models.append(m)
+    return models
+
+
+def test_a_row_family_and_its_rows_one_by_one_hand_highs_the_same_arrays():
+    digests = []
+    for m in _store_pair():
+        assert [con.name for con in m.constraints] == ["a_t00", "b_t00", "a_t01", "b_t01", "a_t02", "b_t02"]
+        # x repeated in a row is summed; the zero coefficient on y is dropped.
+        assert m.constraints[0].expr.terms == ((0, 3.0),)
+        backend = backends.ScipyHighsBackend()
+        assert milp.solve(m, backend).status == "optimal"
+        assert backend.last_run.nnz == 9
+        digests.append(backend.last_run.digest)
+    assert digests[0] == digests[1]
+
+
+def _family(m, template="r_t{:02d}", ids=None, coef=1.0):
+    m.add_rows(2, [(template, "<=", 1.0, [(range(2) if ids is None else ids, coef)])])
+
+
+@pytest.mark.parametrize(
+    "append, message",
+    [
+        (lambda m: _family(m, coef=[1.0, math.nan]), "non-finite coefficient in constraint 'r_t01'"),
+        (lambda m: _family(m, ids=[0, 7]), "constraint 'r_t01' references unknown variable id 7"),
+        (lambda m: m.add_rows(2, [("r_t{:02d}", "<=", [1.0, math.inf], [])]), "non-finite rhs in 'r_t01'"),
+        (lambda m: (_family(m), _family(m)), "duplicate constraint name 'r_t00'"),
+        (lambda m: (_family(m), m.add_constraint("r_t01", milp.LinearExpression(), "<=", 1.0), m.constraints),
+         "duplicate constraint name 'r_t01'"),
+        (lambda m: m.add_columns("x_t{:02d}", 2), "duplicate variable name 'x_t00'"),
+        (lambda m: (m.add_variable("x_t01"), m.variable("x_t01")), "duplicate variable name 'x_t01'"),
+        (lambda m: m.add_columns("z_t{:02d}", 2, upper=[1.0, -1.0]), r"inverted bounds on 'z_t01': \[0.0, -1.0\]"),
+        (lambda m: m.add_columns("z_t{:02d}", 2, cost=[0.0, math.inf]), "non-finite cost in 'z_t01'"),
+        (lambda m: (m.add_columns("z", 2), m.variables), "duplicate variable name 'z'"),
+    ],
+)
+def test_the_family_path_names_what_it_refuses(append, message):
+    m = milp.Model()
+    m.add_columns("x_t{:02d}", 2)
+    with pytest.raises(milp.ModelError, match=message):
+        append(m)
+    if "duplicate" not in message:
+        assert (len(m.variables), len(m.constraints)) == (2, 0)
+
+
+def test_names_are_made_on_demand():
+    m = milp.Model(name="named")
+    x = m.add_columns(m.escape("{odd}") + "_t{:02d}", 3, upper=1.0)
+    assert m.variable("{odd}_t02").index == x[2]
+    m.add_rows(3, [("need_t{:02d}", ">=", [0.0, 2.0, 0.0], [(x, 1.0)]), ("cap_t{:02d}", "<=", 5.0, [(x, 1.0)])])
+    m.set_objective(milp.LinearExpression(((x[0], 1.0),)))
+    assert set(_relaxed_rows(m)) == {"need_t01"}
+    m.add_constraint("twice", milp.LinearExpression(((x[1], 1.0), (x[1], 1.0))), "<=", 4.0)
+    with pytest.raises(milp.ModelError, match="constraint 'twice' of model 'named' repeats variable '{odd}_t01'"):
+        milp.solve(m, backends.ScipyHighsBackend())
+    with pytest.raises(milp.ModelError, match="no variable named 'x'"):
+        m.variable("x")
+
+
+def test_decode_messages_name_the_columns_and_rows():
+    gen = rvpp.DrsUnit("gen", 10.0, 0.0, 0.0, 0.0, 1.0)
+    portfolio, scenario = rvpp.Portfolio(drs=(gen,)), toys.market(4, dam=15.0)
+    m = rvpp.build_deterministic_rvpp(portfolio, scenario)
+    sol = milp.solve(m, backends.ScipyHighsBackend())
+    for name, value, message in (
+        ("on__gen_t02", 0.4, "binary 'on__gen_t02' is non-integral: 0.4"),
+        ("pda_t01", sol.values[m.variable("pda_t01").index] + 3.0, "balance row bal_id_t01 violated by 3"),
+    ):
+        values = sol.values.copy()
+        values[m.variable(name).index] = value
+        with pytest.raises(rvpp.DecodeError, match=message):
+            rvpp.extract_rvpp_schedule(m, milp.Solution("optimal", sol.objective_value, values))
+
+
 def test_presolve_stays_on_for_the_optimum(bundle):
     """Hydro alone, summer/favorable/pessimistic: with presolve off HiGHS 1.12
     calls 9,693.4 optimal; the optimum, which replays and audits, is higher."""
@@ -408,7 +504,7 @@ def test_time_limit_ends_the_solve(monkeypatch):
     monkeypatch.setattr(backends, "SOLVE_TIME_LIMIT_S", 1e-9)
     backend = backends.ScipyHighsBackend()
     sol = milp.solve(_knapsack(), backend)
-    assert sol.status == "limit" and math.isnan(sol.objective_value) and not sol.values
+    assert sol.status == "limit" and math.isnan(sol.objective_value) and sol.values.size == 0
     assert backend.last_run.status == "limit"
 
 

@@ -355,7 +355,7 @@ def test_decode_rejects_fractional_binaries():
     ):
         m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
         sol = solve(m, ScipyHighsBackend())
-        tampered = replace(sol, values=dict(sol.values))
+        tampered = replace(sol, values=sol.values.copy())
         for name, value in tampering.items():
             tampered.values[m.variable(name).index] = value
         with pytest.raises(DecodeError, match="non-integral"):
@@ -368,7 +368,7 @@ def test_decode_requires_exactly_one_profile():
     portfolio = Portfolio(fd=(load,))
     m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
     sol = solve(m, ScipyHighsBackend())
-    tampered = replace(sol, values=dict(sol.values))
+    tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("prof__ld_m0").index] = 1.0
     tampered.values[m.variable("prof__ld_m1").index] = 1.0
     with pytest.raises(DecodeError, match="exactly one chosen profile"):

@@ -216,7 +216,7 @@ def test_sigma_margin_switch_changes_floor_reservation():
 def test_decode_rejects_tampered_mode():
     m = build_deterministic_rvpp(Portfolio(es=(battery(),)), market(4, dam=[0, 70, 0, 70]))
     sol = solve(m, ScipyHighsBackend())
-    tampered = replace(sol, values=dict(sol.values))
+    tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("mode__mod_t00").index] = 0.3
     with pytest.raises(DecodeError, match="non-integral"):
         extract_rvpp_schedule(m, tampered)
@@ -228,7 +228,7 @@ def test_decode_rejects_simultaneous_flow():
     fleet, s = Portfolio(es=(battery(),)), market(2, dam=[0, 70])
     m = build_deterministic_rvpp(fleet, s)
     sol = solve(m, ScipyHighsBackend())
-    tampered = replace(sol, values=dict(sol.values))
+    tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("pdis__mod_t00").index] = 0.2
     with pytest.raises(DecodeError, match="balance row bal_id_t00"):
         extract_rvpp_schedule(m, tampered)
