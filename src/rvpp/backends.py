@@ -17,7 +17,9 @@ package (about 320 scipy modules, sparse and linalg included) is never
 imported.  On a 2-vCPU VM this took `import rvpp.cli` from 0.82 s to 0.25 s
 and its resident set from 79 MB to 40 MB (medians of 10 runs).  optimize
 hands passModel the model store's arrays (Model.arrays), with no per-term
-loop; only the CSC column pointers are built, as scipy.sparse builds them.
+loop and nothing to check: the store has already summed every repeated
+column of a row.  Only the CSC column pointers are built, as scipy.sparse
+builds them.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .milp import (
     STATUS_UNBOUNDED,
     BackendError,
     Model,
-    ModelError,
     SolverUnavailableError,
 )
 
@@ -134,7 +135,8 @@ class SolveRecord:
 
     digest: blake2b of the arrays and options handed to HiGHS; equal models
     hash equal.  mip_node_count, lp_iterations (simplex iterations, summed
-    over every LP of a MIP) and mip_gap are HiGHS's info values.
+    over every LP of a MIP) and mip_gap are HiGHS's info values; a model
+    with no binary column has no node count and no gap, so both are None.
     """
 
     model: str
@@ -144,9 +146,9 @@ class SolveRecord:
     binaries: int
     digest: str
     status: str
-    mip_node_count: int
+    mip_node_count: int | None
     lp_iterations: int
-    mip_gap: float
+    mip_gap: float | None
     assembly_s: float
     highs_s: float
 
@@ -181,7 +183,7 @@ class ScipyHighsBackend:
         # + 0.0 turns the -0.0 of a negated zero cost into 0.0.
         c = arrays.cost * sign + 0.0
         bounds, row_bounds = (arrays.lower, arrays.upper), (arrays.row_lower, arrays.row_upper)
-        a_data, a_indices, a_indptr = _csc(model, arrays)
+        a_data, a_indices, a_indptr = _csc(arrays)
         nnz = len(a_data)
         assembled = time.perf_counter()
         highs = self.highs
@@ -199,17 +201,18 @@ class ScipyHighsBackend:
             )
         self._status = _STATUS[model_status]
         info = highs.getInfo()
+        binaries = int(arrays.integrality.sum())
         self.last_run = SolveRecord(
             model=model.name,
             rows=m,
             cols=n,
             nnz=nnz,
-            binaries=int(arrays.integrality.sum()),
+            binaries=binaries,
             digest=_digest(c, arrays.integrality, *bounds, a_data, a_indices, a_indptr, (m, n), *row_bounds),
             status=self._status,
-            mip_node_count=int(info.mip_node_count),
+            mip_node_count=int(info.mip_node_count) if binaries else None,
             lp_iterations=int(info.simplex_iteration_count),
-            mip_gap=float(info.mip_gap),
+            mip_gap=float(info.mip_gap) if binaries else None,
             assembly_s=assembled - started,
             highs_s=ran - assembled,
         )
@@ -261,22 +264,13 @@ class ScipyHighsBackend:
         return {model.row_name(r): float(violation[r]) for r in violated}
 
 
-def _csc(model: Model, arrays):
+def _csc(arrays):
     """(data, indices, indptr) of the model's matrix in CSC form: what
     `scipy.sparse.csc_array((data, (rows, cols)))` gives, since Model.arrays()
-    runs column by column.  A row that holds a column twice (possible only in
-    a LinearExpression built without from_terms) raises ModelError naming it."""
-    rows, cols = arrays.rows, arrays.cols
-    repeats = np.flatnonzero((cols[1:] == cols[:-1]) & (rows[1:] == rows[:-1]))
-    if len(repeats):
-        row, col = rows[repeats[0]], cols[repeats[0]]
-        raise ModelError(
-            f"constraint {model.row_name(row)!r} of model {model.name!r} "
-            f"repeats variable {model.col_name(col)!r}"
-        )
+    runs column by column, rows ascending, with no (row, column) pair twice."""
     indptr = np.zeros(len(arrays.lower) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=len(arrays.lower)), out=indptr[1:])
-    return arrays.vals, rows, indptr
+    np.cumsum(np.bincount(arrays.cols, minlength=len(arrays.lower)), out=indptr[1:])
+    return arrays.vals, arrays.rows, indptr
 
 
 def _digest(c, integrality, lower, upper, data, indices, indptr, shape, lo, hi) -> str:

@@ -3,17 +3,18 @@
 A Model holds what HiGHS takes, in flat lists: column bounds, integrality
 and costs, row bounds, and the matrix as (row, column, value) entries.
 Builders append whole families: add_columns T columns, add_rows a block of
-row families interleaved period by period.  Insertion order fixes the
-column and row order handed to HiGHS, so repeated builds give identical
-arrays.  As in LinearExpression.from_terms, a column repeated in a row is
-summed and a zero coefficient is dropped.
+row families interleaved period by period; each column gets its objective
+cost as it is added.  Insertion order fixes the column and row order handed
+to HiGHS, so repeated builds give identical arrays.  A column repeated in a
+row is summed and a zero coefficient is dropped.  A single column or row is
+a family of one, its literal name escaped (Model.escape).
 
 A family keeps its name template; names are made only when a diagnostic or
 a test asks.  A template given twice is refused when it is added; two that
 spell one name (x_t00 beside x_t{:02d}) are refused when every name is made,
 by the read views variables and constraints or by variable(name).  The
-build path never makes them.  add_variable and add_constraint append one
-item to the store.
+build path never makes them.  Variable, LinearExpression and Constraint are
+the records those views return.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,23 +76,9 @@ class Variable:
 
 @dataclass(frozen=True)
 class LinearExpression:
-    """Sum of coef * variable terms, kept in insertion order."""
+    """Sum of coef * variable terms, by ascending variable id."""
 
     terms: tuple[tuple[int, float], ...] = ()
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[int, float]]) -> "LinearExpression":
-        merged: dict[int, float] = {}
-        for index, coef in terms:
-            merged[index] = merged.get(index, 0.0) + float(coef)
-        kept = tuple((i, c) for i, c in merged.items() if c != 0.0)
-        return LinearExpression(kept)
-
-    def value(self, values: Mapping[int, float]) -> float:
-        total = 0.0
-        for index, coef in self.terms:
-            total += coef * values[index]
-        return total
 
 
 @dataclass(frozen=True)
@@ -100,15 +87,6 @@ class Constraint:
     expr: LinearExpression
     sense: str
     rhs: float
-
-    def residual(self, values: Mapping[int, float]) -> float:
-        """Violation magnitude at the given point (0 when satisfied)."""
-        lhs = self.expr.value(values)
-        if self.sense == SENSE_LE:
-            return max(0.0, lhs - self.rhs)
-        if self.sense == SENSE_GE:
-            return max(0.0, self.rhs - lhs)
-        return abs(lhs - self.rhs)
 
 
 @dataclass
@@ -119,14 +97,10 @@ class Solution:
     objective_value: float
     values: np.ndarray
 
-    def value_of(self, var: Variable) -> float:
-        return float(self.values[var.index])
-
 
 class ModelArrays(NamedTuple):
     """A model as numpy arrays.  The matrix entries (rows, cols, vals) run
-    column by column, rows ascending, zeros dropped and repeats summed, but
-    for a repeat handed to add_constraint (the backend's assembly names it)."""
+    column by column, rows ascending, repeats summed and zeros dropped."""
 
     cost: np.ndarray
     integrality: np.ndarray
@@ -209,15 +183,13 @@ class Model:
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.direction: str = MAXIMIZE
+        self.direction: str = MAXIMIZE  # or MINIMIZE
         # Free-form build metadata (scenario handles, decode hints).  Not handed to the backend.
         self.tags: dict = {}
         # Per column, per row, and per matrix entry, in insertion order.
         self._lower, self._upper, self._integrality, self._cost = [], [], [], []
         self._row_lower, self._row_upper = [], []
         self._entry_rows, self._entry_cols, self._entry_vals = [], [], []
-        # Rows add_constraint took with a column repeated (not summed, see ModelArrays).
-        self._repeat_rows: list[int] = []
         self._col_names, self._row_names = _Names("variable"), _Names("constraint")
         self._arrays: ModelArrays | None = None
 
@@ -252,10 +224,6 @@ class Model:
         self._cost += costs
         self._arrays = None
         return range(start, start + count)
-
-    def add_variable(self, name: str, kind: str = CONTINUOUS, lower=0.0, upper=math.inf, cost=0.0) -> Variable:
-        (index,) = self.add_columns(self.escape(name), 1, kind, lower, upper, cost)
-        return Variable(index, name, kind, self._lower[index], self._upper[index])
 
     def add_rows(self, count: int, families) -> range:
         """Append count periods of interleaved rows; return the block's row ids.
@@ -305,26 +273,6 @@ class Model:
         self._arrays = None
         return range(start, start + width * count)
 
-    def add_constraint(self, name: str, expr: LinearExpression, sense: str, rhs: float) -> Constraint:
-        (row,) = self.add_rows(1, [(self.escape(name), sense, rhs, expr.terms)])
-        if len({i for i, _ in expr.terms}) < len(expr.terms):
-            self._repeat_rows.append(row)
-        return Constraint(name, expr, sense, float(rhs))
-
-    def set_objective(self, expr: LinearExpression, direction: str = MAXIMIZE) -> None:
-        if direction not in (MAXIMIZE, MINIMIZE):
-            raise ModelError(f"unknown objective direction {direction!r}")
-        cost = [0.0] * len(self._lower)
-        for index, coef in expr.terms:
-            if index < 0 or index >= len(cost):
-                raise ModelError(f"objective references unknown variable id {index}")
-            if not math.isfinite(coef):
-                raise ModelError("non-finite objective coefficient")
-            cost[index] += coef
-        self._cost = cost
-        self.direction = direction
-        self._arrays = None
-
     def arrays(self) -> ModelArrays:
         """The store as numpy arrays, made once per change."""
         if self._arrays is None:
@@ -335,7 +283,6 @@ class Model:
             rows, cols, vals = rows[order], cols[order], vals[keep][order]
             summed = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if summed.any():
-                summed &= ~np.isin(rows[1:], self._repeat_rows)
                 heads = np.flatnonzero(np.concatenate(([True], ~summed)))
                 rows, cols, vals = rows[heads], cols[heads], np.add.reduceat(vals, heads)
                 keep = vals != 0.0
@@ -375,10 +322,6 @@ class Model:
             begin = end
         return out
 
-    @property
-    def objective(self) -> LinearExpression:
-        return LinearExpression(tuple((j, c) for j, c in enumerate(self._cost) if c != 0.0))
-
     def variable(self, name: str) -> Variable:
         try:
             return self._variable(self._col_names.index(len(self._lower))[name], name)
@@ -396,8 +339,11 @@ def solve(model: Model, backend) -> Solution:
     1e-6) and the objective is recomputed from the values; a backend whose
     reported objective disagrees beyond 1e-5 relative is rejected.  Any other
     status comes back with a NaN objective and no values; the caller decides
-    what it means.
+    what it means.  A model whose direction is neither MAXIMIZE nor MINIMIZE
+    raises ModelError before the backend sees it.
     """
+    if model.direction not in (MAXIMIZE, MINIMIZE):
+        raise ModelError(f"unknown objective direction {model.direction!r} of model {model.name!r}")
     backend.load(model)
     backend.optimize()
     status = backend.status()

@@ -42,7 +42,6 @@ from .milp import (
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
-    LinearExpression,
     Model,
     Solution,
 )
@@ -213,7 +212,7 @@ def _add_price_dual(m: Model, tag: str, gamma: int, T: int, pieces: list[list[tu
     """
     if gamma == 0:
         return None
-    mu = m.add_variable(f"mu_{tag}", cost=-float(gamma)).index
+    (mu,) = m.add_columns(f"mu_{tag}", 1, cost=-float(gamma))
     xi = m.add_columns(f"xi_{tag}_t{{:02d}}", T, cost=-1.0)
     for k, piece in enumerate(pieces):
         terms = [(mu, 1.0), (xi, 1.0)] + [(ids, [-c for c in coefs]) for ids, coefs in piece]
@@ -286,8 +285,8 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
         _, envelope = committed(u, "drs", u.p_min, u.p_max, u.startup_cost, u.shutdown_cost)
         m.add_rows(T, envelope)
         if u.daily_energy_limit is not None:
-            energy = LinearExpression.from_terms([(i, dt) for i in disp] + [(i, dt) for i in ru])
-            m.add_constraint(f"drs_energy__{u.name}", energy, SENSE_LE, u.daily_energy_limit)
+            energy = [(i, dt) for i in disp] + [(i, dt) for i in ru]
+            m.add_rows(1, [(f"drs_energy__{Model.escape(u.name)}", SENSE_LE, u.daily_energy_limit, energy)])
 
     for u in portfolio.ndrs:
         disp, ru, rd = flows(u.name, 1.0, u.op_cost)
@@ -324,7 +323,7 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
         ties = [-PROFILE_TIE_EPS * j for j in range(len(u.profiles))]
         picks = m.add_columns(f"prof__{Model.escape(u.name)}_m{{}}", len(u.profiles), BINARY, cost=ties)
         cols["profiles"][u.name] = picks
-        m.add_constraint(f"fd_profile__{u.name}", LinearExpression.from_terms([(w, 1.0) for w in picks]), SENSE_EQ, 1.0)
+        m.add_rows(1, [(f"fd_profile__{Model.escape(u.name)}", SENSE_EQ, 1.0, [(w, 1.0) for w in picks])])
         floor = [(w, u.profiles[j]) for j, w in enumerate(picks)] + [(disp, -1.0)]
         block = m.add_rows(T, [
             (_per_t("fd_floor", u.name), SENSE_LE, [-c for c in cuts(u.name, u.deviation)], floor),

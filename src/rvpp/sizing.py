@@ -156,19 +156,20 @@ def _solved(m: Model) -> tuple[Solution, backends.SolveRecord]:
     """m solved to optimality in a fresh session, with its SolveRecord, else ScheduleError.
 
     This is the one place a non-optimal status becomes an error.  A time-limit
-    hit names the model, the limit and the MIP gap HiGHS had reached.  An
-    infeasible model names the rows of the session's feasibility relaxation
-    (see ScipyHighsBackend.relaxed_rows), largest violation first, at most
-    five.  Any other status is named as it is.
+    hit names the model, the limit and, for a model with binaries, the MIP
+    gap HiGHS had reached.  An infeasible model names the rows of the
+    session's feasibility relaxation (see ScipyHighsBackend.relaxed_rows),
+    largest violation first, at most five.  Any other status is named as it is.
     """
     backend = backends.ScipyHighsBackend()
     sol = solve(m, backend)
     if sol.status == STATUS_OPTIMAL:
         return sol, backend.last_run
     if sol.status == STATUS_LIMIT:
+        gap = backend.last_run.mip_gap
         raise ScheduleError(
-            f"model {m.name!r} hit the {backends.SOLVE_TIME_LIMIT_S:g} s time limit "
-            f"at mip_gap {backend.last_run.mip_gap:.3g}"
+            f"model {m.name!r} hit the {backends.SOLVE_TIME_LIMIT_S:g} s time limit"
+            + ("" if gap is None else f" at mip_gap {gap:.3g}")
         )
     detail = ""
     if sol.status == STATUS_INFEASIBLE:

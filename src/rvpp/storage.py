@@ -20,7 +20,7 @@ period 1 back onto period T, so the day starts and ends at the same level.
 from __future__ import annotations
 
 from .domain import EsUnit
-from .milp import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, LinearExpression, Model
+from .milp import BINARY, SENSE_EQ, SENSE_GE, SENSE_LE, Model
 
 
 def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
@@ -43,7 +43,7 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
     ruc, rud, rdc, rdd = columns("ruc"), columns("rud"), columns("rdc"), columns("rdd")
     mode = columns("mode", kind=BINARY)
     soc = columns("soc", lower=u.e_min, upper=u.e_max)
-    sigma_up, sigma_dn = (m.add_variable(f"sigma_{side}__{u.name}", upper=1.0).index for side in ("up", "dn"))
+    sigma_up, sigma_dn = (m.add_columns(f"sigma_{side}__{n}", 1, upper=1.0)[0] for side in ("up", "dn"))
 
     def row(name: str, sense: str, rhs: float, terms) -> tuple:
         return f"es_{name}_t{{:02d}}__{n}", sense, rhs, terms
@@ -62,7 +62,7 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
     envelopes = (("up", (ruc, rud), dt / eta_d, sigma_up), ("dn", (rdc, rdd), eta_c * dt, sigma_dn))
     for side, reserves, coef, sigma in envelopes:
         terms = [(r[t], coef) for t in range(T) for r in reserves] + [(sigma, -span)]
-        m.add_constraint(f"es_env_{side}__{u.name}", LinearExpression.from_terms(terms), SENSE_LE, 0.0)
+        m.add_rows(1, [(f"es_env_{side}__{n}", SENSE_LE, 0.0, terms)])
     return {
         "ts_charge": pch,
         "ts_discharge": pdis,

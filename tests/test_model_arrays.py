@@ -21,6 +21,7 @@ from rvpp import (
     solve,
     strategy_budgets,
 )
+from rvpp import backends
 from rvpp.sizing import price_only_budgets, stand_alone
 
 DIGESTS = {
@@ -64,3 +65,22 @@ def digests(bundle):
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_shipped_model_arrays_are_pinned(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+def test_the_read_views_count_what_highs_receives(bundle, monkeypatch):
+    """The model's read views (what the benchmark's trace reads for a
+    model's shape) count the columns, rows, nonzeros and binaries handed to
+    HiGHS.  The record is made before HiGHS runs, so no solve is waited for."""
+    portfolio, scenario = bundle.cell("winter", "unfavorable")
+    model = build_robust_rvpp(portfolio, scenario, strategy_budgets("balanced", portfolio))
+    monkeypatch.setattr(backends, "SOLVE_TIME_LIMIT_S", 1e-9)
+    backend = ScipyHighsBackend()
+    solve(model, backend)
+    run = backend.last_run
+    views = (
+        len(model.variables),
+        len(model.constraints),
+        sum(len(con.expr.terms) for con in model.constraints),
+        model.binary_count(),
+    )
+    assert views == (run.cols, run.rows, run.nnz, run.binaries) == (894, 794, 3014, 219)

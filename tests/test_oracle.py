@@ -17,7 +17,6 @@ from rvpp import (
     strategy_budgets,
     worst_case_profit,
 )
-from rvpp.milp import LinearExpression
 from rvpp.scheduler import RvppSchedule, dominant_subset
 from rvpp import ScipyHighsBackend, build_robust_rvpp, extract_rvpp_schedule, solve
 from test_scheduler import mixed_toy
@@ -119,7 +118,7 @@ def test_model_objective_is_the_worst_case_profit():
 
     m2 = build_robust_rvpp(portfolio, scenario, budgets)
     idle = m2.variable("pda_t01")
-    m2.add_constraint("force_idle", LinearExpression(((idle.index, 1.0),)), "<=", 0.0)
+    m2.add_rows(1, [("force_idle", "<=", 0.0, [(idle.index, 1.0)])])
     forced = extract_rvpp_schedule(m2, solve(m2, ScipyHighsBackend()))
     wc_forced, _ = worst_case_profit(forced, portfolio, scenario, budgets)
     assert forced.objective_value == pytest.approx(wc_forced, abs=1e-7)

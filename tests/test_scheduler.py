@@ -30,7 +30,6 @@ from rvpp import (
     worst_case_profit,
 )
 from rvpp.domain import _declared
-from rvpp.milp import LinearExpression
 from rvpp.scheduler import dominant_subset
 from toys import market, solve_rvpp, wind, wind_only
 
@@ -338,7 +337,7 @@ def test_decode_requires_optimal_status():
     portfolio, scenario = wind_only(T=4)
     m = build_deterministic_rvpp(portfolio, scenario)
     pda0 = m.variable("pda_t00")
-    m.add_constraint("impossible", LinearExpression(((pda0.index, 1.0),)), ">=", 1.0e9)
+    m.add_rows(1, [("impossible", ">=", 1.0e9, [(pda0.index, 1.0)])])
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "infeasible"
     with pytest.raises(DecodeError, match="status"):
