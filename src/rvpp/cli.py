@@ -23,11 +23,11 @@ The cells then assemble their rows by arithmetic on the shared results
 (`sizing.GapReport.of`, `sizing.sized_from_module`): sizing takes its module
 count from the one-module solve, so case 4 shares every solve with case 3.
 
+Every --jobs value runs the plan on one pool of forked worker processes (the
+platform's default start method off Linux); the parent itself never solves.
 When a worker process dies, each key left without a result runs once more,
 alone, in a fresh one-worker pool; a key whose worker dies again fails with
 "worker process died while solving <label>", so each key runs at most twice.
-With one worker the solves run in this process, where such a crash ends the
-run.
 
 Every schedule is replayed and audited before anything is written; a failed
 solve fails the cells that need it while the remaining cells still produce
@@ -40,12 +40,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,8 +93,8 @@ def run_cell(key: Solve) -> dict:
     """Run one solve of the plan: its schedule or its error, its seconds, and
     their split by layer (RvppSchedule.layer_seconds; empty on an error).
 
-    Runs in a worker process when the sweep has more than one worker, so the
-    key and the returned dict stay picklable.
+    Runs in a pool worker process, so the key and the returned dict stay
+    picklable.
     """
     started = time.perf_counter()
     schedule, error = _isolated(key.run)
@@ -102,15 +102,21 @@ def run_cell(key: Solve) -> dict:
     return {"schedule": schedule, "error": error, "seconds": seconds, "layers": getattr(schedule, "layer_seconds", {})}
 
 
-def _run_alone(key: Solve) -> dict:
-    """run_cell(key) in a fresh one-worker pool, or the error of a worker
-    that died solving it."""
-    with ProcessPoolExecutor(max_workers=1) as pool:
+# Forked workers inherit the loaded HiGHS binding; off Linux, the default.
+_POOL_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+
+
+def _solve_all(keys: list[Solve], workers: int) -> dict:
+    """{key: run_cell(key)} from a pool of `workers` processes, for the keys
+    in order up to the first one a dead worker left without a result."""
+    results = {}
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT) as pool:
         try:
-            return next(pool.map(run_cell, [key]))
+            for key, res in zip(keys, pool.map(run_cell, keys)):
+                results[key] = res
         except BrokenProcessPool:
-            error = f"worker process died while solving {key.label()}"
-            return {"schedule": None, "error": error, "seconds": 0.0, "layers": {}}
+            pass  # a worker died; the caller retries the keys it left
+    return results
 
 
 def _fd_label(pct: float) -> str:
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker processes for the plan's solves (default: every usable CPU); "
-                             "never more than the distinct solves, and 1 runs in-process")
+                             "never more than the distinct solves")
     return parser
 
 
@@ -385,18 +391,11 @@ def main(argv: list[str] | None = None) -> int:
     order = list(dict.fromkeys(k for plan, _ in plans if plan for k in _needs(plan)))
     order.sort(key=Solve.weight)
     jobs = max(1, min(args.jobs or _usable_cpus(), len(order)))
-    # No solve runs in this process before the pool forks.
-    results = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        try:
-            for key, res in zip(order, run(run_cell, order)):
-                results[key] = res
-        except BrokenProcessPool:
-            pass  # a worker died; the keys it left without a result run below
-    for key in order:
-        if key not in results:
-            results[key] = _run_alone(key)
+    # The parent runs no solve, so the pool forks no solver state.
+    results = _solve_all(order, jobs)
+    for key in [k for k in order if k not in results]:  # left by a dead worker; each runs once more, alone
+        error = f"worker process died while solving {key.label()}"
+        results[key] = _solve_all([key], 1).get(key, {"schedule": None, "error": error, "seconds": 0.0, "layers": {}})
 
     def solved(key: Solve):
         res = results[key]

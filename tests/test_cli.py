@@ -8,6 +8,8 @@ import csv
 import json
 import os
 import random
+import subprocess
+import sys
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -24,6 +26,17 @@ RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "p
 def read_rows(out_dir, name: str = "results.csv") -> list[dict]:
     with open(out_dir / name, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# Every solve runs in a forked pool worker, so a patched observer reports to
+# the test through a file rather than a list in this process.
+def append_line(path: Path, line: str) -> None:
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+
+
+def read_lines(path: Path) -> list[str]:
+    return path.read_text().splitlines() if path.exists() else []
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +235,7 @@ def test_a_configuration_that_leaves_no_units(tmp_path, bundle, solve_calls, cap
     assert cli.main([*flags, "--out", str(out)]) == 0
     configs = {r["configuration"] for r in read_rows(out)}
     assert configs == {"full", "no_ndrs", "no_csp", "no_fd", "fd_000", "fd_050", "fd_150"}
-    solve_calls.clear()
+    solve_calls.unlink(missing_ok=True)
     fd_only = str(_one_class_copy(tmp_path, bundle, "fd"))
     cases = ((drs_only, ["--config", "no_drs"], "no_drs"), (fd_only, ["--fd-scale", "0"], "fd_000"))
     for scenario, extra, named in cases:
@@ -231,7 +244,7 @@ def test_a_configuration_that_leaves_no_units(tmp_path, bundle, solve_calls, cap
         assert code == 2
         assert f"configuration {named} leaves no units" in capsys.readouterr().err
         assert not lacking.exists()
-    assert solve_calls == []
+    assert read_lines(solve_calls) == []
 
 
 def test_manifest_splits_solve_seconds_by_layer(case1_run):
@@ -251,7 +264,7 @@ def test_out_that_cannot_be_a_directory_exits_2_before_any_solve(tmp_path, solve
     for out in (taken, taken / "sub"):
         assert cli.main([*flags, "--out", str(out)]) == 2
         assert f"error: --out {out}: " in capsys.readouterr().err
-    assert solve_calls == []
+    assert read_lines(solve_calls) == []
 
 
 def test_case4_needs_a_storage_module(tmp_path, bundle, capsys):
@@ -349,14 +362,14 @@ def test_case4_takes_over_case3_sizing(tmp_path):
 
 
 @pytest.fixture
-def solve_calls(monkeypatch) -> list[str]:
-    """Names of the models solved in this process; every CLI solve goes
+def solve_calls(monkeypatch, tmp_path) -> Path:
+    """A file that names each model solved, one a line; every CLI solve goes
     through the sizing module."""
-    calls: list[str] = []
+    calls = tmp_path / "solve_calls"
     real = sizing.solve
 
     def counting(model, backend):
-        calls.append(model.name)
+        append_line(calls, model.name)
         return real(model, backend)
 
     monkeypatch.setattr(sizing, "solve", counting)
@@ -365,18 +378,18 @@ def solve_calls(monkeypatch) -> list[str]:
 
 def test_case4_adds_no_solves_to_case3(tmp_path, solve_calls):
     sweep(tmp_path / "case3", "--case", "3", "--jobs", "1")
-    case3 = len(solve_calls)
-    solve_calls.clear()
+    case3 = len(read_lines(solve_calls))
+    solve_calls.unlink(missing_ok=True)
     sweep(tmp_path / "both", "--case", "3", "--case", "4", "--jobs", "1")
-    assert case3 > 0 and len(solve_calls) == case3
+    assert case3 > 0 and len(read_lines(solve_calls)) == case3
 
 
 def test_fd_000_reuses_the_no_fd_schedule(tmp_path, solve_calls):
     def solves(*extra: str) -> tuple[int, dict]:
-        solve_calls.clear()
+        solve_calls.unlink(missing_ok=True)
         flags = ["--case", "3", "--config", "full", "--fd-scale", "100", "--jobs", "1", *extra]
         out = sweep(tmp_path / ("_".join(extra) or "base"), *flags)
-        return len(solve_calls), {r["configuration"]: r for r in read_rows(out)}
+        return len(read_lines(solve_calls)), {r["configuration"]: r for r in read_rows(out)}
 
     base = solves()[0]
     assert solves("--fd-scale", "0")[0] == base + 1
@@ -403,19 +416,19 @@ SPRING_ALL_CASES = ("--case", "1", "--case", "2", "--case", "3", "--case", "4", 
 
 @pytest.fixture(scope="module")
 def spring_jobs1(tmp_path_factory):
-    """An in-process spring sweep of all four cases, with the digest of every model HiGHS ran."""
-    digests: list[str] = []
+    """A one-worker spring sweep of all four cases, with the digest of every model HiGHS ran."""
+    digests = tmp_path_factory.mktemp("spring_jobs1_digests") / "digests"
     real = backends.ScipyHighsBackend.optimize
 
     def digesting(self):
         real(self)
-        digests.append(self.last_run.digest)
+        append_line(digests, self.last_run.digest)
 
     out = tmp_path_factory.mktemp("spring_jobs1")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backends.ScipyHighsBackend, "optimize", digesting)
         assert cli.main([*SPRING_ALL_CASES, "--jobs", "1", "--out", str(out)]) == 0
-    return out, digests
+    return out, read_lines(digests)
 
 
 def test_sweep_solves_no_model_twice(spring_jobs1):
@@ -553,12 +566,11 @@ def test_a_dead_worker_fails_its_solve_not_the_sweep(tmp_path, monkeypatch, bund
 
     def dying(key):
         if key.subject.es:
-            with open(runs, "a") as fh:
-                fh.write("run\n")
+            append_line(runs, "run")
             os._exit(3)
         return real(key)
 
-    # Pool workers are forked, so they inherit the patch.
+    # The sweep forks its pool workers on Linux, so they inherit the patch.
     monkeypatch.setattr(sizing.Solve, "run", dying)
     out = tmp_path / "out"
     flags = ["--case", "1", "--case", "3", *SPRING_BALANCED, "--jobs", "2", "--out", str(out)]
@@ -568,7 +580,55 @@ def test_a_dead_worker_fails_its_solve_not_the_sweep(tmp_path, monkeypatch, bund
     assert cells[3]["status"] == "failed"
     assert f"worker process died while solving {bundle.es_module.name}" in cells[3]["error"]
     assert {row["case"] for row in read_rows(out)} == {"1"}
-    assert runs.read_text().splitlines() == ["run", "run"]
+    assert read_lines(runs) == ["run", "run"]
+
+
+# The dead-worker check in a fresh interpreter, as CI runs it, so that a worker
+# death that ends the sweep's own process cannot end the test session.
+DEAD_WORKER = """
+import multiprocessing, os, sys
+import rvpp.cli, rvpp.sizing as s
+start_method, runs, jobs, out = sys.argv[1:]
+if start_method != "default":
+    multiprocessing.set_start_method(start_method)
+run = s.Solve.run
+
+def dying(key):
+    if key.subject.es:
+        with open(runs, "a") as fh:
+            fh.write("run\\n")
+        os._exit(3)
+    return run(key)
+
+s.Solve.run = dying
+flags = ["--case", "1", "--case", "3", "--season", "spring", "--strategy", "balanced"]
+sys.exit(rvpp.cli.main([*flags, "--jobs", jobs, "--out", out]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("start_method", [
+    "default",
+    # The pool forks on Linux only, so elsewhere a forkserver worker would not
+    # inherit the patch.
+    pytest.param("forkserver", marks=pytest.mark.skipif(sys.platform != "linux", reason="forks on Linux only")),
+])
+def test_a_dead_worker_fails_its_solve_at_any_jobs(tmp_path, bundle, start_method, jobs):
+    """Exit 1 with case 1 ok and case 3 naming the dead worker, whatever the
+    worker count and the default start method; the storage module ran twice,
+    once in the plan's pool and once alone."""
+    runs, out = tmp_path / "module_runs", tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", DEAD_WORKER, start_method, str(runs), jobs, str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, (proc.returncode, proc.stderr)
+    cells = {c["case"]: c for c in json.loads((out / "run_manifest.json").read_text())["cells"]}
+    assert cells[1]["status"] == "ok"
+    assert cells[3]["status"] == "failed"
+    assert f"worker process died while solving {bundle.es_module.name}" in cells[3]["error"]
+    assert {row["case"] for row in read_rows(out)} == {"1"}
+    assert read_lines(runs) == ["run", "run"]
 
 
 def test_unit_order_changes_no_number(tmp_path, bundle):

@@ -11,6 +11,11 @@ the literals in the same change and say why.
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from rvpp import (
@@ -84,3 +89,41 @@ def test_the_read_views_count_what_highs_receives(bundle, monkeypatch):
         model.binary_count(),
     )
     assert views == (run.cols, run.rows, run.nnz, run.binaries) == (894, 794, 3014, 219)
+
+
+# The LP-relaxation optimum of the six slowest case-2 models (unfavorable
+# regime), by (season, strategy).  Unlike node and iteration counts it does
+# not move with column order, so it measures how tight a formulation is; a
+# change that loosens one of these bounds says so where it lands.
+LP_BOUNDS = {
+    ("autumn", "pessimistic"): 18199.3236,
+    ("summer", "pessimistic"): 14400.3658,
+    ("winter", "balanced"): 32243.2395,
+    ("winter", "pessimistic"): 26572.6656,
+    ("autumn", "balanced"): 23430.1433,
+    ("summer", "balanced"): 19370.0705,
+}
+GOLDEN = Path(__file__).resolve().parent / "golden" / "results.csv"
+
+
+def lp_bound(model) -> float:
+    """The optimum of the model's LP relaxation: Model.arrays() with the
+    integrality dropped, solved in a session set up with session_options()."""
+    arrays = model.arrays()
+    relaxed = arrays._replace(integrality=np.zeros_like(arrays.integrality))
+    backend = ScipyHighsBackend()
+    backend.load(SimpleNamespace(name=model.name, direction=model.direction, arrays=lambda: relaxed))
+    backend.optimize()
+    assert backend.status() == "optimal"
+    return backend.objective_value()
+
+
+@pytest.mark.parametrize("season, strategy", list(LP_BOUNDS))
+def test_lp_relaxation_bounds_are_pinned(bundle, season, strategy):
+    portfolio, scenario = bundle.cell(season, "unfavorable")
+    bound = lp_bound(build_robust_rvpp(portfolio, scenario, strategy_budgets(strategy, portfolio)))
+    assert bound == pytest.approx(LP_BOUNDS[season, strategy], rel=1e-6)
+    with open(GOLDEN, newline="") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if (r["case"], r["season"], r["regime"], r["strategy"])
+                  == ("2", season, "unfavorable", strategy)]
+    assert bound >= float(row["objective"])
