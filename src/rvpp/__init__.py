@@ -15,10 +15,14 @@ no submodule, no numpy and no yaml.  Only `backends`, and `sizing` through
 it, need scipy's HiGHS binding, so everything else imports without it and
 the console entry point (`rvpp.__main__`) can report a missing binding with
 exit 2.  The binding is the one part of scipy rvpp loads, straight from its
-file.  In a fresh interpreter on a 2-vCPU VM, `import rvpp` plus
-`load_scenario` takes about 0.07 s, against 0.18 s when every submodule was
-imported up front; `import rvpp.cli` takes 0.2-0.25 s and 40 MB either way,
-where importing the binding through `scipy.optimize` took 0.82 s and 79 MB.
+file.  `backends` also keeps `hashlib` (which loads OpenSSL's libcrypto)
+and `importlib.metadata` (the email and zip modules) off the import path,
+so neither the parent nor a forked worker carries them.  In a fresh
+interpreter on a 2-vCPU VM, `import rvpp` plus `load_scenario` takes about
+0.07 s, against 0.18 s when every submodule was imported up front;
+`import rvpp.cli` takes about 0.14 s and 35 MB, against 0.18 s and 41 MB
+with `hashlib` and `importlib.metadata` imported, and 0.82 s and 79 MB with
+the binding imported through `scipy.optimize`.
 """
 
 import importlib

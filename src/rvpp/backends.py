@@ -20,17 +20,25 @@ hands passModel the model store's arrays (Model.arrays), with no per-term
 loop and nothing to check: the store has already summed every repeated
 column of a row.  Only the CSC column pointers are built, as scipy.sparse
 builds them.
+
+Two standard-library modules stay off the import path too, so neither the
+parent nor a forked worker carries them.  `import hashlib` loads OpenSSL's
+libcrypto (about 3.7 MB resident), so the model digest takes blake2b from
+`_blake2`, CPython's builtin module: `hashlib.blake2b` is that same
+function, so every digest is unchanged.  `importlib.metadata` brings in the
+email and zip modules (about 0.9 MB), so it is imported only where a missing
+binding names the installed scipy.  Without the two, `import rvpp.cli`
+leaves a 35 MB resident set instead of 41 MB (medians of 10 runs).
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
-import importlib.metadata
 import importlib.util
 import os
 import sys
 import time
+from _blake2 import blake2b
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +88,8 @@ def _load_binding():
 
 
 def _installed_scipy() -> str:
+    import importlib.metadata
+
     try:
         return importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
@@ -93,6 +103,9 @@ except ImportError as exc:
         f"rvpp needs scipy>=1.15 for its HiGHS binding ({_BINDING}); "
         f"installed scipy is {_installed_scipy()}: {exc}"
     ) from exc
+
+# Read from the binding itself: scipy's version would cost an import.
+HIGHS_VERSION = f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
 
 # The MIP gap is zero because the equality-style cross-checks run on every
 # solution need the optimum, not scipy's default 1e-4 relative gap.  RINS and
@@ -274,7 +287,7 @@ def _csc(arrays):
 
 
 def _digest(c, integrality, lower, upper, data, indices, indptr, shape, lo, hi) -> str:
-    h = hashlib.blake2b(digest_size=16)
+    h = blake2b(digest_size=16)
     parts = [c, integrality, lower, upper]
     if shape[0]:
         parts += [data, indices, indptr, shape, lo, hi]

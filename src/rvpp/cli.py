@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
-from .backends import session_options
+from .backends import HIGHS_VERSION, session_options
 from .datasets import default_scenario_path
 from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
 from .oracle import nominal_profit
@@ -433,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         written = [str(p) for p in write_results(table, out_dir)]
     manifest = {
         "scenario": args.scenario,
+        "highs_version": HIGHS_VERSION,
         "highs_options": session_options(),
         "jobs": jobs,
         "cells_total": len(tasks),

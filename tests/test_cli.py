@@ -483,6 +483,8 @@ def test_manifest_records_the_highs_options(tmp_path):
         "mip_heuristic_run_feasibility_jump": False,
         "time_limit": backends.SOLVE_TIME_LIMIT_S,
     }
+    core = backends._core
+    assert manifest["highs_version"] == f"{core.HIGHS_VERSION_MAJOR}.{core.HIGHS_VERSION_MINOR}.{core.HIGHS_VERSION_PATCH}"
 
 
 def test_time_limit_fails_the_cell_and_writes_no_number(tmp_path, monkeypatch):

@@ -513,13 +513,23 @@ def test_console_exits_2_without_the_binding(tmp_path):
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """The binding is loaded from its file: scipy.optimize, sparse and linalg
     stay out of a fresh interpreter that imports the CLI, and a later import
-    through scipy.optimize gets the same module."""
-    check = (
-        "import sys, rvpp.cli\n"
-        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules]\n"
-        "if loaded: sys.exit(f'imported {loaded}')\n"
-        "from scipy.optimize._highspy import _core\n"
-        "sys.exit(0 if _core is rvpp.backends._core else 'a second binding was loaded')\n"
+    through scipy.optimize gets the same module.  hashlib (and OpenSSL under
+    it) and importlib.metadata stay out too, also after a solve, since every
+    solve takes the digest of its model."""
+    check = textwrap.dedent(
+        """
+        import sys, rvpp.cli
+        from rvpp import Portfolio, default_scenario_path, load_scenario
+        from rvpp.sizing import Solve
+        bundle = load_scenario(default_scenario_path())
+        _, market = bundle.cell('spring', 'favorable')
+        Solve(market, Portfolio(es=(bundle.es_module,)), None).run()
+        unwanted = ('scipy.optimize', 'scipy.sparse', 'scipy.linalg', 'hashlib', '_hashlib', 'importlib.metadata')
+        loaded = [m for m in unwanted if m in sys.modules]
+        if loaded: sys.exit(f'imported {loaded}')
+        from scipy.optimize._highspy import _core
+        sys.exit(0 if _core is rvpp.backends._core else 'a second binding was loaded')
+        """
     )
     proc = _fresh_python("-c", check)
     assert proc.returncode == 0, proc.stderr

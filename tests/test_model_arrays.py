@@ -127,3 +127,23 @@ def test_lp_relaxation_bounds_are_pinned(bundle, season, strategy):
         (row,) = [r for r in csv.DictReader(fh) if (r["case"], r["season"], r["regime"], r["strategy"])
                   == ("2", season, "unfavorable", strategy)]
     assert bound >= float(row["objective"])
+
+
+# The LP-relaxation gap, (LP bound - optimum) / optimum, summed over the 24
+# case-2 models (the full robust portfolio of every season, regime and
+# strategy): how tight the formulation is as a whole.  The optima are the
+# golden file's, printed at six significant digits, so each is off by up to
+# 5e-6 of itself; the tolerance sums that over the models.
+CASE2_LP_GAP = 0.18976
+
+
+def test_summed_case2_lp_gap_is_pinned(bundle):
+    with open(GOLDEN, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["case"] == "2"]
+    assert len(rows) == 24
+    ratios = []
+    for row in rows:
+        portfolio, scenario = bundle.cell(row["season"], row["regime"])
+        bound = lp_bound(build_robust_rvpp(portfolio, scenario, strategy_budgets(row["strategy"], portfolio)))
+        ratios.append(bound / float(row["objective"]))
+    assert sum(ratios) - len(ratios) == pytest.approx(CASE2_LP_GAP, abs=5e-6 * sum(ratios))
