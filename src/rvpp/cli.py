@@ -348,10 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.explicit = {flag for flag in ("config", "fd_scale") if getattr(args, flag) is not None}
     # A repeated filter value runs once, where it first appears.
-    defaults = {"case": (), "config": CONFIG_CHOICES, "season": (), "regime": (), "strategy": ()}
+    defaults = {"case": (), "config": CONFIG_CHOICES, "fd_scale": DEFAULT_FD_SCALES, "season": (), "regime": (), "strategy": ()}
     for flag, default in defaults.items():
         setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
-    args.fd_scale = args.fd_scale if args.fd_scale is not None else list(DEFAULT_FD_SCALES)
     args.scenario = str(args.scenario or default_scenario_path())
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

@@ -303,7 +303,7 @@ def replay_schedule(
         r_up, r_dn = schedule.reserve_up[u.name], schedule.reserve_dn[u.name]
         charging = schedule.mode[u.name].astype(float)
         idle = 1.0 - charging
-        sigma_up, sigma_dn = schedule.sigma[u.name]
+        (sigma_dn,) = schedule.sigma[u.name]
         span = u.e_max - u.e_min
         es_res["mode_exclusivity"].append(float(np.minimum(ch, dis).max()))
         es_res["charge_envelope"] += [
@@ -317,12 +317,12 @@ def replay_schedule(
         expected = soc[:-1] + u.charge_eff * dt * ch - dis * dt / u.discharge_eff
         es_res["soc_recursion"] += [float(np.abs(expected - soc[1:]).max()), abs(soc[0] - soc[-1])]
         es_res["soc_bounds"] += [_max_residual(u.e_min - soc), _max_residual(soc - u.e_max)]
-        es_res["reserve_energy_up"].append(float((r_up * dt / u.discharge_eff).sum()) - sigma_up * span)
+        es_res["reserve_energy_up"].append(float((r_up * dt / u.discharge_eff).sum()) - span)
         es_res["reserve_energy_dn"].append(float((r_dn * u.charge_eff * dt).sum()) - sigma_dn * span)
         es_res["soc_margins"] += [
             _max_residual(u.e_min + sigma_dn * span - soc[1:]),
             _max_residual(soc[1:] - (u.e_max - sigma_dn * span)),
         ]
-        es_res["sigma_range"] += [-sigma_up, -sigma_dn, sigma_up - 1.0, sigma_dn - 1.0]
+        es_res["sigma_range"] += [-sigma_dn, sigma_dn - 1.0]
     res.update((family, max(values)) for family, values in es_res.items())
     return res

@@ -47,12 +47,6 @@ from .milp import (
 )
 from .storage import add_es_unit
 
-# Objective weight -PROFILE_TIE_EPS * j on flexible-demand profile j.  It is
-# below HiGHS's mip_abs_gap, so it cannot decide a tie: it only steers the
-# search (dropping it slows the winter solves).  The decoder decides ties and
-# removes the term from reported objectives.
-PROFILE_TIE_EPS = 1.0e-9
-
 # RvppSchedule per-unit fields decoded from continuous and from binary columns.
 _UNIT_SERIES = ("dispatch", "reserve_up", "reserve_dn", "sf_power", "ts_charge", "ts_discharge", "sigma")
 _UNIT_BINARIES = ("on", "start", "stop", "mode")
@@ -111,9 +105,9 @@ class RvppSchedule:
     T+1 points; index 0 is the start-of-day store level, which equals index T
     by the cyclic coupling.  A storage unit's reserve_up and reserve_dn sum its
     charge and discharge sides, mode is 1 while it charges, and sigma holds
-    its (sigma_up, sigma_dn) envelope fractions.  objective_value is the
-    solver objective with the profile tie-break term removed.  The schedule
-    carries no price: oracle.nominal_profit prices it from the raw inputs.
+    its down-reserve envelope fraction sigma_dn as a one-point array.
+    objective_value is the solver objective.  The schedule carries no price:
+    oracle.nominal_profit prices it from the raw inputs.
     layer_seconds is how long sizing.audited_schedule took per layer.
     """
 
@@ -144,7 +138,7 @@ class RvppSchedule:
         Every storage row is positively homogeneous in the continuous columns
         and the units' ratings, so flows, reserves, state of charge, the
         objective and the price duals scale by n; mode and the sigma envelope
-        fractions do not.  Other unit classes do not scale so.
+        fraction do not.  Other unit classes do not scale so.
         """
         artifacts = self.artifacts
         if artifacts is not None:
@@ -320,8 +314,7 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
 
     for u in portfolio.fd:
         disp, ru, rd = flows(u.name, -1.0, 0.0, u.p_max)
-        ties = [-PROFILE_TIE_EPS * j for j in range(len(u.profiles))]
-        picks = m.add_columns(f"prof__{Model.escape(u.name)}_m{{}}", len(u.profiles), BINARY, cost=ties)
+        picks = m.add_columns(f"prof__{Model.escape(u.name)}_m{{}}", len(u.profiles), BINARY)
         cols["profiles"][u.name] = picks
         m.add_rows(1, [(f"fd_profile__{Model.escape(u.name)}", SENSE_EQ, 1.0, [(w, 1.0) for w in picks])])
         floor = [(w, u.profiles[j]) for j, w in enumerate(picks)] + [(disp, -1.0)]
@@ -445,12 +438,10 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         levels = read(c)
         ts_soc[name] = np.concatenate(([levels[-1]], levels))
     fd_profile: dict[str, int] = {}
-    perturb = 0.0
     for u in portfolio.fd:
         chosen = [j for j, pick in enumerate(_binaries(m, sol.values, cols["profiles"][u.name])) if pick]
         if len(chosen) != 1:
             raise DecodeError(f"{u.name}: expected exactly one chosen profile, got {chosen}")
-        perturb += -PROFILE_TIE_EPS * chosen[0]
         limit = arrays.row_upper[cols["fd_floor"][u.name]] + FEASIBILITY_TOL
         fd_profile[u.name] = next(
             j
@@ -483,6 +474,6 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         **binaries,
         fd_profile=fd_profile,
         ts_soc=ts_soc,
-        objective_value=sol.objective_value - perturb,
+        objective_value=sol.objective_value,
         artifacts=artifacts,
     )

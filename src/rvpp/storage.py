@@ -10,11 +10,11 @@ efficiencies and costs do not.
 
 Charging and discharging are mode-exclusive per period; reserve offers split
 into a charge-side part (backing off charging) and a discharge-side part.
-Daily reserve energy is fenced by two envelope fractions of the energy span:
-sigma_up bounds the up-reserve energy, sigma_dn the down-reserve energy, and
-sigma_dn alone also keeps both state-of-charge margins, above the floor and
-below the ceiling.  The state of charge is cyclic: the recursion wraps
-period 1 back onto period T, so the day starts and ends at the same level.
+The daily up-reserve energy is fenced by the energy span.  The down-reserve
+energy is fenced by the fraction sigma_dn of that span, and the same share
+also keeps both state-of-charge margins, above the floor and below the
+ceiling.  The state of charge is cyclic: the recursion wraps period 1 back
+onto period T, so the day starts and ends at the same level.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
 
     They are keyed like the RvppSchedule fields they decode into: ts_charge,
     ts_discharge and ts_soc (the T levels), mode (1 while charging) and
-    sigma ([sigma_up, sigma_dn]); es_reserves holds the up reserve on the
-    charge and the discharge side, then the down reserve on each side.
+    sigma ([sigma_dn]); es_reserves holds the up reserve on the charge and
+    the discharge side, then the down reserve on each side.
     """
     eta_c, eta_d, span = u.charge_eff, u.discharge_eff, u.e_max - u.e_min
     n = m.escape(u.name)
@@ -43,7 +43,7 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
     ruc, rud, rdc, rdd = columns("ruc"), columns("rud"), columns("rdc"), columns("rdd")
     mode = columns("mode", kind=BINARY)
     soc = columns("soc", lower=u.e_min, upper=u.e_max)
-    sigma_up, sigma_dn = (m.add_columns(f"sigma_{side}__{n}", 1, upper=1.0)[0] for side in ("up", "dn"))
+    (sigma_dn,) = m.add_columns(f"sigma_dn__{n}", 1, upper=1.0)
 
     def row(name: str, sense: str, rhs: float, terms) -> tuple:
         return f"es_{name}_t{{:02d}}__{n}", sense, rhs, terms
@@ -59,15 +59,15 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
         row("floor", SENSE_GE, u.e_min, [(soc, 1.0), (sigma_dn, -span)]),
         row("head", SENSE_LE, u.e_max, [(soc, 1.0), (sigma_dn, span)]),
     ])
-    envelopes = (("up", (ruc, rud), dt / eta_d, sigma_up), ("dn", (rdc, rdd), eta_c * dt, sigma_dn))
-    for side, reserves, coef, sigma in envelopes:
-        terms = [(r[t], coef) for t in range(T) for r in reserves] + [(sigma, -span)]
-        m.add_rows(1, [(f"es_env_{side}__{n}", SENSE_LE, 0.0, terms)])
+    up = [(r[t], dt / eta_d) for t in range(T) for r in (ruc, rud)]
+    dn = [(r[t], eta_c * dt) for t in range(T) for r in (rdc, rdd)] + [(sigma_dn, -span)]
+    m.add_rows(1, [(f"es_env_up__{n}", SENSE_LE, span, up)])
+    m.add_rows(1, [(f"es_env_dn__{n}", SENSE_LE, 0.0, dn)])
     return {
         "ts_charge": pch,
         "ts_discharge": pdis,
         "ts_soc": soc,
         "mode": mode,
-        "sigma": [sigma_up, sigma_dn],
+        "sigma": [sigma_dn],
         "es_reserves": (ruc, rud, rdc, rdd),
     }

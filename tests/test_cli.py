@@ -188,12 +188,18 @@ def test_rejects_fd_scales_without_their_own_label(tmp_path, capsys):
         (["nan"], "--fd-scale nan must be a finite number"),
         (["inf"], "--fd-scale inf must be a finite number"),
         (["12.2", "12.7"], "--fd-scale 12.2 and 12.7 would share the label fd_012"),
-        (["50", "50"], "--fd-scale 50.0 and 50.0 would share the label fd_050"),
+        (["50", "50.4"], "--fd-scale 50.0 and 50.4 would share the label fd_050"),
     ):
         flags = [arg for pct in scales for arg in ("--fd-scale", pct)]
         assert cli.main(["--case", "3", *flags, "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_a_repeated_fd_scale_runs_once(tmp_path):
+    flags = ["--case", "3", *SPRING_BALANCED, "--config", "full", "--fd-scale", "50", "--fd-scale", "50"]
+    assert cli.main([*flags, "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert [r["configuration"] for r in read_rows(tmp_path)] == ["fd_050", "full"]
 
 
 def test_rejects_bad_flags(tmp_path):

@@ -7,11 +7,17 @@ written as two dual rows per period, the three price duals, and a storage
 unit's rows.  A refactor of the builders must leave every digest as it is.  A
 deliberate change of formulation or of HiGHS options changes them; update
 the literals in the same change and say why.
+
+Every distinct model a bare `rvpp` sweep plans is pinned too, in plan order,
+by tests/golden/digests.txt.  A deliberate change regenerates that file with
+
+    PYTHONPATH=src python tests/test_model_arrays.py
 """
 
 from __future__ import annotations
 
 import csv
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,27 +32,34 @@ from rvpp import (
     solve,
     strategy_budgets,
 )
-from rvpp import backends
+from rvpp import backends, cli
+from rvpp.milp import MAXIMIZE
 from rvpp.sizing import price_only_budgets, stand_alone
 
 DIGESTS = {
-    "winter_deterministic": "5b7e901222a50de0329bf0200525ce8e",
-    "spring_optimistic": "d2e5077ae57ed8c4d0c3c9f68cdf4d83",
+    "winter_deterministic": "c0809012c4349772fa453e646ed0936c",
+    "spring_optimistic": "94a73fcda077be6b1ed727c6d27c0f35",
     "hydro": "543129590dfc89f089993fc9e5b52bb7",
     "biomass": "323c9007367c41d7b1d71383cdbd03a2",
     "wind_farm": "eb78af5aabd20df34683a3f9a057de36",
     "pv_plant": "1a341fd0796996ca7e5c403061e785de",
     "csp_plant": "085c5fbe79ef8617c850ee2c5393c4b5",
-    "industrial_load": "d866844e31f0e2113215d2d8d4616df7",
-    "storage_module": "dc87e203b7fe212146e3d33fa53c0997",
-    "storage_module_deterministic": "642917db37f9b973252abca022983dba",
+    "industrial_load": "04aef631b65beea88d969b1b8aa04178",
+    "storage_module": "83353083433eb7ac37fa16465e3bead0",
+    "storage_module_deterministic": "0a99a5ab49fb8a030662aa8eefdc26a9",
 }
 
 
 def _digest(model) -> str:
-    backend = ScipyHighsBackend()
-    assert solve(model, backend).status == "optimal"
-    return backend.last_run.digest
+    """The digest a solve of model records (SolveRecord.digest), taken
+    without running HiGHS: ScipyHighsBackend.optimize's arrays, hashed as it
+    hashes them."""
+    arrays = model.arrays()
+    sign = -1.0 if model.direction == MAXIMIZE else 1.0
+    matrix = (*backends._csc(arrays), (len(arrays.row_lower), len(arrays.lower)))
+    return backends._digest(
+        arrays.cost * sign + 0.0, arrays.integrality, arrays.lower, arrays.upper, *matrix, arrays.row_lower, arrays.row_upper
+    )
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +83,86 @@ def digests(bundle):
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_shipped_model_arrays_are_pinned(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+def test_the_digest_is_what_a_solve_records(bundle):
+    portfolio, scenario = bundle.cell("spring", "favorable")
+    optimistic = strategy_budgets("optimistic", portfolio)
+    for model in (
+        build_robust_rvpp(Portfolio(es=(bundle.es_module,)), scenario, price_only_budgets(optimistic)),
+        build_deterministic_rvpp(Portfolio(fd=portfolio.fd), scenario),
+    ):
+        backend = ScipyHighsBackend()
+        assert solve(model, backend).status == "optimal"
+        assert backend.last_run.digest == _digest(model)
+
+
+class _Planned(Exception):
+    """Raised in place of the worker pool, to stop cli.main at its plan."""
+
+
+def planned_models() -> list:
+    """(key, model) of each distinct solve a bare `rvpp` sweep plans, in plan
+    order: the keys cli.main hands to its worker pool, taken there before any
+    solve runs."""
+    keys = []
+
+    def stop(order, workers):
+        keys.extend(order)
+        raise _Planned
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.setattr(cli, "_solve_all", stop)
+        with pytest.raises(_Planned):
+            cli.main(["--out", out])
+    return [(key, _model(key)) for key in keys]
+
+
+def _model(key):
+    if key.budgets is None:
+        return build_deterministic_rvpp(key.subject, key.scenario)
+    return build_robust_rvpp(key.subject, key.scenario, key.budgets)
+
+
+def digest_lines(planned) -> list[str]:
+    """One line per planned model: its plan index, Solve.label() and digest."""
+    return [f"{i} {key.label()} {_digest(model)}" for i, (key, model) in enumerate(planned)]
+
+
+PLANNED_DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.txt"
+
+
+@pytest.fixture(scope="module")
+def planned():
+    return planned_models()
+
+
+def test_planned_models_match_the_committed_digests(planned):
+    assert digest_lines(planned) == PLANNED_DIGESTS.read_text().splitlines()
+
+
+def test_no_planned_model_carries_an_inert_term(planned):
+    """No zero-cost column is dominated, i.e. let move the same way by every
+    row it sits in, and no objective cost is nonzero below 1e-6: MIP presolve
+    strips both, and neither decides anything (Achterberg et al.,
+    "Presolve reductions in mixed integer programming", INFORMS J. Comput.
+    32, 2020)."""
+    dominated, tiny = set(), set()
+    for _, model in planned:
+        arrays = model.arrays()
+        positive = arrays.vals > 0.0
+        no_floor = np.isneginf(arrays.row_lower)[arrays.rows]
+        no_ceiling = np.isposinf(arrays.row_upper)[arrays.rows]
+        # An entry lets its column rise (fall) freely when that moves the
+        # row's activity away from the row's only finite bound.
+        rises = (positive & no_ceiling) | (~positive & no_floor)
+        falls = (positive & no_floor) | (~positive & no_ceiling)
+        n = len(arrays.cost)
+        stop_rise, stop_fall = (np.bincount(arrays.cols, weights=~free, minlength=n) for free in (rises, falls))
+        inert = (arrays.cost == 0.0) & ((stop_rise == 0) | (stop_fall == 0))
+        dominated.update(map(model.col_name, np.flatnonzero(inert)))
+        tiny.update(map(model.col_name, np.flatnonzero((arrays.cost != 0.0) & (np.abs(arrays.cost) < 1e-6))))
+    assert not dominated and not tiny, f"dominated: {sorted(dominated)}; costs below 1e-6: {sorted(tiny)}"
 
 
 def test_the_read_views_count_what_highs_receives(bundle, monkeypatch):
@@ -147,3 +240,7 @@ def test_summed_case2_lp_gap_is_pinned(bundle):
         bound = lp_bound(build_robust_rvpp(portfolio, scenario, strategy_budgets(row["strategy"], portfolio)))
         ratios.append(bound / float(row["objective"]))
     assert sum(ratios) - len(ratios) == pytest.approx(CASE2_LP_GAP, abs=5e-6 * sum(ratios))
+
+
+if __name__ == "__main__":
+    PLANNED_DIGESTS.write_text("".join(f"{line}\n" for line in digest_lines(planned_models())))

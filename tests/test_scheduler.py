@@ -66,8 +66,8 @@ def test_fd_picks_the_cheaper_profile():
 
 @pytest.mark.parametrize("floors", [(2.0, 2.0, 2.0), (3.0, 2.0, 2.0)])
 def test_tied_profiles_read_as_the_lowest_index(floors):
-    """HiGHS 1.12 picks index 2 in both cases: the tie-break term is below
-    its gap tolerance, so the decoder reports the first profile met."""
+    """The picks carry no cost, so HiGHS may pick any tied profile; the
+    decoder reports the first profile the dispatch meets."""
     T = 6
     load = FdUnit("ld", profiles=tuple((f,) * T for f in floors), deviation=(0.0,) * T)
     sched = solve_rvpp(Portfolio(fd=(load,)), market(T, dam=15.0))

@@ -204,12 +204,13 @@ def test_per_unit_budgets_rejected_for_storage():
         build_robust_rvpp(Portfolio(es=(battery(),)), market(4), BudgetSet(gamma_per_unit={"mod": 2}))
 
 
-def test_sigma_margin_switch_changes_floor_reservation():
+def test_up_reserve_reserves_no_state_of_charge_margin():
     """Up-reserve-only day: both margin rows use the down share, which is
     zero, so the up reserve blocks no floor headroom."""
     s = market(4, dam=[0.0, 70.0, 0.0, 70.0], sr_up=8.0)
     sched = solve_es(battery(), s)
-    assert sched.sigma["mod"][0] > 0.0
+    assert sched.r_up.sum() > 0.0
+    assert sched.sigma["mod"][0] == pytest.approx(0.0, abs=1e-9)
     assert sched.objective_value == pytest.approx(70.015, abs=1e-6)
 
 
