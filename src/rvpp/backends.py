@@ -45,7 +45,6 @@ import numpy as np
 
 from .milp import (
     FEASIBILITY_TOL,
-    MAXIMIZE,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
@@ -192,9 +191,8 @@ class ScipyHighsBackend:
         started = time.perf_counter()
         arrays = model.arrays()
         n, m = len(arrays.lower), len(arrays.row_lower)
-        sign = -1.0 if model.direction == MAXIMIZE else 1.0
-        # + 0.0 turns the -0.0 of a negated zero cost into 0.0.
-        c = arrays.cost * sign + 0.0
+        # HiGHS minimizes; + 0.0 turns the -0.0 of a negated zero cost into 0.0.
+        c = -arrays.cost + 0.0
         bounds, row_bounds = (arrays.lower, arrays.upper), (arrays.row_lower, arrays.row_upper)
         a_data, a_indices, a_indptr = _csc(arrays)
         nnz = len(a_data)
@@ -238,11 +236,8 @@ class ScipyHighsBackend:
     def objective_value(self) -> float:
         if self._status != STATUS_OPTIMAL:
             raise BackendError(f"no objective in status {self._status!r}")
-        model = self._model
-        assert model is not None
-        sign = -1.0 if model.direction == MAXIMIZE else 1.0
         # + 0.0 turns a -0.0 from HiGHS into 0.0.
-        return sign * float(self.highs.getInfo().objective_function_value) + 0.0
+        return -float(self.highs.getInfo().objective_function_value) + 0.0
 
     def values(self) -> np.ndarray:
         """The solved column vector."""

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -244,7 +243,7 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
                 module_count=float(sized.module_count),
                 fleet_e_max_mwh=sized.fleet_e_max,
                 es_objective=sized.es_objective,
-                sizing_iterations=float(sized.iterations),
+                sizing_iterations=1.0,  # the one module solve; the column stays for CSV compatibility
             )
         rows = [ResultRow(values=values, **dict(key, configuration="full"))]
         for config, sub, sub_units in plan["configs"][1:]:
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", action="append", choices=CONFIG_CHOICES, default=None,
                         help="case-3 configuration; repeatable (default: full plus ablations)")
     parser.add_argument("--fd-scale", type=float, action="append", default=None,
-                        help="case-3 flexible-demand capacity scale in percent; repeatable")
+                        help="case-3 flexible-demand capacity scale, a whole percent; repeatable")
     parser.add_argument("--scenario", default=None, help="scenario YAML path (default: shipped dataset)")
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--jobs", type=int, default=None,
@@ -355,19 +354,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
-    fd_labels: dict[str, float] = {}
     for pct in args.fd_scale:
-        if not 0 <= pct < math.inf:
-            print(f"error: --fd-scale {pct} must be a finite number of at least 0", file=sys.stderr)
+        if pct < 0 or not pct.is_integer():  # so that its fd_NNN label names it; refuses nan and inf
+            print(f"error: --fd-scale {pct} must be a whole percent of at least 0", file=sys.stderr)
             return 2
-        if pct == 100.0:  # the full configuration; it adds no fd_NNN row
-            continue
-        label = _fd_label(pct)
-        if label in fd_labels:
-            print(f"error: --fd-scale {fd_labels[label]} and {pct} would share the label {label}",
-                  file=sys.stderr)
-            return 2
-        fd_labels[label] = pct
 
     try:
         bundle = load_scenario(args.scenario)

@@ -256,9 +256,9 @@ class MarketScenario:
     dam_price is the nominal (median) energy price; dam_price_down_dev and
     dam_price_up_dev are the worst-case drops (hurting sales) and rises
     (hurting purchases).  Reserve prices pay capacity (EUR/MW per period)
-    and only fall under uncertainty.  season and regime only tag the cell:
-    the regime's data (energy limits, forecast errors) lives in the units
-    that scenario_io.load_scenario built for this cell.
+    and only fall under uncertainty.  One market serves every regime of its
+    season: a regime's data (energy limits, forecast errors) lives in the
+    units that scenario_io.load_scenario built for its cell.
     """
 
     grid: PeriodGrid
@@ -269,8 +269,6 @@ class MarketScenario:
     sr_up_price_dev: tuple[float, ...] = _spec("series")
     sr_dn_price: tuple[float, ...] = _spec("series")
     sr_dn_price_dev: tuple[float, ...] = _spec("series")
-    season: str | None = None
-    regime: str | None = None
 
     def __post_init__(self):
         for name in _declared(MarketScenario):
@@ -395,14 +393,9 @@ def _series_problems(out: list[str], owner: str, label: str, vec, T: int, spec: 
 
 def validate_scenario(scenario: MarketScenario) -> list[str]:
     """Every invariant violation of a market as a human-readable string:
-    the grid's and price series' declarations, and unknown season or
-    regime tags."""
+    the grid's and price series' declarations."""
     out = _field_problems(scenario.grid, 0, "grid")
     out += _field_problems(scenario, scenario.grid.period_count, "scenario")
-    if scenario.season is not None and scenario.season not in SEASONS:
-        out.append(f"scenario: unknown season {scenario.season!r}")
-    if scenario.regime is not None and scenario.regime not in REGIMES:
-        out.append(f"scenario: unknown regime {scenario.regime!r}")
     return out
 
 

@@ -35,9 +35,6 @@ SENSE_GE = ">="
 SENSE_EQ = "="
 _SENSES = (SENSE_LE, SENSE_GE, SENSE_EQ)
 
-MAXIMIZE = "maximize"
-MINIMIZE = "minimize"
-
 FEASIBILITY_TOL = 1.0e-6
 OPTIMALITY_REL_TOL = 1.0e-5
 
@@ -179,11 +176,11 @@ class _Names:
 
 
 class Model:
-    """Flat store of columns, rows and matrix entries, and one linear objective."""
+    """Flat store of columns, rows and matrix entries, and one linear objective,
+    always maximized (every cost an rvpp builder writes is a profit)."""
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.direction: str = MAXIMIZE  # or MINIMIZE
         # Free-form build metadata (scenario handles, decode hints).  Not handed to the backend.
         self.tags: dict = {}
         # Per column, per row, and per matrix entry, in insertion order.
@@ -333,17 +330,14 @@ class Model:
 
 
 def solve(model: Model, backend) -> Solution:
-    """Run the backend and cross-check what it returns.
+    """Maximize the model's objective with the backend and cross-check what it returns.
 
     On an optimal status every value is validated against its bounds (within
     1e-6) and the objective is recomputed from the values; a backend whose
     reported objective disagrees beyond 1e-5 relative is rejected.  Any other
     status comes back with a NaN objective and no values; the caller decides
-    what it means.  A model whose direction is neither MAXIMIZE nor MINIMIZE
-    raises ModelError before the backend sees it.
+    what it means.
     """
-    if model.direction not in (MAXIMIZE, MINIMIZE):
-        raise ModelError(f"unknown objective direction {model.direction!r} of model {model.name!r}")
     backend.load(model)
     backend.optimize()
     status = backend.status()

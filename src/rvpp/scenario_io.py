@@ -8,7 +8,8 @@ load_scenario reads every block with one reader driven by the field
 declarations in domain (kind, default, bounds, unknown keys), so every error
 names its YAML path, such as `prices.winter.sr_up_price[3]`.  It is the only
 place a (season, regime) pair becomes units: each cell's units are built
-once and checked against the cross-field rules.  The canonical parsed form
+once and checked against the cross-field rules, and the regimes of a season
+share that season's one MarketScenario.  The canonical parsed form
 round-trips exactly through save_scenario.
 
 Result files are plain CSV with all numbers at 6 significant digits and rows
@@ -65,10 +66,10 @@ class _Header:
 
 @dataclass
 class ScenarioBundle:
-    """Everything a run needs, keyed by (season, regime)."""
+    """Everything a run needs, keyed by (season, regime); the regimes of a
+    season share one MarketScenario."""
 
     path: str
-    description: str
     grid: PeriodGrid
     seasons: tuple[str, ...]
     regimes: tuple[str, ...]
@@ -261,7 +262,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"{path}: cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
-    header = _Header(**_read(_Header, doc, str(path), 0, {}, _TOP_KEYS)[0])
+    _read(_Header, doc, str(path), 0, {}, _TOP_KEYS)  # checks the header; nothing reads it
     grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", 0, {})[0])
     T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
@@ -295,6 +296,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
     for season in seasons:
+        scenario = MarketScenario(grid=grid, **prices[season])
         for regime in regimes:
             cell = {"season": season, "regime": regime}
             groups: dict[str, list] = {key: [] for key in _UNIT_CLASSES}
@@ -307,12 +309,10 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
                 unit = cls(**shared, **picked)
                 _check_relations(unit, T, f"units[{i}]", cell)
                 groups[key].append(unit)
-            scenario = MarketScenario(grid=grid, season=season, regime=regime, **prices[season])
             cells[(season, regime)] = (Portfolio(**groups), scenario)
 
     return ScenarioBundle(
         path=str(path),
-        description=header.description,
         grid=grid,
         seasons=seasons,
         regimes=regimes,

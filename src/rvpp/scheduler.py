@@ -38,7 +38,6 @@ from .domain import (
 from .milp import (
     BINARY,
     FEASIBILITY_TOL,
-    MAXIMIZE,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
@@ -350,7 +349,6 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
             "sr_dn": _add_price_dual(m, "srdn", budgets.gamma_sr_down, T, [[(r_dn, scenario.sr_dn_price_dev)]]),
         }
 
-    m.direction = MAXIMIZE  # every cost above is a profit
     m.tags.update(
         kind="rvpp", scenario=scenario, portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
     )

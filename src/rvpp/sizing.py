@@ -91,20 +91,14 @@ class GapReport:
 
 @dataclass(frozen=True)
 class SizingResult:
-    """Minimal fleet whose robust profit covers the lower-bound target.
-
-    iterations counts fleet solves; it is always 1, the one-module solve.
-    minimality_checked records that (module_count - 1) * p1 < target <=
-    module_count * p1 held in floating point (trivially true at 1).
+    """Minimal fleet whose robust profit covers the gap: module_count is the
+    smallest N >= 1 with N * p1 >= gap for the one-module profit p1.
     schedule is the one-module schedule scaled to module_count.
     """
 
-    lower_bound_profit: float
     module_count: int
     fleet_e_max: float
     es_objective: float
-    iterations: int
-    minimality_checked: bool
     schedule: RvppSchedule
 
 
@@ -283,12 +277,9 @@ def sized_from_module(gap: float, one: RvppSchedule, key: Solve) -> SizingResult
         if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
             raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")
     return SizingResult(
-        lower_bound_profit=gap,
         module_count=count,
         fleet_e_max=fleet.es[0].e_max,
         es_objective=schedule.objective_value,
-        iterations=1,
-        minimality_checked=count == 1 or (count - 1) * p1 < gap <= count * p1,
         schedule=schedule,
     )
 

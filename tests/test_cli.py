@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import rvpp.sizing as sizing
-from rvpp import REGIMES, SEASONS, backends, cli, default_scenario_path, save_scenario, strategy_budgets
+from rvpp import REGIMES, SEASONS, STRATEGIES, backends, cli, default_scenario_path, save_scenario, strategy_budgets
 from toys import breaking_fd_envelope, solve_rvpp, unscale_mu_dam
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
@@ -155,6 +155,23 @@ def test_default_sweep_follows_the_file(bundle):
         assert ran == runs
 
 
+def test_both_regimes_share_their_regime_free_solves(bundle):
+    """Planned without a solve, cases 3 and 4 of spring under both regimes
+    need 90 distinct solves: biomass alone and the storage module read
+    nothing that a regime sets, so each is planned once per strategy."""
+    args = argparse.Namespace(
+        case=[3, 4], season=["spring"], regime=list(REGIMES), strategy=[], config=list(cli.CONFIG_CHOICES),
+        fd_scale=list(cli.DEFAULT_FD_SCALES), scenario="f.yaml", explicit=set(),
+        file_seasons=bundle.seasons, file_regimes=bundle.regimes, file_module=bundle.es_module,
+    )
+    tasks = cli._expand_tasks(args)
+    cli._drop_empty_configs(tasks, bundle, args)
+    plans = {(t["case"], t["regime"], t["strategy"]): cli._plan_cell(t, bundle) for t in tasks}
+    assert len({key for plan in plans.values() for key in cli._needs(plan)}) == 90
+    for strategy in STRATEGIES:
+        assert len({plans[case, regime, strategy]["module"] for case in (3, 4) for regime in REGIMES}) == 1
+
+
 def test_case3_row_arithmetic(tmp_path, bundle):
     out = tmp_path / "case3"
     code = cli.main(
@@ -184,11 +201,12 @@ def test_case3_row_arithmetic(tmp_path, bundle):
 
 
 def test_rejects_fd_scales_without_their_own_label(tmp_path, capsys):
+    """Only a whole percent has an fd_NNN label that names it."""
     for scales, named in (
-        (["nan"], "--fd-scale nan must be a finite number"),
-        (["inf"], "--fd-scale inf must be a finite number"),
-        (["12.2", "12.7"], "--fd-scale 12.2 and 12.7 would share the label fd_012"),
-        (["50", "50.4"], "--fd-scale 50.0 and 50.4 would share the label fd_050"),
+        (["nan"], "--fd-scale nan must be a whole percent"),
+        (["inf"], "--fd-scale inf must be a whole percent"),
+        (["12.2"], "--fd-scale 12.2 must be a whole percent"),
+        (["50", "50.4"], "--fd-scale 50.4 must be a whole percent"),
     ):
         flags = [arg for pct in scales for arg in ("--fd-scale", pct)]
         assert cli.main(["--case", "3", *flags, "--out", str(tmp_path)]) == 2

@@ -67,13 +67,6 @@ def test_unbounded_status():
     assert sol.status == "unbounded"
 
 
-def test_unknown_direction_rejected():
-    m = small_lp()
-    m.direction = "maximise"
-    with pytest.raises(milp.ModelError, match="unknown objective direction 'maximise' of model 'small'"):
-        milp.solve(m, backends.ScipyHighsBackend())
-
-
 def test_inverted_bounds_rejected():
     m = milp.Model()
     with pytest.raises(milp.ModelError, match="inverted"):
@@ -147,21 +140,21 @@ def _random_model(rng: np.random.Generator) -> milp.Model:
     cost = [0.0] * n_vars
     for i, c in zip(picks, rng.normal(0.0, 3.0, size=n_obj).round(3)):
         cost[int(i)] = float(c)
-    m.direction = milp.MAXIMIZE if rng.random() < 0.5 else milp.MINIMIZE
+    sign = 1.0 if rng.random() < 0.5 else -1.0  # -1: a minimization, maximized as -cost
     for (name, kind, lo, hi), c in zip(columns, cost):
-        m.add_columns(name, 1, kind, lower=lo, upper=hi, cost=c)
+        m.add_columns(name, 1, kind, lower=lo, upper=hi, cost=sign * c)
     m.add_rows(1, rows)
     return m
 
 
 def _offset_lp() -> milp.Model:
-    """A minimization with a binary and free, fixed and negative bounds."""
+    """A minimization, maximized as -cost, with a binary and free, fixed and
+    negative bounds."""
     m = milp.Model(name="offset")
-    m.direction = milp.MINIMIZE
-    (x,) = m.add_columns("x", 1, lower=-math.inf, upper=math.inf, cost=1.0)
+    (x,) = m.add_columns("x", 1, lower=-math.inf, upper=math.inf, cost=-1.0)
     (f,) = m.add_columns("f", 1, lower=2.0, upper=2.0)
-    (z,) = m.add_columns("z", 1, milp.BINARY, cost=0.75)
-    (w,) = m.add_columns("w", 1, lower=-1.5, upper=3.5, cost=-1e-5)
+    (z,) = m.add_columns("z", 1, milp.BINARY, cost=-0.75)
+    (w,) = m.add_columns("w", 1, lower=-1.5, upper=3.5, cost=1e-5)
     m.add_rows(1, [
         ("lo", ">=", 1.75, [(x, 1.0), (z, 4.0)]),
         ("hi", "<=", 4.0, [(x, 1.0), (w, 1.0), (f, 1.0)]),
@@ -173,8 +166,7 @@ def _offset_lp() -> milp.Model:
 def _reference_arrays(model: milp.Model):
     """The cost (minimized), integrality, column bounds, CSC matrix and row
     bounds of model, built here apart from the backend's assembly."""
-    sign = -1.0 if model.direction == milp.MAXIMIZE else 1.0
-    c = model.arrays().cost * sign + 0.0
+    c = -model.arrays().cost + 0.0
     integrality = np.array([v.kind == milp.BINARY for v in model.variables], dtype=np.int32)
     lower = np.array([v.lower for v in model.variables])
     upper = np.array([v.upper for v in model.variables])
@@ -201,7 +193,7 @@ def test_objectives_match_a_scipy_milp_reference(bundle):
             constraints=optimize.LinearConstraint(a, lo, hi), options={"mip_rel_gap": 0.0},
         )
         assert (direct.status, ref.status) == ("optimal", 0), (model.name, ref.message)
-        expected = ref.fun if model.direction == milp.MINIMIZE else -ref.fun
+        expected = -ref.fun
         assert abs(direct.objective_value - expected) <= 1e-9 * max(1.0, abs(expected)), (
             f"{model.name}: {direct.objective_value} vs {expected}"
         )

@@ -33,7 +33,6 @@ from rvpp import (
     strategy_budgets,
 )
 from rvpp import backends, cli
-from rvpp.milp import MAXIMIZE
 from rvpp.sizing import price_only_budgets, stand_alone
 
 DIGESTS = {
@@ -55,10 +54,9 @@ def _digest(model) -> str:
     without running HiGHS: ScipyHighsBackend.optimize's arrays, hashed as it
     hashes them."""
     arrays = model.arrays()
-    sign = -1.0 if model.direction == MAXIMIZE else 1.0
     matrix = (*backends._csc(arrays), (len(arrays.row_lower), len(arrays.lower)))
     return backends._digest(
-        arrays.cost * sign + 0.0, arrays.integrality, arrays.lower, arrays.upper, *matrix, arrays.row_lower, arrays.row_upper
+        -arrays.cost + 0.0, arrays.integrality, arrays.lower, arrays.upper, *matrix, arrays.row_lower, arrays.row_upper
     )
 
 
@@ -205,7 +203,7 @@ def lp_bound(model) -> float:
     arrays = model.arrays()
     relaxed = arrays._replace(integrality=np.zeros_like(arrays.integrality))
     backend = ScipyHighsBackend()
-    backend.load(SimpleNamespace(name=model.name, direction=model.direction, arrays=lambda: relaxed))
+    backend.load(SimpleNamespace(name=model.name, arrays=lambda: relaxed))
     backend.optimize()
     assert backend.status() == "optimal"
     return backend.objective_value()

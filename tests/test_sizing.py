@@ -88,8 +88,8 @@ def test_sizing_finds_the_two_module_fleet():
     assert result.module_count == 2
     assert result.fleet_e_max == pytest.approx(2.0)
     assert result.es_objective == pytest.approx(2 * 63.175, abs=1e-6)
-    assert result.minimality_checked
-    assert result.lower_bound_profit == 70.0
+    p1 = solve_es(battery(), double_cycle_market(), ZERO_BUDGETS).objective_value
+    assert (result.module_count - 1) * p1 < 70.0 <= result.module_count * p1
 
 
 def test_zero_gap_needs_a_single_module():
@@ -135,10 +135,10 @@ def test_closed_form_matches_a_linear_walk(monkeypatch):
         result = size_es_to_match(target, module, scenario, budgets)
         assert result.module_count == count
         assert result.es_objective == pytest.approx(profit, rel=1e-9)
-        assert len(calls) == result.iterations == 1
-        assert result.minimality_checked
-        # The returned schedule is the one-module optimum scaled to the count.
+        assert len(calls) == 1
         one = solve_es(module, scenario, budgets)
+        assert (count - 1) * one.objective_value < target <= count * one.objective_value
+        # The returned schedule is the one-module optimum scaled to the count.
         for field in ("p_da", "r_up", "r_dn"):
             np.testing.assert_array_equal(getattr(result.schedule, field), count * getattr(one, field))
         np.testing.assert_array_equal(result.schedule.ts_soc["mod"], count * one.ts_soc["mod"])
@@ -168,7 +168,6 @@ def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
             assert result.module_count == expected, (k, gap)
             assert (expected - 1) * p1 < gap <= expected * p1
             assert len(calls) == 1
-            assert result.minimality_checked
     # Under a solver-tolerance profit floor 5 modules met 5 * p1 + 1e-9.
     assert size_es_to_match(5 * p1 + 1e-9, battery(), s, ZERO_BUDGETS).module_count == 6
 

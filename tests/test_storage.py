@@ -248,10 +248,7 @@ def test_fleet_ratings_derive_from_module():
         battery().scaled(0)
 
 
-@pytest.mark.parametrize(
-    "bad, field",
-    [(market(4, sr_up_dev=-1.0), "sr_up_price_dev"), (market(4, season="monsoon"), "unknown season")],
-)
+@pytest.mark.parametrize("bad, field", [(market(4, sr_up_dev=-1.0), "sr_up_price_dev")])
 def test_builders_validate_the_market(bad, field):
     fleet = Portfolio(es=(battery(),))
     with pytest.raises(ModelBuildError, match=field):

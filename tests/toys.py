@@ -42,7 +42,6 @@ def market(
     sr_dn=0.0,
     sr_dn_dev=0.0,
     dt: float = 1.0,
-    **extra,
 ) -> MarketScenario:
     return MarketScenario(
         grid=PeriodGrid(T, dt),
@@ -53,7 +52,6 @@ def market(
         sr_up_price_dev=series(sr_up_dev, T),
         sr_dn_price=series(sr_dn, T),
         sr_dn_price_dev=series(sr_dn_dev, T),
-        **extra,
     )
 
 
