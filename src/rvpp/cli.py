@@ -50,9 +50,10 @@ from pathlib import Path
 
 from .backends import HIGHS_VERSION, session_options
 from .datasets import default_scenario_path
-from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets
+from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets, validate_budgets
 from .oracle import nominal_profit
 from .scenario_io import (
+    RESULT_FILES,
     ResultRow,
     ResultsTable,
     ScenarioFormatError,
@@ -134,13 +135,19 @@ def _variants(task: dict, portfolio: Portfolio) -> list[tuple[str, Portfolio]]:
     return variants
 
 
-def _drop_empty_configs(tasks: list[dict], bundle, args) -> None:
+def _fit_tasks(tasks: list[dict], bundle, args) -> None:
     """Take the configurations that leave no units out of each case-3 task;
-    one named on the command line (a flag in args.explicit) raises SystemExit2."""
+    one named on the command line (a flag in args.explicit) raises
+    SystemExit2, as do budgets beyond the file's period count, which would
+    fail the build of every solve of their strategy."""
+    T = bundle.grid.period_count
     for task in tasks:
+        portfolio, _ = bundle.cell(task["season"], task["regime"])
+        strategy = task["strategy"]
+        if strategy != "deterministic" and validate_budgets(strategy_budgets(strategy, portfolio), bundle.grid):
+            raise SystemExit2(f"case {task['case']}: {strategy} budgets exceed the {T} periods of {args.scenario}")
         if task["case"] != 3:
             continue
-        portfolio, _ = bundle.cell(task["season"], task["regime"])
         empty = {config for config, sub in _variants(task, portfolio) if sub.is_empty()}
         for key, flag, label in (("configs", "config", str), ("fd_scales", "fd_scale", _fd_label)):
             dropped = [v for v in task[key] if label(v) in empty]
@@ -363,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         bundle = load_scenario(args.scenario)
         args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, bundle.regimes, bundle.es_module
         tasks = _expand_tasks(args)
-        _drop_empty_configs(tasks, bundle, args)
+        _fit_tasks(tasks, bundle, args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -420,11 +427,14 @@ def main(argv: list[str] | None = None) -> int:
     written = []
     if table.rows:
         written = [str(p) for p in write_results(table, out_dir)]
+    for name in () if written else RESULT_FILES:  # no earlier run's results beside this manifest
+        (out_dir / name).unlink(missing_ok=True)
     manifest = {
         "scenario": args.scenario,
         "highs_version": HIGHS_VERSION,
         "highs_options": session_options(),
         "jobs": jobs,
+        "start_method": (_POOL_CONTEXT or multiprocessing).get_start_method(),
         "cells_total": len(tasks),
         "cells_failed": failed,
         "wall_seconds": round(time.perf_counter() - started, 3),

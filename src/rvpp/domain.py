@@ -9,10 +9,10 @@ op_cost EUR/MWh for every unit and the storage module, other costs EUR.
 
 Each field a scenario file sets is declared once, by `_spec` on its
 dataclass field: kind, default, bounds, and what its value varies by.
-scenario_io.load_scenario reads files by these declarations, and the
-validate_* functions check library-built values against them; only the
-cross-field rules, the unit-name rules and the season/regime tags are
-written out by hand.
+scenario_io.load_scenario parses files by these declarations; `_problems`
+alone checks values against them, for the loader (after a YAML path) and
+the validate_* functions (after an owner) alike.  Only the cross-field
+rules and the unit-name rules are written out by hand.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class _Spec:
     ceil: float
     bounds: str
     among: tuple[str, ...] | None
-
-    def outside(self, vec) -> bool:
-        """Whether an entry of vec is out of bounds (found by min and max)."""
-        return bool(vec) and (
-            (self.floor > -math.inf and min(vec) < self.floor) or (self.ceil < math.inf and max(vec) > self.ceil)
-        )
 
 
 def _spec(kind="number", *, by=None, default=MISSING, within="[0, inf)", among=None):
@@ -189,9 +183,9 @@ class FdUnit:
     def __post_init__(self):
         object.__setattr__(self, "profiles", _mat(self.profiles))
         object.__setattr__(self, "deviation", _vec(self.deviation))
-        if self.profiles and any(self.profiles):
-            lo = min(min(p) for p in self.profiles)
-            hi = max(max(p) for p in self.profiles)
+        values = [v for p in self.profiles for v in p]
+        if values:
+            lo, hi = min(values), max(values)
             if self.p_min is None:
                 object.__setattr__(self, "p_min", (1.0 - self.flexibility_margin) * lo)
             if self.p_max is None:
@@ -315,7 +309,7 @@ def _relations(u, T: int) -> list[tuple[str | None, str]]:
     """(field, text) for each cross-field rule u breaks; field None blames
     the whole unit."""
     out: list[tuple[str | None, str]] = []
-    for lo, hi in _ORDERED[type(u)]:
+    for lo, hi in _ORDERED.get(type(u), ()):
         a, b = getattr(u, lo), getattr(u, hi)
         if isinstance(a, tuple):
             if len(a) == len(b) == T and any(map(operator.gt, a, b)):
@@ -356,59 +350,55 @@ def _name_problems(names) -> list[tuple[int, str]]:
     return out
 
 
-def _field_problems(obj, T: int, owner: str, prefix: str = "") -> list[str]:
-    """Where obj's values break their declarations on a T-period grid."""
-    out: list[str] = []
+_EXPECTED = {"number": "a number", "int": "an integer"}
+
+
+def _problems(obj, T: int):
+    """(field, index path, rule text) for each value of obj that breaks its
+    declaration on a T-period grid; a nested block's problems carry the
+    path within it, such as ("store", ".charge_eff", text)."""
     for name, spec in _declared(type(obj)).items():
         v = getattr(obj, name)
         kind = spec.kind
-        if kind == "number" or kind == "int":
-            if v is not None and not spec.floor <= v <= spec.ceil:
-                out.append(f"{owner}: {prefix}{name} is {v}, expected {spec.bounds}")
-        elif kind == "series":
-            if len(v) != T or spec.outside(v):
-                _series_problems(out, owner, prefix + name, v, T, spec)
-        elif kind == "profiles":
-            if not v:
-                out.append(f"{owner}: needs at least one demand profile")
-            for m, prof in enumerate(v):
-                if len(prof) != T or spec.outside(prof):
-                    _series_problems(out, owner, f"profile {m}", prof, T, spec)
+        if isinstance(kind, type):
+            yield from ((name, f".{inner}{index}", text) for inner, index, text in _problems(v, T))
         elif kind == "str":
             if spec.among is not None and v not in spec.among:
-                out.append(f"{owner}: unknown {prefix}{name} {v!r} (expected one of {spec.among})")
-        else:
-            out += _field_problems(v, T, owner, f"{prefix}{name}.")
-    return out
-
-
-def _series_problems(out: list[str], owner: str, label: str, vec, T: int, spec: _Spec) -> None:
-    if len(vec) != T:
-        out.append(f"{owner}: {label} has {len(vec)} entries, grid has {T} periods")
-        return
-    for t, v in enumerate(vec):
-        if not spec.floor <= v <= spec.ceil:
-            out.append(f"{owner}: {label} is {v} at period {t + 1}, expected {spec.bounds}")
+                yield name, "", f"expected one of {list(spec.among)}, got {v!r}"
+        elif kind == "series" or kind == "profiles":
+            if kind == "profiles" and not v:
+                yield name, "", "expected a non-empty list"
+            for index, vec in [("", v)] if kind == "series" else ((f"[{m}]", p) for m, p in enumerate(v)):
+                if len(vec) != T:
+                    yield name, index, f"expected {T} entries, got {len(vec)}; grid.period_count is {T}"
+                    continue
+                for t, x in enumerate(vec):
+                    if not spec.floor <= x <= spec.ceil:
+                        yield name, f"{index}[{t}]", f"expected a number {spec.bounds}, got {x!r}"
+        elif v is not None and not spec.floor <= v <= spec.ceil:
+            yield name, "", f"expected {_EXPECTED[kind]} {spec.bounds}, got {v!r}"
 
 
 def validate_scenario(scenario: MarketScenario) -> list[str]:
     """Every invariant violation of a market as a human-readable string:
-    the grid's and price series' declarations."""
-    out = _field_problems(scenario.grid, 0, "grid")
-    out += _field_problems(scenario, scenario.grid.period_count, "scenario")
-    return out
+    the grid's and price series' declarations, each after its owner."""
+    T = scenario.grid.period_count
+    owned = (("grid", scenario.grid), ("scenario", scenario))
+    return [f"{owner}: {name}{index}: {text}" for owner, obj in owned for name, index, text in _problems(obj, T)]
 
 
 def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
     """Collect every invariant violation as a human-readable string: the
     market's (validate_scenario), unit names that are not distinct
-    identifiers, and each unit's declarations and cross-field rules."""
+    identifiers, and each unit's declarations and cross-field rules, each
+    after the unit's name.  A declaration's text is the one
+    scenario_io.load_scenario gives after the field's YAML path."""
     out = validate_scenario(scenario)
     T = scenario.grid.period_count
     units = portfolio.all_units()
     out += [message for _, message in _name_problems([u.name for u in units])]
     for u in units:
-        out += _field_problems(u, T, u.name)
+        out += [f"{u.name}: {name}{index}: {text}" for name, index, text in _problems(u, T)]
         out += [f"{u.name}: {text}" for _, text in _relations(u, T)]
     return out
 

@@ -4,12 +4,12 @@ The scenario file is one YAML document holding the portfolio, per-season
 price curves, and the storage module used for equivalence sizing.  A regime
 is data on its unit: per season, the hydro energy limit and the
 forecast-error series, each a table keyed by season, then regime.
-load_scenario reads every block with one reader driven by the field
-declarations in domain (kind, default, bounds, unknown keys), so every error
-names its YAML path, such as `prices.winter.sr_up_price[3]`.  It is the only
-place a (season, regime) pair becomes units: each cell's units are built
-once and checked against the cross-field rules, and the regimes of a season
-share that season's one MarketScenario.  The canonical parsed form
+load_scenario parses every block with one reader driven by the field
+declarations in domain (kind, default, unknown keys), then checks what it
+built by validate_portfolio's rules, naming the YAML path of the first
+error, such as `prices.winter.sr_up_price[3]`.  It is the only place a
+(season, regime) pair becomes units, each cell's once; the regimes of a
+season share that season's one MarketScenario.  The canonical parsed form
 round-trips exactly through save_scenario.
 
 Result files are plain CSV with all numbers at 6 significant digits and rows
@@ -29,6 +29,7 @@ import yaml
 from .domain import (
     REGIMES,
     SEASONS,
+    _EXPECTED,
     CspUnit,
     DrsUnit,
     EsUnit,
@@ -39,6 +40,7 @@ from .domain import (
     Portfolio,
     _declared,
     _name_problems,
+    _problems,
     _relations,
     _spec,
 )
@@ -119,9 +121,6 @@ def _mapping(value, path: str, known, what: str = "key") -> None:
             raise ScenarioFormatError(f"{path}: unknown {what} {key!r}")
 
 
-_EXPECTED = {"number": "a number", "int": "an integer"}
-
-
 def _number(value, path: str, kind="number"):
     """value as a finite float, or as an int for kind "int", or
     ScenarioFormatError naming path.
@@ -141,49 +140,39 @@ def _number(value, path: str, kind="number"):
     return int(number) if kind == "int" else number
 
 
-def _series(spec, T: int, value, path: str) -> tuple[float, ...]:
-    """value as T finite numbers within spec's bounds."""
+def _series(value, path: str) -> tuple[float, ...]:
+    """value as a list of finite numbers."""
     if not isinstance(value, list):
         raise ScenarioFormatError(f"{path}: expected a list of numbers")
-    if len(value) != T:
-        raise ScenarioFormatError(f"{path}: expected {T} entries, got {len(value)}; grid.period_count is {T}")
-    # Checked whole; entry by entry only to name the entry that fails.
+    # Parsed whole; entry by entry only to name the entry that fails.
     try:
         vec = tuple(map(float, value)) if all(type(v) is float or type(v) is int for v in value) else None
     except OverflowError:
         vec = None
     if vec is None or not all(map(math.isfinite, vec)):
         vec = tuple(_number(v, f"{path}[{t}]") for t, v in enumerate(value))
-    if spec.outside(vec):
-        t = next(t for t, v in enumerate(vec) if not spec.floor <= v <= spec.ceil)
-        raise ScenarioFormatError(f"{path}[{t}]: expected a number {spec.bounds}, got {value[t]!r}")
     return vec
 
 
-def _value(spec, T: int, value, path: str):
-    """value as spec's kind within its bounds; null stays None where None
-    is the declared default."""
+def _value(spec, value, path: str):
+    """value parsed as spec's kind, unchecked against its rules (_check's
+    work); null stays None where None is the declared default."""
     kind = spec.kind
     if value is None and spec.default is None:
         return None
     if kind == "series":
-        return _series(spec, T, value, path)
+        return _series(value, path)
     if kind == "profiles":
-        if not isinstance(value, list) or not value:
+        if not isinstance(value, list):
             raise ScenarioFormatError(f"{path}: expected a non-empty list")
-        return [_series(spec, T, p, f"{path}[{j}]") for j, p in enumerate(value)]
+        return [_series(p, f"{path}[{j}]") for j, p in enumerate(value)]
     if kind == "str":
         if not isinstance(value, str):
             raise ScenarioFormatError(f"{path}: expected a string, got {value!r}")
-        if spec.among is not None and value not in spec.among:
-            raise ScenarioFormatError(f"{path}: expected one of {list(spec.among)}, got {value!r}")
         return value
     if isinstance(kind, type):
-        return kind(**_read(kind, value, path, T, {})[0])
-    number = _number(value, path, kind)
-    if not spec.floor <= number <= spec.ceil:
-        raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]} {spec.bounds}, got {value!r}")
-    return number
+        return kind(**_read(kind, value, path, {})[0])
+    return _number(value, path, kind)
 
 
 def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read):
@@ -200,7 +189,7 @@ def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read):
     }
 
 
-def _read(cls, block, path: str, T: int, chosen: dict, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
+def _read(cls, block, path: str, chosen: dict, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
     """The declared fields of dataclass cls from the mapping block at path:
     the values every cell shares, and (keys, _table) of each field that
     varies by cell."""
@@ -213,9 +202,9 @@ def _read(cls, block, path: str, T: int, chosen: dict, extra: tuple[str, ...] = 
                 raise ScenarioFormatError(f"{path}.{name}: missing")
             shared[name] = spec.default
         elif spec.by is None:
-            shared[name] = _value(spec, T, block[name], f"{path}.{name}")
+            shared[name] = _value(spec, block[name], f"{path}.{name}")
         else:
-            table = _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen, partial(_value, spec, T))
+            table = _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen, partial(_value, spec))
             varying[name] = (_AXES[spec.by], table)
     return shared, varying
 
@@ -234,13 +223,15 @@ def _names(doc: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_relations(unit, T: int, path: str, cell: dict) -> None:
-    """ScenarioFormatError for the first cross-field rule unit breaks,
-    naming the YAML path of the field it blames (in this cell)."""
-    for name, text in _relations(unit, T):
+def _check(obj, T: int, path: str, cell: dict) -> None:
+    """ScenarioFormatError for the first declared, then cross-field, rule obj
+    breaks, naming the YAML path (in this cell) of the field it blames."""
+    blamed = [(name, f"{index}: {text}") for name, index, text in _problems(obj, T)]
+    blamed += [(name, f": {obj.name}: {text}") for name, text in _relations(obj, T)]
+    for name, message in blamed[:1]:
         if name is not None:
-            path += f".{name}" + "".join(f".{cell[a]}" for a in _AXES.get(_declared(type(unit))[name].by, ()))
-        raise ScenarioFormatError(f"{path}: {unit.name}: {text}")
+            path += f".{name}" + "".join(f".{cell[a]}" for a in _AXES.get(_declared(type(obj))[name].by, ()))
+        raise ScenarioFormatError(path + message)
 
 
 def load_scenario(path: str | Path) -> ScenarioBundle:
@@ -262,15 +253,17 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"{path}: cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
-    _read(_Header, doc, str(path), 0, {}, _TOP_KEYS)  # checks the header; nothing reads it
-    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", 0, {})[0])
+    header = _Header(**_read(_Header, doc, str(path), {}, _TOP_KEYS)[0])
+    _check(header, 0, str(path), {})  # nothing reads the header past this check
+    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", {})[0])
+    _check(grid, 0, "grid", {})
     T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
     regimes = _names(doc, "regimes", REGIMES)
     chosen = {"season": seasons, "regime": regimes}
 
     def read_prices(block, at: str) -> dict:
-        return _read(MarketScenario, block, at, T, {})[0]
+        return _read(MarketScenario, block, at, {})[0]
 
     prices = _table(_need(doc, "prices", str(path)), "prices", ("season",), chosen, read_prices)
 
@@ -285,18 +278,19 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         if cls is None:
             known = list(_UNIT_CLASSES)
             raise ScenarioFormatError(f"{upath}.class: unknown unit class {key!r} (expected one of {known})")
-        specs.append((key, cls, *_read(cls, u, upath, T, chosen, ("class",))))
+        specs.append((key, cls, *_read(cls, u, upath, chosen, ("class",))))
     for i, message in _name_problems([shared["name"] for _, _, shared, _ in specs]):
         raise ScenarioFormatError(f"units[{i}].name: {message}")
 
     es_module = None
     if doc.get("es_module") is not None:
-        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module", T, {})[0])
-        _check_relations(es_module, T, "es_module", {})
+        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module", {})[0])
+        _check(es_module, T, "es_module", {})
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
     for season in seasons:
         scenario = MarketScenario(grid=grid, **prices[season])
+        _check(scenario, T, f"prices.{season}", {})
         for regime in regimes:
             cell = {"season": season, "regime": regime}
             groups: dict[str, list] = {key: [] for key in _UNIT_CLASSES}
@@ -307,7 +301,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
                         table = table[cell[axis]]
                     picked[name] = table
                 unit = cls(**shared, **picked)
-                _check_relations(unit, T, f"units[{i}]", cell)
+                _check(unit, T, f"units[{i}]", cell)
                 groups[key].append(unit)
             cells[(season, regime)] = (Portfolio(**groups), scenario)
 
@@ -410,6 +404,15 @@ def _row_key(r) -> tuple:
     return (*cell_order(r.case, r.season, r.regime, r.strategy), r.strategy, r.configuration)
 
 
+# The per-period plot files -> the SeriesRow kinds each holds.
+_PLOT_FILES = {
+    "plot_traded_energy.csv": ("traded",),
+    "plot_reserves.csv": ("reserve_up", "reserve_dn"),
+    "plot_soc.csv": ("soc",),
+}
+RESULT_FILES = ("results.csv", *_PLOT_FILES)  # what write_results writes
+
+
 def write_results(table: ResultsTable, out_dir: str | Path) -> list[Path]:
     """Write results.csv plus the three per-period plot files.
 
@@ -441,11 +444,7 @@ def write_results(table: ResultsTable, out_dir: str | Path) -> list[Path]:
             w.writerow(cells)
     written.append(results_path)
 
-    for kind_file, kinds in (
-        ("plot_traded_energy.csv", ("traded",)),
-        ("plot_reserves.csv", ("reserve_up", "reserve_dn")),
-        ("plot_soc.csv", ("soc",)),
-    ):
+    for kind_file, kinds in _PLOT_FILES.items():
         path = out_dir / kind_file
         rows = [s for s in table.series if s.kind in kinds]
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -6,6 +6,7 @@ import argparse
 import copy
 import csv
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -165,7 +166,7 @@ def test_both_regimes_share_their_regime_free_solves(bundle):
         file_seasons=bundle.seasons, file_regimes=bundle.regimes, file_module=bundle.es_module,
     )
     tasks = cli._expand_tasks(args)
-    cli._drop_empty_configs(tasks, bundle, args)
+    cli._fit_tasks(tasks, bundle, args)
     plans = {(t["case"], t["regime"], t["strategy"]): cli._plan_cell(t, bundle) for t in tasks}
     assert len({key for plan in plans.values() for key in cli._needs(plan)}) == 90
     for strategy in STRATEGIES:
@@ -320,6 +321,32 @@ def test_case4_needs_a_storage_module(tmp_path, bundle, capsys):
     assert error.startswith("SizingError: per-module value 0 of 'li_ion_module' is not positive"), error
 
 
+def _cut_to(node, periods: int):
+    """A scenario document with each 24-entry series cut to its first periods."""
+    if isinstance(node, dict):
+        return {key: _cut_to(value, periods) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_cut_to(value, periods) for value in node][: periods if len(node) == 24 else None]
+    return node
+
+
+def test_budgets_beyond_the_files_periods_exit_2_before_any_solve(tmp_path, bundle, solve_calls, capsys):
+    """On an 8-period cut of the shipped file the pessimistic budgets (9
+    periods) cannot hold, so case 2 exits 2 naming the strategy and the
+    period count before any solve; the balanced budgets (6 periods) run."""
+    raw = _cut_to(bundle.raw, 8)
+    raw["grid"]["period_count"] = 8
+    scenario_path = tmp_path / "eight.yaml"
+    save_scenario(raw, scenario_path)
+    flags = ["--case", "2", "--season", "winter", "--jobs", "1", "--scenario", str(scenario_path)]
+    assert cli.main([*flags, "--out", str(tmp_path / "all")]) == 2
+    assert f"error: case 2: pessimistic budgets exceed the 8 periods of {scenario_path}" in capsys.readouterr().err
+    assert not (tmp_path / "all").exists()
+    assert read_lines(solve_calls) == []
+    assert cli.main([*flags, "--strategy", "balanced", "--out", str(tmp_path / "balanced")]) == 0
+    assert {r["strategy"] for r in read_rows(tmp_path / "balanced")} == {"balanced"}
+
+
 def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
     # A 30 MW favorable deviation leaves no profile of industrial_load
     # robustly feasible; the deterministic model ignores deviations.
@@ -340,6 +367,23 @@ def test_infeasible_cell_names_the_relaxed_rows(tmp_path, bundle):
         errors.append(cells["optimistic"]["error"])
     assert errors[0] == errors[1]
     assert "solve ended infeasible; relaxing these rows restores feasibility: fd_profile__industrial_load" in errors[0]
+
+
+def test_a_run_without_results_leaves_none_of_an_earlier_run(tmp_path, bundle):
+    """A rerun into the same --out whose every cell fails removes the result
+    files the earlier run wrote there, and keeps only its own manifest."""
+    raw = copy.deepcopy(bundle.raw)
+    (load,) = [u for u in raw["units"] if u["name"] == "industrial_load"]
+    load["deviation"]["favorable"] = [30.0] * 24
+    infeasible = tmp_path / "infeasible.yaml"
+    save_scenario(raw, infeasible)
+    out = tmp_path / "out"
+    flags = ["--case", "1", "--season", "winter", "--regime", "favorable", "--strategy", "optimistic", "--jobs", "1"]
+    assert cli.main([*flags, "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in RESULT_FILES)
+    assert cli.main([*flags, "--scenario", str(infeasible), "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["run_manifest.json"]
+    assert json.loads((out / "run_manifest.json").read_text())["result_files"] == []
 
 
 
@@ -507,6 +551,7 @@ def test_manifest_records_the_highs_options(tmp_path):
         "mip_heuristic_run_feasibility_jump": False,
         "time_limit": backends.SOLVE_TIME_LIMIT_S,
     }
+    assert manifest["start_method"] == ("fork" if sys.platform == "linux" else multiprocessing.get_start_method())
     core = backends._core
     assert manifest["highs_version"] == f"{core.HIGHS_VERSION_MAJOR}.{core.HIGHS_VERSION_MINOR}.{core.HIGHS_VERSION_PATCH}"
 

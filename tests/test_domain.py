@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+from dataclasses import fields, replace
+from functools import reduce
+from operator import getitem
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,9 @@ from rvpp import (
     NdrsUnit,
     PeriodGrid,
     Portfolio,
+    ScenarioFormatError,
+    load_scenario,
+    save_scenario,
     strategy_budgets,
     validate_budgets,
     validate_portfolio,
@@ -84,13 +92,13 @@ def test_unknown_technology_rejected():
     u = NdrsUnit("tidal1", "tidal", 0.0, 0.0, series(5.0, T), series(0.0, T))
     out = validate_portfolio(Portfolio(ndrs=(u,)), market(T))
     assert len(out) == 1
-    assert "unknown technology" in out[0]
+    assert out[0] == "tidal1: technology: expected one of ['wind', 'solar'], got 'tidal'"
 
 
 def test_series_length_mismatch_reported():
     portfolio = Portfolio(ndrs=(wind(T=4),))
     out = validate_portfolio(portfolio, market(6))
-    assert any("has 4 entries, grid has 6 periods" in v for v in out)
+    assert "wf: forecast_upper: expected 6 entries, got 4; grid.period_count is 6" in out
 
 
 def test_fd_profile_outside_bounds():
@@ -118,8 +126,51 @@ def test_fd_bounds_derived_from_profiles():
 def test_fd_without_profiles_flagged():
     u = FdUnit("load", profiles=(), deviation=(0.0, 0.0))
     out = validate_portfolio(Portfolio(fd=(u,)), market(2))
-    assert any("at least one demand profile" in v for v in out)
+    assert "load: profiles: expected a non-empty list" in out
     assert any("not derivable" in v for v in out)
+
+
+@pytest.mark.parametrize(
+    "owner, keys, index, bad",
+    [
+        ("scenario", ("sr_up_price",), "[3]", lambda v: [*v[:3], -1.0, *v[4:]]),
+        ("wind_farm", ("technology",), "", lambda v: "tidal"),
+        ("wind_farm", ("forecast_upper", "winter"), "", lambda v: v[:23]),
+        ("industrial_load", ("profiles",), "", lambda v: []),
+        ("industrial_load", ("profiles",), "[0]", lambda v: [[], *v[1:]]),
+    ],
+    ids=["negative_price", "tidal", "short_forecast", "no_profiles", "empty_profile"],
+)
+def test_loader_and_library_state_a_rule_alike(tmp_path, bundle, owner, keys, index, bad):
+    """A bad value breaks the same rule in the same words whether a file or
+    the library gives it; only the prefix saying where differs: the YAML
+    path, or the owner and field."""
+    raw = copy.deepcopy(bundle.raw)
+    if owner == "scenario":
+        block, at = raw["prices"]["winter"], "prices.winter"
+    else:
+        (i,) = [i for i, u in enumerate(raw["units"]) if u["name"] == owner]
+        block, at = raw["units"][i], f"units[{i}]"
+    parent = reduce(getitem, keys[:-1], block)
+    parent[keys[-1]] = bad(parent[keys[-1]])
+    save_scenario(raw, tmp_path / "bad.yaml")
+    with pytest.raises(ScenarioFormatError) as loaded:
+        load_scenario(tmp_path / "bad.yaml")
+    yaml_prefix = f"{'.'.join((at, *keys))}{index}: "
+    assert str(loaded.value).startswith(yaml_prefix)
+
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    if owner == "scenario":
+        scenario = replace(scenario, **{keys[0]: bad(getattr(scenario, keys[0]))})
+    else:
+        portfolio = Portfolio(**{
+            f.name: tuple(replace(u, **{keys[0]: bad(getattr(u, keys[0]))}) if u.name == owner else u
+                          for u in getattr(portfolio, f.name))
+            for f in fields(Portfolio)
+        })
+    library_prefix = f"{owner}: {keys[0]}{index}: "
+    (library,) = [v for v in validate_portfolio(portfolio, scenario) if v.startswith(library_prefix)]
+    assert str(loaded.value).removeprefix(yaml_prefix) == library.removeprefix(library_prefix)
 
 
 # --- budgets ---------------------------------------------------------------
