@@ -427,8 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     written = []
     if table.rows:
         written = [str(p) for p in write_results(table, out_dir)]
-    for name in () if written else RESULT_FILES:  # no earlier run's results beside this manifest
-        (out_dir / name).unlink(missing_ok=True)
+    else:  # so that no earlier run's results sit beside this run's manifest
+        for name in RESULT_FILES:
+            (out_dir / name).unlink(missing_ok=True)
     manifest = {
         "scenario": args.scenario,
         "highs_version": HIGHS_VERSION,

@@ -390,9 +390,8 @@ def validate_scenario(scenario: MarketScenario) -> list[str]:
 def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
     """Collect every invariant violation as a human-readable string: the
     market's (validate_scenario), unit names that are not distinct
-    identifiers, and each unit's declarations and cross-field rules, each
-    after the unit's name.  A declaration's text is the one
-    scenario_io.load_scenario gives after the field's YAML path."""
+    identifiers, and each unit's declarations and cross-field rules, after
+    the unit's name; a declaration's text is the one load_scenario gives."""
     out = validate_scenario(scenario)
     T = scenario.grid.period_count
     units = portfolio.all_units()
