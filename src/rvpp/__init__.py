@@ -42,8 +42,8 @@ _HOME = {
         "oracle": "Realization audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
         "scenario_io": """ResultRow ResultsTable ScenarioBundle ScenarioFormatError SeriesRow
             load_scenario save_scenario scale_flexible_demand write_results""",
-        "scheduler": """DecodeError ModelBuildError RvppSchedule build_deterministic_rvpp
-            build_robust_rvpp extract_rvpp_schedule""",
+        "scheduler": """DecodeError ModelBuildError RvppSchedule build_robust_rvpp
+            extract_rvpp_schedule""",
         "sizing": """GapReport ScheduleError SizingError SizingResult aggregation_gap
             audited_schedule price_only_budgets size_es_to_match""",
     }.items()

@@ -14,8 +14,11 @@ case 4 when the file has no `es_module` to size.
 
 A sweep runs as a flat solve plan.  Each cell lists the solves it needs as
 `sizing.Solve` keys, planned by `sizing.gap_solves` and `sizing.module_solve`
-as the library's `aggregation_gap` and `size_es_to_match` plan them; the
+as the library's `aggregation_gap` and `size_es_to_match` plan them, with its
+strategy's budgets (the deterministic strategy's are ZERO_BUDGETS); the
 storage module's key is its storage-only portfolio, solved like any other.
+Every cell is planned before --out is made, in one pass (`_plan`) that also
+leaves out the configurations without units.
 Each distinct key is solved once, heaviest kind first, on up to --jobs worker
 processes (default: every usable CPU, capped at the number of distinct
 solves); a key carries its market scenario, so a worker needs nothing else.
@@ -135,48 +138,38 @@ def _variants(task: dict, portfolio: Portfolio) -> list[tuple[str, Portfolio]]:
     return variants
 
 
-def _fit_tasks(tasks: list[dict], bundle, args) -> None:
-    """Take the configurations that leave no units out of each case-3 task;
-    one named on the command line (a flag in args.explicit) raises
-    SystemExit2, as do budgets beyond the file's period count, which would
-    fail the build of every solve of their strategy."""
-    T = bundle.grid.period_count
-    for task in tasks:
-        portfolio, _ = bundle.cell(task["season"], task["regime"])
-        strategy = task["strategy"]
-        if strategy != "deterministic" and validate_budgets(strategy_budgets(strategy, portfolio), bundle.grid):
-            raise SystemExit2(f"case {task['case']}: {strategy} budgets exceed the {T} periods of {args.scenario}")
-        if task["case"] != 3:
-            continue
-        empty = {config for config, sub in _variants(task, portfolio) if sub.is_empty()}
-        for key, flag, label in (("configs", "config", str), ("fd_scales", "fd_scale", _fd_label)):
-            dropped = [v for v in task[key] if label(v) in empty]
-            if dropped and flag in args.explicit:
-                raise SystemExit2(f"configuration {label(dropped[0])} leaves no units in {args.scenario}")
-            task[key] = tuple(v for v in task[key] if label(v) not in empty)
-
-
-def _plan_cell(task: dict, bundle) -> dict:
-    """The solves one cell needs.
+def _plan(tasks: list[dict], bundle, args) -> list[dict]:
+    """The solves each cell needs, in task order.
 
     Per configuration (_variants): its portfolio solve and, in cases 3 and 4,
     one stand-alone solve per unit.  In cases 3 and 4 also the storage
-    module's one-module solve, which sizing scales.
+    module's one-module solve, which sizing scales.  A configuration that
+    leaves no units is left out; one named on the command line (a flag in
+    args.explicit) raises SystemExit2, as do budgets beyond the file's period
+    count, which would fail the build of every solve of their strategy.
     """
-    portfolio, scenario = bundle.cell(task["season"], task["regime"])
-    case, strategy = task["case"], task["strategy"]
-    configs = []
-    for config, sub in _variants(task, portfolio):
-        budgets = None if strategy == "deterministic" else strategy_budgets(strategy, sub)
-        if case in (3, 4):
-            configs.append((config, *gap_solves(sub, scenario, budgets)))
-        else:
-            configs.append((config, Solve(scenario, sub, budgets), ()))
-    module = bundle.es_module
-    es = None
-    if case in (3, 4) and module is not None:
-        es = module_solve(module, scenario, strategy_budgets(strategy, portfolio))
-    return {"configs": configs, "module": es}
+    plans = []
+    for task in tasks:
+        portfolio, scenario = bundle.cell(task["season"], task["regime"])
+        case, strategy = task["case"], task["strategy"]
+        budgets = strategy_budgets(strategy, portfolio)  # gap_solves drops entries of units a variant lacks
+        if validate_budgets(budgets, bundle.grid):
+            T = bundle.grid.period_count
+            raise SystemExit2(f"case {case}: {strategy} budgets exceed the {T} periods of {args.scenario}")
+        configs = []
+        for config, sub in _variants(task, portfolio):
+            if sub.is_empty():
+                if ("config" if config in CONFIG_CHOICES else "fd_scale") in args.explicit:
+                    raise SystemExit2(f"configuration {config} leaves no units in {args.scenario}")
+            elif case in (3, 4):
+                configs.append((config, *gap_solves(sub, scenario, budgets)))
+            else:
+                configs.append((config, Solve(scenario, sub, budgets), ()))
+        module = None
+        if case in (3, 4) and bundle.es_module is not None:
+            module = module_solve(bundle.es_module, scenario, budgets)
+        plans.append({"configs": configs, "module": module})
+    return plans
 
 
 def _needs(plan: dict) -> list[Solve]:
@@ -299,7 +292,8 @@ def _expand_tasks(args) -> list[dict]:
             raise SystemExit2(f"case 4 runs es_module, which {args.scenario} lacks")
         seasons = args.season or list(args.file_seasons)
         regimes = args.regime or list(args.file_regimes if case == 2 else args.file_regimes[:1])
-        strategies = args.strategy or (["deterministic", "optimistic"] if case == 1 else list(STRATEGIES))
+        # Case 1: deterministic against optimistic; the others: the robust strategies.
+        strategies = args.strategy or list(STRATEGIES[:2] if case == 1 else STRATEGIES[1:])
         for kind, names, known in (("season", seasons, args.file_seasons), ("regime", regimes, args.file_regimes)):
             for name in names:
                 if name not in known:
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--regime", action="append", choices=REGIMES, default=None,
                         help="regime filter; repeatable (default: the file's first regime; case 2 all of them)")
     parser.add_argument("--strategy", action="append",
-                        choices=("deterministic",) + STRATEGIES, default=None,
+                        choices=STRATEGIES, default=None,
                         help="strategy filter; repeatable")
     parser.add_argument("--config", action="append", choices=CONFIG_CHOICES, default=None,
                         help="case-3 configuration; repeatable (default: full plus ablations)")
@@ -370,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         bundle = load_scenario(args.scenario)
         args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, bundle.regimes, bundle.es_module
         tasks = _expand_tasks(args)
-        _fit_tasks(tasks, bundle, args)
+        plans = _plan(tasks, bundle, args)
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -382,9 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     started = time.perf_counter()
-    plans = [_isolated(_plan_cell, t, bundle) for t in tasks]
     # Each distinct solve once, heaviest kind first; the sort is stable.
-    order = list(dict.fromkeys(k for plan, _ in plans if plan for k in _needs(plan)))
+    order = list(dict.fromkeys(k for plan in plans for k in _needs(plan)))
     order.sort(key=Solve.weight)
     jobs = max(1, min(args.jobs or _usable_cpus(), len(order)))
     # The parent runs no solve, so the pool forks no solver state.
@@ -402,12 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     table = ResultsTable()
     manifest_cells = []
     failed = 0
-    for t, (plan, error) in zip(tasks, plans):
-        seconds = 0.0
-        if plan is not None:
-            # Solve seconds the cell rests on, shared solves counted in full.
-            seconds = sum(results[k]["seconds"] for k in set(_needs(plan)))
-            out, error = _isolated(_cell_rows, t, plan, solved)
+    for t, plan in zip(tasks, plans):
+        # Solve seconds the cell rests on, shared solves counted in full.
+        seconds = sum(results[k]["seconds"] for k in set(_needs(plan)))
+        out, error = _isolated(_cell_rows, t, plan, solved)
         entry = {
             "case": t["case"],
             "season": t["season"],

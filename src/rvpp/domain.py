@@ -24,14 +24,14 @@ from functools import cache
 
 SEASONS = ("winter", "spring", "summer", "autumn")
 REGIMES = ("favorable", "unfavorable")
-STRATEGIES = ("optimistic", "balanced", "pessimistic")
+STRATEGIES = ("deterministic", "optimistic", "balanced", "pessimistic")  # the budget ladder, zero first
 
 WIND = "wind"
 SOLAR = "solar"
 _TECHNOLOGIES = (WIND, SOLAR)
 
-# Uncertainty budgets per strategy: full applies to price streams and wind
-# forecasts, reduced to solar-driven streams (PV, solar field) and demand.
+# Uncertainty budgets per robust strategy: full applies to price streams and
+# wind forecasts, reduced to solar-driven streams (PV, solar field) and demand.
 _FULL_BUDGET = {"optimistic": 3, "balanced": 6, "pessimistic": 9}
 _REDUCED_BUDGET = {"optimistic": 2, "balanced": 4, "pessimistic": 6}
 
@@ -427,12 +427,15 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
 def strategy_budgets(strategy: str, portfolio: Portfolio) -> BudgetSet:
     """Budget ladder row for a named strategy.
 
-    Prices and wind forecasts take the full budget (3/6/9 periods for
-    optimistic/balanced/pessimistic); solar-driven streams and flexible
-    demand take the reduced budget (2/4/6).
+    The deterministic strategy is ZERO_BUDGETS.  Prices and wind forecasts
+    take the full budget (3/6/9 periods for optimistic/balanced/pessimistic);
+    solar-driven streams and flexible demand take the reduced budget (2/4/6).
+    These counts do not depend on the period count.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (expected one of {STRATEGIES})")
+    if strategy == "deterministic":
+        return ZERO_BUDGETS
     full = _FULL_BUDGET[strategy]
     reduced = _REDUCED_BUDGET[strategy]
     per_unit: dict[str, int] = {}

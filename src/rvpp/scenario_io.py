@@ -29,6 +29,7 @@ import yaml
 from .domain import (
     REGIMES,
     SEASONS,
+    STRATEGIES,
     _EXPECTED,
     CspUnit,
     DrsUnit,
@@ -386,7 +387,7 @@ def _fmt6(v: float) -> str:
 
 _SEASON_ORDER = {s: i for i, s in enumerate(SEASONS)}
 _REGIME_ORDER = {r: i for i, r in enumerate(REGIMES)}
-_STRATEGY_ORDER = {"deterministic": 0, "optimistic": 1, "balanced": 2, "pessimistic": 3}
+_STRATEGY_ORDER = {s: i for i, s in enumerate(STRATEGIES)}
 
 
 def cell_order(case, season: str, regime: str, strategy: str) -> tuple:

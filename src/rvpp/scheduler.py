@@ -1,10 +1,10 @@
 """Day-ahead + secondary-reserve scheduling MILPs for an aggregated portfolio.
 
-One core (_build_core) builds the model in one pass and takes the budgets of
-uncertainty, None meaning deterministic; at zero budgets the robust model is
-its deterministic twin.  Both public builders call it.  It writes every unit
-class, storage included (storage.add_es_unit writes a storage unit's own
-rows), so a storage fleet is a storage-only portfolio.  Price streams are
+One builder (build_robust_rvpp, through _build_core) writes the model in one
+pass from the budgets of uncertainty; ZERO_BUDGETS gives the deterministic
+model, as a zero budget adds no column and cuts nothing.  It writes every
+unit class, storage included (storage.add_es_unit writes a storage unit's
+own rows), so a storage fleet is a storage-only portfolio.  Price streams are
 protected through their dual penalty columns (the objective pays
 Gamma*mu + sum(xi) per stream), with one dual row per piece of a period's
 loss: the energy loss, max(down*dt*p_da, -up*dt*p_da), has two.  The
@@ -63,7 +63,8 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class PriceRobustArtifacts:
-    """Dual prices of the three price streams attached to a robust schedule.
+    """Dual prices of the three price streams attached to a schedule; a
+    stream with a zero budget reads 0.
 
     mu/xi follow the usual budget-dualization roles: per stream, the objective
     penalty Gamma*mu + sum(xi) equals the worst-case revenue loss at the
@@ -127,7 +128,7 @@ class RvppSchedule:
     mode: dict[str, np.ndarray]
     sigma: dict[str, np.ndarray]
     objective_value: float
-    artifacts: PriceRobustArtifacts | None = None
+    artifacts: PriceRobustArtifacts
     layer_seconds: dict[str, float] = field(default_factory=dict)
 
     def scaled(self, n: int) -> RvppSchedule:
@@ -140,9 +141,8 @@ class RvppSchedule:
         fraction do not.  Other unit classes do not scale so.
         """
         artifacts = self.artifacts
-        if artifacts is not None:
-            duals = [f.name for f in fields(artifacts) if f.name != "budgets"]
-            artifacts = replace(artifacts, **{f: n * getattr(artifacts, f) for f in duals})
+        duals = [f.name for f in fields(artifacts) if f.name != "budgets"]
+        artifacts = replace(artifacts, **{f: n * getattr(artifacts, f) for f in duals})
         per_unit = {f: {name: n * v for name, v in getattr(self, f).items()} for f in _SCALED_SERIES}
         market = {f: n * getattr(self, f) for f in ("p_da", "r_up", "r_dn", "objective_value")}
         return replace(self, artifacts=artifacts, **market, **per_unit)
@@ -213,8 +213,8 @@ def _add_price_dual(m: Model, tag: str, gamma: int, T: int, pieces: list[list[tu
     return mu, xi
 
 
-def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet | None) -> Model:
-    """The whole portfolio model in one pass; budgets None is deterministic.
+def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> Model:
+    """The whole portfolio model in one pass.
 
     Each generation/demand stream with a positive budget loses its fixed
     adversary's deviations (dominant_subset) from the right-hand side of its
@@ -228,12 +228,12 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     unit's profile picks, "fd_floor" its per-period consumption-floor row
     ids, "ts_soc" the T store levels, "es_reserves" a storage unit's four
     reserve families, see storage.add_es_unit); the balance row ids; and the
-    price duals (None when deterministic).
+    price duals, each stream's _add_price_dual result.
     """
     T, dt = scenario.grid.period_count, scenario.grid.delta_t
 
     def cuts(name: str, deviation) -> list[float]:
-        gamma = 0 if budgets is None else budgets.unit_budget(name)
+        gamma = budgets.unit_budget(name)
         picked = dominant_subset(deviation, gamma) if gamma > 0 else ()
         return [deviation[t] if t in picked else 0.0 for t in range(T)]
 
@@ -337,28 +337,20 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     balance = m.add_rows(T, [(f"bal_{fam}_t{{:02d}}", SENSE_EQ, 0.0, terms) for fam, terms in (
         ("id", id_terms), ("up", up_terms), ("dn", dn_terms))])
 
-    duals = None
-    if budgets is not None:
-        # Energy loses down*dt*p_da when sold and up*dt*|p_da| when bought:
-        # the larger of two linear pieces.
-        down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
-        dam_losses = [[(p_da, [d * dt for d in down])], [(p_da, [-u * dt for u in up])]]
-        duals = {
-            "dam": _add_price_dual(m, "dam", budgets.gamma_dam, T, dam_losses),
-            "sr_up": _add_price_dual(m, "srup", budgets.gamma_sr_up, T, [[(r_up, scenario.sr_up_price_dev)]]),
-            "sr_dn": _add_price_dual(m, "srdn", budgets.gamma_sr_down, T, [[(r_dn, scenario.sr_dn_price_dev)]]),
-        }
+    # Energy loses down*dt*p_da when sold and up*dt*|p_da| when bought:
+    # the larger of two linear pieces.
+    down, up = scenario.dam_price_down_dev, scenario.dam_price_up_dev
+    dam_losses = [[(p_da, [d * dt for d in down])], [(p_da, [-u * dt for u in up])]]
+    duals = {
+        "dam": _add_price_dual(m, "dam", budgets.gamma_dam, T, dam_losses),
+        "sr_up": _add_price_dual(m, "srup", budgets.gamma_sr_up, T, [[(r_up, scenario.sr_up_price_dev)]]),
+        "sr_dn": _add_price_dual(m, "srdn", budgets.gamma_sr_down, T, [[(r_dn, scenario.sr_dn_price_dev)]]),
+    }
 
     m.tags.update(
         kind="rvpp", scenario=scenario, portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
     )
     return m
-
-
-def build_deterministic_rvpp(portfolio: Portfolio, scenario: MarketScenario) -> Model:
-    """Deterministic day-ahead + reserve scheduling MILP at nominal prices."""
-    _require_valid(portfolio, scenario)
-    return _build_core(Model(name="rvpp_det"), portfolio, scenario, None)
 
 
 def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> Model:
@@ -373,14 +365,15 @@ def build_robust_rvpp(portfolio: Portfolio, scenario: MarketScenario, budgets: B
     ceiling of a CSP block, and the consumption floor of flexible demand (on
     every profile, since exactly one is chosen).  That adversary does not
     depend on the schedule, so it enters as constants and adds no columns.
-    Streams with a zero budget are left deterministic.  A storage unit has
+    Streams with a zero budget are left deterministic, so ZERO_BUDGETS
+    builds the deterministic model at nominal prices.  A storage unit has
     no quantity stream, so a per-unit budget naming one is an input error.
     """
     _require_valid(portfolio, scenario)
     bad = validate_budgets(budgets, scenario.grid, portfolio)
     if bad:
         raise ModelBuildError("invalid budgets: " + "; ".join(bad))
-    return _build_core(Model(name="rvpp_robust"), portfolio, scenario, budgets)
+    return _build_core(Model(name="rvpp"), portfolio, scenario, budgets)
 
 
 def _values(values: np.ndarray, lower: np.ndarray, ids) -> np.ndarray:
@@ -456,13 +449,11 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
 
     # The "duals" tag maps each stream's PriceRobustArtifacts suffix to its
     # _add_price_dual result; a stream without a budget reads 0.
-    artifacts = None
-    if m.tags["duals"] is not None:
-        duals = {}
-        for stream, handles in m.tags["duals"].items():
-            duals[f"mu_{stream}"] = 0.0 if handles is None else float(sol.values[handles[0]])
-            duals[f"xi_{stream}"] = np.zeros(scenario.grid.period_count) if handles is None else read(handles[1])
-        artifacts = PriceRobustArtifacts(budgets=m.tags["budgets"], **duals)
+    duals = {}
+    for stream, handles in m.tags["duals"].items():
+        duals[f"mu_{stream}"] = 0.0 if handles is None else float(sol.values[handles[0]])
+        duals[f"xi_{stream}"] = np.zeros(scenario.grid.period_count) if handles is None else read(handles[1])
+    artifacts = PriceRobustArtifacts(budgets=m.tags["budgets"], **duals)
 
     return RvppSchedule(
         p_da=p_da,

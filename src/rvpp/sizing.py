@@ -13,15 +13,15 @@ scaled by N (`RvppSchedule.scaled`).
 
 Each model is named by a `Solve` key: the market scenario, the portfolio (the
 cell's, one unit's stand-alone portfolio, or the storage module's) and the
-budgets.  `gap_solves` and `module_solve`
-plan the keys of a gap and of a fleet; `GapReport.of` and `sized_from_module`
-turn solved keys into numbers.  `aggregation_gap` and `size_es_to_match`
-solve their keys with `Solve.run`; the command-line sweep plans the same keys
-for many cells and solves each distinct one once.
+budgets, ZERO_BUDGETS for the deterministic model.  `gap_solves` and
+`module_solve` plan the keys of a gap and of a fleet; `GapReport.of` and
+`sized_from_module` turn solved keys into numbers.  `aggregation_gap` and
+`size_es_to_match` solve their keys with `Solve.run`; the command-line sweep
+plans the same keys for many cells and solves each distinct one once.
 
 Every schedule comes from `audited_schedule`, which replays it against the
-raw inputs and audits a robust one against its dominant quantity
-realization before its profit is used.  Every sized fleet comes from
+raw inputs and audits it against its budgets' dominant quantity realization
+before its profit is used.  Every sized fleet comes from
 `sized_from_module`, which replays the scaled schedule
 against `module.scaled(N)` and re-prices its objective before the fleet is
 returned.
@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 from . import backends
 from .domain import (
+    ZERO_BUDGETS,
     BudgetSet,
     CspUnit,
     DrsUnit,
@@ -47,7 +48,7 @@ from .domain import (
 )
 from .milp import FEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
 from .oracle import audit_robust_feasibility, nominal_profit, replay_schedule, worst_case_profit
-from .scheduler import RvppSchedule, build_deterministic_rvpp, build_robust_rvpp, extract_rvpp_schedule
+from .scheduler import RvppSchedule, build_robust_rvpp, extract_rvpp_schedule
 
 # The largest fleet sizing returns; a larger need raises SizingError.
 MAX_MODULES = 2000
@@ -108,13 +109,13 @@ class Solve(NamedTuple):
 
     scenario: MarketScenario
     subject: Portfolio  # a cell's portfolio, one unit's alone, or the storage module's
-    budgets: BudgetSet | None  # None: the deterministic model
+    budgets: BudgetSet  # ZERO_BUDGETS: the deterministic model
 
     def weight(self) -> int:
         """0 robust portfolios, 1 deterministic ones, 2 single units and the module."""
         if len(self.subject.all_units()) == 1:
             return 2
-        return 0 if self.budgets is not None else 1
+        return 1 if self.budgets == ZERO_BUDGETS else 0
 
     def label(self) -> str:
         return "+".join(self.subject.unit_names())
@@ -182,26 +183,24 @@ def _require_clean_replay(what: str, schedule, subject, scenario: MarketScenario
         raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {FEASIBILITY_TOL}")
 
 
-def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet | None) -> RvppSchedule:
+def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> RvppSchedule:
     """Build, solve, decode, replay and audit one portfolio schedule.
 
-    budgets None builds the deterministic model.  ScheduleError names what
+    ZERO_BUDGETS builds the deterministic model.  ScheduleError names what
     failed: the solve (see _solved), the replay residual and its constraint
     family, or the first robust violation.  The schedule's layer_seconds
     holds the seconds of each of LAYERS.
     """
     started = time.perf_counter()
-    robust = budgets is not None
-    m = build_robust_rvpp(portfolio, scenario, budgets) if robust else build_deterministic_rvpp(portfolio, scenario)
+    m = build_robust_rvpp(portfolio, scenario, budgets)
     built = time.perf_counter()
     sol, run = _solved(m)
     decoding = time.perf_counter()
     schedule = extract_rvpp_schedule(m, sol)
     _require_clean_replay("replay", schedule, portfolio, scenario)
-    if robust:
-        violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
-        if violations:
-            raise ScheduleError("robust audit failed: " + violations[0])
+    violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
+    if violations:
+        raise ScheduleError("robust audit failed: " + violations[0])
     seconds = (built - started, run.assembly_s + run.highs_s, time.perf_counter() - decoding)
     schedule.layer_seconds = dict(zip(LAYERS, seconds))
     return schedule
@@ -270,9 +269,10 @@ def sized_from_module(gap: float, one: RvppSchedule, key: Solve) -> SizingResult
     schedule, fleet = one.scaled(count), Portfolio(es=(module.scaled(count),))
     _require_clean_replay("storage replay", schedule, fleet, scenario)
     objective = schedule.objective_value
-    checks = {"its worst-case re-pricing": worst_case_profit(schedule, fleet, scenario, budgets)[0]}
-    if schedule.artifacts is not None:
-        checks["its price duals"] = nominal_profit(schedule, fleet, scenario) - schedule.artifacts.price_penalty_total()
+    checks = {
+        "its worst-case re-pricing": worst_case_profit(schedule, fleet, scenario, budgets)[0],
+        "its price duals": nominal_profit(schedule, fleet, scenario) - schedule.artifacts.price_penalty_total(),
+    }
     for source, profit in checks.items():
         if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
             raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from rvpp import (
+    STRATEGIES,
+    ZERO_BUDGETS,
     BudgetSet,
     DrsUnit,
     FdUnit,
@@ -185,6 +187,7 @@ def ladder_portfolio(T: int = 12) -> Portfolio:
 def test_strategy_budget_rows():
     portfolio = ladder_portfolio()
     rows = {
+        "deterministic": (0, 0),
         "optimistic": (3, 2),
         "balanced": (6, 4),
         "pessimistic": (9, 6),
@@ -195,6 +198,8 @@ def test_strategy_budget_rows():
         assert b.unit_budget("wf") == full
         assert b.unit_budget("pv") == reduced
         assert b.unit_budget("load") == reduced
+    assert tuple(rows) == STRATEGIES
+    assert strategy_budgets("deterministic", portfolio) == ZERO_BUDGETS
 
 
 def test_strategy_budgets_unknown_strategy():

@@ -424,7 +424,7 @@ def test_names_are_made_on_demand():
 def test_decode_messages_name_the_columns_and_rows():
     gen = rvpp.DrsUnit("gen", 10.0, 0.0, 0.0, 0.0, 1.0)
     portfolio, scenario = rvpp.Portfolio(drs=(gen,)), toys.market(4, dam=15.0)
-    m = rvpp.build_deterministic_rvpp(portfolio, scenario)
+    m = rvpp.build_robust_rvpp(portfolio, scenario, rvpp.ZERO_BUDGETS)
     sol = milp.solve(m, backends.ScipyHighsBackend())
     for name, value, message in (
         ("on__gen_t02", 0.4, "binary 'on__gen_t02' is non-integral: 0.4"),
@@ -511,11 +511,11 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     check = textwrap.dedent(
         """
         import sys, rvpp.cli
-        from rvpp import Portfolio, default_scenario_path, load_scenario
+        from rvpp import ZERO_BUDGETS, Portfolio, default_scenario_path, load_scenario
         from rvpp.sizing import Solve
         bundle = load_scenario(default_scenario_path())
         _, market = bundle.cell('spring', 'favorable')
-        Solve(market, Portfolio(es=(bundle.es_module,)), None).run()
+        Solve(market, Portfolio(es=(bundle.es_module,)), ZERO_BUDGETS).run()
         unwanted = ('scipy.optimize', 'scipy.sparse', 'scipy.linalg', 'hashlib', '_hashlib', 'importlib.metadata')
         loaded = [m for m in unwanted if m in sys.modules]
         if loaded: sys.exit(f'imported {loaded}')

@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from rvpp import (
+    ZERO_BUDGETS,
     Portfolio,
     ScipyHighsBackend,
-    build_deterministic_rvpp,
     build_robust_rvpp,
     solve,
     strategy_budgets,
@@ -66,7 +66,7 @@ def digests(bundle):
     spring, spring_market = bundle.cell("spring", "favorable")
     optimistic = strategy_budgets("optimistic", spring)
     out = {
-        "winter_deterministic": _digest(build_deterministic_rvpp(winter, winter_market)),
+        "winter_deterministic": _digest(build_robust_rvpp(winter, winter_market, ZERO_BUDGETS)),
         "spring_optimistic": _digest(build_robust_rvpp(spring, spring_market, optimistic)),
     }
     for unit in spring.all_units():
@@ -74,7 +74,7 @@ def digests(bundle):
         out[unit.name] = _digest(build_robust_rvpp(alone, spring_market, budgets))
     module = Portfolio(es=(bundle.es_module,))
     out["storage_module"] = _digest(build_robust_rvpp(module, spring_market, price_only_budgets(optimistic)))
-    out["storage_module_deterministic"] = _digest(build_deterministic_rvpp(module, spring_market))
+    out["storage_module_deterministic"] = _digest(build_robust_rvpp(module, spring_market, ZERO_BUDGETS))
     return out
 
 
@@ -88,7 +88,7 @@ def test_the_digest_is_what_a_solve_records(bundle):
     optimistic = strategy_budgets("optimistic", portfolio)
     for model in (
         build_robust_rvpp(Portfolio(es=(bundle.es_module,)), scenario, price_only_budgets(optimistic)),
-        build_deterministic_rvpp(Portfolio(fd=portfolio.fd), scenario),
+        build_robust_rvpp(Portfolio(fd=portfolio.fd), scenario, ZERO_BUDGETS),
     ):
         backend = ScipyHighsBackend()
         assert solve(model, backend).status == "optimal"
@@ -113,13 +113,7 @@ def planned_models() -> list:
         patch.setattr(cli, "_solve_all", stop)
         with pytest.raises(_Planned):
             cli.main(["--out", out])
-    return [(key, _model(key)) for key in keys]
-
-
-def _model(key):
-    if key.budgets is None:
-        return build_deterministic_rvpp(key.subject, key.scenario)
-    return build_robust_rvpp(key.subject, key.scenario, key.budgets)
+    return [(key, build_robust_rvpp(key.subject, key.scenario, key.budgets)) for key in keys]
 
 
 def digest_lines(planned) -> list[str]:

@@ -17,7 +17,7 @@ from rvpp import (
     strategy_budgets,
     worst_case_profit,
 )
-from rvpp.scheduler import RvppSchedule, dominant_subset
+from rvpp.scheduler import PriceRobustArtifacts, RvppSchedule, dominant_subset
 from rvpp import ScipyHighsBackend, build_robust_rvpp, extract_rvpp_schedule, solve
 from test_scheduler import mixed_toy
 from toys import market, solve_rvpp, wind_only
@@ -28,12 +28,14 @@ NO_UNITS = Portfolio()
 
 
 def fake_schedule(p_da, r_up=None, r_dn=None) -> RvppSchedule:
-    """A bare schedule carrying only market positions (enough for pricing)."""
+    """A bare schedule carrying only market positions (enough for pricing)
+    and zero price duals."""
     p_da = np.asarray(p_da, dtype=float)
     zeros = np.zeros(len(p_da))
     r_up = zeros.copy() if r_up is None else np.asarray(r_up, dtype=float)
     r_dn = zeros.copy() if r_dn is None else np.asarray(r_dn, dtype=float)
-    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0)
+    duals = PriceRobustArtifacts(BudgetSet(), 0.0, zeros, 0.0, zeros, 0.0, zeros)
+    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0, duals)
 
 
 def test_worst_case_picks_the_largest_loss():

@@ -20,7 +20,6 @@ from rvpp import (
     ThermalStoreParams,
     ZERO_BUDGETS,
     aggregation_gap,
-    build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
     nominal_profit,
@@ -40,7 +39,7 @@ def test_wind_only_revenue_arithmetic():
     sched = solve_rvpp(portfolio, scenario)
     assert sched.objective_value == pytest.approx(9600.0, abs=1e-7)
     assert nominal_profit(sched, portfolio, scenario) == pytest.approx(9600.0, abs=1e-7)
-    assert sched.artifacts is None
+    assert sched.artifacts.price_penalty_total() == 0.0
     np.testing.assert_allclose(sched.p_da, 40.0, atol=1e-8)
 
 
@@ -48,7 +47,7 @@ def test_binary_count_matches_commitment_structure(bundle):
     # Two committed DRS units and one CSP block contribute on/start/stop per
     # period; each flexible-demand unit adds one binary per selectable profile.
     portfolio, scenario = bundle.cell("winter", "favorable")
-    m = build_deterministic_rvpp(portfolio, scenario)
+    m = build_robust_rvpp(portfolio, scenario, ZERO_BUDGETS)
     T = scenario.grid.period_count
     committed = len(portfolio.drs) + len(portfolio.csp)
     profiles = sum(len(u.profiles) for u in portfolio.fd)
@@ -94,12 +93,13 @@ def mixed_toy():
 
 
 def test_zero_budget_matches_deterministic():
+    """At zero budgets the objective is the schedule's nominal profit, which
+    is also its worst case, and the price duals cost nothing."""
     portfolio, scenario = mixed_toy()
-    det = solve_rvpp(portfolio, scenario)
     rob = solve_rvpp(portfolio, scenario, ZERO_BUDGETS)
-    assert rob.objective_value == pytest.approx(det.objective_value, abs=1e-9)
-    assert rob.artifacts is not None
-    assert rob.artifacts.price_penalty_total() == pytest.approx(0.0, abs=1e-9)
+    assert rob.objective_value == pytest.approx(nominal_profit(rob, portfolio, scenario), abs=1e-9)
+    assert rob.objective_value == pytest.approx(worst_case_profit(rob, portfolio, scenario, BudgetSet())[0], abs=1e-9)
+    assert rob.artifacts.price_penalty_total() == 0.0
 
 
 def test_objective_non_increasing_in_budget():
@@ -193,7 +193,7 @@ def test_quantity_budgets_equal_a_hand_tightened_deterministic_model():
 def test_robust_shipped_cell_adds_no_binaries_and_no_big_constants(bundle):
     portfolio, scenario = bundle.cell("winter", "unfavorable")
     robust = build_robust_rvpp(portfolio, scenario, strategy_budgets("balanced", portfolio))
-    assert robust.binary_count() == build_deterministic_rvpp(portfolio, scenario).binary_count()
+    assert robust.binary_count() == build_robust_rvpp(portfolio, scenario, ZERO_BUDGETS).binary_count()
     largest = max(max([abs(con.rhs)] + [abs(c) for _, c in con.expr.terms]) for con in robust.constraints)
     assert largest < 1.0e5
 
@@ -318,13 +318,13 @@ def test_daily_cap_limits_dispatched_energy():
 
 def test_empty_portfolio_rejected():
     with pytest.raises(ModelBuildError, match="no units"):
-        build_deterministic_rvpp(Portfolio(), market(4))
+        build_robust_rvpp(Portfolio(), market(4), ZERO_BUDGETS)
 
 
 def test_invalid_inputs_rejected_with_reason():
     p = Portfolio(ndrs=(wind(T=4, upper=10.0, dev=11.0),))
     with pytest.raises(ModelBuildError, match="forecast_deviation"):
-        build_deterministic_rvpp(p, market(4))
+        build_robust_rvpp(p, market(4), ZERO_BUDGETS)
 
 
 def test_budget_for_unknown_unit_rejected():
@@ -335,7 +335,7 @@ def test_budget_for_unknown_unit_rejected():
 
 def test_decode_requires_optimal_status():
     portfolio, scenario = wind_only(T=4)
-    m = build_deterministic_rvpp(portfolio, scenario)
+    m = build_robust_rvpp(portfolio, scenario, ZERO_BUDGETS)
     pda0 = m.variable("pda_t00")
     m.add_rows(1, [("impossible", ">=", 1.0e9, [(pda0.index, 1.0)])])
     sol = solve(m, ScipyHighsBackend())
@@ -352,7 +352,7 @@ def test_decode_rejects_fractional_binaries():
         (Portfolio(drs=(gen,)), {"on__gen_t00": 0.4}),
         (Portfolio(fd=(load,)), {"prof__ld_m0": 0.4, "prof__ld_m1": 0.6}),
     ):
-        m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
+        m = build_robust_rvpp(portfolio, market(T, dam=15.0), ZERO_BUDGETS)
         sol = solve(m, ScipyHighsBackend())
         tampered = replace(sol, values=sol.values.copy())
         for name, value in tampering.items():
@@ -365,7 +365,7 @@ def test_decode_requires_exactly_one_profile():
     T = 4
     load = FdUnit("ld", profiles=((3.0,) * T, (2.0,) * T), deviation=(0.0,) * T)
     portfolio = Portfolio(fd=(load,))
-    m = build_deterministic_rvpp(portfolio, market(T, dam=15.0))
+    m = build_robust_rvpp(portfolio, market(T, dam=15.0), ZERO_BUDGETS)
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("prof__ld_m0").index] = 1.0
@@ -376,7 +376,7 @@ def test_decode_requires_exactly_one_profile():
 
 def test_decode_checks_model_kind():
     portfolio, scenario = wind_only(T=4)
-    m = build_deterministic_rvpp(portfolio, scenario)
+    m = build_robust_rvpp(portfolio, scenario, ZERO_BUDGETS)
     sol = solve(m, ScipyHighsBackend())
     from rvpp import Model, Solution
 

@@ -15,7 +15,6 @@ from rvpp import (
     Portfolio,
     ScipyHighsBackend,
     ZERO_BUDGETS,
-    build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
     nominal_profit,
@@ -127,7 +126,7 @@ def test_value_is_linear_in_module_count():
     # solve array by array.
     s = market(12, dam=[10, 40, 5, 35, 20, 45, 8, 30, 25, 50, 15, 12], dam_down=4.0, dam_up=3.0)
     min_power = replace(battery(), charge_p_min=0.1, discharge_p_min=0.15)
-    for module, budgets in product((battery(), min_power), (None, BudgetSet(gamma_dam=3))):
+    for module, budgets in product((battery(), min_power), (ZERO_BUDGETS, BudgetSet(gamma_dam=3))):
         one = solve_es(module, s, budgets)
         for n in (2, 3, 7):
             case = (module, budgets, n)
@@ -136,10 +135,9 @@ def test_value_is_linear_in_module_count():
             scaled, fleet = one.scaled(n), Portfolio(es=(module.scaled(n),))
             assert scaled.objective_value == pytest.approx(vn, rel=1e-9), case
             assert max(replay_schedule(scaled, fleet, s).values()) <= 1e-6, case
-            if budgets is not None:
-                penalty = scaled.artifacts.price_penalty_total()
-                nominal = nominal_profit(scaled, fleet, s)
-                assert nominal - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
+            penalty = scaled.artifacts.price_penalty_total()
+            nominal = nominal_profit(scaled, fleet, s)
+            assert nominal - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
 
 
 def test_soc_cyclic_and_modes_exclusive_randomized():
@@ -172,12 +170,14 @@ def test_objective_non_increasing_in_price_budget():
 
 
 def test_zero_budget_matches_deterministic():
+    """At zero budgets the objective is the schedule's nominal profit, which
+    is also its worst case, and the price duals cost nothing."""
     s = market(6, dam=[5, 45, 10, 40, 8, 42], dam_down=6.0, sr_up=3.0, sr_up_dev=1.0)
-    det = solve_es(battery(), s)
+    fleet = Portfolio(es=(battery(),))
     rob = solve_es(battery(), s, ZERO_BUDGETS)
-    assert rob.objective_value == pytest.approx(det.objective_value, abs=1e-9)
-    assert rob.artifacts is not None
-    assert rob.artifacts.price_penalty_total() == pytest.approx(0.0, abs=1e-9)
+    assert rob.objective_value == pytest.approx(nominal_profit(rob, fleet, s), abs=1e-9)
+    assert rob.objective_value == pytest.approx(worst_case_profit(rob, fleet, s, BudgetSet())[0], abs=1e-9)
+    assert rob.artifacts.price_penalty_total() == 0.0
 
 
 def test_full_dam_budget_stops_arbitrage_not_reserves():
@@ -215,7 +215,7 @@ def test_up_reserve_reserves_no_state_of_charge_margin():
 
 
 def test_decode_rejects_tampered_mode():
-    m = build_deterministic_rvpp(Portfolio(es=(battery(),)), market(4, dam=[0, 70, 0, 70]))
+    m = build_robust_rvpp(Portfolio(es=(battery(),)), market(4, dam=[0, 70, 0, 70]), ZERO_BUDGETS)
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("mode__mod_t00").index] = 0.3
@@ -227,7 +227,7 @@ def test_decode_rejects_simultaneous_flow():
     """Discharging while charging breaks the energy balance in the decoder,
     and mode exclusivity in the replay."""
     fleet, s = Portfolio(es=(battery(),)), market(2, dam=[0, 70])
-    m = build_deterministic_rvpp(fleet, s)
+    m = build_robust_rvpp(fleet, s, ZERO_BUDGETS)
     sol = solve(m, ScipyHighsBackend())
     tampered = replace(sol, values=sol.values.copy())
     tampered.values[m.variable("pdis__mod_t00").index] = 0.2
@@ -254,4 +254,4 @@ def test_builders_validate_the_market(bad, field):
     with pytest.raises(ModelBuildError, match=field):
         build_robust_rvpp(fleet, bad, BudgetSet(gamma_sr_up=1))
     with pytest.raises(ModelBuildError, match=field):
-        build_deterministic_rvpp(fleet, bad)
+        build_robust_rvpp(fleet, bad, ZERO_BUDGETS)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from rvpp import (
+    ZERO_BUDGETS,
     BudgetSet,
     EsUnit,
     MarketScenario,
@@ -15,7 +16,6 @@ from rvpp import (
     Portfolio,
     RvppSchedule,
     ScipyHighsBackend,
-    build_deterministic_rvpp,
     build_robust_rvpp,
     extract_rvpp_schedule,
     solve,
@@ -76,18 +76,16 @@ def battery(
     return EsUnit(name, charge, discharge, e_max, e_min, eff, eff, op_cost)
 
 
-def solve_rvpp(portfolio, scenario, budgets: BudgetSet | None = None):
-    """Build, solve, and decode in one step; asserts the solve is optimal."""
-    if budgets is None:
-        m = build_deterministic_rvpp(portfolio, scenario)
-    else:
-        m = build_robust_rvpp(portfolio, scenario, budgets)
+def solve_rvpp(portfolio, scenario, budgets: BudgetSet = ZERO_BUDGETS):
+    """Build, solve, and decode in one step (by default the deterministic
+    model); asserts the solve is optimal."""
+    m = build_robust_rvpp(portfolio, scenario, budgets)
     sol = solve(m, ScipyHighsBackend())
     assert sol.status == "optimal", f"rvpp solve ended {sol.status}"
     return extract_rvpp_schedule(m, sol)
 
 
-def solve_es(unit: EsUnit, scenario, budgets: BudgetSet | None = None):
+def solve_es(unit: EsUnit, scenario, budgets: BudgetSet = ZERO_BUDGETS):
     """solve_rvpp for the storage-only portfolio of unit."""
     return solve_rvpp(Portfolio(es=(unit,)), scenario, budgets)
 
