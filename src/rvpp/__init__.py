@@ -39,7 +39,7 @@ _HOME = {
             validate_budgets validate_portfolio validate_scenario""",
         "milp": """BackendError Constraint LinearExpression Model ModelError Solution
             SolverUnavailableError Variable solve""",
-        "oracle": "Realization audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
+        "oracle": "audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
         "scenario_io": """ResultRow ResultsTable ScenarioBundle ScenarioFormatError SeriesRow
             load_scenario save_scenario scale_flexible_demand write_results""",
         "scheduler": """DecodeError ModelBuildError RvppSchedule build_robust_rvpp

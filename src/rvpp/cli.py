@@ -235,16 +235,17 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
     sized = None
     if plan["module"] is not None:
         sized = sized_from_module(report.gap, solved(plan["module"]), plan["module"])
+        fleet = {
+            "module_count": float(sized.module_count),
+            "fleet_e_max_mwh": sized.fleet_e_max,
+            "es_objective": sized.schedule.objective_value,
+        }
     if case == 3:
         values = dict(zip(GAP_COLUMNS, report))
         values.update((f"unit_{name}", profit) for name, profit in report.per_unit)
         if sized is not None:
-            values.update(
-                module_count=float(sized.module_count),
-                fleet_e_max_mwh=sized.fleet_e_max,
-                es_objective=sized.es_objective,
-                sizing_iterations=1.0,  # the one module solve; the column stays for CSV compatibility
-            )
+            # sizing_iterations counts the one module solve; the column stays for CSV compatibility.
+            values.update(fleet, sizing_iterations=1.0)
         rows = [ResultRow(values=values, **dict(key, configuration="full"))]
         for config, sub, sub_units in plan["configs"][1:]:
             values = dict(zip(GAP_COLUMNS, GapReport.of(solved, sub, sub_units)))
@@ -256,9 +257,7 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
     row = ResultRow(
         values={
             "lower_bound_profit": report.gap,
-            "module_count": float(sized.module_count),
-            "fleet_e_max_mwh": sized.fleet_e_max,
-            "es_objective": es.objective_value,
+            **fleet,
             **_market_totals(es.p_da, es.r_up, es.r_dn, full.scenario.grid.delta_t),
         },
         **kf,

@@ -293,6 +293,9 @@ class BudgetSet:
 
 ZERO_BUDGETS = BudgetSet()
 
+# Each price stream and the BudgetSet field that holds its budget.
+PRICE_STREAMS = {"dam": "gamma_dam", "sr_up": "gamma_sr_up", "sr_dn": "gamma_sr_down"}
+
 # Ordered field pairs (lower, upper): numbers compare as they are, series
 # period by period.
 _ORDERED = {
@@ -408,7 +411,7 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
     storage unit, which has no quantity stream."""
     out: list[str] = []
     T = grid.period_count
-    for label in ("gamma_dam", "gamma_sr_up", "gamma_sr_down"):
+    for label in PRICE_STREAMS.values():
         g = getattr(budgets, label)
         if not isinstance(g, int) or not 0 <= g <= T:
             out.append(f"budgets: {label}={g!r} is outside [0, {T}]")

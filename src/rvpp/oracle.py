@@ -2,10 +2,11 @@
 
 nominal_profit prices a fixed schedule from the raw inputs; it is the one
 place a schedule is priced.  worst_case_profit takes that price under the
-most damaging budget realization (per stream, the Gamma periods with the
-largest loss, ties to the earliest period).  audit_robust_feasibility
-replays each quantity stream's dominant realization against a robust
-schedule.  replay_schedule recomputes every deterministic constraint family
+most damaging budget realization (per price stream, the Gamma periods with
+the largest loss, ties to the earliest period) and returns each stream's
+periods and loss, the oracle side of the schedule's price_penalty.
+audit_robust_feasibility replays each quantity stream's dominant
+realization against a robust schedule.  replay_schedule recomputes every deterministic constraint family
 from raw arrays.  All four work purely on decoded schedules of a portfolio
 (a storage fleet is a storage-only portfolio) and read the horizon from the
 scenario, so they form an independent cross-check of the MILP layer.
@@ -13,29 +14,11 @@ scenario, so they form an independent cross-check of the MILP layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import BudgetSet, MarketScenario, Portfolio
+from .domain import PRICE_STREAMS, BudgetSet, MarketScenario, Portfolio
 from .milp import FEASIBILITY_TOL
 from .scheduler import RvppSchedule, dominant_subset
-
-
-@dataclass
-class Realization:
-    """The most damaging price outcome of a fixed schedule: per price stream
-    the degraded-period subset and the loss."""
-
-    dam_subset: tuple[int, ...]
-    sr_up_subset: tuple[int, ...]
-    sr_dn_subset: tuple[int, ...]
-    dam_loss: float
-    sr_up_loss: float
-    sr_dn_loss: float
-
-    def price_loss_total(self) -> float:
-        return self.dam_loss + self.sr_up_loss + self.sr_dn_loss
 
 
 def _flows(schedule: RvppSchedule, portfolio: Portfolio, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -60,44 +43,36 @@ def nominal_profit(schedule: RvppSchedule, portfolio: Portfolio, scenario: Marke
     return float(np.dot(scenario.dam_price, traded) * dt) + float(reserves) - cost
 
 
-def _price_losses(schedule, portfolio, scenario: MarketScenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per price stream and period, the loss if that period's price deviates against the schedule."""
+def _price_losses(schedule, portfolio, scenario: MarketScenario) -> dict[str, np.ndarray]:
+    """Per price stream of PRICE_STREAMS, the loss in each period if that
+    period's price deviates against the schedule."""
     dt = scenario.grid.delta_t
     _, sold, bought, _ = _flows(schedule, portfolio, dt)
-    dam = np.asarray(scenario.dam_price_down_dev) * sold * dt + np.asarray(scenario.dam_price_up_dev) * bought * dt
-    sr_up = np.asarray(scenario.sr_up_price_dev) * schedule.r_up
-    sr_dn = np.asarray(scenario.sr_dn_price_dev) * schedule.r_dn
-    return dam, sr_up, sr_dn
+    return {
+        "dam": np.asarray(scenario.dam_price_down_dev) * sold * dt + np.asarray(scenario.dam_price_up_dev) * bought * dt,
+        "sr_up": np.asarray(scenario.sr_up_price_dev) * schedule.r_up,
+        "sr_dn": np.asarray(scenario.sr_dn_price_dev) * schedule.r_dn,
+    }
 
 
 def worst_case_profit(
     schedule: RvppSchedule, portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet
-) -> tuple[float, Realization]:
+) -> tuple[float, dict[str, tuple[tuple[int, ...], float]]]:
     """nominal_profit of the fixed schedule less the losses of its most
-    damaging realization.
+    damaging realization, and that realization: per price stream of
+    PRICE_STREAMS, its degraded periods and its loss.
 
     Per price stream the loss is separable across periods, so the worst
     cardinality-Gamma subset is exactly the Gamma largest per-period losses
-    (ties broken toward the earlier period).  Quantity streams do not change
-    the revenue of a fixed schedule; they are audited separately.
+    (ties broken toward the earlier period).  At a robust optimum a stream's
+    loss equals its RvppSchedule.price_penalty.  Quantity streams do not
+    change the revenue of a fixed schedule; they are audited separately.
     """
-    dam_vec, up_vec, dn_vec = _price_losses(schedule, portfolio, scenario)
-    dam_pick = dominant_subset(dam_vec, budgets.gamma_dam)
-    up_pick = dominant_subset(up_vec, budgets.gamma_sr_up)
-    dn_pick = dominant_subset(dn_vec, budgets.gamma_sr_down)
-    dam_loss = float(dam_vec[list(dam_pick)].sum()) if dam_pick else 0.0
-    up_loss = float(up_vec[list(up_pick)].sum()) if up_pick else 0.0
-    dn_loss = float(dn_vec[list(dn_pick)].sum()) if dn_pick else 0.0
-
-    realization = Realization(
-        dam_subset=dam_pick,
-        sr_up_subset=up_pick,
-        sr_dn_subset=dn_pick,
-        dam_loss=dam_loss,
-        sr_up_loss=up_loss,
-        sr_dn_loss=dn_loss,
-    )
-    return nominal_profit(schedule, portfolio, scenario) - realization.price_loss_total(), realization
+    worst = {}
+    for stream, loss in _price_losses(schedule, portfolio, scenario).items():
+        pick = dominant_subset(loss, getattr(budgets, PRICE_STREAMS[stream]))
+        worst[stream] = pick, float(loss[list(pick)].sum())
+    return nominal_profit(schedule, portfolio, scenario) - sum(lost for _, lost in worst.values()), worst
 
 
 def _stream_rows(schedule: RvppSchedule, portfolio: Portfolio):

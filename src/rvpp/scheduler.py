@@ -17,18 +17,19 @@ The core appends whole families of T columns and rows to the model store
 (milp.Model) and keeps the portfolio and their id ranges on the model (tags
 "portfolio", "cols", "balance" and "duals"); the decoder slices the solved
 vector with them, so names are made only for diagnostics.  A decoded
-schedule holds the solver's decisions and objective, not money:
-oracle.nominal_profit prices it.
+schedule holds the solver's decisions, objective and per-stream price
+penalties, not money: oracle.nominal_profit prices it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domain import (
+    PRICE_STREAMS,
     BudgetSet,
     MarketScenario,
     Portfolio,
@@ -62,39 +63,6 @@ class DecodeError(RuntimeError):
 
 
 @dataclass
-class PriceRobustArtifacts:
-    """Dual prices of the three price streams attached to a schedule; a
-    stream with a zero budget reads 0.
-
-    mu/xi follow the usual budget-dualization roles: per stream, the objective
-    penalty Gamma*mu + sum(xi) equals the worst-case revenue loss at the
-    optimum.
-    """
-
-    budgets: BudgetSet
-    mu_dam: float
-    xi_dam: np.ndarray
-    mu_sr_up: float
-    xi_sr_up: np.ndarray
-    mu_sr_dn: float
-    xi_sr_dn: np.ndarray
-
-    def dam_penalty(self) -> float:
-        return self.budgets.gamma_dam * self.mu_dam + float(self.xi_dam.sum())
-
-    def sr_up_penalty(self) -> float:
-        return self.budgets.gamma_sr_up * self.mu_sr_up + float(self.xi_sr_up.sum())
-
-    def sr_dn_penalty(self) -> float:
-        return self.budgets.gamma_sr_down * self.mu_sr_dn + float(self.xi_sr_dn.sum())
-
-    def price_penalty_total(self) -> float:
-        """Objective give-up for price uncertainty; the per-unit duals live in
-        constraints only and carry no objective weight."""
-        return self.dam_penalty() + self.sr_up_penalty() + self.sr_dn_penalty()
-
-
-@dataclass
 class RvppSchedule:
     """Decoded first-stage decisions.
 
@@ -106,8 +74,11 @@ class RvppSchedule:
     by the cyclic coupling.  A storage unit's reserve_up and reserve_dn sum its
     charge and discharge sides, mode is 1 while it charges, and sigma holds
     its down-reserve envelope fraction sigma_dn as a one-point array.
-    objective_value is the solver objective.  The schedule carries no price:
-    oracle.nominal_profit prices it from the raw inputs.
+    objective_value is the solver objective.  price_penalty maps each price
+    stream of domain.PRICE_STREAMS to its budget dual's penalty
+    Gamma*mu + sum(xi), 0 for a stream with a zero budget; at the optimum it
+    equals the stream's loss in oracle.worst_case_profit.  The schedule
+    carries no price: oracle.nominal_profit prices it from the raw inputs.
     layer_seconds is how long sizing.audited_schedule took per layer.
     """
 
@@ -128,7 +99,7 @@ class RvppSchedule:
     mode: dict[str, np.ndarray]
     sigma: dict[str, np.ndarray]
     objective_value: float
-    artifacts: PriceRobustArtifacts
+    price_penalty: dict[str, float]
     layer_seconds: dict[str, float] = field(default_factory=dict)
 
     def scaled(self, n: int) -> RvppSchedule:
@@ -137,15 +108,13 @@ class RvppSchedule:
 
         Every storage row is positively homogeneous in the continuous columns
         and the units' ratings, so flows, reserves, state of charge, the
-        objective and the price duals scale by n; mode and the sigma envelope
-        fraction do not.  Other unit classes do not scale so.
+        objective and each price stream's penalty scale by n; mode and the
+        sigma envelope fraction do not.  Other unit classes do not scale so.
         """
-        artifacts = self.artifacts
-        duals = [f.name for f in fields(artifacts) if f.name != "budgets"]
-        artifacts = replace(artifacts, **{f: n * getattr(artifacts, f) for f in duals})
+        price_penalty = {stream: n * v for stream, v in self.price_penalty.items()}
         per_unit = {f: {name: n * v for name, v in getattr(self, f).items()} for f in _SCALED_SERIES}
         market = {f: n * getattr(self, f) for f in ("p_da", "r_up", "r_dn", "objective_value")}
-        return replace(self, artifacts=artifacts, **market, **per_unit)
+        return replace(self, price_penalty=price_penalty, **market, **per_unit)
 
 
 def dominant_subset(deviation, gamma: int) -> tuple[int, ...]:
@@ -222,19 +191,18 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     columns (_add_price_dual).  Every column gets its objective cost as it is
     added.
 
-    Tags the model with its portfolio, scenario and budgets; the column ids,
+    Tags the model with its portfolio and budgets; the column ids,
     keyed like the RvppSchedule fields they decode into (per-unit fields map
     unit name -> per-period column ids; "profiles" holds each flexible-demand
     unit's profile picks, "fd_floor" its per-period consumption-floor row
     ids, "ts_soc" the T store levels, "es_reserves" a storage unit's four
     reserve families, see storage.add_es_unit); the balance row ids; and the
-    price duals, each stream's _add_price_dual result.
+    price duals, each domain.PRICE_STREAMS stream's _add_price_dual result.
     """
     T, dt = scenario.grid.period_count, scenario.grid.delta_t
 
     def cuts(name: str, deviation) -> list[float]:
-        gamma = budgets.unit_budget(name)
-        picked = dominant_subset(deviation, gamma) if gamma > 0 else ()
+        picked = dominant_subset(deviation, budgets.unit_budget(name))
         return [deviation[t] if t in picked else 0.0 for t in range(T)]
 
     p_da = m.add_columns("pda_t{:02d}", T, lower=-math.inf, cost=[v * dt for v in scenario.dam_price])
@@ -348,7 +316,7 @@ def _build_core(m: Model, portfolio: Portfolio, scenario: MarketScenario, budget
     }
 
     m.tags.update(
-        kind="rvpp", scenario=scenario, portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
+        kind="rvpp", portfolio=portfolio, budgets=budgets, cols=cols, balance=balance, duals=duals
     )
     return m
 
@@ -408,7 +376,6 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         raise DecodeError("model was not built by a portfolio scheduling builder")
     if sol.status != "optimal":
         raise DecodeError(f"cannot decode a solution with status {sol.status!r}")
-    scenario: MarketScenario = m.tags["scenario"]
     portfolio: Portfolio = m.tags["portfolio"]
     cols = m.tags["cols"]
 
@@ -447,13 +414,13 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         r = int(np.flatnonzero(residual > FEASIBILITY_TOL)[0])
         raise DecodeError(f"balance row {m.row_name(balance[r])} violated by {float(residual[r])}")
 
-    # The "duals" tag maps each stream's PriceRobustArtifacts suffix to its
-    # _add_price_dual result; a stream without a budget reads 0.
-    duals = {}
+    # The "duals" tag maps each price stream to its _add_price_dual result; a
+    # stream without a budget has no dual and pays no penalty.
+    price_penalty = dict.fromkeys(PRICE_STREAMS, 0.0)
     for stream, handles in m.tags["duals"].items():
-        duals[f"mu_{stream}"] = 0.0 if handles is None else float(sol.values[handles[0]])
-        duals[f"xi_{stream}"] = np.zeros(scenario.grid.period_count) if handles is None else read(handles[1])
-    artifacts = PriceRobustArtifacts(budgets=m.tags["budgets"], **duals)
+        if handles is not None:
+            gamma = getattr(m.tags["budgets"], PRICE_STREAMS[stream])
+            price_penalty[stream] = gamma * float(sol.values[handles[0]]) + float(read(handles[1]).sum())
 
     return RvppSchedule(
         p_da=p_da,
@@ -464,5 +431,5 @@ def extract_rvpp_schedule(m: Model, sol: Solution) -> RvppSchedule:
         fd_profile=fd_profile,
         ts_soc=ts_soc,
         objective_value=sol.objective_value,
-        artifacts=artifacts,
+        price_penalty=price_penalty,
     )

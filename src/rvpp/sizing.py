@@ -20,11 +20,11 @@ budgets, ZERO_BUDGETS for the deterministic model.  `gap_solves` and
 plans the same keys for many cells and solves each distinct one once.
 
 Every schedule comes from `audited_schedule`, which replays it against the
-raw inputs and audits it against its budgets' dominant quantity realization
-before its profit is used.  Every sized fleet comes from
-`sized_from_module`, which replays the scaled schedule
-against `module.scaled(N)` and re-prices its objective before the fleet is
-returned.
+raw inputs, audits it against its budgets' dominant quantity realization and
+re-prices its objective (`_require_priced`) before its profit is used.
+Every sized fleet comes from `sized_from_module`, which replays the scaled
+schedule against `module.scaled(N)` and re-prices it the same way before
+the fleet is returned.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class SizingResult:
 
     module_count: int
     fleet_e_max: float
-    es_objective: float
     schedule: RvppSchedule
 
 
@@ -183,13 +182,29 @@ def _require_clean_replay(what: str, schedule, subject, scenario: MarketScenario
         raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {FEASIBILITY_TOL}")
 
 
+def _require_priced(what: str, schedule, subject, scenario: MarketScenario, budgets: BudgetSet) -> None:
+    """ScheduleError unless the schedule's objective is its profit re-priced
+    twice, within FEASIBILITY_TOL relative: by the worst case of its flows
+    under budgets, and as its nominal profit less its price_penalty (the
+    worst case reads flows only, so it cannot see a wrong dual)."""
+    objective = schedule.objective_value
+    checks = {
+        "its worst-case re-pricing": worst_case_profit(schedule, subject, scenario, budgets)[0],
+        "its price duals": nominal_profit(schedule, subject, scenario) - sum(schedule.price_penalty.values()),
+    }
+    for source, profit in checks.items():
+        if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
+            raise ScheduleError(f"{what} objective {objective:.10g} but {source} gives {profit:.10g}")
+
+
 def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: BudgetSet) -> RvppSchedule:
-    """Build, solve, decode, replay and audit one portfolio schedule.
+    """Build, solve, decode, replay, audit and re-price one portfolio schedule.
 
     ZERO_BUDGETS builds the deterministic model.  ScheduleError names what
     failed: the solve (see _solved), the replay residual and its constraint
-    family, or the first robust violation.  The schedule's layer_seconds
-    holds the seconds of each of LAYERS.
+    family, the first robust violation, or a re-pricing that disagrees with
+    the objective (see _require_priced).  The schedule's layer_seconds holds
+    the seconds of each of LAYERS.
     """
     started = time.perf_counter()
     m = build_robust_rvpp(portfolio, scenario, budgets)
@@ -201,6 +216,7 @@ def audited_schedule(portfolio: Portfolio, scenario: MarketScenario, budgets: Bu
     violations = audit_robust_feasibility(schedule, portfolio, scenario, budgets)
     if violations:
         raise ScheduleError("robust audit failed: " + violations[0])
+    _require_priced("schedule", schedule, portfolio, scenario, budgets)
     seconds = (built - started, run.assembly_s + run.highs_s, time.perf_counter() - decoding)
     schedule.layer_seconds = dict(zip(LAYERS, seconds))
     return schedule
@@ -257,29 +273,18 @@ def sized_from_module(gap: float, one: RvppSchedule, key: Solve) -> SizingResult
     the one-module key.
 
     The scaled schedule is replayed against the fleet of module.scaled(count),
-    and its objective is re-priced twice against that fleet: by the worst case of
-    its flows under the price-only budgets, and as its nominal profit less its
-    price duals' penalty (the worst case reads flows only, so it cannot see a
-    wrong dual).  ScheduleError names the residual and its constraint family,
-    or a price that disagrees.
+    and its objective is re-priced against that fleet under the price-only
+    budgets (_require_priced).  ScheduleError names the residual and its
+    constraint family, or a price that disagrees.
     """
     (module,), scenario, budgets = key.subject.es, key.scenario, key.budgets
-    p1 = one.objective_value
-    count = _module_count(gap, p1, module)
+    count = _module_count(gap, one.objective_value, module)
     schedule, fleet = one.scaled(count), Portfolio(es=(module.scaled(count),))
     _require_clean_replay("storage replay", schedule, fleet, scenario)
-    objective = schedule.objective_value
-    checks = {
-        "its worst-case re-pricing": worst_case_profit(schedule, fleet, scenario, budgets)[0],
-        "its price duals": nominal_profit(schedule, fleet, scenario) - schedule.artifacts.price_penalty_total(),
-    }
-    for source, profit in checks.items():
-        if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
-            raise ScheduleError(f"sized fleet objective {objective:.10g} but {source} gives {profit:.10g}")
+    _require_priced("sized fleet", schedule, fleet, scenario, budgets)
     return SizingResult(
         module_count=count,
         fleet_e_max=fleet.es[0].e_max,
-        es_objective=schedule.objective_value,
         schedule=schedule,
     )
 

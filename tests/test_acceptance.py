@@ -102,7 +102,7 @@ def test_zero_budget_robust_matches_deterministic(winter_cell, bundle):
         assert time.perf_counter() - t0 < SOLVE_LIMIT_S
         assert abs(sched.objective_value - nominal_profit(sched, subject, scenario)) <= TOL
         assert abs(sched.objective_value - worst_case_profit(sched, subject, scenario, BudgetSet())[0]) <= TOL
-        assert sched.artifacts.price_penalty_total() == 0.0
+        assert sum(sched.price_penalty.values()) == 0.0
         objectives.append(sched.objective_value)
 
     with open(GOLDEN / "results.csv", newline="") as fh:
@@ -146,15 +146,20 @@ def test_aggregation_gap_never_negative(sweep):
 
 
 def test_robust_objective_equals_worst_case_replay(robust_rvpp, winter_cell, es_ladder):
+    # Per price stream, the model's dual penalty is the oracle's worst loss.
     portfolio, scenario = winter_cell
     for sched, budgets in robust_rvpp.values():
-        wc, _ = worst_case_profit(sched, portfolio, scenario, budgets)
+        wc, worst = worst_case_profit(sched, portfolio, scenario, budgets)
         assert abs(sched.objective_value - wc) <= TOL
+        for stream, (_, loss) in worst.items():
+            assert abs(sched.price_penalty[stream] - loss) <= TOL, stream
 
     fleet, ladder = es_ladder
     _, budgets, scenario_w, es_sched = ladder["winter"][1]
-    wc, _ = worst_case_profit(es_sched, fleet, scenario_w, budgets)
+    wc, worst = worst_case_profit(es_sched, fleet, scenario_w, budgets)
     assert abs(es_sched.objective_value - wc) <= TOL
+    for stream, (_, loss) in worst.items():
+        assert abs(es_sched.price_penalty[stream] - loss) <= TOL, stream
 
     # Small enough to enumerate: the closed form must agree with brute force
     # over every two-period price subset.

@@ -19,7 +19,7 @@ import pytest
 
 import rvpp.sizing as sizing
 from rvpp import REGIMES, SEASONS, STRATEGIES, backends, cli, default_scenario_path, save_scenario, strategy_budgets
-from toys import breaking_fd_envelope, solve_rvpp, unscale_mu_dam
+from toys import breaking_fd_envelope, halving_dam_penalty, solve_rvpp, unscale_dam_penalty
 
 RESULT_FILES = ("results.csv", "plot_traded_energy.csv", "plot_reserves.csv", "plot_soc.csv")
 
@@ -395,6 +395,16 @@ def test_replay_failure_names_its_family(tmp_path, monkeypatch):
     assert "ScheduleError: replay residual" in error and " in fd_envelope above 1e-06" in error, error
 
 
+def test_a_wrong_price_dual_fails_a_portfolio_cell(tmp_path, monkeypatch):
+    # The decoded schedule keeps its flows but pays half its energy-price
+    # penalty, so only the re-pricing through its price duals disagrees.
+    monkeypatch.setattr(sizing, "extract_rvpp_schedule", halving_dam_penalty(sizing.extract_rvpp_schedule))
+    flags = ["--case", "1", "--season", "winter", "--regime", "favorable", "--strategy", "optimistic"]
+    assert cli.main([*flags, "--jobs", "1", "--out", str(tmp_path)]) == 1
+    error = json.loads((tmp_path / "run_manifest.json").read_text())["cells"][0]["error"]
+    assert "ScheduleError: schedule objective" in error and "price duals" in error, error
+
+
 SPRING_BALANCED = ("--season", "spring", "--strategy", "balanced")
 
 
@@ -525,13 +535,13 @@ def _fails_on_the_price_duals(tmp_path, case: int) -> None:
 
 
 def test_case4_audits_the_scaled_profit(tmp_path, monkeypatch):
-    unscale_mu_dam(monkeypatch)
+    unscale_dam_penalty(monkeypatch)
     _fails_on_the_price_duals(tmp_path, 4)
 
 
 def test_case3_audits_the_scaled_profit(tmp_path, monkeypatch):
     # Case 3 writes module_count and es_objective from the same scaled fleet.
-    unscale_mu_dam(monkeypatch)
+    unscale_dam_penalty(monkeypatch)
     _fails_on_the_price_duals(tmp_path, 3)
 
 

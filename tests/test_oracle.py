@@ -17,7 +17,7 @@ from rvpp import (
     strategy_budgets,
     worst_case_profit,
 )
-from rvpp.scheduler import PriceRobustArtifacts, RvppSchedule, dominant_subset
+from rvpp.scheduler import RvppSchedule, dominant_subset
 from rvpp import ScipyHighsBackend, build_robust_rvpp, extract_rvpp_schedule, solve
 from test_scheduler import mixed_toy
 from toys import market, solve_rvpp, wind_only
@@ -29,47 +29,45 @@ NO_UNITS = Portfolio()
 
 def fake_schedule(p_da, r_up=None, r_dn=None) -> RvppSchedule:
     """A bare schedule carrying only market positions (enough for pricing)
-    and zero price duals."""
+    and zero price penalties."""
     p_da = np.asarray(p_da, dtype=float)
     zeros = np.zeros(len(p_da))
     r_up = zeros.copy() if r_up is None else np.asarray(r_up, dtype=float)
     r_dn = zeros.copy() if r_dn is None else np.asarray(r_dn, dtype=float)
-    duals = PriceRobustArtifacts(BudgetSet(), 0.0, zeros, 0.0, zeros, 0.0, zeros)
-    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0, duals)
+    penalty = {"dam": 0.0, "sr_up": 0.0, "sr_dn": 0.0}
+    return RvppSchedule(p_da, r_up, r_dn, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, 0.0, penalty)
 
 
 def test_worst_case_picks_the_largest_loss():
     # Losses 10/20/30; one degradable period means period 3 goes first.
     scenario = market(3, dam=50.0, dam_down=10.0)
     sched = fake_schedule([1.0, 2.0, 3.0])
-    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=1))
-    assert realization.dam_subset == (2,)
-    assert realization.dam_loss == pytest.approx(30.0)
+    wc, worst = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=1))
+    assert worst["dam"] == ((2,), pytest.approx(30.0))
     assert wc == pytest.approx(300.0 - 30.0)
 
 
 def test_ties_break_toward_earlier_periods():
     scenario = market(3, dam=50.0, dam_down=10.0)
     sched = fake_schedule([2.0, 2.0, 2.0])
-    _, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
-    assert realization.dam_subset == (0, 1)
+    _, worst = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
+    assert worst["dam"][0] == (0, 1)
 
 
 def test_zero_budgets_return_the_nominal_profit():
     scenario = market(3, dam=50.0, dam_down=10.0)
     sched = fake_schedule([2.0, 2.0, 2.0])
-    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet())
+    wc, worst = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet())
     assert wc == nominal_profit(sched, NO_UNITS, scenario) == 300.0
-    assert realization.dam_subset == ()
-    assert realization.price_loss_total() == 0.0
+    assert worst == {"dam": ((), 0.0), "sr_up": ((), 0.0), "sr_dn": ((), 0.0)}
 
 
 def test_buying_periods_lose_on_the_upward_deviation():
     scenario = market(2, dam=30.0, dam_down=5.0, dam_up=8.0)
     sched = fake_schedule([4.0, -4.0])
-    wc, realization = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
+    wc, worst = worst_case_profit(sched, NO_UNITS, scenario, BudgetSet(gamma_dam=2))
     # Selling 4 loses 4*5, buying 4 loses 4*8; at nominal prices the two trades cancel.
-    assert realization.dam_loss == pytest.approx(52.0)
+    assert worst["dam"][1] == pytest.approx(52.0)
     assert wc == pytest.approx(-52.0)
 
 

@@ -39,7 +39,7 @@ def test_wind_only_revenue_arithmetic():
     sched = solve_rvpp(portfolio, scenario)
     assert sched.objective_value == pytest.approx(9600.0, abs=1e-7)
     assert nominal_profit(sched, portfolio, scenario) == pytest.approx(9600.0, abs=1e-7)
-    assert sched.artifacts.price_penalty_total() == 0.0
+    assert sched.price_penalty == {"dam": 0.0, "sr_up": 0.0, "sr_dn": 0.0}
     np.testing.assert_allclose(sched.p_da, 40.0, atol=1e-8)
 
 
@@ -99,7 +99,7 @@ def test_zero_budget_matches_deterministic():
     rob = solve_rvpp(portfolio, scenario, ZERO_BUDGETS)
     assert rob.objective_value == pytest.approx(nominal_profit(rob, portfolio, scenario), abs=1e-9)
     assert rob.objective_value == pytest.approx(worst_case_profit(rob, portfolio, scenario, BudgetSet())[0], abs=1e-9)
-    assert rob.artifacts.price_penalty_total() == 0.0
+    assert sum(rob.price_penalty.values()) == 0.0
 
 
 def test_objective_non_increasing_in_budget():
@@ -126,7 +126,7 @@ def test_full_dam_budget_halves_flat_revenue():
     assert sched.objective_value == pytest.approx(4800.0, abs=1e-6)
 
 
-def test_artifact_penalties_equal_dominant_losses():
+def test_price_penalties_equal_dominant_losses():
     T = 10
     prices = [12, 25, 8, 30, 22, 14, 28, 9, 17, 21]
     portfolio, scenario = wind_only(
@@ -134,23 +134,19 @@ def test_artifact_penalties_equal_dominant_losses():
     )
     budgets = BudgetSet(gamma_dam=3, gamma_sr_up=2, gamma_sr_down=1)
     sched = solve_rvpp(portfolio, scenario, budgets)
-    art = sched.artifacts
     dt = scenario.grid.delta_t
 
-    dam_losses = np.asarray(scenario.dam_price_down_dev) * np.maximum(sched.p_da, 0.0) * dt
-    pick = list(dominant_subset(dam_losses, budgets.gamma_dam))
-    assert art.dam_penalty() == pytest.approx(dam_losses[pick].sum(), abs=1e-7)
-
-    up_losses = np.asarray(scenario.sr_up_price_dev) * sched.r_up
-    pick = list(dominant_subset(up_losses, budgets.gamma_sr_up))
-    assert art.sr_up_penalty() == pytest.approx(up_losses[pick].sum(), abs=1e-7)
-
-    dn_losses = np.asarray(scenario.sr_dn_price_dev) * sched.r_dn
-    pick = list(dominant_subset(dn_losses, budgets.gamma_sr_down))
-    assert art.sr_dn_penalty() == pytest.approx(dn_losses[pick].sum(), abs=1e-7)
+    losses = {
+        "dam": np.asarray(scenario.dam_price_down_dev) * np.maximum(sched.p_da, 0.0) * dt,
+        "sr_up": np.asarray(scenario.sr_up_price_dev) * sched.r_up,
+        "sr_dn": np.asarray(scenario.sr_dn_price_dev) * sched.r_dn,
+    }
+    for stream, gamma in (("dam", 3), ("sr_up", 2), ("sr_dn", 1)):
+        pick = list(dominant_subset(losses[stream], gamma))
+        assert sched.price_penalty[stream] == pytest.approx(losses[stream][pick].sum(), abs=1e-7)
 
     assert sched.objective_value == pytest.approx(
-        nominal_profit(sched, portfolio, scenario) - art.price_penalty_total(), abs=1e-6
+        nominal_profit(sched, portfolio, scenario) - sum(sched.price_penalty.values()), abs=1e-6
     )
 
 

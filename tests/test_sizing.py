@@ -21,7 +21,7 @@ from rvpp import (
     size_es_to_match,
 )
 from rvpp.domain import validate_portfolio
-from toys import battery, market, solve_es, unscale_mu_dam, wind
+from toys import battery, market, solve_es, unscale_dam_penalty, wind
 
 
 def spiky_market(T: int = 6):
@@ -87,7 +87,7 @@ def test_sizing_finds_the_two_module_fleet():
     result = size_es_to_match(70.0, battery(), double_cycle_market(), ZERO_BUDGETS)
     assert result.module_count == 2
     assert result.fleet_e_max == pytest.approx(2.0)
-    assert result.es_objective == pytest.approx(2 * 63.175, abs=1e-6)
+    assert result.schedule.objective_value == pytest.approx(2 * 63.175, abs=1e-6)
     p1 = solve_es(battery(), double_cycle_market(), ZERO_BUDGETS).objective_value
     assert (result.module_count - 1) * p1 < 70.0 <= result.module_count * p1
 
@@ -95,7 +95,7 @@ def test_sizing_finds_the_two_module_fleet():
 def test_zero_gap_needs_a_single_module():
     result = size_es_to_match(0.0, battery(), double_cycle_market(), ZERO_BUDGETS)
     assert result.module_count == 1
-    assert result.es_objective == pytest.approx(63.175, abs=1e-6)
+    assert result.schedule.objective_value == pytest.approx(63.175, abs=1e-6)
 
 
 def min_power_module(op_cost: float = 0.0):
@@ -134,7 +134,7 @@ def test_closed_form_matches_a_linear_walk(monkeypatch):
         calls.clear()
         result = size_es_to_match(target, module, scenario, budgets)
         assert result.module_count == count
-        assert result.es_objective == pytest.approx(profit, rel=1e-9)
+        assert result.schedule.objective_value == pytest.approx(profit, rel=1e-9)
         assert len(calls) == 1
         one = solve_es(module, scenario, budgets)
         assert (count - 1) * one.objective_value < target <= count * one.objective_value
@@ -154,7 +154,7 @@ def around_multiples(p1, k):
 
 def test_count_follows_exact_arithmetic_at_multiples_of_p1(monkeypatch):
     s = double_cycle_market()
-    p1 = size_es_to_match(0.0, battery(), s, ZERO_BUDGETS).es_objective
+    p1 = size_es_to_match(0.0, battery(), s, ZERO_BUDGETS).schedule.objective_value
     # Next to a multiple of p1 the rounded quotient gap / p1 can put ceil()
     # one module off (at this p1, k = 11 and k = 257 among others).
     for k in range(1, 1001):
@@ -206,8 +206,9 @@ def test_module_count_grows_with_price_budget():
 
 
 def test_sized_fleet_is_audited_through_its_price_duals(monkeypatch):
-    # The library twin of the CLI's case-3/4 audit: two modules, mu_dam != 0.
-    unscale_mu_dam(monkeypatch)
+    # The library twin of the CLI's case-3/4 audit: two modules, and a
+    # one-module energy-price penalty that is not 0.
+    unscale_dam_penalty(monkeypatch)
     s = market(4, dam=[0.0, 70.0, 0.0, 70.0], dam_down=[0.0, 20.0, 0.0, 20.0])
     with pytest.raises(ScheduleError, match="sized fleet objective .* price duals"):
         size_es_to_match(60.0, battery(), s, BudgetSet(gamma_dam=1))

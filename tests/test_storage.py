@@ -135,7 +135,7 @@ def test_value_is_linear_in_module_count():
             scaled, fleet = one.scaled(n), Portfolio(es=(module.scaled(n),))
             assert scaled.objective_value == pytest.approx(vn, rel=1e-9), case
             assert max(replay_schedule(scaled, fleet, s).values()) <= 1e-6, case
-            penalty = scaled.artifacts.price_penalty_total()
+            penalty = sum(scaled.price_penalty.values())
             nominal = nominal_profit(scaled, fleet, s)
             assert nominal - penalty == pytest.approx(scaled.objective_value, rel=1e-9), case
 
@@ -177,7 +177,7 @@ def test_zero_budget_matches_deterministic():
     rob = solve_es(battery(), s, ZERO_BUDGETS)
     assert rob.objective_value == pytest.approx(nominal_profit(rob, fleet, s), abs=1e-9)
     assert rob.objective_value == pytest.approx(worst_case_profit(rob, fleet, s, BudgetSet())[0], abs=1e-9)
-    assert rob.artifacts.price_penalty_total() == 0.0
+    assert sum(rob.price_penalty.values()) == 0.0
 
 
 def test_full_dam_budget_stops_arbitrage_not_reserves():
@@ -194,9 +194,9 @@ def test_robust_objective_equals_worst_case_profit():
     s = market(8, dam=[5, 45, 10, 40, 8, 42, 12, 38], dam_down=6.0, dam_up=4.0, sr_up=3.0, sr_up_dev=1.0)
     budgets = BudgetSet(gamma_dam=3, gamma_sr_up=2)
     sched = solve_es(battery(), s, budgets)
-    wc, realization = worst_case_profit(sched, Portfolio(es=(battery(),)), s, budgets)
+    wc, worst = worst_case_profit(sched, Portfolio(es=(battery(),)), s, budgets)
     assert sched.objective_value == pytest.approx(wc, abs=1e-7)
-    assert len(realization.dam_subset) == 3
+    assert len(worst["dam"][0]) == 3
 
 
 def test_per_unit_budgets_rejected_for_storage():

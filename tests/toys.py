@@ -90,15 +90,27 @@ def solve_es(unit: EsUnit, scenario, budgets: BudgetSet = ZERO_BUDGETS):
     return solve_rvpp(Portfolio(es=(unit,)), scenario, budgets)
 
 
-def unscale_mu_dam(monkeypatch) -> None:
-    """Make RvppSchedule.scaled leave the energy-price dual unscaled."""
+def unscale_dam_penalty(monkeypatch) -> None:
+    """Make RvppSchedule.scaled leave the energy-price penalty unscaled."""
     real = RvppSchedule.scaled
 
-    def unscaled_mu_dam(self, n):
+    def unscaled_dam_penalty(self, n):
         out = real(self, n)
-        return replace(out, artifacts=replace(out.artifacts, mu_dam=self.artifacts.mu_dam))
+        return replace(out, price_penalty={**out.price_penalty, "dam": self.price_penalty["dam"]})
 
-    monkeypatch.setattr(RvppSchedule, "scaled", unscaled_mu_dam)
+    monkeypatch.setattr(RvppSchedule, "scaled", unscaled_dam_penalty)
+
+
+def halving_dam_penalty(decode):
+    """decode, with the energy-price penalty halved: every flow still holds,
+    so only the re-pricing through the price duals can see it."""
+
+    def tampered(model, solution):
+        schedule = decode(model, solution)
+        schedule.price_penalty["dam"] /= 2.0
+        return schedule
+
+    return tampered
 
 
 def breaking_fd_envelope(decode):
