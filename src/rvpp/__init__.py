@@ -37,8 +37,7 @@ _HOME = {
         "domain": """REGIMES SEASONS STRATEGIES ZERO_BUDGETS BudgetSet CspUnit DrsUnit EsUnit FdUnit
             MarketScenario NdrsUnit PeriodGrid Portfolio ThermalStoreParams strategy_budgets
             validate_budgets validate_portfolio validate_scenario""",
-        "milp": """BackendError Constraint LinearExpression Model ModelError Solution
-            SolverUnavailableError Variable solve""",
+        "milp": "BackendError Model ModelError Solution SolverUnavailableError solve",
         "oracle": "audit_robust_feasibility nominal_profit replay_schedule worst_case_profit",
         "scenario_io": """ResultRow ResultsTable ScenarioBundle ScenarioFormatError SeriesRow
             load_scenario save_scenario scale_flexible_demand write_results""",

@@ -350,6 +350,10 @@ def main(argv: list[str] | None = None) -> int:
     defaults = {"case": (), "config": CONFIG_CHOICES, "fd_scale": DEFAULT_FD_SCALES, "season": (), "regime": (), "strategy": ()}
     for flag, default in defaults.items():
         setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
+    for flag in ("scenario", "out"):
+        if getattr(args, flag) == "":  # else "" would read the shipped dataset, or write into "."
+            print(f"error: --{flag} must not be empty", file=sys.stderr)
+            return 2
     args.scenario = str(args.scenario or default_scenario_path())
     if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)

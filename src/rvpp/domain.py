@@ -406,19 +406,24 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
 
 
 def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio | None = None) -> list[str]:
-    """Budgets must be integers within [0, period_count].  Given the
-    portfolio, a per-unit budget must name one of its units, and not a
-    storage unit, which has no quantity stream."""
+    """Budgets must be integers within [0, period_count]; a bool is not one,
+    though Python counts it an int.  Given the portfolio, a per-unit budget
+    must name one of its units, and not a storage unit, which has no
+    quantity stream."""
     out: list[str] = []
     T = grid.period_count
+
+    def outside(g) -> bool:
+        return not isinstance(g, int) or isinstance(g, bool) or not 0 <= g <= T
+
     for label in PRICE_STREAMS.values():
         g = getattr(budgets, label)
-        if not isinstance(g, int) or not 0 <= g <= T:
+        if outside(g):
             out.append(f"budgets: {label}={g!r} is outside [0, {T}]")
     known = set(portfolio.unit_names()) if portfolio is not None else None
     storage = {u.name for u in portfolio.es} if portfolio is not None else set()
     for name, g in budgets.gamma_per_unit:
-        if not isinstance(g, int) or not 0 <= g <= T:
+        if outside(g):
             out.append(f"budgets: gamma[{name}]={g!r} is outside [0, {T}]")
         if known is not None and name not in known:
             out.append(f"budgets: gamma names unknown unit {name!r}")

@@ -6,10 +6,14 @@ most damaging budget realization (per price stream, the Gamma periods with
 the largest loss, ties to the earliest period) and returns each stream's
 periods and loss, the oracle side of the schedule's price_penalty.
 audit_robust_feasibility replays each quantity stream's dominant
-realization against a robust schedule.  replay_schedule recomputes every deterministic constraint family
-from raw arrays.  All four work purely on decoded schedules of a portfolio
-(a storage fleet is a storage-only portfolio) and read the horizon from the
-scenario, so they form an independent cross-check of the MILP layer.
+realization against a robust schedule.  replay_schedule recomputes every
+deterministic constraint family from raw arrays and returns the largest
+violation of each family in _FAMILIES, the family list; DRS and CSP units
+go through one committed-unit block (commitment logic, min-up and min-down
+windows, the on-gated envelope), the other unit classes through their own.
+All four work purely on decoded schedules of a portfolio (a storage fleet
+is a storage-only portfolio) and read the horizon from the scenario, so
+they form an independent cross-check of the MILP layer.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def _price_losses(schedule, portfolio, scenario: MarketScenario) -> dict[str, np
     dt = scenario.grid.delta_t
     _, sold, bought, _ = _flows(schedule, portfolio, dt)
     return {
-        "dam": np.asarray(scenario.dam_price_down_dev) * sold * dt + np.asarray(scenario.dam_price_up_dev) * bought * dt,
+        "dam": np.asarray(scenario.dam_price_down_dev) * sold * dt
+        + np.asarray(scenario.dam_price_up_dev) * bought * dt,
         "sr_up": np.asarray(scenario.sr_up_price_dev) * schedule.r_up,
         "sr_dn": np.asarray(scenario.sr_dn_price_dev) * schedule.r_dn,
     }
@@ -148,22 +153,17 @@ def audit_robust_feasibility(
     return out
 
 
-# The storage families replay_schedule reports.
-_ES_FAMILIES = (
-    "mode_exclusivity",
-    "charge_envelope",
-    "discharge_envelope",
-    "soc_recursion",
-    "soc_bounds",
-    "reserve_energy_up",
-    "reserve_energy_dn",
-    "soc_margins",
-    "sigma_range",
+# The families replay_schedule reports, in its key order; one no unit has reads 0.
+_FAMILIES = (
+    "balance_id", "balance_up", "balance_dn", "nonnegativity",
+    "commitment_logic", "min_up", "min_down",
+    "drs_envelope", "drs_daily_energy",
+    "ndrs_envelope",
+    "csp_thermal_balance", "csp_envelope", "ts_recursion", "ts_bounds",
+    "fd_envelope",
+    "mode_exclusivity", "charge_envelope", "discharge_envelope", "soc_recursion", "soc_bounds",
+    "reserve_energy_up", "reserve_energy_dn", "soc_margins", "sigma_range",
 )
-
-
-def _max_residual(values: np.ndarray) -> float:
-    return float(np.maximum(values, 0.0).max()) if values.size else 0.0
 
 
 def replay_schedule(
@@ -171,108 +171,75 @@ def replay_schedule(
     portfolio: Portfolio,
     scenario: MarketScenario,
 ) -> dict[str, float]:
-    """Max violation per deterministic constraint family, from raw arrays.
+    """Max violation per deterministic constraint family of _FAMILIES, in
+    that order, from raw arrays.
 
-    A storage unit's reserves are replayed on the side its mode selects: in
-    a charging period both sit on the charge side, else on the discharge
-    side, as the model's mode-gated rows force.
+    DRS and CSP units share one committed-unit block, each class with its
+    own (p_min, p_max) and envelope family.  A storage unit's reserves are
+    replayed on the side its mode selects: in a charging period both sit on
+    the charge side, else on the discharge side, as the model's mode-gated
+    rows force.
     """
     T = scenario.grid.period_count
     dt = scenario.grid.delta_t
-    res: dict[str, float] = {}
+    res = dict.fromkeys(_FAMILIES, 0.0)
+
+    def note(family: str, *violations) -> None:
+        """Raise family's residual to the largest of violations (arrays or
+        numbers); a NaN stays, and -0.0 reads 0.0."""
+        for v in violations:
+            res[family] = float(np.asarray(v).max(initial=res[family])) + 0.0
 
     for family, _, gap in _balance_gaps(schedule, portfolio):
-        res[family] = float(gap.max())
+        note(family, gap)
 
-    nonneg = [schedule.r_up, schedule.r_dn]
+    note("nonnegativity", -schedule.r_up, -schedule.r_dn)
     for name in schedule.reserve_up:
-        nonneg += [schedule.reserve_up[name], schedule.reserve_dn[name]]
-    res["nonnegativity"] = max(_max_residual(-v) for v in nonneg)
+        note("nonnegativity", -schedule.reserve_up[name], -schedule.reserve_dn[name])
 
-    commit_res = [0.0]
-    minup_res = [0.0]
-    mindown_res = [0.0]
-    for u in tuple(portfolio.drs) + tuple(portfolio.csp):
-        on = schedule.on[u.name].astype(float)
-        su = schedule.start[u.name].astype(float)
-        sd = schedule.stop[u.name].astype(float)
+    committed = [(u, u.p_min, u.p_max, "drs_envelope") for u in portfolio.drs]
+    committed += [(u, u.turbine_p_min, u.turbine_p_max, "csp_envelope") for u in portfolio.csp]
+    for u, p_min, p_max, envelope in committed:
+        on, su, sd = (getattr(schedule, f)[u.name].astype(float) for f in ("on", "start", "stop"))
         prev = np.concatenate(([0.0], on[:-1]))
-        commit_res.append(float(np.abs(on - prev - su + sd).max()))
-        commit_res.append(_max_residual(su + sd - 1.0))
-        if u.min_up >= 2:
-            for t in range(T):
-                window = su[max(0, t - u.min_up + 1) : t + 1].sum()
-                minup_res.append(max(0.0, window - on[t]))
-        if u.min_down >= 2:
-            for t in range(T):
-                window = sd[max(0, t - u.min_down + 1) : t + 1].sum()
-                mindown_res.append(max(0.0, window - (1.0 - on[t])))
-    res["commitment_logic"] = max(commit_res)
-    res["min_up"] = max(minup_res)
-    res["min_down"] = max(mindown_res)
-
-    drs_env = [0.0]
-    drs_energy = [0.0]
-    for u in portfolio.drs:
-        on = schedule.on[u.name].astype(float)
+        note("commitment_logic", np.abs(on - prev - su + sd), su + sd - 1.0)
+        for family, window, moves, free in (("min_up", u.min_up, su, on), ("min_down", u.min_down, sd, 1.0 - on)):
+            if window >= 2:
+                moved = np.array([moves[max(0, t - window + 1) : t + 1].sum() for t in range(T)])
+                note(family, moved - free)
         p = schedule.dispatch[u.name]
-        drs_env.append(_max_residual(p + schedule.reserve_up[u.name] - u.p_max * on))
-        drs_env.append(_max_residual(u.p_min * on - (p - schedule.reserve_dn[u.name])))
-        if u.daily_energy_limit is not None:
-            used = float((p * dt + schedule.reserve_up[u.name] * dt).sum())
-            drs_energy.append(max(0.0, used - u.daily_energy_limit))
-    res["drs_envelope"] = max(drs_env)
-    res["drs_daily_energy"] = max(drs_energy)
+        note(envelope, p + schedule.reserve_up[u.name] - p_max * on, p_min * on - (p - schedule.reserve_dn[u.name]))
 
-    ndrs_res = [0.0]
+    for u in portfolio.drs:
+        if u.daily_energy_limit is not None:
+            used = float((schedule.dispatch[u.name] * dt + schedule.reserve_up[u.name] * dt).sum())
+            note("drs_daily_energy", used - u.daily_energy_limit)
+
     for u in portfolio.ndrs:
         p = schedule.dispatch[u.name]
-        ndrs_res.append(
-            _max_residual(p + schedule.reserve_up[u.name] - np.asarray(u.forecast_upper))
-        )
-        ndrs_res.append(_max_residual(u.p_min - (p - schedule.reserve_dn[u.name])))
-    res["ndrs_envelope"] = max(ndrs_res)
+        note("ndrs_envelope", p + schedule.reserve_up[u.name] - np.asarray(u.forecast_upper),
+             u.p_min - (p - schedule.reserve_dn[u.name]))
 
-    csp_bal = [0.0]
-    csp_env = [0.0]
-    ts_rec = [0.0]
-    ts_bounds = [0.0]
     for u in portfolio.csp:
         st = u.store
-        p = schedule.dispatch[u.name]
         sf = schedule.sf_power[u.name]
         ch = schedule.ts_charge[u.name]
         dis = schedule.ts_discharge[u.name]
         soc = schedule.ts_soc[u.name]
-        on = schedule.on[u.name].astype(float)
         su = schedule.start[u.name].astype(float)
-        lhs = p / u.turbine_eff - sf - dis + ch + u.startup_loss * u.turbine_p_max / dt * su
-        csp_bal.append(float(np.abs(lhs).max()))
-        csp_env.append(_max_residual(p + schedule.reserve_up[u.name] - u.turbine_p_max * on))
-        csp_env.append(_max_residual(u.turbine_p_min * on - (p - schedule.reserve_dn[u.name])))
-        csp_env.append(_max_residual(sf - np.asarray(u.sf_upper)))
+        lhs = schedule.dispatch[u.name] / u.turbine_eff - sf - dis + ch + u.startup_loss * u.turbine_p_max / dt * su
+        note("csp_thermal_balance", np.abs(lhs))
+        note("csp_envelope", sf - np.asarray(u.sf_upper))
         expected = soc[:-1] + st.charge_eff * dt * ch - dis * dt / st.discharge_eff
-        ts_rec.append(float(np.abs(expected - soc[1:]).max()))
-        ts_rec.append(abs(soc[0] - soc[-1]))
-        ts_bounds.append(_max_residual(st.e_min - soc))
-        ts_bounds.append(_max_residual(soc - st.e_max))
-        ts_bounds.append(_max_residual(ch - st.charge_p_max))
-        ts_bounds.append(_max_residual(dis - st.discharge_p_max))
-    res["csp_thermal_balance"] = max(csp_bal)
-    res["csp_envelope"] = max(csp_env)
-    res["ts_recursion"] = max(ts_rec)
-    res["ts_bounds"] = max(ts_bounds)
+        note("ts_recursion", np.abs(expected - soc[1:]), abs(soc[0] - soc[-1]))
+        note("ts_bounds", st.e_min - soc, soc - st.e_max, ch - st.charge_p_max, dis - st.discharge_p_max)
 
-    fd_res = [0.0]
     for u in portfolio.fd:
         p = schedule.dispatch[u.name]
         profile = np.asarray(u.profiles[schedule.fd_profile[u.name]])
-        fd_res.append(_max_residual(profile - p))
-        fd_res.append(_max_residual(u.p_min - (p - schedule.reserve_up[u.name])))
-        fd_res.append(_max_residual(p + schedule.reserve_dn[u.name] - u.p_max))
-    res["fd_envelope"] = max(fd_res)
+        note("fd_envelope", profile - p, u.p_min - (p - schedule.reserve_up[u.name]),
+             p + schedule.reserve_dn[u.name] - u.p_max)
 
-    es_res: dict[str, list[float]] = {family: [0.0] for family in _ES_FAMILIES}
     for u in portfolio.es:
         ch, dis, soc = schedule.ts_charge[u.name], schedule.ts_discharge[u.name], schedule.ts_soc[u.name]
         r_up, r_dn = schedule.reserve_up[u.name], schedule.reserve_dn[u.name]
@@ -280,24 +247,16 @@ def replay_schedule(
         idle = 1.0 - charging
         (sigma_dn,) = schedule.sigma[u.name]
         span = u.e_max - u.e_min
-        es_res["mode_exclusivity"].append(float(np.minimum(ch, dis).max()))
-        es_res["charge_envelope"] += [
-            _max_residual(u.charge_p_min * charging - (ch - charging * r_up)),
-            _max_residual(ch + charging * r_dn - u.charge_p_max * charging),
-        ]
-        es_res["discharge_envelope"] += [
-            _max_residual(dis + idle * r_up - u.discharge_p_max * idle),
-            _max_residual(u.discharge_p_min * idle - (dis - idle * r_dn)),
-        ]
+        note("mode_exclusivity", np.minimum(ch, dis))
+        note("charge_envelope", u.charge_p_min * charging - (ch - charging * r_up),
+             ch + charging * r_dn - u.charge_p_max * charging)
+        note("discharge_envelope", dis + idle * r_up - u.discharge_p_max * idle,
+             u.discharge_p_min * idle - (dis - idle * r_dn))
         expected = soc[:-1] + u.charge_eff * dt * ch - dis * dt / u.discharge_eff
-        es_res["soc_recursion"] += [float(np.abs(expected - soc[1:]).max()), abs(soc[0] - soc[-1])]
-        es_res["soc_bounds"] += [_max_residual(u.e_min - soc), _max_residual(soc - u.e_max)]
-        es_res["reserve_energy_up"].append(float((r_up * dt / u.discharge_eff).sum()) - span)
-        es_res["reserve_energy_dn"].append(float((r_dn * u.charge_eff * dt).sum()) - sigma_dn * span)
-        es_res["soc_margins"] += [
-            _max_residual(u.e_min + sigma_dn * span - soc[1:]),
-            _max_residual(soc[1:] - (u.e_max - sigma_dn * span)),
-        ]
-        es_res["sigma_range"] += [-sigma_dn, sigma_dn - 1.0]
-    res.update((family, max(values)) for family, values in es_res.items())
+        note("soc_recursion", np.abs(expected - soc[1:]), abs(soc[0] - soc[-1]))
+        note("soc_bounds", u.e_min - soc, soc - u.e_max)
+        note("reserve_energy_up", float((r_up * dt / u.discharge_eff).sum()) - span)
+        note("reserve_energy_dn", float((r_dn * u.charge_eff * dt).sum()) - sigma_dn * span)
+        note("soc_margins", u.e_min + sigma_dn * span - soc[1:], soc[1:] - (u.e_max - sigma_dn * span))
+        note("sigma_range", -sigma_dn, sigma_dn - 1.0)
     return res

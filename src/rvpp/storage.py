@@ -61,8 +61,7 @@ def add_es_unit(m: Model, u: EsUnit, T: int, dt: float) -> dict:
     ])
     up = [(r[t], dt / eta_d) for t in range(T) for r in (ruc, rud)]
     dn = [(r[t], eta_c * dt) for t in range(T) for r in (rdc, rdd)] + [(sigma_dn, -span)]
-    m.add_rows(1, [(f"es_env_up__{n}", SENSE_LE, span, up)])
-    m.add_rows(1, [(f"es_env_dn__{n}", SENSE_LE, 0.0, dn)])
+    m.add_rows(1, [(f"es_env_up__{n}", SENSE_LE, span, up), (f"es_env_dn__{n}", SENSE_LE, 0.0, dn)])
     return {
         "ts_charge": pch,
         "ts_discharge": pdis,

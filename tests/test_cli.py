@@ -241,6 +241,18 @@ def test_rejects_bad_flags(tmp_path):
         assert exc.value.code == 2
 
 
+def test_an_empty_scenario_or_out_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys):
+    """--scenario "" would run the shipped dataset and --out "" would write
+    into the working directory; both exit 2 before --out is made or any
+    solve runs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_solve_all", lambda *a: pytest.fail("an empty flag reached the solves"))
+    for flag in ("--scenario", "--out"):
+        assert cli.main(["--case", "1", "--season", "winter", flag, ""]) == 2
+        assert f"{flag} must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _one_class_copy(tmp_path, bundle, cls: str):
     raw = copy.deepcopy(bundle.raw)
     raw["units"] = [u for u in raw["units"] if u["class"] == cls]

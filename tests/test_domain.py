@@ -243,3 +243,15 @@ def test_validate_budgets_bounds_and_names():
     assert any("unknown unit 'ghost'" in v for v in out)
     out = validate_budgets(BudgetSet(gamma_dam=2.0), grid)
     assert any("gamma_dam" in v for v in out)
+
+
+def test_validate_budgets_rejects_booleans():
+    """bool is an int in Python, but True is no budget: without this check
+    the builder would run a one-period budget."""
+    grid = PeriodGrid(6)
+    portfolio = ladder_portfolio(6)
+    out = validate_budgets(BudgetSet(gamma_dam=True, gamma_per_unit={"wf": False}), grid, portfolio)
+    assert out == ["budgets: gamma_dam=True is outside [0, 6]", "budgets: gamma[wf]=False is outside [0, 6]"]
+    for label in ("gamma_sr_up", "gamma_sr_down"):
+        assert validate_budgets(BudgetSet(**{label: False}), grid) == [f"budgets: {label}=False is outside [0, 6]"]
+    assert validate_budgets(BudgetSet(gamma_dam=1, gamma_per_unit={"wf": 0}), grid, portfolio) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from itertools import combinations
 
@@ -10,17 +11,22 @@ import pytest
 
 from rvpp import (
     BudgetSet,
+    CspUnit,
+    DrsUnit,
+    FdUnit,
     Portfolio,
+    ThermalStoreParams,
     audit_robust_feasibility,
     nominal_profit,
     replay_schedule,
     strategy_budgets,
     worst_case_profit,
 )
+from rvpp.milp import FEASIBILITY_TOL
 from rvpp.scheduler import RvppSchedule, dominant_subset
-from rvpp import ScipyHighsBackend, build_robust_rvpp, extract_rvpp_schedule, solve
+from rvpp import ScipyHighsBackend, build_robust_rvpp, extract_rvpp_schedule, oracle, solve
 from test_scheduler import mixed_toy
-from toys import market, solve_rvpp, wind_only
+from toys import battery, market, solve_rvpp, wind, wind_only
 
 
 # A portfolio without units: its schedules earn from market positions only.
@@ -187,3 +193,105 @@ def test_replay_is_clean_then_catches_injected_faults():
     broken = replay_schedule(fresh, portfolio, scenario)
     assert broken["fd_envelope"] >= 1.0 - 1e-9
 
+
+def every_class_toy():
+    """One unit of each class: hydro with two-period min windows and a daily
+    energy limit, wind, a CSP block, flexible demand and a battery."""
+    T = 8
+    hydro = DrsUnit("h1", 8.0, 2.0, 10.0, 5.0, 3.0, min_up=2, min_down=2, daily_energy_limit=30.0)
+    csp = CspUnit(
+        "cs", 10.0, 2.0, 0.4, 0.1, 1.0,
+        sf_upper=(0.0, 10.0, 20.0, 25.0, 25.0, 15.0, 5.0, 0.0),
+        sf_deviation=(0.0,) * T,
+        store=ThermalStoreParams(0.0, 40.0, 15.0, 15.0, 0.95, 0.95),
+    )
+    load = FdUnit("ld", profiles=((3.0,) * T, (2.0,) * T), deviation=(0.3,) * T, p_min=1.0, p_max=6.0)
+    portfolio = Portfolio(
+        drs=(hydro,), ndrs=(wind(T, upper=6.0, dev=1.0),), csp=(csp,), fd=(load,), es=(battery("bt"),)
+    )
+    scenario = market(T, dam=[10, 12, 30, 14, 20, 45, 18, 25], sr_up=3.0, sr_dn=2.0)
+    return portfolio, scenario
+
+
+def shifted(field: str, name: str | None = None, by: float = 1.0):
+    """A tamper adding by to a schedule field: a market array, or one unit's entry."""
+
+    def tamper(s: RvppSchedule) -> None:
+        if name is None:
+            setattr(s, field, getattr(s, field) + by)
+        else:
+            getattr(s, field)[name] = getattr(s, field)[name] + by
+
+    return tamper
+
+
+def committed(pattern):
+    """A tamper giving hydro the on pattern, with the starts and stops it implies."""
+
+    def tamper(s: RvppSchedule) -> None:
+        on = np.array(pattern)
+        prev = np.concatenate(([0], on[:-1]))
+        s.on["h1"], s.start["h1"], s.stop["h1"] = on, on & (1 - prev), prev & (1 - on)
+
+    return tamper
+
+
+def both(*tampers):
+    """The tampers, one after the other."""
+
+    def tamper(s: RvppSchedule) -> None:
+        for t in tampers:
+            t(s)
+
+    return tamper
+
+
+def set_entry(field: str, name: str, value: float):
+    """A tamper setting every entry of one unit's schedule field to value."""
+
+    def tamper(s: RvppSchedule) -> None:
+        getattr(s, field)[name] = np.full_like(getattr(s, field)[name], value)
+
+    return tamper
+
+
+# Per replay family, a tamper that breaks that family whatever the solve returned.
+TAMPERS = {
+    "balance_id": shifted("p_da"),
+    "balance_up": shifted("r_up"),
+    "balance_dn": shifted("r_dn"),
+    "nonnegativity": set_entry("reserve_dn", "wf", -1.0),
+    "commitment_logic": set_entry("stop", "h1", 1),  # no stop fits period 1, as every unit starts off
+    "min_up": committed([1, 0, 0, 0, 0, 0, 0, 0]),  # on for one period
+    "min_down": committed([1, 0, 1, 1, 1, 1, 1, 1]),  # off for one period
+    "drs_envelope": shifted("dispatch", "h1", 9.0),
+    "drs_daily_energy": shifted("reserve_up", "h1", 10.0),
+    "ndrs_envelope": shifted("dispatch", "wf", 7.0),
+    "csp_thermal_balance": shifted("sf_power", "cs"),
+    "csp_envelope": shifted("reserve_up", "cs", 11.0),
+    "ts_recursion": shifted("ts_charge", "cs"),
+    "ts_bounds": shifted("ts_soc", "cs", 41.0),
+    "fd_envelope": shifted("reserve_dn", "ld", 7.0),
+    "mode_exclusivity": both(set_entry("ts_charge", "bt", 0.2), set_entry("ts_discharge", "bt", 0.2)),
+    "charge_envelope": both(set_entry("mode", "bt", 1), shifted("ts_charge", "bt", 1.5)),
+    "discharge_envelope": both(set_entry("mode", "bt", 0), shifted("ts_discharge", "bt", 1.5)),
+    "soc_recursion": shifted("ts_discharge", "bt", 0.1),
+    "soc_bounds": shifted("ts_soc", "bt", 1.0),
+    "reserve_energy_up": shifted("reserve_up", "bt", 1.0),
+    "reserve_energy_dn": shifted("reserve_dn", "bt", 1.0),
+    "soc_margins": set_entry("sigma", "bt", 0.9),  # both margins of 0.9 span cannot fit in one span
+    "sigma_range": set_entry("sigma", "bt", 1.5),
+}
+
+
+def test_replay_reports_every_family_and_each_tamper_breaks_its_own():
+    portfolio, scenario = every_class_toy()
+    sched = solve_rvpp(portfolio, scenario)
+    clean = replay_schedule(sched, portfolio, scenario)
+    assert list(clean) == list(oracle._FAMILIES) == list(TAMPERS)
+    assert max(clean.values()) <= FEASIBILITY_TOL
+    for family, tamper in TAMPERS.items():
+        broken = copy.deepcopy(sched)
+        tamper(broken)
+        residual = replay_schedule(broken, portfolio, scenario)[family]
+        assert residual > FEASIBILITY_TOL, family
