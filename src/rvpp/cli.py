@@ -12,13 +12,14 @@ What a sweep runs defaults to what the scenario file holds: its seasons, its
 first listed regime (case 2: every listed regime), and all four cases, less
 case 4 when the file has no `es_module` to size.
 
-A sweep runs as a flat solve plan.  Each cell lists the solves it needs as
-`sizing.Solve` keys, planned by `sizing.gap_solves` and `sizing.module_solve`
-as the library's `aggregation_gap` and `size_es_to_match` plan them, with its
-strategy's budgets (the deterministic strategy's are ZERO_BUDGETS); the
-storage module's key is its storage-only portfolio, solved like any other.
-Every cell is planned before --out is made, in one pass (`_plan`) that also
-leaves out the configurations without units.
+A sweep runs as a flat solve plan.  Each cell is one record (`_Cell`) from
+expansion to its rows and manifest entry: its case, season, regime, strategy
+and, per configuration, the `sizing.Solve` keys it needs, planned by
+`sizing.gap_solves` and `sizing.module_solve` as the library's
+`aggregation_gap` and `size_es_to_match` plan them, with its strategy's
+budgets (the deterministic strategy's are ZERO_BUDGETS); the storage module's
+key is its storage-only portfolio.  `_expand_tasks` plans every cell before
+--out is made and leaves out the configurations without units.
 Each distinct key is solved once, heaviest kind first, on up to --jobs worker
 processes (default: every usable CPU, capped at the number of distinct
 solves); a key carries its market scenario, so a worker needs nothing else.
@@ -35,7 +36,8 @@ alone, in a fresh one-worker pool; a key whose worker dies again fails with
 Every schedule is replayed and audited before anything is written; a failed
 solve fails the cells that need it while the remaining cells still produce
 results.  Exit codes: 0 all cells succeeded, 1 at least one cell failed, 2 bad
-configuration (a flag, the scenario file or --out), found before any solve.
+configuration (a flag, the scenario file or --out), raised as SystemExit2 or
+ScenarioFormatError before any solve and reported by `main` in one place.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import HIGHS_VERSION, session_options
 from .datasets import default_scenario_path
-from .domain import REGIMES, SEASONS, STRATEGIES, Portfolio, strategy_budgets, validate_budgets
+from .domain import REGIMES, SEASONS, STRATEGIES, strategy_budgets, validate_budgets
 from .oracle import nominal_profit
 from .scenario_io import (
     RESULT_FILES,
@@ -69,8 +72,7 @@ from .scenario_io import (
 from .sizing import LAYERS, GapReport, Solve, gap_solves, module_solve, sized_from_module
 
 CASES = (1, 2, 3, 4)
-ABLATIONS = ("no_drs", "no_ndrs", "no_csp", "no_fd")
-CONFIG_CHOICES = ("full",) + ABLATIONS
+CONFIG_CHOICES = ("full", "no_drs", "no_ndrs", "no_csp", "no_fd")  # "no_<class>": the portfolio without that class
 DEFAULT_FD_SCALES = (0.0, 50.0, 100.0, 150.0)
 GAP_COLUMNS = ("rvpp_profit", "sum_individual", "gap")  # how a GapReport unpacks
 
@@ -85,11 +87,6 @@ def _isolated(fn, *args):
         return fn(*args), None
     except Exception as exc:  # noqa: BLE001 - cell isolation boundary
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _drop_class(portfolio: Portfolio, config: str) -> Portfolio:
-    """The portfolio without the unit class an ablation ("no_fd", ...) names."""
-    return replace(portfolio, **{config.removeprefix("no_"): ()})
 
 
 def run_cell(key: Solve) -> dict:
@@ -122,80 +119,65 @@ def _solve_all(keys: list[Solve], workers: int) -> dict:
     return results
 
 
-def _fd_label(pct: float) -> str:
-    """The configuration label of a case-3 flexible-demand scale in percent."""
-    return f"fd_{int(pct):03d}"
+class _Cell(NamedTuple):
+    """One sweep cell and the solves it needs."""
+
+    case: int
+    season: str
+    regime: str
+    strategy: str
+    configs: tuple[tuple[str, Solve, tuple[Solve, ...]], ...]  # (label, portfolio key, stand-alone unit keys)
+    module: Solve | None  # cases 3 and 4: the storage module's one-module key, which sizing scales
+
+    def needs(self) -> list[Solve]:
+        keys = [k for _, key, units in self.configs for k in (key, *units)]
+        return keys + ([self.module] if self.module is not None else [])
 
 
-def _variants(task: dict, portfolio: Portfolio) -> list[tuple[str, Portfolio]]:
-    """(configuration label, portfolio) of each configuration a cell runs:
-    "full" first, then in case 3 its ablations and flexible-demand scales."""
+def _plan(args, case: int, season: str, regime: str, strategy: str) -> _Cell:
+    """The cell and the solves it needs: per configuration ("full" first,
+    then in case 3 its ablations and flexible-demand scales, labelled fd_NNN
+    in percent), its portfolio key and, in cases 3 and 4, one stand-alone key
+    per unit.  A configuration that leaves no units is left out; one named on
+    the command line (a flag in args.explicit) raises SystemExit2, as do
+    budgets beyond the file's period count, which would fail the build of
+    every solve of their strategy."""
+    bundle = args.bundle
+    portfolio, scenario = bundle.cell(season, regime)
+    budgets = strategy_budgets(strategy, portfolio)  # gap_solves drops entries of units a variant lacks
+    if validate_budgets(budgets, bundle.grid):
+        T = bundle.grid.period_count
+        raise SystemExit2(f"case {case}: {strategy} budgets exceed the {T} periods of {args.scenario}")
     variants = [("full", portfolio)]
-    if task["case"] == 3:
-        variants += [(c, _drop_class(portfolio, c)) for c in task["configs"] if c != "full"]
-        scales = [pct for pct in task["fd_scales"] if pct != 100.0]
-        variants += [(_fd_label(pct), scale_flexible_demand(portfolio, pct / 100.0)) for pct in scales]
-    return variants
-
-
-def _plan(tasks: list[dict], bundle, args) -> list[dict]:
-    """The solves each cell needs, in task order.
-
-    Per configuration (_variants): its portfolio solve and, in cases 3 and 4,
-    one stand-alone solve per unit.  In cases 3 and 4 also the storage
-    module's one-module solve, which sizing scales.  A configuration that
-    leaves no units is left out; one named on the command line (a flag in
-    args.explicit) raises SystemExit2, as do budgets beyond the file's period
-    count, which would fail the build of every solve of their strategy.
-    """
-    plans = []
-    for task in tasks:
-        portfolio, scenario = bundle.cell(task["season"], task["regime"])
-        case, strategy = task["case"], task["strategy"]
-        budgets = strategy_budgets(strategy, portfolio)  # gap_solves drops entries of units a variant lacks
-        if validate_budgets(budgets, bundle.grid):
-            T = bundle.grid.period_count
-            raise SystemExit2(f"case {case}: {strategy} budgets exceed the {T} periods of {args.scenario}")
-        configs = []
-        for config, sub in _variants(task, portfolio):
-            if sub.is_empty():
-                if ("config" if config in CONFIG_CHOICES else "fd_scale") in args.explicit:
-                    raise SystemExit2(f"configuration {config} leaves no units in {args.scenario}")
-            elif case in (3, 4):
-                configs.append((config, *gap_solves(sub, scenario, budgets)))
-            else:
-                configs.append((config, Solve(scenario, sub, budgets), ()))
-        module = None
-        if case in (3, 4) and bundle.es_module is not None:
-            module = module_solve(bundle.es_module, scenario, budgets)
-        plans.append({"configs": configs, "module": module})
-    return plans
-
-
-def _needs(plan: dict) -> list[Solve]:
-    keys = [k for _, key, units in plan["configs"] for k in (key, *units)]
-    return keys + ([plan["module"]] if plan["module"] is not None else [])
+    if case == 3:
+        variants += [(c, replace(portfolio, **{c.removeprefix("no_"): ()})) for c in args.config if c != "full"]
+        scales = [pct for pct in args.fd_scale if pct != 100.0]
+        variants += [(f"fd_{int(pct):03d}", scale_flexible_demand(portfolio, pct / 100.0)) for pct in scales]
+    configs = []
+    for config, sub in variants:
+        if sub.is_empty():
+            if ("config" if config in CONFIG_CHOICES else "fd_scale") in args.explicit:
+                raise SystemExit2(f"configuration {config} leaves no units in {args.scenario}")
+            continue
+        key, units = gap_solves(sub, scenario, budgets)
+        configs.append((config, key, units if case in (3, 4) else ()))
+    module = None
+    if case in (3, 4) and bundle.es_module is not None:
+        module = module_solve(bundle.es_module, scenario, budgets)
+    return _Cell(case, season, regime, strategy, tuple(configs), module)
 
 
 def _snap(v: float) -> float:
     return 0.0 if abs(v) < 1e-9 else float(v)
 
 
-def _market_totals(traded, r_up, r_dn, dt: float) -> dict[str, float]:
+def _market_totals(schedule, dt: float) -> dict[str, float]:
     """Energy sold and bought and the reserve totals of a market position."""
     return {
-        "sold_mwh": _snap(sum(v for v in traded if v > 0) * dt),
-        "bought_mwh": _snap(-sum(v for v in traded if v < 0) * dt),
-        "r_up_total_mw": _snap(sum(r_up)),
-        "r_dn_total_mw": _snap(sum(r_dn)),
-    }
-
-
-def _market_values(schedule, key: Solve) -> dict[str, float]:
-    return {
-        "objective": schedule.objective_value,
-        "nominal_profit": nominal_profit(schedule, key.subject, key.scenario),
-        **_market_totals(schedule.p_da, schedule.r_up, schedule.r_dn, key.scenario.grid.delta_t),
+        "sold_mwh": _snap(sum(v for v in schedule.p_da if v > 0) * dt),
+        "bought_mwh": _snap(-sum(v for v in schedule.p_da if v < 0) * dt),
+        "r_up_total_mw": _snap(sum(schedule.r_up)),
+        "r_dn_total_mw": _snap(sum(schedule.r_dn)),
     }
 
 
@@ -203,51 +185,53 @@ def _series(key: dict, kind: str, device: str, values) -> SeriesRow:
     return SeriesRow(kind=kind, device=device, values=tuple(_snap(v) for v in values), **key)
 
 
-def _market_series(key: dict, schedule, include_units: bool) -> list[SeriesRow]:
-    rows = [
-        _series(key, "traded", "market", schedule.p_da),
-        _series(key, "reserve_up", "market", schedule.r_up),
-        _series(key, "reserve_dn", "market", schedule.r_dn),
-    ]
+def _market_series(key: dict, schedule, device: str = "market", include_units: bool = False) -> list[SeriesRow]:
+    """The market position's series under device and, with include_units, each
+    unit's, kind by kind, then each store's state of charge."""
+    flows = (
+        ("traded", schedule.p_da, schedule.dispatch),
+        ("reserve_up", schedule.r_up, schedule.reserve_up),
+        ("reserve_dn", schedule.r_dn, schedule.reserve_dn),
+    )
+    rows = [_series(key, kind, device, market) for kind, market, _ in flows]
     if include_units:
-        for name, disp in sorted(schedule.dispatch.items()):
-            rows.append(_series(key, "traded", name, disp))
-        for name, r in sorted(schedule.reserve_up.items()):
-            rows.append(_series(key, "reserve_up", name, r))
-        for name, r in sorted(schedule.reserve_dn.items()):
-            rows.append(_series(key, "reserve_dn", name, r))
-        for name, soc in sorted(schedule.ts_soc.items()):
-            rows.append(_series(key, "soc", f"{name}_store", soc))
+        for kind, _, per_unit in flows:
+            rows += [_series(key, kind, name, values) for name, values in sorted(per_unit.items())]
+        rows += [_series(key, "soc", f"{name}_store", soc) for name, soc in sorted(schedule.ts_soc.items())]
     return rows
 
 
-def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
+def _cell_rows(cell: _Cell, solved) -> tuple[list, list]:
     """A cell's result rows and series, by arithmetic on its solved schedules."""
-    case = task["case"]
-    key = dict(case=str(case), season=task["season"], regime=task["regime"], strategy=task["strategy"])
-    _, full, units = plan["configs"][0]
-    if case in (1, 2):
+    key = dict(case=str(cell.case), season=cell.season, regime=cell.regime, strategy=cell.strategy)
+    _, full, units = cell.configs[0]
+    if cell.case in (1, 2):
         schedule = solved(full)
         kf = dict(key, configuration="full")
-        return [ResultRow(values=_market_values(schedule, full), **kf)], _market_series(kf, schedule, case == 1)
+        values = {
+            "objective": schedule.objective_value,
+            "nominal_profit": nominal_profit(schedule, full.subject, full.scenario),
+            **_market_totals(schedule, full.scenario.grid.delta_t),
+        }
+        return [ResultRow(values=values, **kf)], _market_series(kf, schedule, include_units=cell.case == 1)
 
     report = GapReport.of(solved, full, units)
     sized = None
-    if plan["module"] is not None:
-        sized = sized_from_module(report.gap, solved(plan["module"]), plan["module"])
+    if cell.module is not None:
+        sized = sized_from_module(report.gap, solved(cell.module), cell.module)
         fleet = {
             "module_count": float(sized.module_count),
             "fleet_e_max_mwh": sized.fleet_e_max,
             "es_objective": sized.schedule.objective_value,
         }
-    if case == 3:
+    if cell.case == 3:
         values = dict(zip(GAP_COLUMNS, report))
         values.update((f"unit_{name}", profit) for name, profit in report.per_unit)
         if sized is not None:
             # sizing_iterations counts the one module solve; the column stays for CSV compatibility.
             values.update(fleet, sizing_iterations=1.0)
         rows = [ResultRow(values=values, **dict(key, configuration="full"))]
-        for config, sub, sub_units in plan["configs"][1:]:
+        for config, sub, sub_units in cell.configs[1:]:
             values = dict(zip(GAP_COLUMNS, GapReport.of(solved, sub, sub_units)))
             rows.append(ResultRow(values=values, **dict(key, configuration=config)))
         return rows, []
@@ -258,13 +242,12 @@ def _cell_rows(task: dict, plan: dict, solved) -> tuple[list, list]:
         values={
             "lower_bound_profit": report.gap,
             **fleet,
-            **_market_totals(es.p_da, es.r_up, es.r_dn, full.scenario.grid.delta_t),
+            **_market_totals(es, full.scenario.grid.delta_t),
         },
         **kf,
     )
     (soc,) = es.ts_soc.values()  # the fleet is the one storage unit
-    flows = (("traded", es.p_da), ("reserve_up", es.r_up), ("reserve_dn", es.r_dn), ("soc", soc))
-    return [row], [_series(kf, kind, "es_fleet", vec) for kind, vec in flows]
+    return [row], _market_series(kf, es, "es_fleet") + [_series(kf, "soc", "es_fleet", soc)]
 
 
 def _usable_cpus() -> int:
@@ -278,42 +261,31 @@ class SystemExit2(Exception):
     """Configuration error carrying the exit-2 message."""
 
 
-def _expand_tasks(args) -> list[dict]:
-    """The sweep's cells.  Seasons default to those of the scenario file
-    (args.file_seasons), regimes to its first (args.file_regimes) and in
+def _expand_tasks(args) -> list[_Cell]:
+    """The sweep's cells in cell_order, each planned by _plan.  Seasons default
+    to those of the scenario file (args.bundle), regimes to its first and in
     case 2 to all of them, and cases to all four, less case 4 when the file
-    has no storage module (args.file_module).  A season or regime the file
-    lacks, or case 4 asked for without a module, raises SystemExit2."""
-    tasks = []
-    has_module = args.file_module is not None
+    has no storage module.  A season or regime the file lacks, case 4 without
+    a module, or case 3 or 4 with the deterministic strategy raises SystemExit2."""
+    bundle = args.bundle
+    picked = []
+    has_module = bundle.es_module is not None
     for case in args.case or [c for c in CASES if c != 4 or has_module]:
         if case == 4 and not has_module:
             raise SystemExit2(f"case 4 runs es_module, which {args.scenario} lacks")
-        seasons = args.season or list(args.file_seasons)
-        regimes = args.regime or list(args.file_regimes if case == 2 else args.file_regimes[:1])
+        seasons = args.season or list(bundle.seasons)
+        regimes = args.regime or list(bundle.regimes if case == 2 else bundle.regimes[:1])
         # Case 1: deterministic against optimistic; the others: the robust strategies.
         strategies = args.strategy or list(STRATEGIES[:2] if case == 1 else STRATEGIES[1:])
-        for kind, names, known in (("season", seasons, args.file_seasons), ("regime", regimes, args.file_regimes)):
+        for kind, names, known in (("season", seasons, bundle.seasons), ("regime", regimes, bundle.regimes)):
             for name in names:
                 if name not in known:
                     raise SystemExit2(f"case {case} runs {kind} {name!r}, which {args.scenario} lacks")
-        for season in seasons:
-            for regime in regimes:
-                for strategy in strategies:
-                    if case in (3, 4) and strategy == "deterministic":
-                        raise SystemExit2(f"case {case} does not take the deterministic strategy")
-                    tasks.append(
-                        {
-                            "case": case,
-                            "season": season,
-                            "regime": regime,
-                            "strategy": strategy,
-                            "configs": tuple(args.config),
-                            "fd_scales": tuple(args.fd_scale),
-                        }
-                    )
-    tasks.sort(key=lambda t: cell_order(t["case"], t["season"], t["regime"], t["strategy"]))
-    return tasks
+        if case in (3, 4) and "deterministic" in strategies:
+            raise SystemExit2(f"case {case} does not take the deterministic strategy")
+        picked += [(case, s, r, strategy) for s in seasons for r in regimes for strategy in strategies]
+    picked.sort(key=lambda cell: cell_order(*cell))
+    return [_plan(args, *cell) for cell in picked]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,37 +322,30 @@ def main(argv: list[str] | None = None) -> int:
     defaults = {"case": (), "config": CONFIG_CHOICES, "fd_scale": DEFAULT_FD_SCALES, "season": (), "regime": (), "strategy": ()}
     for flag, default in defaults.items():
         setattr(args, flag, list(dict.fromkeys(getattr(args, flag) or default)))
-    for flag in ("scenario", "out"):
-        if getattr(args, flag) == "":  # else "" would read the shipped dataset, or write into "."
-            print(f"error: --{flag} must not be empty", file=sys.stderr)
-            return 2
-    args.scenario = str(args.scenario or default_scenario_path())
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    for pct in args.fd_scale:
-        if pct < 0 or not pct.is_integer():  # so that its fd_NNN label names it; refuses nan and inf
-            print(f"error: --fd-scale {pct} must be a whole percent of at least 0", file=sys.stderr)
-            return 2
-
     try:
-        bundle = load_scenario(args.scenario)
-        args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, bundle.regimes, bundle.es_module
-        tasks = _expand_tasks(args)
-        plans = _plan(tasks, bundle, args)
+        for flag in ("scenario", "out"):
+            if getattr(args, flag) == "":  # else "" would read the shipped dataset, or write into "."
+                raise SystemExit2(f"--{flag} must not be empty")
+        args.scenario = str(args.scenario or default_scenario_path())
+        if args.jobs is not None and args.jobs < 1:
+            raise SystemExit2("--jobs must be at least 1")
+        for pct in args.fd_scale:
+            if pct < 0 or not pct.is_integer():  # so that its fd_NNN label names it; refuses nan and inf
+                raise SystemExit2(f"--fd-scale {pct} must be a whole percent of at least 0")
+        args.bundle = load_scenario(args.scenario)
+        cells = _expand_tasks(args)
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit2(f"--out {out_dir}: {exc.strerror or exc}") from exc
     except (ScenarioFormatError, SystemExit2) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: --out {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
     started = time.perf_counter()
     # Each distinct solve once, heaviest kind first; the sort is stable.
-    order = list(dict.fromkeys(k for plan in plans for k in _needs(plan)))
+    order = list(dict.fromkeys(k for cell in cells for k in cell.needs()))
     order.sort(key=Solve.weight)
     jobs = max(1, min(args.jobs or _usable_cpus(), len(order)))
     # The parent runs no solve, so the pool forks no solver state.
@@ -398,15 +363,15 @@ def main(argv: list[str] | None = None) -> int:
     table = ResultsTable()
     manifest_cells = []
     failed = 0
-    for t, plan in zip(tasks, plans):
+    for cell in cells:
         # Solve seconds the cell rests on, shared solves counted in full.
-        seconds = sum(results[k]["seconds"] for k in set(_needs(plan)))
-        out, error = _isolated(_cell_rows, t, plan, solved)
+        seconds = sum(results[k]["seconds"] for k in set(cell.needs()))
+        out, error = _isolated(_cell_rows, cell, solved)
         entry = {
-            "case": t["case"],
-            "season": t["season"],
-            "regime": t["regime"],
-            "strategy": t["strategy"],
+            "case": cell.case,
+            "season": cell.season,
+            "regime": cell.regime,
+            "strategy": cell.strategy,
             "status": "ok" if error is None else "failed",
             "seconds": round(seconds, 3),
         }
@@ -430,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         "highs_options": session_options(),
         "jobs": jobs,
         "start_method": (_POOL_CONTEXT or multiprocessing).get_start_method(),
-        "cells_total": len(tasks),
+        "cells_total": len(cells),
         "cells_failed": failed,
         "wall_seconds": round(time.perf_counter() - started, 3),
         # Summed over the distinct solves, whichever worker ran them.
@@ -446,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         line = f"case {entry['case']} {entry['season']}/{entry['regime']}/{entry['strategy']}: {entry['status']} ({entry['seconds']}s)"
         print(line)
     if failed:
-        print(f"{failed} of {len(tasks)} cells failed; see run_manifest.json", file=sys.stderr)
+        print(f"{failed} of {len(cells)} cells failed; see run_manifest.json", file=sys.stderr)
         return 1
     return 0
 

@@ -279,10 +279,10 @@ class BudgetSet:
     gamma_per_unit: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.gamma_per_unit, dict):
-            object.__setattr__(self, "gamma_per_unit", tuple(sorted(self.gamma_per_unit.items())))
-        else:
-            object.__setattr__(self, "gamma_per_unit", tuple(self.gamma_per_unit))
+        # Sorted by unit name, so that the same budgets given in another order
+        # are equal, and so are the models built from them.
+        pairs = self.gamma_per_unit.items() if isinstance(self.gamma_per_unit, dict) else self.gamma_per_unit
+        object.__setattr__(self, "gamma_per_unit", tuple(sorted(pairs, key=operator.itemgetter(0))))
 
     def unit_budget(self, name: str) -> int:
         for unit, gamma in self.gamma_per_unit:
@@ -407,9 +407,9 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
 
 def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio | None = None) -> list[str]:
     """Budgets must be integers within [0, period_count]; a bool is not one,
-    though Python counts it an int.  Given the portfolio, a per-unit budget
-    must name one of its units, and not a storage unit, which has no
-    quantity stream."""
+    though Python counts it an int.  A unit has at most one per-unit budget.
+    Given the portfolio, a per-unit budget must name one of its units, and
+    not a storage unit, which has no quantity stream."""
     out: list[str] = []
     T = grid.period_count
 
@@ -429,6 +429,10 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
             out.append(f"budgets: gamma names unknown unit {name!r}")
         if name in storage:
             out.append(f"budgets: gamma names storage unit {name!r}, which takes price budgets only")
+    names = [name for name, _ in budgets.gamma_per_unit]
+    for name in dict.fromkeys(names):
+        if names.count(name) > 1:
+            out.append(f"budgets: gamma names unit {name!r} {names.count(name)} times")
     return out
 
 

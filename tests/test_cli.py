@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -141,18 +142,25 @@ def test_seasons_and_regimes_default_to_the_files(tmp_path, bundle, capsys):
     assert [(c["regime"], c["status"]) for c in cells] == [("unfavorable", "ok")]
 
 
+def sweep_args(bundle, **flags) -> argparse.Namespace:
+    """The arguments cli.main hands to cli._expand_tasks, for a bare sweep
+    of bundle with flags set."""
+    args = dict(case=[], season=[], regime=[], strategy=[], config=list(cli.CONFIG_CHOICES),
+                fd_scale=list(cli.DEFAULT_FD_SCALES), scenario="f.yaml", explicit=set(), bundle=bundle)
+    return argparse.Namespace(**{**args, **flags})
+
+
 def test_default_sweep_follows_the_file(bundle):
     """Without filters, cases 1, 3 and 4 run the file's first regime and case
     2 every listed one; case 4 is left out when the file has no es_module."""
-    args = argparse.Namespace(case=[], season=[], regime=[], strategy=[], config=[], fd_scale=[], scenario="f.yaml")
     for regimes, module, runs in (
         (bundle.regimes, bundle.es_module, {1: {"favorable"}, 2: set(REGIMES), 3: {"favorable"}, 4: {"favorable"}}),
         (("unfavorable", "favorable"), None, {1: {"unfavorable"}, 2: set(REGIMES), 3: {"unfavorable"}}),
     ):
-        args.file_seasons, args.file_regimes, args.file_module = bundle.seasons, regimes, module
+        args = sweep_args(replace(bundle, regimes=regimes, es_module=module))
         ran = {}
-        for task in cli._expand_tasks(args):
-            ran.setdefault(task["case"], set()).add(task["regime"])
+        for cell in cli._expand_tasks(args):
+            ran.setdefault(cell.case, set()).add(cell.regime)
         assert ran == runs
 
 
@@ -160,16 +168,11 @@ def test_both_regimes_share_their_regime_free_solves(bundle):
     """Planned without a solve, cases 3 and 4 of spring under both regimes
     need 90 distinct solves: biomass alone and the storage module read
     nothing that a regime sets, so each is planned once per strategy."""
-    args = argparse.Namespace(
-        case=[3, 4], season=["spring"], regime=list(REGIMES), strategy=[], config=list(cli.CONFIG_CHOICES),
-        fd_scale=list(cli.DEFAULT_FD_SCALES), scenario="f.yaml", explicit=set(),
-        file_seasons=bundle.seasons, file_regimes=bundle.regimes, file_module=bundle.es_module,
-    )
-    tasks = cli._expand_tasks(args)
-    plans = {(t["case"], t["regime"], t["strategy"]): plan for t, plan in zip(tasks, cli._plan(tasks, bundle, args))}
-    assert len({key for plan in plans.values() for key in cli._needs(plan)}) == 90
+    args = sweep_args(bundle, case=[3, 4], season=["spring"], regime=list(REGIMES))
+    cells = {(c.case, c.regime, c.strategy): c for c in cli._expand_tasks(args)}
+    assert len({key for cell in cells.values() for key in cell.needs()}) == 90
     for strategy in STRATEGIES[1:]:
-        assert len({plans[case, regime, strategy]["module"] for case in (3, 4) for regime in REGIMES}) == 1
+        assert len({cells[case, regime, strategy].module for case in (3, 4) for regime in REGIMES}) == 1
 
 
 def test_case3_row_arithmetic(tmp_path, bundle):
@@ -239,6 +242,16 @@ def test_rejects_bad_flags(tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([*flags, "--out", str(tmp_path / "b")])
         assert exc.value.code == 2
+
+
+def test_cases_3_and_4_refuse_the_deterministic_strategy(tmp_path, solve_calls, capsys):
+    """A bare --strategy deterministic runs the default cases, 3 among them."""
+    for i, (cases, named) in enumerate(((["--case", "3"], 3), (["--case", "4"], 4), ([], 3))):
+        out = tmp_path / f"det{i}"
+        assert cli.main([*cases, "--strategy", "deterministic", "--out", str(out)]) == 2
+        assert f"case {named} does not take the deterministic strategy" in capsys.readouterr().err
+        assert not out.exists()
+    assert read_lines(solve_calls) == []
 
 
 def test_an_empty_scenario_or_out_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys):
@@ -670,6 +683,8 @@ def test_a_dead_worker_fails_its_solve_not_the_sweep(tmp_path, monkeypatch, bund
     cells = {c["case"]: c for c in json.loads((out / "run_manifest.json").read_text())["cells"]}
     assert cells[1]["status"] == "ok"
     assert cells[3]["status"] == "failed"
+    entry = ["case", "season", "regime", "strategy", "status", "seconds"]
+    assert list(cells[1]) == entry and list(cells[3]) == [*entry, "error"]
     assert f"worker process died while solving {bundle.es_module.name}" in cells[3]["error"]
     assert {row["case"] for row in read_rows(out)} == {"1"}
     assert read_lines(runs) == ["run", "run"]

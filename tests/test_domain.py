@@ -231,6 +231,8 @@ def test_budgetset_accepts_dict_and_defaults_to_zero():
     assert b.gamma_per_unit == (("a", 5), ("b", 4))
     assert b.unit_budget("a") == 5
     assert b.unit_budget("missing") == 0
+    # The tuple form is sorted by unit name too, so one model has one key.
+    assert BudgetSet(1, 2, 3, (("b", 4), ("a", 5))) == b
 
 
 def test_validate_budgets_bounds_and_names():
@@ -243,6 +245,10 @@ def test_validate_budgets_bounds_and_names():
     assert any("unknown unit 'ghost'" in v for v in out)
     out = validate_budgets(BudgetSet(gamma_dam=2.0), grid)
     assert any("gamma_dam" in v for v in out)
+    # A unit given twice or more is named once, whatever order its budgets came in.
+    twice = BudgetSet(gamma_per_unit=(("wf", 5), ("b", 1), ("wf", 1), ("b", 2), ("wf", 2)))
+    named = ["budgets: gamma names unit 'b' 2 times", "budgets: gamma names unit 'wf' 3 times"]
+    assert validate_budgets(twice, grid) == named
 
 
 def test_validate_budgets_rejects_booleans():
