@@ -181,7 +181,7 @@ def _market_totals(schedule, dt: float) -> dict[str, float]:
     }
 
 
-def _series(key: dict, kind: str, device: str, values) -> SeriesRow:
+def _series_row(key: dict, kind: str, device: str, values) -> SeriesRow:
     return SeriesRow(kind=kind, device=device, values=tuple(_snap(v) for v in values), **key)
 
 
@@ -193,11 +193,11 @@ def _market_series(key: dict, schedule, device: str = "market", include_units: b
         ("reserve_up", schedule.r_up, schedule.reserve_up),
         ("reserve_dn", schedule.r_dn, schedule.reserve_dn),
     )
-    rows = [_series(key, kind, device, market) for kind, market, _ in flows]
+    rows = [_series_row(key, kind, device, market) for kind, market, _ in flows]
     if include_units:
         for kind, _, per_unit in flows:
-            rows += [_series(key, kind, name, values) for name, values in sorted(per_unit.items())]
-        rows += [_series(key, "soc", f"{name}_store", soc) for name, soc in sorted(schedule.ts_soc.items())]
+            rows += [_series_row(key, kind, name, values) for name, values in sorted(per_unit.items())]
+        rows += [_series_row(key, "soc", f"{name}_store", soc) for name, soc in sorted(schedule.ts_soc.items())]
     return rows
 
 
@@ -247,7 +247,7 @@ def _cell_rows(cell: _Cell, solved) -> tuple[list, list]:
         **kf,
     )
     (soc,) = es.ts_soc.values()  # the fleet is the one storage unit
-    return [row], _market_series(kf, es, "es_fleet") + [_series(kf, "soc", "es_fleet", soc)]
+    return [row], _market_series(kf, es, "es_fleet") + [_series_row(kf, "soc", "es_fleet", soc)]
 
 
 def _usable_cpus() -> int:

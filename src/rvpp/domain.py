@@ -8,16 +8,17 @@ EUR/MW per period (paid on the MW offered in each period, with no delta_t),
 op_cost EUR/MWh for every unit and the storage module, other costs EUR.
 
 Each field a scenario file sets is declared once, by `_spec` on its
-dataclass field: kind, default, bounds, and what its value varies by.
-scenario_io.load_scenario parses files by these declarations; `_problems`
-alone checks values against them, for the loader (after a YAML path) and
-the validate_* functions (after an owner) alike.  Only the cross-field
-rules and the unit-name rules are written out by hand.
+dataclass field: kind, default, bounds, and what its value varies by.  A
+dataclass stores each declared value in its kind's form (_Declared), and
+`_problems` alone checks values, kind before bounds, for load_scenario (after
+a YAML path) and the validate_* functions (after an owner) alike.  Only the
+cross-field rules and the unit-name rules are written out by hand.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
@@ -73,16 +74,51 @@ def _declared(cls) -> dict[str, _Spec]:
     return {f.name: f.metadata["spec"] for f in fields(cls) if "spec" in f.metadata}
 
 
-def _vec(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _stored(kind, v):
+    """v in the stored form of kind: a finite real number other than a bool
+    as a float, or for "int" a whole one as an int; a "series" or "profiles"
+    sequence (not a string or a mapping) as a tuple of its entries' forms;
+    anything else as given, for _problems to name."""
+    if kind == "series" or kind == "profiles":
+        try:
+            items = None if isinstance(v, (str, bytes, dict)) else tuple(v)
+        except TypeError:  # not iterable
+            items = None
+        if items is None:
+            return v
+        if kind == "profiles":
+            return tuple(_stored("series", p) for p in items)
+        # An all-float series, what a scenario file mostly holds, is kept whole.
+        return items if all(type(x) is float for x in items) else tuple(_stored("number", x) for x in items)
+    # A float or an int is taken without testing numbers.Real, which is slow.
+    numeric = kind == "number" or kind == "int"
+    if numeric and (type(v) is float or type(v) is int or isinstance(v, numbers.Real) and not isinstance(v, bool)):
+        try:
+            x = float(v)
+        except OverflowError:
+            return v
+        if math.isfinite(x):
+            return x if kind == "number" else int(x) if x.is_integer() else v
+    return v
 
 
-def _mat(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(_vec(r) for r in rows)
+def _is_number(v) -> bool:
+    """Whether v, in its stored form, is a number: a finite float."""
+    return type(v) is float and math.isfinite(v)
+
+
+class _Declared:
+    """Base of the dataclasses with declared fields: building one stores each
+    declared value in its kind's form (_stored) and never raises, so equal
+    data builds equal, hashable values and _problems names the rest."""
+
+    def __post_init__(self):
+        for name, spec in _declared(type(self)).items():
+            object.__setattr__(self, name, _stored(spec.kind, getattr(self, name)))
 
 
 @dataclass(frozen=True)
-class PeriodGrid:
+class PeriodGrid(_Declared):
     """Uniform scheduling horizon: period_count periods of delta_t hours."""
 
     period_count: int = _spec("int", within="[1, inf)")
@@ -90,7 +126,7 @@ class PeriodGrid:
 
 
 @dataclass(frozen=True)
-class DrsUnit:
+class DrsUnit(_Declared):
     """Dispatchable renewable source with commitment logic (hydro, biomass)."""
 
     name: str = _spec("str")
@@ -105,7 +141,7 @@ class DrsUnit:
 
 
 @dataclass(frozen=True)
-class NdrsUnit:
+class NdrsUnit(_Declared):
     """Non-dispatchable renewable source curtailable below a forecast ceiling.
 
     forecast_upper is the nominal availability; forecast_deviation is the
@@ -120,13 +156,9 @@ class NdrsUnit:
     forecast_upper: tuple[float, ...] = _spec("series", by="season")
     forecast_deviation: tuple[float, ...] = _spec("series", by="season_regime")
 
-    def __post_init__(self):
-        object.__setattr__(self, "forecast_upper", _vec(self.forecast_upper))
-        object.__setattr__(self, "forecast_deviation", _vec(self.forecast_deviation))
-
 
 @dataclass(frozen=True)
-class ThermalStoreParams:
+class ThermalStoreParams(_Declared):
     """Thermal tank behind a CSP solar field (thermal MW / MWh)."""
 
     e_min: float = _spec()
@@ -138,7 +170,7 @@ class ThermalStoreParams:
 
 
 @dataclass(frozen=True)
-class CspUnit:
+class CspUnit(_Declared):
     """Concentrated solar power block: solar field, thermal store, turbine.
 
     turbine_eff converts thermal input to electrical output.  Each start
@@ -158,13 +190,9 @@ class CspUnit:
     min_up: int = _spec("int", default=0)
     min_down: int = _spec("int", default=0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sf_upper", _vec(self.sf_upper))
-        object.__setattr__(self, "sf_deviation", _vec(self.sf_deviation))
-
 
 @dataclass(frozen=True)
-class FdUnit:
+class FdUnit(_Declared):
     """Flexible demand choosing one consumption profile per day.
 
     Consumption must cover the chosen profile (plus any realized upward
@@ -181,10 +209,11 @@ class FdUnit:
     flexibility_margin: float = _spec(default=0.10, within="[0, 1)")
 
     def __post_init__(self):
-        object.__setattr__(self, "profiles", _mat(self.profiles))
-        object.__setattr__(self, "deviation", _vec(self.deviation))
-        values = [v for p in self.profiles for v in p]
-        if values:
+        super().__post_init__()
+        # Derived only from numbers; _problems names any other value.
+        rows = self.profiles if isinstance(self.profiles, tuple) else ()
+        values = [v for p in rows for v in (p if isinstance(p, tuple) else (None,))]
+        if values and all(map(_is_number, (*values, self.flexibility_margin))):
             lo, hi = min(values), max(values)
             if self.p_min is None:
                 object.__setattr__(self, "p_min", (1.0 - self.flexibility_margin) * lo)
@@ -193,7 +222,7 @@ class FdUnit:
 
 
 @dataclass(frozen=True)
-class EsUnit:
+class EsUnit(_Declared):
     """One storage unit: a module, or a fleet of identical modules bid as one.
 
     scaled(n) gives the n-module fleet: power and energy ratings scale with
@@ -244,7 +273,7 @@ class Portfolio:
 
 
 @dataclass(frozen=True)
-class MarketScenario:
+class MarketScenario(_Declared):
     """Day-ahead and secondary-reserve prices with budget-set deviations.
 
     dam_price is the nominal (median) energy price; dam_price_down_dev and
@@ -264,10 +293,6 @@ class MarketScenario:
     sr_dn_price: tuple[float, ...] = _spec("series")
     sr_dn_price_dev: tuple[float, ...] = _spec("series")
 
-    def __post_init__(self):
-        for name in _declared(MarketScenario):
-            object.__setattr__(self, name, _vec(getattr(self, name)))
-
 
 @dataclass(frozen=True)
 class BudgetSet:
@@ -279,16 +304,14 @@ class BudgetSet:
     gamma_per_unit: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        # Sorted by unit name, so that the same budgets given in another order
-        # are equal, and so are the models built from them.
+        # Tuple pairs sorted by unit name, so that the same budgets given in
+        # another order or as lists are equal, and hash alike, and so are the
+        # models built from them.
         pairs = self.gamma_per_unit.items() if isinstance(self.gamma_per_unit, dict) else self.gamma_per_unit
-        object.__setattr__(self, "gamma_per_unit", tuple(sorted(pairs, key=operator.itemgetter(0))))
+        object.__setattr__(self, "gamma_per_unit", tuple(sorted(map(tuple, pairs), key=operator.itemgetter(0))))
 
     def unit_budget(self, name: str) -> int:
-        for unit, gamma in self.gamma_per_unit:
-            if unit == name:
-                return gamma
-        return 0
+        return next((gamma for unit, gamma in self.gamma_per_unit if unit == name), 0)
 
 
 ZERO_BUDGETS = BudgetSet()
@@ -308,45 +331,48 @@ _ORDERED = {
 }
 
 
-def _relations(u, T: int) -> list[tuple[str | None, str]]:
-    """(field, text) for each cross-field rule u breaks; field None blames
-    the whole unit."""
+def _relations(u, T: int, failed=frozenset()) -> list[tuple[str | None, str]]:
+    """(field, text) for each cross-field rule u breaks among the fields
+    outside failed (those _problems names); field None blames the whole unit."""
     out: list[tuple[str | None, str]] = []
     for lo, hi in _ORDERED.get(type(u), ()):
+        if lo in failed or hi in failed:
+            continue
         a, b = getattr(u, lo), getattr(u, hi)
         if isinstance(a, tuple):
-            if len(a) == len(b) == T and any(map(operator.gt, a, b)):
+            if any(map(operator.gt, a, b)):
                 out += [
                     (lo, f"{lo} {x} exceeds {hi} {y} at period {t + 1}") for t, (x, y) in enumerate(zip(a, b)) if x > y
                 ]
         elif a is not None and b is not None and a > b:
             out.append((None, f"requires 0 <= {lo} <= {hi}, got {lo}={a}, {hi}={b}"))
     if isinstance(u, CspUnit):
-        out += [("store", f"store {text}") for _, text in _relations(u.store, T)]
+        if "store" not in failed:
+            out += [("store", f"store {text}") for _, text in _relations(u.store, T)]
     elif isinstance(u, NdrsUnit):
-        if len(u.forecast_upper) == T > 0 and u.p_min > min(u.forecast_upper):
+        if not failed & {"p_min", "forecast_upper"} and u.forecast_upper and u.p_min > min(u.forecast_upper):
             out.append(("forecast_upper", f"p_min {u.p_min} exceeds the forecast_upper minimum"))
     elif isinstance(u, FdUnit):
-        if u.p_min is None or u.p_max is None:
-            out.append((None, "consumption bounds missing and not derivable from profiles"))
-            return out
         lo, hi = u.p_min, u.p_max
-        for m, prof in enumerate(u.profiles):
-            if len(prof) == T > 0 and not lo <= min(prof) <= max(prof) <= hi:
-                out += [
-                    ("profiles", f"profile {m} value {v} at period {t + 1} is outside [p_min={lo}, p_max={hi}]")
-                    for t, v in enumerate(prof)
-                    if not lo <= v <= hi
-                ]
+        if lo is None or hi is None:
+            out.append((None, "consumption bounds missing and not derivable from profiles"))
+        elif not failed & {"p_min", "p_max", "profiles"}:
+            for m, prof in enumerate(u.profiles):
+                if prof and not lo <= min(prof) <= max(prof) <= hi:
+                    out += [
+                        ("profiles", f"profile {m} value {v} at period {t + 1} is outside [p_min={lo}, p_max={hi}]")
+                        for t, v in enumerate(prof)
+                        if not lo <= v <= hi
+                    ]
     return out
 
 
 def _name_problems(names) -> list[tuple[int, str]]:
-    """(position, message) for each unit name that is no identifier or
-    repeats an earlier one."""
+    """(position, message) for each unit name that is a string but no
+    identifier (any other is _problems' to name), or repeats an earlier one."""
     out = []
     for i, name in enumerate(names):
-        if not (name and name[0].isalpha() and name.replace("_", "").isalnum()):
+        if isinstance(name, str) and not (name[:1].isalpha() and name.replace("_", "").isalnum()):
             out.append((i, f"{name!r}: unit name must be a letter followed by alphanumerics/underscores"))
         if name in names[:i]:
             out.append((i, f"{name}: duplicate unit name"))
@@ -358,27 +384,43 @@ _EXPECTED = {"number": "a number", "int": "an integer"}
 
 def _problems(obj, T: int):
     """(field, index path, rule text) for each value of obj that breaks its
-    declaration on a T-period grid; a nested block's problems carry the
-    path within it, such as ("store", ".charge_eff", text)."""
+    declaration on a T-period grid, a value's kind before its bounds; a
+    nested block's problems carry the path within it, such as ("store",
+    ".charge_eff", text).  None is a value only where it is the default."""
     for name, spec in _declared(type(obj)).items():
         v = getattr(obj, name)
         kind = spec.kind
+        if v is None and spec.default is None:
+            continue
         if isinstance(kind, type):
+            if not isinstance(v, kind):
+                yield name, "", f"expected a {kind.__name__}, got {v!r}"
+                continue
             yield from ((name, f".{inner}{index}", text) for inner, index, text in _problems(v, T))
         elif kind == "str":
-            if spec.among is not None and v not in spec.among:
+            if not isinstance(v, str):
+                yield name, "", f"expected a string, got {v!r}"
+            elif spec.among is not None and v not in spec.among:
                 yield name, "", f"expected one of {list(spec.among)}, got {v!r}"
         elif kind == "series" or kind == "profiles":
-            if kind == "profiles" and not v:
+            if kind == "profiles" and not (isinstance(v, tuple) and v):
                 yield name, "", "expected a non-empty list"
+                continue
             for index, vec in [("", v)] if kind == "series" else ((f"[{m}]", p) for m, p in enumerate(v)):
-                if len(vec) != T:
+                if not isinstance(vec, tuple):
+                    yield name, index, "expected a list of numbers"
+                elif not all(map(_is_number, vec)):
+                    t, x = next((t, x) for t, x in enumerate(vec) if not _is_number(x))
+                    yield name, f"{index}[{t}]", f"expected a number, got {x!r}"
+                elif len(vec) != T:
                     yield name, index, f"expected {T} entries, got {len(vec)}; grid.period_count is {T}"
-                    continue
-                for t, x in enumerate(vec):
-                    if not spec.floor <= x <= spec.ceil:
-                        yield name, f"{index}[{t}]", f"expected a number {spec.bounds}, got {x!r}"
-        elif v is not None and not spec.floor <= v <= spec.ceil:
+                else:
+                    for t, x in enumerate(vec):
+                        if not spec.floor <= x <= spec.ceil:
+                            yield name, f"{index}[{t}]", f"expected a number {spec.bounds}, got {x!r}"
+        elif not (type(v) is int if kind == "int" else _is_number(v)):
+            yield name, "", f"expected {_EXPECTED[kind]}, got {v!r}"
+        elif not spec.floor <= v <= spec.ceil:
             yield name, "", f"expected {_EXPECTED[kind]} {spec.bounds}, got {v!r}"
 
 
@@ -400,8 +442,9 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
     units = portfolio.all_units()
     out += [message for _, message in _name_problems([u.name for u in units])]
     for u in units:
-        out += [f"{u.name}: {name}{index}: {text}" for name, index, text in _problems(u, T)]
-        out += [f"{u.name}: {text}" for _, text in _relations(u, T)]
+        problems = list(_problems(u, T))
+        out += [f"{u.name}: {name}{index}: {text}" for name, index, text in problems]
+        out += [f"{u.name}: {text}" for _, text in _relations(u, T, {name for name, _, _ in problems})]
     return out
 
 
@@ -409,7 +452,7 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
     """Budgets must be integers within [0, period_count]; a bool is not one,
     though Python counts it an int.  A unit has at most one per-unit budget.
     Given the portfolio, a per-unit budget must name one of its units, and
-    not a storage unit, which has no quantity stream."""
+    not a dispatchable or storage unit, which has no quantity stream."""
     out: list[str] = []
     T = grid.period_count
 
@@ -421,14 +464,15 @@ def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio 
         if outside(g):
             out.append(f"budgets: {label}={g!r} is outside [0, {T}]")
     known = set(portfolio.unit_names()) if portfolio is not None else None
-    storage = {u.name for u in portfolio.es} if portfolio is not None else set()
+    units = (("dispatchable", portfolio.drs), ("storage", portfolio.es)) if portfolio is not None else ()
+    price_only = {u.name: what for what, group in units for u in group}
     for name, g in budgets.gamma_per_unit:
         if outside(g):
             out.append(f"budgets: gamma[{name}]={g!r} is outside [0, {T}]")
         if known is not None and name not in known:
             out.append(f"budgets: gamma names unknown unit {name!r}")
-        if name in storage:
-            out.append(f"budgets: gamma names storage unit {name!r}, which takes price budgets only")
+        if name in price_only:
+            out.append(f"budgets: gamma names {price_only[name]} unit {name!r}, which takes price budgets only")
     names = [name for name, _ in budgets.gamma_per_unit]
     for name in dict.fromkeys(names):
         if names.count(name) > 1:
@@ -450,11 +494,6 @@ def strategy_budgets(strategy: str, portfolio: Portfolio) -> BudgetSet:
         return ZERO_BUDGETS
     full = _FULL_BUDGET[strategy]
     reduced = _REDUCED_BUDGET[strategy]
-    per_unit: dict[str, int] = {}
-    for u in portfolio.ndrs:
-        per_unit[u.name] = full if u.technology == WIND else reduced
-    for u in portfolio.csp:
-        per_unit[u.name] = reduced
-    for u in portfolio.fd:
-        per_unit[u.name] = reduced
-    return BudgetSet(full, full, full, tuple(sorted(per_unit.items())))
+    per_unit = {u.name: full if u.technology == WIND else reduced for u in portfolio.ndrs}
+    per_unit.update((u.name, reduced) for u in portfolio.csp + portfolio.fd)
+    return BudgetSet(full, full, full, per_unit)

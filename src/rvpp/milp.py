@@ -334,9 +334,9 @@ def solve(model: Model, backend) -> Solution:
 
     On an optimal status every value is validated against its bounds (within
     1e-6) and the objective is recomputed from the values; a backend whose
-    reported objective disagrees beyond 1e-5 relative is rejected.  Any other
-    status comes back with a NaN objective and no values; the caller decides
-    what it means.
+    reported objective disagrees beyond 1e-5 relative is rejected, and so is
+    a NaN value or objective.  Any other status comes back with a NaN
+    objective and no values; the caller decides what it means.
     """
     backend.load(model)
     backend.optimize()
@@ -349,7 +349,7 @@ def solve(model: Model, backend) -> Solution:
     values = np.asarray(backend.values(), dtype=float)
     if len(values) != len(arrays.lower):
         raise BackendError(f"backend {backend.name!r} returned {len(values)} values for {len(arrays.lower)} columns")
-    outside = (values < arrays.lower - FEASIBILITY_TOL) | (values > arrays.upper + FEASIBILITY_TOL)
+    outside = ~((values >= arrays.lower - FEASIBILITY_TOL) & (values <= arrays.upper + FEASIBILITY_TOL))
     if outside.any():
         j = int(np.flatnonzero(outside)[0])
         raise BackendError(
@@ -359,7 +359,7 @@ def solve(model: Model, backend) -> Solution:
     reported = backend.objective_value()
     recomputed = float(arrays.cost @ values)
     scale = max(1.0, abs(reported), abs(recomputed))
-    if abs(reported - recomputed) > OPTIMALITY_REL_TOL * scale:
+    if not abs(reported - recomputed) <= OPTIMALITY_REL_TOL * scale:
         raise BackendError(
             f"backend {backend.name!r} objective {reported} disagrees with "
             f"recomputed {recomputed}"

@@ -135,16 +135,16 @@ def audit_robust_feasibility(
     deviations (ties to the earliest period); it is the one the budget
     model promises to absorb, so an optimal robust schedule passes at any
     budget.  The market balance is re-verified as well.  Returns
-    human-readable violations; an empty list is a pass.
+    human-readable violations; an empty list is a pass, and a NaN is no pass.
     """
     out: list[str] = []
     for _, label, gap in _balance_gaps(schedule, portfolio):
         worst = int(gap.argmax())
-        if gap[worst] > FEASIBILITY_TOL:
+        if not gap[worst] <= FEASIBILITY_TOL:  # argmax picks a NaN first
             out.append(f"{label} off by {gap[worst]:.3e} at period {worst + 1}")
     for name, deviation, slack, what in _stream_rows(schedule, portfolio):
         for t in dominant_subset(deviation, budgets.unit_budget(name)):
-            if deviation[t] > slack[t] + FEASIBILITY_TOL:
+            if not deviation[t] <= slack[t] + FEASIBILITY_TOL:
                 out.append(
                     f"{name}: {what} exceeds the degraded limit by "
                     f"{deviation[t] - slack[t]:.6g} at period {t + 1} "

@@ -4,13 +4,13 @@ The scenario file is one YAML document holding the portfolio, per-season
 price curves, and the storage module used for equivalence sizing.  A regime
 is data on its unit: per season, the hydro energy limit and the
 forecast-error series, each a table keyed by season, then regime.
-load_scenario parses every block with one reader driven by the field
-declarations in domain (kind, default, unknown keys), then checks what it
-built by validate_portfolio's rules, naming the YAML path of the first
-error, such as `prices.winter.sr_up_price[3]`.  It is the only place a
-(season, regime) pair becomes units, each cell's once; the regimes of a
-season share that season's one MarketScenario.  The canonical parsed form
-round-trips exactly through save_scenario.
+load_scenario reads every block's keys by the field declarations in domain
+(defaults, unknown keys, season and regime tables); domain alone builds and
+checks each value, kind before bounds, and the error names the YAML path of
+the first fault, such as `prices.winter.sr_up_price[3]`.  It is the only
+place a (season, regime) pair becomes units, each cell's once; the regimes
+of a season share that season's one MarketScenario.  The canonical parsed
+form round-trips exactly through save_scenario.
 
 Result files are plain CSV with all numbers at 6 significant digits and rows
 in a fixed sort order, so identical runs produce byte-identical files.
@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import MISSING, dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
+from operator import getitem
 from pathlib import Path
 
 import yaml
@@ -30,7 +31,6 @@ from .domain import (
     REGIMES,
     SEASONS,
     STRATEGIES,
-    _EXPECTED,
     CspUnit,
     DrsUnit,
     EsUnit,
@@ -39,6 +39,7 @@ from .domain import (
     NdrsUnit,
     PeriodGrid,
     Portfolio,
+    _Declared,
     _declared,
     _name_problems,
     _problems,
@@ -60,7 +61,7 @@ class ScenarioFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class _Header:
+class _Header(_Declared):
     """The two top-level scalars of a scenario file."""
 
     schema_version: int = _spec("int", within="[1, 1]")
@@ -122,67 +123,13 @@ def _mapping(value, path: str, known, what: str = "key") -> None:
             raise ScenarioFormatError(f"{path}: unknown {what} {key!r}")
 
 
-def _number(value, path: str, kind="number"):
-    """value as a finite float, or as an int for kind "int", or
-    ScenarioFormatError naming path.
-
-    Only a YAML int or float is a number.  float() and int() would also take
-    a numeric string ('50'), a YAML boolean (true is 1.0), an infinity or
-    NaN, and a fractional integer (int(2.5) is 2); all are rejected here.
-    """
-    number = None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if number is None or not math.isfinite(number) or (kind == "int" and not number.is_integer()):
-        raise ScenarioFormatError(f"{path}: expected {_EXPECTED[kind]}, got {value!r}")
-    return int(number) if kind == "int" else number
-
-
-def _series(value, path: str) -> tuple[float, ...]:
-    """value as a list of finite numbers."""
-    if not isinstance(value, list):
-        raise ScenarioFormatError(f"{path}: expected a list of numbers")
-    # Parsed whole; entry by entry only to name the entry that fails.
-    try:
-        vec = tuple(map(float, value)) if all(type(v) is float or type(v) is int for v in value) else None
-    except OverflowError:
-        vec = None
-    if vec is None or not all(map(math.isfinite, vec)):
-        vec = tuple(_number(v, f"{path}[{t}]") for t, v in enumerate(value))
-    return vec
-
-
-def _value(spec, value, path: str):
-    """value parsed as spec's kind, unchecked against its rules (_check's
-    work); null stays None where None is the declared default."""
-    kind = spec.kind
-    if value is None and spec.default is None:
-        return None
-    if kind == "series":
-        return _series(value, path)
-    if kind == "profiles":
-        if not isinstance(value, list):
-            raise ScenarioFormatError(f"{path}: expected a non-empty list")
-        return [_series(p, f"{path}[{j}]") for j, p in enumerate(value)]
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ScenarioFormatError(f"{path}: expected a string, got {value!r}")
-        return value
-    if isinstance(kind, type):
-        return kind(**_read(kind, value, path, {})[0])
-    return _number(value, path, kind)
-
-
-def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read):
+def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read=None):
     """value as a table keyed by axes[0], then the rest of axes, with
-    read(leaf, leaf_path) at the leaves.  Every key must be a known season or
-    regime and every name in chosen[axis] present; a known name that chosen
-    leaves out is skipped."""
+    read(leaf, leaf_path), or the leaf as given, at the leaves.  Every key
+    must be a known season or regime and every name in chosen[axis] present;
+    a known name that chosen leaves out is skipped."""
     if not axes:
-        return read(value, path)
+        return value if read is None else read(value, path)
     axis = axes[0]
     _mapping(value, path, _KNOWN[axis], axis)
     return {
@@ -190,10 +137,10 @@ def _table(value, path: str, axes: tuple[str, ...], chosen: dict, read):
     }
 
 
-def _read(cls, block, path: str, chosen: dict, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
-    """The declared fields of dataclass cls from the mapping block at path:
-    the values every cell shares, and (keys, _table) of each field that
-    varies by cell."""
+def _read(cls, block, path: str, chosen: dict | None = None, extra: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """The declared fields of dataclass cls from the mapping block at path,
+    as given (a nested block read into its kind): the values every cell
+    shares, and (keys, _table) of each field that varies by cell."""
     declared = _declared(cls)
     _mapping(block, path, (*declared, *extra))
     shared, varying = {}, {}
@@ -202,11 +149,12 @@ def _read(cls, block, path: str, chosen: dict, extra: tuple[str, ...] = ()) -> t
             if spec.default is MISSING:
                 raise ScenarioFormatError(f"{path}.{name}: missing")
             shared[name] = spec.default
+        elif isinstance(spec.kind, type):
+            shared[name] = spec.kind(**_read(spec.kind, block[name], f"{path}.{name}")[0])
         elif spec.by is None:
-            shared[name] = _value(spec, block[name], f"{path}.{name}")
+            shared[name] = block[name]
         else:
-            table = _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen, partial(_value, spec))
-            varying[name] = (_AXES[spec.by], table)
+            varying[name] = (_AXES[spec.by], _table(block[name], f"{path}.{name}", _AXES[spec.by], chosen))
     return shared, varying
 
 
@@ -228,7 +176,8 @@ def _check(obj, T: int, path: str, cell: dict) -> None:
     """ScenarioFormatError for the first declared, then cross-field, rule obj
     breaks, naming the YAML path (in this cell) of the field it blames."""
     blamed = [(name, f"{index}: {text}") for name, index, text in _problems(obj, T)]
-    blamed += [(name, f": {obj.name}: {text}") for name, text in _relations(obj, T)]
+    if not blamed:
+        blamed = [(name, f": {obj.name}: {text}") for name, text in _relations(obj, T)]
     for name, message in blamed[:1]:
         if name is not None:
             path += f".{name}" + "".join(f".{cell[a]}" for a in _AXES.get(_declared(type(obj))[name].by, ()))
@@ -254,19 +203,15 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioFormatError(f"{path}: not valid YAML: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"{path}: cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
-    header = _Header(**_read(_Header, doc, str(path), {}, _TOP_KEYS)[0])
+    header = _Header(**_read(_Header, doc, str(path), extra=_TOP_KEYS)[0])
     _check(header, 0, str(path), {})  # nothing reads the header past this check
-    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid", {})[0])
+    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid")[0])
     _check(grid, 0, "grid", {})
     T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
     regimes = _names(doc, "regimes", REGIMES)
     chosen = {"season": seasons, "regime": regimes}
-
-    def read_prices(block, at: str) -> dict:
-        return _read(MarketScenario, block, at, {})[0]
-
-    prices = _table(_need(doc, "prices", str(path)), "prices", ("season",), chosen, read_prices)
+    prices = _table(_need(doc, "prices", str(path)), "prices", ("season",), chosen, partial(_read, MarketScenario))
 
     units = _need(doc, "units", str(path))
     if not isinstance(units, list) or not units:
@@ -285,22 +230,18 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
 
     es_module = None
     if doc.get("es_module") is not None:
-        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module", {})[0])
+        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module")[0])
         _check(es_module, T, "es_module", {})
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
     for season in seasons:
-        scenario = MarketScenario(grid=grid, **prices[season])
+        scenario = MarketScenario(grid=grid, **prices[season][0])
         _check(scenario, T, f"prices.{season}", {})
         for regime in regimes:
             cell = {"season": season, "regime": regime}
             groups: dict[str, list] = {key: [] for key in _UNIT_CLASSES}
             for i, (key, cls, shared, varying) in enumerate(specs):
-                picked = {}
-                for name, (axes, table) in varying.items():
-                    for axis in axes:
-                        table = table[cell[axis]]
-                    picked[name] = table
+                picked = {name: reduce(getitem, map(cell.get, axes), table) for name, (axes, table) in varying.items()}
                 unit = cls(**shared, **picked)
                 _check(unit, T, f"units[{i}]", cell)
                 groups[key].append(unit)

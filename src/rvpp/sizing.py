@@ -176,9 +176,10 @@ def _solved(m: Model) -> tuple[Solution, backends.SolveRecord]:
 
 def _require_clean_replay(what: str, schedule, subject, scenario: MarketScenario) -> None:
     """ScheduleError naming the constraint family with the largest replay
-    residual, when that residual is above FEASIBILITY_TOL."""
-    family, worst = max(replay_schedule(schedule, subject, scenario).items(), key=lambda item: item[1])
-    if worst > FEASIBILITY_TOL:
+    residual, a NaN first, when that residual is not within FEASIBILITY_TOL."""
+    residuals = replay_schedule(schedule, subject, scenario).items()
+    family, worst = max(residuals, key=lambda item: (math.isnan(item[1]), item[1]))
+    if not worst <= FEASIBILITY_TOL:
         raise ScheduleError(f"{what} residual {worst:.3g} in {family} above {FEASIBILITY_TOL}")
 
 
@@ -193,7 +194,7 @@ def _require_priced(what: str, schedule, subject, scenario: MarketScenario, budg
         "its price duals": nominal_profit(schedule, subject, scenario) - sum(schedule.price_penalty.values()),
     }
     for source, profit in checks.items():
-        if abs(profit - objective) > FEASIBILITY_TOL * max(1.0, abs(objective)):
+        if not abs(profit - objective) <= FEASIBILITY_TOL * max(1.0, abs(objective)):
             raise ScheduleError(f"{what} objective {objective:.10g} but {source} gives {profit:.10g}")
 
 

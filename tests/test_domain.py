@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import math
+import re
 from dataclasses import fields, replace
 from functools import reduce
 from operator import getitem
@@ -25,9 +27,10 @@ from rvpp import (
     strategy_budgets,
     validate_budgets,
     validate_portfolio,
+    validate_scenario,
 )
 from rvpp.domain import SOLAR
-from toys import market, series, wind
+from toys import battery, market, series, wind
 
 
 def hydro_like(name: str = "hydro", **overrides) -> DrsUnit:
@@ -175,6 +178,66 @@ def test_loader_and_library_state_a_rule_alike(tmp_path, bundle, owner, keys, in
     assert str(loaded.value).removeprefix(yaml_prefix) == library.removeprefix(library_prefix)
 
 
+@pytest.mark.parametrize(
+    "owner, keys, bad, index, text",
+    [
+        ("hydro", ("p_max",), lambda v: "50", "", "expected a number, got '50'"),
+        ("hydro", ("p_max",), lambda v: math.inf, "", "expected a number, got inf"),
+        ("hydro", ("p_max",), lambda v: math.nan, "", "expected a number, got nan"),
+        ("hydro", ("p_max",), lambda v: True, "", "expected a number, got True"),
+        ("hydro", ("p_max",), lambda v: None, "", "expected a number, got None"),
+        ("biomass", ("min_up",), lambda v: 2.5, "", "expected an integer, got 2.5"),
+        ("grid", ("period_count",), lambda v: 24.5, "", "expected an integer, got 24.5"),
+        (
+            "wind_farm", ("forecast_upper", "winter"), lambda v: [*v[:3], "7", *v[4:]], "[3]",
+            "expected a number, got '7'",
+        ),
+    ],
+    ids=["string", "infinite", "nan", "boolean", "none", "fractional_int", "fractional_grid", "string_in_series"],
+)
+def test_library_names_a_value_of_the_wrong_kind_as_the_loader_does(tmp_path, bundle, owner, keys, bad, index, text):
+    """validate_portfolio and validate_scenario name a value of the wrong
+    kind, neither raising nor letting it through, in load_scenario's words."""
+    raw = copy.deepcopy(bundle.raw)
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    if owner == "grid":
+        block, at = raw["grid"], "grid"
+        scenario = replace(scenario, grid=replace(scenario.grid, **{keys[0]: bad(scenario.grid.period_count)}))
+        assert f"grid: {keys[0]}{index}: {text}" in validate_scenario(scenario)
+    else:
+        (i,) = [i for i, u in enumerate(raw["units"]) if u["name"] == owner]
+        block, at = raw["units"][i], f"units[{i}]"
+        portfolio = Portfolio(**{
+            f.name: tuple(replace(u, **{keys[0]: bad(getattr(u, keys[0]))}) if u.name == owner else u
+                          for u in getattr(portfolio, f.name))
+            for f in fields(Portfolio)
+        })
+    assert f"{owner}: {keys[0]}{index}: {text}" in validate_portfolio(portfolio, scenario)
+    parent = reduce(getitem, keys[:-1], block)
+    parent[keys[-1]] = bad(parent[keys[-1]])
+    save_scenario(raw, tmp_path / "bad.yaml")
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape('.'.join((at, *keys)) + index)}: {re.escape(text)}$"):
+        load_scenario(tmp_path / "bad.yaml")
+
+
+def test_sequences_and_numpy_numbers_build_equal_hashable_units():
+    T = 3
+    plain = NdrsUnit("wf", "wind", 0.0, 1.0, (5.0, 6.0, 7.0), (1.0, 1.0, 0.0))
+    alike = [
+        NdrsUnit("wf", "wind", 0, 1, [5, 6, 7], [1.0, 1.0, 0.0]),
+        NdrsUnit("wf", "wind", np.float64(0), np.int64(1), np.array([5.0, 6.0, 7.0]), np.array([1, 1, 0])),
+        NdrsUnit("wf", "wind", 0.0, 1.0, [np.float64(5), np.int64(6), 7], (x for x in (1.0, 1.0, 0.0))),
+    ]
+    for unit in alike:
+        assert unit == plain and hash(unit) == hash(plain)
+        assert type(unit.p_min) is float and all(type(x) is float for x in unit.forecast_upper)
+    load = FdUnit("ld", profiles=np.array([[4.0] * T, [6.0] * T]), deviation=[0] * T)
+    assert load == FdUnit("ld", profiles=((4.0,) * T, (6.0,) * T), deviation=(0.0,) * T)
+    assert hash(load) and (load.p_min, load.p_max) == pytest.approx((3.6, 6.6))
+    grid = PeriodGrid(np.int64(24), 1)
+    assert grid == PeriodGrid(24.0, 1.0) and type(grid.period_count) is int and hash(grid)
+
+
 # --- budgets ---------------------------------------------------------------
 
 
@@ -233,6 +296,9 @@ def test_budgetset_accepts_dict_and_defaults_to_zero():
     assert b.unit_budget("missing") == 0
     # The tuple form is sorted by unit name too, so one model has one key.
     assert BudgetSet(1, 2, 3, (("b", 4), ("a", 5))) == b
+    # So is the list of lists a JSON or YAML reader gives, and it hashes.
+    listed = BudgetSet(1, 2, 3, [["b", 4], ["a", 5]])
+    assert listed == b and hash(listed) == hash(b)
 
 
 def test_validate_budgets_bounds_and_names():
@@ -249,6 +315,13 @@ def test_validate_budgets_bounds_and_names():
     twice = BudgetSet(gamma_per_unit=(("wf", 5), ("b", 1), ("wf", 1), ("b", 2), ("wf", 2)))
     named = ["budgets: gamma names unit 'b' 2 times", "budgets: gamma names unit 'wf' 3 times"]
     assert validate_budgets(twice, grid) == named
+    # A dispatchable unit, like a storage unit, has no quantity stream.
+    drs = Portfolio(drs=(hydro_like(),), es=(battery(),))
+    refused = validate_budgets(BudgetSet(gamma_per_unit={"hydro": 3, "mod": 1}), grid, drs)
+    assert refused == [
+        "budgets: gamma names dispatchable unit 'hydro', which takes price budgets only",
+        "budgets: gamma names storage unit 'mod', which takes price budgets only",
+    ]
 
 
 def test_validate_budgets_rejects_booleans():

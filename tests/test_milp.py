@@ -209,6 +209,17 @@ def test_objective_recompute_guard():
     with pytest.raises(milp.BackendError, match="disagrees"):
         milp.solve(small_lp(), LyingBackend())
 
+    # A NaN objective compares false with every number, so it would pass a
+    # plain "differs by more than" test.
+    class NanObjectiveBackend(backends.ScipyHighsBackend):
+        name = "nan_objective"
+
+        def objective_value(self) -> float:
+            return math.nan
+
+    with pytest.raises(milp.BackendError, match="objective nan disagrees"):
+        milp.solve(small_lp(), NanObjectiveBackend())
+
 
 def test_bound_violation_guard():
     class SloppyBackend(backends.ScipyHighsBackend):
@@ -224,6 +235,17 @@ def test_bound_violation_guard():
 
     with pytest.raises(milp.BackendError, match="bounds"):
         milp.solve(small_lp(), SloppyBackend())
+
+    class NanBackend(backends.ScipyHighsBackend):
+        name = "nan_value"
+
+        def values(self) -> dict[int, float]:
+            vals = super().values()
+            vals[1] = math.nan
+            return vals
+
+    with pytest.raises(milp.BackendError, match=r"violates bounds on 'y.*': nan outside"):
+        milp.solve(small_lp(), NanBackend())
 
 
 def _relaxed_rows(m: milp.Model) -> dict[str, float]:

@@ -556,6 +556,26 @@ def test_value_float_or_int_would_coerce_is_rejected(tmp_path, bundle, mutate, m
         load_scenario(path)
 
 
+def test_whole_numbers_load_in_their_kinds_form(tmp_path, bundle):
+    """A YAML float that is whole fills an integer field as an int, and a
+    YAML int fills a number or a series entry as a float."""
+    raw = broken_copy(bundle)
+    raw["schema_version"] = 1.0
+    (biomass,) = [u for u in raw["units"] if u["name"] == "biomass"]
+    biomass["min_up"] = 3.0
+    raw["grid"]["period_count"] = 24.0
+    raw["prices"]["winter"]["sr_up_price"] = [round(v) for v in raw["prices"]["winter"]["sr_up_price"]]
+    path = tmp_path / "whole.yaml"
+    save_scenario(raw, path)
+    loaded = load_scenario(path)
+    assert loaded.grid == bundle.grid and type(loaded.grid.period_count) is int
+    portfolio, scenario = loaded.cell("winter", "favorable")
+    assert portfolio == bundle.cell("winter", "favorable")[0]
+    assert type(portfolio.drs[1].min_up) is int and portfolio.drs[1].min_up == 3
+    assert scenario.sr_up_price == tuple(float(v) for v in raw["prices"]["winter"]["sr_up_price"])
+    assert all(type(v) is float for v in scenario.sr_up_price)
+
+
 def test_cli_exits_2_on_an_infinite_capacity(tmp_path, bundle, capsys):
     raw = broken_copy(bundle)
     raw["units"][0]["p_max"] = math.inf

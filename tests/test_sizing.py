@@ -19,9 +19,18 @@ from rvpp import (
     aggregation_gap,
     price_only_budgets,
     size_es_to_match,
+    strategy_budgets,
 )
 from rvpp.domain import validate_portfolio
-from toys import battery, market, solve_es, unscale_dam_penalty, wind
+from toys import (
+    battery,
+    lifting_to_the_nominal_ceiling,
+    market,
+    nan_in_hydro_dispatch,
+    solve_es,
+    unscale_dam_penalty,
+    wind,
+)
 
 
 def spiky_market(T: int = 6):
@@ -234,3 +243,28 @@ def test_gap_accepts_budgets_naming_only_portfolio_units():
     budgets = BudgetSet(gamma_dam=1, gamma_per_unit={"wf": 1, "ld": 2})
     report = aggregation_gap(portfolio, spiky_market(), budgets)
     assert report.gap == pytest.approx(0.0, abs=1e-8)
+
+
+def test_a_nan_in_the_schedule_fails_the_replay_gate(bundle, monkeypatch):
+    """The replay keeps a NaN residual, and the gate names its family rather
+    than let it compare false with the tolerance."""
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    hydro = Portfolio(drs=portfolio.drs[:1])
+    monkeypatch.setattr(sizing, "extract_rvpp_schedule", nan_in_hydro_dispatch(sizing.extract_rvpp_schedule))
+    with pytest.raises(ScheduleError, match=r"^replay residual nan in \w+ above 1e-06$"):
+        sizing.audited_schedule(hydro, scenario, ZERO_BUDGETS)
+
+
+def test_a_schedule_outside_its_dominant_realization_fails_the_robust_audit(bundle, monkeypatch):
+    portfolio, scenario = bundle.cell("winter", "favorable")
+    wind_farm = next(u for u in portfolio.ndrs if u.name == "wind_farm")
+    alone = Portfolio(ndrs=(wind_farm,))
+    budgets = strategy_budgets("optimistic", alone)
+    lifting = lifting_to_the_nominal_ceiling(sizing.extract_rvpp_schedule, wind_farm, budgets.unit_budget("wind_farm"))
+    monkeypatch.setattr(sizing, "extract_rvpp_schedule", lifting)
+    with pytest.raises(ScheduleError) as err:
+        sizing.audited_schedule(alone, scenario, budgets)
+    message = f"{type(err.value).__name__}: {err.value}"
+    assert message.startswith(
+        "ScheduleError: robust audit failed: wind_farm: dispatch plus upward reserve exceeds the degraded limit"
+    ), message

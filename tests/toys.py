@@ -21,6 +21,7 @@ from rvpp import (
     solve,
 )
 from rvpp.domain import WIND
+from rvpp.scheduler import dominant_subset
 
 
 def series(value, T: int) -> tuple[float, ...]:
@@ -125,6 +126,40 @@ def breaking_fd_envelope(decode):
             lift = schedule.dispatch[name] + 1.0
             schedule.reserve_up[name] = schedule.reserve_up[name] + lift
             schedule.r_up = schedule.r_up + lift
+        return schedule
+
+    return tampered
+
+
+def nan_in_hydro_dispatch(decode):
+    """decode, with hydro's first-period dispatch NaN.  A NaN compares false
+    with every number, so only a gate that fails closed can see it."""
+
+    def tampered(model, solution):
+        schedule = decode(model, solution)
+        dispatch = schedule.dispatch["hydro"].copy()
+        dispatch[0] = np.nan
+        schedule.dispatch["hydro"] = dispatch
+        return schedule
+
+    return tampered
+
+
+def lifting_to_the_nominal_ceiling(decode, unit: NdrsUnit, gamma: int):
+    """decode, with unit's dispatch and the market's sale raised by the same
+    amount in the first period of unit's dominant realization under gamma,
+    up to its nominal forecast less its upward reserve.  The balances and
+    every replay family still hold, but that realization no longer fits, so
+    only the robust audit can see it."""
+
+    def tampered(model, solution):
+        schedule = decode(model, solution)
+        t = dominant_subset(unit.forecast_deviation, gamma)[0]
+        dispatch = schedule.dispatch[unit.name].copy()
+        lift = unit.forecast_upper[t] - schedule.reserve_up[unit.name][t] - dispatch[t]
+        dispatch[t] += lift
+        schedule.dispatch[unit.name] = dispatch
+        schedule.p_da = schedule.p_da + lift * (np.arange(len(dispatch)) == t)
         return schedule
 
     return tampered
