@@ -7,12 +7,12 @@ p-1).  Units: power MW, energy MWh, energy prices EUR/MWh, reserve prices
 EUR/MW per period (paid on the MW offered in each period, with no delta_t),
 op_cost EUR/MWh for every unit and the storage module, other costs EUR.
 
-Each field a scenario file sets is declared once, by `_spec` on its
-dataclass field: kind, default, bounds, and what its value varies by.  A
-dataclass stores each declared value in its kind's form (_Declared), and
-`_problems` alone checks values, kind before bounds, for load_scenario (after
-a YAML path) and the validate_* functions (after an owner) alike.  Only the
-cross-field rules and the unit-name rules are written out by hand.
+Each field a scenario file sets, and each budget, is declared once, by
+`_spec` on its dataclass field: kind, default, bounds, and what its value
+varies by.  A dataclass stores each declared value in its kind's form
+(_Declared), and `_problems` alone checks values, kind before bounds, for
+load_scenario and the validate_* functions alike.  Only cross-field, unit-name
+and budget relations are written by hand; none counts a failed grid's periods.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ WIND = "wind"
 SOLAR = "solar"
 _TECHNOLOGIES = (WIND, SOLAR)
 
-# Uncertainty budgets per robust strategy: full applies to price streams and
-# wind forecasts, reduced to solar-driven streams (PV, solar field) and demand.
-_FULL_BUDGET = {"optimistic": 3, "balanced": 6, "pessimistic": 9}
-_REDUCED_BUDGET = {"optimistic": 2, "balanced": 4, "pessimistic": 6}
+# Budgets (full, reduced) per robust strategy: full for price streams and wind
+# forecasts, reduced for solar-driven streams (PV, solar field) and demand.
+_BUDGETS = {"optimistic": (3, 2), "balanced": (6, 4), "pessimistic": (9, 6)}
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,8 @@ class EsUnit(_Declared):
     discharge_p_min: float = _spec(default=0.0)
 
     def scaled(self, n: int) -> EsUnit:
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"module_count must be a positive integer, got {n!r}")
+        if problem := _value_problem(_MODULE_COUNT, _stored("int", n)):
+            raise ValueError(f"module_count: {problem}")
         ratings = ("charge_p_max", "charge_p_min", "discharge_p_max", "discharge_p_min", "e_max", "e_min")
         return replace(self, **{f: getattr(self, f) * n for f in ratings})
 
@@ -295,20 +294,20 @@ class MarketScenario(_Declared):
 
 
 @dataclass(frozen=True)
-class BudgetSet:
+class BudgetSet(_Declared):
     """Bertsimas-Sim budgets: number of periods each stream may degrade."""
 
-    gamma_dam: int = 0
-    gamma_sr_up: int = 0
-    gamma_sr_down: int = 0
+    gamma_dam: int = _spec("int", default=0)
+    gamma_sr_up: int = _spec("int", default=0)
+    gamma_sr_down: int = _spec("int", default=0)
     gamma_per_unit: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        # Tuple pairs sorted by unit name, so that the same budgets given in
-        # another order or as lists are equal, and hash alike, and so are the
-        # models built from them.
+        super().__post_init__()
+        # Sorted by unit name, budgets stored as ints: equal budgets hash alike.
         pairs = self.gamma_per_unit.items() if isinstance(self.gamma_per_unit, dict) else self.gamma_per_unit
-        object.__setattr__(self, "gamma_per_unit", tuple(sorted(map(tuple, pairs), key=operator.itemgetter(0))))
+        stored = ((unit, _stored("int", gamma)) for unit, gamma in pairs)
+        object.__setattr__(self, "gamma_per_unit", tuple(sorted(stored, key=operator.itemgetter(0))))
 
     def unit_budget(self, name: str) -> int:
         return next((gamma for unit, gamma in self.gamma_per_unit if unit == name), 0)
@@ -367,26 +366,33 @@ def _relations(u, T: int, failed=frozenset()) -> list[tuple[str | None, str]]:
     return out
 
 
-def _name_problems(names) -> list[tuple[int, str]]:
+def _name_problems(names):
     """(position, message) for each unit name that is a string but no
     identifier (any other is _problems' to name), or repeats an earlier one."""
-    out = []
     for i, name in enumerate(names):
         if isinstance(name, str) and not (name[:1].isalpha() and name.replace("_", "").isalnum()):
-            out.append((i, f"{name!r}: unit name must be a letter followed by alphanumerics/underscores"))
+            yield i, f"{name!r}: unit name must be a letter followed by alphanumerics/underscores"
         if name in names[:i]:
-            out.append((i, f"{name}: duplicate unit name"))
-    return out
+            yield i, f"{name}: duplicate unit name"
 
 
 _EXPECTED = {"number": "a number", "int": "an integer"}
+_MODULE_COUNT = _spec("int", within="[1, inf)").metadata["spec"]  # EsUnit.scaled's n
 
 
-def _problems(obj, T: int):
+def _value_problem(spec: _Spec, v) -> str | None:
+    """The rule text a stored "number" or "int" value v breaks, kind first."""
+    if not (type(v) is int if spec.kind == "int" else _is_number(v)):
+        return f"expected {_EXPECTED[spec.kind]}, got {v!r}"
+    if not spec.floor <= v <= spec.ceil:
+        return f"expected {_EXPECTED[spec.kind]} {spec.bounds}, got {v!r}"
+
+
+def _problems(obj, T: int | None):
     """(field, index path, rule text) for each value of obj that breaks its
-    declaration on a T-period grid, a value's kind before its bounds; a
-    nested block's problems carry the path within it, such as ("store",
-    ".charge_eff", text).  None is a value only where it is the default."""
+    declaration on a T-period grid (None: a failed one, no length checked),
+    kind before bounds; a nested block's problems carry the path within it,
+    such as ("store", ".charge_eff", text).  None is only a default value."""
     for name, spec in _declared(type(obj)).items():
         v = getattr(obj, name)
         kind = spec.kind
@@ -412,24 +418,26 @@ def _problems(obj, T: int):
                 elif not all(map(_is_number, vec)):
                     t, x = next((t, x) for t, x in enumerate(vec) if not _is_number(x))
                     yield name, f"{index}[{t}]", f"expected a number, got {x!r}"
-                elif len(vec) != T:
+                elif T is not None and len(vec) != T:
                     yield name, index, f"expected {T} entries, got {len(vec)}; grid.period_count is {T}"
                 else:
                     for t, x in enumerate(vec):
                         if not spec.floor <= x <= spec.ceil:
                             yield name, f"{index}[{t}]", f"expected a number {spec.bounds}, got {x!r}"
-        elif not (type(v) is int if kind == "int" else _is_number(v)):
-            yield name, "", f"expected {_EXPECTED[kind]}, got {v!r}"
-        elif not spec.floor <= v <= spec.ceil:
-            yield name, "", f"expected {_EXPECTED[kind]} {spec.bounds}, got {v!r}"
+        elif text := _value_problem(spec, v):
+            yield name, "", text
+
+
+def _grid_problems(grid: PeriodGrid) -> tuple[list[str], int | None]:
+    """The grid's problems, after "grid", and its period count (None if any)."""
+    out = [f"grid: {name}: {text}" for name, _, text in _problems(grid, None)]
+    return out, None if out else grid.period_count
 
 
 def validate_scenario(scenario: MarketScenario) -> list[str]:
     """Every invariant violation of a market as a human-readable string:
     the grid's and price series' declarations, each after its owner."""
-    T = scenario.grid.period_count
-    owned = (("grid", scenario.grid), ("scenario", scenario))
-    return [f"{owner}: {name}{index}: {text}" for owner, obj in owned for name, index, text in _problems(obj, T)]
+    return validate_portfolio(Portfolio(), scenario)
 
 
 def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[str]:
@@ -437,8 +445,8 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
     market's (validate_scenario), unit names that are not distinct
     identifiers, and each unit's declarations and cross-field rules, after
     the unit's name; a declaration's text is the one load_scenario gives."""
-    out = validate_scenario(scenario)
-    T = scenario.grid.period_count
+    out, T = _grid_problems(scenario.grid)
+    out += [f"scenario: {name}{index}: {text}" for name, index, text in _problems(scenario, T)]
     units = portfolio.all_units()
     out += [message for _, message in _name_problems([u.name for u in units])]
     for u in units:
@@ -449,32 +457,25 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
 
 
 def validate_budgets(budgets: BudgetSet, grid: PeriodGrid, portfolio: Portfolio | None = None) -> list[str]:
-    """Budgets must be integers within [0, period_count]; a bool is not one,
-    though Python counts it an int.  A unit has at most one per-unit budget.
-    Given the portfolio, a per-unit budget must name one of its units, and
-    not a dispatchable or storage unit, which has no quantity stream."""
-    out: list[str] = []
-    T = grid.period_count
-
-    def outside(g) -> bool:
-        return not isinstance(g, int) or isinstance(g, bool) or not 0 <= g <= T
-
-    for label in PRICE_STREAMS.values():
-        g = getattr(budgets, label)
-        if outside(g):
-            out.append(f"budgets: {label}={g!r} is outside [0, {T}]")
+    """The grid's problems, each budget's declaration in _problems' words (a
+    per-unit one takes gamma_dam's), then the relations: at most period_count;
+    per unit, once and (given the portfolio) a unit with a quantity stream."""
+    out, T = _grid_problems(grid)
+    prices = [(label, getattr(budgets, label)) for label in PRICE_STREAMS.values()]
+    for label, g in prices + [(f"gamma[{name}]", g) for name, g in budgets.gamma_per_unit]:
+        if problem := _value_problem(_declared(BudgetSet)["gamma_dam"], g):
+            out.append(f"budgets: {label}: {problem}")
+        elif T is not None and g > T:
+            out.append(f"budgets: {label}={g} exceeds grid.period_count {T}")
     known = set(portfolio.unit_names()) if portfolio is not None else None
     units = (("dispatchable", portfolio.drs), ("storage", portfolio.es)) if portfolio is not None else ()
     price_only = {u.name: what for what, group in units for u in group}
-    for name, g in budgets.gamma_per_unit:
-        if outside(g):
-            out.append(f"budgets: gamma[{name}]={g!r} is outside [0, {T}]")
+    names = [name for name, _ in budgets.gamma_per_unit]
+    for name in dict.fromkeys(names):
         if known is not None and name not in known:
             out.append(f"budgets: gamma names unknown unit {name!r}")
         if name in price_only:
             out.append(f"budgets: gamma names {price_only[name]} unit {name!r}, which takes price budgets only")
-    names = [name for name, _ in budgets.gamma_per_unit]
-    for name in dict.fromkeys(names):
         if names.count(name) > 1:
             out.append(f"budgets: gamma names unit {name!r} {names.count(name)} times")
     return out
@@ -492,8 +493,7 @@ def strategy_budgets(strategy: str, portfolio: Portfolio) -> BudgetSet:
         raise ValueError(f"unknown strategy {strategy!r} (expected one of {STRATEGIES})")
     if strategy == "deterministic":
         return ZERO_BUDGETS
-    full = _FULL_BUDGET[strategy]
-    reduced = _REDUCED_BUDGET[strategy]
+    full, reduced = _BUDGETS[strategy]
     per_unit = {u.name: full if u.technology == WIND else reduced for u in portfolio.ndrs}
     per_unit.update((u.name, reduced) for u in portfolio.csp + portfolio.fd)
     return BudgetSet(full, full, full, per_unit)

@@ -188,22 +188,30 @@ def test_loader_and_library_state_a_rule_alike(tmp_path, bundle, owner, keys, in
         ("hydro", ("p_max",), lambda v: None, "", "expected a number, got None"),
         ("biomass", ("min_up",), lambda v: 2.5, "", "expected an integer, got 2.5"),
         ("grid", ("period_count",), lambda v: 24.5, "", "expected an integer, got 24.5"),
+        ("grid", ("period_count",), lambda v: 0, "", "expected an integer in [1, inf), got 0"),
+        ("grid", ("period_count",), lambda v: "x", "", "expected an integer, got 'x'"),
         (
             "wind_farm", ("forecast_upper", "winter"), lambda v: [*v[:3], "7", *v[4:]], "[3]",
             "expected a number, got '7'",
         ),
     ],
-    ids=["string", "infinite", "nan", "boolean", "none", "fractional_int", "fractional_grid", "string_in_series"],
+    ids=[
+        "string", "infinite", "nan", "boolean", "none", "fractional_int", "fractional_grid", "empty_grid",
+        "string_grid", "string_in_series",
+    ],
 )
 def test_library_names_a_value_of_the_wrong_kind_as_the_loader_does(tmp_path, bundle, owner, keys, bad, index, text):
     """validate_portfolio and validate_scenario name a value of the wrong
-    kind, neither raising nor letting it through, in load_scenario's words."""
+    kind, neither raising nor letting it through, in load_scenario's words.
+    A failed grid is named once: no rule counts its periods."""
     raw = copy.deepcopy(bundle.raw)
     portfolio, scenario = bundle.cell("winter", "favorable")
     if owner == "grid":
         block, at = raw["grid"], "grid"
         scenario = replace(scenario, grid=replace(scenario.grid, **{keys[0]: bad(scenario.grid.period_count)}))
-        assert f"grid: {keys[0]}{index}: {text}" in validate_scenario(scenario)
+        only = [f"grid: {keys[0]}{index}: {text}"]
+        assert validate_scenario(scenario) == validate_portfolio(portfolio, scenario) == only
+        assert validate_budgets(strategy_budgets("pessimistic", portfolio), scenario.grid, portfolio) == only
     else:
         (i,) = [i for i, u in enumerate(raw["units"]) if u["name"] == owner]
         block, at = raw["units"][i], f"units[{i}]"
@@ -299,6 +307,10 @@ def test_budgetset_accepts_dict_and_defaults_to_zero():
     # So is the list of lists a JSON or YAML reader gives, and it hashes.
     listed = BudgetSet(1, 2, 3, [["b", 4], ["a", 5]])
     assert listed == b and hash(listed) == hash(b)
+    # Numpy integers and whole floats are stored as ints, as a unit's are.
+    numpy = BudgetSet(np.int64(1), np.int64(2), 3.0, {"b": np.int64(4), "a": 5.0})
+    assert numpy == b and hash(numpy) == hash(b)
+    assert all(type(g) is int for g in (numpy.gamma_dam, numpy.gamma_sr_down, *dict(numpy.gamma_per_unit).values()))
 
 
 def test_validate_budgets_bounds_and_names():
@@ -306,11 +318,15 @@ def test_validate_budgets_bounds_and_names():
     portfolio = ladder_portfolio(6)
     assert validate_budgets(BudgetSet(6, 0, 0), grid) == []
     out = validate_budgets(BudgetSet(7, -1, 0, {"ghost": 2}), grid, portfolio)
-    assert any("gamma_dam=7" in v for v in out)
-    assert any("gamma_sr_up=-1" in v for v in out)
-    assert any("unknown unit 'ghost'" in v for v in out)
-    out = validate_budgets(BudgetSet(gamma_dam=2.0), grid)
-    assert any("gamma_dam" in v for v in out)
+    assert out == [
+        "budgets: gamma_dam=7 exceeds grid.period_count 6",
+        "budgets: gamma_sr_up: expected an integer in [0, inf), got -1",
+        "budgets: gamma names unknown unit 'ghost'",
+    ]
+    # A whole float is an integer, as min_up: 3.0 is in a file; a fraction is not.
+    assert validate_budgets(BudgetSet(gamma_dam=2.0), grid) == []
+    out = validate_budgets(BudgetSet(gamma_dam=2.5, gamma_per_unit={"wf": 7.0}), grid, portfolio)
+    assert out == ["budgets: gamma_dam: expected an integer, got 2.5", "budgets: gamma[wf]=7 exceeds grid.period_count 6"]
     # A unit given twice or more is named once, whatever order its budgets came in.
     twice = BudgetSet(gamma_per_unit=(("wf", 5), ("b", 1), ("wf", 1), ("b", 2), ("wf", 2)))
     named = ["budgets: gamma names unit 'b' 2 times", "budgets: gamma names unit 'wf' 3 times"]
@@ -330,7 +346,8 @@ def test_validate_budgets_rejects_booleans():
     grid = PeriodGrid(6)
     portfolio = ladder_portfolio(6)
     out = validate_budgets(BudgetSet(gamma_dam=True, gamma_per_unit={"wf": False}), grid, portfolio)
-    assert out == ["budgets: gamma_dam=True is outside [0, 6]", "budgets: gamma[wf]=False is outside [0, 6]"]
+    assert out == ["budgets: gamma_dam: expected an integer, got True", "budgets: gamma[wf]: expected an integer, got False"]
     for label in ("gamma_sr_up", "gamma_sr_down"):
-        assert validate_budgets(BudgetSet(**{label: False}), grid) == [f"budgets: {label}=False is outside [0, 6]"]
+        expected = [f"budgets: {label}: expected an integer, got False"]
+        assert validate_budgets(BudgetSet(**{label: False}), grid) == expected
     assert validate_budgets(BudgetSet(gamma_dam=1, gamma_per_unit={"wf": 0}), grid, portfolio) == []

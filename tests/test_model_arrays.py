@@ -26,14 +26,16 @@ import pytest
 
 from rvpp import (
     ZERO_BUDGETS,
+    BudgetSet,
     Portfolio,
     ScipyHighsBackend,
     build_robust_rvpp,
     solve,
     strategy_budgets,
+    validate_budgets,
 )
 from rvpp import backends, cli
-from rvpp.sizing import price_only_budgets, stand_alone
+from rvpp.sizing import Solve, price_only_budgets, stand_alone
 
 DIGESTS = {
     "winter_deterministic": "c0809012c4349772fa453e646ed0936c",
@@ -81,6 +83,20 @@ def digests(bundle):
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_shipped_model_arrays_are_pinned(digests, name):
     assert digests[name] == DIGESTS[name]
+
+
+def test_numpy_budgets_build_the_int_budget_model(bundle):
+    """Budgets given as numpy integers are stored as ints: they validate,
+    key the same Solve and build the pinned wind_farm model."""
+    portfolio, scenario = bundle.cell("spring", "favorable")
+    alone = Portfolio(ndrs=tuple(u for u in portfolio.ndrs if u.name == "wind_farm"))
+    three = np.int64(3)
+    given, ints = BudgetSet(three, three, three, {"wind_farm": three}), BudgetSet(3, 3, 3, {"wind_farm": 3})
+    assert validate_budgets(given, scenario.grid, alone) == []
+    key = Solve(scenario, alone, given)
+    assert key == Solve(scenario, alone, ints) and hash(key) == hash(Solve(scenario, alone, ints))
+    built = _digest(build_robust_rvpp(alone, scenario, given))
+    assert built == _digest(build_robust_rvpp(alone, scenario, ints)) == DIGESTS["wind_farm"]
 
 
 def test_the_digest_is_what_a_solve_records(bundle):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -244,8 +245,12 @@ def test_fleet_ratings_derive_from_module():
     assert fleet.e_min == pytest.approx(0.3)
     assert fleet.charge_p_max == pytest.approx(1.5)
     assert fleet.discharge_eff == pytest.approx(0.95)
-    with pytest.raises(ValueError, match="module_count"):
-        battery().scaled(0)
+    # The count takes the integer rule of a declared field: a numpy integer is
+    # one, and a bool or a fraction is not.
+    assert battery().scaled(np.int64(3)) == fleet
+    for bad, text in ((0, " in [1, inf), got 0"), (True, ", got True"), (2.5, ", got 2.5")):
+        with pytest.raises(ValueError, match=rf"^module_count: expected an integer{re.escape(text)}$"):
+            battery().scaled(bad)
 
 
 @pytest.mark.parametrize("bad, field", [(market(4, sr_up_dev=-1.0), "sr_up_price_dev")])
