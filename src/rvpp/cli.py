@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 from .backends import HIGHS_VERSION, session_options
 from .datasets import default_scenario_path
-from .domain import REGIMES, SEASONS, STRATEGIES, strategy_budgets, validate_budgets
+from .domain import REGIMES, SEASONS, STRATEGIES, UNIT_CLASSES, strategy_budgets, validate_budgets
 from .oracle import nominal_profit
 from .scenario_io import (
     RESULT_FILES,
@@ -72,7 +72,7 @@ from .scenario_io import (
 from .sizing import LAYERS, GapReport, Solve, gap_solves, module_solve, sized_from_module
 
 CASES = (1, 2, 3, 4)
-CONFIG_CHOICES = ("full", "no_drs", "no_ndrs", "no_csp", "no_fd")  # "no_<class>": the portfolio without that class
+CONFIG_CHOICES = ("full", *(f"no_{c}" for c in UNIT_CLASSES if c != "es"))  # "no_<class>": the portfolio less that class
 DEFAULT_FD_SCALES = (0.0, 50.0, 100.0, 150.0)
 GAP_COLUMNS = ("rvpp_profit", "sum_individual", "gap")  # how a GapReport unpacks
 

@@ -219,6 +219,14 @@ class FdUnit(_Declared):
             if self.p_max is None:
                 object.__setattr__(self, "p_max", (1.0 + self.flexibility_margin) * hi)
 
+    def scaled(self, factor: float) -> FdUnit:
+        """The unit at factor times its size: its profiles, deviation and
+        consumption bounds scale, its flexibility margin does not."""
+        sizes = {"p_min": self.p_min * factor, "p_max": self.p_max * factor}
+        sizes["deviation"] = tuple(v * factor for v in self.deviation)
+        sizes["profiles"] = tuple(tuple(v * factor for v in prof) for prof in self.profiles)
+        return replace(self, **sizes)
+
 
 @dataclass(frozen=True)
 class EsUnit(_Declared):
@@ -246,6 +254,10 @@ class EsUnit(_Declared):
         return replace(self, **{f: getattr(self, f) * n for f in ratings})
 
 
+# Each Portfolio field, in order, and its unit type; a scenario file unit's `class:` is its field.
+UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit, "es": EsUnit}
+
+
 @dataclass(frozen=True)
 class Portfolio:
     """The units one schedule trades for, by class; a storage-only portfolio
@@ -260,6 +272,12 @@ class Portfolio:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
+
+    @classmethod
+    def of(cls, units) -> Portfolio:
+        """The portfolio holding the sequence units, each under its type's field in the order given."""
+        field_of = {unit_type: name for name, unit_type in UNIT_CLASSES.items()}
+        return cls(**{name: tuple(u for u in units if field_of[type(u)] == name) for name in UNIT_CLASSES})
 
     def all_units(self) -> tuple:
         return self.drs + self.ndrs + self.csp + self.fd + self.es
@@ -309,6 +327,10 @@ class BudgetSet(_Declared):
         stored = ((unit, _stored("int", gamma)) for unit, gamma in pairs)
         object.__setattr__(self, "gamma_per_unit", tuple(sorted(stored, key=operator.itemgetter(0))))
 
+    def for_units(self, names) -> BudgetSet:
+        """These budgets with per-unit entries only for the units named."""
+        return replace(self, gamma_per_unit=tuple((n, g) for n, g in self.gamma_per_unit if n in names))
+
     def unit_budget(self, name: str) -> int:
         return next((gamma for unit, gamma in self.gamma_per_unit if unit == name), 0)
 
@@ -330,7 +352,7 @@ _ORDERED = {
 }
 
 
-def _relations(u, T: int, failed=frozenset()) -> list[tuple[str | None, str]]:
+def _relations(u, failed=frozenset()) -> list[tuple[str | None, str]]:
     """(field, text) for each cross-field rule u breaks among the fields
     outside failed (those _problems names); field None blames the whole unit."""
     out: list[tuple[str | None, str]] = []
@@ -347,7 +369,7 @@ def _relations(u, T: int, failed=frozenset()) -> list[tuple[str | None, str]]:
             out.append((None, f"requires 0 <= {lo} <= {hi}, got {lo}={a}, {hi}={b}"))
     if isinstance(u, CspUnit):
         if "store" not in failed:
-            out += [("store", f"store {text}") for _, text in _relations(u.store, T)]
+            out += [("store", f"store {text}") for _, text in _relations(u.store)]
     elif isinstance(u, NdrsUnit):
         if not failed & {"p_min", "forecast_upper"} and u.forecast_upper and u.p_min > min(u.forecast_upper):
             out.append(("forecast_upper", f"p_min {u.p_min} exceeds the forecast_upper minimum"))
@@ -452,7 +474,7 @@ def validate_portfolio(portfolio: Portfolio, scenario: MarketScenario) -> list[s
     for u in units:
         problems = list(_problems(u, T))
         out += [f"{u.name}: {name}{index}: {text}" for name, index, text in problems]
-        out += [f"{u.name}: {text}" for _, text in _relations(u, T, {name for name, _, _ in problems})]
+        out += [f"{u.name}: {text}" for _, text in _relations(u, {name for name, _, _ in problems})]
     return out
 
 

@@ -31,12 +31,9 @@ from .domain import (
     REGIMES,
     SEASONS,
     STRATEGIES,
-    CspUnit,
-    DrsUnit,
+    UNIT_CLASSES,
     EsUnit,
-    FdUnit,
     MarketScenario,
-    NdrsUnit,
     PeriodGrid,
     Portfolio,
     _Declared,
@@ -49,8 +46,8 @@ from .domain import (
 
 # The top-level keys besides _Header's, which the document's blocks hold.
 _TOP_KEYS = ("grid", "seasons", "regimes", "prices", "units", "es_module")
-# Scenario-file unit class (also its Portfolio field) -> unit type.
-_UNIT_CLASSES = {"drs": DrsUnit, "ndrs": NdrsUnit, "csp": CspUnit, "fd": FdUnit}
+# Scenario-file unit class -> unit type: domain's table less storage.
+_UNIT_CLASSES = {key: cls for key, cls in UNIT_CLASSES.items() if key != "es"}
 # The keys, outermost first, of a field declared by season and/or regime.
 _AXES = {"season": ("season",), "regime": ("regime",), "season_regime": ("season", "regime")}
 _KNOWN = {"season": SEASONS, "regime": REGIMES}
@@ -172,16 +169,17 @@ def _names(doc: dict, key: str, known: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check(obj, T: int, path: str, cell: dict) -> None:
-    """ScenarioFormatError for the first declared, then cross-field, rule obj
-    breaks, naming the YAML path (in this cell) of the field it blames."""
+def _check(obj, T: int, path: str, cell: dict):
+    """obj, or ScenarioFormatError for the first declared, then cross-field,
+    rule it breaks, naming the YAML path (in this cell) of the field it blames."""
     blamed = [(name, f"{index}: {text}") for name, index, text in _problems(obj, T)]
     if not blamed:
-        blamed = [(name, f": {obj.name}: {text}") for name, text in _relations(obj, T)]
+        blamed = [(name, f": {obj.name}: {text}") for name, text in _relations(obj)]
     for name, message in blamed[:1]:
         if name is not None:
             path += f".{name}" + "".join(f".{cell[a]}" for a in _AXES.get(_declared(type(obj))[name].by, ()))
         raise ScenarioFormatError(path + message)
+    return obj
 
 
 def load_scenario(path: str | Path) -> ScenarioBundle:
@@ -205,8 +203,7 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         raise ScenarioFormatError(f"{path}: cannot be read: {getattr(exc, 'strerror', None) or exc}") from exc
     header = _Header(**_read(_Header, doc, str(path), extra=_TOP_KEYS)[0])
     _check(header, 0, str(path), {})  # nothing reads the header past this check
-    grid = PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid")[0])
-    _check(grid, 0, "grid", {})
+    grid = _check(PeriodGrid(**_read(PeriodGrid, _need(doc, "grid", str(path)), "grid")[0]), 0, "grid", {})
     T = grid.period_count
     seasons = _names(doc, "seasons", SEASONS)
     regimes = _names(doc, "regimes", REGIMES)
@@ -224,28 +221,24 @@ def load_scenario(path: str | Path) -> ScenarioBundle:
         if cls is None:
             known = list(_UNIT_CLASSES)
             raise ScenarioFormatError(f"{upath}.class: unknown unit class {key!r} (expected one of {known})")
-        specs.append((key, cls, *_read(cls, u, upath, chosen, ("class",))))
-    for i, message in _name_problems([shared["name"] for _, _, shared, _ in specs]):
+        specs.append((cls, *_read(cls, u, upath, chosen, ("class",))))
+    for i, message in _name_problems([shared["name"] for _, shared, _ in specs]):
         raise ScenarioFormatError(f"units[{i}].name: {message}")
 
     es_module = None
     if doc.get("es_module") is not None:
-        es_module = EsUnit(**_read(EsUnit, doc["es_module"], "es_module")[0])
-        _check(es_module, T, "es_module", {})
+        es_module = _check(EsUnit(**_read(EsUnit, doc["es_module"], "es_module")[0]), T, "es_module", {})
 
     cells: dict[tuple[str, str], tuple[Portfolio, MarketScenario]] = {}
     for season in seasons:
-        scenario = MarketScenario(grid=grid, **prices[season][0])
-        _check(scenario, T, f"prices.{season}", {})
+        scenario = _check(MarketScenario(grid=grid, **prices[season][0]), T, f"prices.{season}", {})
         for regime in regimes:
             cell = {"season": season, "regime": regime}
-            groups: dict[str, list] = {key: [] for key in _UNIT_CLASSES}
-            for i, (key, cls, shared, varying) in enumerate(specs):
+            members = []
+            for i, (cls, shared, varying) in enumerate(specs):
                 picked = {name: reduce(getitem, map(cell.get, axes), table) for name, (axes, table) in varying.items()}
-                unit = cls(**shared, **picked)
-                _check(unit, T, f"units[{i}]", cell)
-                groups[key].append(unit)
-            cells[(season, regime)] = (Portfolio(**groups), scenario)
+                members.append(_check(cls(**shared, **picked), T, f"units[{i}]", cell))
+            cells[(season, regime)] = (Portfolio.of(members), scenario)
 
     return ScenarioBundle(
         path=str(path),
@@ -267,22 +260,12 @@ def save_scenario(raw: dict, path: str | Path) -> None:
 
 
 def scale_flexible_demand(portfolio: Portfolio, factor: float) -> Portfolio:
-    """Scale every flexible-demand unit's size by factor (0 drops them)."""
+    """Scale every flexible-demand unit's size by factor (its `scaled`; 0 drops them)."""
     if factor < 0:
         raise ValueError("flexible-demand scale factor must be nonnegative")
     if factor == 0:
         return replace(portfolio, fd=())
-    scaled = tuple(
-        replace(
-            u,
-            profiles=[[v * factor for v in prof] for prof in u.profiles],
-            deviation=[v * factor for v in u.deviation],
-            p_min=u.p_min * factor,
-            p_max=u.p_max * factor,
-        )
-        for u in portfolio.fd
-    )
-    return replace(portfolio, fd=scaled)
+    return replace(portfolio, fd=tuple(u.scaled(factor) for u in portfolio.fd))
 
 
 @dataclass

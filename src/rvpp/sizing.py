@@ -31,19 +31,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+import zlib
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import backends
 from .domain import (
+    PRICE_STREAMS,
     ZERO_BUDGETS,
     BudgetSet,
-    CspUnit,
-    DrsUnit,
     EsUnit,
-    FdUnit,
     MarketScenario,
-    NdrsUnit,
     Portfolio,
 )
 from .milp import FEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_LIMIT, STATUS_OPTIMAL, Model, Solution, solve
@@ -117,24 +115,21 @@ class Solve(NamedTuple):
         return 1 if self.budgets == ZERO_BUDGETS else 0
 
     def label(self) -> str:
-        return "+".join(self.subject.unit_names())
+        """The unit names, the budgets ("deterministic": ZERO_BUDGETS), and digests
+        of the market and of the units' data, which tell a season's regimes and
+        flexible-demand scales apart."""
+        gammas = [(s, getattr(self.budgets, f)) for s, f in PRICE_STREAMS.items()] + list(self.budgets.gamma_per_unit)
+        budgets = "deterministic" if self.budgets == ZERO_BUDGETS else ",".join(f"{n}={g}" for n, g in gammas)
+        market, units = (zlib.crc32(repr(part).encode()) for part in (self.scenario, self.subject))
+        return f"{'+'.join(self.subject.unit_names())}:{budgets}:market={market:08x}:units={units:08x}"
 
     def run(self) -> RvppSchedule:
         """The audited schedule; see audited_schedule."""
         return audited_schedule(self.subject, self.scenario, self.budgets)
 
 
-# The Portfolio field of each unit class.
-_CLASS_FIELD = {DrsUnit: "drs", NdrsUnit: "ndrs", CspUnit: "csp", FdUnit: "fd", EsUnit: "es"}
-
-
-def _budgets_for(budgets: BudgetSet, names: set[str]) -> BudgetSet:
-    kept = tuple((n, g) for n, g in budgets.gamma_per_unit if n in names)
-    return replace(budgets, gamma_per_unit=kept)
-
-
 def price_only_budgets(budgets: BudgetSet) -> BudgetSet:
-    return replace(budgets, gamma_per_unit=())
+    return budgets.for_units(())
 
 
 def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
@@ -143,7 +138,7 @@ def stand_alone(unit, budgets: BudgetSet) -> tuple[Portfolio, BudgetSet]:
     The unit keeps its own quantity budget and the full price budgets; other
     units' budgets are dropped along with the units themselves.
     """
-    return Portfolio(**{_CLASS_FIELD[type(unit)]: (unit,)}), _budgets_for(budgets, {unit.name})
+    return Portfolio.of((unit,)), budgets.for_units({unit.name})
 
 
 def _solved(m: Model) -> tuple[Solution, backends.SolveRecord]:
@@ -230,7 +225,7 @@ def gap_solves(
 ) -> tuple[Solve, tuple[Solve, ...]]:
     """The portfolio's key and one stand-alone key per unit; budget entries
     naming units outside the portfolio are dropped."""
-    budgets = _budgets_for(budgets, set(portfolio.unit_names()))
+    budgets = budgets.for_units(set(portfolio.unit_names()))
     units = tuple(Solve(scenario, *stand_alone(u, budgets)) for u in portfolio.all_units())
     return Solve(scenario, portfolio, budgets), units
 

@@ -5,8 +5,7 @@ which calls add_es_unit for each unit of Portfolio.es (it appends the unit's
 column families and its block of per-period row families to the model
 store) and books the unit into the three market balances: its net flow, its
 upward reserve and its downward reserve.  An n-module fleet is the module's
-EsUnit.scaled(n): power and energy limits scale with the count,
-efficiencies and costs do not.
+EsUnit.scaled(n), which says what scales with the count.
 
 Charging and discharging are mode-exclusive per period; reserve offers split
 into a charge-side part (backing off charging) and a discharge-side part.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from rvpp import (
     strategy_budgets,
     worst_case_profit,
 )
+from rvpp.domain import PRICE_STREAMS
 from rvpp.sizing import aggregation_gap, size_es_to_match
 from toys import market, solve_es, solve_rvpp, wind_only
 
@@ -143,6 +145,25 @@ def test_aggregation_gap_never_negative(sweep):
     gaps = [float(r["gap"]) for r in sweep.rows if r["case"] == "3" and r["gap"]]
     assert len(gaps) == 96
     assert min(gaps) >= -TOL
+
+
+def test_zero_price_budgets_leave_no_gap(bundle):
+    """With the three price budgets at zero the units share only the linear
+    market balances, so the portfolio model separates by unit and its optimum
+    is the sum of the stand-alone optima: in every season and regime of the
+    shipped file, under the deterministic and the pessimistic quantity
+    budgets (16 cells), to 1e-9 relative.  Each cell's seven searches agree."""
+    prices_off = dict.fromkeys(PRICE_STREAMS.values(), 0)
+    cells = 0
+    for season in bundle.seasons:
+        for regime in bundle.regimes:
+            portfolio, scenario = bundle.cell(season, regime)
+            for strategy in ("deterministic", "pessimistic"):
+                quantity_only = replace(strategy_budgets(strategy, portfolio), **prices_off)
+                report = aggregation_gap(portfolio, scenario, quantity_only)
+                assert abs(report.gap) <= 1e-9 * abs(report.rvpp_profit), (season, regime, strategy, tuple(report))
+                cells += 1
+    assert cells == 16
 
 
 def test_robust_objective_equals_worst_case_replay(robust_rvpp, winter_cell, es_ladder):

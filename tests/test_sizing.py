@@ -9,6 +9,7 @@ import pytest
 
 import rvpp.sizing as sizing
 from rvpp import (
+    STRATEGIES,
     BudgetSet,
     DrsUnit,
     FdUnit,
@@ -22,6 +23,7 @@ from rvpp import (
     strategy_budgets,
 )
 from rvpp.domain import validate_portfolio
+from rvpp.sizing import Solve, stand_alone
 from toys import (
     battery,
     lifting_to_the_nominal_ceiling,
@@ -268,3 +270,24 @@ def test_a_schedule_outside_its_dominant_realization_fails_the_robust_audit(bund
     assert message.startswith(
         "ScheduleError: robust audit failed: wind_farm: dispatch plus upward reserve exceeds the degraded limit"
     ), message
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5])
+def test_a_scaled_flexible_demand_unit_scales_its_stand_alone_schedule(bundle, factor):
+    """Every flexible-demand row is positively homogeneous in the continuous
+    columns and the unit's data, and the profile picks do not scale, so the
+    stand-alone schedule of FdUnit.scaled(a) is a times the unit's own: in
+    every season, regime and strategy of the shipped file."""
+    for season in bundle.seasons:
+        for regime in bundle.regimes:
+            portfolio, scenario = bundle.cell(season, regime)
+            for strategy in STRATEGIES:
+                budgets = strategy_budgets(strategy, portfolio)
+                for load in portfolio.fd:
+                    one = Solve(scenario, *stand_alone(load, budgets)).run()
+                    scaled = Solve(scenario, *stand_alone(load.scaled(factor), budgets)).run()
+                    cell = (season, regime, strategy, load.name)
+                    assert scaled.objective_value == pytest.approx(factor * one.objective_value, rel=1e-9), cell
+                    np.testing.assert_allclose(
+                        scaled.dispatch[load.name], factor * one.dispatch[load.name], rtol=0, atol=1e-6, err_msg=str(cell)
+                    )
